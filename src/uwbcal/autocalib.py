@@ -67,6 +67,25 @@ class DistanceStatsMatrix:
         self._std[i, j] = std
         self._count[i, j] = count
 
+    def set_pairs(self, i: np.ndarray, j: np.ndarray, mean: np.ndarray,
+                  std: np.ndarray, count: int) -> None:
+        """``set_pair`` over arrays of directed pairs sharing one count.
+
+        Valid input is stored in one step. Otherwise the pairs go through
+        ``set_pair`` in order, so the first bad one raises its error.
+        """
+        n = self.n_anchors
+        ids = list(zip(i.tolist(), j.tolist()))
+        means, stds = mean.tolist(), std.tolist()
+        if not (count >= 1 and min(means, default=1.0) > 0.0
+                and min(stds, default=0.0) >= 0.0
+                and all(0 <= a < n and 0 <= b < n and a != b for a, b in ids)):
+            for (a, b), m, s in zip(ids, means, stds):
+                self.set_pair(a, b, m, s, count)
+        self._mean[i, j] = mean
+        self._std[i, j] = std
+        self._count[i, j] = count
+
     def pair(self, i: int, j: int) -> PairStats | None:
         self._check_ids(i, j)
         if self._count[i, j] == 0:
@@ -106,10 +125,11 @@ class DistanceStatsMatrix:
                 if self.has_sym(i, j)]
 
     def missing_pairs(self) -> list[tuple[int, int]]:
+        unmeasured = (self._count + self._count.T == 0).tolist()
         return [(i, j)
                 for i in range(self.n_anchors)
                 for j in range(i + 1, self.n_anchors)
-                if not self.has_sym(i, j)]
+                if unmeasured[i][j]]
 
     def corrected(self, model: RangingModel) -> "DistanceStatsMatrix":
         """Bias-correct every directed mean through the ranging model.

@@ -25,8 +25,8 @@ from .errors import (ConfigError, CsvFormatError, DegenerateFit,
                      NotConverged)
 from .geometry import Point2
 from .ranging import RangingModel, fit_model, load_samples
-from .sim import (ScenarioConfig, Trigger, read_trace_records, run_scenario,
-                  summarize, summary_to_json, write_trace_csv)
+from .sim import (ScenarioConfig, Trigger, _round_floats, read_trace_records,
+                  run_scenario, summarize, summary_to_json, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -34,21 +34,9 @@ EXIT_FIT = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_GEOMETRY = 5
 
-_FLOAT_FORMAT = "%.9g"
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_FLOAT_FORMAT % obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
 
 def _dump_json(obj, path=None) -> str:
-    text = json.dumps(_round_floats(obj), indent=2) + "\n"
+    text = json.dumps(_round_floats(obj, 9), indent=2) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -97,6 +85,11 @@ def _result_dict(result: CalibrationResult) -> dict:
     }
 
 
+def _degenerate_message(exc: DegenerateGeometry) -> str:
+    which = "" if exc.anchor_id is None else f" (anchor {exc.anchor_id})"
+    return f"degenerate geometry{which}: {exc}"
+
+
 def cmd_calibrate(args) -> int:
     try:
         matrix = load_distance_csv(args.input)
@@ -117,8 +110,7 @@ def cmd_calibrate(args) -> int:
         _dump_json(_result_dict(exc.result), args.output)
         return _fail(str(exc), EXIT_NOT_CONVERGED)
     except DegenerateGeometry as exc:
-        which = "" if exc.anchor_id is None else f" (anchor {exc.anchor_id})"
-        return _fail(f"degenerate geometry{which}: {exc}", EXIT_GEOMETRY)
+        return _fail(_degenerate_message(exc), EXIT_GEOMETRY)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     _dump_json(_result_dict(result), args.output)
@@ -154,6 +146,8 @@ def cmd_simulate(args) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_INPUT
+    except DegenerateGeometry as exc:
+        return _fail(_degenerate_message(exc), EXIT_GEOMETRY)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

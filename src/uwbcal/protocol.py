@@ -1,4 +1,8 @@
-"""Token-passing inter-anchor ranging round as a discrete-event model.
+"""Token-passing inter-anchor ranging round.
+
+``simulate_round`` models the round message by message; it serves event
+traces and the protocol-invariant tests. ``run_calibration_round``, which
+the simulator calls, produces the same statistics from one batched draw.
 
 One calibration round works like this: a start command (UART in the real
 system) makes anchor 0 the initiator. The initiator ranges to every other
@@ -20,13 +24,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autocalib import DistanceStatsMatrix, PairStats
-from .errors import ProtocolViolation
+from .errors import InvalidTiming, ProtocolViolation
 from .geometry import Point2, distance
 from .ranging import (SPEED_OF_LIGHT, RangingModel, TwrTimings,
                       simulate_measurement, ss_twr_distance)
@@ -322,10 +327,67 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
                           true_positions: list[Point2],
                           ranging_model: RangingModel,
                           rng: np.random.Generator) -> tuple[DistanceStatsMatrix, float]:
-    """Simulate one round; return the shared statistics and its latency."""
-    outcome = simulate_round(n_anchors, k_measurements, true_positions,
-                             ranging_model, rng)
-    return outcome.stats, outcome.latency
+    """Run one round in a single batched draw; return the stats and latency.
+
+    Gives the same statistics, latency and generator state as
+    :func:`simulate_round`, which stays the message-level model. That model
+    draws one noise value per Response, initiator 0..N-1 in turn, each
+    ranging its targets in :func:`_targets_from` order k times; here row r
+    of one ``(N*(N-1), k)`` draw is the r-th directed pair in that order, and
+    the per-message arithmetic runs element by element on the whole block.
+    """
+    if len(true_positions) != n_anchors:
+        raise ValueError(
+            f"{len(true_positions)} positions for {n_anchors} anchors")
+    if n_anchors < 3 or k_measurements < 1:
+        raise ValueError("need n_anchors >= 3 and k_measurements >= 1")
+    latency = DEFAULT_LATENCY_MODEL.estimate(k_measurements)
+    rows = np.repeat(np.arange(n_anchors), n_anchors - 1)
+    cols = np.array([j for i in range(n_anchors)
+                     for j in _targets_from(i, n_anchors)])
+    # the scalar distance the Response handler uses (np.hypot may differ
+    # from math.hypot in the last bit), once per unordered pair: swapping
+    # the points only negates the differences, which hypot ignores exactly
+    sym = {}
+    for i in range(n_anchors):
+        for j in range(i + 1, n_anchors):
+            sym[i, j] = sym[j, i] = distance(true_positions[j],
+                                             true_positions[i])
+    true_d = np.array([sym[pair] for pair in zip(rows.tolist(),
+                                                 cols.tolist())])
+    z = rng.standard_normal((len(rows), k_measurements))
+    # overflow yields inf as in scalar float arithmetic; checked below
+    with np.errstate(over="ignore"):
+        measured = (ranging_model.slope * true_d
+                    + ranging_model.intercept)[:, None] \
+            + ranging_model.noise_std * z
+        # a negative reading is physically impossible; clamp to zero flight
+        t_round = DEFAULT_REPLY_TIME \
+            + 2.0 * np.maximum(measured, 0.0) / SPEED_OF_LIGHT
+    # t_round >= DEFAULT_REPLY_TIME or is NaN, so it is finite iff its max
+    # is. The message-level model stops at the first bad Response, so name
+    # the first bad row.
+    if not (true_d.min() > 0.0 and math.isfinite(t_round.max())):
+        bad = (true_d <= 0.0) | ~np.isfinite(t_round.max(axis=1))
+        d = true_d[bad.argmax()]
+        if d <= 0.0:
+            raise ValueError(f"true distance must be positive, got {d}")
+        raise InvalidTiming("non-finite timing")
+    burst = SPEED_OF_LIGHT * (t_round - DEFAULT_REPLY_TIME) / 2.0
+    # the operations of np.mean and np.std(ddof=1), sharing the row sums
+    means = burst.sum(axis=1) / k_measurements
+    if k_measurements > 1:
+        dev = burst - means[:, None]
+        stds = np.sqrt((dev * dev).sum(axis=1) / (k_measurements - 1))
+    else:
+        stds = np.zeros(len(rows))
+
+    stats = DistanceStatsMatrix(n_anchors)
+    stats.set_pairs(rows, cols, means, stds, k_measurements)
+    missing = stats.missing_pairs()
+    if missing:
+        raise ProtocolViolation(f"round ended with unmeasured pairs {missing}")
+    return stats, latency
 
 
 def write_event_trace(trace: list[tuple[float, str, int, int]], path) -> None:

@@ -323,6 +323,14 @@ def resolve_config(cfg: ScenarioConfig,
             f"initial_anchor_positions: {len(anchors)} entries for "
             f"{cfg.n_anchors} anchors")
         anchors = None
+    else:
+        # a zero inter-anchor distance cannot be ranged
+        for j, p in enumerate(anchors):
+            if p in anchors[:j]:
+                violations.append(
+                    f"initial_anchor_positions[{j}]: ({p.x:g}, {p.y:g}) "
+                    f"coincides with initial_anchor_positions"
+                    f"[{anchors.index(p)}]")
 
     tags = cfg.initial_tag_positions
     if tags is None:

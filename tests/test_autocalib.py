@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ class TestDistanceStatsMatrix:
             m.set_pair(0, 1, -1.0, 0.0, 1)
         with pytest.raises(ValueError):
             m.set_pair(0, 1, 1.0, 0.0, 0)
+
+    def test_set_pairs_matches_set_pair_loop(self):
+        i, j = np.array([0, 1, 2, 1]), np.array([1, 2, 0, 0])
+        mean = np.array([9.0, 8.0, 7.0, 6.0])
+        std = np.array([0.1, 0.0, 0.2, 0.3])
+        bulk, loop = DistanceStatsMatrix(3), DistanceStatsMatrix(3)
+        bulk.set_pairs(i, j, mean, std, 5)
+        for args in zip(i.tolist(), j.tolist(), mean.tolist(), std.tolist()):
+            loop.set_pair(*args, 5)
+        assert bulk.equal_stats(loop)
+        assert bulk.missing_pairs() == [] and loop.missing_pairs() == []
+
+    @pytest.mark.parametrize("i,j,mean,std,count,named", [
+        ([0, 1, 2], [1, 2, 2], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1, "(2,2)"),
+        ([0, 1, 3], [1, 2, 0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1, "(3,0)"),
+        ([0, 1, 2], [1, 2, 0], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0], 1, "(1,2)"),
+        ([0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0], [0.0, 0.0, -0.1], 1, "(2,0)"),
+        ([0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 0, "(0,1)"),
+    ])
+    def test_set_pairs_names_first_bad_pair(self, i, j, mean, std, count,
+                                            named):
+        m = DistanceStatsMatrix(3)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            m.set_pairs(np.array(i), np.array(j), np.array(mean),
+                        np.array(std), count)
 
     def test_corrected_applies_affine_map(self):
         model = RangingModel(slope=2.0, intercept=1.0, noise_std=0.0,

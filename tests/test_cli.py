@@ -222,6 +222,30 @@ class TestSimulate:
         assert result.returncode == 2
         assert "wrong" in result.stderr
 
+    def test_coincident_anchors_exit_2(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "n_anchors": 3, "n_tags": 0,
+            "initial_anchor_positions": [[0, 0], [8, 0], [0, 0]]}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "initial_anchor_positions[2]" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_bootstrap_geometry_failure_exits_5(self, tmp_path):
+        # at 2 m of ranging noise the seed-1 bootstrap circles for anchor 2
+        # do not intersect
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"ranging": {
+            "slope": 1.0086, "intercept_m": 0.361, "noise_std_m": 2.0,
+            "n_samples": 40}}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"), "--seed", "1")
+        assert result.returncode == 5
+        assert "anchor 2" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_no_bias_correction_flag(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(

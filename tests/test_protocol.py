@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from uwbcal.errors import ProtocolViolation
+from uwbcal.errors import InvalidTiming, ProtocolViolation
 from uwbcal.geometry import Point2, distance
 from uwbcal.protocol import (DEFAULT_LATENCY_MODEL, LatencyModel, Mode, Poll,
                              Response, StartCommand, StatsBroadcast,
@@ -167,6 +167,70 @@ class TestRound:
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,type,from,to"
         assert len(lines) == 1 + len(out.trace)
+
+
+class TestFastRoundMatchesEventModel:
+    """run_calibration_round must reproduce simulate_round bit for bit."""
+
+    MODELS = {
+        "reference": reference_model(),
+        "identity": RangingModel.identity(),
+        "noise_2m": RangingModel(reference_model().slope,
+                                 reference_model().intercept, 2.0, 40),
+    }
+
+    @staticmethod
+    def assert_same_round(n, k, positions, model, seed):
+        oracle_rng = np.random.default_rng(seed)
+        fast_rng = np.random.default_rng(seed)
+        try:
+            oracle = simulate_round(n, k, positions, model, oracle_rng)
+        except Exception as exc:  # compared against the fast path below
+            with pytest.raises(type(exc)):
+                run_calibration_round(n, k, positions, model, fast_rng)
+            return False
+        stats, latency = run_calibration_round(n, k, positions, model,
+                                               fast_rng)
+        assert stats.equal_stats(oracle.stats)
+        assert latency == oracle.latency
+        assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
+        return True
+
+    # k = 129 crosses numpy's 128-element pairwise-summation block
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("k", [1, 5, 50, 129])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_random_layouts(self, n, k, model):
+        for seed in range(20):
+            layout = np.random.default_rng(10_000 + seed).uniform(-15, 15,
+                                                                  (n, 2))
+            positions = [Point2(x, y) for x, y in layout]
+            self.assert_same_round(n, k, positions, self.MODELS[model], seed)
+
+    @pytest.mark.parametrize("positions,error", [
+        ([Point2(0, 0), Point2(0, 0), Point2(5, 0)], ValueError),
+        ([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0)], InvalidTiming),
+        # the overflowing pair (0, 1) is ranged before the coincident (2, 3)
+        ([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0), Point2(0, 0)],
+         InvalidTiming),
+        ([Point2(0, 0), Point2(0, 0), Point2(1e308, 0), Point2(-1e308, 0)],
+         ValueError),
+    ])
+    def test_failures_match(self, positions, error):
+        n = len(positions)
+        with pytest.raises(error):
+            simulate_round(n, 3, positions, reference_model(),
+                           np.random.default_rng(0))
+        assert not self.assert_same_round(n, 3, positions, reference_model(), 0)
+
+    def test_argument_checks(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            run_calibration_round(4, 5, SQUARE[:3], reference_model(), rng)
+        with pytest.raises(ValueError):
+            run_calibration_round(2, 5, SQUARE[:2], reference_model(), rng)
+        with pytest.raises(ValueError):
+            run_calibration_round(4, 0, SQUARE, reference_model(), rng)
 
 
 class TestLatencyModel:

@@ -60,6 +60,14 @@ class TestConfig:
             resolve_config(cfg)
         assert "initial_tag_positions[0]" in str(err.value)
 
+    def test_coincident_anchors_rejected(self):
+        cfg = ScenarioConfig(n_anchors=4, n_tags=0, initial_anchor_positions=(
+            Point2(0, 0), Point2(8, 0), Point2(8, 8), Point2(8, 0)))
+        with pytest.raises(ConfigError) as err:
+            resolve_config(cfg)
+        assert "initial_anchor_positions[3]" in str(err.value)
+        assert "initial_anchor_positions[1]" in str(err.value)
+
     def test_motion_lengths_checked(self):
         motion = MotionTable(anchors=(MotionParams(0.0, 0.1, 0.0),),
                              tags=())
