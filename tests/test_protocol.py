@@ -186,8 +186,9 @@ class TestFastRoundMatchesEventModel:
         try:
             oracle = simulate_round(n, k, positions, model, oracle_rng)
         except Exception as exc:  # compared against the fast path below
-            with pytest.raises(type(exc)):
+            with pytest.raises(Exception) as fast:
                 run_calibration_round(n, k, positions, model, fast_rng)
+            assert type(fast.value) is type(exc)
             return False
         stats, latency = run_calibration_round(n, k, positions, model,
                                                fast_rng)
