@@ -13,11 +13,10 @@ Library layout:
 
 from .autocalib import (CalibrationResult, DistanceStatsMatrix, calibrate,
                         initial_placement, refine_lse)
-from .geometry import (ErrorMetrics, Point2, bilaterate_positive_y, distance,
-                       rotation_error, translation_errors)
+from .geometry import (Point2, bilaterate_positive_y, distance, rotation_error,
+                       translation_errors)
 from .multilateration import TagFix, linear_initial_guess, locate_tag
-from .protocol import (LatencyModel, estimate_latency, run_calibration_round,
-                       simulate_round)
+from .protocol import estimate_latency, run_calibration_round, simulate_round
 from .ranging import (RangingModel, RangingSample, TwrTimings,
                       correct_measurement, ds_twr_distance, fit_model,
                       reference_model, simulate_measurement, ss_twr_distance)
@@ -26,9 +25,8 @@ from .sim import ScenarioConfig, SummaryStats, run_scenario, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationResult", "DistanceStatsMatrix", "ErrorMetrics",
-    "LatencyModel", "Point2", "RangingModel", "RangingSample",
-    "ScenarioConfig", "SummaryStats", "TagFix", "TwrTimings",
+    "CalibrationResult", "DistanceStatsMatrix", "Point2", "RangingModel",
+    "RangingSample", "ScenarioConfig", "SummaryStats", "TagFix", "TwrTimings",
     "bilaterate_positive_y", "calibrate", "correct_measurement", "distance",
     "ds_twr_distance", "estimate_latency", "fit_model", "initial_placement",
     "linear_initial_guess", "locate_tag", "reference_model", "refine_lse",

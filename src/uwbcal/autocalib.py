@@ -19,14 +19,8 @@ import numpy as np
 
 from .errors import CsvFormatError, DegenerateGeometry, NotConverged
 from .geometry import Point2, bilaterate_positive_y
-from .leastsq import levenberg_marquardt
+from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
-
-# Floor for 1/std^2 residual weighting; keeps zero-noise pairs finite.
-WEIGHT_STD_FLOOR = 1e-6
-
-# Coincident iterates have no distance gradient; nudge them apart instead.
-COINCIDENT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,15 +98,6 @@ class DistanceStatsMatrix:
         if total == 0:
             raise KeyError(f"pair ({i},{j}) has no measurements")
         return (c_ij * self._mean[i, j] + c_ji * self._mean[j, i]) / total
-
-    def sym_std(self, i: int, j: int) -> float:
-        """Count-weighted RMS of the two directed standard deviations."""
-        c_ij, c_ji = self._count[i, j], self._count[j, i]
-        total = c_ij + c_ji
-        if total == 0:
-            raise KeyError(f"pair ({i},{j}) has no measurements")
-        return math.sqrt((c_ij * self._std[i, j] ** 2 +
-                          c_ji * self._std[j, i] ** 2) / total)
 
     def sym_count(self, i: int, j: int) -> int:
         return int(self._count[i, j] + self._count[j, i])
@@ -193,64 +178,39 @@ def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
     return cols
 
 
-def _expand(free: np.ndarray, n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
+def _expand(free: np.ndarray, free_cols: np.ndarray,
+            n_anchors: int) -> np.ndarray:
     flat = np.zeros(2 * n_anchors)
-    flat[_free_columns(n_anchors, fix_a1_axis)] = free
+    flat[free_cols] = free
     return flat.reshape(n_anchors, 2)
 
 
-def _pair_arrays(d: DistanceStatsMatrix, weighted: bool):
-    pairs = d.unordered_pairs()
-    ii = np.array([p[0] for p in pairs], dtype=int)
-    jj = np.array([p[1] for p in pairs], dtype=int)
-    targets = np.array([d.sym_mean(i, j) for i, j in pairs])
-    if weighted:
-        stds = np.array([max(d.sym_std(i, j), WEIGHT_STD_FLOOR)
-                         for i, j in pairs])
-        sqrt_w = 1.0 / stds
-    else:
-        sqrt_w = np.ones(len(pairs))
-    return ii, jj, targets, sqrt_w
+def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
+    """Residual function free -> (r, J) over every measured anchor pair.
 
-
-def _residuals_and_jacobian(positions: np.ndarray, ii, jj, targets, sqrt_w,
-                            free_cols):
-    diff = positions[ii] - positions[jj]
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    coincident = dist < 1e-12
-    if coincident.any():
-        diff[coincident] = (COINCIDENT_EPS, 0.0)
-        dist[coincident] = COINCIDENT_EPS
-    unit = diff / dist[:, None]
-    r = (dist - targets) * sqrt_w
-    m, n = len(ii), positions.shape[0]
-    jac_full = np.zeros((m, n, 2))
-    rows = np.arange(m)
-    jac_full[rows, ii] = unit
-    jac_full[rows, jj] = -unit
-    jac = jac_full.reshape(m, 2 * n)[:, free_cols] * sqrt_w[:, None]
-    return r, jac
-
-
-def objective_and_gradient(d: DistanceStatsMatrix, free: np.ndarray,
-                           weighted: bool = False,
-                           fix_a1_axis: bool = False) -> tuple[float, np.ndarray]:
-    """Objective F = sum_pairs (|p_i - p_j| - d_ij)^2 and its gradient.
-
-    ``free`` is the optimizer's variable vector: the flattened coordinates of
-    anchors 1..n-1 (anchor 1's y omitted when ``fix_a1_axis``).
+    r holds |p_i - p_j| - d_ij for the symmetrized means d_ij. ``free`` is
+    the optimizer's variable vector: the flattened coordinates of anchors
+    1..n-1 (anchor 1's y omitted when ``fix_a1_axis``).
     """
     n = d.n_anchors
     free_cols = _free_columns(n, fix_a1_axis)
-    ii, jj, targets, sqrt_w = _pair_arrays(d, weighted)
-    positions = _expand(np.asarray(free, dtype=float), n, fix_a1_axis)
-    r, jac = _residuals_and_jacobian(positions, ii, jj, targets, sqrt_w,
-                                     free_cols)
-    return float(r @ r), 2.0 * (jac.T @ r)
+    pairs = d.unordered_pairs()
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    targets = np.array([d.sym_mean(i, j) for i, j in pairs])
+    m, rows = len(pairs), np.arange(len(pairs))
+
+    def fun(free):
+        positions = _expand(free, free_cols, n)
+        r, unit = range_residuals(positions[ii] - positions[jj], targets)
+        jac = np.zeros((m, n, 2))
+        jac[rows, ii] = unit
+        jac[rows, jj] = -unit
+        return r, jac.reshape(m, 2 * n)[:, free_cols]
+
+    return fun
 
 
 def refine_lse(initial: list[Point2], d: DistanceStatsMatrix,
-               weighted: bool = False,
                fix_a1_axis: bool = False) -> CalibrationResult:
     """Adjust anchor positions to best match the measured distances.
 
@@ -265,23 +225,13 @@ def refine_lse(initial: list[Point2], d: DistanceStatsMatrix,
         raise ValueError("initial[0] must be the origin")
 
     free_cols = _free_columns(n, fix_a1_axis)
-    ii, jj, targets, sqrt_w = _pair_arrays(d, weighted)
     flat0 = np.array([c for p in initial for c in (p.x, p.y)])
-
-    def fun(free):
-        positions = _expand(free, n, fix_a1_axis)
-        return _residuals_and_jacobian(positions, ii, jj, targets, sqrt_w,
-                                       free_cols)
-
-    lsq = levenberg_marquardt(fun, flat0[free_cols])
-    positions = _expand(lsq.x, n, fix_a1_axis)
-    # rms is always reported on unweighted residuals for comparability
-    plain_r, _ = _residuals_and_jacobian(positions, ii, jj, targets,
-                                         np.ones(len(ii)), free_cols)
-    rms = math.sqrt(float(plain_r @ plain_r) / len(ii)) if len(ii) else 0.0
+    lsq = levenberg_marquardt(network_residuals(d, fix_a1_axis),
+                              flat0[free_cols])
+    n_pairs = len(d.unordered_pairs())
     result = CalibrationResult(
-        positions=tuple(Point2(p[0], p[1]) for p in positions),
-        rms_residual=rms,
+        positions=tuple(Point2(*p) for p in _expand(lsq.x, free_cols, n)),
+        rms_residual=math.sqrt(lsq.objective / n_pairs) if n_pairs else 0.0,
         iterations=lsq.iterations,
         converged=lsq.converged,
     )
@@ -292,8 +242,7 @@ def refine_lse(initial: list[Point2], d: DistanceStatsMatrix,
 
 
 def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
-              prior: list[Point2] | None = None,
-              weighted: bool = False) -> CalibrationResult:
+              prior: list[Point2] | None = None) -> CalibrationResult:
     """Full calibration: bias-correct, choose a start, refine.
 
     Without a prior this is the initial calibration: geometric placement
@@ -313,8 +262,7 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
         origin = prior[0]
         start = [p - origin for p in prior]
         fix_a1_axis = False
-    return refine_lse(start, corrected, weighted=weighted,
-                      fix_a1_axis=fix_a1_axis)
+    return refine_lse(start, corrected, fix_a1_axis=fix_a1_axis)
 
 
 def load_distance_csv(path) -> DistanceStatsMatrix:

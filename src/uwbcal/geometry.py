@@ -41,25 +41,6 @@ class Point2:
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
 
-    def rotated(self, angle: float) -> "Point2":
-        """Rotate about the origin by ``angle`` radians (counter-clockwise)."""
-        c, s = math.cos(angle), math.sin(angle)
-        return Point2(c * self.x - s * self.y, s * self.x + c * self.y)
-
-
-@dataclass(frozen=True)
-class ErrorMetrics:
-    """Per-node translation errors plus the signed frame rotation error."""
-
-    translation_errors: tuple[float, ...]
-    rotation_error: float
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.translation_errors):
-            raise ValueError("translation errors must be non-negative")
-        if not -math.pi < self.rotation_error <= math.pi:
-            raise ValueError("rotation error outside (-pi, pi]")
-
 
 def distance(p: Point2, q: Point2) -> float:
     """Euclidean distance between two points."""
@@ -74,15 +55,14 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-def bilaterate_positive_y(d01: float, d0i: float, d1i: float,
-                          tol: float = CIRCLE_INTERSECT_TOL) -> Point2:
+def bilaterate_positive_y(d01: float, d0i: float, d1i: float) -> Point2:
     """Intersect circles centered at (0, 0) and (d01, 0), keeping y >= 0.
 
     ``d01`` is the baseline between the two reference nodes, ``d0i``/``d1i``
     the measured distances from each of them to the node being placed. Of the
     two intersection points the one in the upper half-plane is returned; a
-    slightly negative discriminant (relative to ``tol * d0i**2``) is clamped
-    to the x-axis, a grossly negative one raises :class:`DegenerateGeometry`.
+    negative discriminant above ``-CIRCLE_INTERSECT_TOL * d0i**2`` is clamped
+    to the x-axis, a lower one raises :class:`DegenerateGeometry`.
     """
     if d01 <= 0.0 or d0i <= 0.0 or d1i <= 0.0:
         raise DegenerateGeometry(
@@ -90,7 +70,7 @@ def bilaterate_positive_y(d01: float, d0i: float, d1i: float,
     x = (d0i * d0i - d1i * d1i + d01 * d01) / (2.0 * d01)
     y_sq = d0i * d0i - x * x
     if y_sq < 0.0:
-        if y_sq < -tol * d0i * d0i:
+        if y_sq < -CIRCLE_INTERSECT_TOL * d0i * d0i:
             raise DegenerateGeometry(
                 f"circles d0i={d0i}, d1i={d1i} on baseline {d01} do not "
                 f"intersect (discriminant {y_sq:.3e})")

@@ -1,8 +1,9 @@
-"""Damped least-squares (Levenberg-Marquardt) kernel.
+"""Damped least-squares (Levenberg-Marquardt) kernel and range residuals.
 
 One small dense solver shared by the anchor-network refinement and the tag
-fix. Problems here have at most a few dozen residuals and ~10 unknowns, so
-the normal equations are formed directly.
+fix, and the range-residual kernel both build their residual functions on.
+Problems here have at most a few dozen residuals and ~10 unknowns, so the
+normal equations are formed directly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ MAX_ITERATIONS = 100
 STEP_TOL = 1e-9   # max |coordinate update|, meters
 GRAD_TOL = 1e-12  # inf-norm of the objective gradient 2 J^T r
 
+# Coincident iterates have no distance gradient; nudge them apart instead.
+COINCIDENT_EPS = 1e-9
+
 
 @dataclass
 class LeastSquaresResult:
@@ -32,11 +36,36 @@ class LeastSquaresResult:
     grad_inf: float
 
 
-def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                        x0: np.ndarray,
-                        max_iterations: int = MAX_ITERATIONS,
-                        step_tol: float = STEP_TOL,
-                        grad_tol: float = GRAD_TOL) -> LeastSquaresResult:
+ResidualFunction = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def range_residuals(diff: np.ndarray,
+                    targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals |diff_k| - targets_k and the unit vectors diff_k / |diff_k|.
+
+    ``diff`` holds one 2-D difference vector per row; the unit vectors are
+    the residuals' derivatives with respect to it. A row shorter than 1e-12
+    is replaced by (COINCIDENT_EPS, 0) so the Jacobian stays finite.
+    """
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    coincident = dist < 1e-12
+    if coincident.any():
+        diff = diff.copy()
+        diff[coincident] = (COINCIDENT_EPS, 0.0)
+        dist[coincident] = COINCIDENT_EPS
+    return dist - targets, diff / dist[:, None]
+
+
+def objective_and_gradient(fun: ResidualFunction,
+                           x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Objective sum(r(x)**2) and its gradient 2 J^T r for fun(x) -> (r, J)."""
+    r, jac = fun(np.asarray(x, dtype=float))
+    return float(r @ r), 2.0 * (jac.T @ r)
+
+
+def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
+                        max_iterations: int = MAX_ITERATIONS
+                        ) -> LeastSquaresResult:
     """Minimize sum(r(x)**2) for fun(x) -> (r, J).
 
     Steps solve (J^T J + lam*I) dx = -J^T r. Damping shrinks tenfold on an
@@ -53,7 +82,7 @@ def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     grad = 2.0 * (jac.T @ r)
     grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
 
-    if grad_inf <= grad_tol:
+    if grad_inf <= GRAD_TOL:
         return LeastSquaresResult(x, f, 0, True, grad_inf)
 
     lam = DAMPING_INITIAL
@@ -85,12 +114,12 @@ def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
             grad = 2.0 * (jac.T @ r)
             grad_inf = float(np.abs(grad).max())
             lam = max(lam / DAMPING_SHRINK, 1e-15)
-            if step_inf < step_tol or grad_inf <= grad_tol:
+            if step_inf < STEP_TOL or grad_inf <= GRAD_TOL:
                 converged = True
                 break
         else:
             lam *= DAMPING_GROW
-            if step_inf < step_tol:
+            if step_inf < STEP_TOL:
                 # The solver cannot improve on x even with a tiny step: done.
                 converged = True
                 break

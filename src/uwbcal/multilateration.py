@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CollinearAnchors, NotConverged
 from .geometry import Point2
-from .leastsq import levenberg_marquardt
+from .leastsq import levenberg_marquardt, range_residuals
 
 CONDITION_LIMIT = 1e8
 
@@ -69,24 +69,14 @@ def linear_initial_guess(anchors: list[Point2], ranges: list[float]) -> Point2:
     return Point2(float(solution[0]), float(solution[1]))
 
 
-def objective_and_gradient(anchors: list[Point2], ranges: list[float],
-                           position: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective G = sum_i (|p - a_i| - r_i)^2 and its gradient at ``position``."""
+def tag_residuals(anchors: list[Point2], ranges: list[float]):
+    """Residual function p -> (|p - a_i| - r_i, Jacobian) for a tag fix."""
     a, r = _as_arrays(anchors, ranges)
-    res, jac = _residuals(np.asarray(position, dtype=float), a, r)
-    return float(res @ res), 2.0 * (jac.T @ res)
 
+    def fun(p):
+        return range_residuals(p[None, :] - a, r)
 
-def _residuals(p: np.ndarray, a: np.ndarray, r: np.ndarray):
-    diff = p[None, :] - a
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    coincident = dist < 1e-12
-    if coincident.any():
-        diff[coincident] = (1e-9, 0.0)
-        dist[coincident] = 1e-9
-    res = dist - r
-    jac = diff / dist[:, None]
-    return res, jac
+    return fun
 
 
 def locate_tag(anchors: list[Point2], ranges: list[float],
@@ -97,15 +87,10 @@ def locate_tag(anchors: list[Point2], ranges: list[float],
     initialization. Raises :class:`NotConverged` with the best fix attached
     if the iteration cap is hit.
     """
-    a, r = _as_arrays(anchors, ranges)
+    fun = tag_residuals(anchors, ranges)
     if guess is None:
         guess = linear_initial_guess(anchors, ranges)
-    x0 = np.array([guess.x, guess.y])
-
-    def fun(p):
-        return _residuals(p, a, r)
-
-    lsq = levenberg_marquardt(fun, x0)
+    lsq = levenberg_marquardt(fun, np.array([guess.x, guess.y]))
     fix = TagFix(
         position=Point2(float(lsq.x[0]), float(lsq.x[1])),
         rms_residual=math.sqrt(lsq.objective / len(anchors)),

@@ -36,11 +36,12 @@ from .geometry import Point2, distance
 from .ranging import (SPEED_OF_LIGHT, RangingModel, TwrTimings,
                       simulate_measurement, ss_twr_distance)
 
-# Measured round latencies of the reference firmware: 0.9 s at 5
-# measurements per pair, 2.5 s at 50.
-# A straight line through those two points gives the model below.
+# Measured round latencies of the reference firmware, 0.9 s at 5 measurements
+# per pair and 2.5 s at 50; estimate_latency is the line through them.
 _LATENCY_K_LO, _LATENCY_S_LO = 5, 0.9
 _LATENCY_K_HI, _LATENCY_S_HI = 50, 2.5
+_PER_MEAS = (_LATENCY_S_HI - _LATENCY_S_LO) / (_LATENCY_K_HI - _LATENCY_K_LO)
+_LATENCY_BASE = _LATENCY_S_LO - _LATENCY_K_LO * _PER_MEAS
 
 # Responder processing delay baked into synthesized timings.
 DEFAULT_REPLY_TIME = 200e-6  # s
@@ -89,33 +90,11 @@ class TokenPass:
 ProtocolMessage = StartCommand | Poll | Response | StatsBroadcast | TokenPass
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Round latency = base + per_measurement * k (k per-pair measurements)."""
-
-    base: float
-    per_measurement: float
-
-    def __post_init__(self):
-        if self.base < 0.0 or self.per_measurement < 0.0:
-            raise ValueError("latency components must be >= 0")
-
-    def estimate(self, k_measurements: int) -> float:
-        if k_measurements < 1:
-            raise ValueError(f"k must be >= 1, got {k_measurements}")
-        return self.base + self.per_measurement * k_measurements
-
-
-_PER_MEAS = (_LATENCY_S_HI - _LATENCY_S_LO) / (_LATENCY_K_HI - _LATENCY_K_LO)
-DEFAULT_LATENCY_MODEL = LatencyModel(
-    base=_LATENCY_S_LO - _LATENCY_K_LO * _PER_MEAS,
-    per_measurement=_PER_MEAS,
-)
-
-
 def estimate_latency(k_measurements: int) -> float:
     """Expected duration of one full calibration round, in seconds."""
-    return DEFAULT_LATENCY_MODEL.estimate(k_measurements)
+    if k_measurements < 1:
+        raise ValueError(f"k must be >= 1, got {k_measurements}")
+    return _LATENCY_BASE + _PER_MEAS * k_measurements
 
 
 @dataclass(frozen=True)
@@ -258,8 +237,7 @@ def _message_total(n: int, k: int) -> int:
 
 def simulate_round(n_anchors: int, k_measurements: int,
                    true_positions: list[Point2], ranging_model: RangingModel,
-                   rng: np.random.Generator,
-                   latency_model: LatencyModel = DEFAULT_LATENCY_MODEL) -> RoundOutcome:
+                   rng: np.random.Generator) -> RoundOutcome:
     """Run one full calibration round to quiescence.
 
     The channel delivers messages in FIFO order with a uniform spacing chosen
@@ -271,7 +249,7 @@ def simulate_round(n_anchors: int, k_measurements: int,
         raise ValueError(
             f"{len(true_positions)} positions for {n_anchors} anchors")
     nodes = [make_node(i, n_anchors, k_measurements) for i in range(n_anchors)]
-    latency = latency_model.estimate(k_measurements)
+    latency = estimate_latency(k_measurements)
     dt = latency / _message_total(n_anchors, k_measurements)
 
     queue: deque[ProtocolMessage] = deque([StartCommand(target=0)])
@@ -341,7 +319,7 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
             f"{len(true_positions)} positions for {n_anchors} anchors")
     if n_anchors < 3 or k_measurements < 1:
         raise ValueError("need n_anchors >= 3 and k_measurements >= 1")
-    latency = DEFAULT_LATENCY_MODEL.estimate(k_measurements)
+    latency = estimate_latency(k_measurements)
     rows = np.repeat(np.arange(n_anchors), n_anchors - 1)
     cols = np.array([j for i in range(n_anchors)
                      for j in _targets_from(i, n_anchors)])

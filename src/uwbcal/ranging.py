@@ -67,10 +67,13 @@ class RangingModel:
     n_samples: int
 
     def __post_init__(self):
-        if self.slope <= 0.0:
-            raise ValueError(f"slope must be positive, got {self.slope}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 < self.slope < math.inf:
+            raise ValueError(f"slope must be finite and > 0, got {self.slope}")
+        if not math.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
 

@@ -24,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -182,7 +183,12 @@ class ScenarioConfig:
         for key in ("n_anchors", "n_tags", "n_steps", "calibration_period",
                     "k_measurements", "seed"):
             if key in raw:
-                kwargs[key] = int(raw[key])
+                value = raw[key]
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ConfigError([f"{key}: not an integer: {value!r}"])
+                kwargs[key] = int(value)
         if "drift_bound" in raw:
             kwargs["drift_bound"] = float(raw["drift_bound"])
         if "trigger" in raw and raw["trigger"] is not None:
@@ -242,16 +248,15 @@ def _convex_hull(points: list[tuple[float, float]]):
     return lower[:-1] + upper[:-1]
 
 
-def point_in_anchor_hull(p: Point2, anchors: list[Point2],
-                         tol: float = 1e-9) -> bool:
-    """True if ``p`` lies inside (or on) the anchors' convex hull."""
+def point_in_anchor_hull(p: Point2, anchors: list[Point2]) -> bool:
+    """True if ``p`` lies inside (or on, within 1e-9) the anchors' hull."""
     hull = _convex_hull([(a.x, a.y) for a in anchors])
     if len(hull) < 3:
         return False
     for k in range(len(hull)):
         ax, ay = hull[k]
         bx, by = hull[(k + 1) % len(hull)]
-        if (bx - ax) * (p.y - ay) - (by - ay) * (p.x - ax) < -tol:
+        if (bx - ax) * (p.y - ay) - (by - ay) * (p.x - ax) < -1e-9:
             return False
     return True
 
@@ -302,8 +307,9 @@ def resolve_config(cfg: ScenarioConfig,
     if cfg.calibration_period < 1:
         violations.append(
             f"calibration_period: need >= 1, got {cfg.calibration_period}")
-    if cfg.drift_bound < 0.0:
-        violations.append(f"drift_bound: need >= 0, got {cfg.drift_bound}")
+    if not (math.isfinite(cfg.drift_bound) and cfg.drift_bound >= 0.0):
+        violations.append(
+            f"drift_bound: need a finite value >= 0, got {cfg.drift_bound}")
     if cfg.k_measurements < 1:
         violations.append(
             f"k_measurements: need >= 1, got {cfg.k_measurements}")
@@ -383,11 +389,9 @@ class WorldState:
     always anchors the estimation frame.
     """
 
-    step: int
     true_anchor_pos: list[Point2]
     est_anchor_pos: list[Point2]
     true_tag_pos: list[Point2]
-    last_calibration_step: int
 
 
 def step_motion(state: WorldState, cfg: ScenarioConfig,
@@ -427,23 +431,26 @@ def apply_drift(state: WorldState, cfg: ScenarioConfig,
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """Per-step error summary; tag entries are NaN when a fix failed."""
+    """Per-step errors and world positions, anchors then tags.
+
+    A failed tag fix has a NaN error and a None estimate. Records read back
+    from a trace CSV leave both position tuples empty.
+    """
 
     step: int
     anchor_errors: tuple[float, ...]
     tag_errors: tuple[float, ...]
     rotation_error: float
     calibrated: bool
+    true_positions: tuple[tuple[float, float], ...] = ()
+    est_positions: tuple[tuple[float, float] | None, ...] = ()
 
 
 @dataclass
 class SimulationTrace:
     config: dict
     records: list[TraceRecord]
-    rows: list[tuple]
     diagnostics: list[str]
-    n_anchors: int
-    n_tags: int
 
 
 def _frame(est: list[Point2]) -> list[Point2]:
@@ -485,16 +492,13 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     origin0 = anchors0[0]
     est = [origin0 + p for p in result.positions]
 
-    state = WorldState(step=-1, true_anchor_pos=anchors0, est_anchor_pos=est,
-                       true_tag_pos=list(cfg.initial_tag_positions),
-                       last_calibration_step=0)
+    state = WorldState(true_anchor_pos=anchors0, est_anchor_pos=est,
+                       true_tag_pos=list(cfg.initial_tag_positions))
     records: list[TraceRecord] = []
-    rows: list[tuple] = []
 
     for t in range(cfg.n_steps):
         state = step_motion(state, cfg, motion_rng)
         state = apply_drift(state, cfg, drift_rng)
-        state = replace(state, step=t)
 
         truth = state.true_anchor_pos
         frame = _frame(state.est_anchor_pos)
@@ -509,9 +513,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                 diagnostics.append(f"step {t}: calibration did not converge")
             origin = state.est_anchor_pos[0]
             state = replace(
-                state,
-                est_anchor_pos=[origin + p for p in result.positions],
-                last_calibration_step=t)
+                state, est_anchor_pos=[origin + p for p in result.positions])
             frame = _frame(state.est_anchor_pos)
             calibrated = True
 
@@ -520,34 +522,28 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         rotation = wrap_angle(_baseline_angle(Point2(0.0, 0.0), frame[1])
                               - _baseline_angle(truth[0], truth[1]))
 
-        for i in range(cfg.n_anchors):
-            est_world = frame[i] + truth[0]
-            rows.append((t, "anchor", i, truth[i].x, truth[i].y,
-                         est_world.x, est_world.y, anchor_errors[i],
-                         rotation, calibrated))
-
+        a0 = truth[0]
+        true_pos = [(p.x, p.y) for p in truth]
+        est_pos = [(p.x + a0.x, p.y + a0.y) for p in frame]
         tag_errors = []
         for tag_id, tag_true in enumerate(state.true_tag_pos):
-            fix_point, err = _fix_tag(tag_true, truth, frame, model,
+            est_world, err = _fix_tag(tag_true, truth, frame, model,
                                       correction, ranging_rng,
                                       diagnostics, t, tag_id)
             tag_errors.append(err)
-            est_world = None if fix_point is None else fix_point + truth[0]
-            rows.append((t, "tag", tag_id, tag_true.x, tag_true.y,
-                         None if est_world is None else est_world.x,
-                         None if est_world is None else est_world.y,
-                         err if not math.isnan(err) else None,
-                         rotation, calibrated))
+            true_pos.append((tag_true.x, tag_true.y))
+            est_pos.append(est_world)
 
         records.append(TraceRecord(step=t,
                                    anchor_errors=tuple(anchor_errors),
                                    tag_errors=tuple(tag_errors),
                                    rotation_error=rotation,
-                                   calibrated=calibrated))
+                                   calibrated=calibrated,
+                                   true_positions=tuple(true_pos),
+                                   est_positions=tuple(est_pos)))
 
-    return SimulationTrace(config=cfg.to_dict(), records=records, rows=rows,
-                           diagnostics=diagnostics, n_anchors=cfg.n_anchors,
-                           n_tags=cfg.n_tags)
+    return SimulationTrace(config=cfg.to_dict(), records=records,
+                           diagnostics=diagnostics)
 
 
 def _trigger_fires(cfg: ScenarioConfig, t: int, frame: list[Point2],
@@ -572,8 +568,8 @@ def _fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
     except (CollinearAnchors, NotConverged, DegenerateGeometry) as exc:
         diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
         return None, math.nan
-    err = distance(fix.position + truth_anchors[0], tag_true)
-    return fix.position, err
+    est = fix.position + truth_anchors[0]
+    return (est.x, est.y), distance(est, tag_true)
 
 
 @dataclass(frozen=True)
@@ -684,16 +680,23 @@ TRACE_HEADER = ["step", "node_kind", "node_id", "true_x", "true_y",
 
 def write_trace_csv(trace: SimulationTrace, path,
                     float_format: str = "%.9g") -> None:
-    def fmt(v):
-        return "" if v is None else float_format % v
-
+    """One row per node of every record, anchors then tags; a failed tag fix
+    leaves ``est_x``, ``est_y`` and ``error_m`` empty."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_HEADER)
-        for (step, kind, node_id, tx, ty, ex, ey, err, rot, cal) in trace.rows:
-            writer.writerow([step, kind, node_id, fmt(tx), fmt(ty),
-                             fmt(ex), fmt(ey), fmt(err), fmt(rot),
-                             int(cal)])
+        for r in trace.records:
+            rot, cal = float_format % r.rotation_error, int(r.calibrated)
+            n = len(r.anchor_errors)
+            for k, ((tx, ty), est, err) in enumerate(zip(
+                    r.true_positions, r.est_positions,
+                    r.anchor_errors + r.tag_errors)):
+                kind, node_id = ("anchor", k) if k < n else ("tag", k - n)
+                fix = ("", "", "") if est is None else (
+                    float_format % est[0], float_format % est[1],
+                    float_format % err)
+                writer.writerow([r.step, kind, node_id, float_format % tx,
+                                 float_format % ty, *fix, rot, cal])
 
 
 def read_trace_records(path) -> list[TraceRecord]:

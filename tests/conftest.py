@@ -17,6 +17,12 @@ GOLDEN_TAG_FRAME = Point2(7, 8)
 GOLDEN_TAG_RANGES = [math.sqrt(v) for v in (113, 68, 106, 117, 146)]
 
 
+def rotated(p: Point2, angle: float) -> Point2:
+    """``p`` rotated counter-clockwise about the origin by ``angle`` rad."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Point2(c * p.x - s * p.y, s * p.x + c * p.y)
+
+
 def exact_matrix(frame_positions, transform=None) -> DistanceStatsMatrix:
     """Distance matrix holding exact pairwise distances (optionally mapped
     through a measurement transform), both directions, count 1, std 0."""

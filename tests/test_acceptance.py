@@ -16,11 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from uwbcal.autocalib import calibrate, objective_and_gradient, refine_lse
+from uwbcal.autocalib import calibrate, network_residuals, refine_lse
 from uwbcal.autocalib import DistanceStatsMatrix
 from uwbcal.geometry import Point2, distance
-from uwbcal.multilateration import locate_tag
-from uwbcal.multilateration import objective_and_gradient as tag_objective
+from uwbcal.leastsq import objective_and_gradient
+from uwbcal.multilateration import locate_tag, tag_residuals
 from uwbcal.protocol import estimate_latency, simulate_round
 from uwbcal.ranging import fit_model, load_reference_samples, reference_model
 from uwbcal.sim import ScenarioConfig, point_in_anchor_hull, run_scenario
@@ -222,8 +222,9 @@ def test_criterion_8_numerical_hygiene():
             n = matrix.n_anchors
             x = np.array([c for p in truth[1:] for c in (p.x, p.y)])
             x += rng.normal(0, 0.5, x.size)
-            _, grad = objective_and_gradient(matrix, x)
-            num = fd(lambda v: objective_and_gradient(matrix, v)[0], x)
+            fun = network_residuals(matrix)
+            _, grad = objective_and_gradient(fun, x)
+            num = fd(lambda v: objective_and_gradient(fun, v)[0], x)
             scale = max(float(np.abs(num).max()), 1e-12)
             assert float(np.abs(grad - num).max()) / scale < 1e-5
 
@@ -232,8 +233,9 @@ def test_criterion_8_numerical_hygiene():
             ranges = [max(0.1, distance(Point2(6, 7), a) + rng.normal(0, 0.2))
                       for a in anchors]
             p = rng.uniform(0, 14, 2)
-            _, grad = tag_objective(anchors, ranges, p)
-            num = fd(lambda v: tag_objective(anchors, ranges, v)[0], p)
+            fun = tag_residuals(anchors, ranges)
+            _, grad = objective_and_gradient(fun, p)
+            num = fd(lambda v: objective_and_gradient(fun, v)[0], p)
             scale = max(float(np.abs(num).max()), 1e-12)
             assert float(np.abs(grad - num).max()) / scale < 1e-5
 
@@ -242,11 +244,12 @@ def test_criterion_8_numerical_hygiene():
             start = [truth[0]] + [p + Point2(*rng.normal(0, 0.3, 2))
                                   for p in truth[1:]]
             x0 = np.array([c for p in start[1:] for c in (p.x, p.y)])
-            f_start, _ = objective_and_gradient(matrix, x0)
+            fun = network_residuals(matrix)
+            f_start, _ = objective_and_gradient(fun, x0)
             result = refine_lse(start, matrix)
             x1 = np.array([c for p in result.positions[1:]
                            for c in (p.x, p.y)])
-            f_end, _ = objective_and_gradient(matrix, x1)
+            f_end, _ = objective_and_gradient(fun, x1)
             assert f_end <= f_start + 1e-12
 
 

@@ -222,6 +222,27 @@ class TestSimulate:
         assert result.returncode == 2
         assert "wrong" in result.stderr
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"ranging": {"slope": 1.0, "intercept_m": NaN, '
+         '"noise_std_m": 0.05, "n_samples": 10}}', "intercept"),
+        ('{"ranging": {"slope": 1.0, "intercept_m": 0.0, '
+         '"noise_std_m": Infinity, "n_samples": 10}}', "noise_std"),
+        ('{"drift_bound": NaN}', "drift_bound"),
+        ('{"drift_bound": Infinity}', "drift_bound"),
+        ('{"n_steps": 1e400}', "n_steps"),
+        ('{"seed": 1e400}', "seed"),
+        ('{"n_steps": 1.5}', "n_steps"),
+        ('{"n_steps": true}', "n_steps"),
+    ])
+    def test_bad_number_exits_2(self, tmp_path, text, named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_coincident_anchors_exit_2(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uwbcal.errors import DegenerateGeometry, LengthMismatch
-from uwbcal.geometry import (ErrorMetrics, Point2, bilaterate_positive_y,
-                             distance, rotation_error, translation_errors,
-                             wrap_angle)
+from uwbcal.geometry import (Point2, bilaterate_positive_y, distance,
+                             rotation_error, translation_errors, wrap_angle)
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 points = st.builds(Point2, coords, coords)
@@ -22,11 +21,6 @@ class TestPoint2:
     def test_arithmetic(self):
         assert Point2(1, 2) + Point2(3, -1) == Point2(4, 1)
         assert Point2(1, 2) - Point2(3, -1) == Point2(-2, 3)
-
-    def test_rotated_quarter_turn(self):
-        p = Point2(1.0, 0.0).rotated(math.pi / 2)
-        assert p.x == pytest.approx(0.0, abs=1e-15)
-        assert p.y == pytest.approx(1.0)
 
 
 class TestDistance:
@@ -184,12 +178,3 @@ class TestTranslationErrors:
             translation_errors([Point2(0, 0)], [], Point2(0, 0))
         with pytest.raises(LengthMismatch):
             translation_errors([], [], Point2(0, 0))
-
-
-class TestErrorMetrics:
-    def test_validation(self):
-        ErrorMetrics((0.0, 0.5), 0.1)
-        with pytest.raises(ValueError):
-            ErrorMetrics((-0.1,), 0.0)
-        with pytest.raises(ValueError):
-            ErrorMetrics((0.1,), 4.0)

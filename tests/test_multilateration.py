@@ -4,8 +4,9 @@ import pytest
 
 from uwbcal.errors import CollinearAnchors
 from uwbcal.geometry import Point2, distance
+from uwbcal.leastsq import objective_and_gradient
 from uwbcal.multilateration import (linear_initial_guess, locate_tag,
-                                    objective_and_gradient)
+                                    tag_residuals)
 from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES
 
 
@@ -112,11 +113,12 @@ class TestLocateTag:
             if min(ranges) <= 0.05:
                 continue
             guess = tag + Point2(*rng.normal(0, 1.0, 2))
+            fun = tag_residuals(anchors, ranges)
             g_guess, _ = objective_and_gradient(
-                anchors, ranges, np.array([guess.x, guess.y]))
+                fun, np.array([guess.x, guess.y]))
             fix = locate_tag(anchors, ranges, guess=guess)
             g_fix, _ = objective_and_gradient(
-                anchors, ranges, np.array([fix.position.x, fix.position.y]))
+                fun, np.array([fix.position.x, fix.position.y]))
             assert g_fix <= g_guess + 1e-12
 
     def test_gradient_matches_central_differences(self):
@@ -126,15 +128,15 @@ class TestLocateTag:
             ranges = [max(0.1, r + rng.normal(0, 0.2))
                       for r in ranges_from(anchors, Point2(6, 7))]
             p = np.array([rng.uniform(0, 14), rng.uniform(0, 14)])
-            _, grad = objective_and_gradient(anchors, ranges, p)
+            fun = tag_residuals(anchors, ranges)
+            _, grad = objective_and_gradient(fun, p)
             h = 1e-6
             num = np.zeros(2)
             for k in range(2):
                 up, down = p.copy(), p.copy()
                 up[k] += h
                 down[k] -= h
-                num[k] = (objective_and_gradient(anchors, ranges, up)[0]
-                          - objective_and_gradient(anchors, ranges, down)[0]
-                          ) / (2 * h)
+                num[k] = (objective_and_gradient(fun, up)[0]
+                          - objective_and_gradient(fun, down)[0]) / (2 * h)
             scale = max(float(np.abs(num).max()), 1e-12)
             assert float(np.abs(grad - num).max()) / scale < 1e-5

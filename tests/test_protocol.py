@@ -4,11 +4,10 @@ import pytest
 
 from uwbcal.errors import InvalidTiming, ProtocolViolation
 from uwbcal.geometry import Point2, distance
-from uwbcal.protocol import (DEFAULT_LATENCY_MODEL, LatencyModel, Mode, Poll,
-                             Response, StartCommand, StatsBroadcast,
-                             TokenPass, estimate_latency, handle_event,
-                             make_node, run_calibration_round, simulate_round,
-                             write_event_trace)
+from uwbcal.protocol import (Mode, Poll, Response, StartCommand,
+                             StatsBroadcast, TokenPass, estimate_latency,
+                             handle_event, make_node, run_calibration_round,
+                             simulate_round, write_event_trace)
 from uwbcal.ranging import RangingModel, TwrTimings, reference_model
 from conftest import GOLDEN_FRAME
 
@@ -240,16 +239,14 @@ class TestLatencyModel:
         assert estimate_latency(50) == 2.5
 
     def test_midpoint_interpolation(self):
-        assert DEFAULT_LATENCY_MODEL.estimate(27.5) == pytest.approx(
-            1.7, rel=1e-12)
+        assert estimate_latency(27.5) == pytest.approx(1.7, rel=1e-12)
 
     def test_components(self):
-        assert DEFAULT_LATENCY_MODEL.per_measurement == pytest.approx(
-            0.035556, abs=1e-6)
-        assert DEFAULT_LATENCY_MODEL.base == pytest.approx(0.72222, abs=1e-5)
+        per_measurement = estimate_latency(50) - estimate_latency(49)
+        base = estimate_latency(1) - per_measurement
+        assert per_measurement == pytest.approx(0.035556, abs=1e-6)
+        assert base == pytest.approx(0.72222, abs=1e-5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyModel(base=-0.1, per_measurement=0.0)
         with pytest.raises(ValueError):
             estimate_latency(0)

@@ -1,25 +1,27 @@
+import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from uwbcal.errors import ConfigError, CsvFormatError, EmptyTrace
+from uwbcal.errors import (CollinearAnchors, ConfigError, CsvFormatError,
+                           EmptyTrace)
 from uwbcal.geometry import Point2
 from uwbcal.ranging import RangingModel
-from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MotionParams, MotionTable,
-                        ScenarioConfig, TraceRecord, Trigger, WorldState,
-                        apply_drift, point_in_anchor_hull, read_trace_records,
-                        resolve_config, run_scenario, step_motion, summarize,
-                        write_trace_csv)
+from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, TRACE_HEADER, MotionParams,
+                        MotionTable, ScenarioConfig, TraceRecord, Trigger,
+                        WorldState, apply_drift, point_in_anchor_hull,
+                        read_trace_records, resolve_config, run_scenario,
+                        step_motion, summarize, write_trace_csv)
 
 NOISELESS = RangingModel(1.0, 0.0, 0.0, 2)
 
 
 def world(anchors, tags=()):
-    return WorldState(step=0, true_anchor_pos=list(anchors),
-                      est_anchor_pos=list(anchors), true_tag_pos=list(tags),
-                      last_calibration_step=0)
+    return WorldState(true_anchor_pos=list(anchors),
+                      est_anchor_pos=list(anchors), true_tag_pos=list(tags))
 
 
 class TestConfig:
@@ -225,14 +227,19 @@ class TestRunScenario:
     def test_rows_cover_every_node_and_step(self):
         cfg = ScenarioConfig(seed=7, n_steps=12)
         trace = run_scenario(cfg)
-        assert len(trace.rows) == 12 * (4 + 3)
+        for field in ("true_positions", "est_positions"):
+            assert sum(len(getattr(r, field)) for r in trace.records) == \
+                12 * (4 + 3)
 
     def test_row_errors_consistent_with_positions(self):
         trace = run_scenario(ScenarioConfig(seed=9, n_steps=10))
-        for (step, kind, nid, tx, ty, ex, ey, err, rot, cal) in trace.rows:
-            if ex is not None:
-                assert err == pytest.approx(math.hypot(ex - tx, ey - ty),
-                                            abs=1e-12)
+        for r in trace.records:
+            for (tx, ty), est, err in zip(r.true_positions, r.est_positions,
+                                          r.anchor_errors + r.tag_errors):
+                if est is not None:
+                    ex, ey = est
+                    assert err == pytest.approx(math.hypot(ex - tx, ey - ty),
+                                                abs=1e-12)
 
     def test_negative_seed_rejected_as_config_error(self):
         with pytest.raises(ConfigError) as err:
@@ -325,6 +332,47 @@ class TestTraceCsv:
         assert records[0].tag_errors[1] == 0.2
         stats = summarize(records)
         assert stats.tag_translation.median == 0.2
+
+    def test_rows_derived_from_records(self, tmp_path, monkeypatch):
+        import uwbcal.sim as sim
+
+        real, calls = sim.locate_tag, itertools.count()
+
+        def every_fifth_fails(anchors, ranges):
+            if next(calls) % 5 == 2:
+                raise CollinearAnchors("forced failure")
+            return real(anchors, ranges)
+
+        monkeypatch.setattr(sim, "locate_tag", every_fifth_fails)
+        trace = run_scenario(ScenarioConfig(seed=11, n_steps=6))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        with open(path, newline="", encoding="utf-8") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == TRACE_HEADER
+
+        def g(v):
+            return "%.9g" % v
+
+        expected = []
+        for r in trace.records:
+            assert len(r.true_positions) == len(r.est_positions) == 4 + 3
+            nodes = [("anchor", i) for i in range(4)] + \
+                [("tag", j) for j in range(3)]
+            for (kind, nid), (tx, ty), est, err in zip(
+                    nodes, r.true_positions, r.est_positions,
+                    r.anchor_errors + r.tag_errors):
+                assert (est is None) == math.isnan(err)
+                expected.append([
+                    str(r.step), kind, str(nid), g(tx), g(ty),
+                    "" if est is None else g(est[0]),
+                    "" if est is None else g(est[1]),
+                    "" if est is None else g(err),
+                    g(r.rotation_error), str(int(r.calibrated))])
+        assert rows == expected
+        failed = [row for row in rows if row[5:8] == ["", "", ""]]
+        assert len(failed) == 4  # fix calls 2, 7, 12 and 17 of 18
+        assert all(row[1] == "tag" for row in failed)
 
     def test_header_and_shape_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
