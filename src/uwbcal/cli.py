@@ -132,7 +132,11 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.trigger is not None:
-            cfg = dataclasses.replace(cfg, trigger=Trigger.parse(args.trigger))
+            try:
+                trigger = Trigger.parse(args.trigger)
+            except ValueError as exc:
+                return _fail(f"--trigger: {exc}", EXIT_INPUT)
+            cfg = dataclasses.replace(cfg, trigger=trigger)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)

@@ -24,13 +24,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .autocalib import calibrate
 from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
-                     DegenerateGeometry, EmptyTrace, NotConverged)
+                     DegenerateGeometry, EmptyTrace, NotConverged,
+                     SingularUpdate)
 from .geometry import Point2, distance, translation_errors, wrap_angle
 from .multilateration import locate_tag
 from .protocol import run_calibration_round
@@ -60,6 +61,18 @@ TAG_ALONG_STEP = 0.1
 TAG_ACROSS = 0.4
 
 
+def _finite_number(key: str, value) -> float:
+    """A scenario number as a float; :class:`ConfigError` naming ``key`` for
+    bools, strings and non-finite values."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError([f"{key}: not a finite number: {value!r}"])
+
+
 @dataclass(frozen=True)
 class MotionParams:
     """Constant-heading motion with additive Gaussian position noise."""
@@ -80,19 +93,19 @@ class MotionParams:
                 "gaussian_std": self.gaussian_std}
 
     @classmethod
-    def from_dict(cls, d):
-        required = {"direction", "speed", "gaussian_std"}
+    def from_dict(cls, d, where: str = "motion"):
+        required = ("direction", "speed", "gaussian_std")
         problems = []
-        unknown = sorted(set(d) - required)
-        missing = sorted(required - set(d))
+        unknown = sorted(set(d) - set(required))
+        missing = sorted(set(required) - set(d))
         if unknown:
-            problems.append(f"motion: unknown keys {unknown}")
+            problems.append(f"{where}: unknown keys {unknown}")
         if missing:
-            problems.append(f"motion: missing keys {missing}")
+            problems.append(f"{where}: missing keys {missing}")
         if problems:
             raise ConfigError(problems)
-        return cls(direction=float(d["direction"]), speed=float(d["speed"]),
-                   gaussian_std=float(d["gaussian_std"]))
+        return cls(*(_finite_number(f"{where}.{key}", d[key])
+                     for key in required))
 
 
 @dataclass(frozen=True)
@@ -113,8 +126,12 @@ class MotionTable:
             raise ConfigError([f"motion: unknown keys {unknown}"])
         if "anchors" not in d or "tags" not in d:
             raise ConfigError(["motion: needs both 'anchors' and 'tags' lists"])
-        return cls(anchors=tuple(MotionParams.from_dict(m) for m in d["anchors"]),
-                   tags=tuple(MotionParams.from_dict(m) for m in d["tags"]))
+
+        def nodes(kind):
+            return tuple(MotionParams.from_dict(m, f"motion.{kind}[{i}]")
+                         for i, m in enumerate(d[kind]))
+
+        return cls(anchors=nodes("anchors"), tags=nodes("tags"))
 
 
 @dataclass(frozen=True)
@@ -128,9 +145,11 @@ class Trigger:
     def __post_init__(self):
         if self.kind not in ("periodic", "threshold"):
             raise ValueError(f"unknown trigger kind {self.kind!r}")
-        if self.kind == "threshold" and (self.threshold is None
-                                         or self.threshold <= 0.0):
-            raise ValueError("threshold trigger needs a positive error bound")
+        if self.kind == "threshold" and not (
+                self.threshold is not None and math.isfinite(self.threshold)
+                and self.threshold > 0.0):
+            raise ValueError(
+                "threshold trigger needs a positive finite error bound")
 
     @classmethod
     def parse(cls, text: str) -> "Trigger":
@@ -190,9 +209,12 @@ class ScenarioConfig:
                     raise ConfigError([f"{key}: not an integer: {value!r}"])
                 kwargs[key] = int(value)
         if "drift_bound" in raw:
-            kwargs["drift_bound"] = float(raw["drift_bound"])
+            kwargs["drift_bound"] = _finite_number("drift_bound",
+                                                   raw["drift_bound"])
         if "trigger" in raw and raw["trigger"] is not None:
             try:
+                if not isinstance(raw["trigger"], str):
+                    raise ValueError(f"not a string: {raw['trigger']!r}")
                 kwargs["trigger"] = Trigger.parse(raw["trigger"])
             except ValueError as exc:
                 raise ConfigError([f"trigger: {exc}"]) from exc
@@ -565,7 +587,8 @@ def _fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
         return None, math.nan
     try:
         fix = locate_tag(frame, ranges)
-    except (CollinearAnchors, NotConverged, DegenerateGeometry) as exc:
+    except (CollinearAnchors, NotConverged, DegenerateGeometry,
+            SingularUpdate) as exc:
         diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
         return None, math.nan
     est = fix.position + truth_anchors[0]

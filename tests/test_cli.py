@@ -15,6 +15,14 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def moving(**anchor_0) -> str:
+    """A 3-anchor, tag-free scenario whose anchor-0 motion has the given
+    fields replaced, as JSON text."""
+    still = {"direction": 0.0, "speed": 0.0, "gaussian_std": 0.0}
+    return json.dumps({"n_anchors": 3, "n_tags": 0, "n_steps": 3, "motion": {
+        "anchors": [{**still, **anchor_0}, still, still], "tags": []}})
+
+
 @pytest.fixture(scope="module")
 def sweep_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "sweep.csv"
@@ -239,6 +247,28 @@ class TestSimulate:
         scenario.write_text(text)
         result = run_cli("simulate", "--scenario", str(scenario),
                          "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("text, flags, named", [
+        ('{"n_steps": 12, "trigger": "threshold:nan"}', (), "trigger"),
+        ('{"n_steps": 12, "trigger": "threshold:inf"}', (), "trigger"),
+        ('{"n_steps": 12}', ("--trigger", "threshold:nan"), "--trigger"),
+        ('{"n_steps": 12}', ("--trigger", "threshold:inf"), "--trigger"),
+        ('{"n_steps": 12, "trigger": 5}', (), "trigger"),
+        ('{"drift_bound": true}', (), "drift_bound"),
+        ('{"drift_bound": "0.1"}', (), "drift_bound"),
+        (moving(direction="1"), (), "motion.anchors[0].direction"),
+        (moving(speed=True), (), "motion.anchors[0].speed"),
+        (moving(speed=math.inf), (), "motion.anchors[0].speed"),
+        (moving(gaussian_std=math.nan), (), "motion.anchors[0].gaussian_std"),
+    ])
+    def test_bad_trigger_or_float_exits_2(self, tmp_path, text, flags, named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"), *flags)
         assert result.returncode == 2
         assert named in result.stderr
         assert "Traceback" not in result.stderr

@@ -1,6 +1,9 @@
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from uwbcal.errors import CollinearAnchors
 from uwbcal.geometry import Point2, distance
@@ -12,6 +15,22 @@ from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES
 
 def ranges_from(anchors, tag):
     return [distance(tag, a) for a in anchors]
+
+
+def linear_system(anchors, ranges):
+    """The array form of the linearized system, as numpy states it."""
+    a = np.array([(p.x, p.y) for p in anchors])
+    r = np.asarray(ranges)
+    lhs = 2.0 * (a[1:] - a[0])
+    rhs = (r[0] ** 2 - r[1:] ** 2
+           + (a[1:] ** 2).sum(axis=1) - (a[0] ** 2).sum())
+    return lhs, rhs
+
+
+coordinate = st.floats(min_value=-30.0, max_value=30.0)
+points = st.builds(Point2, coordinate, coordinate)
+noisy_ranges = st.lists(st.floats(min_value=0.05, max_value=60.0),
+                        min_size=6, max_size=6)
 
 
 class TestLinearInitialGuess:
@@ -39,6 +58,50 @@ class TestLinearInitialGuess:
         anchors = [Point2(0, 0), Point2(5, 1e-9), Point2(10, 0)]
         with pytest.raises(CollinearAnchors):
             linear_initial_guess(anchors, [1.0, 4.0, 9.0])
+
+    @settings(deadline=None)
+    @given(st.lists(points, min_size=3, max_size=6), noisy_ranges)
+    def test_matches_numpy_lstsq(self, anchors, ranges):
+        ranges = ranges[:len(anchors)]
+        lhs, rhs = linear_system(anchors, ranges)
+        singular = np.linalg.svd(lhs, compute_uv=False)
+        assume(singular[0] < 1e6 * singular[-1])  # condition below 1e6
+        expected, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        guess = linear_initial_guess(anchors, ranges)
+        err = float(np.hypot(guess.x - expected[0], guess.y - expected[1]))
+        assert err <= 1e-9 * max(1.0, float(np.hypot(*expected)))
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=3, max_value=6),
+           st.floats(min_value=0.0, max_value=2 * np.pi),
+           st.lists(st.floats(min_value=-20.0, max_value=20.0),
+                    min_size=6, max_size=6, unique=True),
+           st.floats(min_value=-15.0, max_value=0.0),
+           noisy_ranges)
+    def test_collinear_decision_matches_numpy(self, n, angle, along,
+                                              log_offset, ranges):
+        # n anchors on a line through the origin, the last lifted off it
+        c, s = math.cos(angle), math.sin(angle)
+        anchors = [Point2(c * t, s * t) for t in along[:n]]
+        lift = 10.0 ** log_offset
+        anchors[-1] = anchors[-1] + Point2(-s * lift, c * lift)
+        ranges = ranges[:n]
+        lhs, _ = linear_system(anchors, ranges)
+        s_max, s_min = np.linalg.svd(lhs, compute_uv=False)[[0, -1]]
+        collinear = s_max > 1e9 * s_min  # condition above 1e9
+        assume(collinear or s_max < 1e7 * s_min)
+        if collinear:
+            with pytest.raises(CollinearAnchors):
+                linear_initial_guess(anchors, ranges)
+        else:
+            linear_initial_guess(anchors, ranges)
+
+    def test_overflowing_squares_raise_no_overflow_error(self):
+        # the squares overflow to inf (float ** would raise OverflowError);
+        # Point2 then refuses the non-finite solution
+        anchors = [Point2(0, 0), Point2(1e200, 0), Point2(0, 1e200)]
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_initial_guess(anchors, [1e200, 1e200, 1e200])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

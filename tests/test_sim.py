@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uwbcal.errors import (CollinearAnchors, ConfigError, CsvFormatError,
-                           EmptyTrace)
+                           EmptyTrace, SingularUpdate)
 from uwbcal.geometry import Point2
 from uwbcal.ranging import RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, TRACE_HEADER, MotionParams,
@@ -83,6 +83,9 @@ class TestConfig:
             Trigger.parse("sometimes")
         with pytest.raises(ValueError):
             Trigger("threshold", -1.0)
+        for bound in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Trigger("threshold", bound)
 
     def test_explicit_anchor_count_needed_beyond_defaults(self):
         with pytest.raises(ConfigError) as err:
@@ -245,6 +248,26 @@ class TestRunScenario:
         with pytest.raises(ConfigError) as err:
             run_scenario(ScenarioConfig(seed=-1))
         assert "seed" in str(err.value)
+
+    def test_singular_tag_update_is_a_diagnostic(self, monkeypatch):
+        import uwbcal.sim as sim
+
+        real, calls = sim.locate_tag, itertools.count()
+
+        def third_call_singular(anchors, ranges):
+            if next(calls) == 2:
+                raise SingularUpdate("forced singular update")
+            return real(anchors, ranges)
+
+        monkeypatch.setattr(sim, "locate_tag", third_call_singular)
+        trace = run_scenario(ScenarioConfig(seed=3, n_steps=4))
+        assert len(trace.records) == 4
+        assert math.isnan(trace.records[0].tag_errors[2])
+        assert trace.records[0].est_positions[4 + 2] is None
+        assert sum(math.isnan(e) for r in trace.records
+                   for e in r.tag_errors) == 1
+        assert trace.diagnostics == [
+            "step 0: tag 2 fix failed: forced singular update"]
 
     def test_tagless_scenario_runs(self):
         trace = run_scenario(ScenarioConfig(seed=4, n_tags=0, n_steps=15))
