@@ -210,9 +210,10 @@ def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
     return fun
 
 
-def refine_lse(initial: list[Point2], d: DistanceStatsMatrix,
+def refine_lse(initial, d: DistanceStatsMatrix,
                fix_a1_axis: bool = False) -> CalibrationResult:
-    """Adjust anchor positions to best match the measured distances.
+    """Adjust anchor positions, ``(x, y)`` pairs, to best match the measured
+    distances.
 
     Anchor 0 never moves; with ``fix_a1_axis`` (first calibration) anchor 1
     additionally keeps y = 0. Raises :class:`NotConverged` with the best
@@ -221,11 +222,13 @@ def refine_lse(initial: list[Point2], d: DistanceStatsMatrix,
     n = d.n_anchors
     if len(initial) != n:
         raise ValueError(f"expected {n} initial positions, got {len(initial)}")
-    if initial[0].x != 0.0 or initial[0].y != 0.0:
+    if tuple(initial[0]) != (0.0, 0.0):
         raise ValueError("initial[0] must be the origin")
 
     free_cols = _free_columns(n, fix_a1_axis)
-    flat0 = np.array([c for p in initial for c in (p.x, p.y)])
+    flat0 = np.array([c for p in initial for c in p], dtype=float)
+    if not np.isfinite(flat0).all():
+        raise ValueError("initial positions must be finite")
     lsq = levenberg_marquardt(network_residuals(d, fix_a1_axis),
                               flat0[free_cols])
     n_pairs = len(d.unordered_pairs())
@@ -242,7 +245,7 @@ def refine_lse(initial: list[Point2], d: DistanceStatsMatrix,
 
 
 def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
-              prior: list[Point2] | None = None) -> CalibrationResult:
+              prior=None) -> CalibrationResult:
     """Full calibration: bias-correct, choose a start, refine.
 
     Without a prior this is the initial calibration: geometric placement
@@ -259,8 +262,8 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
         if len(prior) != d.n_anchors:
             raise ValueError(
                 f"prior has {len(prior)} entries for {d.n_anchors} anchors")
-        origin = prior[0]
-        start = [p - origin for p in prior]
+        ox, oy = prior[0]
+        start = [(x - ox, y - oy) for x, y in prior]
         fix_a1_axis = False
     return refine_lse(start, corrected, fix_a1_axis=fix_a1_axis)
 

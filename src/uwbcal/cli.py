@@ -22,8 +22,7 @@ from pathlib import Path
 from .autocalib import CalibrationResult, calibrate, load_distance_csv
 from .errors import (ConfigError, CsvFormatError, DegenerateFit,
                      DegenerateGeometry, EmptyTrace, InsufficientData,
-                     NotConverged)
-from .geometry import Point2
+                     NotConverged, xy_pair)
 from .ranging import RangingModel, fit_model, load_samples
 from .sim import (ScenarioConfig, Trigger, _round_floats, read_trace_records,
                   run_scenario, summarize, summary_to_json, write_trace_csv)
@@ -69,11 +68,13 @@ def _load_model(path) -> RangingModel:
         return RangingModel.from_dict(json.load(f))
 
 
-def _load_prior(path) -> list[Point2]:
+def _load_prior(path) -> list[tuple[float, float]]:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     positions = doc["positions"] if isinstance(doc, dict) else doc
-    return [Point2(float(x), float(y)) for x, y in positions]
+    if not isinstance(positions, list):
+        raise ConfigError([f"positions: not a list: {positions!r}"])
+    return [xy_pair(f"positions[{i}]", p) for i, p in enumerate(positions)]
 
 
 def _result_dict(result: CalibrationResult) -> dict:
@@ -101,7 +102,8 @@ def cmd_calibrate(args) -> int:
         model = RangingModel.identity() if args.model is None \
             else _load_model(args.model)
         prior = None if args.prior is None else _load_prior(args.prior)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, json.JSONDecodeError,
+            ConfigError) as exc:
         return _fail(f"bad model/prior file: {exc}", EXIT_INPUT)
 
     try:

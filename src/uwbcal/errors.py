@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-number checks
+that report bad scenario, model and prior values as :class:`ConfigError`."""
+
+import math
+from numbers import Integral, Real
 
 
 class UwbCalError(Exception):
@@ -66,6 +70,35 @@ class ConfigError(UwbCalError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def finite_number(key: str, value) -> float:
+    """``value`` as a float; :class:`ConfigError` naming ``key`` for bools,
+    strings and non-finite values."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError([f"{key}: not a finite number: {value!r}"])
+
+
+def integer(key: str, value) -> int:
+    """``value`` as an int (integral floats allowed); :class:`ConfigError`
+    naming ``key`` for bools, fractions, strings and non-finite values."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError([f"{key}: not an integer: {value!r}"])
+    return int(value)
+
+
+def xy_pair(key: str, entry) -> tuple[float, float]:
+    """An ``[x, y]`` entry as two floats, through :func:`finite_number`."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise ConfigError([f"{key}: not an [x, y] pair: {entry!r}"])
+    return finite_number(key, entry[0]), finite_number(key, entry[1])
 
 
 class CsvFormatError(UwbCalError):

@@ -3,6 +3,10 @@
 All lengths are in meters and all angles in radians. Positions estimated by
 the calibration pipeline live in the *anchor frame*: anchor 0 at the origin
 and (on the first calibration only) anchor 1 on the positive x-axis.
+
+Functions take positions as any ``(x, y)`` pairs (a :class:`Point2`, a tuple,
+a row of ``ndarray.tolist()``) and unpack them; :class:`Point2` is the type
+at the API edge, for configured and returned positions.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ class Point2:
         return Point2(self.x - other.x, self.y - other.y)
 
 
-def distance(p: Point2, q: Point2) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p.x - q.x, p.y - q.y)
+def distance(p, q) -> float:
+    """Euclidean distance between two ``(x, y)`` points."""
+    (px, py), (qx, qy) = p, q
+    return math.hypot(px - qx, py - qy)
 
 
 def wrap_angle(angle: float) -> float:
@@ -85,18 +90,20 @@ def rotation_error(estimated_a1: Point2) -> float:
     return wrap_angle(math.atan2(estimated_a1.y, estimated_a1.x))
 
 
-def translation_errors(estimated: list[Point2], truth: list[Point2],
-                       truth_origin: Point2) -> list[float]:
+def translation_errors(estimated, truth, truth_origin) -> list[float]:
     """Per-node position errors after translating the estimated frame.
 
     The estimated coordinates are expressed in the anchor frame; shifting
     them by ``truth_origin`` (the true world position of anchor 0) aligns
     the two frames by translation only. No rotation correction is applied;
     frame rotation is reported separately through :func:`rotation_error`.
+    Positions are ``(x, y)`` pairs.
     """
     if len(estimated) != len(truth):
         raise LengthMismatch(
             f"{len(estimated)} estimated vs {len(truth)} true positions")
     if not estimated:
         raise LengthMismatch("empty position lists")
-    return [distance(e + truth_origin, t) for e, t in zip(estimated, truth)]
+    ox, oy = truth_origin
+    return [distance((ex + ox, ey + oy), t)
+            for (ex, ey), t in zip(estimated, truth)]

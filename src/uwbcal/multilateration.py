@@ -37,13 +37,13 @@ class TagFix:
             raise ValueError("rms_residual must be >= 0")
 
 
-def _checked(anchors: list[Point2], ranges: list[float]):
+def _checked(anchors, ranges: list[float]):
     """Anchor (x, y) pairs and ranges as floats, after the input checks."""
     if len(anchors) < 3:
         raise ValueError(f"need at least 3 anchors, got {len(anchors)}")
     if len(ranges) != len(anchors):
         raise ValueError(f"{len(ranges)} ranges for {len(anchors)} anchors")
-    a = [(float(p.x), float(p.y)) for p in anchors]
+    a = [(float(x), float(y)) for x, y in anchors]
     r = [float(v) for v in ranges]
     if any(v <= 0.0 for v in r):
         raise ValueError("ranges must be positive")
@@ -90,7 +90,7 @@ def _linear_start(a: list[tuple[float, float]],
     return (q1 - r12 * py) / r11, py
 
 
-def linear_initial_guess(anchors: list[Point2], ranges: list[float]) -> Point2:
+def linear_initial_guess(anchors, ranges: list[float]) -> Point2:
     """Least-squares solution of the pairwise-subtracted squared equations.
 
     Subtracting the first range equation from each of the others removes the
@@ -101,7 +101,7 @@ def linear_initial_guess(anchors: list[Point2], ranges: list[float]) -> Point2:
     return Point2(*_linear_start(*_checked(anchors, ranges)))
 
 
-def tag_residuals(anchors: list[Point2], ranges: list[float]):
+def tag_residuals(anchors, ranges: list[float]):
     """Residual function p -> (|p - a_i| - r_i, Jacobian) for a tag fix.
 
     The array form of the residuals :func:`locate_tag` fits, for
@@ -115,16 +115,16 @@ def tag_residuals(anchors: list[Point2], ranges: list[float]):
     return fun
 
 
-def locate_tag(anchors: list[Point2], ranges: list[float],
-               guess: Point2 | None = None) -> TagFix:
+def locate_tag(anchors, ranges: list[float], guess=None) -> TagFix:
     """Fix a tag position by damped least squares over the range residuals.
 
-    Starts from ``guess`` when given, otherwise from the linear
-    initialization. Raises :class:`NotConverged` with the best fix attached
-    if the iteration cap is hit.
+    ``anchors`` and ``guess`` are ``(x, y)`` pairs. Starts from ``guess``
+    when given, otherwise from the linear initialization. Raises
+    :class:`NotConverged` with the best fix attached if the iteration cap is
+    hit.
     """
     a, r = _checked(anchors, ranges)
-    start = _linear_start(a, r) if guess is None else (guess.x, guess.y)
+    start = _linear_start(a, r) if guess is None else tuple(guess)
     lsq = fit_point(a, r, start)
     fix = TagFix(
         position=Point2(float(lsq.x[0]), float(lsq.x[1])),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .autocalib import DistanceStatsMatrix, PairStats
 from .errors import InvalidTiming, ProtocolViolation
-from .geometry import Point2, distance
+from .geometry import distance
 from .ranging import (SPEED_OF_LIGHT, RangingModel, TwrTimings,
                       simulate_measurement, ss_twr_distance)
 
@@ -236,12 +236,13 @@ def _message_total(n: int, k: int) -> int:
 
 
 def simulate_round(n_anchors: int, k_measurements: int,
-                   true_positions: list[Point2], ranging_model: RangingModel,
+                   true_positions, ranging_model: RangingModel,
                    rng: np.random.Generator) -> RoundOutcome:
     """Run one full calibration round to quiescence.
 
-    The channel delivers messages in FIFO order with a uniform spacing chosen
-    so the round spans exactly the modeled latency. Each Response passing
+    ``true_positions`` holds one world ``(x, y)`` pair per anchor. The
+    channel delivers messages in FIFO order with a uniform spacing chosen so
+    the round spans exactly the modeled latency. Each Response passing
     through the channel gets timings synthesized from one sampled noisy
     distance for its pair.
     """
@@ -302,8 +303,7 @@ def simulate_round(n_anchors: int, k_measurements: int,
 
 
 def run_calibration_round(n_anchors: int, k_measurements: int,
-                          true_positions: list[Point2],
-                          ranging_model: RangingModel,
+                          true_positions, ranging_model: RangingModel,
                           rng: np.random.Generator) -> tuple[DistanceStatsMatrix, float]:
     """Run one round in a single batched draw; return the stats and latency.
 

@@ -15,7 +15,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CsvFormatError, DegenerateFit, InsufficientData, InvalidTiming
+from .errors import (ConfigError, CsvFormatError, DegenerateFit,
+                     InsufficientData, InvalidTiming, finite_number, integer)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 
@@ -92,8 +93,20 @@ class RangingModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RangingModel":
-        return cls(slope=d["slope"], intercept=d["intercept_m"],
-                   noise_std=d["noise_std_m"], n_samples=d["n_samples"])
+        """The inverse of :meth:`to_dict`; :class:`ConfigError` naming
+        ``ranging.<key>`` for a non-object, an unknown or missing key, or a
+        value that is not a finite number (``n_samples``: an integer)."""
+        keys = ("slope", "intercept_m", "noise_std_m", "n_samples")
+        if not isinstance(d, dict):
+            raise ConfigError([f"ranging: not an object: {d!r}"])
+        problems = [f"ranging.{key}: unknown key"
+                    for key in sorted(set(d) - set(keys))]
+        problems += [f"ranging.{key}: missing" for key in keys if key not in d]
+        if problems:
+            raise ConfigError(problems)
+        return cls(*(finite_number(f"ranging.{key}", d[key])
+                     for key in keys[:3]),
+                   n_samples=integer("ranging.n_samples", d["n_samples"]))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from .autocalib import calibrate
 from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
                      DegenerateGeometry, EmptyTrace, NotConverged,
-                     SingularUpdate)
+                     SingularUpdate, finite_number, integer, xy_pair)
 from .geometry import Point2, distance, translation_errors, wrap_angle
 from .multilateration import locate_tag
 from .protocol import run_calibration_round
@@ -59,18 +58,6 @@ DEFAULT_HEADING_SPREAD = 0.15  # rad, per-node offset from the base heading
 TAG_ALONG_BASE = 0.2
 TAG_ALONG_STEP = 0.1
 TAG_ACROSS = 0.4
-
-
-def _finite_number(key: str, value) -> float:
-    """A scenario number as a float; :class:`ConfigError` naming ``key`` for
-    bools, strings and non-finite values."""
-    if isinstance(value, Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ConfigError([f"{key}: not a finite number: {value!r}"])
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,7 @@ class MotionParams:
             problems.append(f"{where}: missing keys {missing}")
         if problems:
             raise ConfigError(problems)
-        return cls(*(_finite_number(f"{where}.{key}", d[key])
+        return cls(*(finite_number(f"{where}.{key}", d[key])
                      for key in required))
 
 
@@ -132,6 +119,14 @@ class MotionTable:
                          for i, m in enumerate(d[kind]))
 
         return cls(anchors=nodes("anchors"), tags=nodes("tags"))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node velocity ``(speed cos, speed sin)`` rows and jitter
+        ``(gaussian_std,)`` rows, anchors then tags."""
+        nodes = self.anchors + self.tags
+        velocity = np.array([(m.speed * math.cos(m.direction),
+                              m.speed * math.sin(m.direction)) for m in nodes])
+        return velocity, np.array([[m.gaussian_std] for m in nodes])
 
 
 @dataclass(frozen=True)
@@ -202,15 +197,10 @@ class ScenarioConfig:
         for key in ("n_anchors", "n_tags", "n_steps", "calibration_period",
                     "k_measurements", "seed"):
             if key in raw:
-                value = raw[key]
-                if isinstance(value, float) and value.is_integer():
-                    value = int(value)
-                if isinstance(value, bool) or not isinstance(value, Integral):
-                    raise ConfigError([f"{key}: not an integer: {value!r}"])
-                kwargs[key] = int(value)
+                kwargs[key] = integer(key, raw[key])
         if "drift_bound" in raw:
-            kwargs["drift_bound"] = _finite_number("drift_bound",
-                                                   raw["drift_bound"])
+            kwargs["drift_bound"] = finite_number("drift_bound",
+                                                  raw["drift_bound"])
         if "trigger" in raw and raw["trigger"] is not None:
             try:
                 if not isinstance(raw["trigger"], str):
@@ -224,8 +214,10 @@ class ScenarioConfig:
             kwargs["motion"] = MotionTable.from_dict(raw["motion"])
         for key in ("initial_anchor_positions", "initial_tag_positions"):
             if raw.get(key) is not None:
-                kwargs[key] = tuple(Point2(float(x), float(y))
-                                    for x, y in raw[key])
+                if not isinstance(raw[key], (list, tuple)):
+                    raise ConfigError([f"{key}: not a list: {raw[key]!r}"])
+                kwargs[key] = tuple(Point2(*xy_pair(f"{key}[{i}]", p))
+                                    for i, p in enumerate(raw[key]))
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -353,12 +345,11 @@ def resolve_config(cfg: ScenarioConfig,
         anchors = None
     else:
         # a zero inter-anchor distance cannot be ranged
-        for j, p in enumerate(anchors):
-            if p in anchors[:j]:
-                violations.append(
-                    f"initial_anchor_positions[{j}]: ({p.x:g}, {p.y:g}) "
-                    f"coincides with initial_anchor_positions"
-                    f"[{anchors.index(p)}]")
+        for i, j in _coincident(anchors):
+            p = anchors[j]
+            violations.append(
+                f"initial_anchor_positions[{j}]: ({p.x:g}, {p.y:g}) "
+                f"coincides with initial_anchor_positions[{i}]")
 
     tags = cfg.initial_tag_positions
     if tags is None:
@@ -402,53 +393,42 @@ def resolve_config(cfg: ScenarioConfig,
                    initial_tag_positions=tuple(tags))
 
 
-@dataclass
-class WorldState:
-    """True and estimated node positions at one simulation step.
-
-    ``est_anchor_pos`` holds the odometry estimates in world coordinates;
-    the system's anchor frame is recovered as est[i] - est[0], so anchor 0
-    always anchors the estimation frame.
-    """
-
-    true_anchor_pos: list[Point2]
-    est_anchor_pos: list[Point2]
-    true_tag_pos: list[Point2]
+def _coincident(points) -> list[tuple[int, int]]:
+    """``(i, j)`` for every ``(x, y)`` point j equal to an earlier one, i
+    being the first of them."""
+    first, pairs = {}, []
+    for j, p in enumerate(map(tuple, points)):
+        i = first.setdefault(p, j)
+        if i != j:
+            pairs.append((i, j))
+    return pairs
 
 
-def step_motion(state: WorldState, cfg: ScenarioConfig,
-                rng: np.random.Generator) -> WorldState:
+def step_motion(true_xy: np.ndarray, est_xy: np.ndarray,
+                velocity: np.ndarray, jitter: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Advance every node one step along its heading, plus Gaussian noise.
 
-    Estimates advance by the same executed displacement as the truth
-    (odometry reads actual motion); only drift separates them.
+    ``true_xy`` holds the true positions of the anchors then the tags,
+    ``est_xy`` the anchor estimates; ``velocity`` and ``jitter`` are the
+    rows of :meth:`MotionTable.arrays`. Estimates advance by the same
+    executed displacement as the truth (odometry reads actual motion); only
+    drift separates them. Returns the new ``(true_xy, est_xy)``.
     """
-    motion = cfg.motion
-    noise = rng.standard_normal((cfg.n_anchors + cfg.n_tags, 2))
-    new_true, new_est = [], []
-    for i, (p, m) in enumerate(zip(state.true_anchor_pos, motion.anchors)):
-        delta = Point2(m.speed * math.cos(m.direction) + m.gaussian_std * noise[i, 0],
-                       m.speed * math.sin(m.direction) + m.gaussian_std * noise[i, 1])
-        new_true.append(p + delta)
-        new_est.append(state.est_anchor_pos[i] + delta)
-    new_tags = []
-    for i, (p, m) in enumerate(zip(state.true_tag_pos, motion.tags)):
-        k = cfg.n_anchors + i
-        delta = Point2(m.speed * math.cos(m.direction) + m.gaussian_std * noise[k, 0],
-                       m.speed * math.sin(m.direction) + m.gaussian_std * noise[k, 1])
-        new_tags.append(p + delta)
-    return replace(state, true_anchor_pos=new_true,
-                   est_anchor_pos=new_est, true_tag_pos=new_tags)
+    delta = velocity + jitter * rng.standard_normal(true_xy.shape)
+    return true_xy + delta, est_xy + delta[:len(est_xy)]
 
 
-def apply_drift(state: WorldState, cfg: ScenarioConfig,
-                rng: np.random.Generator) -> WorldState:
+def apply_drift(est_xy: np.ndarray, drift_bound: float,
+                rng: np.random.Generator) -> np.ndarray:
     """Add one step of odometry error: Uniform(-b, +b) per coordinate,
     independently for every anchor estimate."""
-    draws = rng.uniform(-1.0, 1.0, (cfg.n_anchors, 2)) * cfg.drift_bound
-    new_est = [p + Point2(draws[i, 0], draws[i, 1])
-               for i, p in enumerate(state.est_anchor_pos)]
-    return replace(state, est_anchor_pos=new_est)
+    return est_xy + rng.uniform(-1.0, 1.0, est_xy.shape) * drift_bound
+
+
+def _xy(points) -> np.ndarray:
+    """``(x, y)`` points as an ``(n, 2)`` float array."""
+    return np.array([tuple(p) for p in points], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -475,22 +455,15 @@ class SimulationTrace:
     diagnostics: list[str]
 
 
-def _frame(est: list[Point2]) -> list[Point2]:
-    origin = est[0]
-    return [p - origin for p in est]
-
-
-def _baseline_angle(p0: Point2, p1: Point2) -> float:
-    return math.atan2(p1.y - p0.y, p1.x - p0.x)
-
-
 def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> SimulationTrace:
     """Execute a full scenario; deterministic for a fixed config and seed.
 
     Per step: motion, drift, recalibration when triggered (warm-started from
     the current estimates), then one fix per tag from fresh bias-corrected
     ranges, then metric recording. Module errors during a tag fix or a
-    calibration become diagnostics instead of aborting the run.
+    calibration become diagnostics instead of aborting the run. Positions
+    that overflow, or anchors that meet at a calibration, raise
+    :class:`ConfigError`: the scenario's motion cannot be simulated.
     """
     try:
         seq = np.random.SeedSequence(cfg.seed).spawn(4)
@@ -501,59 +474,72 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     cfg = resolve_config(cfg, params_rng)
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
+    n = cfg.n_anchors
 
-    anchors0 = list(cfg.initial_anchor_positions)
-    stats, _ = run_calibration_round(cfg.n_anchors, cfg.k_measurements,
-                                     anchors0, model, ranging_rng)
+    stats, _ = run_calibration_round(n, cfg.k_measurements,
+                                     cfg.initial_anchor_positions, model,
+                                     ranging_rng)
     diagnostics: list[str] = []
     try:
         result = calibrate(stats, correction)
     except NotConverged as exc:
         result = exc.result
         diagnostics.append("bootstrap calibration did not converge")
-    origin0 = anchors0[0]
-    est = [origin0 + p for p in result.positions]
-
-    state = WorldState(true_anchor_pos=anchors0, est_anchor_pos=est,
-                       true_tag_pos=list(cfg.initial_tag_positions))
+    # world positions, anchors then tags, and the anchor estimates; the
+    # system's anchor frame is est - est[0], so anchor 0 anchors it
+    true_xy = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
+    est_xy = true_xy[0] + _xy(result.positions)
+    velocity, jitter = cfg.motion.arrays()
     records: list[TraceRecord] = []
 
     for t in range(cfg.n_steps):
-        state = step_motion(state, cfg, motion_rng)
-        state = apply_drift(state, cfg, drift_rng)
-
-        truth = state.true_anchor_pos
-        frame = _frame(state.est_anchor_pos)
+        with np.errstate(over="ignore", invalid="ignore"):
+            true_xy, est_xy = step_motion(true_xy, est_xy, velocity, jitter,
+                                          motion_rng)
+            est_xy = apply_drift(est_xy, cfg.drift_bound, drift_rng)
+            frame_xy = est_xy - est_xy[0]
+        # a finite frame implies finite estimates, and also that no
+        # estimate is so far from anchor 0 that the difference overflows
+        if not (np.isfinite(true_xy).all() and np.isfinite(frame_xy).all()):
+            raise ConfigError([
+                f"step {t}: node positions overflowed; reduce the motion "
+                f"speed or gaussian_std, or drift_bound"])
+        world, frame = true_xy.tolist(), frame_xy.tolist()
+        truth = world[:n]
         calibrated = False
         if _trigger_fires(cfg, t, frame, truth):
+            met = _coincident(truth)
+            if met:
+                i, j = met[0]
+                raise ConfigError([
+                    f"step {t}: anchors {i} and {j} coincide at "
+                    f"({truth[j][0]:g}, {truth[j][1]:g}) and cannot range "
+                    f"each other; change the motion or "
+                    f"initial_anchor_positions"])
             stats, _ = run_calibration_round(
-                cfg.n_anchors, cfg.k_measurements, truth, model, ranging_rng)
+                n, cfg.k_measurements, truth, model, ranging_rng)
             try:
                 result = calibrate(stats, correction, prior=frame)
             except NotConverged as exc:
                 result = exc.result
                 diagnostics.append(f"step {t}: calibration did not converge")
-            origin = state.est_anchor_pos[0]
-            state = replace(
-                state, est_anchor_pos=[origin + p for p in result.positions])
-            frame = _frame(state.est_anchor_pos)
+            est_xy = est_xy[0] + _xy(result.positions)
+            frame = (est_xy - est_xy[0]).tolist()
             calibrated = True
 
         anchor_errors = translation_errors(frame, truth, truth[0])
         assert anchor_errors[0] == 0.0
-        rotation = wrap_angle(_baseline_angle(Point2(0.0, 0.0), frame[1])
-                              - _baseline_angle(truth[0], truth[1]))
+        (x0, y0), (x1, y1), (fx, fy) = truth[0], truth[1], frame[1]
+        rotation = wrap_angle(math.atan2(fy, fx)
+                              - math.atan2(y1 - y0, x1 - x0))
 
-        a0 = truth[0]
-        true_pos = [(p.x, p.y) for p in truth]
-        est_pos = [(p.x + a0.x, p.y + a0.y) for p in frame]
+        est_pos = [(x + x0, y + y0) for x, y in frame]
         tag_errors = []
-        for tag_id, tag_true in enumerate(state.true_tag_pos):
+        for tag_id, tag_true in enumerate(world[n:]):
             est_world, err = _fix_tag(tag_true, truth, frame, model,
                                       correction, ranging_rng,
                                       diagnostics, t, tag_id)
             tag_errors.append(err)
-            true_pos.append((tag_true.x, tag_true.y))
             est_pos.append(est_world)
 
         records.append(TraceRecord(step=t,
@@ -561,15 +547,14 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                                    tag_errors=tuple(tag_errors),
                                    rotation_error=rotation,
                                    calibrated=calibrated,
-                                   true_positions=tuple(true_pos),
+                                   true_positions=tuple(map(tuple, world)),
                                    est_positions=tuple(est_pos)))
 
     return SimulationTrace(config=cfg.to_dict(), records=records,
                            diagnostics=diagnostics)
 
 
-def _trigger_fires(cfg: ScenarioConfig, t: int, frame: list[Point2],
-                   truth: list[Point2]) -> bool:
+def _trigger_fires(cfg: ScenarioConfig, t: int, frame, truth) -> bool:
     if cfg.trigger.kind == "periodic":
         return t > 0 and t % cfg.calibration_period == 0
     errors = translation_errors(frame, truth, truth[0])
@@ -578,8 +563,12 @@ def _trigger_fires(cfg: ScenarioConfig, t: int, frame: list[Point2],
 
 def _fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
              diagnostics, step, tag_id):
-    measured = [simulate_measurement(distance(tag_true, a), model, rng)
-                for a in truth_anchors]
+    true_d = [distance(tag_true, a) for a in truth_anchors]
+    if 0.0 in true_d:
+        diagnostics.append(f"step {step}: tag {tag_id} coincides with anchor "
+                           f"{true_d.index(0.0)} and cannot range it")
+        return None, math.nan
+    measured = [simulate_measurement(d, model, rng) for d in true_d]
     ranges = [correct_measurement(m, correction) for m in measured]
     if min(ranges) <= 0.0:
         diagnostics.append(
@@ -591,8 +580,9 @@ def _fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
             SingularUpdate) as exc:
         diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
         return None, math.nan
-    est = fix.position + truth_anchors[0]
-    return (est.x, est.y), distance(est, tag_true)
+    (fx, fy), (x0, y0) = fix.position, truth_anchors[0]
+    est = (fx + x0, fy + y0)
+    return est, distance(est, tag_true)
 
 
 @dataclass(frozen=True)

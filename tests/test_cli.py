@@ -15,12 +15,33 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+STILL = {"direction": 0.0, "speed": 0.0, "gaussian_std": 0.0}
+
+
 def moving(**anchor_0) -> str:
     """A 3-anchor, tag-free scenario whose anchor-0 motion has the given
     fields replaced, as JSON text."""
-    still = {"direction": 0.0, "speed": 0.0, "gaussian_std": 0.0}
     return json.dumps({"n_anchors": 3, "n_tags": 0, "n_steps": 3, "motion": {
-        "anchors": [{**still, **anchor_0}, still, still], "tags": []}})
+        "anchors": [{**STILL, **anchor_0}, STILL, STILL], "tags": []}})
+
+
+def ranging(**fields) -> str:
+    """A scenario whose ranging object is a valid model updated by
+    ``fields`` (a value of None drops that key), as JSON text."""
+    model = {"slope": 1.0, "intercept_m": 0.36, "noise_std_m": 0.05,
+             "n_samples": 10, **fields}
+    return json.dumps({"n_steps": 3, "ranging": {
+        k: v for k, v in model.items() if v is not None}})
+
+
+def placed(anchors, tags=()) -> str:
+    """A still scenario with the given initial positions, as JSON text."""
+    return json.dumps({
+        "n_anchors": len(anchors), "n_tags": len(tags), "n_steps": 3,
+        "initial_anchor_positions": anchors,
+        "initial_tag_positions": list(tags),
+        "motion": {"anchors": [STILL] * len(anchors),
+                   "tags": [STILL] * len(tags)}})
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +174,24 @@ class TestCalibrate:
         for (x, y), p in zip(doc["positions"], GOLDEN_FRAME):
             assert math.hypot(x - p.x, y - p.y) <= 1e-6
 
+    @pytest.mark.parametrize("flag, doc, named", [
+        ("--model", {"slope": True, "intercept_m": 0.36, "noise_std_m": 0.05,
+                     "n_samples": 10}, "ranging.slope"),
+        ("--prior", [[True, 0], [9, 0], [16, 3], [13, 17], [2, 19]],
+         "positions[0]"),
+        ("--prior", {"positions": [[0, 0], [9, 0, 1], [16, 3], [13, 17],
+                                   [2, 19]]}, "positions[1]"),
+    ], ids=["model_slope_bool", "prior_bool", "prior_three_coordinates"])
+    def test_bad_model_or_prior_exits_2(self, golden_csv, tmp_path, flag,
+                                        doc, named):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("calibrate", "--input", str(golden_csv), flag,
+                         str(path), "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_prior_round_trips_from_result_file(self, golden_csv, tmp_path):
         first = tmp_path / "first.json"
         run_cli("calibrate", "--input", str(golden_csv),
@@ -271,6 +310,51 @@ class TestSimulate:
                          "--out-dir", str(tmp_path / "out"), *flags)
         assert result.returncode == 2
         assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("text, named", [
+        (moving(speed=1e308), "step 1: node positions overflowed"),
+        (moving(gaussian_std=1e308), "gaussian_std"),
+        ('{"drift_bound": 1e308}', "drift_bound"),
+        (json.dumps({"n_anchors": 3, "n_tags": 0, "n_steps": 12,
+                     "drift_bound": 0.0,
+                     "initial_anchor_positions": [[0, 0], [11, 0], [5, 8]],
+                     "motion": {"anchors": [{**STILL, "speed": 1.0}, STILL,
+                                            STILL], "tags": []}}),
+         "step 10: anchors 0 and 1 coincide"),
+        (ranging(slope=True), "ranging.slope"),
+        (ranging(n_samples=2.5), "ranging.n_samples"),
+        (ranging(bogus=1.0), "ranging.bogus"),
+        (ranging(n_samples=None), "ranging.n_samples"),
+        ('{"ranging": [1.0, 0.36, 0.05, 10]}', "ranging: not an object"),
+        (placed([[True, 0], [11, 0], [5, 8]]), "initial_anchor_positions[0]"),
+        (placed([[0, 0], ["11", 0], [5, 8]]), "initial_anchor_positions[1]"),
+        (placed([[0, 0], [11, 0], [5, 8]], [[5, True]]),
+         "initial_tag_positions[0]"),
+        (placed([[0, 0], [11, 0], [5, 8]], [["5", 3]]),
+         "initial_tag_positions[0]"),
+        (placed([[0, 0], [11, 0, 1], [5, 8]]), "initial_anchor_positions[1]"),
+    ], ids=["speed", "gaussian_std", "drift_bound", "anchors_meet",
+            "slope_bool", "n_samples_fraction", "unknown_key", "missing_key",
+            "not_an_object", "anchor_bool", "anchor_string", "tag_bool",
+            "tag_string", "three_coordinates"])
+    def test_bad_motion_ranging_or_position_exits_2(self, tmp_path, text,
+                                                    named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_tag_on_anchor_is_a_failed_fix(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(placed([[2, 3], [11, 3], [6, 12]], [[2, 3]]))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 0
+        assert "note: step 0: tag 0 coincides with anchor 0" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_coincident_anchors_exit_2(self, tmp_path):

@@ -1,11 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import (GOLDEN_FRAME, GOLDEN_TAG_RANGES, GOLDEN_TAG_WORLD,
+                      GOLDEN_WORLD)
+from uwbcal.autocalib import calibrate
 from uwbcal.errors import DegenerateGeometry, LengthMismatch
 from uwbcal.geometry import (Point2, bilaterate_positive_y, distance,
                              rotation_error, translation_errors, wrap_angle)
+from uwbcal.multilateration import locate_tag
+from uwbcal.protocol import run_calibration_round
+from uwbcal.ranging import reference_model
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 points = st.builds(Point2, coords, coords)
@@ -178,3 +185,45 @@ class TestTranslationErrors:
             translation_errors([Point2(0, 0)], [], Point2(0, 0))
         with pytest.raises(LengthMismatch):
             translation_errors([], [], Point2(0, 0))
+
+
+# The same points as Point2 objects, tuples and ndarray.tolist() rows.
+POINT_FORMS = {
+    "Point2": lambda pts: [Point2(*p) for p in pts],
+    "tuple": lambda pts: [tuple(p) for p in pts],
+    "tolist": lambda pts: np.array([tuple(p) for p in pts]).tolist(),
+}
+PRIOR = [(p.x + 0.1 * (-1) ** i, p.y - 0.05 * i)
+         for i, p in enumerate(GOLDEN_WORLD)]
+
+
+def _round(form):
+    return run_calibration_round(5, 5, form(GOLDEN_WORLD), reference_model(),
+                                 np.random.default_rng(3))
+
+
+def _round_stats(form):
+    stats, latency = _round(form)
+    return stats._mean.tolist(), stats._std.tolist(), latency
+
+
+CALLEES = {
+    "distance": lambda form: [distance(*form([p, GOLDEN_TAG_WORLD]))
+                              for p in GOLDEN_WORLD],
+    "translation_errors": lambda form: translation_errors(
+        form(PRIOR), form(GOLDEN_WORLD), form(GOLDEN_WORLD)[1]),
+    "locate_tag": lambda form: (
+        locate_tag(form(GOLDEN_FRAME), GOLDEN_TAG_RANGES),
+        locate_tag(form(GOLDEN_FRAME), GOLDEN_TAG_RANGES,
+                   guess=form([(6.5, 8.5)])[0])),
+    "run_calibration_round": _round_stats,
+    "calibrate_prior": lambda form: calibrate(
+        _round(form)[0], reference_model(), prior=form(PRIOR)),
+}
+
+
+@pytest.mark.parametrize("callee", sorted(CALLEES))
+def test_any_xy_pairs_give_identical_results(callee):
+    results = {name: repr(CALLEES[callee](form))
+               for name, form in POINT_FORMS.items()}
+    assert len(set(results.values())) == 1, results

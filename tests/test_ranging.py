@@ -1,12 +1,13 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uwbcal.errors import (CsvFormatError, DegenerateFit, InsufficientData,
-                           InvalidTiming)
+from uwbcal.errors import (ConfigError, CsvFormatError, DegenerateFit,
+                           InsufficientData, InvalidTiming)
 from uwbcal.ranging import (SPEED_OF_LIGHT, RangingModel, RangingSample,
                             TwrTimings, correct_measurement, ds_twr_distance,
                             fit_model, load_reference_samples, load_samples,
@@ -211,6 +212,28 @@ class TestModelValidation:
     def test_dict_round_trip(self):
         m = reference_model()
         assert RangingModel.from_dict(m.to_dict()) == m
+
+    @pytest.mark.parametrize("change, named", [
+        ({"slope": True}, "ranging.slope"),
+        ({"intercept_m": "0.3"}, "ranging.intercept_m"),
+        ({"noise_std_m": math.inf}, "ranging.noise_std_m"),
+        ({"n_samples": 2.5}, "ranging.n_samples"),
+        ({"n_samples": None}, "ranging.n_samples: missing"),
+        ({"extra": 1}, "ranging.extra: unknown key"),
+    ])
+    def test_from_dict_names_the_bad_key(self, change, named):
+        d = {**reference_model().to_dict(), **change}
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RangingModel.from_dict({k: v for k, v in d.items()
+                                    if v is not None})
+
+    def test_from_dict_needs_an_object(self):
+        with pytest.raises(ConfigError, match="ranging: not an object"):
+            RangingModel.from_dict([1.0, 0.0, 0.0, 2])
+
+    def test_from_dict_takes_integral_sample_counts(self):
+        d = {**reference_model().to_dict(), "n_samples": 40.0}
+        assert RangingModel.from_dict(d) == reference_model()
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):

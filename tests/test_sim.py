@@ -12,16 +12,25 @@ from uwbcal.geometry import Point2
 from uwbcal.ranging import RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, TRACE_HEADER, MotionParams,
                         MotionTable, ScenarioConfig, TraceRecord, Trigger,
-                        WorldState, apply_drift, point_in_anchor_hull,
-                        read_trace_records, resolve_config, run_scenario,
-                        step_motion, summarize, write_trace_csv)
+                        apply_drift, point_in_anchor_hull, read_trace_records,
+                        resolve_config, run_scenario, step_motion, summarize,
+                        write_trace_csv)
 
 NOISELESS = RangingModel(1.0, 0.0, 0.0, 2)
 
 
-def world(anchors, tags=()):
-    return WorldState(true_anchor_pos=list(anchors),
-                      est_anchor_pos=list(anchors), true_tag_pos=list(tags))
+def xy(points):
+    return np.array([tuple(p) for p in points], dtype=float)
+
+
+def step(cfg, rng, anchors=None):
+    """One step_motion from cfg's initial positions (or ``anchors``, no
+    tags); returns the new (true_xy, est_xy)."""
+    if anchors is None:
+        anchors = cfg.initial_anchor_positions + cfg.initial_tag_positions
+    true_xy = xy(anchors)
+    return step_motion(true_xy, true_xy[:cfg.n_anchors].copy(),
+                       *cfg.motion.arrays(), rng)
 
 
 class TestConfig:
@@ -94,72 +103,76 @@ class TestConfig:
 
 
 class TestMotion:
-    def test_stationary_when_speed_and_noise_zero(self):
-        cfg = dataclasses.replace(
+    @staticmethod
+    def still_anchors(speed):
+        return dataclasses.replace(
             resolve_config(ScenarioConfig(n_tags=0)),
-            motion=MotionTable(anchors=tuple(MotionParams(0.0, 0.0, 0.0)
+            motion=MotionTable(anchors=tuple(MotionParams(0.0, speed, 0.0)
                                              for _ in range(4)), tags=()),
             n_tags=0)
-        state = world(DEFAULT_ANCHOR_LAYOUT[:4])
-        new = step_motion(state, cfg, np.random.default_rng(0))
-        assert new.true_anchor_pos == state.true_anchor_pos
+
+    def test_stationary_when_speed_and_noise_zero(self):
+        cfg = self.still_anchors(0.0)
+        new_true, _ = step(cfg, np.random.default_rng(0))
+        assert np.array_equal(new_true, xy(DEFAULT_ANCHOR_LAYOUT[:4]))
 
     def test_constant_heading_advance(self):
-        cfg = dataclasses.replace(
-            resolve_config(ScenarioConfig(n_tags=0)),
-            motion=MotionTable(anchors=tuple(MotionParams(0.0, 0.1, 0.0)
-                                             for _ in range(4)), tags=()),
-            n_tags=0)
-        state = world(DEFAULT_ANCHOR_LAYOUT[:4])
-        new = step_motion(state, cfg, np.random.default_rng(0))
-        for before, after in zip(state.true_anchor_pos, new.true_anchor_pos):
-            assert after.x == pytest.approx(before.x + 0.1)
-            assert after.y == pytest.approx(before.y)
+        cfg = self.still_anchors(0.1)
+        new_true, _ = step(cfg, np.random.default_rng(0))
+        for before, after in zip(DEFAULT_ANCHOR_LAYOUT[:4], new_true):
+            assert after[0] == pytest.approx(before.x + 0.1)
+            assert after[1] == pytest.approx(before.y)
 
     def test_estimates_track_executed_motion(self):
         cfg = resolve_config(ScenarioConfig(seed=3, n_tags=0))
-        state = world(cfg.initial_anchor_positions)
-        new = step_motion(state, cfg, np.random.default_rng(3))
-        for true, est in zip(new.true_anchor_pos, new.est_anchor_pos):
-            assert true == est
+        new_true, new_est = step(cfg, np.random.default_rng(3))
+        assert np.array_equal(new_true, new_est)
 
     def test_seeded_motion_reproducible(self):
         cfg = resolve_config(ScenarioConfig(seed=5))
-        state = world(cfg.initial_anchor_positions,
-                      cfg.initial_tag_positions)
-        a = step_motion(state, cfg, np.random.default_rng(11))
-        b = step_motion(state, cfg, np.random.default_rng(11))
-        assert a.true_anchor_pos == b.true_anchor_pos
-        assert a.true_tag_pos == b.true_tag_pos
+        a = step(cfg, np.random.default_rng(11))
+        b = step(cfg, np.random.default_rng(11))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert a[0].shape == (4 + 3, 2)
+
+    def test_one_draw_per_node_in_node_order(self):
+        # row k moves by speed*(cos, sin)(direction) + gaussian_std * z_k,
+        # anchors then tags, z the step's single (N+T, 2) normal draw
+        cfg = resolve_config(ScenarioConfig(seed=5))
+        new_true, _ = step(cfg, np.random.default_rng(11))
+        z = np.random.default_rng(11).standard_normal((4 + 3, 2)).tolist()
+        nodes = cfg.motion.anchors + cfg.motion.tags
+        start = cfg.initial_anchor_positions + cfg.initial_tag_positions
+        for p, m, (zx, zy), row in zip(start, nodes, z, new_true.tolist()):
+            assert row == [
+                p.x + (m.speed * math.cos(m.direction) + m.gaussian_std * zx),
+                p.y + (m.speed * math.sin(m.direction) + m.gaussian_std * zy)]
 
 
 class TestDrift:
     def test_zero_bound_tracks_truth(self):
-        cfg = dataclasses.replace(resolve_config(ScenarioConfig()),
-                                  drift_bound=0.0)
-        state = world(cfg.initial_anchor_positions)
-        new = apply_drift(state, cfg, np.random.default_rng(0))
-        assert new.est_anchor_pos == list(cfg.initial_anchor_positions)
+        est = xy(resolve_config(ScenarioConfig()).initial_anchor_positions)
+        new = apply_drift(est, 0.0, np.random.default_rng(0))
+        assert np.array_equal(new, est)
 
     def test_seeded_drift_reproducible(self):
-        cfg = resolve_config(ScenarioConfig())
-        state = world(cfg.initial_anchor_positions)
-        a = apply_drift(state, cfg, np.random.default_rng(9))
-        b = apply_drift(state, cfg, np.random.default_rng(9))
-        assert a.est_anchor_pos == b.est_anchor_pos
+        est = xy(resolve_config(ScenarioConfig()).initial_anchor_positions)
+        a = apply_drift(est, 0.1, np.random.default_rng(9))
+        b = apply_drift(est, 0.1, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_ten_step_accumulation_matches_uniform_sum(self):
         # per coordinate: a 10-term Uniform(-0.1, 0.1) sum,
         # std = sqrt(10) * 0.2 / sqrt(12)
         cfg = resolve_config(ScenarioConfig())
+        start = xy(cfg.initial_anchor_positions)
         offsets = []
         for run in range(10_000):
             rng = np.random.default_rng(run)
-            state = world(cfg.initial_anchor_positions)
+            est = start
             for _ in range(10):
-                state = apply_drift(state, cfg, rng)
-            offsets.append(state.est_anchor_pos[1].x
-                           - cfg.initial_anchor_positions[1].x)
+                est = apply_drift(est, cfg.drift_bound, rng)
+            offsets.append(est[1, 0] - cfg.initial_anchor_positions[1].x)
         expected = math.sqrt(10) * 0.2 / math.sqrt(12)
         assert expected == pytest.approx(0.18257, abs=1e-5)
         assert np.std(offsets) == pytest.approx(expected, abs=0.005)
@@ -268,6 +281,40 @@ class TestRunScenario:
                    for e in r.tag_errors) == 1
         assert trace.diagnostics == [
             "step 0: tag 2 fix failed: forced singular update"]
+
+    def test_tag_on_anchor_is_a_failed_fix(self):
+        still = MotionParams(0.0, 0.0, 0.0)
+        cfg = ScenarioConfig(
+            n_anchors=3, n_tags=1, n_steps=3, drift_bound=0.0,
+            initial_anchor_positions=(Point2(2, 3), Point2(11, 3),
+                                      Point2(6, 12)),
+            initial_tag_positions=(Point2(2, 3),),
+            motion=MotionTable(anchors=(still,) * 3, tags=(still,)))
+        trace = run_scenario(cfg)
+        for r in trace.records:
+            assert math.isnan(r.tag_errors[0])
+            assert r.est_positions[3] is None
+        assert trace.diagnostics == [
+            f"step {t}: tag 0 coincides with anchor 0 and cannot range it"
+            for t in range(3)]
+
+    def test_anchors_meeting_at_a_calibration_is_a_config_error(self):
+        still = MotionParams(0.0, 0.0, 0.0)
+        cfg = ScenarioConfig(
+            n_anchors=3, n_tags=0, n_steps=12, drift_bound=0.0,
+            initial_anchor_positions=(Point2(0, 0), Point2(11, 0),
+                                      Point2(5, 8)),
+            motion=MotionTable(anchors=(MotionParams(0.0, 1.0, 0.0), still,
+                                        still), tags=()))
+        with pytest.raises(ConfigError, match="step 10: anchors 0 and 1"):
+            run_scenario(cfg)
+        # meeting between calibrations leaves the run intact
+        run_scenario(dataclasses.replace(cfg, n_steps=11,
+                                         calibration_period=20))
+
+    def test_overflowing_positions_are_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"step \d+: node positions"):
+            run_scenario(ScenarioConfig(drift_bound=1e308))
 
     def test_tagless_scenario_runs(self):
         trace = run_scenario(ScenarioConfig(seed=4, n_tags=0, n_steps=15))
