@@ -159,15 +159,16 @@ class CalibrationResult:
 def initial_placement(d: DistanceStatsMatrix) -> list[Point2]:
     """Geometric bootstrap from distances to the first two anchors."""
     d01 = d.sym_mean(0, 1)
-    positions = [Point2(0.0, 0.0), Point2(d01, 0.0)]
+    placed = []
     for i in range(2, d.n_anchors):
         try:
-            positions.append(
+            placed.append(
                 bilaterate_positive_y(d01, d.sym_mean(0, i), d.sym_mean(1, i)))
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(
                 f"anchor {i}: {exc}", anchor_id=i) from exc
-    return positions
+    # after the checks above, which reject a non-finite baseline
+    return [Point2(0.0, 0.0), Point2(d01, 0.0), *placed]
 
 
 def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
@@ -300,6 +301,9 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
         if (i, j) in seen:
             raise CsvFormatError(f"duplicate pair ({i},{j})", line=lineno)
         seen.add((i, j))
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise CsvFormatError(f"pair ({i},{j}): mean and std must be "
+                                 f"finite", line=lineno)
         try:
             matrix.set_pair(i, j, mean, std, count)
         except ValueError as exc:

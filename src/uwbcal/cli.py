@@ -6,9 +6,10 @@ Commands:
   simulate    run a scenario file, writing trace.csv / summary.json / config.json
   summarize   print distribution statistics for a trace CSV
 
-Exit codes: 0 success, 2 input error, 3 fit failure, 4 non-convergence,
-5 geometry failure. All numbers in output files carry 9 significant digits
-and no timestamps, so identical inputs give byte-identical outputs.
+Exit codes (``EXIT_CODES`` maps error types to them): 0 success, 2 input
+error, 3 fit failure, 4 non-convergence, 5 geometry failure. All numbers in
+output files carry 9 significant digits and no timestamps, so identical
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,16 +17,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from .autocalib import CalibrationResult, calibrate, load_distance_csv
-from .errors import (ConfigError, CsvFormatError, DegenerateFit,
-                     DegenerateGeometry, EmptyTrace, InsufficientData,
-                     NotConverged, xy_pair)
+from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
+                     DegenerateFit, DegenerateGeometry, EmptyTrace,
+                     InsufficientData, InvalidTiming, LengthMismatch,
+                     NotConverged, SingularUpdate, UwbCalError, xy_pair)
 from .ranging import RangingModel, fit_model, load_samples
-from .sim import (ScenarioConfig, Trigger, _round_floats, read_trace_records,
-                  run_scenario, summarize, summary_to_json, write_trace_csv)
+from .sim import (FLOAT_FORMAT, ScenarioConfig, Trigger, read_trace_records,
+                  run_scenario, summarize, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -33,48 +36,71 @@ EXIT_FIT = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_GEOMETRY = 5
 
+# The only place an error becomes an exit code; the first matching row wins.
+# ProtocolViolation, like any exception without a row, ends in a traceback:
+# no input can raise it, so when it fires it reports a bug in the round model.
+EXIT_CODES = (
+    ((ConfigError, CsvFormatError, EmptyTrace, InvalidTiming, LengthMismatch,
+      OSError), EXIT_INPUT),
+    ((InsufficientData, DegenerateFit), EXIT_FIT),
+    ((NotConverged, SingularUpdate), EXIT_NOT_CONVERGED),
+    ((DegenerateGeometry, CollinearAnchors), EXIT_GEOMETRY),
+)
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return float(FLOAT_FORMAT % obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
 
 def _dump_json(obj, path=None) -> str:
-    text = json.dumps(_round_floats(obj, 9), indent=2) + "\n"
+    """``obj`` as indented JSON with every float through ``FLOAT_FORMAT``,
+    written to ``path`` when given."""
+    text = json.dumps(_round_floats(obj), indent=2) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _read_json(path):
+    """The JSON document in ``path``; invalid JSON is a :class:`ConfigError`
+    naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError([f"{path}: invalid JSON: {exc}"]) from exc
 
 
 def cmd_fit_model(args) -> int:
-    try:
-        samples = load_samples(args.input)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except CsvFormatError as exc:
-        return _fail(f"{args.input}: {exc}", EXIT_INPUT)
-    try:
-        model = fit_model(samples)
-    except (InsufficientData, DegenerateFit) as exc:
-        return _fail(str(exc), EXIT_FIT)
+    model = fit_model(load_samples(args.input))
     _dump_json(model.to_dict(), args.output)
     print(f"fitted {model.n_samples} samples: slope={model.slope:.6g} "
           f"intercept={model.intercept:.6g} m noise_std={model.noise_std:.6g} m")
     return EXIT_OK
 
 
-def _load_model(path) -> RangingModel:
-    with open(path, encoding="utf-8") as f:
-        return RangingModel.from_dict(json.load(f))
-
-
-def _load_prior(path) -> list[tuple[float, float]]:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    positions = doc["positions"] if isinstance(doc, dict) else doc
+def _load_prior(path, n_anchors: int) -> list[tuple[float, float]]:
+    doc = _read_json(path)
+    positions = doc.get("positions") if isinstance(doc, dict) else doc
     if not isinstance(positions, list):
         raise ConfigError([f"positions: not a list: {positions!r}"])
-    return [xy_pair(f"positions[{i}]", p) for i, p in enumerate(positions)]
+    prior = [xy_pair(f"positions[{i}]", p) for i, p in enumerate(positions)]
+    if len(prior) != n_anchors:
+        raise ConfigError([f"positions: {len(prior)} entries for "
+                           f"{n_anchors} anchors"])
+    # calibrate() translates the prior to put entry 0 at the origin
+    x0, y0 = prior[0]
+    for i, (x, y) in enumerate(prior):
+        if not (math.isfinite(x - x0) and math.isfinite(y - y0)):
+            raise ConfigError([f"positions[{i}]: offset from positions[0] "
+                               f"overflows"])
+    return prior
 
 
 def _result_dict(result: CalibrationResult) -> dict:
@@ -86,35 +112,17 @@ def _result_dict(result: CalibrationResult) -> dict:
     }
 
 
-def _degenerate_message(exc: DegenerateGeometry) -> str:
-    which = "" if exc.anchor_id is None else f" (anchor {exc.anchor_id})"
-    return f"degenerate geometry{which}: {exc}"
-
-
 def cmd_calibrate(args) -> int:
-    try:
-        matrix = load_distance_csv(args.input)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except CsvFormatError as exc:
-        return _fail(f"{args.input}: {exc}", EXIT_INPUT)
-    try:
-        model = RangingModel.identity() if args.model is None \
-            else _load_model(args.model)
-        prior = None if args.prior is None else _load_prior(args.prior)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError,
-            ConfigError) as exc:
-        return _fail(f"bad model/prior file: {exc}", EXIT_INPUT)
-
+    matrix = load_distance_csv(args.input)
+    model = RangingModel.identity() if args.model is None \
+        else RangingModel.from_dict(_read_json(args.model))
+    prior = None if args.prior is None \
+        else _load_prior(args.prior, matrix.n_anchors)
     try:
         result = calibrate(matrix, model, prior=prior)
     except NotConverged as exc:
         _dump_json(_result_dict(exc.result), args.output)
-        return _fail(str(exc), EXIT_NOT_CONVERGED)
-    except DegenerateGeometry as exc:
-        return _fail(_degenerate_message(exc), EXIT_GEOMETRY)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise
     _dump_json(_result_dict(result), args.output)
     print(f"calibrated {matrix.n_anchors} anchors in {result.iterations} "
           f"iterations, rms residual {result.rms_residual:.6g} m")
@@ -122,44 +130,21 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.scenario, encoding="utf-8") as f:
-            raw = json.load(f)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except json.JSONDecodeError as exc:
-        return _fail(f"{args.scenario}: invalid JSON: {exc}", EXIT_INPUT)
-    try:
-        cfg = ScenarioConfig.from_dict(raw)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.trigger is not None:
-            try:
-                trigger = Trigger.parse(args.trigger)
-            except ValueError as exc:
-                return _fail(f"--trigger: {exc}", EXIT_INPUT)
-            cfg = dataclasses.replace(cfg, trigger=trigger)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, TypeError, KeyError) as exc:
-        return _fail(f"bad scenario file: {exc}", EXIT_INPUT)
+    cfg = ScenarioConfig.from_dict(_read_json(args.scenario))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.trigger is not None:
+        try:
+            trigger = Trigger.parse(args.trigger)
+        except ValueError as exc:
+            raise ConfigError([f"--trigger: {exc}"]) from exc
+        cfg = dataclasses.replace(cfg, trigger=trigger)
 
-    try:
-        trace = run_scenario(cfg, bias_correction=not args.no_bias_correction)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateGeometry as exc:
-        return _fail(_degenerate_message(exc), EXIT_GEOMETRY)
-
+    trace = run_scenario(cfg, bias_correction=not args.no_bias_correction)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
-    (out_dir / "summary.json").write_text(
-        summary_to_json(summarize(trace)) + "\n", encoding="utf-8")
+    _dump_json(summarize(trace).to_dict(), out_dir / "summary.json")
     effective = _dump_json(trace.config, out_dir / "config.json")
     print(effective, end="")
     for diag in trace.diagnostics:
@@ -168,14 +153,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    try:
-        records = read_trace_records(args.input)
-        stats = summarize(records)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except (CsvFormatError, EmptyTrace) as exc:
-        return _fail(f"{args.input}: {exc}", EXIT_INPUT)
-    print(summary_to_json(stats))
+    print(_dump_json(summarize(read_trace_records(args.input)).to_dict()),
+          end="")
     return EXIT_OK
 
 
@@ -243,7 +222,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UwbCalError, OSError) as exc:
+        code = next((code for types, code in EXIT_CODES
+                     if isinstance(exc, types)), None)
+        if code is None:
+            raise
+        if isinstance(exc, ConfigError):
+            messages = exc.violations
+        elif isinstance(exc, (CsvFormatError, EmptyTrace)):
+            messages = [f"{args.input}: {exc}"]
+        else:
+            messages = [str(exc)]
+        for message in messages:
+            print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -94,6 +94,22 @@ def integer(key: str, value) -> int:
     return int(value)
 
 
+def json_object(key: str, value, required=(), optional=()) -> dict:
+    """``value`` if it is a JSON object holding every ``required`` key and
+    no key outside ``required`` and ``optional``; :class:`ConfigError`
+    naming ``key``, or ``key.<name>`` for each unknown or missing key."""
+    if not isinstance(value, dict):
+        raise ConfigError([f"{key}: not an object: {value!r}"])
+    allowed = set(required) | set(optional)
+    problems = [f"{key}.{name}: unknown key"
+                for name in sorted(set(value) - allowed)]
+    problems += [f"{key}.{name}: missing" for name in required
+                 if name not in value]
+    if problems:
+        raise ConfigError(problems)
+    return value
+
+
 def xy_pair(key: str, entry) -> tuple[float, float]:
     """An ``[x, y]`` entry as two floats, through :func:`finite_number`."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:

@@ -67,13 +67,18 @@ def bilaterate_positive_y(d01: float, d0i: float, d1i: float) -> Point2:
     the measured distances from each of them to the node being placed. Of the
     two intersection points the one in the upper half-plane is returned; a
     negative discriminant above ``-CIRCLE_INTERSECT_TOL * d0i**2`` is clamped
-    to the x-axis, a lower one raises :class:`DegenerateGeometry`.
+    to the x-axis, a lower one raises :class:`DegenerateGeometry`, and so do
+    distances whose squares overflow.
     """
     if d01 <= 0.0 or d0i <= 0.0 or d1i <= 0.0:
         raise DegenerateGeometry(
             f"distances must be positive, got ({d01}, {d0i}, {d1i})")
     x = (d0i * d0i - d1i * d1i + d01 * d01) / (2.0 * d01)
     y_sq = d0i * d0i - x * x
+    if not (math.isfinite(x) and math.isfinite(y_sq)):
+        raise DegenerateGeometry(
+            f"circles d0i={d0i}, d1i={d1i} on baseline {d01} are too large "
+            f"to intersect in floating point")
     if y_sq < 0.0:
         if y_sq < -CIRCLE_INTERSECT_TOL * d0i * d0i:
             raise DegenerateGeometry(

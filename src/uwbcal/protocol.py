@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autocalib import DistanceStatsMatrix, PairStats
-from .errors import InvalidTiming, ProtocolViolation
+from .errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
 from .geometry import distance
 from .ranging import (SPEED_OF_LIGHT, RangingModel, TwrTimings,
                       simulate_measurement, ss_twr_distance)
@@ -292,7 +292,10 @@ def simulate_round(n_anchors: int, k_measurements: int,
             raise ProtocolViolation(f"{n_init} concurrent initiators")
 
     stats = DistanceStatsMatrix(n_anchors)
+    # node 0 collected the pairs in message order
     for (i, j), pair in nodes[0].collected.items():
+        if pair.mean <= 0.0:
+            raise _zero_flight(i, j)
         stats.set_pair(i, j, pair.mean, pair.std, pair.count)
     missing = stats.missing_pairs()
     if missing:
@@ -360,12 +363,21 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
     else:
         stds = np.zeros(len(rows))
 
+    if not means.min() > 0.0:
+        r = int((means <= 0.0).argmax())
+        raise _zero_flight(int(rows[r]), int(cols[r]))
     stats = DistanceStatsMatrix(n_anchors)
     stats.set_pairs(rows, cols, means, stds, k_measurements)
     missing = stats.missing_pairs()
     if missing:
         raise ProtocolViolation(f"round ended with unmeasured pairs {missing}")
     return stats, latency
+
+
+def _zero_flight(i: int, j: int) -> DegenerateGeometry:
+    return DegenerateGeometry(
+        f"pair ({i},{j}): every reading clamped to zero flight time, so the "
+        f"pair has no positive mean range")
 
 
 def write_event_trace(trace: list[tuple[float, str, int, int]], path) -> None:

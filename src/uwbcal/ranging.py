@@ -16,7 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ConfigError, CsvFormatError, DegenerateFit,
-                     InsufficientData, InvalidTiming, finite_number, integer)
+                     InsufficientData, InvalidTiming, finite_number, integer,
+                     json_object)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 
@@ -95,18 +96,16 @@ class RangingModel:
     def from_dict(cls, d: dict) -> "RangingModel":
         """The inverse of :meth:`to_dict`; :class:`ConfigError` naming
         ``ranging.<key>`` for a non-object, an unknown or missing key, or a
-        value that is not a finite number (``n_samples``: an integer)."""
+        value that is not a finite number (``n_samples``: an integer), and
+        naming ``ranging`` for a value out of range."""
         keys = ("slope", "intercept_m", "noise_std_m", "n_samples")
-        if not isinstance(d, dict):
-            raise ConfigError([f"ranging: not an object: {d!r}"])
-        problems = [f"ranging.{key}: unknown key"
-                    for key in sorted(set(d) - set(keys))]
-        problems += [f"ranging.{key}: missing" for key in keys if key not in d]
-        if problems:
-            raise ConfigError(problems)
-        return cls(*(finite_number(f"ranging.{key}", d[key])
-                     for key in keys[:3]),
-                   n_samples=integer("ranging.n_samples", d["n_samples"]))
+        json_object("ranging", d, required=keys)
+        values = [finite_number(f"ranging.{key}", d[key]) for key in keys[:3]]
+        values.append(integer("ranging.n_samples", d["n_samples"]))
+        try:
+            return cls(*values)
+        except ValueError as exc:
+            raise ConfigError([f"ranging: {exc}"]) from exc
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,11 @@ class RangingSample:
     measured_distance: float
 
     def __post_init__(self):
-        if self.true_distance <= 0.0 or self.measured_distance <= 0.0:
+        if not (0.0 < self.true_distance < math.inf
+                and 0.0 < self.measured_distance < math.inf):
             raise ValueError(
-                f"distances must be positive, got ({self.true_distance}, "
-                f"{self.measured_distance})")
+                f"distances must be positive and finite, got "
+                f"({self.true_distance}, {self.measured_distance})")
 
 
 def ss_twr_distance(t: TwrTimings) -> float:
@@ -170,8 +170,11 @@ def fit_model(samples: list[RangingSample]) -> RangingModel:
         noise_std = math.sqrt(float((resid ** 2).sum()) / (len(samples) - 2))
     else:
         noise_std = 0.0
-    return RangingModel(slope=slope, intercept=intercept,
-                        noise_std=noise_std, n_samples=len(samples))
+    try:
+        return RangingModel(slope=slope, intercept=intercept,
+                            noise_std=noise_std, n_samples=len(samples))
+    except ValueError as exc:
+        raise DegenerateFit(f"fitted model unusable: {exc}") from exc
 
 
 def simulate_measurement(true_d: float, model: RangingModel,

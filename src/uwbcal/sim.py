@@ -21,7 +21,6 @@ leaves the other draws unchanged.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +29,8 @@ import numpy as np
 from .autocalib import calibrate
 from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
                      DegenerateGeometry, EmptyTrace, NotConverged,
-                     SingularUpdate, finite_number, integer, xy_pair)
+                     SingularUpdate, finite_number, integer, json_object,
+                     xy_pair)
 from .geometry import Point2, distance, translation_errors, wrap_angle
 from .multilateration import locate_tag
 from .protocol import run_calibration_round
@@ -81,18 +81,13 @@ class MotionParams:
 
     @classmethod
     def from_dict(cls, d, where: str = "motion"):
-        required = ("direction", "speed", "gaussian_std")
-        problems = []
-        unknown = sorted(set(d) - set(required))
-        missing = sorted(set(required) - set(d))
-        if unknown:
-            problems.append(f"{where}: unknown keys {unknown}")
-        if missing:
-            problems.append(f"{where}: missing keys {missing}")
-        if problems:
-            raise ConfigError(problems)
-        return cls(*(finite_number(f"{where}.{key}", d[key])
-                     for key in required))
+        keys = ("direction", "speed", "gaussian_std")
+        json_object(where, d, required=keys)
+        values = [finite_number(f"{where}.{key}", d[key]) for key in keys]
+        try:
+            return cls(*values)
+        except ValueError as exc:
+            raise ConfigError([f"{where}: {exc}"]) from exc
 
 
 @dataclass(frozen=True)
@@ -108,13 +103,11 @@ class MotionTable:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = sorted(set(d) - {"anchors", "tags"})
-        if unknown:
-            raise ConfigError([f"motion: unknown keys {unknown}"])
-        if "anchors" not in d or "tags" not in d:
-            raise ConfigError(["motion: needs both 'anchors' and 'tags' lists"])
+        json_object("motion", d, required=("anchors", "tags"))
 
         def nodes(kind):
+            if not isinstance(d[kind], list):
+                raise ConfigError([f"motion.{kind}: not a list: {d[kind]!r}"])
             return tuple(MotionParams.from_dict(m, f"motion.{kind}[{i}]")
                          for i, m in enumerate(d[kind]))
 
@@ -190,9 +183,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError([f"unknown config keys: {', '.join(unknown)}"])
+        json_object("scenario", raw, optional=_CONFIG_KEYS)
         kwargs = {}
         for key in ("n_anchors", "n_tags", "n_steps", "calibration_period",
                     "k_measurements", "seed"):
@@ -330,14 +321,15 @@ def resolve_config(cfg: ScenarioConfig,
     if not 0 <= cfg.seed < 2 ** 64:
         violations.append(f"seed: need a 64-bit unsigned integer, got {cfg.seed}")
 
+    # defaults exist only for a valid anchor count
     anchors = cfg.initial_anchor_positions
     if anchors is None:
-        if cfg.n_anchors <= len(DEFAULT_ANCHOR_LAYOUT):
-            anchors = DEFAULT_ANCHOR_LAYOUT[:cfg.n_anchors]
-        else:
+        if cfg.n_anchors > len(DEFAULT_ANCHOR_LAYOUT):
             violations.append(
                 f"initial_anchor_positions: required for n_anchors > "
                 f"{len(DEFAULT_ANCHOR_LAYOUT)}")
+        elif cfg.n_anchors >= 3:
+            anchors = DEFAULT_ANCHOR_LAYOUT[:cfg.n_anchors]
     elif len(anchors) != cfg.n_anchors:
         violations.append(
             f"initial_anchor_positions: {len(anchors)} entries for "
@@ -353,7 +345,7 @@ def resolve_config(cfg: ScenarioConfig,
 
     tags = cfg.initial_tag_positions
     if tags is None:
-        if anchors is not None:
+        if anchors is not None and cfg.n_anchors >= 3:
             tags = _default_tags(list(anchors), cfg.n_tags)
     elif len(tags) != cfg.n_tags:
         violations.append(
@@ -686,30 +678,32 @@ def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
     )
 
 
+# Every float in an output file carries 9 significant digits (stable goldens).
+FLOAT_FORMAT = "%.9g"
+
 TRACE_HEADER = ["step", "node_kind", "node_id", "true_x", "true_y",
                 "est_x", "est_y", "error_m", "rotation_error_rad",
                 "calibrated"]
 
 
-def write_trace_csv(trace: SimulationTrace, path,
-                    float_format: str = "%.9g") -> None:
+def write_trace_csv(trace: SimulationTrace, path) -> None:
     """One row per node of every record, anchors then tags; a failed tag fix
     leaves ``est_x``, ``est_y`` and ``error_m`` empty."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_HEADER)
         for r in trace.records:
-            rot, cal = float_format % r.rotation_error, int(r.calibrated)
+            rot, cal = FLOAT_FORMAT % r.rotation_error, int(r.calibrated)
             n = len(r.anchor_errors)
             for k, ((tx, ty), est, err) in enumerate(zip(
                     r.true_positions, r.est_positions,
                     r.anchor_errors + r.tag_errors)):
                 kind, node_id = ("anchor", k) if k < n else ("tag", k - n)
                 fix = ("", "", "") if est is None else (
-                    float_format % est[0], float_format % est[1],
-                    float_format % err)
-                writer.writerow([r.step, kind, node_id, float_format % tx,
-                                 float_format % ty, *fix, rot, cal])
+                    FLOAT_FORMAT % est[0], FLOAT_FORMAT % est[1],
+                    FLOAT_FORMAT % err)
+                writer.writerow([r.step, kind, node_id, FLOAT_FORMAT % tx,
+                                 FLOAT_FORMAT % ty, *fix, rot, cal])
 
 
 def read_trace_records(path) -> list[TraceRecord]:
@@ -754,18 +748,3 @@ def read_trace_records(path) -> list[TraceRecord]:
                                    rotation_error=entry["rot"],
                                    calibrated=entry["cal"]))
     return records
-
-
-def summary_to_json(summary: SummaryStats, digits: int = 9) -> str:
-    """Serialize a summary with fixed significant digits (stable goldens)."""
-    return json.dumps(_round_floats(summary.to_dict(), digits), indent=2)
-
-
-def _round_floats(obj, digits):
-    if isinstance(obj, float):
-        return float(f"%.{digits}g" % obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
-    return obj

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uwbcal import cli, errors
 from uwbcal.ranging import load_reference_samples, save_samples
 from conftest import GOLDEN_FRAME, exact_matrix
-from uwbcal.autocalib import save_distance_csv
+from uwbcal.autocalib import CalibrationResult, save_distance_csv
 
 
 def run_cli(*args):
@@ -100,6 +107,23 @@ class TestFitModel:
                          "--output", str(tmp_path / "m.json"))
         assert result.returncode == 3
 
+    def test_non_positive_fitted_slope_exits_3(self, tmp_path):
+        src = tmp_path / "constant.csv"
+        src.write_text("true_m,measured_m\n1,1\n2,1\n3,1\n")
+        result = run_cli("fit-model", "--input", str(src),
+                         "--output", str(tmp_path / "m.json"))
+        assert result.returncode == 3
+        assert "slope" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_non_finite_sample_exits_2(self, tmp_path):
+        src = tmp_path / "nan.csv"
+        src.write_text("true_m,measured_m\n1,1.1\n2,nan\n3,3.1\n")
+        result = run_cli("fit-model", "--input", str(src),
+                         "--output", str(tmp_path / "m.json"))
+        assert result.returncode == 2
+        assert "line 3" in result.stderr
+
     def test_parse_error_exits_2_with_line(self, tmp_path):
         src = tmp_path / "bad.csv"
         src.write_text("true_m,measured_m\n1.0,1.1\noops,2\n")
@@ -156,6 +180,28 @@ class TestCalibrate:
         assert result.returncode == 5
         assert "anchor 2" in result.stderr
 
+    def test_overflowing_means_exit_5(self, tmp_path):
+        src = tmp_path / "huge.csv"
+        src.write_text("i,j,mean_m,std_m,count\n" + "".join(
+            f"{i},{j},1e308,0,1\n" for i in range(3) for j in range(3)
+            if i != j))
+        result = run_cli("calibrate", "--input", str(src),
+                         "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 5
+        assert "anchor 2" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_mean_exits_2(self, tmp_path, value):
+        src = tmp_path / "bad.csv"
+        src.write_text("i,j,mean_m,std_m,count\n" + "".join(
+            f"{i},{j},{value if (i, j) == (0, 1) else 5},0,1\n"
+            for i in range(3) for j in range(3) if i != j))
+        result = run_cli("calibrate", "--input", str(src),
+                         "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert "line 2" in result.stderr
+
     def test_model_correction_applied(self, golden_csv, tmp_path):
         # distort the golden distances through a known line, then hand the
         # model to the CLI: output must match the undistorted case
@@ -187,6 +233,20 @@ class TestCalibrate:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         result = run_cli("calibrate", "--input", str(golden_csv), flag,
+                         str(path), "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("doc, named", [
+        ([[1e308, 0], [-1e308, 0], [0, 0], [0, 1], [2, 19]], "positions[1]"),
+        ([[0, 0], [9, 0], [16, 3]], "positions: 3 entries for 5 anchors"),
+        ({"prior": []}, "positions: not a list: None"),
+    ], ids=["offset_overflows", "wrong_count", "no_positions_key"])
+    def test_unusable_prior_exits_2(self, golden_csv, tmp_path, doc, named):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("calibrate", "--input", str(golden_csv), "--prior",
                          str(path), "--output", str(tmp_path / "r.json"))
         assert result.returncode == 2
         assert named in result.stderr
@@ -348,6 +408,68 @@ class TestSimulate:
         assert named in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("doc, code, named", [
+        ([], 2, "scenario: not an object: []"),
+        (None, 2, "scenario: not an object: None"),
+        ({"n_tags": 0, "ranging": {"slope": 1e308, "intercept_m": 0,
+                                   "noise_std_m": 0.05, "n_samples": 10}},
+         2, "non-finite timing"),
+        ({"n_anchors": 3, "n_tags": 0, "n_steps": 3,
+          "initial_anchor_positions": [[1e299, 0], [0, 1e299],
+                                       [-1e299, -1e299]]},
+         5, "anchor 2: circles"),
+        ({"n_anchors": 4, "n_tags": 1, "n_steps": 5, "calibration_period": 1,
+          "k_measurements": 1, "drift_bound": 1e308}, 4,
+         "normal equations unsolvable"),
+        ({"motion": 3}, 2, "motion: not an object: 3"),
+        ({"n_anchors": 3, "n_tags": 0, "motion": {"anchors": 3, "tags": []}},
+         2, "motion.anchors: not a list: 3"),
+        (json.loads(moving(speed=-1.0)), 2,
+         "motion.anchors[0]: speed and gaussian_std must be >= 0"),
+        (json.loads(ranging(slope=-1.0)), 2,
+         "ranging: slope must be finite and > 0"),
+    ], ids=["list", "null", "invalid_timing", "overflowing_anchors",
+            "singular_update", "motion_number", "motion_anchors_number",
+            "negative_speed", "negative_slope"])
+    def test_reproduced_tracebacks_exit_with_a_code(self, tmp_path, doc, code,
+                                                    named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"), "--seed", "1")
+        assert result.returncode == code
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_flight_round_exits_5(self, tmp_path, seed):
+        # every reading of some pair clamps to zero flight at a calibration
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "n_anchors": 3, "n_tags": 0, "n_steps": 40,
+            "calibration_period": 1, "k_measurements": 1,
+            "initial_anchor_positions": [[0, 0], [0.5, 0], [0, 0.5]],
+            "motion": {"anchors": [STILL] * 3, "tags": []},
+            "ranging": {"slope": 1.0, "intercept_m": 0.1,
+                        "noise_std_m": 0.5, "n_samples": 10}}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"),
+                         "--seed", str(seed))
+        assert result.returncode == 5
+        assert "clamped to zero flight" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("n_anchors", [0, 1, 2])
+    def test_too_few_anchors_reports_only_the_count(self, tmp_path,
+                                                    n_anchors):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"n_anchors": n_anchors}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr == \
+            f"error: n_anchors: need >= 3, got {n_anchors}\n"
+
     def test_tag_on_anchor_is_a_failed_fix(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(placed([[2, 3], [11, 3], [6, 12]], [[2, 3]]))
@@ -469,3 +591,146 @@ class TestSummarize:
         path = tmp_path / "garbage.csv"
         path.write_text("not,a,trace\n1,2,3\n")
         assert run_cli("summarize", "--input", str(path)).returncode == 2
+
+
+def run_in_process(*args):
+    """``cli.main`` on ``args`` in this process: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, err.getvalue()
+
+
+# Any JSON value. Integers and integral floats stay at or below 12, so a
+# value that lands on a count key cannot ask for an unbounded simulation.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=12)
+    | st.floats().filter(lambda x: not (x > 12 and x.is_integer()))
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+def magnitudes(top):
+    """Non-negative floats spread over every decade up to ``top``."""
+    return st.just(0.0) | st.floats(-3.0, math.log10(top)).map(
+        lambda e: 10.0 ** e)
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """Well-formed scenarios with extreme but finite numbers."""
+    n = draw(st.integers(3, 6))
+    t = draw(st.integers(0, 3))
+    doc = {"n_anchors": n, "n_tags": t, "n_steps": draw(st.integers(1, 12)),
+           "k_measurements": draw(st.integers(1, 60)),
+           "calibration_period": draw(st.integers(1, 12)),
+           "seed": draw(st.integers(0, 2 ** 32)),
+           "drift_bound": draw(magnitudes(1e308)),
+           "trigger": draw(st.just("periodic") | magnitudes(1e300).filter(
+               lambda b: b > 0.0).map(lambda b: f"threshold:{b!r}"))}
+    if draw(st.booleans()):
+        doc["ranging"] = {
+            "slope": draw(magnitudes(1e308).filter(lambda s: s > 0.0)),
+            "intercept_m": draw(magnitudes(1e308)) * draw(
+                st.sampled_from([-1.0, 1.0])),
+            "noise_std_m": draw(magnitudes(1e308)),
+            "n_samples": draw(st.integers(2, 50))}
+    if draw(st.booleans()):
+        node = st.fixed_dictionaries({
+            "direction": st.floats(-7.0, 7.0),
+            "speed": magnitudes(1e200), "gaussian_std": magnitudes(1e200)})
+        doc["motion"] = {"anchors": draw(st.lists(node, min_size=n,
+                                                  max_size=n)),
+                         "tags": draw(st.lists(node, min_size=t,
+                                               max_size=t))}
+    if draw(st.booleans()):
+        # from close anchors (0.3 m, noisy against any sensor) to 1e300 m
+        scale = draw(st.floats(math.log10(0.3), 300.0).map(
+            lambda e: 10.0 ** e))
+        unit = st.floats(-1.0, 1.0)
+        anchors = [[draw(unit) * scale, draw(unit) * scale]
+                   for _ in range(n)]
+        doc["initial_anchor_positions"] = anchors
+        if draw(st.booleans()):
+            centre = [sum(a[0] for a in anchors) / n,
+                      sum(a[1] for a in anchors) / n]
+            doc["initial_tag_positions"] = [centre] * t
+    return doc
+
+
+@st.composite
+def scenario_documents(draw):
+    """Any JSON value, an extreme scenario, or one with any JSON value at
+    one of its keys (top level, in ``ranging`` or in a motion entry)."""
+    kind = draw(st.sampled_from(["any", "extreme", "one_key"]))
+    if kind == "any":
+        return draw(json_values)
+    doc = draw(extreme_scenarios())
+    if kind == "one_key":
+        targets = [doc]
+        if "ranging" in doc:
+            targets.append(doc["ranging"])
+        if "motion" in doc:
+            targets.append(doc["motion"]["anchors"][0])
+        target = draw(st.sampled_from(targets))
+        key = draw(st.sampled_from(sorted(target)))
+        target[key] = draw(json_values)
+    return doc
+
+
+class TestExitCodes:
+    def test_every_input_error_type_has_a_code(self):
+        types = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type)
+                 and issubclass(obj, errors.UwbCalError)
+                 and obj is not errors.UwbCalError]
+        assert errors.ConfigError in types
+        for error in types:
+            codes = [code for row, code in cli.EXIT_CODES if error in row]
+            assert len(codes) == (error is not errors.ProtocolViolation), error
+
+    def test_protocol_violation_is_a_traceback(self, tmp_path, monkeypatch):
+        def broken_round(cfg, bias_correction):
+            raise errors.ProtocolViolation("2 concurrent initiators")
+
+        monkeypatch.setattr(cli, "run_scenario", broken_round)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text("{}")
+        with pytest.raises(errors.ProtocolViolation):
+            run_in_process("simulate", "--scenario", str(scenario),
+                           "--out-dir", str(tmp_path / "out"))
+
+    def test_not_converged_writes_the_best_iterate(self, golden_csv,
+                                                   tmp_path, monkeypatch):
+        best = CalibrationResult(positions=tuple(GOLDEN_FRAME),
+                                 rms_residual=0.5, iterations=100,
+                                 converged=False)
+
+        def capped(matrix, model, prior=None):
+            raise errors.NotConverged("stopped after 100 iterations", best)
+
+        monkeypatch.setattr(cli, "calibrate", capped)
+        out = tmp_path / "r.json"
+        code, stderr = run_in_process("calibrate", "--input", str(golden_csv),
+                                      "--output", str(out))
+        assert code == 4
+        assert stderr == "error: stopped after 100 iterations\n"
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is False
+        assert doc["positions"][1] == [9.0, 0.0]
+
+    @settings(deadline=None)
+    @given(scenario_documents())
+    def test_simulate_exits_with_a_documented_code(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "scenario.json"
+            scenario.write_text(json.dumps(doc))
+            # numpy's overflow warnings on extreme numbers are not at issue
+            with np.errstate(all="ignore"):
+                code, _ = run_in_process("simulate", "--scenario",
+                                         str(scenario), "--out-dir",
+                                         str(Path(tmp) / "out"))
+        assert code in {0, 2, 3, 4, 5}

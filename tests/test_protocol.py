@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from uwbcal.errors import InvalidTiming, ProtocolViolation
+from uwbcal.errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
 from uwbcal.geometry import Point2, distance
 from uwbcal.protocol import (Mode, Poll, Response, StartCommand,
                              StatsBroadcast, TokenPass, estimate_latency,
@@ -188,6 +188,7 @@ class TestFastRoundMatchesEventModel:
             with pytest.raises(Exception) as fast:
                 run_calibration_round(n, k, positions, model, fast_rng)
             assert type(fast.value) is type(exc)
+            assert str(fast.value) == str(exc)
             return False
         stats, latency = run_calibration_round(n, k, positions, model,
                                                fast_rng)
@@ -207,21 +208,33 @@ class TestFastRoundMatchesEventModel:
             positions = [Point2(x, y) for x, y in layout]
             self.assert_same_round(n, k, positions, self.MODELS[model], seed)
 
-    @pytest.mark.parametrize("positions,error", [
-        ([Point2(0, 0), Point2(0, 0), Point2(5, 0)], ValueError),
-        ([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0)], InvalidTiming),
+    # one reading per pair at 0.5 m noise: at seed 4 only pair (2, 0) reads
+    # zero flight; at seed 23 pairs (1, 0) and (2, 1) do, and both paths
+    # must name (1, 0), the first in message order
+    ZERO_FLIGHT = ([Point2(0, 0), Point2(0.5, 0), Point2(0, 0.5)],
+                   DegenerateGeometry, RangingModel(1.0, 0.1, 0.5, 10), 1)
+
+    @pytest.mark.parametrize("positions,error,model,k,seed", [
+        pytest.param([Point2(0, 0), Point2(0, 0), Point2(5, 0)], ValueError,
+                     reference_model(), 3, 0, id="positions0-ValueError"),
+        pytest.param([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0)],
+                     InvalidTiming, reference_model(), 3, 0,
+                     id="positions1-InvalidTiming"),
         # the overflowing pair (0, 1) is ranged before the coincident (2, 3)
-        ([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0), Point2(0, 0)],
-         InvalidTiming),
-        ([Point2(0, 0), Point2(0, 0), Point2(1e308, 0), Point2(-1e308, 0)],
-         ValueError),
+        pytest.param([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0),
+                      Point2(0, 0)], InvalidTiming, reference_model(), 3, 0,
+                     id="positions2-InvalidTiming"),
+        pytest.param([Point2(0, 0), Point2(0, 0), Point2(1e308, 0),
+                      Point2(-1e308, 0)], ValueError, reference_model(), 3, 0,
+                     id="positions3-ValueError"),
+        pytest.param(*ZERO_FLIGHT, 4, id="zero_flight-seed4"),
+        pytest.param(*ZERO_FLIGHT, 23, id="zero_flight-seed23"),
     ])
-    def test_failures_match(self, positions, error):
+    def test_failures_match(self, positions, error, model, k, seed):
         n = len(positions)
         with pytest.raises(error):
-            simulate_round(n, 3, positions, reference_model(),
-                           np.random.default_rng(0))
-        assert not self.assert_same_round(n, 3, positions, reference_model(), 0)
+            simulate_round(n, k, positions, model, np.random.default_rng(seed))
+        assert not self.assert_same_round(n, k, positions, model, seed)
 
     def test_argument_checks(self):
         rng = np.random.default_rng(0)
