@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, DegenerateGeometry, NotConverged
+from .errors import CsvFormatError, DegenerateGeometry, NotConverged, csv_rows
 from .geometry import Point2, bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
@@ -272,8 +272,7 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
 def load_distance_csv(path) -> DistanceStatsMatrix:
     """Read an `i,j,mean_m,std_m,count` CSV of directed pair statistics."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != ["i", "j", "mean_m", "std_m", "count"]:
             raise CsvFormatError(

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the input-number checks
-that report bad scenario, model and prior values as :class:`ConfigError`."""
+"""Exception types shared across the package, the input-number checks that
+report bad scenario, model and prior values as :class:`ConfigError`, and the
+CSV reader that reports undecodable files as :class:`CsvFormatError`."""
 
+import csv
 import math
+from contextlib import contextmanager
 from numbers import Integral, Real
 
 
@@ -123,3 +126,17 @@ class CsvFormatError(UwbCalError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+@contextmanager
+def csv_rows(path):
+    """The rows of the UTF-8 CSV file at ``path``, as a ``csv.reader``;
+    bytes that are not UTF-8, and lines the csv module cannot split, raise
+    :class:`CsvFormatError`."""
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            yield csv.reader(f)
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise CsvFormatError(f"unreadable CSV: {exc}") from exc

@@ -16,8 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ConfigError, CsvFormatError, DegenerateFit,
-                     InsufficientData, InvalidTiming, finite_number, integer,
-                     json_object)
+                     InsufficientData, InvalidTiming, csv_rows,
+                     finite_number, integer, json_object)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 
@@ -199,8 +199,7 @@ def correct_measurement(measured_d: float, model: RangingModel) -> float:
 def load_samples(path) -> list[RangingSample]:
     """Read a `true_m,measured_m` CSV of ranging samples."""
     samples = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != ["true_m", "measured_m"]:
             raise CsvFormatError(

@@ -20,7 +20,6 @@ leaves the other draws unchanged.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,8 +28,8 @@ import numpy as np
 from .autocalib import calibrate
 from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
                      DegenerateGeometry, EmptyTrace, NotConverged,
-                     SingularUpdate, finite_number, integer, json_object,
-                     xy_pair)
+                     SingularUpdate, csv_rows, finite_number, integer,
+                     json_object, xy_pair)
 from .geometry import Point2, distance, translation_errors, wrap_angle
 from .multilateration import locate_tag
 from .protocol import run_calibration_round
@@ -396,31 +395,97 @@ def _coincident(points) -> list[tuple[int, int]]:
     return pairs
 
 
-def step_motion(true_xy: np.ndarray, est_xy: np.ndarray,
-                velocity: np.ndarray, jitter: np.ndarray,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Advance every node one step along its heading, plus Gaussian noise.
-
-    ``true_xy`` holds the true positions of the anchors then the tags,
-    ``est_xy`` the anchor estimates; ``velocity`` and ``jitter`` are the
-    rows of :meth:`MotionTable.arrays`. Estimates advance by the same
-    executed displacement as the truth (odometry reads actual motion); only
-    drift separates them. Returns the new ``(true_xy, est_xy)``.
-    """
-    delta = velocity + jitter * rng.standard_normal(true_xy.shape)
-    return true_xy + delta, est_xy + delta[:len(est_xy)]
-
-
-def apply_drift(est_xy: np.ndarray, drift_bound: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Add one step of odometry error: Uniform(-b, +b) per coordinate,
-    independently for every anchor estimate."""
-    return est_xy + rng.uniform(-1.0, 1.0, est_xy.shape) * drift_bound
-
-
 def _xy(points) -> np.ndarray:
     """``(x, y)`` points as an ``(n, 2)`` float array."""
     return np.array([tuple(p) for p in points], dtype=float)
+
+
+# Steps whose motion and drift are drawn and summed together. The outputs do
+# not depend on it: a block draw is the same stream as its per-step draws,
+# and np.add.accumulate adds the rows strictly in order.
+MOTION_BLOCK = 64
+
+
+class _Motion:
+    """True positions and drifted anchor estimates, step by step.
+
+    Every node moves along its heading plus Gaussian jitter; the anchor
+    estimates advance by the same executed displacement (odometry reads
+    actual motion) plus Uniform(-b, +b) drift per coordinate. Both are
+    drawn, summed, checked and converted to lists a block of steps at a
+    time; the estimates are summed only up to the next step at which a
+    periodic trigger can fire, since a calibration restarts them.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, true_xy: np.ndarray,
+                 est_xy: np.ndarray, motion_rng: np.random.Generator,
+                 drift_rng: np.random.Generator):
+        self.cfg = cfg
+        self.velocity, self.jitter = cfg.motion.arrays()
+        self.motion_rng, self.drift_rng = motion_rng, drift_rng
+        self.true_xy, self.est_xy = true_xy, est_xy
+        self.block_start = self.block_stop = 0
+        self.span_start = self.span_stop = 0
+
+    def _draw_block(self):
+        cfg, n = self.cfg, self.cfg.n_anchors
+        start = self.block_stop
+        length = min(MOTION_BLOCK, cfg.n_steps - start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.delta = self.velocity + self.jitter * \
+                self.motion_rng.standard_normal((length,) + self.true_xy.shape)
+            self.drift = self.drift_rng.uniform(
+                -1.0, 1.0, (length, n, 2)) * cfg.drift_bound
+            path = np.add.accumulate(
+                np.concatenate((self.true_xy[None], self.delta)))[1:]
+        self.true_xy = path[-1]
+        self.true_ok = np.isfinite(path).all(axis=(1, 2)).tolist()
+        self.worlds = path.tolist()
+        self.block_start, self.block_stop = start, start + length
+
+    def _sum_estimates(self, t: int):
+        """Estimates from ``self.est_xy`` for steps t up to the block's end
+        or the next periodic calibration, whichever comes first."""
+        cfg, n = self.cfg, self.cfg.n_anchors
+        stop = self.block_stop
+        if cfg.trigger.kind == "periodic":
+            period = cfg.calibration_period
+            stop = min(stop, max(period, -(-t // period) * period) + 1)
+        a, b = t - self.block_start, stop - self.block_start
+        rows = np.empty((2 * (b - a) + 1, n, 2))
+        rows[0] = self.est_xy
+        rows[1::2] = self.delta[a:b, :n]
+        rows[2::2] = self.drift[a:b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.est_path = np.add.accumulate(rows)[2::2]
+            frame = self.est_path - self.est_path[:, :1]
+        self.est_xy = self.est_path[-1]
+        # a finite frame implies finite estimates, and also that no
+        # estimate is so far from anchor 0 that the difference overflows
+        self.frame_ok = np.isfinite(frame).all(axis=(1, 2)).tolist()
+        self.frames = frame.tolist()
+        self.span_start, self.span_stop = t, stop
+
+    def advance(self, t: int):
+        """Step t's world positions, anchors then tags, and anchor frame
+        (``est - est[0]``) as ``(x, y)`` lists; steps come in order."""
+        if t == self.block_stop:
+            self._draw_block()
+        if t == self.span_stop:
+            self._sum_estimates(t)
+        k, j = t - self.block_start, t - self.span_start
+        if not (self.true_ok[k] and self.frame_ok[j]):
+            raise ConfigError([
+                f"step {t}: node positions overflowed; reduce the motion "
+                f"speed or gaussian_std, or drift_bound"])
+        return self.worlds[k], self.frames[j]
+
+    def recalibrated(self, t: int, positions) -> list:
+        """Restart the estimates at step t from calibrated anchor-frame
+        ``positions``, placed at anchor 0's estimate; returns the new frame."""
+        est_xy = self.est_path[t - self.span_start, 0] + _xy(positions)
+        self.est_xy, self.span_stop = est_xy, t + 1
+        return (est_xy - est_xy[0]).tolist()
 
 
 @dataclass(frozen=True)
@@ -480,23 +545,12 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     # world positions, anchors then tags, and the anchor estimates; the
     # system's anchor frame is est - est[0], so anchor 0 anchors it
     true_xy = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
-    est_xy = true_xy[0] + _xy(result.positions)
-    velocity, jitter = cfg.motion.arrays()
+    motion = _Motion(cfg, true_xy, true_xy[0] + _xy(result.positions),
+                     motion_rng, drift_rng)
     records: list[TraceRecord] = []
 
     for t in range(cfg.n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            true_xy, est_xy = step_motion(true_xy, est_xy, velocity, jitter,
-                                          motion_rng)
-            est_xy = apply_drift(est_xy, cfg.drift_bound, drift_rng)
-            frame_xy = est_xy - est_xy[0]
-        # a finite frame implies finite estimates, and also that no
-        # estimate is so far from anchor 0 that the difference overflows
-        if not (np.isfinite(true_xy).all() and np.isfinite(frame_xy).all()):
-            raise ConfigError([
-                f"step {t}: node positions overflowed; reduce the motion "
-                f"speed or gaussian_std, or drift_bound"])
-        world, frame = true_xy.tolist(), frame_xy.tolist()
+        world, frame = motion.advance(t)
         truth = world[:n]
         calibrated = False
         if _trigger_fires(cfg, t, frame, truth):
@@ -515,8 +569,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             except NotConverged as exc:
                 result = exc.result
                 diagnostics.append(f"step {t}: calibration did not converge")
-            est_xy = est_xy[0] + _xy(result.positions)
-            frame = (est_xy - est_xy[0]).tolist()
+            frame = motion.recalibrated(t, result.positions)
             calibrated = True
 
         anchor_errors = translation_errors(frame, truth, truth[0])
@@ -649,6 +702,8 @@ def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
         raise EmptyTrace("no records to summarize")
 
     anchor_pool = [e for r in records for e in r.anchor_errors[1:]]
+    if not anchor_pool:
+        raise EmptyTrace("no anchor errors besides anchor 0's to summarize")
     tag_pool = [e for r in records for e in r.tag_errors if not math.isnan(e)]
     rotation_pool = [r.rotation_error for r in records]
 
@@ -688,63 +743,75 @@ TRACE_HEADER = ["step", "node_kind", "node_id", "true_x", "true_y",
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """One row per node of every record, anchors then tags; a failed tag fix
-    leaves ``est_x``, ``est_y`` and ``error_m`` empty."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_HEADER)
-        for r in trace.records:
-            rot, cal = FLOAT_FORMAT % r.rotation_error, int(r.calibrated)
-            n = len(r.anchor_errors)
-            for k, ((tx, ty), est, err) in enumerate(zip(
-                    r.true_positions, r.est_positions,
-                    r.anchor_errors + r.tag_errors)):
-                kind, node_id = ("anchor", k) if k < n else ("tag", k - n)
-                fix = ("", "", "") if est is None else (
-                    FLOAT_FORMAT % est[0], FLOAT_FORMAT % est[1],
-                    FLOAT_FORMAT % err)
-                writer.writerow([r.step, kind, node_id, FLOAT_FORMAT % tx,
-                                 FLOAT_FORMAT % ty, *fix, rot, cal])
+    leaves ``est_x``, ``est_y`` and ``error_m`` empty. The bytes are those
+    of ``csv.writer``: no field needs quoting, and lines end in CRLF."""
+    f = FLOAT_FORMAT
+    fixed = f"%d,%s,%d,{f},{f},{f},{f},{f},%s"
+    failed = f"%d,%s,%d,{f},{f},,,,%s"
+    lines = [",".join(TRACE_HEADER) + "\r\n"]
+    for r in trace.records:
+        # the rotation and calibrated fields end every row of the record
+        step, tail = r.step, f"{f},%d\r\n" % (r.rotation_error, r.calibrated)
+        n = len(r.anchor_errors)
+        for k, ((tx, ty), est, err) in enumerate(zip(
+                r.true_positions, r.est_positions,
+                r.anchor_errors + r.tag_errors)):
+            kind, node_id = ("anchor", k) if k < n else ("tag", k - n)
+            if est is None:
+                lines.append(failed % (step, kind, node_id, tx, ty, tail))
+            else:
+                lines.append(fixed % (step, kind, node_id, tx, ty, est[0],
+                                      est[1], err, tail))
+    with open(path, "w", newline="", encoding="utf-8") as out:
+        out.write("".join(lines))
 
 
 def read_trace_records(path) -> list[TraceRecord]:
     """Rebuild per-step records from a trace CSV (for summarize)."""
-    steps: dict[int, dict] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    # step -> (step, anchor errors by id, tag errors by id, rotation,
+    # calibrated), the last four taken from the step's first row
+    steps: dict[int, tuple[int, dict, dict, float, bool]] = {}
+    # consecutive rows of a step repeat its step, rotation and calibrated
+    # fields: each is parsed (and so checked) again only when it changes
+    last_step_s = last_rot_s = last_cal_s = None
+    step = entry = None
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header != TRACE_HEADER:
             raise CsvFormatError(
                 f"expected header {','.join(TRACE_HEADER)!r}", line=1)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != len(TRACE_HEADER):
+                if not row:
+                    continue
                 raise CsvFormatError(
                     f"expected {len(TRACE_HEADER)} columns, got {len(row)}",
                     line=lineno)
+            step_s, kind, node_s, _, _, _, _, err_s, rot_s, cal_s = row
             try:
-                step = int(row[0])
-                kind = row[1]
-                node_id = int(row[2])
-                err = math.nan if row[7] == "" else float(row[7])
-                rot = float(row[8])
-                cal = bool(int(row[9]))
+                if step_s != last_step_s:
+                    step, last_step_s = int(step_s), step_s
+                node_id = int(node_s)
+                err = math.nan if err_s == "" else float(err_s)
+                if rot_s != last_rot_s:
+                    rot, last_rot_s = float(rot_s), rot_s
+                if cal_s != last_cal_s:
+                    cal, last_cal_s = bool(int(cal_s)), cal_s
             except ValueError as exc:
                 raise CsvFormatError(str(exc), line=lineno) from exc
             if kind not in ("anchor", "tag"):
                 raise CsvFormatError(f"unknown node_kind {kind!r}", line=lineno)
-            entry = steps.setdefault(
-                step, {"anchors": {}, "tags": {}, "rot": rot, "cal": cal})
-            entry[kind + "s"][node_id] = err
+            if entry is None or entry[0] != step:
+                entry = steps.get(step)
+                if entry is None:
+                    entry = steps[step] = (step, {}, {}, rot, cal)
+            entry[1 if kind == "anchor" else 2][node_id] = err
     if not steps:
         raise CsvFormatError("trace has no data rows")
     records = []
     for step in sorted(steps):
-        entry = steps[step]
-        anchors = [entry["anchors"][i] for i in sorted(entry["anchors"])]
-        tags = [entry["tags"][i] for i in sorted(entry["tags"])]
-        records.append(TraceRecord(step=step, anchor_errors=tuple(anchors),
-                                   tag_errors=tuple(tags),
-                                   rotation_error=entry["rot"],
-                                   calibrated=entry["cal"]))
+        _, anchors, tags, rot, cal = steps[step]
+        records.append(TraceRecord(
+            step, tuple(map(anchors.__getitem__, sorted(anchors))),
+            tuple(map(tags.__getitem__, sorted(tags))), rot, cal))
     return records

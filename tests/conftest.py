@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uwbcal.autocalib import DistanceStatsMatrix
@@ -15,6 +16,30 @@ GOLDEN_FRAME = [Point2(0, 0), Point2(9, 0), Point2(16, 3),
 GOLDEN_TAG_WORLD = Point2(9, 11)
 GOLDEN_TAG_FRAME = Point2(7, 8)
 GOLDEN_TAG_RANGES = [math.sqrt(v) for v in (113, 68, 106, 117, 146)]
+
+
+def step_motion(true_xy: np.ndarray, est_xy: np.ndarray,
+                velocity: np.ndarray, jitter: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the simulator's motion, drawn per step: the oracle for
+    ``sim._Motion``, which draws and sums a block of steps at a time.
+
+    Every node advances along its heading plus Gaussian noise. ``true_xy``
+    holds the true positions of the anchors then the tags, ``est_xy`` the
+    anchor estimates; ``velocity`` and ``jitter`` are the rows of
+    ``MotionTable.arrays``. Estimates advance by the same executed
+    displacement as the truth; only drift separates them. Returns the new
+    ``(true_xy, est_xy)``.
+    """
+    delta = velocity + jitter * rng.standard_normal(true_xy.shape)
+    return true_xy + delta, est_xy + delta[:len(est_xy)]
+
+
+def apply_drift(est_xy: np.ndarray, drift_bound: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """One step of odometry error, drawn per step: Uniform(-b, +b) per
+    coordinate, independently for every anchor estimate."""
+    return est_xy + rng.uniform(-1.0, 1.0, est_xy.shape) * drift_bound
 
 
 def rotated(p: Point2, angle: float) -> Point2:

@@ -592,6 +592,41 @@ class TestSummarize:
         path.write_text("not,a,trace\n1,2,3\n")
         assert run_cli("summarize", "--input", str(path)).returncode == 2
 
+    def test_anchor_zero_only_trace_exits_2(self, tmp_path):
+        # anchor 0's error is zero by construction and left out of the pool
+        path = tmp_path / "a0.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,0,0,0,0,0,0,0.01,0\n")
+        code, stderr = run_in_process("summarize", "--input", str(path))
+        assert code == 2
+        assert stderr == (f"error: {path}: no anchor errors besides anchor "
+                          f"0's to summarize\n")
+
+
+# 200 seeded random bytes (not UTF-8), and a field past the csv module's
+# 131072-character limit
+UNREADABLE_CSV = [
+    (np.random.default_rng(0).bytes(200), "not UTF-8 text: 'utf-8' codec "
+                                          "can't decode byte"),
+    (b"x" * 200_000 + b"\n", "unreadable CSV: field larger than field limit"),
+]
+
+
+@pytest.mark.parametrize("content, message", UNREADABLE_CSV)
+@pytest.mark.parametrize("command", ["summarize", "fit-model", "calibrate"])
+def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
+                                                message):
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    output = [] if command == "summarize" else \
+        ["--output", str(tmp_path / "out.json")]
+    code, stderr = run_in_process(command, "--input", str(path), *output)
+    assert code == 2
+    assert stderr.startswith(f"error: {path}: {message}")
+    assert stderr.count("\n") == 1
+
 
 def run_in_process(*args):
     """``cli.main`` on ``args`` in this process: (exit code, stderr)."""

@@ -1,19 +1,26 @@
 import csv
 import dataclasses
+import io
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import uwbcal.sim as sim
+from conftest import apply_drift, step_motion
+from uwbcal.autocalib import calibrate
 from uwbcal.errors import (CollinearAnchors, ConfigError, CsvFormatError,
-                           EmptyTrace, SingularUpdate)
-from uwbcal.geometry import Point2
+                           EmptyTrace, NotConverged, SingularUpdate)
+from uwbcal.geometry import Point2, translation_errors, wrap_angle
+from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel
-from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, TRACE_HEADER, MotionParams,
-                        MotionTable, ScenarioConfig, TraceRecord, Trigger,
-                        apply_drift, point_in_anchor_hull, read_trace_records,
-                        resolve_config, run_scenario, step_motion, summarize,
+from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, TRACE_HEADER,
+                        MotionParams, MotionTable, ScenarioConfig,
+                        SimulationTrace, TraceRecord, Trigger,
+                        point_in_anchor_hull, read_trace_records,
+                        resolve_config, run_scenario, summarize,
                         write_trace_csv)
 
 NOISELESS = RangingModel(1.0, 0.0, 0.0, 2)
@@ -24,8 +31,8 @@ def xy(points):
 
 
 def step(cfg, rng, anchors=None):
-    """One step_motion from cfg's initial positions (or ``anchors``, no
-    tags); returns the new (true_xy, est_xy)."""
+    """One oracle step_motion from cfg's initial positions (or ``anchors``,
+    no tags); returns the new (true_xy, est_xy)."""
     if anchors is None:
         anchors = cfg.initial_anchor_positions + cfg.initial_tag_positions
     true_xy = xy(anchors)
@@ -263,8 +270,6 @@ class TestRunScenario:
         assert "seed" in str(err.value)
 
     def test_singular_tag_update_is_a_diagnostic(self, monkeypatch):
-        import uwbcal.sim as sim
-
         real, calls = sim.locate_tag, itertools.count()
 
         def third_call_singular(anchors, ranges):
@@ -337,6 +342,125 @@ class TestRunScenario:
         assert abs(med(a) - med(b)) < 0.01
 
 
+def run_per_step(cfg):
+    """``run_scenario`` with motion and drift drawn and added one step at a
+    time through the conftest oracle: the reference for the block loop."""
+    seq = np.random.SeedSequence(cfg.seed).spawn(4)
+    params_rng, motion_rng, drift_rng, ranging_rng = (
+        np.random.default_rng(s) for s in seq)
+    cfg = resolve_config(cfg, params_rng)
+    model = correction = cfg.ranging
+    n = cfg.n_anchors
+    stats, _ = run_calibration_round(n, cfg.k_measurements,
+                                     cfg.initial_anchor_positions, model,
+                                     ranging_rng)
+    diagnostics = []
+    try:
+        result = calibrate(stats, correction)
+    except NotConverged as exc:
+        result = exc.result
+        diagnostics.append("bootstrap calibration did not converge")
+    true_xy = xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
+    est_xy = true_xy[0] + xy(result.positions)
+    velocity, jitter = cfg.motion.arrays()
+    records = []
+    for t in range(cfg.n_steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            true_xy, est_xy = step_motion(true_xy, est_xy, velocity, jitter,
+                                          motion_rng)
+            est_xy = apply_drift(est_xy, cfg.drift_bound, drift_rng)
+            frame_xy = est_xy - est_xy[0]
+        if not (np.isfinite(true_xy).all() and np.isfinite(frame_xy).all()):
+            raise ConfigError([
+                f"step {t}: node positions overflowed; reduce the motion "
+                f"speed or gaussian_std, or drift_bound"])
+        world, frame = true_xy.tolist(), frame_xy.tolist()
+        truth = world[:n]
+        calibrated = False
+        if sim._trigger_fires(cfg, t, frame, truth):
+            stats, _ = run_calibration_round(
+                n, cfg.k_measurements, truth, model, ranging_rng)
+            try:
+                result = calibrate(stats, correction, prior=frame)
+            except NotConverged as exc:
+                result = exc.result
+                diagnostics.append(f"step {t}: calibration did not converge")
+            est_xy = est_xy[0] + xy(result.positions)
+            frame = (est_xy - est_xy[0]).tolist()
+            calibrated = True
+        (x0, y0), (x1, y1), (fx, fy) = truth[0], truth[1], frame[1]
+        rotation = wrap_angle(math.atan2(fy, fx)
+                              - math.atan2(y1 - y0, x1 - x0))
+        est_pos = [(x + x0, y + y0) for x, y in frame]
+        tag_errors = []
+        for tag_id, tag_true in enumerate(world[n:]):
+            est_world, err = sim._fix_tag(tag_true, truth, frame, model,
+                                          correction, ranging_rng,
+                                          diagnostics, t, tag_id)
+            tag_errors.append(err)
+            est_pos.append(est_world)
+        records.append(TraceRecord(
+            t, tuple(translation_errors(frame, truth, truth[0])),
+            tuple(tag_errors), rotation, calibrated,
+            tuple(map(tuple, world)), tuple(est_pos)))
+    return SimulationTrace(cfg.to_dict(), records, diagnostics)
+
+
+def assert_same_as_per_step(cfg):
+    """``run_scenario`` gives what the per-step loop gives, to the last bit
+    (``repr`` round-trips every float and shows NaN), or raises the same
+    error."""
+    outcomes = []
+    for run in (run_scenario, run_per_step):
+        try:
+            outcomes.append(repr(run(cfg)))
+        except ConfigError as exc:
+            outcomes.append(f"ConfigError: {exc}")
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class TestMotionBlocks:
+    @pytest.mark.parametrize("n_steps", [MOTION_BLOCK - 1, MOTION_BLOCK,
+                                         MOTION_BLOCK + 1])
+    def test_block_edges(self, n_steps):
+        assert_same_as_per_step(ScenarioConfig(seed=21, n_steps=n_steps))
+
+    @pytest.mark.parametrize("period", [MOTION_BLOCK - 1, MOTION_BLOCK])
+    def test_calibration_on_a_blocks_last_or_first_step(self, period):
+        cfg = ScenarioConfig(seed=22, n_steps=2 * MOTION_BLOCK + 1,
+                             calibration_period=period, n_tags=1)
+        assert_same_as_per_step(cfg)
+        # period B-1 fires on block 0's last step, period B on block 1's first
+        steps = [r.step for r in run_scenario(cfg).records if r.calibrated]
+        assert steps == list(range(period, 2 * MOTION_BLOCK + 1, period))
+
+    def test_calibration_every_step(self):
+        assert_same_as_per_step(ScenarioConfig(
+            seed=23, n_steps=MOTION_BLOCK + 2, calibration_period=1,
+            n_tags=1))
+
+    def test_threshold_trigger(self):
+        cfg = ScenarioConfig(seed=24, n_steps=2 * MOTION_BLOCK + 3,
+                             trigger=Trigger("threshold", 0.15))
+        assert_same_as_per_step(cfg)
+        steps = [r.step for r in run_scenario(cfg).records if r.calibrated]
+        assert min(steps) < MOTION_BLOCK < max(steps)
+
+    def test_overflow_in_second_block_names_the_same_step(self):
+        # anchor 0 runs off at max_float / (B + 7.5) m/step, so its x passes
+        # the float range at step B + 7, in the second block; the period
+        # keeps every calibration away from the huge positions
+        last = MOTION_BLOCK + 7
+        fast = MotionParams(0.0, sys.float_info.max / (last + 0.5), 0.0)
+        still = MotionParams(0.0, 0.0, 0.0)
+        cfg = ScenarioConfig(
+            n_anchors=3, n_tags=0, n_steps=3 * MOTION_BLOCK,
+            calibration_period=1000,
+            motion=MotionTable(anchors=(fast, still, still), tags=()))
+        message = assert_same_as_per_step(cfg)
+        assert message.startswith(f"ConfigError: step {last}: node positions")
+
 class TestSummaries:
     def test_constant_trace_quartiles(self):
         records = [TraceRecord(step=s, anchor_errors=(0.0, 0.25, 0.25, 0.25),
@@ -403,9 +527,10 @@ class TestTraceCsv:
         stats = summarize(records)
         assert stats.tag_translation.median == 0.2
 
-    def test_rows_derived_from_records(self, tmp_path, monkeypatch):
-        import uwbcal.sim as sim
-
+    @pytest.fixture
+    def failed_fix_trace(self, monkeypatch):
+        """A 6-step default run whose tag fix calls 2, 7, 12 and 17 of 18
+        fail."""
         real, calls = sim.locate_tag, itertools.count()
 
         def every_fifth_fails(anchors, ranges):
@@ -414,7 +539,33 @@ class TestTraceCsv:
             return real(anchors, ranges)
 
         monkeypatch.setattr(sim, "locate_tag", every_fifth_fails)
-        trace = run_scenario(ScenarioConfig(seed=11, n_steps=6))
+        return run_scenario(ScenarioConfig(seed=11, n_steps=6))
+
+    def test_bytes_are_those_of_csv_writer(self, tmp_path, failed_fix_trace):
+        trace = failed_fix_trace
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(TRACE_HEADER)
+        for r in trace.records:
+            n = len(r.anchor_errors)
+            for k, ((tx, ty), est, err) in enumerate(zip(
+                    r.true_positions, r.est_positions,
+                    r.anchor_errors + r.tag_errors)):
+                fix = ["", "", ""] if est is None else \
+                    ["%.9g" % est[0], "%.9g" % est[1], "%.9g" % err]
+                writer.writerow([r.step, "anchor" if k < n else "tag",
+                                 k if k < n else k - n, "%.9g" % tx,
+                                 "%.9g" % ty, *fix, "%.9g" % r.rotation_error,
+                                 int(r.calibrated)])
+        data = path.read_bytes()
+        assert data == expected.getvalue().encode("utf-8")
+        assert data.count(b"\r\n") == 1 + 6 * (4 + 3)
+        assert data.count(b",,,,") == 4  # the failed fixes' empty fields
+
+    def test_rows_derived_from_records(self, tmp_path, failed_fix_trace):
+        trace = failed_fix_trace
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         with open(path, newline="", encoding="utf-8") as f:
