@@ -12,6 +12,7 @@ enough because the distance-only objective cannot observe rotation anyway.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,12 +110,28 @@ class DistanceStatsMatrix:
                 for j in range(i + 1, self.n_anchors)
                 if self.has_sym(i, j)]
 
+    def sym_table(self) -> tuple[tuple[tuple[int, int], ...], list[float]]:
+        """``unordered_pairs()`` and the ``sym_mean`` of each, in one pass.
+
+        Every mean takes the operands of ``sym_mean`` in its order, on
+        Python numbers, so it is bit-equal to it.
+        """
+        n, count, mean = self.n_anchors, self._count.tolist(), \
+            self._mean.tolist()
+        pairs, targets = [], []
+        for i in range(n):
+            c_i, m_i = count[i], mean[i]
+            for j in range(i + 1, n):
+                c_ij, c_ji = c_i[j], count[j][i]
+                total = c_ij + c_ji
+                if total:
+                    pairs.append((i, j))
+                    targets.append((c_ij * m_i[j] + c_ji * mean[j][i]) / total)
+        return tuple(pairs), targets
+
     def missing_pairs(self) -> list[tuple[int, int]]:
-        unmeasured = (self._count + self._count.T == 0).tolist()
-        return [(i, j)
-                for i in range(self.n_anchors)
-                for j in range(i + 1, self.n_anchors)
-                if unmeasured[i][j]]
+        ii, jj = np.nonzero(self._count + self._count.T == 0)
+        return [(i, j) for i, j in zip(ii.tolist(), jj.tolist()) if i < j]
 
     def corrected(self, model: RangingModel) -> "DistanceStatsMatrix":
         """Bias-correct every directed mean through the ranging model.
@@ -123,7 +140,9 @@ class DistanceStatsMatrix:
         No positivity re-check: correcting a short distance below zero is
         surfaced later as a geometry error, not silently clamped.
         """
-        out = DistanceStatsMatrix(self.n_anchors)
+        # without __init__, whose zero-filled arrays would be replaced
+        out = object.__new__(DistanceStatsMatrix)
+        out.n_anchors = self.n_anchors
         out._mean = (self._mean - model.intercept) / model.slope
         out._mean[self._count == 0] = 0.0
         out._std = self._std / model.slope
@@ -186,6 +205,55 @@ def _expand(free: np.ndarray, free_cols: np.ndarray,
     return flat.reshape(n_anchors, 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _residual_layout(n_anchors: int, fix_a1_axis: bool,
+                     pairs: tuple[tuple[int, int], ...]):
+    """Index arrays of the residual function over ``pairs``, read-only.
+
+    With ``ext`` the free vector followed by one 0.0 (the value of every
+    pinned coordinate), the differences p_i - p_j are ``ext[first] -
+    ext[second]``. With ``buf`` the unit vectors, then their negations, then
+    one 0.0, J is ``buf[jac_t].T``: +unit at pair k's first anchor, -unit
+    at its second and 0 elsewhere, the entries of the dense scatter it
+    replaces. Its column-major layout is the one that scatter's column
+    gather leaves, so the matrix products that follow round alike.
+    """
+    free_cols = _free_columns(n_anchors, fix_a1_axis)
+    n_free, m = len(free_cols), len(pairs)
+    slot = np.full(2 * n_anchors, n_free)
+    slot[free_cols] = np.arange(n_free)
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    rows, xy = np.arange(m), np.arange(2)
+    jac = np.full((m, n_anchors, 2), 4 * m)
+    jac[rows, ii] = 2 * rows[:, None] + xy
+    jac[rows, jj] = 2 * (m + rows[:, None]) + xy
+    layout = (free_cols, slot[2 * ii[:, None] + xy],
+              slot[2 * jj[:, None] + xy],
+              jac.reshape(m, 2 * n_anchors)[:, free_cols].T.copy())
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
+    """free -> (r, J) over ``pairs`` with symmetrized means ``targets``."""
+    free_cols, first, second, jac_t = _residual_layout(
+        n_anchors, fix_a1_axis, pairs)
+    n_free, m = len(free_cols), len(pairs)
+    targets = np.array(targets, dtype=float)
+    ext, buf = np.zeros(n_free + 1), np.zeros(4 * m + 1)
+    units, negated = buf[:2 * m].reshape(m, 2), buf[2 * m:4 * m].reshape(m, 2)
+
+    def fun(free):
+        ext[:n_free] = free
+        r, unit = range_residuals(ext.take(first) - ext.take(second), targets)
+        units[...] = unit
+        np.negative(unit, out=negated)
+        return r, buf.take(jac_t).T
+
+    return fun
+
+
 def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
     """Residual function free -> (r, J) over every measured anchor pair.
 
@@ -193,22 +261,7 @@ def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
     the optimizer's variable vector: the flattened coordinates of anchors
     1..n-1 (anchor 1's y omitted when ``fix_a1_axis``).
     """
-    n = d.n_anchors
-    free_cols = _free_columns(n, fix_a1_axis)
-    pairs = d.unordered_pairs()
-    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    targets = np.array([d.sym_mean(i, j) for i, j in pairs])
-    m, rows = len(pairs), np.arange(len(pairs))
-
-    def fun(free):
-        positions = _expand(free, free_cols, n)
-        r, unit = range_residuals(positions[ii] - positions[jj], targets)
-        jac = np.zeros((m, n, 2))
-        jac[rows, ii] = unit
-        jac[rows, jj] = -unit
-        return r, jac.reshape(m, 2 * n)[:, free_cols]
-
-    return fun
+    return _residual_function(d.n_anchors, *d.sym_table(), fix_a1_axis)
 
 
 def refine_lse(initial, d: DistanceStatsMatrix,
@@ -230,11 +283,13 @@ def refine_lse(initial, d: DistanceStatsMatrix,
     flat0 = np.array([c for p in initial for c in p], dtype=float)
     if not np.isfinite(flat0).all():
         raise ValueError("initial positions must be finite")
-    lsq = levenberg_marquardt(network_residuals(d, fix_a1_axis),
-                              flat0[free_cols])
-    n_pairs = len(d.unordered_pairs())
+    pairs, targets = d.sym_table()
+    lsq = levenberg_marquardt(
+        _residual_function(n, pairs, targets, fix_a1_axis), flat0[free_cols])
+    n_pairs = len(pairs)
     result = CalibrationResult(
-        positions=tuple(Point2(*p) for p in _expand(lsq.x, free_cols, n)),
+        positions=tuple(Point2(x, y) for x, y
+                        in _expand(lsq.x, free_cols, n).tolist()),
         rms_residual=math.sqrt(lsq.objective / n_pairs) if n_pairs else 0.0,
         iterations=lsq.iterations,
         converged=lsq.converged,
@@ -266,7 +321,10 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
         ox, oy = prior[0]
         start = [(x - ox, y - oy) for x, y in prior]
         fix_a1_axis = False
-    return refine_lse(start, corrected, fix_a1_axis=fix_a1_axis)
+    # positions far out overflow to inf or nan, which the refinement's
+    # accept rule and step check reject; no warning is needed for them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return refine_lse(start, corrected, fix_a1_axis=fix_a1_axis)
 
 
 def load_distance_csv(path) -> DistanceStatsMatrix:

@@ -81,8 +81,10 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     r, jac = fun(x)
     f = float(r @ r)
-    grad = 2.0 * (jac.T @ r)
-    grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
+    # J^T J and J^T r change only with an accepted step; the gradient is
+    # 2 J^T r, and doubling is exact
+    jtj, jtr = jac.T @ jac, jac.T @ r
+    grad_inf = 2.0 * float(np.abs(jtr).max()) if jtr.size else 0.0
 
     if grad_inf <= GRAD_TOL:
         return LeastSquaresResult(x, f, 0, True, grad_inf)
@@ -93,13 +95,11 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
     identity = np.eye(x.size)
 
     for iterations in range(1, max_iterations + 1):
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
         try:
             dx = np.linalg.solve(jtj + lam * identity, -jtr)
         except np.linalg.LinAlgError:
             dx = None
-        if dx is None or not np.all(np.isfinite(dx)):
+        if dx is None or not np.isfinite(dx).all():
             lam *= DAMPING_GROW
             if lam > DAMPING_MAX:
                 raise SingularUpdate(
@@ -113,8 +113,8 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
         if f_trial < f:
             x = x + dx
             r, jac, f = r_trial, jac_trial, f_trial
-            grad = 2.0 * (jac.T @ r)
-            grad_inf = float(np.abs(grad).max())
+            jtj, jtr = jac.T @ jac, jac.T @ r
+            grad_inf = 2.0 * float(np.abs(jtr).max())
             lam = max(lam / DAMPING_SHRINK, 1e-15)
             if step_inf < STEP_TOL or grad_inf <= GRAD_TOL:
                 converged = True

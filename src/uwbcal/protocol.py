@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -305,6 +306,26 @@ def simulate_round(n_anchors: int, k_measurements: int,
                         initiator_counts=initiator_counts)
 
 
+@functools.lru_cache(maxsize=16)
+def _round_layout(n_anchors: int):
+    """The directed pairs of a round in message order, read-only.
+
+    Returns the initiator and target of every row, the unordered pairs
+    (i < j) in ascending order, and the index of each row's pair among them.
+    """
+    rows = np.repeat(np.arange(n_anchors), n_anchors - 1)
+    cols = np.array([j for i in range(n_anchors)
+                     for j in _targets_from(i, n_anchors)])
+    pairs = tuple((i, j) for i in range(n_anchors)
+                  for j in range(i + 1, n_anchors))
+    index = {pair: u for u, pair in enumerate(pairs)}
+    pair_of_row = np.array([index[min(i, j), max(i, j)]
+                            for i, j in zip(rows.tolist(), cols.tolist())])
+    for a in (rows, cols, pair_of_row):
+        a.flags.writeable = False
+    return rows, cols, pairs, pair_of_row
+
+
 def run_calibration_round(n_anchors: int, k_measurements: int,
                           true_positions, ranging_model: RangingModel,
                           rng: np.random.Generator) -> tuple[DistanceStatsMatrix, float]:
@@ -323,19 +344,12 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
     if n_anchors < 3 or k_measurements < 1:
         raise ValueError("need n_anchors >= 3 and k_measurements >= 1")
     latency = estimate_latency(k_measurements)
-    rows = np.repeat(np.arange(n_anchors), n_anchors - 1)
-    cols = np.array([j for i in range(n_anchors)
-                     for j in _targets_from(i, n_anchors)])
+    rows, cols, pairs, pair_of_row = _round_layout(n_anchors)
     # the scalar distance the Response handler uses (np.hypot may differ
     # from math.hypot in the last bit), once per unordered pair: swapping
     # the points only negates the differences, which hypot ignores exactly
-    sym = {}
-    for i in range(n_anchors):
-        for j in range(i + 1, n_anchors):
-            sym[i, j] = sym[j, i] = distance(true_positions[j],
-                                             true_positions[i])
-    true_d = np.array([sym[pair] for pair in zip(rows.tolist(),
-                                                 cols.tolist())])
+    true_d = np.array([distance(true_positions[j], true_positions[i])
+                       for i, j in pairs]).take(pair_of_row)
     z = rng.standard_normal((len(rows), k_measurements))
     # overflow yields inf as in scalar float arithmetic; checked below
     with np.errstate(over="ignore"):

@@ -9,6 +9,7 @@ the noise level used when simulating measurements.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -233,6 +234,11 @@ def load_reference_samples() -> list[RangingSample]:
         return load_samples(path)
 
 
+@functools.cache
 def reference_model() -> RangingModel:
-    """Model fitted to the packaged sweep; the default simulation sensor."""
+    """Model fitted to the packaged sweep; the default simulation sensor.
+
+    Fitted once per process: the sweep ships with the package and the
+    model is frozen.
+    """
     return fit_model(load_reference_samples())

@@ -406,6 +406,11 @@ def _xy(points) -> np.ndarray:
 MOTION_BLOCK = 64
 
 
+def _overflowed(t: int) -> ConfigError:
+    return ConfigError([f"step {t}: node positions overflowed; reduce the "
+                        f"motion speed or gaussian_std, or drift_bound"])
+
+
 class _Motion:
     """True positions and drifted anchor estimates, step by step.
 
@@ -475,9 +480,7 @@ class _Motion:
             self._sum_estimates(t)
         k, j = t - self.block_start, t - self.span_start
         if not (self.true_ok[k] and self.frame_ok[j]):
-            raise ConfigError([
-                f"step {t}: node positions overflowed; reduce the motion "
-                f"speed or gaussian_std, or drift_bound"])
+            raise _overflowed(t)
         return self.worlds[k], self.frames[j]
 
     def recalibrated(self, t: int, positions) -> list:
@@ -518,7 +521,9 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     Per step: motion, drift, recalibration when triggered (warm-started from
     the current estimates), then one fix per tag from fresh bias-corrected
     ranges, then metric recording. Module errors during a tag fix or a
-    calibration become diagnostics instead of aborting the run. Positions
+    calibration become diagnostics instead of aborting the run; a warm
+    calibration whose update is singular keeps the previous estimates, and
+    its step is not marked calibrated. Positions
     that overflow, or anchors that meet at a calibration, raise
     :class:`ConfigError`: the scenario's motion cannot be simulated.
     """
@@ -569,11 +574,19 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             except NotConverged as exc:
                 result = exc.result
                 diagnostics.append(f"step {t}: calibration did not converge")
-            frame = motion.recalibrated(t, result.positions)
-            calibrated = True
+            except SingularUpdate as exc:
+                # the estimates carry on as if no round had run
+                result = None
+                diagnostics.append(f"step {t}: calibration failed: {exc}")
+            if result is not None:
+                frame = motion.recalibrated(t, result.positions)
+                calibrated = True
 
         anchor_errors = translation_errors(frame, truth, truth[0])
         assert anchor_errors[0] == 0.0
+        if math.inf in anchor_errors:
+            # an estimate so far out that its error overflows
+            raise _overflowed(t)
         (x0, y0), (x1, y1), (fx, fy) = truth[0], truth[1], frame[1]
         rotation = wrap_angle(math.atan2(fy, fx)
                               - math.atan2(y1 - y0, x1 - x0))
@@ -809,9 +822,18 @@ def read_trace_records(path) -> list[TraceRecord]:
     if not steps:
         raise CsvFormatError("trace has no data rows")
     records = []
+    first_ids = None
     for step in sorted(steps):
         _, anchors, tags, rot, cal = steps[step]
+        ids = sorted(anchors)
+        if first_ids is None:
+            first_step, first_ids = step, ids
+        elif ids != first_ids:
+            # errors before and after a calibration compare the same anchors
+            raise CsvFormatError(
+                f"step {step} holds anchors {ids}, step {first_step} "
+                f"holds {first_ids}; every step must hold the same anchors")
         records.append(TraceRecord(
-            step, tuple(map(anchors.__getitem__, sorted(anchors))),
+            step, tuple(map(anchors.__getitem__, ids)),
             tuple(map(tags.__getitem__, sorted(tags))), rot, cal))
     return records

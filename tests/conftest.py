@@ -5,6 +5,7 @@ import pytest
 
 from uwbcal.autocalib import DistanceStatsMatrix
 from uwbcal.geometry import Point2, distance
+from uwbcal.leastsq import range_residuals
 
 # Surveyed desk-scale deployment used as the golden reconstruction case:
 # five anchors and one tag, with anchor 1 due east of anchor 0 so the
@@ -40,6 +41,38 @@ def apply_drift(est_xy: np.ndarray, drift_bound: float,
     """One step of odometry error, drawn per step: Uniform(-b, +b) per
     coordinate, independently for every anchor estimate."""
     return est_xy + rng.uniform(-1.0, 1.0, est_xy.shape) * drift_bound
+
+
+def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
+    """The anchor-network residual function built densely: the oracle for
+    ``autocalib.network_residuals``, which gathers J from a precomputed
+    index map.
+
+    Targets come from ``unordered_pairs()`` and ``sym_mean()``; every
+    evaluation zero-fills an ``(m, n, 2)`` Jacobian, scatters +unit and
+    -unit into it and gathers the free columns (all but anchor 0's, and
+    anchor 1's y when ``fix_a1_axis``).
+    """
+    n = d.n_anchors
+    free_cols = np.arange(2, 2 * n)
+    if fix_a1_axis:
+        free_cols = free_cols[free_cols != 3]
+    pairs = d.unordered_pairs()
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    targets = np.array([d.sym_mean(i, j) for i, j in pairs])
+    m, rows = len(pairs), np.arange(len(pairs))
+
+    def fun(free):
+        flat = np.zeros(2 * n)
+        flat[free_cols] = free
+        positions = flat.reshape(n, 2)
+        r, unit = range_residuals(positions[ii] - positions[jj], targets)
+        jac = np.zeros((m, n, 2))
+        jac[rows, ii] = unit
+        jac[rows, jj] = -unit
+        return r, jac.reshape(m, 2 * n)[:, free_cols]
+
+    return fun
 
 
 def rotated(p: Point2, angle: float) -> Point2:

@@ -1,18 +1,23 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
-                              calibrate, initial_placement, load_distance_csv,
-                              network_residuals, refine_lse, save_distance_csv)
-from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged)
+                              _residual_layout, calibrate, initial_placement,
+                              load_distance_csv, network_residuals,
+                              refine_lse, save_distance_csv)
+from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
+                           SingularUpdate, UwbCalError)
 from uwbcal.geometry import Point2, distance, rotation_error
-from uwbcal.leastsq import objective_and_gradient
+from uwbcal.leastsq import levenberg_marquardt, objective_and_gradient
+from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
-from conftest import GOLDEN_FRAME, exact_matrix, rotated
+from conftest import (GOLDEN_FRAME, dense_network_residuals, exact_matrix,
+                      rotated)
 
 
 def free_vector(positions, fix_a1_axis=False):
@@ -363,3 +368,137 @@ class TestDistanceCsv:
         path.write_text("i,j,mean_m,std_m,count\n0,1,9.0,0.0,1\n1,0,9.0,0.0,1\n")
         with pytest.raises(CsvFormatError):
             load_distance_csv(path)
+
+
+def random_matrix(rng, n, one_way=0, unmeasured=0) -> DistanceStatsMatrix:
+    """Noisy directed statistics of a random layout, with counts that
+    differ per direction. ``one_way`` pairs keep one direction only, and
+    ``unmeasured`` pairs are left out in both directions."""
+    truth = rng.uniform(-15.0, 15.0, (n, 2))
+    pairs = list(itertools.combinations(range(n), 2))
+    order = rng.permutation(len(pairs))
+    dropped = {pairs[k] for k in order[:unmeasured]}
+    halved = {pairs[k] for k in order[unmeasured:unmeasured + one_way]}
+    m = DistanceStatsMatrix(n)
+    for i, j in pairs:
+        if (i, j) in dropped:
+            continue
+        d = float(np.hypot(*(truth[i] - truth[j])))
+        for a, b in ((i, j), (j, i))[:1 if (i, j) in halved else 2]:
+            m.set_pair(a, b, d + abs(rng.normal(0.0, 0.2)) + 1e-3,
+                       float(rng.uniform(0.0, 0.3)), int(rng.integers(1, 60)))
+    return m
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("one_way, unmeasured", [(0, 0), (3, 0), (2, 2)])
+    def test_matches_unordered_pairs_and_sym_mean_bit_for_bit(
+            self, one_way, unmeasured):
+        rng = np.random.default_rng(31 + one_way + unmeasured)
+        for _ in range(40):
+            m = random_matrix(rng, int(rng.integers(4, 8)), one_way,
+                              unmeasured)
+            pairs, targets = m.sym_table()
+            assert list(pairs) == m.unordered_pairs()
+            assert [t.hex() for t in targets] == [
+                float(m.sym_mean(i, j)).hex() for i, j in pairs]
+
+
+class TestResidualFunction:
+    @pytest.mark.parametrize("fix_a1_axis", [False, True])
+    @pytest.mark.parametrize("one_way, unmeasured", [(0, 0), (3, 0), (2, 1)])
+    def test_equals_dense_oracle(self, fix_a1_axis, one_way, unmeasured):
+        rng = np.random.default_rng(7 + 2 * one_way + unmeasured)
+        for _ in range(30):
+            n = int(rng.integers(4, 8))
+            m = random_matrix(rng, n, one_way, unmeasured)
+            fun = network_residuals(m, fix_a1_axis)
+            oracle = dense_network_residuals(m, fix_a1_axis)
+            for _ in range(3):
+                x = rng.uniform(-15.0, 15.0, 2 * n - 2 - fix_a1_axis)
+                (r, jac), (r_o, jac_o) = fun(x), oracle(x)
+                assert np.array_equal(r, r_o)
+                assert np.array_equal(jac, jac_o)
+                # the products the solver forms round alike
+                assert np.array_equal(jac.T @ r, jac_o.T @ r_o)
+                assert np.array_equal(jac.T @ jac, jac_o.T @ jac_o)
+
+    def test_coincident_anchors_use_the_nudge(self):
+        m = exact_matrix(GOLDEN_FRAME)
+        x = free_vector(GOLDEN_FRAME)
+        x[2:4] = x[0:2]  # anchor 2 on anchor 1
+        (r, jac), (r_o, jac_o) = (network_residuals(m)(x),
+                                  dense_network_residuals(m)(x))
+        assert np.array_equal(r, r_o) and np.array_equal(jac, jac_o)
+
+    def test_cached_layout_rejects_writes(self):
+        pairs = tuple(itertools.combinations(range(4), 2))
+        for array in _residual_layout(4, True, pairs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
+    """``calibrate`` spelled out on the dense oracle residuals."""
+    corrected = d.corrected(model)
+    if prior is None:
+        start, fix_a1_axis = initial_placement(corrected), True
+    else:
+        ox, oy = prior[0]
+        start, fix_a1_axis = [(x - ox, y - oy) for x, y in prior], False
+    n = d.n_anchors
+    free_cols = np.arange(2, 2 * n)
+    if fix_a1_axis:
+        free_cols = free_cols[free_cols != 3]
+    flat = np.array([c for p in start for c in p], dtype=float)
+    lsq = levenberg_marquardt(dense_network_residuals(corrected, fix_a1_axis),
+                              flat[free_cols])
+    flat = np.zeros(2 * n)
+    flat[free_cols] = lsq.x
+    n_pairs = len(corrected.unordered_pairs())
+    result = CalibrationResult(
+        positions=tuple(Point2(*p) for p in flat.reshape(n, 2)),
+        rms_residual=math.sqrt(lsq.objective / n_pairs),
+        iterations=lsq.iterations, converged=lsq.converged)
+    if not lsq.converged:
+        raise NotConverged(
+            f"refinement stopped after {lsq.iterations} iterations", result)
+    return result
+
+
+def outcome(calibration, *args, **kwargs) -> str:
+    try:
+        return repr(calibration(*args, **kwargs))
+    except NotConverged as exc:
+        return f"NotConverged({exc}, {exc.result!r})"
+    except UwbCalError as exc:
+        return f"{type(exc).__name__}({exc})"
+
+
+class TestCalibrateOracle:
+    def test_bootstrap_and_warm_equal_lm_on_dense_residuals(self):
+        rng = np.random.default_rng(2024)
+        model = reference_model()
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            truth = rng.uniform(-15.0, 15.0, (n, 2))
+            stats, _ = run_calibration_round(
+                n, int(rng.integers(1, 11)), truth.tolist(), model, rng)
+            assert outcome(calibrate, stats, model) == \
+                outcome(oracle_calibrate, stats, model)
+            # a drifted, rotated and translated prior
+            prior = (truth + rng.normal(0.0, 0.5, truth.shape)) @ \
+                np.array([[0.99, 0.14], [-0.14, 0.99]]) + 3.0
+            assert outcome(calibrate, stats, model, prior=prior.tolist()) \
+                == outcome(oracle_calibrate, stats, model,
+                           prior=prior.tolist())
+
+    def test_overflowing_refinement_warns_nothing(self):
+        # differences near 1e308 overflow to inf, which the solver rejects
+        prior = [(0, 0), (1e308, 0), (-1e308, 1e308), (1e308, 1e308),
+                 (0, -1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularUpdate):
+                calibrate(exact_matrix(GOLDEN_FRAME), RangingModel.identity(),
+                          prior=prior)

@@ -418,9 +418,11 @@ class TestSimulate:
           "initial_anchor_positions": [[1e299, 0], [0, 1e299],
                                        [-1e299, -1e299]]},
          5, "anchor 2: circles"),
+        # a warm calibration's singular update is a diagnostic; the drift
+        # then overflows the positions
         ({"n_anchors": 4, "n_tags": 1, "n_steps": 5, "calibration_period": 1,
-          "k_measurements": 1, "drift_bound": 1e308}, 4,
-         "normal equations unsolvable"),
+          "k_measurements": 1, "drift_bound": 1e308}, 2,
+         "step 3: node positions overflowed"),
         ({"motion": 3}, 2, "motion: not an object: 3"),
         ({"n_anchors": 3, "n_tags": 0, "motion": {"anchors": 3, "tags": []}},
          2, "motion.anchors: not a list: 3"),
@@ -603,6 +605,20 @@ class TestSummarize:
         assert code == 2
         assert stderr == (f"error: {path}: no anchor errors besides anchor "
                           f"0's to summarize\n")
+
+    def test_steps_with_different_anchors_exit_2(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,0,0,0,0,0,0,0.01,0\n"
+            "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+            "1,anchor,0,0,0,0,0,0,0.01,1\n")
+        code, stderr = run_in_process("summarize", "--input", str(path))
+        assert code == 2
+        assert stderr == (f"error: {path}: step 1 holds anchors [0], step 0 "
+                          f"holds [0, 1]; every step must hold the same "
+                          f"anchors\n")
 
 
 # 200 seeded random bytes (not UTF-8), and a field past the csv module's

@@ -5,9 +5,10 @@ import pytest
 from uwbcal.errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
 from uwbcal.geometry import Point2, distance
 from uwbcal.protocol import (Mode, Poll, Response, StartCommand,
-                             StatsBroadcast, TokenPass, estimate_latency,
-                             handle_event, make_node, run_calibration_round,
-                             simulate_round, write_event_trace)
+                             StatsBroadcast, TokenPass, _round_layout,
+                             estimate_latency, handle_event, make_node,
+                             run_calibration_round, simulate_round,
+                             write_event_trace)
 from uwbcal.ranging import RangingModel, TwrTimings, reference_model
 from conftest import GOLDEN_FRAME
 
@@ -148,6 +149,18 @@ class TestRound:
         b, _ = run_calibration_round(4, 5, SQUARE, reference_model(),
                                      np.random.default_rng(42))
         assert a.equal_stats(b)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_cached_layout_is_the_message_order_and_read_only(self, n):
+        rows, cols, pairs, pair_of_row = _round_layout(n)
+        directed = [(i, j) for i in range(n)
+                    for j in ((i + off) % n for off in range(1, n))]
+        assert list(zip(rows.tolist(), cols.tolist())) == directed
+        assert [pairs[u] for u in pair_of_row.tolist()] == [
+            (min(i, j), max(i, j)) for i, j in directed]
+        for array in (rows, cols, pair_of_row):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_round_latency_reported(self):
         rng = np.random.default_rng(7)

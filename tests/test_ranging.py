@@ -148,6 +148,11 @@ class TestFitModel:
         assert m.noise_std == pytest.approx(0.058461523, abs=1e-8)
         assert 0.04 < m.noise_std < 0.08
 
+    def test_reference_model_is_the_fit_of_the_packaged_sweep(self):
+        # fitted once per process and shared: the model is frozen
+        assert reference_model() == fit_model(load_reference_samples())
+        assert reference_model() is reference_model()
+
 
 class TestSimulateAndCorrect:
     def test_zero_noise_line_value(self):

@@ -3,7 +3,9 @@ import dataclasses
 import io
 import itertools
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +288,42 @@ class TestRunScenario:
                    for e in r.tag_errors) == 1
         assert trace.diagnostics == [
             "step 0: tag 2 fix failed: forced singular update"]
+
+    def test_singular_warm_calibration_is_a_diagnostic(self, monkeypatch):
+        real = sim.calibrate
+
+        def warm_singular(stats, model, prior=None):
+            if prior is not None:
+                raise SingularUpdate("forced singular update")
+            return real(stats, model, prior=prior)
+
+        monkeypatch.setattr(sim, "calibrate", warm_singular)
+        cfg = ScenarioConfig(seed=3, n_tags=0, n_steps=7,
+                             calibration_period=3)
+        trace = run_scenario(cfg)
+        assert trace.diagnostics == [
+            f"step {t}: calibration failed: forced singular update"
+            for t in (3, 6)]
+        assert not any(r.calibrated for r in trace.records)
+        # the estimates carry on as if no round had run
+        monkeypatch.undo()
+        uncalibrated = run_scenario(dataclasses.replace(
+            cfg, calibration_period=cfg.n_steps))
+        assert repr(trace.records) == repr(uncalibrated.records)
+
+    @pytest.mark.parametrize("seed, step", [(1, 3), (3, 0), (5, 1)])
+    def test_overflowing_drift_warns_nothing_and_names_the_step(self, seed,
+                                                                step):
+        # warm calibrations fail with a singular update on the way (seeds 1
+        # and 5); at seeds 3 and 5 an anchor error overflows first
+        cfg = ScenarioConfig(n_anchors=4, n_tags=1, n_steps=5,
+                             calibration_period=1, k_measurements=1,
+                             drift_bound=1e308, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"step {step}: node "
+                                                  f"positions overflowed"):
+                run_scenario(cfg)
 
     def test_tag_on_anchor_is_a_failed_fix(self):
         still = MotionParams(0.0, 0.0, 0.0)
@@ -594,6 +632,18 @@ class TestTraceCsv:
         failed = [row for row in rows if row[5:8] == ["", "", ""]]
         assert len(failed) == 4  # fix calls 2, 7, 12 and 17 of 18
         assert all(row[1] == "tag" for row in failed)
+
+    def test_steps_must_hold_the_same_anchors(self, tmp_path):
+        # before/after calibration means would compare different anchors
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_HEADER) + "\n"
+                        "0,anchor,0,0,0,0,0,0,0.01,0\n"
+                        "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+                        "1,anchor,0,0,0,0,0,0,0.01,1\n")
+        with pytest.raises(CsvFormatError,
+                           match=re.escape("step 1 holds anchors [0], step 0 "
+                                           "holds [0, 1]")):
+            read_trace_records(path)
 
     def test_header_and_shape_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
