@@ -92,13 +92,15 @@ class DistanceStatsMatrix:
         return self._count[i, j] + self._count[j, i] > 0
 
     def sym_mean(self, i: int, j: int) -> float:
-        """Count-weighted mean of the (i,j) and (j,i) directed means."""
+        """Count-weighted mean of the (i,j) and (j,i) directed means, on
+        Python numbers: a sum that overflows is inf without a warning."""
         self._check_ids(i, j)
-        c_ij, c_ji = self._count[i, j], self._count[j, i]
+        c_ij, c_ji = int(self._count[i, j]), int(self._count[j, i])
         total = c_ij + c_ji
         if total == 0:
             raise KeyError(f"pair ({i},{j}) has no measurements")
-        return (c_ij * self._mean[i, j] + c_ji * self._mean[j, i]) / total
+        return (c_ij * float(self._mean[i, j])
+                + c_ji * float(self._mean[j, i])) / total
 
     def sym_count(self, i: int, j: int) -> int:
         return int(self._count[i, j] + self._count[j, i])

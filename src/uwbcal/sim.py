@@ -21,7 +21,8 @@ leaves the other draws unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -156,11 +157,19 @@ class Trigger:
         return f"threshold:{self.threshold:g}"
 
 
-_CONFIG_KEYS = {
-    "n_anchors", "n_tags", "n_steps", "calibration_period", "drift_bound",
-    "k_measurements", "seed", "trigger", "ranging", "motion",
-    "initial_anchor_positions", "initial_tag_positions",
-}
+# The scalar scenario keys in config.json order: key, parser, and the
+# inclusive range resolve_config enforces. The count bounds keep a round's
+# block (k·N·(N−1) draws) under 33 MB and a trace (n_steps·(N+T) rows)
+# under 1.3 million rows; drift_bound's upper bound only excludes inf.
+SCALAR_KEYS = (
+    ("n_anchors", integer, 3, 64),
+    ("n_tags", integer, 0, 64),
+    ("n_steps", integer, 1, 10_000),
+    ("calibration_period", integer, 1, math.inf),
+    ("drift_bound", finite_number, 0, sys.float_info.max),
+    ("k_measurements", integer, 1, 1000),
+    ("seed", integer, 0, 2 ** 64 - 1),
+)
 
 
 @dataclass(frozen=True)
@@ -182,15 +191,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        json_object("scenario", raw, optional=_CONFIG_KEYS)
-        kwargs = {}
-        for key in ("n_anchors", "n_tags", "n_steps", "calibration_period",
-                    "k_measurements", "seed"):
-            if key in raw:
-                kwargs[key] = integer(key, raw[key])
-        if "drift_bound" in raw:
-            kwargs["drift_bound"] = finite_number("drift_bound",
-                                                  raw["drift_bound"])
+        json_object("scenario", raw, optional=[f.name for f in fields(cls)])
+        kwargs = {key: parse(key, raw[key])
+                  for key, parse, _, _ in SCALAR_KEYS if key in raw}
         if "trigger" in raw and raw["trigger"] is not None:
             try:
                 if not isinstance(raw["trigger"], str):
@@ -212,13 +215,7 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         return {
-            "n_anchors": self.n_anchors,
-            "n_tags": self.n_tags,
-            "n_steps": self.n_steps,
-            "calibration_period": self.calibration_period,
-            "drift_bound": self.drift_bound,
-            "k_measurements": self.k_measurements,
-            "seed": self.seed,
+            **{key: getattr(self, key) for key, *_ in SCALAR_KEYS},
             "trigger": str(self.trigger),
             "ranging": None if self.ranging is None else self.ranging.to_dict(),
             "motion": None if self.motion is None else self.motion.to_dict(),
@@ -301,33 +298,25 @@ def resolve_config(cfg: ScenarioConfig,
 
     Raises :class:`ConfigError` listing all violations at once.
     """
-    violations = []
-    if cfg.n_anchors < 3:
-        violations.append(f"n_anchors: need >= 3, got {cfg.n_anchors}")
-    if cfg.n_tags < 0:
-        violations.append(f"n_tags: need >= 0, got {cfg.n_tags}")
-    if cfg.n_steps < 1:
-        violations.append(f"n_steps: need >= 1, got {cfg.n_steps}")
-    if cfg.calibration_period < 1:
-        violations.append(
-            f"calibration_period: need >= 1, got {cfg.calibration_period}")
-    if not (math.isfinite(cfg.drift_bound) and cfg.drift_bound >= 0.0):
-        violations.append(
-            f"drift_bound: need a finite value >= 0, got {cfg.drift_bound}")
-    if cfg.k_measurements < 1:
-        violations.append(
-            f"k_measurements: need >= 1, got {cfg.k_measurements}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        violations.append(f"seed: need a 64-bit unsigned integer, got {cfg.seed}")
+    violations, bad = [], set()
+    for key, _, low, high in SCALAR_KEYS:
+        value = getattr(cfg, key)
+        if not low <= value <= high:
+            bad.add(key)
+            # an above-bound value is not echoed: it may run to 309 digits
+            violations.append(f"{key}: need <= {high}" if low <= value
+                              else f"{key}: need >= {low}, got {value}")
 
     # defaults exist only for a valid anchor count
     anchors = cfg.initial_anchor_positions
     if anchors is None:
-        if cfg.n_anchors > len(DEFAULT_ANCHOR_LAYOUT):
+        if "n_anchors" in bad:
+            pass
+        elif cfg.n_anchors > len(DEFAULT_ANCHOR_LAYOUT):
             violations.append(
                 f"initial_anchor_positions: required for n_anchors > "
                 f"{len(DEFAULT_ANCHOR_LAYOUT)}")
-        elif cfg.n_anchors >= 3:
+        else:
             anchors = DEFAULT_ANCHOR_LAYOUT[:cfg.n_anchors]
     elif len(anchors) != cfg.n_anchors:
         violations.append(
@@ -344,7 +333,7 @@ def resolve_config(cfg: ScenarioConfig,
 
     tags = cfg.initial_tag_positions
     if tags is None:
-        if anchors is not None and cfg.n_anchors >= 3:
+        if anchors is not None and not bad & {"n_anchors", "n_tags"}:
             tags = _default_tags(list(anchors), cfg.n_tags)
     elif len(tags) != cfg.n_tags:
         violations.append(
@@ -527,13 +516,9 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     that overflow, or anchors that meet at a calibration, raise
     :class:`ConfigError`: the scenario's motion cannot be simulated.
     """
-    try:
-        seq = np.random.SeedSequence(cfg.seed).spawn(4)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([f"seed: {exc}"]) from exc
-    params_rng, motion_rng, drift_rng, ranging_rng = (
-        np.random.default_rng(s) for s in seq)
-    cfg = resolve_config(cfg, params_rng)
+    cfg = resolve_config(cfg)  # draws any default motion from stream 0
+    motion_rng, drift_rng, ranging_rng = map(
+        np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4)[1:])
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
     n = cfg.n_anchors

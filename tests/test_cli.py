@@ -15,11 +15,20 @@ from uwbcal import cli, errors
 from uwbcal.ranging import load_reference_samples, save_samples
 from conftest import GOLDEN_FRAME, exact_matrix
 from uwbcal.autocalib import CalibrationResult, save_distance_csv
+from uwbcal.sim import SCALAR_KEYS
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "uwbcal", *args],
-                          capture_output=True, text=True)
+    """``cli.main`` on ``args`` in this process, with stdout and stderr
+    captured; argparse's ``SystemExit`` becomes the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 STILL = {"direction": 0.0, "speed": 0.0, "gaussian_std": 0.0}
@@ -74,7 +83,11 @@ class TestHelp:
         assert "--" in result.stdout
 
     def test_top_level_help(self):
-        assert run_cli("--help").returncode == 0
+        # the one run through ``python -m uwbcal`` in its own process
+        result = subprocess.run([sys.executable, "-m", "uwbcal", "--help"],
+                                capture_output=True, text=True)
+        assert result.returncode == 0
+        assert "simulate" in result.stdout
 
 
 class TestFitModel:
@@ -430,9 +443,13 @@ class TestSimulate:
          "motion.anchors[0]: speed and gaussian_std must be >= 0"),
         (json.loads(ranging(slope=-1.0)), 2,
          "ranging: slope must be finite and > 0"),
+        # numpy's "Maximum allowed dimension exceeded", and a request for
+        # 8.73 TiB, without the bound
+        ({"k_measurements": 1e308}, 2, "k_measurements: need <= "),
+        ({"k_measurements": 1e11}, 2, "k_measurements: need <= "),
     ], ids=["list", "null", "invalid_timing", "overflowing_anchors",
             "singular_update", "motion_number", "motion_anchors_number",
-            "negative_speed", "negative_slope"])
+            "negative_speed", "negative_slope", "k_1e308", "k_1e11"])
     def test_reproduced_tracebacks_exit_with_a_code(self, tmp_path, doc, code,
                                                     named):
         scenario = tmp_path / "scenario.json"
@@ -471,6 +488,20 @@ class TestSimulate:
         assert result.returncode == 2
         assert result.stderr == \
             f"error: n_anchors: need >= 3, got {n_anchors}\n"
+
+    @pytest.mark.parametrize("key, high", [
+        (key, high) for key, _, _, high in SCALAR_KEYS
+        if isinstance(high, int)])
+    @pytest.mark.parametrize("above", [1, 1e308])
+    def test_above_bound_exits_2_on_one_line(self, tmp_path, key, high,
+                                             above):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({key: high + above}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {key}: need <= {high}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_tag_on_anchor_is_a_failed_fix(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -601,10 +632,10 @@ class TestSummarize:
             "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
             "rotation_error_rad,calibrated\n"
             "0,anchor,0,0,0,0,0,0,0.01,0\n")
-        code, stderr = run_in_process("summarize", "--input", str(path))
-        assert code == 2
-        assert stderr == (f"error: {path}: no anchor errors besides anchor "
-                          f"0's to summarize\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stderr == (f"error: {path}: no anchor errors besides "
+                                 f"anchor 0's to summarize\n")
 
     def test_steps_with_different_anchors_exit_2(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -614,11 +645,11 @@ class TestSummarize:
             "0,anchor,0,0,0,0,0,0,0.01,0\n"
             "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
             "1,anchor,0,0,0,0,0,0,0.01,1\n")
-        code, stderr = run_in_process("summarize", "--input", str(path))
-        assert code == 2
-        assert stderr == (f"error: {path}: step 1 holds anchors [0], step 0 "
-                          f"holds [0, 1]; every step must hold the same "
-                          f"anchors\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stderr == (f"error: {path}: step 1 holds anchors [0], "
+                                 f"step 0 holds [0, 1]; every step must hold "
+                                 f"the same anchors\n")
 
 
 # 200 seeded random bytes (not UTF-8), and a field past the csv module's
@@ -638,26 +669,20 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
     path.write_bytes(content)
     output = [] if command == "summarize" else \
         ["--output", str(tmp_path / "out.json")]
-    code, stderr = run_in_process(command, "--input", str(path), *output)
-    assert code == 2
-    assert stderr.startswith(f"error: {path}: {message}")
-    assert stderr.count("\n") == 1
+    result = run_cli(command, "--input", str(path), *output)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {path}: {message}")
+    assert result.stderr.count("\n") == 1
 
 
-def run_in_process(*args):
-    """``cli.main`` on ``args`` in this process: (exit code, stderr)."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = cli.main(list(args))
-    return code, err.getvalue()
-
-
-# Any JSON value. Integers and integral floats stay at or below 12, so a
-# value that lands on a count key cannot ask for an unbounded simulation.
+# Any JSON value. Integers and integral floats are at most 12 or at least
+# 2**64: a value that lands on a count key either keeps the simulation short
+# or lies above every count bound and the seed bound, so it exits 2 before
+# anything is drawn.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(max_value=12)
-    | st.floats().filter(lambda x: not (x > 12 and x.is_integer()))
+    | st.integers(min_value=2 ** 64)
+    | st.floats().filter(lambda x: not (12 < x < 2 ** 64 and x.is_integer()))
     | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
@@ -751,8 +776,8 @@ class TestExitCodes:
         scenario = tmp_path / "scenario.json"
         scenario.write_text("{}")
         with pytest.raises(errors.ProtocolViolation):
-            run_in_process("simulate", "--scenario", str(scenario),
-                           "--out-dir", str(tmp_path / "out"))
+            run_cli("simulate", "--scenario", str(scenario),
+                    "--out-dir", str(tmp_path / "out"))
 
     def test_not_converged_writes_the_best_iterate(self, golden_csv,
                                                    tmp_path, monkeypatch):
@@ -765,10 +790,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "calibrate", capped)
         out = tmp_path / "r.json"
-        code, stderr = run_in_process("calibrate", "--input", str(golden_csv),
-                                      "--output", str(out))
-        assert code == 4
-        assert stderr == "error: stopped after 100 iterations\n"
+        result = run_cli("calibrate", "--input", str(golden_csv),
+                         "--output", str(out))
+        assert result.returncode == 4
+        assert result.stderr == "error: stopped after 100 iterations\n"
         doc = json.loads(out.read_text())
         assert doc["converged"] is False
         assert doc["positions"][1] == [9.0, 0.0]
@@ -781,7 +806,6 @@ class TestExitCodes:
             scenario.write_text(json.dumps(doc))
             # numpy's overflow warnings on extreme numbers are not at issue
             with np.errstate(all="ignore"):
-                code, _ = run_in_process("simulate", "--scenario",
-                                         str(scenario), "--out-dir",
-                                         str(Path(tmp) / "out"))
+                code = run_cli("simulate", "--scenario", str(scenario),
+                               "--out-dir", str(Path(tmp) / "out")).returncode
         assert code in {0, 2, 3, 4, 5}

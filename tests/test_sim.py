@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import io
 import itertools
+import json
 import math
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ import uwbcal.sim as sim
 from conftest import apply_drift, step_motion
 from uwbcal.autocalib import calibrate
 from uwbcal.errors import (CollinearAnchors, ConfigError, CsvFormatError,
-                           EmptyTrace, NotConverged, SingularUpdate)
+                           EmptyTrace, NotConverged, SingularUpdate,
+                           finite_number, integer)
 from uwbcal.geometry import Point2, translation_errors, wrap_angle
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel
-from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, TRACE_HEADER,
-                        MotionParams, MotionTable, ScenarioConfig,
-                        SimulationTrace, TraceRecord, Trigger,
+from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, SCALAR_KEYS,
+                        TRACE_HEADER, MotionParams, MotionTable,
+                        ScenarioConfig, SimulationTrace, TraceRecord, Trigger,
                         point_in_anchor_hull, read_trace_records,
                         resolve_config, run_scenario, summarize,
                         write_trace_csv)
@@ -109,6 +112,53 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             resolve_config(ScenarioConfig(n_anchors=6))
         assert "initial_anchor_positions" in str(err.value)
+
+    def test_scalar_bounds_are_inclusive(self):
+        ring = tuple(Point2(40.0 * math.cos(2 * math.pi * i / 64),
+                            40.0 * math.sin(2 * math.pi * i / 64))
+                     for i in range(64))
+        for key, _, low, high in SCALAR_KEYS:
+            for value in (low, high):
+                if value == math.inf:
+                    continue
+                cfg = ScenarioConfig(**{key: value})
+                if key == "n_anchors":
+                    # the default tags of 3 default anchors leave their hull
+                    cfg = dataclasses.replace(
+                        cfg, n_tags=0, initial_anchor_positions=ring[:value])
+                resolve_config(cfg)
+            if high < math.inf:
+                above = high * 2 if isinstance(high, float) else high + 1
+                with pytest.raises(ConfigError) as err:
+                    resolve_config(ScenarioConfig(**{key: above}))
+                assert err.value.violations == [f"{key}: need <= {high}"]
+
+    def test_readme_key_table_matches_the_schema(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "### Scenario files\n", 1)[1]
+        table = section[section.index("| key |"):].split("\n\n", 1)[0]
+        rows = [line.strip("| ").split(" | ")
+                for line in table.splitlines()[2:]]
+        assert [key for key, *_ in rows] == [
+            f"`{f.name}`" for f in dataclasses.fields(ScenarioConfig)]
+        cells = {key.strip("`"): (default, values)
+                 for key, default, values, _ in rows}
+        kinds = {"integer": (integer, math.inf),
+                 "finite number": (finite_number, sys.float_info.max)}
+        for key, parse, low, high in SCALAR_KEYS:
+            default, values = cells[key]
+            field_default = getattr(ScenarioConfig(), key)
+            assert json.loads(default) == field_default
+            assert type(json.loads(default)) is type(field_default)
+            # "<kind> <low> … <high>", or "<kind> ≥ <low>" when the kind
+            # alone bounds it from above
+            m = re.fullmatch(r"(integer|finite number) "
+                             r"(?:≥ (\d+)|(\d+) … (\d+))", values)
+            assert m, values
+            kind, top = kinds[m[1]]
+            assert (kind, int(m[2] or m[3]), int(m[4]) if m[4] else top) \
+                == (parse, low, high), key
 
 
 class TestMotion:
