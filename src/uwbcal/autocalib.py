@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, DegenerateGeometry, NotConverged, csv_rows
+from .errors import (FLOAT_FORMAT, CsvFormatError, DegenerateGeometry,
+                     NotConverged, csv_rows)
 from .geometry import Point2, bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
@@ -37,9 +38,9 @@ class DistanceStatsMatrix:
     """Per-directed-pair range statistics for a deployment of n anchors.
 
     Entry (i, j) holds what anchor i measured toward anchor j. The
-    symmetrized accessors combine both directions with count weighting,
-    since the ranging protocol measures every pair from both initiator
-    roles and all of that data is equally good.
+    symmetrized view, ``sym_table``, combines both directions with count
+    weighting, since the ranging protocol measures every pair from both
+    initiator roles and all of that data is equally good.
     """
 
     def __init__(self, n_anchors: int):
@@ -88,35 +89,12 @@ class DistanceStatsMatrix:
         return PairStats(self._mean[i, j], self._std[i, j],
                          int(self._count[i, j]))
 
-    def has_sym(self, i: int, j: int) -> bool:
-        return self._count[i, j] + self._count[j, i] > 0
-
-    def sym_mean(self, i: int, j: int) -> float:
-        """Count-weighted mean of the (i,j) and (j,i) directed means, on
-        Python numbers: a sum that overflows is inf without a warning."""
-        self._check_ids(i, j)
-        c_ij, c_ji = int(self._count[i, j]), int(self._count[j, i])
-        total = c_ij + c_ji
-        if total == 0:
-            raise KeyError(f"pair ({i},{j}) has no measurements")
-        return (c_ij * float(self._mean[i, j])
-                + c_ji * float(self._mean[j, i])) / total
-
-    def sym_count(self, i: int, j: int) -> int:
-        return int(self._count[i, j] + self._count[j, i])
-
-    def unordered_pairs(self) -> list[tuple[int, int]]:
-        """All (i, j) with i < j for which at least one direction was measured."""
-        return [(i, j)
-                for i in range(self.n_anchors)
-                for j in range(i + 1, self.n_anchors)
-                if self.has_sym(i, j)]
-
     def sym_table(self) -> tuple[tuple[tuple[int, int], ...], list[float]]:
-        """``unordered_pairs()`` and the ``sym_mean`` of each, in one pass.
+        """Every pair ``(i, j)``, i < j, measured in at least one direction,
+        and its count-weighted mean of the (i,j) and (j,i) directed means.
 
-        Every mean takes the operands of ``sym_mean`` in its order, on
-        Python numbers, so it is bit-equal to it.
+        The means are formed on Python numbers: a sum that overflows is inf
+        without a warning.
         """
         n, count, mean = self.n_anchors, self._count.tolist(), \
             self._mean.tolist()
@@ -151,12 +129,6 @@ class DistanceStatsMatrix:
         out._count = self._count.copy()
         return out
 
-    def equal_stats(self, other: "DistanceStatsMatrix") -> bool:
-        return (self.n_anchors == other.n_anchors
-                and np.array_equal(self._mean, other._mean)
-                and np.array_equal(self._std, other._std)
-                and np.array_equal(self._count, other._count))
-
     def _check_ids(self, i, j):
         n = self.n_anchors
         if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -179,12 +151,12 @@ class CalibrationResult:
 
 def initial_placement(d: DistanceStatsMatrix) -> list[Point2]:
     """Geometric bootstrap from distances to the first two anchors."""
-    d01 = d.sym_mean(0, 1)
+    sym = dict(zip(*d.sym_table()))
+    d01 = sym[0, 1]
     placed = []
     for i in range(2, d.n_anchors):
         try:
-            placed.append(
-                bilaterate_positive_y(d01, d.sym_mean(0, i), d.sym_mean(1, i)))
+            placed.append(bilaterate_positive_y(d01, sym[0, i], sym[1, i]))
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(
                 f"anchor {i}: {exc}", anchor_id=i) from exc
@@ -332,23 +304,12 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
 def load_distance_csv(path) -> DistanceStatsMatrix:
     """Read an `i,j,mean_m,std_m,count` CSV of directed pair statistics."""
     rows = []
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header != ["i", "j", "mean_m", "std_m", "count"]:
-            raise CsvFormatError(
-                f"expected header 'i,j,mean_m,std_m,count', got {header}",
-                line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise CsvFormatError(f"expected 5 columns, got {len(row)}",
-                                     line=lineno)
-            try:
-                rows.append((int(row[0]), int(row[1]), float(row[2]),
-                             float(row[3]), int(row[4]), lineno))
-            except ValueError as exc:
-                raise CsvFormatError(str(exc), line=lineno) from exc
+    for lineno, row in csv_rows(path, ["i", "j", "mean_m", "std_m", "count"]):
+        try:
+            rows.append((int(row[0]), int(row[1]), float(row[2]),
+                         float(row[3]), int(row[4]), lineno))
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=lineno) from exc
     if not rows:
         raise CsvFormatError("no data rows", line=1)
     n = max(max(r[0], r[1]) for r in rows) + 1
@@ -375,7 +336,7 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
 
 
 def save_distance_csv(matrix: DistanceStatsMatrix, path,
-                      float_format: str = "%.9g") -> None:
+                      float_format: str = FLOAT_FORMAT) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["i", "j", "mean_m", "std_m", "count"])

@@ -22,13 +22,14 @@ import sys
 from pathlib import Path
 
 from .autocalib import CalibrationResult, calibrate, load_distance_csv
-from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
-                     DegenerateFit, DegenerateGeometry, EmptyTrace,
-                     InsufficientData, InvalidTiming, LengthMismatch,
-                     NotConverged, SingularUpdate, UwbCalError, xy_pair)
+from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
+                     CsvFormatError, DegenerateFit, DegenerateGeometry,
+                     EmptyTrace, InsufficientData, InvalidTiming,
+                     LengthMismatch, NotConverged, SingularUpdate,
+                     UwbCalError, xy_pair)
 from .ranging import RangingModel, fit_model, load_samples
-from .sim import (FLOAT_FORMAT, ScenarioConfig, Trigger, read_trace_records,
-                  run_scenario, summarize, write_trace_csv)
+from .sim import (ScenarioConfig, Trigger, read_trace_records, run_scenario,
+                  summarize, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2

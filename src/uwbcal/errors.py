@@ -1,11 +1,14 @@
 """Exception types shared across the package, the input-number checks that
-report bad scenario, model and prior values as :class:`ConfigError`, and the
-CSV reader that reports undecodable files as :class:`CsvFormatError`."""
+report bad scenario, model and prior values as :class:`ConfigError`, the
+CSV reader that reports malformed files as :class:`CsvFormatError`, and the
+one float format of every output file."""
 
 import csv
 import math
-from contextlib import contextmanager
 from numbers import Integral, Real
+
+# Every float in an output file carries 9 significant digits (stable goldens).
+FLOAT_FORMAT = "%.9g"
 
 
 class UwbCalError(Exception):
@@ -128,14 +131,28 @@ class CsvFormatError(UwbCalError):
         self.line = line
 
 
-@contextmanager
-def csv_rows(path):
-    """The rows of the UTF-8 CSV file at ``path``, as a ``csv.reader``;
-    bytes that are not UTF-8, and lines the csv module cannot split, raise
-    :class:`CsvFormatError`."""
+def csv_rows(path, header: list[str]):
+    """``(line, row)`` for every non-blank data row of the UTF-8 CSV file at
+    ``path``, the header being line 1.
+
+    A first row other than ``header``, a row whose column count differs from
+    the header's, bytes that are not UTF-8 and lines the csv module cannot
+    split raise :class:`CsvFormatError`.
+    """
     with open(path, newline="", encoding="utf-8") as f:
         try:
-            yield csv.reader(f)
+            reader = csv.reader(f)
+            first = next(reader, None)
+            if first != header:
+                raise CsvFormatError(f"expected header {','.join(header)!r}, "
+                                     f"got {first}", line=1)
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise CsvFormatError(f"expected {len(header)} columns, "
+                                         f"got {len(row)}", line=line)
+                yield line, row
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"not UTF-8 text: {exc}") from exc
         except csv.Error as exc:

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autocalib import DistanceStatsMatrix, PairStats
-from .errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
+from .errors import (FLOAT_FORMAT, DegenerateGeometry, InvalidTiming,
+                     ProtocolViolation)
 from .geometry import distance
 from .ranging import (SPEED_OF_LIGHT, RangingModel, TwrTimings,
                       simulate_measurement, ss_twr_distance)
@@ -161,8 +162,9 @@ def _finish_burst(state: AnchorNodeState):
     return new, out
 
 
-def handle_event(state: AnchorNodeState, msg: ProtocolMessage,
-                 now: float) -> tuple[AnchorNodeState, list[ProtocolMessage]]:
+def handle_event(
+        state: AnchorNodeState,
+        msg: ProtocolMessage) -> tuple[AnchorNodeState, list[ProtocolMessage]]:
     """Deterministic state transition for one delivered message."""
     if isinstance(msg, StartCommand):
         if msg.target != state.id:
@@ -284,7 +286,7 @@ def simulate_round(n_anchors: int, k_measurements: int,
         else:
             recipients = [msg.target]
         for rid in recipients:
-            nodes[rid], outgoing = handle_event(nodes[rid], msg, now)
+            nodes[rid], outgoing = handle_event(nodes[rid], msg)
             queue.extend(outgoing)
 
         n_init = sum(1 for s in nodes if s.mode is Mode.INITIATOR)
@@ -400,4 +402,4 @@ def write_event_trace(trace: list[tuple[float, str, int, int]], path) -> None:
         writer = csv.writer(f)
         writer.writerow(["time_s", "type", "from", "to"])
         for t, kind, sender, target in trace:
-            writer.writerow(["%.9g" % t, kind, sender, target])
+            writer.writerow([FLOAT_FORMAT % t, kind, sender, target])

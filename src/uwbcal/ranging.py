@@ -200,22 +200,11 @@ def correct_measurement(measured_d: float, model: RangingModel) -> float:
 def load_samples(path) -> list[RangingSample]:
     """Read a `true_m,measured_m` CSV of ranging samples."""
     samples = []
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header != ["true_m", "measured_m"]:
-            raise CsvFormatError(
-                f"expected header 'true_m,measured_m', got {header}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(f"expected 2 columns, got {len(row)}",
-                                     line=lineno)
-            try:
-                sample = RangingSample(float(row[0]), float(row[1]))
-            except ValueError as exc:
-                raise CsvFormatError(str(exc), line=lineno) from exc
-            samples.append(sample)
+    for lineno, row in csv_rows(path, ["true_m", "measured_m"]):
+        try:
+            samples.append(RangingSample(float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=lineno) from exc
     return samples
 
 

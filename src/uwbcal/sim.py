@@ -27,10 +27,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .autocalib import calibrate
-from .errors import (CollinearAnchors, ConfigError, CsvFormatError,
-                     DegenerateGeometry, EmptyTrace, NotConverged,
-                     SingularUpdate, csv_rows, finite_number, integer,
-                     json_object, xy_pair)
+from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
+                     CsvFormatError, DegenerateGeometry, EmptyTrace,
+                     NotConverged, SingularUpdate, csv_rows, finite_number,
+                     integer, json_object, xy_pair)
 from .geometry import Point2, distance, translation_errors, wrap_angle
 from .multilateration import locate_tag
 from .protocol import run_calibration_round
@@ -52,9 +52,10 @@ DEFAULT_SPEED = 0.2          # m/step
 DEFAULT_GAUSSIAN_STD = 0.05  # m, per coordinate per step
 DEFAULT_HEADING_SPREAD = 0.15  # rad, per-node offset from the base heading
 
-# Default tags sit on the segment from anchor 0 toward the deployment
-# centroid: interior for any convex layout, and the region where tag fixes
-# are least sensitive to drift of the frame-defining anchor.
+# Default tags sit on or beside the segment from anchor 0 toward the
+# deployment centroid: the region where tag fixes are least sensitive to
+# drift of the frame-defining anchor. A tag keeps its offset across the
+# segment only where that leaves it inside the anchor hull.
 TAG_ALONG_BASE = 0.2
 TAG_ALONG_STEP = 0.1
 TAG_ACROSS = 0.4
@@ -275,8 +276,12 @@ def _default_tags(anchors: list[Point2], n_tags: int) -> tuple[Point2, ...]:
     for j in range(n_tags):
         along = TAG_ALONG_BASE + TAG_ALONG_STEP * (j % 7)
         across = TAG_ACROSS * ((j % 3) - 1)
-        tags.append(Point2(a0.x + along * dx + across * px,
-                           a0.y + along * dy + across * py))
+        tag = Point2(a0.x + along * dx + across * px,
+                     a0.y + along * dy + across * py)
+        if not point_in_anchor_hull(tag, anchors):
+            # on the segment itself, inside any hull with an interior
+            tag = Point2(a0.x + along * dx, a0.y + along * dy)
+        tags.append(tag)
     return tuple(tags)
 
 
@@ -407,8 +412,8 @@ class _Motion:
     estimates advance by the same executed displacement (odometry reads
     actual motion) plus Uniform(-b, +b) drift per coordinate. Both are
     drawn, summed, checked and converted to lists a block of steps at a
-    time; the estimates are summed only up to the next step at which a
-    periodic trigger can fire, since a calibration restarts them.
+    time; a calibration restarts the estimates, which are then summed
+    again from its step to the block's end.
     """
 
     def __init__(self, cfg: ScenarioConfig, true_xy: np.ndarray,
@@ -417,9 +422,9 @@ class _Motion:
         self.cfg = cfg
         self.velocity, self.jitter = cfg.motion.arrays()
         self.motion_rng, self.drift_rng = motion_rng, drift_rng
-        self.true_xy, self.est_xy = true_xy, est_xy
+        # the last row of est_path is the estimate the next block starts from
+        self.true_xy, self.est_path = true_xy, est_xy[None]
         self.block_start = self.block_stop = 0
-        self.span_start = self.span_stop = 0
 
     def _draw_block(self):
         cfg, n = self.cfg, self.cfg.n_anchors
@@ -436,47 +441,41 @@ class _Motion:
         self.true_ok = np.isfinite(path).all(axis=(1, 2)).tolist()
         self.worlds = path.tolist()
         self.block_start, self.block_stop = start, start + length
+        before, self.est_path = self.est_path[-1], np.empty((length, n, 2))
+        self.frame_ok, self.frames = [], []
+        self._sum_estimates(0, before)
 
-    def _sum_estimates(self, t: int):
-        """Estimates from ``self.est_xy`` for steps t up to the block's end
-        or the next periodic calibration, whichever comes first."""
-        cfg, n = self.cfg, self.cfg.n_anchors
-        stop = self.block_stop
-        if cfg.trigger.kind == "periodic":
-            period = cfg.calibration_period
-            stop = min(stop, max(period, -(-t // period) * period) + 1)
-        a, b = t - self.block_start, stop - self.block_start
-        rows = np.empty((2 * (b - a) + 1, n, 2))
-        rows[0] = self.est_xy
-        rows[1::2] = self.delta[a:b, :n]
-        rows[2::2] = self.drift[a:b]
+    def _sum_estimates(self, k: int, before: np.ndarray):
+        """Estimates for the block's rows k to its end, from ``before``,
+        the estimates of the step before row k."""
+        rows = np.empty((2 * (len(self.drift) - k) + 1,) + before.shape)
+        rows[0] = before
+        rows[1::2] = self.delta[k:, :len(before)]
+        rows[2::2] = self.drift[k:]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.est_path = np.add.accumulate(rows)[2::2]
-            frame = self.est_path - self.est_path[:, :1]
-        self.est_xy = self.est_path[-1]
+            path = self.est_path[k:] = np.add.accumulate(rows)[2::2]
+            frame = path - path[:, :1]
         # a finite frame implies finite estimates, and also that no
         # estimate is so far from anchor 0 that the difference overflows
-        self.frame_ok = np.isfinite(frame).all(axis=(1, 2)).tolist()
-        self.frames = frame.tolist()
-        self.span_start, self.span_stop = t, stop
+        self.frame_ok[k:] = np.isfinite(frame).all(axis=(1, 2)).tolist()
+        self.frames[k:] = frame.tolist()
 
     def advance(self, t: int):
         """Step t's world positions, anchors then tags, and anchor frame
         (``est - est[0]``) as ``(x, y)`` lists; steps come in order."""
         if t == self.block_stop:
             self._draw_block()
-        if t == self.span_stop:
-            self._sum_estimates(t)
-        k, j = t - self.block_start, t - self.span_start
-        if not (self.true_ok[k] and self.frame_ok[j]):
+        k = t - self.block_start
+        if not (self.true_ok[k] and self.frame_ok[k]):
             raise _overflowed(t)
-        return self.worlds[k], self.frames[j]
+        return self.worlds[k], self.frames[k]
 
     def recalibrated(self, t: int, positions) -> list:
         """Restart the estimates at step t from calibrated anchor-frame
         ``positions``, placed at anchor 0's estimate; returns the new frame."""
-        est_xy = self.est_path[t - self.span_start, 0] + _xy(positions)
-        self.est_xy, self.span_stop = est_xy, t + 1
+        k = t - self.block_start
+        est_xy = self.est_path[k] = self.est_path[k, 0] + _xy(positions)
+        self._sum_estimates(k + 1, est_xy)
         return (est_xy - est_xy[0]).tolist()
 
 
@@ -543,7 +542,8 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         world, frame = motion.advance(t)
         truth = world[:n]
         calibrated = False
-        if _trigger_fires(cfg, t, frame, truth):
+        anchor_errors = translation_errors(frame, truth, truth[0])
+        if _trigger_fires(cfg, t, anchor_errors):
             met = _coincident(truth)
             if met:
                 i, j = met[0]
@@ -565,9 +565,9 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                 diagnostics.append(f"step {t}: calibration failed: {exc}")
             if result is not None:
                 frame = motion.recalibrated(t, result.positions)
+                anchor_errors = translation_errors(frame, truth, truth[0])
                 calibrated = True
 
-        anchor_errors = translation_errors(frame, truth, truth[0])
         assert anchor_errors[0] == 0.0
         if math.inf in anchor_errors:
             # an estimate so far out that its error overflows
@@ -597,11 +597,10 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                            diagnostics=diagnostics)
 
 
-def _trigger_fires(cfg: ScenarioConfig, t: int, frame, truth) -> bool:
+def _trigger_fires(cfg: ScenarioConfig, t: int, anchor_errors) -> bool:
     if cfg.trigger.kind == "periodic":
         return t > 0 and t % cfg.calibration_period == 0
-    errors = translation_errors(frame, truth, truth[0])
-    return max(errors) > cfg.trigger.threshold
+    return max(anchor_errors) > cfg.trigger.threshold
 
 
 def _fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
@@ -731,9 +730,6 @@ def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
     )
 
 
-# Every float in an output file carries 9 significant digits (stable goldens).
-FLOAT_FORMAT = "%.9g"
-
 TRACE_HEADER = ["step", "node_kind", "node_id", "true_x", "true_y",
                 "est_x", "est_y", "error_m", "rotation_error_rad",
                 "calibrated"]
@@ -773,37 +769,26 @@ def read_trace_records(path) -> list[TraceRecord]:
     # fields: each is parsed (and so checked) again only when it changes
     last_step_s = last_rot_s = last_cal_s = None
     step = entry = None
-    with csv_rows(path) as reader:
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise CsvFormatError(
-                f"expected header {','.join(TRACE_HEADER)!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRACE_HEADER):
-                if not row:
-                    continue
-                raise CsvFormatError(
-                    f"expected {len(TRACE_HEADER)} columns, got {len(row)}",
-                    line=lineno)
-            step_s, kind, node_s, _, _, _, _, err_s, rot_s, cal_s = row
-            try:
-                if step_s != last_step_s:
-                    step, last_step_s = int(step_s), step_s
-                node_id = int(node_s)
-                err = math.nan if err_s == "" else float(err_s)
-                if rot_s != last_rot_s:
-                    rot, last_rot_s = float(rot_s), rot_s
-                if cal_s != last_cal_s:
-                    cal, last_cal_s = bool(int(cal_s)), cal_s
-            except ValueError as exc:
-                raise CsvFormatError(str(exc), line=lineno) from exc
-            if kind not in ("anchor", "tag"):
-                raise CsvFormatError(f"unknown node_kind {kind!r}", line=lineno)
-            if entry is None or entry[0] != step:
-                entry = steps.get(step)
-                if entry is None:
-                    entry = steps[step] = (step, {}, {}, rot, cal)
-            entry[1 if kind == "anchor" else 2][node_id] = err
+    for lineno, row in csv_rows(path, TRACE_HEADER):
+        step_s, kind, node_s, _, _, _, _, err_s, rot_s, cal_s = row
+        try:
+            if step_s != last_step_s:
+                step, last_step_s = int(step_s), step_s
+            node_id = int(node_s)
+            err = math.nan if err_s == "" else float(err_s)
+            if rot_s != last_rot_s:
+                rot, last_rot_s = float(rot_s), rot_s
+            if cal_s != last_cal_s:
+                cal, last_cal_s = bool(int(cal_s)), cal_s
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=lineno) from exc
+        if kind not in ("anchor", "tag"):
+            raise CsvFormatError(f"unknown node_kind {kind!r}", line=lineno)
+        if entry is None or entry[0] != step:
+            entry = steps.get(step)
+            if entry is None:
+                entry = steps[step] = (step, {}, {}, rot, cal)
+        entry[1 if kind == "anchor" else 2][node_id] = err
     if not steps:
         raise CsvFormatError("trace has no data rows")
     records = []

@@ -43,12 +43,45 @@ def apply_drift(est_xy: np.ndarray, drift_bound: float,
     return est_xy + rng.uniform(-1.0, 1.0, est_xy.shape) * drift_bound
 
 
+def _directed(d: DistanceStatsMatrix, i: int, j: int) -> tuple[int, float]:
+    stats = d.pair(i, j)
+    return (0, 0.0) if stats is None else (stats.count, float(stats.mean))
+
+
+def sym_mean(d: DistanceStatsMatrix, i: int, j: int) -> float:
+    """Count-weighted mean of the (i,j) and (j,i) directed means, per pair:
+    the oracle for ``DistanceStatsMatrix.sym_table``, which forms every
+    pair's mean in one pass."""
+    (c_ij, m_ij), (c_ji, m_ji) = _directed(d, i, j), _directed(d, j, i)
+    total = c_ij + c_ji
+    if total == 0:
+        raise KeyError(f"pair ({i},{j}) has no measurements")
+    return (c_ij * m_ij + c_ji * m_ji) / total
+
+
+def unordered_pairs(d: DistanceStatsMatrix) -> list[tuple[int, int]]:
+    """All (i, j) with i < j for which at least one direction was measured:
+    the oracle for the pairs of ``DistanceStatsMatrix.sym_table``."""
+    n = d.n_anchors
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if d.pair(i, j) is not None or d.pair(j, i) is not None]
+
+
+def equal_stats(a: DistanceStatsMatrix, b: DistanceStatsMatrix) -> bool:
+    """True if both matrices hold the same statistics for every directed
+    pair."""
+    n = a.n_anchors
+    return n == b.n_anchors and all(
+        a.pair(i, j) == b.pair(i, j)
+        for i in range(n) for j in range(n) if i != j)
+
+
 def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
     """The anchor-network residual function built densely: the oracle for
     ``autocalib.network_residuals``, which gathers J from a precomputed
     index map.
 
-    Targets come from ``unordered_pairs()`` and ``sym_mean()``; every
+    Targets come from ``unordered_pairs`` and ``sym_mean`` above; every
     evaluation zero-fills an ``(m, n, 2)`` Jacobian, scatters +unit and
     -unit into it and gathers the free columns (all but anchor 0's, and
     anchor 1's y when ``fix_a1_axis``).
@@ -57,9 +90,9 @@ def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
     free_cols = np.arange(2, 2 * n)
     if fix_a1_axis:
         free_cols = free_cols[free_cols != 3]
-    pairs = d.unordered_pairs()
+    pairs = unordered_pairs(d)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    targets = np.array([d.sym_mean(i, j) for i, j in pairs])
+    targets = np.array([sym_mean(d, i, j) for i, j in pairs])
     m, rows = len(pairs), np.arange(len(pairs))
 
     def fun(free):

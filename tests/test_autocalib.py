@@ -16,8 +16,8 @@ from uwbcal.geometry import Point2, distance, rotation_error
 from uwbcal.leastsq import levenberg_marquardt, objective_and_gradient
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
-from conftest import (GOLDEN_FRAME, dense_network_residuals, exact_matrix,
-                      rotated)
+from conftest import (GOLDEN_FRAME, dense_network_residuals, equal_stats,
+                      exact_matrix, rotated, sym_mean, unordered_pairs)
 
 
 def free_vector(positions, fix_a1_axis=False):
@@ -45,11 +45,12 @@ class TestDistanceStatsMatrix:
         m.set_pair(0, 2, 5.0, 0.0, 2)
         m.set_pair(1, 2, 6.0, 0.0, 2)
         # count-weighted: (1*10 + 3*11) / 4
-        assert m.sym_mean(0, 1) == pytest.approx(10.75)
-        assert m.sym_mean(1, 0) == pytest.approx(10.75)
-        assert m.sym_count(0, 1) == 4
+        pairs, targets = m.sym_table()
+        assert pairs == ((0, 1), (0, 2), (1, 2))
+        assert targets[0] == pytest.approx(10.75)
+        assert sym_mean(m, 0, 1) == sym_mean(m, 1, 0) == targets[0]
+        assert m.pair(0, 1).count + m.pair(1, 0).count == 4
         assert m.pair(2, 0) is None
-        assert m.unordered_pairs() == [(0, 1), (0, 2), (1, 2)]
         assert m.missing_pairs() == []
 
     def test_validation(self):
@@ -71,7 +72,7 @@ class TestDistanceStatsMatrix:
         bulk.set_pairs(i, j, mean, std, 5)
         for args in zip(i.tolist(), j.tolist(), mean.tolist(), std.tolist()):
             loop.set_pair(*args, 5)
-        assert bulk.equal_stats(loop)
+        assert equal_stats(bulk, loop)
         assert bulk.missing_pairs() == [] and loop.missing_pairs() == []
 
     @pytest.mark.parametrize("i,j,mean,std,count,named", [
@@ -181,7 +182,7 @@ class TestRefineLse:
             total = 0.0
             for i, j in ((0, 1), (0, 2), (1, 2)):
                 total += (distance(positions[i], positions[j])
-                          - m.sym_mean(i, j)) ** 2
+                          - sym_mean(m, i, j)) ** 2
             return total
 
         best = objective(result.positions)
@@ -336,9 +337,9 @@ class TestDistanceCsv:
         save_distance_csv(m, path)
         loaded = load_distance_csv(path)
         assert loaded.n_anchors == 5
-        for i, j in m.unordered_pairs():
-            assert loaded.sym_mean(i, j) == pytest.approx(m.sym_mean(i, j),
-                                                          rel=1e-8)
+        for i, j in unordered_pairs(m):
+            assert sym_mean(loaded, i, j) == pytest.approx(sym_mean(m, i, j),
+                                                           rel=1e-8)
 
     def test_missing_pair_is_named(self, tmp_path):
         path = tmp_path / "missing.csv"
@@ -399,9 +400,9 @@ class TestPairTable:
             m = random_matrix(rng, int(rng.integers(4, 8)), one_way,
                               unmeasured)
             pairs, targets = m.sym_table()
-            assert list(pairs) == m.unordered_pairs()
+            assert list(pairs) == unordered_pairs(m)
             assert [t.hex() for t in targets] == [
-                float(m.sym_mean(i, j)).hex() for i, j in pairs]
+                sym_mean(m, i, j).hex() for i, j in pairs]
 
 
 class TestResidualFunction:
@@ -455,7 +456,7 @@ def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
                               flat[free_cols])
     flat = np.zeros(2 * n)
     flat[free_cols] = lsq.x
-    n_pairs = len(corrected.unordered_pairs())
+    n_pairs = len(unordered_pairs(corrected))
     result = CalibrationResult(
         positions=tuple(Point2(*p) for p in flat.reshape(n, 2)),
         rms_residual=math.sqrt(lsq.objective / n_pairs),

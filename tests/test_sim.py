@@ -419,6 +419,21 @@ class TestRunScenario:
         assert all(len(r.anchor_errors) == 5 for r in trace.records)
         assert trace.config["initial_anchor_positions"][4] == [4.0, 22.0]
 
+    def test_three_anchor_default_layout(self):
+        # the first three survey anchors span a thin hull; a default tag
+        # whose offset across the anchor-0-to-centroid segment leaves it
+        # sits on the segment instead
+        trace = run_scenario(ScenarioConfig.from_dict({"n_anchors": 3}))
+        assert len(trace.records) == 55
+        anchors = [Point2(*p)
+                   for p in trace.config["initial_anchor_positions"]]
+        tags = trace.config["initial_tag_positions"]
+        assert len(tags) == 3
+        assert all(point_in_anchor_hull(Point2(*t), anchors) for t in tags)
+        many = resolve_config(ScenarioConfig(n_anchors=3, n_tags=64))
+        assert all(point_in_anchor_hull(t, anchors)
+                   for t in many.initial_tag_positions)
+
     def test_tag_errors_insensitive_to_calibration_timing_at_zero_drift(self):
         # tags are located fresh each step, so with no drift the calibration
         # cadence barely matters
@@ -465,7 +480,8 @@ def run_per_step(cfg):
         world, frame = true_xy.tolist(), frame_xy.tolist()
         truth = world[:n]
         calibrated = False
-        if sim._trigger_fires(cfg, t, frame, truth):
+        if sim._trigger_fires(cfg, t,
+                              translation_errors(frame, truth, truth[0])):
             stats, _ = run_calibration_round(
                 n, cfg.k_measurements, truth, model, ranging_rng)
             try:
@@ -514,12 +530,13 @@ class TestMotionBlocks:
     def test_block_edges(self, n_steps):
         assert_same_as_per_step(ScenarioConfig(seed=21, n_steps=n_steps))
 
-    @pytest.mark.parametrize("period", [MOTION_BLOCK - 1, MOTION_BLOCK])
+    @pytest.mark.parametrize("period", [7, MOTION_BLOCK - 1, MOTION_BLOCK])
     def test_calibration_on_a_blocks_last_or_first_step(self, period):
         cfg = ScenarioConfig(seed=22, n_steps=2 * MOTION_BLOCK + 1,
                              calibration_period=period, n_tags=1)
         assert_same_as_per_step(cfg)
-        # period B-1 fires on block 0's last step, period B on block 1's first
+        # period B-1 fires on block 0's last step, period B on block 1's
+        # first; period 7 restarts the estimates several times in a block
         steps = [r.step for r in run_scenario(cfg).records if r.calibrated]
         assert steps == list(range(period, 2 * MOTION_BLOCK + 1, period))
 
@@ -698,7 +715,9 @@ class TestTraceCsv:
     def test_header_and_shape_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(CsvFormatError, match=re.escape(
+                f"line 1: expected header {','.join(TRACE_HEADER)!r}, "
+                f"got ['nope']")):
             read_trace_records(bad)
         empty = tmp_path / "empty.csv"
         empty.write_text("step,node_kind,node_id,true_x,true_y,est_x,est_y,"
