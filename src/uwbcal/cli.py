@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -159,7 +160,11 @@ def cmd_summarize(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing does not change it, and each command looks up what it calls at
+    call time."""
     parser = argparse.ArgumentParser(
         prog="uwbcal",
         description="UWB anchor autocalibration, tag localization, and "

@@ -2,7 +2,8 @@
 
 One small dense solver for the anchor-network refinement, the range-residual
 kernel it builds its residual functions on, and :func:`fit_point`, the same
-iteration written out on Python floats for the two-unknown tag fix.
+iteration written out on Python floats for the two-unknown tag fix, taking
+damped Newton steps where the objective is convex.
 Problems here have at most a few dozen residuals and ~10 unknowns, so the
 normal equations are formed directly.
 """
@@ -132,13 +133,16 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
 
 
 def _point_normal_equations(terms, x: float, y: float):
-    """Objective, J^T r and J^T J of the range residuals at (x, y).
+    """Objective, J^T r and the step matrix of the range residuals at (x, y).
 
     ``terms`` holds one (anchor x, anchor y, range) triple per residual; the
     coincident-point nudge is the one :func:`range_residuals` applies.
-    Returns (f, g0, g1, h00, h01, h11) with g = J^T r and h = J^T J.
+    Returns (f, g0, g1, h00, h01, h11) with g = J^T r. The matrix h is the
+    Hessian of f / 2, J^T J plus each residual's curvature r/d (I - u u^T),
+    when that is positive definite, so steps are damped Newton steps;
+    otherwise (far from a minimum, or on an anchor) it is J^T J.
     """
-    f = g0 = g1 = h00 = h01 = h11 = 0.0
+    f = g0 = g1 = h00 = h01 = h11 = k00 = k01 = k11 = 0.0
     for ax, ay, target in terms:
         dx, dy = x - ax, y - ay
         dist = math.hypot(dx, dy)
@@ -146,12 +150,20 @@ def _point_normal_equations(terms, x: float, y: float):
             dx, dy, dist = COINCIDENT_EPS, 0.0, COINCIDENT_EPS
         r = dist - target
         ux, uy = dx / dist, dy / dist
+        c = r / dist
+        xx, xy, yy = ux * ux, ux * uy, uy * uy
         f += r * r
         g0 += ux * r
         g1 += uy * r
-        h00 += ux * ux
-        h01 += ux * uy
-        h11 += uy * uy
+        h00 += xx
+        h01 += xy
+        h11 += yy
+        k00 += c * yy
+        k01 += c * xy
+        k11 += c * xx
+    n00, n01, n11 = h00 + k00, h01 - k01, h11 + k11
+    if n00 > 0.0 and n00 * n11 - n01 * n01 > 0.0:
+        return f, g0, g1, n00, n01, n11
     return f, g0, g1, h00, h01, h11
 
 
@@ -162,9 +174,13 @@ def fit_point(anchors_xy, ranges, x0,
     The iteration of :func:`levenberg_marquardt` on the residuals
     |p - a_i| - r_i, with the same constants and accept, reject and stop
     rules, written on Python floats: the 2x2 damped system is solved in
-    closed form. A zero or non-finite determinant or step is treated like an
-    unsolvable system there: damping grows, and :class:`SingularUpdate` is
-    raised past ``DAMPING_MAX``. ``anchors_xy`` holds (x, y) pairs, one per
+    closed form. Where the objective is locally convex the damped matrix is
+    the full Hessian rather than J^T J (see :func:`_point_normal_equations`),
+    so the iteration converges quadratically on residuals that are not zero
+    at the optimum, where Gauss-Newton only converges linearly. A zero or
+    non-finite determinant or step is treated like an unsolvable system
+    there: damping grows, and :class:`SingularUpdate` is raised past
+    ``DAMPING_MAX``. ``anchors_xy`` holds (x, y) pairs, one per
     range; ``x0`` is the (x, y) start.
     """
     terms = [(float(ax), float(ay), float(t))

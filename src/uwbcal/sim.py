@@ -31,11 +31,10 @@ from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
                      CsvFormatError, DegenerateGeometry, EmptyTrace,
                      NotConverged, SingularUpdate, csv_rows, finite_number,
                      integer, json_object, xy_pair)
-from .geometry import Point2, distance, translation_errors, wrap_angle
+from .geometry import Point2, wrap_angle
 from .multilateration import locate_tag
 from .protocol import run_calibration_round
-from .ranging import (RangingModel, correct_measurement, reference_model,
-                      simulate_measurement)
+from .ranging import RangingModel, reference_model
 
 # Anchor layout used when a scenario does not provide one (first n entries).
 DEFAULT_ANCHOR_LAYOUT = (
@@ -542,7 +541,9 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         world, frame = motion.advance(t)
         truth = world[:n]
         calibrated = False
-        anchor_errors = translation_errors(frame, truth, truth[0])
+        x0, y0 = truth[0]
+        est_pos = [(x + x0, y + y0) for x, y in frame]
+        anchor_errors = list(map(math.dist, est_pos, truth))
         if _trigger_fires(cfg, t, anchor_errors):
             met = _coincident(truth)
             if met:
@@ -565,25 +566,22 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                 diagnostics.append(f"step {t}: calibration failed: {exc}")
             if result is not None:
                 frame = motion.recalibrated(t, result.positions)
-                anchor_errors = translation_errors(frame, truth, truth[0])
+                est_pos = [(x + x0, y + y0) for x, y in frame]
+                anchor_errors = list(map(math.dist, est_pos, truth))
                 calibrated = True
 
         assert anchor_errors[0] == 0.0
         if math.inf in anchor_errors:
             # an estimate so far out that its error overflows
             raise _overflowed(t)
-        (x0, y0), (x1, y1), (fx, fy) = truth[0], truth[1], frame[1]
+        (x1, y1), (fx, fy) = truth[1], frame[1]
         rotation = wrap_angle(math.atan2(fy, fx)
                               - math.atan2(y1 - y0, x1 - x0))
 
-        est_pos = [(x + x0, y + y0) for x, y in frame]
-        tag_errors = []
-        for tag_id, tag_true in enumerate(world[n:]):
-            est_world, err = _fix_tag(tag_true, truth, frame, model,
-                                      correction, ranging_rng,
-                                      diagnostics, t, tag_id)
-            tag_errors.append(err)
-            est_pos.append(est_world)
+        fixes = _fix_tags(world[n:], truth, frame, model, correction,
+                          ranging_rng, diagnostics, t)
+        est_pos += [est for est, _ in fixes]
+        tag_errors = [err for _, err in fixes]
 
         records.append(TraceRecord(step=t,
                                    anchor_errors=tuple(anchor_errors),
@@ -603,28 +601,50 @@ def _trigger_fires(cfg: ScenarioConfig, t: int, anchor_errors) -> bool:
     return max(anchor_errors) > cfg.trigger.threshold
 
 
-def _fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
-             diagnostics, step, tag_id):
-    true_d = [distance(tag_true, a) for a in truth_anchors]
-    if 0.0 in true_d:
-        diagnostics.append(f"step {step}: tag {tag_id} coincides with anchor "
-                           f"{true_d.index(0.0)} and cannot range it")
-        return None, math.nan
-    measured = [simulate_measurement(d, model, rng) for d in true_d]
-    ranges = [correct_measurement(m, correction) for m in measured]
-    if min(ranges) <= 0.0:
-        diagnostics.append(
-            f"step {step}: tag {tag_id} produced a non-positive corrected range")
-        return None, math.nan
-    try:
-        fix = locate_tag(frame, ranges)
-    except (CollinearAnchors, NotConverged, DegenerateGeometry,
-            SingularUpdate) as exc:
-        diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
-        return None, math.nan
-    (fx, fy), (x0, y0) = fix.position, truth_anchors[0]
-    est = (fx + x0, fy + y0)
-    return est, distance(est, tag_true)
+def _fix_tags(tags_true, truth_anchors, frame, model, correction, rng,
+              diagnostics, step):
+    """Fix every tag of a step from fresh bias-corrected ranges.
+
+    The ranging noise of all tags comes from one draw, tag by tag and anchor
+    by anchor; a tag that coincides with an anchor draws nothing. Ranges are
+    formed as :func:`~uwbcal.ranging.simulate_measurement` and
+    :func:`~uwbcal.ranging.correct_measurement` form them, on floats, so the
+    stream and the ranges are those of one such call per range. Returns the
+    world estimate (None for a failed fix) and the error of each tag.
+    """
+    slope, intercept, noise_std = model.slope, model.intercept, model.noise_std
+    c_slope, c_intercept = correction.slope, correction.intercept
+    true_d = [[math.hypot(tx - ax, ty - ay) for ax, ay in truth_anchors]
+              for tx, ty in tags_true]
+    live = sum(0.0 not in d for d in true_d)
+    n = len(truth_anchors)
+    noise = rng.standard_normal(live * n).tolist()
+    (x0, y0), out, k = truth_anchors[0], [], 0
+    for tag_id, (tag_true, dists) in enumerate(zip(tags_true, true_d)):
+        if 0.0 in dists:
+            diagnostics.append(f"step {step}: tag {tag_id} coincides with "
+                               f"anchor {dists.index(0.0)} and cannot range it")
+            out.append((None, math.nan))
+            continue
+        ranges = [(slope * d + intercept + noise_std * z - c_intercept)
+                  / c_slope for d, z in zip(dists, noise[k:k + n])]
+        k += n
+        if min(ranges) <= 0.0:
+            diagnostics.append(f"step {step}: tag {tag_id} produced a "
+                               f"non-positive corrected range")
+            out.append((None, math.nan))
+            continue
+        try:
+            fix = locate_tag(frame, ranges)
+        except (CollinearAnchors, NotConverged, DegenerateGeometry,
+                SingularUpdate) as exc:
+            diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
+            out.append((None, math.nan))
+            continue
+        fx, fy = fix.position
+        est = (fx + x0, fy + y0)
+        out.append((est, math.dist(est, tag_true)))
+    return out
 
 
 @dataclass(frozen=True)

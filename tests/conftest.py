@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from uwbcal.autocalib import DistanceStatsMatrix
+from uwbcal.errors import (CollinearAnchors, DegenerateGeometry,
+                           NotConverged, SingularUpdate)
 from uwbcal.geometry import Point2, distance
 from uwbcal.leastsq import range_residuals
+from uwbcal.multilateration import locate_tag
+from uwbcal.ranging import correct_measurement, simulate_measurement
 
 # Surveyed desk-scale deployment used as the golden reconstruction case:
 # five anchors and one tag, with anchor 1 due east of anchor 0 so the
@@ -41,6 +45,38 @@ def apply_drift(est_xy: np.ndarray, drift_bound: float,
     """One step of odometry error, drawn per step: Uniform(-b, +b) per
     coordinate, independently for every anchor estimate."""
     return est_xy + rng.uniform(-1.0, 1.0, est_xy.shape) * drift_bound
+
+
+def fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
+            diagnostics, step, tag_id):
+    """One tag's fix from ranges drawn one at a time: the oracle for
+    ``sim._fix_tags``, which draws the noise of every tag of a step at once.
+
+    Ranges to the true anchors go through ``simulate_measurement`` and
+    ``correct_measurement``; the fix is made against the anchor ``frame``
+    and placed at anchor 0's true position. Returns the world estimate and
+    its error, or ``(None, nan)`` with a diagnostic appended.
+    """
+    true_d = [distance(tag_true, a) for a in truth_anchors]
+    if 0.0 in true_d:
+        diagnostics.append(f"step {step}: tag {tag_id} coincides with anchor "
+                           f"{true_d.index(0.0)} and cannot range it")
+        return None, math.nan
+    measured = [simulate_measurement(d, model, rng) for d in true_d]
+    ranges = [correct_measurement(m, correction) for m in measured]
+    if min(ranges) <= 0.0:
+        diagnostics.append(
+            f"step {step}: tag {tag_id} produced a non-positive corrected range")
+        return None, math.nan
+    try:
+        fix = locate_tag(frame, ranges)
+    except (CollinearAnchors, NotConverged, DegenerateGeometry,
+            SingularUpdate) as exc:
+        diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
+        return None, math.nan
+    (fx, fy), (x0, y0) = fix.position, truth_anchors[0]
+    est = (fx + x0, fy + y0)
+    return est, distance(est, tag_true)
 
 
 def _directed(d: DistanceStatsMatrix, i: int, j: int) -> tuple[int, float]:

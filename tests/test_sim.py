@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import uwbcal.sim as sim
-from conftest import apply_drift, step_motion
+from conftest import apply_drift, fix_tag, step_motion
 from uwbcal.autocalib import calibrate
 from uwbcal.errors import (CollinearAnchors, ConfigError, CsvFormatError,
                            EmptyTrace, NotConverged, SingularUpdate,
                            finite_number, integer)
 from uwbcal.geometry import Point2, translation_errors, wrap_angle
+from uwbcal.leastsq import MAX_ITERATIONS
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, SCALAR_KEYS,
@@ -434,6 +435,19 @@ class TestRunScenario:
         assert all(point_in_anchor_hull(t, anchors)
                    for t in many.initial_tag_positions)
 
+    def test_three_anchor_tag_fixes_stop_clear_of_the_cap(self):
+        # Gauss-Newton steps crawled into the iteration cap on 235 of these
+        # 3,300 fixes; only the step-40 collinear fixes of seed 0 may fail
+        capped = f"stopped after {MAX_ITERATIONS} iterations"
+        failed = []
+        for seed in range(20):
+            trace = run_scenario(ScenarioConfig.from_dict(
+                {"n_anchors": 3, "seed": seed}))
+            assert not [d for d in trace.diagnostics if capped in d]
+            failed += [(seed, r.step) for r in trace.records
+                       for e in r.tag_errors if math.isnan(e)]
+        assert failed == [(0, 40)] * 3
+
     def test_tag_errors_insensitive_to_calibration_timing_at_zero_drift(self):
         # tags are located fresh each step, so with no drift the calibration
         # cadence barely matters
@@ -447,7 +461,8 @@ class TestRunScenario:
 
 def run_per_step(cfg):
     """``run_scenario`` with motion and drift drawn and added one step at a
-    time through the conftest oracle: the reference for the block loop."""
+    time, and tags fixed one at a time, through the conftest oracles: the
+    reference for the block loop and for ``sim._fix_tags``."""
     seq = np.random.SeedSequence(cfg.seed).spawn(4)
     params_rng, motion_rng, drift_rng, ranging_rng = (
         np.random.default_rng(s) for s in seq)
@@ -498,9 +513,9 @@ def run_per_step(cfg):
         est_pos = [(x + x0, y + y0) for x, y in frame]
         tag_errors = []
         for tag_id, tag_true in enumerate(world[n:]):
-            est_world, err = sim._fix_tag(tag_true, truth, frame, model,
-                                          correction, ranging_rng,
-                                          diagnostics, t, tag_id)
+            est_world, err = fix_tag(tag_true, truth, frame, model,
+                                     correction, ranging_rng, diagnostics, t,
+                                     tag_id)
             tag_errors.append(err)
             est_pos.append(est_world)
         records.append(TraceRecord(
@@ -565,6 +580,43 @@ class TestMotionBlocks:
             motion=MotionTable(anchors=(fast, still, still), tags=()))
         message = assert_same_as_per_step(cfg)
         assert message.startswith(f"ConfigError: step {last}: node positions")
+
+class TestFixTags:
+    @pytest.mark.parametrize("noise_std", [0.0, 0.058, 4.0])
+    def test_matches_per_tag_oracle(self, noise_std):
+        # tag 1 sits on anchor 2 and draws nothing; at 4 m noise some
+        # corrected ranges come out non-positive
+        truth = [tuple(p) for p in DEFAULT_ANCHOR_LAYOUT[:4]]
+        frame = [(x - 2.0 + 0.1 * i, y - 3.0 - 0.05 * i)
+                 for i, (x, y) in enumerate(truth)]
+        tags = [(9.0, 11.0), truth[2], (6.5, 8.25), (14.0, 15.0)]
+        model = RangingModel(1.01, 0.02, noise_std, 2)
+        correction = RangingModel(1.005, 0.01, noise_std, 2)
+        seen = []
+        for seed in range(12):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            diagnostics, oracle_diagnostics = [], []
+            fixes = sim._fix_tags(tags, truth, frame, model, correction, rng,
+                                  diagnostics, 7)
+            oracle = [fix_tag(tag, truth, frame, model, correction,
+                              oracle_rng, oracle_diagnostics, 7, tag_id)
+                      for tag_id, tag in enumerate(tags)]
+            assert repr(fixes) == repr(oracle)
+            assert diagnostics == oracle_diagnostics
+            assert rng.standard_normal() == oracle_rng.standard_normal()
+            seen += diagnostics
+        assert any("tag 1 coincides with anchor 2" in d for d in seen)
+        assert any("non-positive corrected range" in d for d in seen) == \
+            (noise_std == 4.0)
+
+    def test_no_tags_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        truth = [tuple(p) for p in DEFAULT_ANCHOR_LAYOUT[:3]]
+        assert sim._fix_tags([], truth, truth, NOISELESS, NOISELESS, rng, [],
+                             0) == []
+        assert rng.standard_normal() == \
+            np.random.default_rng(3).standard_normal()
+
 
 class TestSummaries:
     def test_constant_trace_quartiles(self):
