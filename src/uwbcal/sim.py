@@ -8,6 +8,10 @@ drift is what the periodic recalibration has to clean up. Tags are located
 fresh at every step from bias-corrected ranges against the *estimated*
 anchor positions.
 
+A run takes two passes: the step loop draws and decides everything in
+stream order, then one call of the multilateration kernel makes every tag
+fix of the run.
+
 Errors are always reported in the anchor frame re-anchored at anchor 0's
 true position: anchor 0's own translation error is zero by construction and
 frame rotation is reported separately, as the angle between the estimated
@@ -27,12 +31,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .autocalib import calibrate
-from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
-                     CsvFormatError, DegenerateGeometry, EmptyTrace,
+from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
                      NotConverged, SingularUpdate, csv_rows, finite_number,
                      integer, json_object, xy_pair)
 from .geometry import Point2, wrap_angle
-from .multilateration import locate_tag
+# locate_tag is not called here; bench/tracing.py hooks this name for its
+# multilateration metrics until ROADMAP item 8 retires the tracer
+from .multilateration import CONVERGED, locate_tag, solve_fixes  # noqa: F401
 from .protocol import run_calibration_round
 from .ranging import RangingModel, reference_model
 
@@ -505,14 +510,20 @@ class SimulationTrace:
 def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> SimulationTrace:
     """Execute a full scenario; deterministic for a fixed config and seed.
 
-    Per step: motion, drift, recalibration when triggered (warm-started from
-    the current estimates), then one fix per tag from fresh bias-corrected
-    ranges, then metric recording. Module errors during a tag fix or a
-    calibration become diagnostics instead of aborting the run; a warm
-    calibration whose update is singular keeps the previous estimates, and
-    its step is not marked calibrated. Positions
-    that overflow, or anchors that meet at a calibration, raise
-    :class:`ConfigError`: the scenario's motion cannot be simulated.
+    Two passes. The step loop decides the run: per step, motion, drift,
+    recalibration when triggered (warm-started from the current estimates),
+    the metrics of the anchors, and each tag's fresh bias-corrected ranges,
+    all drawn in stream order. After the loop, every tag fix of the run is
+    made in one :func:`~uwbcal.multilateration.solve_fixes` call, and the
+    records are assembled. No control decision depends on a tag fix, so
+    the passes give what one loop fixing each tag at its step would.
+
+    Module errors during a tag fix or a calibration become diagnostics,
+    in step order, instead of aborting the run; a warm calibration whose
+    update is singular keeps the previous estimates, and its step is not
+    marked calibrated. Positions that overflow, or anchors that meet at a
+    calibration, raise :class:`ConfigError`: the scenario's motion cannot be
+    simulated.
     """
     cfg = resolve_config(cfg)  # draws any default motion from stream 0
     motion_rng, drift_rng, ranging_rng = map(
@@ -524,7 +535,8 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     stats, _ = run_calibration_round(n, cfg.k_measurements,
                                      cfg.initial_anchor_positions, model,
                                      ranging_rng)
-    diagnostics: list[str] = []
+    # messages, and the queue index of each tag fix still to be made
+    diagnostics: list[str | int] = []
     try:
         result = calibrate(stats, correction)
     except NotConverged as exc:
@@ -535,7 +547,8 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     true_xy = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
     motion = _Motion(cfg, true_xy, true_xy[0] + _xy(result.positions),
                      motion_rng, drift_rng)
-    records: list[TraceRecord] = []
+    tag_fixes = _TagFixes(model, correction)
+    steps = []
 
     for t in range(cfg.n_steps):
         world, frame = motion.advance(t)
@@ -577,20 +590,21 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         (x1, y1), (fx, fy) = truth[1], frame[1]
         rotation = wrap_angle(math.atan2(fy, fx)
                               - math.atan2(y1 - y0, x1 - x0))
+        steps.append((anchor_errors, rotation, calibrated, world, est_pos,
+                      len(tag_fixes.errors)))
+        tag_fixes.draw(t, world[n:], truth, frame, ranging_rng, diagnostics)
 
-        fixes = _fix_tags(world[n:], truth, frame, model, correction,
-                          ranging_rng, diagnostics, t)
-        est_pos += [est for est, _ in fixes]
-        tag_errors = [err for _, err in fixes]
-
-        records.append(TraceRecord(step=t,
-                                   anchor_errors=tuple(anchor_errors),
-                                   tag_errors=tuple(tag_errors),
-                                   rotation_error=rotation,
-                                   calibrated=calibrated,
-                                   true_positions=tuple(map(tuple, world)),
-                                   est_positions=tuple(est_pos)))
-
+    tag_fixes.solve(diagnostics)
+    n_tags = cfg.n_tags
+    records = [
+        TraceRecord(step=t, anchor_errors=tuple(anchor_errors),
+                    tag_errors=tuple(tag_fixes.errors[k:k + n_tags]),
+                    rotation_error=rotation, calibrated=calibrated,
+                    true_positions=tuple(map(tuple, world)),
+                    est_positions=tuple(est_pos
+                                        + tag_fixes.estimates[k:k + n_tags]))
+        for t, (anchor_errors, rotation, calibrated, world, est_pos, k)
+        in enumerate(steps)]
     return SimulationTrace(config=cfg.to_dict(), records=records,
                            diagnostics=diagnostics)
 
@@ -601,50 +615,89 @@ def _trigger_fires(cfg: ScenarioConfig, t: int, anchor_errors) -> bool:
     return max(anchor_errors) > cfg.trigger.threshold
 
 
-def _fix_tags(tags_true, truth_anchors, frame, model, correction, rng,
-              diagnostics, step):
-    """Fix every tag of a step from fresh bias-corrected ranges.
+class _TagFixes:
+    """The tag fixes of a run: ranges step by step, fixes after the loop.
 
-    The ranging noise of all tags comes from one draw, tag by tag and anchor
-    by anchor; a tag that coincides with an anchor draws nothing. Ranges are
-    formed as :func:`~uwbcal.ranging.simulate_measurement` and
-    :func:`~uwbcal.ranging.correct_measurement` form them, on floats, so the
-    stream and the ranges are those of one such call per range. Returns the
-    world estimate (None for a failed fix) and the error of each tag.
+    :meth:`draw` forms a step's bias-corrected ranges, as
+    :func:`~uwbcal.ranging.simulate_measurement` and
+    :func:`~uwbcal.ranging.correct_measurement` form them but on floats,
+    from one noise draw for all its tags (tag by tag, anchor by anchor; a
+    tag that coincides with an anchor draws nothing), so the stream and the
+    ranges are those of one such call per range. It queues each tag's fix.
+    :meth:`solve` then makes every queued fix in one
+    :func:`~uwbcal.multilateration.solve_fixes` call. ``estimates`` and
+    ``errors`` hold, per step and tag, the world estimate (None for a
+    failed fix) and its error (NaN).
     """
-    slope, intercept, noise_std = model.slope, model.intercept, model.noise_std
-    c_slope, c_intercept = correction.slope, correction.intercept
-    true_d = [[math.hypot(tx - ax, ty - ay) for ax, ay in truth_anchors]
-              for tx, ty in tags_true]
-    live = sum(0.0 not in d for d in true_d)
-    n = len(truth_anchors)
-    noise = rng.standard_normal(live * n).tolist()
-    (x0, y0), out, k = truth_anchors[0], [], 0
-    for tag_id, (tag_true, dists) in enumerate(zip(tags_true, true_d)):
-        if 0.0 in dists:
-            diagnostics.append(f"step {step}: tag {tag_id} coincides with "
-                               f"anchor {dists.index(0.0)} and cannot range it")
-            out.append((None, math.nan))
-            continue
-        ranges = [(slope * d + intercept + noise_std * z - c_intercept)
-                  / c_slope for d, z in zip(dists, noise[k:k + n])]
-        k += n
-        if min(ranges) <= 0.0:
-            diagnostics.append(f"step {step}: tag {tag_id} produced a "
-                               f"non-positive corrected range")
-            out.append((None, math.nan))
-            continue
-        try:
-            fix = locate_tag(frame, ranges)
-        except (CollinearAnchors, NotConverged, DegenerateGeometry,
-                SingularUpdate) as exc:
-            diagnostics.append(f"step {step}: tag {tag_id} fix failed: {exc}")
-            out.append((None, math.nan))
-            continue
-        fx, fy = fix.position
-        est = (fx + x0, fy + y0)
-        out.append((est, math.dist(est, tag_true)))
-    return out
+
+    def __init__(self, model: RangingModel, correction: RangingModel):
+        self.model, self.correction = model, correction
+        self.estimates: list[tuple[float, float] | None] = []
+        self.errors: list[float] = []
+        self.frames = []  # the anchor frame of each step
+        self.ranges: list[float] = []  # N per queued fix
+        # per queued fix: its frame, slot in estimates, step, tag, and
+        # anchor 0's and the tag's true positions
+        self.queue = []
+
+    def draw(self, step, tags_true, truth_anchors, frame, rng, diagnostics):
+        """Draw step ``step``'s ranges and queue its fixes. A tag that
+        coincides with an anchor or has a non-positive corrected range fails
+        with a diagnostic; a queued fix appends its queue index to
+        ``diagnostics``, which :meth:`solve` resolves."""
+        m, c = self.model, self.correction
+        slope, intercept, noise_std = m.slope, m.intercept, m.noise_std
+        true_d = [[math.hypot(tx - ax, ty - ay) for ax, ay in truth_anchors]
+                  for tx, ty in tags_true]
+        live = sum(0.0 not in d for d in true_d)
+        n = len(truth_anchors)
+        noise = rng.standard_normal(live * n).tolist()
+        k, frame_id = 0, len(self.frames)
+        self.frames.append(frame)
+        for tag_id, (tag_true, dists) in enumerate(zip(tags_true, true_d)):
+            slot = len(self.errors)
+            self.estimates.append(None)
+            self.errors.append(math.nan)
+            if 0.0 in dists:
+                diagnostics.append(f"step {step}: tag {tag_id} coincides "
+                                   f"with anchor {dists.index(0.0)} and "
+                                   f"cannot range it")
+                continue
+            ranges = [(slope * d + intercept + noise_std * z - c.intercept)
+                      / c.slope for d, z in zip(dists, noise[k:k + n])]
+            k += n
+            if min(ranges) <= 0.0:
+                diagnostics.append(f"step {step}: tag {tag_id} produced a "
+                                   f"non-positive corrected range")
+                continue
+            diagnostics.append(len(self.queue))
+            self.queue.append((frame_id, slot, step, tag_id, truth_anchors[0],
+                               tag_true))
+            self.ranges += ranges
+
+    def solve(self, diagnostics):
+        """Make every queued fix, and put each failed fix's message in
+        ``diagnostics`` where :meth:`draw` put its queue index (dropping
+        the index of a fix that succeeded)."""
+        messages = [None] * len(self.queue)
+        if self.queue:
+            frames = np.array(self.frames)[[q[0] for q in self.queue]]
+            batch = solve_fixes(frames[:, :, 0], frames[:, :, 1],
+                                np.reshape(self.ranges, (len(messages), -1)))
+            for p, (status, (fx, fy), (_, slot, step, tag_id, (x0, y0),
+                                       tag_true)) in enumerate(zip(
+                    batch.status.tolist(), batch.position.tolist(),
+                    self.queue)):
+                if status == CONVERGED:
+                    est = (fx + x0, fy + y0)
+                    self.estimates[slot] = est
+                    self.errors[slot] = math.dist(est, tag_true)
+                else:
+                    messages[p] = (f"step {step}: tag {tag_id} fix failed: "
+                                   f"{batch.error(p)}")
+        diagnostics[:] = [d if isinstance(d, str) else messages[d]
+                          for d in diagnostics
+                          if isinstance(d, str) or messages[d] is not None]
 
 
 @dataclass(frozen=True)

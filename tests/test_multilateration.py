@@ -1,15 +1,17 @@
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from uwbcal.errors import CollinearAnchors
+from uwbcal.errors import CollinearAnchors, NotConverged, SingularUpdate
 from uwbcal.geometry import Point2, distance
 from uwbcal.leastsq import objective_and_gradient
-from uwbcal.multilateration import (linear_initial_guess, locate_tag,
-                                    tag_residuals)
+from uwbcal.multilateration import (COLLINEAR, CONVERGED, NOT_CONVERGED,
+                                    SINGULAR, linear_initial_guess,
+                                    locate_tag, solve_fixes, tag_residuals)
 from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES
 
 
@@ -203,3 +205,87 @@ class TestLocateTag:
                           - objective_and_gradient(fun, down)[0]) / (2 * h)
             scale = max(float(np.abs(num).max()), 1e-12)
             assert float(np.abs(grad - num).max()) / scale < 1e-5
+
+
+def random_problems(rng, p, n):
+    """``p`` noisy fixes against ``n`` anchors, ``(p, n)`` arrays, with
+    every status among them: problem 1 has collinear anchors, problem 2 a
+    NaN range, problem 3 a tag on anchor 0 (range 1e-6)."""
+    ax, ay = rng.uniform(0.0, 20.0, (2, p, n))
+    tag = rng.uniform(4.0, 16.0, (p, 2, 1))
+    ranges = np.hypot(tag[:, 0] - ax, tag[:, 1] - ay)
+    ranges = np.abs(ranges + rng.normal(0.0, 0.06, (p, n))) + 0.01
+    ay[1] = 3.0 + 0.5 * ax[1]
+    ranges[2, -1] = math.nan
+    ax[3, 0], ay[3, 0] = tag[3, :, 0]
+    ranges[3, 0] = 1e-6
+    return ax, ay, ranges
+
+
+def rows(batch, order=None):
+    """Every result of a batch, as bytes per problem (NaN-exact)."""
+    fields = (batch.position, batch.objective, batch.iterations,
+              batch.status, batch.condition)
+    return [b"".join(f[k].tobytes() for f in fields)
+            for k in (range(len(batch.status)) if order is None else order)]
+
+
+class TestSolveFixes:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 64])
+    def test_a_result_does_not_depend_on_the_batch(self, n):
+        rng = np.random.default_rng(n)
+        ax, ay, ranges = random_problems(rng, 40, n)
+        starts = rng.uniform(0.0, 20.0, (40, 2))
+        starts[4] = ax[4, 1], ay[4, 1]  # a start on an anchor
+        for start in (None, starts):
+            whole = rows(solve_fixes(ax, ay, ranges, start))
+            statuses = {CONVERGED, SINGULAR} | (
+                {COLLINEAR} if start is None else set())
+            assert statuses <= set(solve_fixes(ax, ay, ranges, start).status)
+            alone = [rows(solve_fixes(ax[k:k + 1], ay[k:k + 1],
+                                      ranges[k:k + 1],
+                                      None if start is None
+                                      else start[k:k + 1]))[0]
+                     for k in range(40)]
+            assert alone == whole
+            order = rng.permutation(40)
+            shuffled = solve_fixes(ax[order], ay[order], ranges[order],
+                                   None if start is None else start[order])
+            assert rows(shuffled, np.argsort(order)) == whole
+            for part in np.split(order, [3, 10, 11, 29]):
+                got = rows(solve_fixes(ax[part], ay[part], ranges[part],
+                                       None if start is None
+                                       else start[part]))
+                assert got == [whole[k] for k in part]
+
+    def test_locate_tag_is_the_kernel_on_one_problem(self):
+        rng = np.random.default_rng(7)
+        ax, ay, ranges = random_problems(rng, 12, 4)
+        batch = solve_fixes(ax, ay, ranges)
+        for k in (0, *range(4, 12)):
+            fix = locate_tag(list(zip(ax[k], ay[k])), list(ranges[k]))
+            assert tuple(fix.position) == tuple(batch.position[k])
+            assert fix.rms_residual == math.sqrt(batch.objective[k] / 4)
+
+    def test_statuses_map_to_the_errors_locate_tag_raises(self):
+        rng = np.random.default_rng(8)
+        ax, ay, ranges = random_problems(rng, 6, 4)
+        batch = solve_fixes(ax, ay, ranges)
+        assert batch.status[:3].tolist() == [CONVERGED, COLLINEAR, SINGULAR]
+        assert batch.error(0) is None
+        collinear, singular = batch.error(1), batch.error(2)
+        assert isinstance(collinear, CollinearAnchors)
+        assert str(collinear) == ("anchor layout is (near-)collinear, "
+                                  f"condition {batch.condition[1]:.3g}")
+        assert batch.condition[1] > 1e8
+        assert isinstance(singular, SingularUpdate)
+        for k, error in ((1, collinear), (2, singular)):
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                locate_tag(list(zip(ax[k], ay[k])), list(ranges[k]))
+        capped = solve_fixes(ax, ay, ranges, max_iterations=1)
+        assert capped.status[0] == NOT_CONVERGED
+        assert capped.iterations[0] == 1
+        not_converged = capped.error(0, result="best fix")
+        assert isinstance(not_converged, NotConverged)
+        assert str(not_converged) == "tag fix stopped after 1 iterations"
+        assert not_converged.result == "best fix"

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import re
@@ -15,11 +14,12 @@ import pytest
 import uwbcal.sim as sim
 from conftest import apply_drift, fix_tag, step_motion
 from uwbcal.autocalib import calibrate
-from uwbcal.errors import (CollinearAnchors, ConfigError, CsvFormatError,
+from uwbcal.errors import (ConfigError, CsvFormatError,
                            EmptyTrace, NotConverged, SingularUpdate,
                            finite_number, integer)
 from uwbcal.geometry import Point2, translation_errors, wrap_angle
 from uwbcal.leastsq import MAX_ITERATIONS
+from uwbcal.multilateration import SINGULAR
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, SCALAR_KEYS,
@@ -323,14 +323,17 @@ class TestRunScenario:
         assert "seed" in str(err.value)
 
     def test_singular_tag_update_is_a_diagnostic(self, monkeypatch):
-        real, calls = sim.locate_tag, itertools.count()
+        # NaN ranges leave the third fix's damped system unsolvable
+        real = sim.solve_fixes
 
-        def third_call_singular(anchors, ranges):
-            if next(calls) == 2:
-                raise SingularUpdate("forced singular update")
-            return real(anchors, ranges)
+        def third_fix_singular(anchor_x, anchor_y, ranges):
+            ranges = np.array(ranges)
+            ranges[2] = math.nan
+            batch = real(anchor_x, anchor_y, ranges)
+            assert batch.status.tolist().count(SINGULAR) == 1
+            return batch
 
-        monkeypatch.setattr(sim, "locate_tag", third_call_singular)
+        monkeypatch.setattr(sim, "solve_fixes", third_fix_singular)
         trace = run_scenario(ScenarioConfig(seed=3, n_steps=4))
         assert len(trace.records) == 4
         assert math.isnan(trace.records[0].tag_errors[2])
@@ -338,7 +341,8 @@ class TestRunScenario:
         assert sum(math.isnan(e) for r in trace.records
                    for e in r.tag_errors) == 1
         assert trace.diagnostics == [
-            "step 0: tag 2 fix failed: forced singular update"]
+            "step 0: tag 2 fix failed: normal equations unsolvable at "
+            "maximum damping"]
 
     def test_singular_warm_calibration_is_a_diagnostic(self, monkeypatch):
         real = sim.calibrate
@@ -461,8 +465,8 @@ class TestRunScenario:
 
 def run_per_step(cfg):
     """``run_scenario`` with motion and drift drawn and added one step at a
-    time, and tags fixed one at a time, through the conftest oracles: the
-    reference for the block loop and for ``sim._fix_tags``."""
+    time, and tags fixed one at a time, at their step, through the conftest
+    oracles: the reference for the block loop and for the two passes."""
     seq = np.random.SeedSequence(cfg.seed).spawn(4)
     params_rng, motion_rng, drift_rng, ranging_rng = (
         np.random.default_rng(s) for s in seq)
@@ -581,6 +585,15 @@ class TestMotionBlocks:
         message = assert_same_as_per_step(cfg)
         assert message.startswith(f"ConfigError: step {last}: node positions")
 
+def fix_step(tags, truth, frame, model, correction, rng, step):
+    """One step's tags through ``sim._TagFixes``: the ranges drawn, then
+    the fixes made. Returns (estimate, error) per tag and the diagnostics."""
+    fixes, diagnostics = sim._TagFixes(model, correction), []
+    fixes.draw(step, tags, truth, frame, rng, diagnostics)
+    fixes.solve(diagnostics)
+    return list(zip(fixes.estimates, fixes.errors)), diagnostics
+
+
 class TestFixTags:
     @pytest.mark.parametrize("noise_std", [0.0, 0.058, 4.0])
     def test_matches_per_tag_oracle(self, noise_std):
@@ -595,9 +608,9 @@ class TestFixTags:
         seen = []
         for seed in range(12):
             rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
-            diagnostics, oracle_diagnostics = [], []
-            fixes = sim._fix_tags(tags, truth, frame, model, correction, rng,
-                                  diagnostics, 7)
+            oracle_diagnostics = []
+            fixes, diagnostics = fix_step(tags, truth, frame, model,
+                                          correction, rng, 7)
             oracle = [fix_tag(tag, truth, frame, model, correction,
                               oracle_rng, oracle_diagnostics, 7, tag_id)
                       for tag_id, tag in enumerate(tags)]
@@ -612,10 +625,23 @@ class TestFixTags:
     def test_no_tags_draws_nothing(self):
         rng = np.random.default_rng(3)
         truth = [tuple(p) for p in DEFAULT_ANCHOR_LAYOUT[:3]]
-        assert sim._fix_tags([], truth, truth, NOISELESS, NOISELESS, rng, [],
-                             0) == []
+        assert fix_step([], truth, truth, NOISELESS, NOISELESS, rng, 0) == \
+            ([], [])
         assert rng.standard_normal() == \
             np.random.default_rng(3).standard_normal()
+
+    def test_failed_fixes_keep_their_place_among_the_diagnostics(self):
+        # at step 50 the calibration does not converge and leaves the anchor
+        # frame collinear, so every tag fix of that step fails too
+        cfg = ScenarioConfig.from_dict({"n_anchors": 3, "k_measurements": 1,
+                                        "calibration_period": 5, "seed": 9,
+                                        "n_steps": 51})
+        trace = run_scenario(cfg)
+        assert repr(trace) == repr(run_per_step(cfg))
+        at_50 = [d for d in trace.diagnostics if d.startswith("step 50:")]
+        assert at_50 == ["step 50: calibration did not converge"] + [
+            f"step 50: tag {j} fix failed: anchor layout is (near-)collinear,"
+            f" condition 1.08e+08" for j in range(3)]
 
 
 class TestSummaries:
@@ -686,17 +712,21 @@ class TestTraceCsv:
 
     @pytest.fixture
     def failed_fix_trace(self, monkeypatch):
-        """A 6-step default run whose tag fix calls 2, 7, 12 and 17 of 18
-        fail."""
-        real, calls = sim.locate_tag, itertools.count()
+        """A 6-step default run whose tag fixes 2, 7, 12 and 17 of 18
+        fail: their anchors are put on a line."""
+        real = sim.solve_fixes
 
-        def every_fifth_fails(anchors, ranges):
-            if next(calls) % 5 == 2:
-                raise CollinearAnchors("forced failure")
-            return real(anchors, ranges)
+        def every_fifth_fails(anchor_x, anchor_y, ranges):
+            anchor_y = np.array(anchor_y)
+            anchor_y[2::5] = 0.0
+            return real(anchor_x, anchor_y, ranges)
 
-        monkeypatch.setattr(sim, "locate_tag", every_fifth_fails)
-        return run_scenario(ScenarioConfig(seed=11, n_steps=6))
+        monkeypatch.setattr(sim, "solve_fixes", every_fifth_fails)
+        trace = run_scenario(ScenarioConfig(seed=11, n_steps=6))
+        assert [d.split(": ", 1)[1] for d in trace.diagnostics] == \
+            [f"tag {j} fix failed: anchor layout is (near-)collinear, "
+             f"condition inf" for j in (2, 1, 0, 2)]
+        return trace
 
     def test_bytes_are_those_of_csv_writer(self, tmp_path, failed_fix_trace):
         trace = failed_fix_trace
