@@ -165,9 +165,11 @@ def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
     numpy forms per problem row whatever the batch (and f as
     :func:`_residuals` forms it).
     """
-    ux = dx / dist
-    uy = dy / dist
-    c = r / dist
+    # unit vectors and curvature factors in place of the offsets and
+    # distances, which nothing reads after this
+    ux = np.divide(dx, dist, dx)
+    uy = np.divide(dy, dist, dy)
+    c = np.divide(r, dist, dist)
     # per anchor: r r, ux r, uy r, ux ux, ux uy, uy uy and the curvature
     # terms the Hessian adds to the last three, c uy uy, -c ux uy, c ux ux
     terms = np.empty((9,) + r.shape)
@@ -178,7 +180,8 @@ def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
     np.multiply(ux, uy, terms[4])
     np.multiply(uy, uy, terms[5])
     np.multiply(c, terms[5], terms[6])
-    np.multiply(-c, terms[4], terms[7])
+    np.multiply(c, terms[4], terms[7])
+    np.negative(terms[7], terms[7])
     np.multiply(c, terms[3], terms[8])
     sums = terms.sum(axis=2)
     newton = sums[3:6] + sums[6:9]
@@ -244,8 +247,7 @@ def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
         if np.count_nonzero(accept):
             trial = _equations(*at_trial)
             state = np.where(accept, trial, state)
-            converged |= accept & (np.maximum(np.abs(trial[1]),
-                                              np.abs(trial[2]))
+            converged |= accept & (np.abs(trial[1:3]).max(axis=0)
                                    <= 0.5 * GRAD_TOL)
         lam = np.maximum(np.where(accept, lam / DAMPING_SHRINK,
                                   lam * DAMPING_GROW), 1e-15)

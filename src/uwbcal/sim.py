@@ -590,21 +590,22 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         (x1, y1), (fx, fy) = truth[1], frame[1]
         rotation = wrap_angle(math.atan2(fy, fx)
                               - math.atan2(y1 - y0, x1 - x0))
-        steps.append((anchor_errors, rotation, calibrated, world, est_pos,
+        steps.append((tuple(anchor_errors), rotation, calibrated,
+                      tuple(map(tuple, world)), tuple(est_pos),
                       len(tag_fixes.errors)))
         tag_fixes.draw(t, world[n:], truth, frame, ranging_rng, diagnostics)
 
     tag_fixes.solve(diagnostics)
     n_tags = cfg.n_tags
     records = [
-        TraceRecord(step=t, anchor_errors=tuple(anchor_errors),
+        TraceRecord(step=t, anchor_errors=anchor_errors,
                     tag_errors=tuple(tag_fixes.errors[k:k + n_tags]),
                     rotation_error=rotation, calibrated=calibrated,
-                    true_positions=tuple(map(tuple, world)),
-                    est_positions=tuple(est_pos
-                                        + tag_fixes.estimates[k:k + n_tags]))
-        for t, (anchor_errors, rotation, calibrated, world, est_pos, k)
-        in enumerate(steps)]
+                    true_positions=true_positions,
+                    est_positions=est_positions
+                    + tuple(tag_fixes.estimates[k:k + n_tags]))
+        for t, (anchor_errors, rotation, calibrated, true_positions,
+                est_positions, k) in enumerate(steps)]
     return SimulationTrace(config=cfg.to_dict(), records=records,
                            diagnostics=diagnostics)
 
@@ -634,7 +635,7 @@ class _TagFixes:
         self.model, self.correction = model, correction
         self.estimates: list[tuple[float, float] | None] = []
         self.errors: list[float] = []
-        self.frames = []  # the anchor frame of each step
+        self.frames = []  # the anchor frame of each step with a queued fix
         self.ranges: list[float] = []  # N per queued fix
         # per queued fix: its frame, slot in estimates, step, tag, and
         # anchor 0's and the tag's true positions
@@ -653,7 +654,6 @@ class _TagFixes:
         n = len(truth_anchors)
         noise = rng.standard_normal(live * n).tolist()
         k, frame_id = 0, len(self.frames)
-        self.frames.append(frame)
         for tag_id, (tag_true, dists) in enumerate(zip(tags_true, true_d)):
             slot = len(self.errors)
             self.estimates.append(None)
@@ -670,6 +670,8 @@ class _TagFixes:
                 diagnostics.append(f"step {step}: tag {tag_id} produced a "
                                    f"non-positive corrected range")
                 continue
+            if frame_id == len(self.frames):
+                self.frames.append(frame)
             diagnostics.append(len(self.queue))
             self.queue.append((frame_id, slot, step, tag_id, truth_anchors[0],
                                tag_true))

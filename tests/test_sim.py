@@ -585,6 +585,7 @@ class TestMotionBlocks:
         message = assert_same_as_per_step(cfg)
         assert message.startswith(f"ConfigError: step {last}: node positions")
 
+
 def fix_step(tags, truth, frame, model, correction, rng, step):
     """One step's tags through ``sim._TagFixes``: the ranges drawn, then
     the fixes made. Returns (estimate, error) per tag and the diagnostics."""
