@@ -71,8 +71,7 @@ class FixBatch:
         ``result`` attached to a :class:`NotConverged`; None if p converged."""
         status = self.status[p]
         if status == COLLINEAR:
-            return CollinearAnchors(f"anchor layout is (near-)collinear, "
-                                    f"condition {self.condition[p]:.3g}")
+            return _collinear(self.condition[p])
         if status == SINGULAR:
             return SingularUpdate(
                 "normal equations unsolvable at maximum damping")
@@ -81,6 +80,11 @@ class FixBatch:
                                 f"{int(self.iterations[p])} iterations",
                                 result)
         return None
+
+
+def _collinear(condition: float) -> CollinearAnchors:
+    return CollinearAnchors(
+        f"anchor layout is (near-)collinear, condition {condition:.3g}")
 
 
 def _checked(anchors, ranges: list[float]):
@@ -300,8 +304,7 @@ def linear_initial_guess(anchors, ranges: list[float]) -> Point2:
         x, y, condition = _linear_starts(*np.array(a).T[:, None],
                                          np.array(r)[None])
     if not condition[0] <= CONDITION_LIMIT:
-        raise CollinearAnchors(f"anchor layout is (near-)collinear, "
-                               f"condition {condition[0]:.3g}")
+        raise _collinear(condition[0])
     return Point2(float(x[0]), float(y[0]))
 
 
