@@ -253,13 +253,13 @@ def refine_lse(initial, d: DistanceStatsMatrix,
     if tuple(initial[0]) != (0.0, 0.0):
         raise ValueError("initial[0] must be the origin")
 
-    free_cols = _free_columns(n, fix_a1_axis)
     flat0 = np.array([c for p in initial for c in p], dtype=float)
-    if not np.isfinite(flat0).all():
+    if not all(map(math.isfinite, flat0.tolist())):
         raise ValueError("initial positions must be finite")
     pairs, targets = d.sym_table()
-    lsq = levenberg_marquardt(
-        _residual_function(n, pairs, targets, fix_a1_axis), flat0[free_cols])
+    fun = _residual_function(n, pairs, targets, fix_a1_axis)
+    free_cols = _residual_layout(n, fix_a1_axis, pairs)[0]
+    lsq = levenberg_marquardt(fun, flat0[free_cols])
     n_pairs = len(pairs)
     result = CalibrationResult(
         positions=tuple(Point2(x, y) for x, y

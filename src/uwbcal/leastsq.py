@@ -10,6 +10,7 @@ equations are formed directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,7 @@ def range_residuals(diff: np.ndarray,
     """
     dist = np.hypot(diff[:, 0], diff[:, 1])
     coincident = dist < 1e-12
-    if coincident.any():
+    if np.count_nonzero(coincident):
         diff = diff.copy()
         diff[coincident] = (COINCIDENT_EPS, 0.0)
         dist[coincident] = COINCIDENT_EPS
@@ -84,7 +85,7 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
     # J^T J and J^T r change only with an accepted step; the gradient is
     # 2 J^T r, and doubling is exact
     jtj, jtr = jac.T @ jac, jac.T @ r
-    grad_inf = 2.0 * float(np.abs(jtr).max()) if jtr.size else 0.0
+    grad_inf = 2.0 * _max_abs(jtr) if jtr.size else 0.0
 
     if grad_inf <= GRAD_TOL:
         return LeastSquaresResult(x, f, 0, True, grad_inf)
@@ -92,29 +93,36 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
     lam = DAMPING_INITIAL
     converged = False
     iterations = 0
-    identity = np.eye(x.size)
+    rhs = -jtr
+    # J^T J + lam I, formed in place entry for entry: lam is added through
+    # a view of the diagonal, and every other entry is J^T J's own
+    damped = np.empty_like(jtj)
+    diagonal = damped.reshape(-1)[::x.size + 1]
 
     for iterations in range(1, max_iterations + 1):
+        damped[...] = jtj
+        diagonal += lam
         try:
-            dx = np.linalg.solve(jtj + lam * identity, -jtr)
+            dx = np.linalg.solve(damped, rhs)
+            step_inf = _max_abs(dx)
         except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.isfinite(dx).all():
+            step_inf = math.nan
+        if not step_inf < math.inf:  # a NaN or infinite entry in dx
             lam *= DAMPING_GROW
             if lam > DAMPING_MAX:
                 raise SingularUpdate(
                     "normal equations unsolvable at maximum damping")
             continue
 
-        step_inf = float(np.abs(dx).max())
-        r_trial, jac_trial = fun(x + dx)
+        x_trial = x + dx
+        r_trial, jac_trial = fun(x_trial)
         f_trial = float(r_trial @ r_trial)
 
         if f_trial < f:
-            x = x + dx
-            r, jac, f = r_trial, jac_trial, f_trial
+            x, r, jac, f = x_trial, r_trial, jac_trial, f_trial
             jtj, jtr = jac.T @ jac, jac.T @ r
-            grad_inf = 2.0 * float(np.abs(jtr).max())
+            rhs = -jtr
+            grad_inf = 2.0 * _max_abs(jtr)
             lam = max(lam / DAMPING_SHRINK, 1e-15)
             if step_inf < STEP_TOL or grad_inf <= GRAD_TOL:
                 converged = True
@@ -129,3 +137,8 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
                 break
 
     return LeastSquaresResult(x, f, iterations, converged, grad_inf)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """max |v_i| of a non-empty vector; NaN if any entry is NaN."""
+    return float(np.maximum.reduce(np.abs(v)))

@@ -305,8 +305,19 @@ def resolve_config(cfg: ScenarioConfig,
                    params_rng: np.random.Generator | None = None) -> ScenarioConfig:
     """Fill in every defaulted field and validate the result.
 
-    Raises :class:`ConfigError` listing all violations at once.
+    Default motion is drawn from ``params_rng``, by default from stream 0
+    of the seed. Raises :class:`ConfigError` listing all violations at once.
     """
+    anchors, tags = _validated(cfg)
+    if params_rng is None and cfg.motion is None:
+        params_rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed).spawn(4)[0])
+    return _filled(cfg, anchors, tags, params_rng)
+
+
+def _validated(cfg: ScenarioConfig):
+    """The anchor and tag positions of ``cfg``, defaults filled in; raises
+    :class:`ConfigError` listing all violations at once."""
     violations, bad = [], set()
     for key, _, low, high in SCALAR_KEYS:
         value = getattr(cfg, key)
@@ -369,13 +380,16 @@ def resolve_config(cfg: ScenarioConfig,
                 f"{cfg.n_tags} tags")
     if violations:
         raise ConfigError(violations)
+    return anchors, tags
 
+
+def _filled(cfg: ScenarioConfig, anchors, tags,
+            params_rng: np.random.Generator | None) -> ScenarioConfig:
+    """``cfg`` with validated ``anchors`` and ``tags``, and default motion
+    (drawn from ``params_rng``) and ranging where it leaves them out."""
+    motion = cfg.motion
     if motion is None:
-        if params_rng is None:
-            params_rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed).spawn(4)[0])
         motion = _default_motion(cfg.n_anchors, cfg.n_tags, params_rng)
-
     ranging = cfg.ranging if cfg.ranging is not None else reference_model()
     return replace(cfg, ranging=ranging, motion=motion,
                    initial_anchor_positions=tuple(anchors),
@@ -525,9 +539,11 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     calibration, raise :class:`ConfigError`: the scenario's motion cannot be
     simulated.
     """
-    cfg = resolve_config(cfg)  # draws any default motion from stream 0
-    motion_rng, drift_rng, ranging_rng = map(
-        np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4)[1:])
+    # validated first: a bad seed is a ConfigError, not a numpy error
+    anchors, tags = _validated(cfg)
+    params_rng, motion_rng, drift_rng, ranging_rng = map(
+        np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4))
+    cfg = _filled(cfg, anchors, tags, params_rng)
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
     n = cfg.n_anchors
@@ -646,6 +662,8 @@ class _TagFixes:
         coincides with an anchor or has a non-positive corrected range fails
         with a diagnostic; a queued fix appends its queue index to
         ``diagnostics``, which :meth:`solve` resolves."""
+        if not tags_true:
+            return
         m, c = self.model, self.correction
         slope, intercept, noise_std = m.slope, m.intercept, m.noise_std
         true_d = [[math.hypot(tx - ax, ty - ay) for ax, ay in truth_anchors]
@@ -712,8 +730,30 @@ class Quartiles:
 
     @classmethod
     def of(cls, values) -> "Quartiles":
-        q = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
-        return cls(*(float(v) for v in q))
+        """``np.percentile(values, [0, 25, 50, 75, 100])`` from one sort.
+
+        Quartile k of n sorted values lies at fraction t of the way from
+        entry i to entry i + 1, where i + t = (n - 1) k / 4. numpy's linear
+        rule gives a + (b - a) t there, or b - (b - a) (1 - t) for t >= 1/2;
+        every step is exact or rounds once, so the values are numpy's,
+        except that an end may keep a -0.0 that numpy returns as +0.0.
+        Raises ValueError for a NaN or infinite value.
+        """
+        s = np.sort(np.array(values, dtype=float))
+        last = len(s) - 1
+        # quartile k lies r/4 of the way from entry i to entry i + 1, where
+        # 4i + r = (n - 1)k; with r = 0 the entry i + 1 is not needed
+        spans = [divmod(last * k, 4) for k in (1, 2, 3)]
+        lo, hi, *ends = s[[0, last, *(i for i, _ in spans),
+                           *(i + (r > 0) for i, r in spans)]].tolist()
+        # a NaN sorts after inf: the ends are finite only if every value is
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"cannot summarize non-finite values "
+                             f"({lo!r} to {hi!r})")
+        inner = [a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+                 for a, b, t in zip(ends[:3], ends[3:],
+                                    [r / 4 for _, r in spans])]
+        return cls(lo, *inner, hi)
 
     def to_dict(self):
         return {"min": self.min, "q1": self.q1, "median": self.median,
@@ -768,7 +808,12 @@ class SummaryStats:
 
 
 def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
-    """Distribution statistics for one simulation run (or pooled records)."""
+    """Distribution statistics for one simulation run (or pooled records).
+
+    Raises ValueError when a pooled value is NaN or infinite (a failed tag
+    fix's NaN is left out of the pool) or when steps hold different numbers
+    of anchors.
+    """
     records = trace.records if isinstance(trace, SimulationTrace) else trace
     if not records:
         raise EmptyTrace("no records to summarize")
@@ -776,18 +821,26 @@ def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
     anchor_pool = [e for r in records for e in r.anchor_errors[1:]]
     if not anchor_pool:
         raise EmptyTrace("no anchor errors besides anchor 0's to summarize")
+    if len({len(r.anchor_errors) for r in records}) > 1:
+        raise ValueError("every step must hold the same number of anchors")
     tag_pool = [e for r in records for e in r.tag_errors if not math.isnan(e)]
     rotation_pool = [r.rotation_error for r in records]
 
+    # the errors of anchors 1..N-1 the step before and at each calibration
     by_step = {r.step: r for r in records}
-    events = []
+    steps, before, after = [], [], []
     for r in records:
         if r.calibrated and (r.step - 1) in by_step:
-            prev = by_step[r.step - 1]
-            events.append(CalibrationEvent(
-                step=r.step,
-                mean_anchor_error_before=float(np.mean(prev.anchor_errors[1:])),
-                mean_anchor_error_after=float(np.mean(r.anchor_errors[1:]))))
+            steps.append(r.step)
+            before.append(by_step[r.step - 1].anchor_errors[1:])
+            after.append(r.anchor_errors[1:])
+    events, mean_before, mean_after = (), None, None
+    if steps:
+        # every mean in one call per level: numpy sums each contiguous row
+        # as it sums that row alone, so the means are np.mean's per row
+        means = np.mean(np.array(before + after), axis=1).reshape(2, -1)
+        mean_before, mean_after = np.mean(means, axis=1).tolist()
+        events = tuple(map(CalibrationEvent, steps, *means.tolist()))
 
     return SummaryStats(
         anchor_translation=Quartiles.of(anchor_pool),
@@ -795,13 +848,9 @@ def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
         rotation=Quartiles.of(rotation_pool),
         n_steps=len(records),
         n_calibrations=sum(1 for r in records if r.calibrated),
-        calibration_events=tuple(events),
-        mean_anchor_error_before_calibration=
-            float(np.mean([e.mean_anchor_error_before for e in events]))
-            if events else None,
-        mean_anchor_error_after_calibration=
-            float(np.mean([e.mean_anchor_error_after for e in events]))
-            if events else None,
+        calibration_events=events,
+        mean_anchor_error_before_calibration=mean_before,
+        mean_anchor_error_after_calibration=mean_after,
     )
 
 
@@ -859,6 +908,13 @@ def read_trace_records(path) -> list[TraceRecord]:
             raise CsvFormatError(str(exc), line=lineno) from exc
         if kind not in ("anchor", "tag"):
             raise CsvFormatError(f"unknown node_kind {kind!r}", line=lineno)
+        # only a failed tag fix has no error, and every number is finite
+        if not math.isfinite(err) and (err_s or kind == "anchor"):
+            raise CsvFormatError(f"{kind} {node_id}: error_m must be a "
+                                 f"finite number, got {err_s!r}", line=lineno)
+        if not math.isfinite(rot):
+            raise CsvFormatError(f"rotation_error_rad must be a finite "
+                                 f"number, got {rot_s!r}", line=lineno)
         if entry is None or entry[0] != step:
             entry = steps.get(step)
             if entry is None:

@@ -637,6 +637,19 @@ class TestSummarize:
         assert result.stderr == (f"error: {path}: no anchor errors besides "
                                  f"anchor 0's to summarize\n")
 
+    def test_non_finite_error_exits_2_naming_the_line(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,0,0,0,0,0,0,0.01,0\n"
+            "0,anchor,1,9,0,9.2,0,inf,0.01,0\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {path}: line 3: anchor 1: error_m "
+                                 f"must be a finite number, got 'inf'\n")
+
     def test_steps_with_different_anchors_exit_2(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text(

@@ -64,6 +64,30 @@ class TestLevenbergMarquardt:
         with pytest.raises(SingularUpdate):
             levenberg_marquardt(fun, np.array([1.0]))
 
+    @pytest.mark.parametrize("step", [[np.nan, 1.0], [1.0, np.nan],
+                                      [-np.inf, 1.0], [1.0, np.inf]])
+    def test_non_finite_step_grows_damping_to_singular_update(
+            self, monkeypatch, step):
+        # a finite problem whose solve returns a NaN or infinite entry: each
+        # try grows the damping tenfold without evaluating a trial point
+        damping, evaluations = [], []
+
+        def solve(a, b):
+            damping.append(a[0, 0] - 1.0)
+            assert a[0, 1] == a[1, 0] == 0.0 and a[1, 1] - 1.0 == damping[-1]
+            return np.array(step)
+
+        def fun(x):
+            evaluations.append(x.copy())
+            return x - 1.0, np.eye(2)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(SingularUpdate):
+            levenberg_marquardt(fun, np.zeros(2))
+        assert len(evaluations) == 1
+        assert damping == pytest.approx([1e-3 * 10.0 ** k for k in range(18)],
+                                        rel=1e-9)
+
 
 coordinate = st.floats(min_value=-20.0, max_value=20.0)
 

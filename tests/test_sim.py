@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uwbcal.sim as sim
 from conftest import apply_drift, fix_tag, step_motion
@@ -23,7 +24,7 @@ from uwbcal.multilateration import SINGULAR
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, SCALAR_KEYS,
-                        TRACE_HEADER, MotionParams, MotionTable,
+                        TRACE_HEADER, MotionParams, MotionTable, Quartiles,
                         ScenarioConfig, SimulationTrace, TraceRecord, Trigger,
                         point_in_anchor_hull, read_trace_records,
                         resolve_config, run_scenario, summarize,
@@ -321,6 +322,27 @@ class TestRunScenario:
         with pytest.raises(ConfigError) as err:
             run_scenario(ScenarioConfig(seed=-1))
         assert "seed" in str(err.value)
+
+    def test_seed_is_spawned_once_per_run(self, monkeypatch):
+        spawned = []
+        real = np.random.SeedSequence
+
+        def counted(seed):
+            spawned.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        run_scenario(ScenarioConfig(seed=4, n_steps=2))
+        assert spawned == [4]
+
+    def test_tagless_step_leaves_the_stream_alone(self):
+        fixes = sim._TagFixes(NOISELESS, NOISELESS)
+        rng, diagnostics = np.random.default_rng(3), []
+        fixes.draw(0, [], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                   [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], rng, diagnostics)
+        assert (fixes.errors, fixes.queue, diagnostics) == ([], [], [])
+        assert rng.standard_normal() == \
+            np.random.default_rng(3).standard_normal()
 
     def test_singular_tag_update_is_a_diagnostic(self, monkeypatch):
         # NaN ranges leave the third fix's damped system unsolvable
@@ -681,6 +703,59 @@ class TestSummaries:
         stats = summarize(records)
         assert stats.tag_translation.median == 0.3
 
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300),
+                              st.floats(-1e300, -1e-300)),
+                    min_size=1, max_size=30)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                          max_size=300)))
+    def test_quartiles_are_those_of_np_percentile(self, values):
+        # drawn from a small pool, so most lists hold duplicates
+        q = Quartiles.of(values)
+        expected = np.percentile(values, [0, 25, 50, 75, 100]).tolist()
+        assert list(map(float.hex, (q.min, q.q1, q.median, q.q3, q.max))) \
+            == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("n_anchors", [3, 8, 9])
+    def test_event_means_are_those_of_np_mean(self, n_anchors):
+        # 12 events: the means over events sum 8 or more values too
+        rng = np.random.default_rng(n_anchors)
+        errors = rng.random((13, n_anchors)) * 10.0 ** rng.integers(
+            -3, 4, (13, n_anchors))
+        errors[:, 0] = 0.0
+        records = [TraceRecord(t, tuple(row), (), 0.0, t > 0)
+                   for t, row in enumerate(errors.tolist())]
+        stats = summarize(records)
+        before = [float(np.mean(r.anchor_errors[1:])) for r in records[:-1]]
+        after = [float(np.mean(r.anchor_errors[1:])) for r in records[1:]]
+        assert [(e.step, e.mean_anchor_error_before,
+                 e.mean_anchor_error_after)
+                for e in stats.calibration_events] == \
+            list(zip(range(1, 13), before, after))
+        assert stats.mean_anchor_error_before_calibration == \
+            float(np.mean(before))
+        assert stats.mean_anchor_error_after_calibration == \
+            float(np.mean(after))
+
+    @pytest.mark.parametrize("anchors, tags, rotation", [
+        ((0.0, math.inf), (), 0.0),
+        ((0.0, math.nan), (), 0.0),
+        ((0.0, 0.2), (-math.inf,), 0.0),
+        ((0.0, 0.2), (), math.nan),
+    ])
+    def test_non_finite_pooled_value_raises(self, anchors, tags, rotation):
+        records = [TraceRecord(0, (0.0, 0.1), (), 0.0, False),
+                   TraceRecord(1, anchors, tags, rotation, True)]
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize(records)
+
+    def test_steps_with_different_anchor_counts_raise(self):
+        records = [TraceRecord(0, (0.0, 0.1, 0.3), (), 0.0, False),
+                   TraceRecord(1, (0.0, 0.2), (), 0.0, True),
+                   TraceRecord(2, (0.0, 0.2, 0.1, 0.3), (), 0.0, False)]
+        with pytest.raises(ValueError, match="same number of anchors"):
+            summarize(records)
+
 
 class TestTraceCsv:
     def test_round_trip_preserves_summary(self, tmp_path):
@@ -782,6 +857,33 @@ class TestTraceCsv:
         failed = [row for row in rows if row[5:8] == ["", "", ""]]
         assert len(failed) == 4  # fix calls 2, 7, 12 and 17 of 18
         assert all(row[1] == "tag" for row in failed)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,anchor,1,9,0,9.2,0,inf,0.01,1",
+         "anchor 1: error_m must be a finite number, got 'inf'"),
+        ("1,tag,0,5,5,5,5,-inf,0.01,1",
+         "tag 0: error_m must be a finite number, got '-inf'"),
+        ("1,tag,0,5,5,5,5,nan,0.01,1",
+         "tag 0: error_m must be a finite number, got 'nan'"),
+        ("1,anchor,1,9,0,,,,0.01,1",
+         "anchor 1: error_m must be a finite number, got ''"),
+        ("1,anchor,1,9,0,9.2,0,0.2,nan,1",
+         "rotation_error_rad must be a finite number, got 'nan'"),
+        ("1,anchor,1,9,0,9.2,0,0.2,-inf,1",
+         "rotation_error_rad must be a finite number, got '-inf'"),
+    ])
+    def test_non_finite_values_name_their_line(self, tmp_path, row, message):
+        # only a failed tag fix, the empty error_m of line 4, reads as NaN
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_HEADER) + "\n"
+                        "0,anchor,0,0,0,0,0,0,0.01,0\n"
+                        "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+                        "0,tag,0,5,5,,,,0.01,0\n"
+                        "1,anchor,0,0,0,0,0,0,0.01,1\n"
+                        f"{row}\n")
+        with pytest.raises(CsvFormatError,
+                           match=re.escape(f"line 6: {message}")):
+            read_trace_records(path)
 
     def test_steps_must_hold_the_same_anchors(self, tmp_path):
         # before/after calibration means would compare different anchors
