@@ -2,35 +2,36 @@
 
 Library layout:
 
-- :mod:`uwbcal.geometry` -- planar primitives, bilateration, error metrics
-- :mod:`uwbcal.ranging` -- TWR distance computation and the bias/noise model
+- :mod:`uwbcal.geometry` -- planar primitives, bilateration, rotation error
+- :mod:`uwbcal.ranging` -- the ranging bias/noise model: fit, draw, correct
 - :mod:`uwbcal.autocalib` -- anchor self-calibration from range statistics
 - :mod:`uwbcal.multilateration` -- tag fixes from ranges to known anchors
-- :mod:`uwbcal.protocol` -- token-passing ranging round (discrete events)
+- :mod:`uwbcal.protocol` -- token-passing ranging round (one batched draw)
 - :mod:`uwbcal.sim` -- mobile-deployment simulator and summary statistics
 - :mod:`uwbcal.cli` -- command-line front end
+
+The message-by-message model of a round, the residual functions of the
+gradient checks and the test input writers are test oracles, in
+``tests/oracles.py``.
 """
 
 from .autocalib import (CalibrationResult, DistanceStatsMatrix, calibrate,
                         initial_placement, refine_lse)
-from .geometry import (Point2, bilaterate_positive_y, distance, rotation_error,
-                       translation_errors)
+from .geometry import Point2, bilaterate_positive_y, distance, rotation_error
 from .multilateration import TagFix, linear_initial_guess, locate_tag
-from .protocol import estimate_latency, run_calibration_round, simulate_round
-from .ranging import (RangingModel, RangingSample, TwrTimings,
-                      correct_measurement, ds_twr_distance, fit_model,
-                      reference_model, simulate_measurement, ss_twr_distance)
+from .protocol import estimate_latency, run_calibration_round
+from .ranging import (RangingModel, RangingSample, correct_measurement,
+                      fit_model, reference_model, simulate_measurement)
 from .sim import ScenarioConfig, SummaryStats, run_scenario, summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationResult", "DistanceStatsMatrix", "Point2", "RangingModel",
-    "RangingSample", "ScenarioConfig", "SummaryStats", "TagFix", "TwrTimings",
+    "RangingSample", "ScenarioConfig", "SummaryStats", "TagFix",
     "bilaterate_positive_y", "calibrate", "correct_measurement", "distance",
-    "ds_twr_distance", "estimate_latency", "fit_model", "initial_placement",
+    "estimate_latency", "fit_model", "initial_placement",
     "linear_initial_guess", "locate_tag", "reference_model", "refine_lse",
     "rotation_error", "run_calibration_round", "run_scenario",
-    "simulate_measurement", "simulate_round", "ss_twr_distance", "summarize",
-    "translation_errors",
+    "simulate_measurement", "summarize",
 ]

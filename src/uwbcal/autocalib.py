@@ -11,15 +11,13 @@ enough because the distance-only objective cannot observe rotation anyway.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FLOAT_FORMAT, CsvFormatError, DegenerateGeometry,
-                     NotConverged, csv_rows)
+from .errors import CsvFormatError, DegenerateGeometry, NotConverged, csv_rows
 from .geometry import Point2, bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
@@ -228,16 +226,6 @@ def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
     return fun
 
 
-def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
-    """Residual function free -> (r, J) over every measured anchor pair.
-
-    r holds |p_i - p_j| - d_ij for the symmetrized means d_ij. ``free`` is
-    the optimizer's variable vector: the flattened coordinates of anchors
-    1..n-1 (anchor 1's y omitted when ``fix_a1_axis``).
-    """
-    return _residual_function(d.n_anchors, *d.sym_table(), fix_a1_axis)
-
-
 def refine_lse(initial, d: DistanceStatsMatrix,
                fix_a1_axis: bool = False) -> CalibrationResult:
     """Adjust anchor positions, ``(x, y)`` pairs, to best match the measured
@@ -333,19 +321,3 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
         raise CsvFormatError(
             "missing pair rows: " + ", ".join(str(p) for p in missing))
     return matrix
-
-
-def save_distance_csv(matrix: DistanceStatsMatrix, path,
-                      float_format: str = FLOAT_FORMAT) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["i", "j", "mean_m", "std_m", "count"])
-        for i in range(matrix.n_anchors):
-            for j in range(matrix.n_anchors):
-                if i == j:
-                    continue
-                stats = matrix.pair(i, j)
-                if stats is None:
-                    continue
-                writer.writerow([i, j, float_format % stats.mean,
-                                 float_format % stats.std, stats.count])

@@ -26,8 +26,7 @@ from .autocalib import CalibrationResult, calibrate, load_distance_csv
 from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
                      CsvFormatError, DegenerateFit, DegenerateGeometry,
                      EmptyTrace, InsufficientData, InvalidTiming,
-                     LengthMismatch, NotConverged, SingularUpdate,
-                     UwbCalError, xy_pair)
+                     NotConverged, SingularUpdate, UwbCalError, xy_pair)
 from .ranging import RangingModel, fit_model, load_samples
 from .sim import (ScenarioConfig, Trigger, read_trace_records, run_scenario,
                   summarize, write_trace_csv)
@@ -42,8 +41,8 @@ EXIT_GEOMETRY = 5
 # ProtocolViolation, like any exception without a row, ends in a traceback:
 # no input can raise it, so when it fires it reports a bug in the round model.
 EXIT_CODES = (
-    ((ConfigError, CsvFormatError, EmptyTrace, InvalidTiming, LengthMismatch,
-      OSError), EXIT_INPUT),
+    ((ConfigError, CsvFormatError, EmptyTrace, InvalidTiming, OSError),
+     EXIT_INPUT),
     ((InsufficientData, DegenerateFit), EXIT_FIT),
     ((NotConverged, SingularUpdate), EXIT_NOT_CONVERGED),
     ((DegenerateGeometry, CollinearAnchors), EXIT_GEOMETRY),

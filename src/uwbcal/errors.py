@@ -23,12 +23,9 @@ class DegenerateGeometry(UwbCalError):
         self.anchor_id = anchor_id
 
 
-class LengthMismatch(UwbCalError):
-    """Paired sequences have different lengths."""
-
-
 class InvalidTiming(UwbCalError):
-    """Two-way-ranging timings violate causality or sign constraints."""
+    """Two-way-ranging timings, or the burst statistics formed from them,
+    are unusable: not finite, or violating causality or sign constraints."""
 
 
 class InsufficientData(UwbCalError):
@@ -60,7 +57,8 @@ class CollinearAnchors(UwbCalError):
 
 
 class ProtocolViolation(UwbCalError):
-    """A node received a message its state machine does not allow."""
+    """A ranging round broke the protocol: a node received a message its
+    state machine does not allow, or the round left a pair unmeasured."""
 
 
 class EmptyTrace(UwbCalError):

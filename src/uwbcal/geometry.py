@@ -1,4 +1,4 @@
-"""Planar geometric primitives and the error metrics used throughout.
+"""Planar geometric primitives and the frame-rotation error metric.
 
 All lengths are in meters and all angles in radians. Positions estimated by
 the calibration pipeline live in the *anchor frame*: anchor 0 at the origin
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateGeometry, LengthMismatch
+from .errors import DegenerateGeometry
 
 # Relative slack on y^2 when two ranging circles fail to intersect: small
 # inconsistencies are projected onto the x-axis, anything worse is an error.
@@ -93,22 +93,3 @@ def rotation_error(estimated_a1: Point2) -> float:
     if estimated_a1.x == 0.0 and estimated_a1.y == 0.0:
         raise DegenerateGeometry("anchor 1 estimate coincides with the origin")
     return wrap_angle(math.atan2(estimated_a1.y, estimated_a1.x))
-
-
-def translation_errors(estimated, truth, truth_origin) -> list[float]:
-    """Per-node position errors after translating the estimated frame.
-
-    The estimated coordinates are expressed in the anchor frame; shifting
-    them by ``truth_origin`` (the true world position of anchor 0) aligns
-    the two frames by translation only. No rotation correction is applied;
-    frame rotation is reported separately through :func:`rotation_error`.
-    Positions are ``(x, y)`` pairs.
-    """
-    if len(estimated) != len(truth):
-        raise LengthMismatch(
-            f"{len(estimated)} estimated vs {len(truth)} true positions")
-    if not estimated:
-        raise LengthMismatch("empty position lists")
-    ox, oy = truth_origin
-    return [distance((ex + ox, ey + oy), t)
-            for (ex, ey), t in zip(estimated, truth)]

@@ -59,13 +59,6 @@ def range_residuals(diff: np.ndarray,
     return dist - targets, diff / dist[:, None]
 
 
-def objective_and_gradient(fun: ResidualFunction,
-                           x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective sum(r(x)**2) and its gradient 2 J^T r for fun(x) -> (r, J)."""
-    r, jac = fun(np.asarray(x, dtype=float))
-    return float(r @ r), 2.0 * (jac.T @ r)
-
-
 def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
                         max_iterations: int = MAX_ITERATIONS
                         ) -> LeastSquaresResult:

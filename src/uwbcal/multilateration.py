@@ -28,7 +28,7 @@ from .errors import CollinearAnchors, NotConverged, SingularUpdate
 from .geometry import Point2
 from .leastsq import (COINCIDENT_EPS, DAMPING_GROW, DAMPING_INITIAL,
                       DAMPING_MAX, DAMPING_SHRINK, GRAD_TOL, MAX_ITERATIONS,
-                      STEP_TOL, range_residuals)
+                      STEP_TOL)
 
 CONDITION_LIMIT = 1e8
 
@@ -306,20 +306,6 @@ def linear_initial_guess(anchors, ranges: list[float]) -> Point2:
     if not condition[0] <= CONDITION_LIMIT:
         raise _collinear(condition[0])
     return Point2(float(x[0]), float(y[0]))
-
-
-def tag_residuals(anchors, ranges: list[float]):
-    """Residual function p -> (|p - a_i| - r_i, Jacobian) for a tag fix.
-
-    The array form of the residuals :func:`locate_tag` fits, for
-    :func:`~uwbcal.leastsq.levenberg_marquardt` and gradient checks.
-    """
-    a, r = (np.array(v, dtype=float) for v in _checked(anchors, ranges))
-
-    def fun(p):
-        return range_residuals(p[None, :] - a, r)
-
-    return fun
 
 
 def locate_tag(anchors, ranges: list[float], guess=None) -> TagFix:

@@ -1,14 +1,13 @@
-"""Two-way-ranging distance computation and the empirical sensor model.
+"""The empirical sensor model of two-way ranging.
 
-Distances come from round-trip signal timings (single- or double-sided
-two-way ranging). Real modules read systematically long: a line fitted to
-measured-vs-true sweeps captures that bias, and its residual spread gives
-the noise level used when simulating measurements.
+Distances come from round-trip signal timings (two-way ranging). Real
+modules read systematically long: a line fitted to measured-vs-true sweeps
+captures that bias, and its residual spread gives the noise level used when
+simulating measurements.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -17,8 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ConfigError, CsvFormatError, DegenerateFit,
-                     InsufficientData, InvalidTiming, csv_rows,
-                     finite_number, integer, json_object)
+                     InsufficientData, csv_rows, finite_number, integer,
+                     json_object)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 
@@ -26,38 +25,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 # responder-delay offset already removed. Ships with the package so models
 # can be fitted without external files.
 REFERENCE_SWEEP = "dwm1001_los_sweep.csv"
-
-
-@dataclass(frozen=True)
-class TwrTimings:
-    """Round-trip timings in seconds; the second pair is only for DS-TWR.
-
-    ``t_round`` is the initiator's poll-to-response elapsed time and
-    ``t_reply`` the responder's fixed processing delay. Zero flight time
-    (``t_round == t_reply``) is allowed; a round shorter than the reply is not.
-    """
-
-    t_round: float
-    t_reply: float
-    t_round2: float | None = None
-    t_reply2: float | None = None
-
-    def __post_init__(self):
-        self._check(self.t_round, self.t_reply)
-        if (self.t_round2 is None) != (self.t_reply2 is None):
-            raise InvalidTiming("second exchange needs both t_round2 and t_reply2")
-        if self.t_round2 is not None:
-            self._check(self.t_round2, self.t_reply2)
-
-    @staticmethod
-    def _check(t_round, t_reply):
-        if not (math.isfinite(t_round) and math.isfinite(t_reply)):
-            raise InvalidTiming("non-finite timing")
-        if t_reply < 0.0:
-            raise InvalidTiming(f"negative reply time {t_reply}")
-        if t_round < t_reply:
-            raise InvalidTiming(
-                f"t_round={t_round} earlier than t_reply={t_reply}")
 
 
 @dataclass(frozen=True)
@@ -124,33 +91,6 @@ class RangingSample:
                 f"({self.true_distance}, {self.measured_distance})")
 
 
-def ss_twr_distance(t: TwrTimings) -> float:
-    """Single-sided TWR: half the net round trip times the speed of light."""
-    return SPEED_OF_LIGHT * (t.t_round - t.t_reply) / 2.0
-
-
-def ds_twr_distance(t: TwrTimings) -> float:
-    """Double-sided TWR using the standard asymmetric expression.
-
-    d = c * (Tround1*Tround2 - Treply1*Treply2)
-          / (Tround1 + Tround2 + Treply1 + Treply2)
-
-    The cross-product form cancels first-order clock-offset errors, removing
-    the need for responder-delay calibration.
-    """
-    if t.t_round2 is None:
-        raise InvalidTiming("DS-TWR needs a second round/reply pair")
-    num = t.t_round * t.t_round2 - t.t_reply * t.t_reply2
-    den = t.t_round + t.t_round2 + t.t_reply + t.t_reply2
-    if den <= 0.0:
-        raise InvalidTiming(f"non-positive timing sum {den}")
-    if num < 0.0:
-        if num < -1e-9 * max(t.t_round * t.t_round2, 1e-300):
-            raise InvalidTiming(f"negative timing product {num}")
-        num = 0.0
-    return SPEED_OF_LIGHT * num / den
-
-
 def fit_model(samples: list[RangingSample]) -> RangingModel:
     """Ordinary least-squares line through (true, measured) pairs.
 
@@ -206,14 +146,6 @@ def load_samples(path) -> list[RangingSample]:
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from exc
     return samples
-
-
-def save_samples(samples: list[RangingSample], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["true_m", "measured_m"])
-        for s in samples:
-            writer.writerow([repr(s.true_distance), repr(s.measured_distance)])
 
 
 def load_reference_samples() -> list[RangingSample]:

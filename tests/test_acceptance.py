@@ -16,16 +16,17 @@ import time
 import numpy as np
 import pytest
 
-from uwbcal.autocalib import calibrate, network_residuals, refine_lse
+from uwbcal.autocalib import calibrate, refine_lse
 from uwbcal.autocalib import DistanceStatsMatrix
 from uwbcal.geometry import Point2, distance
-from uwbcal.leastsq import objective_and_gradient
-from uwbcal.multilateration import locate_tag, tag_residuals
-from uwbcal.protocol import estimate_latency, simulate_round
+from uwbcal.multilateration import locate_tag
+from uwbcal.protocol import estimate_latency
 from uwbcal.ranging import fit_model, load_reference_samples, reference_model
 from uwbcal.sim import ScenarioConfig, point_in_anchor_hull, run_scenario
 from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES, \
     exact_matrix
+from oracles import (network_residuals, objective_and_gradient,
+                     simulate_round, tag_residuals)
 
 DEFAULT_SEEDS = range(20)
 

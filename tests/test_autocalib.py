@@ -8,16 +8,17 @@ import pytest
 
 from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
                               _residual_layout, calibrate, initial_placement,
-                              load_distance_csv, network_residuals,
-                              refine_lse, save_distance_csv)
+                              load_distance_csv, refine_lse)
 from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                            SingularUpdate, UwbCalError)
 from uwbcal.geometry import Point2, distance, rotation_error
-from uwbcal.leastsq import levenberg_marquardt, objective_and_gradient
+from uwbcal.leastsq import levenberg_marquardt
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
 from conftest import (GOLDEN_FRAME, dense_network_residuals, equal_stats,
                       exact_matrix, rotated, sym_mean, unordered_pairs)
+from oracles import (network_residuals, objective_and_gradient,
+                     save_distance_csv)
 
 
 def free_vector(positions, fix_a1_axis=False):

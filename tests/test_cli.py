@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uwbcal import cli, errors
-from uwbcal.ranging import load_reference_samples, save_samples
+from uwbcal.ranging import load_reference_samples
 from conftest import GOLDEN_FRAME, exact_matrix
-from uwbcal.autocalib import CalibrationResult, save_distance_csv
+from oracles import save_distance_csv, save_samples
+from uwbcal.autocalib import CalibrationResult
 from uwbcal.sim import SCALAR_KEYS
 
 
@@ -447,9 +448,15 @@ class TestSimulate:
         # 8.73 TiB, without the bound
         ({"k_measurements": 1e308}, 2, "k_measurements: need <= "),
         ({"k_measurements": 1e11}, 2, "k_measurements: need <= "),
+        # anchor 0 is about 1e201 m out at the step-10 round: its pairs
+        # read finite ranges whose deviations from the mean square to inf
+        ({**json.loads(moving(speed=1e200)), "n_steps": 12}, 2,
+         "error: pair (0,1): the readings are too large for a finite burst "
+         "mean and std\n"),
     ], ids=["list", "null", "invalid_timing", "overflowing_anchors",
             "singular_update", "motion_number", "motion_anchors_number",
-            "negative_speed", "negative_slope", "k_1e308", "k_1e11"])
+            "negative_speed", "negative_slope", "k_1e308", "k_1e11",
+            "std_overflow"])
     def test_reproduced_tracebacks_exit_with_a_code(self, tmp_path, doc, code,
                                                     named):
         scenario = tmp_path / "scenario.json"

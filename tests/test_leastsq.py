@@ -6,11 +6,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from uwbcal.errors import SingularUpdate
 from uwbcal.geometry import Point2
-from uwbcal.leastsq import (MAX_ITERATIONS, levenberg_marquardt,
-                            objective_and_gradient)
+from uwbcal.leastsq import MAX_ITERATIONS, levenberg_marquardt
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
-                                    _equations, _residuals, solve_fixes,
-                                    tag_residuals)
+                                    _equations, _residuals, solve_fixes)
+from oracles import objective_and_gradient, tag_residuals
 
 
 def quadratic_bowl(target):

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from uwbcal.errors import CollinearAnchors, NotConverged, SingularUpdate
 from uwbcal.geometry import Point2, distance
-from uwbcal.leastsq import objective_and_gradient
 from uwbcal.multilateration import (COLLINEAR, CONVERGED, NOT_CONVERGED,
                                     SINGULAR, linear_initial_guess,
-                                    locate_tag, solve_fixes, tag_residuals)
+                                    locate_tag, solve_fixes)
 from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES
+from oracles import objective_and_gradient, tag_residuals
 
 
 def ranges_from(anchors, tag):

