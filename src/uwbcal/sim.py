@@ -8,9 +8,10 @@ drift is what the periodic recalibration has to clean up. Tags are located
 fresh at every step from bias-corrected ranges against the *estimated*
 anchor positions.
 
-A run takes two passes: the step loop draws and decides everything in
-stream order, then one call of the multilateration kernel makes every tag
-fix of the run.
+A run loops over calibrations, not steps: the paths that depend on no
+decision are formed for the whole run, each pass of the loop carries the
+anchor estimates from one calibration to the next, and after the loop one
+call of the multilateration kernel makes every tag fix of the run.
 
 Errors are always reported in the anchor frame re-anchored at anchor 0's
 true position: anchor 0's own translation error is zero by construction and
@@ -412,89 +413,44 @@ def _xy(points) -> np.ndarray:
     return np.array([tuple(p) for p in points], dtype=float)
 
 
-# Steps whose motion and drift are drawn and summed together. The outputs do
-# not depend on it: a block draw is the same stream as its per-step draws,
-# and np.add.accumulate adds the rows strictly in order.
-MOTION_BLOCK = 64
-
-
 def _overflowed(t: int) -> ConfigError:
     return ConfigError([f"step {t}: node positions overflowed; reduce the "
                         f"motion speed or gaussian_std, or drift_bound"])
 
 
-class _Motion:
-    """True positions and drifted anchor estimates, step by step.
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of every ``(dx, dy)`` pair on the last axis (np.hypot
+    may differ from it in the last bit)."""
+    dx, dy = diff.reshape(-1, 2).T.tolist()
+    return np.fromiter(map(math.hypot, dx, dy), float,
+                       len(dx)).reshape(diff.shape[:-1])
 
-    Every node moves along its heading plus Gaussian jitter; the anchor
-    estimates advance by the same executed displacement (odometry reads
-    actual motion) plus Uniform(-b, +b) drift per coordinate. Both are
-    drawn, summed, checked and converted to lists a block of steps at a
-    time; a calibration restarts the estimates, which are then summed
-    again from its step to the block's end.
+
+def _true_paths(cfg: ScenarioConfig, motion_rng: np.random.Generator,
+                drift_rng: np.random.Generator):
+    """The run's true positions ``(steps, N+T, 2)``, anchors then tags, and
+    the increments of the anchor estimates ``(2 steps, N, 2)``.
+
+    Every node moves along its heading plus Gaussian jitter. An anchor
+    estimate advances by the same executed displacement (odometry reads
+    actual motion), then by a Uniform(-b, +b) drift per coordinate: its
+    increments alternate the two, in the order they are added. Each stream
+    is drawn in one call, which yields the numbers of one call per step,
+    and np.add.accumulate adds the rows strictly in order. Positions that
+    overflow come out inf or nan; :func:`run_scenario` checks them in step
+    order.
     """
-
-    def __init__(self, cfg: ScenarioConfig, true_xy: np.ndarray,
-                 est_xy: np.ndarray, motion_rng: np.random.Generator,
-                 drift_rng: np.random.Generator):
-        self.cfg = cfg
-        self.velocity, self.jitter = cfg.motion.arrays()
-        self.motion_rng, self.drift_rng = motion_rng, drift_rng
-        # the last row of est_path is the estimate the next block starts from
-        self.true_xy, self.est_path = true_xy, est_xy[None]
-        self.block_start = self.block_stop = 0
-
-    def _draw_block(self):
-        cfg, n = self.cfg, self.cfg.n_anchors
-        start = self.block_stop
-        length = min(MOTION_BLOCK, cfg.n_steps - start)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.delta = self.velocity + self.jitter * \
-                self.motion_rng.standard_normal((length,) + self.true_xy.shape)
-            self.drift = self.drift_rng.uniform(
-                -1.0, 1.0, (length, n, 2)) * cfg.drift_bound
-            path = np.add.accumulate(
-                np.concatenate((self.true_xy[None], self.delta)))[1:]
-        self.true_xy = path[-1]
-        self.true_ok = np.isfinite(path).all(axis=(1, 2)).tolist()
-        self.worlds = path.tolist()
-        self.block_start, self.block_stop = start, start + length
-        before, self.est_path = self.est_path[-1], np.empty((length, n, 2))
-        self.frame_ok, self.frames = [], []
-        self._sum_estimates(0, before)
-
-    def _sum_estimates(self, k: int, before: np.ndarray):
-        """Estimates for the block's rows k to its end, from ``before``,
-        the estimates of the step before row k."""
-        rows = np.empty((2 * (len(self.drift) - k) + 1,) + before.shape)
-        rows[0] = before
-        rows[1::2] = self.delta[k:, :len(before)]
-        rows[2::2] = self.drift[k:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            path = self.est_path[k:] = np.add.accumulate(rows)[2::2]
-            frame = path - path[:, :1]
-        # a finite frame implies finite estimates, and also that no
-        # estimate is so far from anchor 0 that the difference overflows
-        self.frame_ok[k:] = np.isfinite(frame).all(axis=(1, 2)).tolist()
-        self.frames[k:] = frame.tolist()
-
-    def advance(self, t: int):
-        """Step t's world positions, anchors then tags, and anchor frame
-        (``est - est[0]``) as ``(x, y)`` lists; steps come in order."""
-        if t == self.block_stop:
-            self._draw_block()
-        k = t - self.block_start
-        if not (self.true_ok[k] and self.frame_ok[k]):
-            raise _overflowed(t)
-        return self.worlds[k], self.frames[k]
-
-    def recalibrated(self, t: int, positions) -> list:
-        """Restart the estimates at step t from calibrated anchor-frame
-        ``positions``, placed at anchor 0's estimate; returns the new frame."""
-        k = t - self.block_start
-        est_xy = self.est_path[k] = self.est_path[k, 0] + _xy(positions)
-        self._sum_estimates(k + 1, est_xy)
-        return (est_xy - est_xy[0]).tolist()
+    n, steps = cfg.n_anchors, cfg.n_steps
+    start = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
+    velocity, jitter = cfg.motion.arrays()
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = velocity + jitter * motion_rng.standard_normal(
+            (steps,) + start.shape)
+        drift = drift_rng.uniform(-1.0, 1.0, (steps, n, 2)) * cfg.drift_bound
+        world = np.add.accumulate(np.concatenate((start[None], delta)))[1:]
+    increments = np.empty((2 * steps, n, 2))
+    increments[0::2], increments[1::2] = delta[:, :n], drift
+    return world, increments
 
 
 @dataclass(frozen=True)
@@ -524,20 +480,26 @@ class SimulationTrace:
 def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> SimulationTrace:
     """Execute a full scenario; deterministic for a fixed config and seed.
 
-    Two passes. The step loop decides the run: per step, motion, drift,
-    recalibration when triggered (warm-started from the current estimates),
-    the metrics of the anchors, and each tag's fresh bias-corrected ranges,
-    all drawn in stream order. After the loop, every tag fix of the run is
-    made in one :func:`~uwbcal.multilateration.solve_fixes` call, and the
-    records are assembled. No control decision depends on a tag fix, so
-    the passes give what one loop fixing each tag at its step would.
+    The true paths and each step's tag-to-anchor distances depend on no
+    decision, so they are formed for the whole run first. The loop then
+    goes from one calibration to the next: it sums the anchor estimates up
+    to the step where the trigger fires, checks them, runs that step's
+    round and warm-started calibration, and restarts the estimates from
+    its result. The tag noise of the steps since the last round is drawn
+    just before each round, so the ranging stream keeps its order. After
+    the loop, rotations and corrected tag ranges are formed for the whole
+    run, every tag fix is made in one
+    :func:`~uwbcal.multilateration.solve_fixes` call, and the records are
+    assembled. Distances and angles go through ``math.hypot`` and
+    ``math.atan2`` value by value, and every sum adds its terms in step
+    order, so the outputs are those of a per-step loop to the last bit.
 
     Module errors during a tag fix or a calibration become diagnostics,
     in step order, instead of aborting the run; a warm calibration whose
     update is singular keeps the previous estimates, and its step is not
     marked calibrated. Positions that overflow, or anchors that meet at a
-    calibration, raise :class:`ConfigError`: the scenario's motion cannot be
-    simulated.
+    calibration, raise :class:`ConfigError` for the first such step: the
+    scenario's motion cannot be simulated.
     """
     # validated first: a bad seed is a ConfigError, not a numpy error
     anchors, tags = _validated(cfg)
@@ -546,178 +508,182 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     cfg = _filled(cfg, anchors, tags, params_rng)
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
-    n = cfg.n_anchors
+    n, n_steps, trigger = cfg.n_anchors, cfg.n_steps, cfg.trigger
 
     stats, _ = run_calibration_round(n, cfg.k_measurements,
                                      cfg.initial_anchor_positions, model,
                                      ranging_rng)
-    # messages, and the queue index of each tag fix still to be made
-    diagnostics: list[str | int] = []
+    # (step, tag, message); a calibration's note comes before its step's
+    # tag notes, as tag -1
+    notes = []
     try:
         result = calibrate(stats, correction)
     except NotConverged as exc:
         result = exc.result
-        diagnostics.append("bootstrap calibration did not converge")
-    # world positions, anchors then tags, and the anchor estimates; the
-    # system's anchor frame is est - est[0], so anchor 0 anchors it
-    true_xy = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
-    motion = _Motion(cfg, true_xy, true_xy[0] + _xy(result.positions),
-                     motion_rng, drift_rng)
-    tag_fixes = _TagFixes(model, correction)
-    steps = []
+        notes.append((-1, -1, "bootstrap calibration did not converge"))
+    world, increments = _true_paths(cfg, motion_rng, drift_rng)
+    world_ok = np.isfinite(world).all(axis=(1, 2))
+    truth = world[:, :n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tag_d = _norms(world[:, n:, None] - truth[:, None])
+    live = ~(tag_d == 0.0).any(axis=2)
+    # live tags before each step: the noise of steps a..b-1 is
+    # (live_before[b] - live_before[a], N)
+    live_before = [0] + np.cumsum(live.sum(axis=1)).tolist()
+    noise, drawn = [], 0
 
-    for t in range(cfg.n_steps):
-        world, frame = motion.advance(t)
-        truth = world[:n]
-        calibrated = False
-        x0, y0 = truth[0]
-        est_pos = [(x + x0, y + y0) for x, y in frame]
-        anchor_errors = list(map(math.dist, est_pos, truth))
-        if _trigger_fires(cfg, t, anchor_errors):
-            met = _coincident(truth)
-            if met:
-                i, j = met[0]
-                raise ConfigError([
-                    f"step {t}: anchors {i} and {j} coincide at "
-                    f"({truth[j][0]:g}, {truth[j][1]:g}) and cannot range "
-                    f"each other; change the motion or "
-                    f"initial_anchor_positions"])
-            stats, _ = run_calibration_round(
-                n, cfg.k_measurements, truth, model, ranging_rng)
-            try:
-                result = calibrate(stats, correction, prior=frame)
-            except NotConverged as exc:
-                result = exc.result
-                diagnostics.append(f"step {t}: calibration did not converge")
-            except SingularUpdate as exc:
-                # the estimates carry on as if no round had run
-                result = None
-                diagnostics.append(f"step {t}: calibration failed: {exc}")
-            if result is not None:
-                frame = motion.recalibrated(t, result.positions)
-                est_pos = [(x + x0, y + y0) for x, y in frame]
-                anchor_errors = list(map(math.dist, est_pos, truth))
-                calibrated = True
+    # per step: the anchor frame (est - est[0]), the estimates placed at
+    # anchor 0's true position, and their errors
+    frames = np.empty((n_steps, n, 2))
+    placed = np.empty_like(frames)
+    errors = np.empty((n_steps, n))
+    calibrated = [False] * n_steps
+    # A window of steps starts at step t. With `head`, step t's estimates
+    # are `before`, a calibration's result; else `before` holds those of
+    # step t - 1. A threshold trigger looks `span` steps past the head: the
+    # last segment's length, doubled while nothing fires.
+    before = _xy(cfg.initial_anchor_positions)[0] + _xy(result.positions)
+    t, head, span = 0, False, 1
+    while t < n_steps:
+        if trigger.kind == "periodic":
+            period = cfg.calibration_period
+            due = max(period, -(-(t + head) // period) * period)
+            stop = min(due + 1, n_steps)
+        else:
+            stop = min(t + head + span, n_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = np.add.accumulate(np.concatenate(
+                (before[None], increments[2 * (t + head):2 * stop])))
+            path = path[2 - 2 * head::2]
+            frame = path - path[:, :1]
+            est = frame + truth[t:stop, :1]
+            err = _norms(est - truth[t:stop])
+        if trigger.kind == "periodic":
+            fires, end = stop - 1 == due, stop - 1 - t
+        else:
+            over = np.flatnonzero((err[head:] > trigger.threshold).any(axis=1))
+            fires = over.size > 0
+            end = int(over[0]) + head if fires else stop - 1 - t
+            span = end + 1 - head if fires else 2 * span
+        # Errors are finite just where the positions, their frame and the
+        # errors themselves did not overflow; a firing step's errors are
+        # checked after its calibration.
+        ok = world_ok[t:t + end + 1] & np.isfinite(err[:end + 1]).all(axis=1)
+        if fires and not ok[end]:
+            ok[end] = world_ok[t + end] and np.isfinite(frame[end]).all()
+        if not ok.all():
+            raise _overflowed(t + int(ok.argmin()))
+        assert not err[:end + 1, 0].any()
+        c = t + end
+        frames[t:c + 1], placed[t:c + 1], errors[t:c + 1] = \
+            frame[:end + 1], est[:end + 1], err[:end + 1]
+        t, head, before = c + 1, False, path[end]
+        if not fires:
+            continue
+        met = _coincident(truth[c].tolist())
+        if met:
+            i, j = met[0]
+            x, y = truth[c, j].tolist()
+            raise ConfigError([
+                f"step {c}: anchors {i} and {j} coincide at ({x:g}, {y:g}) "
+                f"and cannot range each other; change the motion or "
+                f"initial_anchor_positions"])
+        noise.append(ranging_rng.standard_normal(
+            (live_before[c] - live_before[drawn], n)))
+        drawn = c
+        stats, _ = run_calibration_round(n, cfg.k_measurements,
+                                         truth[c].tolist(), model, ranging_rng)
+        try:
+            result = calibrate(stats, correction, prior=frame[end].tolist())
+        except NotConverged as exc:
+            result = exc.result
+            notes.append((c, -1, f"step {c}: calibration did not converge"))
+        except SingularUpdate as exc:
+            # the estimates carry on as if no round had run
+            notes.append((c, -1, f"step {c}: calibration failed: {exc}"))
+            if np.isinf(err[end]).any():
+                raise _overflowed(c)
+            continue
+        # the next window recomputes step c from the calibrated estimates
+        t, head, before = c, True, path[end, 0] + _xy(result.positions)
+        calibrated[c] = True
+    noise.append(ranging_rng.standard_normal(
+        (live_before[-1] - live_before[drawn], n)))
 
-        assert anchor_errors[0] == 0.0
-        if math.inf in anchor_errors:
-            # an estimate so far out that its error overflows
-            raise _overflowed(t)
-        (x1, y1), (fx, fy) = truth[1], frame[1]
-        rotation = wrap_angle(math.atan2(fy, fx)
-                              - math.atan2(y1 - y0, x1 - x0))
-        steps.append((tuple(anchor_errors), rotation, calibrated,
-                      tuple(map(tuple, world)), tuple(est_pos),
-                      len(tag_fixes.errors)))
-        tag_fixes.draw(t, world[n:], truth, frame, ranging_rng, diagnostics)
-
-    tag_fixes.solve(diagnostics)
+    tag_errors, tag_placed = _fix_tags(world, frames, tag_d, live,
+                                       np.concatenate(noise), model,
+                                       correction, notes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        baseline = truth[:, 1] - truth[:, 0]
+    rotations = [wrap_angle(math.atan2(fy, fx) - math.atan2(by, bx))
+                 for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
+                                           *baseline.T.tolist())]
+    wx, wy = np.moveaxis(world, 2, 0).tolist()
+    px, py = np.moveaxis(placed, 2, 0).tolist()
     n_tags = cfg.n_tags
     records = [
-        TraceRecord(step=t, anchor_errors=anchor_errors,
-                    tag_errors=tuple(tag_fixes.errors[k:k + n_tags]),
-                    rotation_error=rotation, calibrated=calibrated,
-                    true_positions=true_positions,
-                    est_positions=est_positions
-                    + tuple(tag_fixes.estimates[k:k + n_tags]))
-        for t, (anchor_errors, rotation, calibrated, true_positions,
-                est_positions, k) in enumerate(steps)]
+        TraceRecord(step=t, anchor_errors=tuple(anchor_errors),
+                    tag_errors=tuple(tag_errors[t]),
+                    rotation_error=rotation, calibrated=calibrated[t],
+                    true_positions=tuple(zip(wx[t], wy[t])),
+                    est_positions=tuple(zip(px[t], py[t]))
+                    + tuple(tag_placed[t * n_tags:(t + 1) * n_tags]))
+        for t, (anchor_errors, rotation) in enumerate(zip(errors.tolist(),
+                                                          rotations))]
     return SimulationTrace(config=cfg.to_dict(), records=records,
-                           diagnostics=diagnostics)
+                           diagnostics=[text for *_, text in sorted(notes)])
 
 
-def _trigger_fires(cfg: ScenarioConfig, t: int, anchor_errors) -> bool:
-    if cfg.trigger.kind == "periodic":
-        return t > 0 and t % cfg.calibration_period == 0
-    return max(anchor_errors) > cfg.trigger.threshold
+def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
+              correction: RangingModel, notes):
+    """Every tag fix of a run, in one :func:`solve_fixes` call.
 
-
-class _TagFixes:
-    """The tag fixes of a run: ranges step by step, fixes after the loop.
-
-    :meth:`draw` forms a step's bias-corrected ranges, as
+    ``tag_d`` holds each step's true tag-to-anchor distances ``(steps, T,
+    N)``, ``live`` marks the tags that coincide with no anchor, and
+    ``noise`` the ranging noise of the live tags in step and tag order, N
+    values each. The bias-corrected ranges are those of
     :func:`~uwbcal.ranging.simulate_measurement` and
-    :func:`~uwbcal.ranging.correct_measurement` form them but on floats,
-    from one noise draw for all its tags (tag by tag, anchor by anchor; a
-    tag that coincides with an anchor draws nothing), so the stream and the
-    ranges are those of one such call per range. It queues each tag's fix.
-    :meth:`solve` then makes every queued fix in one
-    :func:`~uwbcal.multilateration.solve_fixes` call. ``estimates`` and
-    ``errors`` hold, per step and tag, the world estimate (None for a
-    failed fix) and its error (NaN).
+    :func:`~uwbcal.ranging.correct_measurement`, operation by operation. A
+    tag that coincides with an anchor, has a non-positive corrected range
+    or whose fix fails adds its note to ``notes``. Returns each step's tag
+    errors (NaN for a failed fix) and, per step and tag, the world estimate
+    (None for a failed fix).
     """
-
-    def __init__(self, model: RangingModel, correction: RangingModel):
-        self.model, self.correction = model, correction
-        self.estimates: list[tuple[float, float] | None] = []
-        self.errors: list[float] = []
-        self.frames = []  # the anchor frame of each step with a queued fix
-        self.ranges: list[float] = []  # N per queued fix
-        # per queued fix: its frame, slot in estimates, step, tag, and
-        # anchor 0's and the tag's true positions
-        self.queue = []
-
-    def draw(self, step, tags_true, truth_anchors, frame, rng, diagnostics):
-        """Draw step ``step``'s ranges and queue its fixes. A tag that
-        coincides with an anchor or has a non-positive corrected range fails
-        with a diagnostic; a queued fix appends its queue index to
-        ``diagnostics``, which :meth:`solve` resolves."""
-        if not tags_true:
-            return
-        m, c = self.model, self.correction
-        slope, intercept, noise_std = m.slope, m.intercept, m.noise_std
-        true_d = [[math.hypot(tx - ax, ty - ay) for ax, ay in truth_anchors]
-                  for tx, ty in tags_true]
-        live = sum(0.0 not in d for d in true_d)
-        n = len(truth_anchors)
-        noise = rng.standard_normal(live * n).tolist()
-        k, frame_id = 0, len(self.frames)
-        for tag_id, (tag_true, dists) in enumerate(zip(tags_true, true_d)):
-            slot = len(self.errors)
-            self.estimates.append(None)
-            self.errors.append(math.nan)
-            if 0.0 in dists:
-                diagnostics.append(f"step {step}: tag {tag_id} coincides "
-                                   f"with anchor {dists.index(0.0)} and "
-                                   f"cannot range it")
-                continue
-            ranges = [(slope * d + intercept + noise_std * z - c.intercept)
-                      / c.slope for d, z in zip(dists, noise[k:k + n])]
-            k += n
-            if min(ranges) <= 0.0:
-                diagnostics.append(f"step {step}: tag {tag_id} produced a "
-                                   f"non-positive corrected range")
-                continue
-            if frame_id == len(self.frames):
-                self.frames.append(frame)
-            diagnostics.append(len(self.queue))
-            self.queue.append((frame_id, slot, step, tag_id, truth_anchors[0],
-                               tag_true))
-            self.ranges += ranges
-
-    def solve(self, diagnostics):
-        """Make every queued fix, and put each failed fix's message in
-        ``diagnostics`` where :meth:`draw` put its queue index (dropping
-        the index of a fix that succeeded)."""
-        messages = [None] * len(self.queue)
-        if self.queue:
-            frames = np.array(self.frames)[[q[0] for q in self.queue]]
-            batch = solve_fixes(frames[:, :, 0], frames[:, :, 1],
-                                np.reshape(self.ranges, (len(messages), -1)))
-            for p, (status, (fx, fy), (_, slot, step, tag_id, (x0, y0),
-                                       tag_true)) in enumerate(zip(
-                    batch.status.tolist(), batch.position.tolist(),
-                    self.queue)):
-                if status == CONVERGED:
-                    est = (fx + x0, fy + y0)
-                    self.estimates[slot] = est
-                    self.errors[slot] = math.dist(est, tag_true)
-                else:
-                    messages[p] = (f"step {step}: tag {tag_id} fix failed: "
-                                   f"{batch.error(p)}")
-        diagnostics[:] = [d if isinstance(d, str) else messages[d]
-                          for d in diagnostics
-                          if isinstance(d, str) or messages[d] is not None]
+    steps, n_tags, n = tag_d.shape
+    for k in np.flatnonzero(~live).tolist():
+        t, j = divmod(k, n_tags)
+        notes.append((t, j, f"step {t}: tag {j} coincides with anchor "
+                            f"{tag_d[t, j].tolist().index(0.0)} and cannot "
+                            f"range it"))
+    slots = np.flatnonzero(live)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = (model.slope * tag_d.reshape(-1, n)[slots] + model.intercept
+                  + model.noise_std * noise - correction.intercept) \
+            / correction.slope
+    positive = ~(ranges <= 0.0).any(axis=1)
+    for k in slots[~positive].tolist():
+        t, j = divmod(k, n_tags)
+        notes.append((t, j, f"step {t}: tag {j} produced a non-positive "
+                            f"corrected range"))
+    slots, ranges = slots[positive], ranges[positive]
+    errors = np.full(steps * n_tags, math.nan)
+    estimates = [None] * (steps * n_tags)
+    if slots.size:
+        step_of = slots // n_tags
+        frame = frames[step_of]
+        batch = solve_fixes(frame[:, :, 0], frame[:, :, 1], ranges)
+        fixed = batch.status == CONVERGED
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = (batch.position[fixed] + world[step_of[fixed], 0]).tolist()
+        tag_true = world[step_of[fixed], n + slots[fixed] % n_tags].tolist()
+        errors[slots[fixed]] = list(map(math.dist, est, tag_true))
+        for k, xy in zip(slots[fixed].tolist(), est):
+            estimates[k] = tuple(xy)
+        for p in np.flatnonzero(~fixed).tolist():
+            t, j = divmod(int(slots[p]), n_tags)
+            notes.append((t, j, f"step {t}: tag {j} fix failed: "
+                                f"{batch.error(p)}"))
+    return errors.reshape(steps, n_tags).tolist(), estimates
 
 
 @dataclass(frozen=True)

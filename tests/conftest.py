@@ -41,7 +41,8 @@ def step_motion(true_xy: np.ndarray, est_xy: np.ndarray,
                 velocity: np.ndarray, jitter: np.ndarray,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One step of the simulator's motion, drawn per step: the oracle for
-    ``sim._Motion``, which draws and sums a block of steps at a time.
+    ``sim.run_scenario``, which draws the motion and drift of the whole run
+    at once.
 
     Every node advances along its heading plus Gaussian noise. ``true_xy``
     holds the true positions of the anchors then the tags, ``est_xy`` the
@@ -64,7 +65,9 @@ def apply_drift(est_xy: np.ndarray, drift_bound: float,
 def fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
             diagnostics, step, tag_id):
     """One tag's fix from ranges drawn one at a time: the oracle for
-    ``sim._fix_tags``, which draws the noise of every tag of a step at once.
+    ``sim.run_scenario``, which draws the noise of every tag between two
+    calibration rounds at once and makes all of a run's fixes in one
+    ``solve_fixes`` call.
 
     Ranges to the true anchors go through ``simulate_measurement`` and
     ``correct_measurement``; the fix is made against the anchor ``frame``

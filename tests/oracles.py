@@ -9,7 +9,8 @@ writers tests build their inputs with.
 - The residual functions of the anchor network and of a tag fix, and the
   objective and gradient they give, for gradient checks.
 - ``translation_errors``: per-node errors after translating the estimated
-  frame, which the step loop forms with ``math.dist``.
+  frame, which ``sim.run_scenario`` forms with ``math.hypot`` over a whole
+  segment of steps.
 - ``save_samples`` and ``save_distance_csv``: the CSV inputs of
   ``fit-model`` and ``calibrate``.
 """

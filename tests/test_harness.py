@@ -41,6 +41,25 @@ def test_every_traced_metric_group_has_a_hook_target():
     assert unhooked == []
 
 
+def test_traced_counts_follow_the_schedule():
+    # bench/tracing.py wraps names in uwbcal.sim; a call that reaches its
+    # target another way (a name bound at import, another module's
+    # attribute) escapes the tracer, whose counts then read 0
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import uwbcal
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, uwbcal) as api:
+        api.run_scenario(uwbcal.ScenarioConfig(seed=0))
+    spans = [tracer.names[i] for i in tracer.name]
+    # the default scenario calibrates at steps 10, 20, 30, 40 and 50
+    assert spans.count("protocol.run_calibration_round") == 6
+    assert spans.count("autocalib.calibrate.bootstrap") == 1
+    assert spans.count("autocalib.calibrate.warm") == 5
+
+
 def test_a_failing_property_does_not_end_the_session(pytester, monkeypatch):
     # run under this suite's conftest and warning filter, in a fresh process
     path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(

@@ -24,8 +24,7 @@ from uwbcal.leastsq import MAX_ITERATIONS
 from uwbcal.multilateration import SINGULAR
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel
-from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MOTION_BLOCK, SCALAR_KEYS,
-                        TRACE_HEADER, MotionParams, MotionTable, Quartiles,
+from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, SCALAR_KEYS, TRACE_HEADER, MotionParams, MotionTable, Quartiles,
                         ScenarioConfig, SimulationTrace, TraceRecord, Trigger,
                         point_in_anchor_hull, read_trace_records,
                         resolve_config, run_scenario, summarize,
@@ -47,6 +46,32 @@ def step(cfg, rng, anchors=None):
     return step_motion(true_xy, true_xy[:cfg.n_anchors].copy(),
                        *cfg.motion.arrays(), rng)
 
+
+
+def still_scenario(anchors, tags, **fields):
+    """A drift-free scenario in which no node moves."""
+    still = MotionParams(0.0, 0.0, 0.0)
+    return ScenarioConfig(
+        n_anchors=len(anchors), n_tags=len(tags), drift_bound=0.0,
+        initial_anchor_positions=tuple(anchors),
+        initial_tag_positions=tuple(tags),
+        motion=MotionTable(anchors=(still,) * len(anchors),
+                           tags=(still,) * len(tags)), **fields)
+
+
+def round_states(monkeypatch, cfg):
+    """``run_scenario(cfg)``, and the ranging generator's state before and
+    after each of its calibration rounds."""
+    states, real = [], sim.run_calibration_round
+
+    def recorded(n, k, positions, model, rng):
+        before = rng.bit_generator.state
+        stats = real(n, k, positions, model, rng)
+        states.append((before, rng.bit_generator.state))
+        return stats
+
+    monkeypatch.setattr(sim, "run_calibration_round", recorded)
+    return run_scenario(cfg), states
 
 class TestConfig:
     def test_defaults_resolve(self):
@@ -336,14 +361,16 @@ class TestRunScenario:
         run_scenario(ScenarioConfig(seed=4, n_steps=2))
         assert spawned == [4]
 
-    def test_tagless_step_leaves_the_stream_alone(self):
-        fixes = sim._TagFixes(NOISELESS, NOISELESS)
-        rng, diagnostics = np.random.default_rng(3), []
-        fixes.draw(0, [], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-                   [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], rng, diagnostics)
-        assert (fixes.errors, fixes.queue, diagnostics) == ([], [], [])
-        assert rng.standard_normal() == \
-            np.random.default_rng(3).standard_normal()
+    def test_tagless_step_leaves_the_stream_alone(self, monkeypatch):
+        # the only tag sits on anchor 0, so no step ranges a tag
+        trace, states = round_states(monkeypatch, still_scenario(
+            DEFAULT_ANCHOR_LAYOUT[:3], DEFAULT_ANCHOR_LAYOUT[:1],
+            calibration_period=2, n_steps=5))
+        assert len(states) == 3
+        # every round starts where the one before it ended
+        assert all(after == before
+                   for (_, after), (before, _) in zip(states, states[1:]))
+        assert all(math.isnan(r.tag_errors[0]) for r in trace.records)
 
     def test_singular_tag_update_is_a_diagnostic(self, monkeypatch):
         # NaN ranges leave the third fix's damped system unsolvable
@@ -486,22 +513,24 @@ class TestRunScenario:
         assert abs(med(a) - med(b)) < 0.01
 
 
-def run_per_step(cfg):
-    """``run_scenario`` with motion and drift drawn and added one step at a
-    time, and tags fixed one at a time, at their step, through the conftest
-    oracles: the reference for the block loop and for the two passes."""
+def run_per_step(cfg, bias_correction=True):
+    """``run_scenario`` one step at a time: motion and drift drawn and
+    added per step, the trigger tested per step, and tags fixed one at a
+    time, at their step, through the conftest oracles. The reference for
+    the segment loop and the whole-run arrays after it."""
     seq = np.random.SeedSequence(cfg.seed).spawn(4)
     params_rng, motion_rng, drift_rng, ranging_rng = (
         np.random.default_rng(s) for s in seq)
     cfg = resolve_config(cfg, params_rng)
-    model = correction = cfg.ranging
+    model = cfg.ranging
+    correction = model if bias_correction else RangingModel.identity()
     n = cfg.n_anchors
     stats, _ = run_calibration_round(n, cfg.k_measurements,
                                      cfg.initial_anchor_positions, model,
                                      ranging_rng)
     diagnostics = []
     try:
-        result = calibrate(stats, correction)
+        result = sim.calibrate(stats, correction)
     except NotConverged as exc:
         result = exc.result
         diagnostics.append("bootstrap calibration did not converge")
@@ -522,18 +551,26 @@ def run_per_step(cfg):
         world, frame = true_xy.tolist(), frame_xy.tolist()
         truth = world[:n]
         calibrated = False
-        if sim._trigger_fires(cfg, t,
-                              translation_errors(frame, truth, truth[0])):
+        if cfg.trigger.kind == "periodic":
+            fires = t > 0 and t % cfg.calibration_period == 0
+        else:
+            fires = max(translation_errors(frame, truth, truth[0])) \
+                > cfg.trigger.threshold
+        if fires:
             stats, _ = run_calibration_round(
                 n, cfg.k_measurements, truth, model, ranging_rng)
             try:
-                result = calibrate(stats, correction, prior=frame)
+                result = sim.calibrate(stats, correction, prior=frame)
             except NotConverged as exc:
                 result = exc.result
                 diagnostics.append(f"step {t}: calibration did not converge")
-            est_xy = est_xy[0] + xy(result.positions)
-            frame = (est_xy - est_xy[0]).tolist()
-            calibrated = True
+            except SingularUpdate as exc:
+                result = None
+                diagnostics.append(f"step {t}: calibration failed: {exc}")
+            if result is not None:
+                est_xy = est_xy[0] + xy(result.positions)
+                frame = (est_xy - est_xy[0]).tolist()
+                calibrated = True
         (x0, y0), (x1, y1), (fx, fy) = truth[0], truth[1], frame[1]
         rotation = wrap_angle(math.atan2(fy, fx)
                               - math.atan2(y1 - y0, x1 - x0))
@@ -552,107 +589,181 @@ def run_per_step(cfg):
     return SimulationTrace(cfg.to_dict(), records, diagnostics)
 
 
-def assert_same_as_per_step(cfg):
+def assert_same_as_per_step(cfg, bias_correction=True):
     """``run_scenario`` gives what the per-step loop gives, to the last bit
     (``repr`` round-trips every float and shows NaN), or raises the same
-    error."""
+    error. Returns its trace, or the error's text."""
     outcomes = []
     for run in (run_scenario, run_per_step):
         try:
-            outcomes.append(repr(run(cfg)))
+            outcomes.append(run(cfg, bias_correction))
         except ConfigError as exc:
             outcomes.append(f"ConfigError: {exc}")
-    assert outcomes[0] == outcomes[1]
+
+    def lines(outcome):
+        # one record a line, so that a failure names the first record
+        # that differs instead of diffing two long strings
+        if isinstance(outcome, str):
+            return [outcome]
+        return [repr(outcome.config), repr(outcome.diagnostics),
+                *map(repr, outcome.records)]
+
+    assert lines(outcomes[0]) == lines(outcomes[1])
     return outcomes[0]
 
 
-class TestMotionBlocks:
-    @pytest.mark.parametrize("n_steps", [MOTION_BLOCK - 1, MOTION_BLOCK,
-                                         MOTION_BLOCK + 1])
-    def test_block_edges(self, n_steps):
-        assert_same_as_per_step(ScenarioConfig(seed=21, n_steps=n_steps))
+def singular_warm_calibrations(monkeypatch, steps=None):
+    """Make ``sim.calibrate`` raise SingularUpdate for every warm start, or
+    for the warm starts in ``steps``, counted from 1 in each run."""
+    real, warm = sim.calibrate, []
 
-    @pytest.mark.parametrize("period", [7, MOTION_BLOCK - 1, MOTION_BLOCK])
+    def calibrate(stats, model, prior=None):
+        if prior is None:
+            warm.clear()  # a run's bootstrap
+        else:
+            warm.append(prior)
+            if steps is None or len(warm) in steps:
+                raise SingularUpdate("forced singular update")
+        return real(stats, model, prior=prior)
+
+    monkeypatch.setattr(sim, "calibrate", calibrate)
+
+
+class TestMotionBlocks:
+    """Segment edges: a run that ends before, at or after a calibration,
+    segments of 1, 7, 63 and 64 steps, a threshold trigger's look-ahead,
+    and an overflow far from the last calibration."""
+
+    @pytest.mark.parametrize("n_steps", [63, 64, 65])
+    def test_block_edges(self, n_steps):
+        cfg = ScenarioConfig(seed=21, n_steps=n_steps, calibration_period=64)
+        trace = assert_same_as_per_step(cfg)
+        steps = [r.step for r in trace.records if r.calibrated]
+        assert steps == ([64] if n_steps == 65 else [])
+
+    @pytest.mark.parametrize("period", [7, 63, 64])
     def test_calibration_on_a_blocks_last_or_first_step(self, period):
-        cfg = ScenarioConfig(seed=22, n_steps=2 * MOTION_BLOCK + 1,
-                             calibration_period=period, n_tags=1)
-        assert_same_as_per_step(cfg)
-        # period B-1 fires on block 0's last step, period B on block 1's
-        # first; period 7 restarts the estimates several times in a block
-        steps = [r.step for r in run_scenario(cfg).records if r.calibrated]
-        assert steps == list(range(period, 2 * MOTION_BLOCK + 1, period))
+        cfg = ScenarioConfig(seed=22, n_steps=129, calibration_period=period,
+                             n_tags=1)
+        trace = assert_same_as_per_step(cfg)
+        steps = [r.step for r in trace.records if r.calibrated]
+        assert steps == list(range(period, 129, period))
 
     def test_calibration_every_step(self):
         assert_same_as_per_step(ScenarioConfig(
-            seed=23, n_steps=MOTION_BLOCK + 2, calibration_period=1,
-            n_tags=1))
+            seed=23, n_steps=66, calibration_period=1, n_tags=1))
 
     def test_threshold_trigger(self):
-        cfg = ScenarioConfig(seed=24, n_steps=2 * MOTION_BLOCK + 3,
+        cfg = ScenarioConfig(seed=24, n_steps=131,
                              trigger=Trigger("threshold", 0.15))
-        assert_same_as_per_step(cfg)
-        steps = [r.step for r in run_scenario(cfg).records if r.calibrated]
-        assert min(steps) < MOTION_BLOCK < max(steps)
+        trace = assert_same_as_per_step(cfg)
+        steps = [r.step for r in trace.records if r.calibrated]
+        # the look-ahead meets segments of one step and longer ones
+        gaps = {b - a for a, b in zip(steps, steps[1:])}
+        assert 1 in gaps and max(gaps) > 2
+        assert min(steps) < 64 < max(steps)
 
     def test_overflow_in_second_block_names_the_same_step(self):
-        # anchor 0 runs off at max_float / (B + 7.5) m/step, so its x passes
-        # the float range at step B + 7, in the second block; the period
-        # keeps every calibration away from the huge positions
-        last = MOTION_BLOCK + 7
+        # anchor 0 runs off at max_float / 71.5 m/step, so its x passes the
+        # float range at step 71, far into a segment; the period keeps
+        # every calibration away from the huge positions
+        last = 71
         fast = MotionParams(0.0, sys.float_info.max / (last + 0.5), 0.0)
         still = MotionParams(0.0, 0.0, 0.0)
         cfg = ScenarioConfig(
-            n_anchors=3, n_tags=0, n_steps=3 * MOTION_BLOCK,
-            calibration_period=1000,
+            n_anchors=3, n_tags=0, n_steps=192, calibration_period=1000,
             motion=MotionTable(anchors=(fast, still, still), tags=()))
         message = assert_same_as_per_step(cfg)
         assert message.startswith(f"ConfigError: step {last}: node positions")
 
 
-def fix_step(tags, truth, frame, model, correction, rng, step):
-    """One step's tags through ``sim._TagFixes``: the ranges drawn, then
-    the fixes made. Returns (estimate, error) per tag and the diagnostics."""
-    fixes, diagnostics = sim._TagFixes(model, correction), []
-    fixes.draw(step, tags, truth, frame, rng, diagnostics)
-    fixes.solve(diagnostics)
-    return list(zip(fixes.estimates, fixes.errors)), diagnostics
+# the scenario shapes of the benchmark's three workloads
+BENCHMARK_SHAPES = {
+    "default_ensemble": {},
+    "recal_dense": {"n_anchors": 5, "n_tags": 1, "n_steps": 10,
+                    "k_measurements": 50, "calibration_period": 1},
+    "long_drift": {"n_anchors": 5, "n_tags": 0, "n_steps": 500,
+                   "calibration_period": 250},
+}
+
+
+class TestSameAsPerStep:
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+    def test_benchmark_shapes(self, shape):
+        for seed in range(5):
+            assert_same_as_per_step(ScenarioConfig.from_dict(
+                dict(BENCHMARK_SHAPES[shape], seed=seed)))
+
+    def test_threshold_trigger_that_calibrates_most_steps(self):
+        cfg = ScenarioConfig(n_steps=200, trigger=Trigger("threshold", 0.3))
+        trace = assert_same_as_per_step(cfg)
+        assert sum(r.calibrated for r in trace.records) == 180
+
+    def test_without_bias_correction(self):
+        cfg = ScenarioConfig(seed=6, n_steps=30, calibration_period=4)
+        assert_same_as_per_step(cfg, bias_correction=False)
+
+    def test_singular_warm_calibration(self, monkeypatch):
+        singular_warm_calibrations(monkeypatch, steps={1, 3})
+        trace = assert_same_as_per_step(ScenarioConfig(
+            seed=3, n_steps=25, calibration_period=5))
+        assert [r.step for r in trace.records if r.calibrated] == [10, 20]
+        assert [d for d in trace.diagnostics if "calibration" in d] == [
+            f"step {t}: calibration failed: forced singular update"
+            for t in (5, 15)]
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_tag_on_anchor_between_calibrations(self, monkeypatch, singular):
+        if singular:
+            singular_warm_calibrations(monkeypatch)
+        cfg = still_scenario(DEFAULT_ANCHOR_LAYOUT[:3],
+                             DEFAULT_ANCHOR_LAYOUT[:1],
+                             calibration_period=2, n_steps=6)
+        trace = assert_same_as_per_step(cfg)
+        assert trace.diagnostics == [
+            text for t in range(6) for text in
+            ([f"step {t}: calibration failed: forced singular update"]
+             if singular and t in (2, 4) else [])
+            + [f"step {t}: tag 0 coincides with anchor 0 and cannot range it"]]
 
 
 class TestFixTags:
     @pytest.mark.parametrize("noise_std", [0.0, 0.058, 4.0])
     def test_matches_per_tag_oracle(self, noise_std):
         # tag 1 sits on anchor 2 and draws nothing; at 4 m noise some
-        # corrected ranges come out non-positive
-        truth = [tuple(p) for p in DEFAULT_ANCHOR_LAYOUT[:4]]
-        frame = [(x - 2.0 + 0.1 * i, y - 3.0 - 0.05 * i)
-                 for i, (x, y) in enumerate(truth)]
-        tags = [(9.0, 11.0), truth[2], (6.5, 8.25), (14.0, 15.0)]
+        # corrected ranges come out non-positive, while rounds of 200
+        # measurements a pair, among anchors far from collinear, keep the
+        # calibrations sound
+        anchors = DEFAULT_ANCHOR_LAYOUT[:2] + DEFAULT_ANCHOR_LAYOUT[3:]
+        tags = (Point2(9.0, 11.0), anchors[2], Point2(6.5, 8.25),
+                Point2(12.0, 15.0))
         model = RangingModel(1.01, 0.02, noise_std, 2)
-        correction = RangingModel(1.005, 0.01, noise_std, 2)
         seen = []
         for seed in range(12):
-            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
-            oracle_diagnostics = []
-            fixes, diagnostics = fix_step(tags, truth, frame, model,
-                                          correction, rng, 7)
-            oracle = [fix_tag(tag, truth, frame, model, correction,
-                              oracle_rng, oracle_diagnostics, 7, tag_id)
-                      for tag_id, tag in enumerate(tags)]
-            assert repr(fixes) == repr(oracle)
-            assert diagnostics == oracle_diagnostics
-            assert rng.standard_normal() == oracle_rng.standard_normal()
-            seen += diagnostics
+            cfg = still_scenario(anchors, tags, ranging=model, seed=seed,
+                                 k_measurements=200, calibration_period=2,
+                                 n_steps=4)
+            trace = assert_same_as_per_step(cfg,
+                                            bias_correction=seed % 2 == 0)
+            seen += trace.diagnostics
         assert any("tag 1 coincides with anchor 2" in d for d in seen)
         assert any("non-positive corrected range" in d for d in seen) == \
             (noise_std == 4.0)
 
-    def test_no_tags_draws_nothing(self):
-        rng = np.random.default_rng(3)
-        truth = [tuple(p) for p in DEFAULT_ANCHOR_LAYOUT[:3]]
-        assert fix_step([], truth, truth, NOISELESS, NOISELESS, rng, 0) == \
-            ([], [])
-        assert rng.standard_normal() == \
-            np.random.default_rng(3).standard_normal()
+    def test_no_tags_draws_nothing(self, monkeypatch):
+        anchors = DEFAULT_ANCHOR_LAYOUT[:3]
+        _, states = round_states(monkeypatch, still_scenario(
+            anchors, (), calibration_period=2, n_steps=5))
+        assert all(after == before
+                   for (_, after), (before, _) in zip(states, states[1:]))
+        # a live tag draws one value per anchor per step: 2 steps a round
+        _, states = round_states(monkeypatch, still_scenario(
+            anchors, (Point2(10.0, 4.0),), calibration_period=2, n_steps=5))
+        for (_, after), (before, _) in zip(states, states[1:]):
+            rng = np.random.default_rng()
+            rng.bit_generator.state = after
+            rng.standard_normal(2 * 3)
+            assert rng.bit_generator.state == before
 
     def test_failed_fixes_keep_their_place_among_the_diagnostics(self):
         # at step 50 the calibration does not converge and leaves the anchor
