@@ -618,18 +618,23 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     rotations = [wrap_angle(math.atan2(fy, fx) - math.atan2(by, bx))
                  for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
                                            *baseline.T.tolist())]
-    wx, wy = np.moveaxis(world, 2, 0).tolist()
-    px, py = np.moveaxis(placed, 2, 0).tolist()
+    # every step's slice of these flat lists becomes a record's tuple
     n_tags = cfg.n_tags
+    true_xy = list(zip(*world.reshape(-1, 2).T.tolist()))
+    est_xy = list(zip(*placed.reshape(-1, 2).T.tolist()))
+    anchor_errors = errors.ravel().tolist()
+
+    def cut(values, k, t):
+        return tuple(values[t * k:(t + 1) * k])
+
     records = [
-        TraceRecord(step=t, anchor_errors=tuple(anchor_errors),
-                    tag_errors=tuple(tag_errors[t]),
+        TraceRecord(step=t, anchor_errors=cut(anchor_errors, n, t),
+                    tag_errors=cut(tag_errors, n_tags, t),
                     rotation_error=rotation, calibrated=calibrated[t],
-                    true_positions=tuple(zip(wx[t], wy[t])),
-                    est_positions=tuple(zip(px[t], py[t]))
-                    + tuple(tag_placed[t * n_tags:(t + 1) * n_tags]))
-        for t, (anchor_errors, rotation) in enumerate(zip(errors.tolist(),
-                                                          rotations))]
+                    true_positions=cut(true_xy, n + n_tags, t),
+                    est_positions=cut(est_xy, n, t)
+                    + cut(tag_placed, n_tags, t))
+        for t, rotation in enumerate(rotations)]
     return SimulationTrace(config=cfg.to_dict(), records=records,
                            diagnostics=[text for *_, text in sorted(notes)])
 
@@ -645,9 +650,9 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
     :func:`~uwbcal.ranging.simulate_measurement` and
     :func:`~uwbcal.ranging.correct_measurement`, operation by operation. A
     tag that coincides with an anchor, has a non-positive corrected range
-    or whose fix fails adds its note to ``notes``. Returns each step's tag
-    errors (NaN for a failed fix) and, per step and tag, the world estimate
-    (None for a failed fix).
+    or whose fix fails adds its note to ``notes``. Returns, per step and
+    tag, the error (NaN for a failed fix) and the world estimate (None for a
+    failed fix).
     """
     steps, n_tags, n = tag_d.shape
     for k in np.flatnonzero(~live).tolist():
@@ -683,7 +688,7 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
             t, j = divmod(int(slots[p]), n_tags)
             notes.append((t, j, f"step {t}: tag {j} fix failed: "
                                 f"{batch.error(p)}"))
-    return errors.reshape(steps, n_tags).tolist(), estimates
+    return errors.tolist(), estimates
 
 
 @dataclass(frozen=True)

@@ -395,14 +395,7 @@ class TestRunScenario:
             "maximum damping"]
 
     def test_singular_warm_calibration_is_a_diagnostic(self, monkeypatch):
-        real = sim.calibrate
-
-        def warm_singular(stats, model, prior=None):
-            if prior is not None:
-                raise SingularUpdate("forced singular update")
-            return real(stats, model, prior=prior)
-
-        monkeypatch.setattr(sim, "calibrate", warm_singular)
+        singular_warm_calibrations(monkeypatch)
         cfg = ScenarioConfig(seed=3, n_tags=0, n_steps=7,
                              calibration_period=3)
         trace = run_scenario(cfg)
@@ -431,13 +424,8 @@ class TestRunScenario:
                 run_scenario(cfg)
 
     def test_tag_on_anchor_is_a_failed_fix(self):
-        still = MotionParams(0.0, 0.0, 0.0)
-        cfg = ScenarioConfig(
-            n_anchors=3, n_tags=1, n_steps=3, drift_bound=0.0,
-            initial_anchor_positions=(Point2(2, 3), Point2(11, 3),
-                                      Point2(6, 12)),
-            initial_tag_positions=(Point2(2, 3),),
-            motion=MotionTable(anchors=(still,) * 3, tags=(still,)))
+        cfg = still_scenario((Point2(2, 3), Point2(11, 3), Point2(6, 12)),
+                             (Point2(2, 3),), n_steps=3)
         trace = run_scenario(cfg)
         for r in trace.records:
             assert math.isnan(r.tag_errors[0])
