@@ -28,8 +28,8 @@ from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
                      EmptyTrace, InsufficientData, InvalidTiming,
                      NotConverged, SingularUpdate, UwbCalError, xy_pair)
 from .ranging import RangingModel, fit_model, load_samples
-from .sim import (ScenarioConfig, Trigger, read_trace_records, run_scenario,
-                  summarize, write_trace_csv)
+from .sim import (ScenarioConfig, parse_trigger, read_trace_records,
+                  run_scenario, summarize, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -135,11 +135,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.trigger is not None:
-        try:
-            trigger = Trigger.parse(args.trigger)
-        except ValueError as exc:
-            raise ConfigError([f"--trigger: {exc}"]) from exc
-        cfg = dataclasses.replace(cfg, trigger=trigger)
+        cfg = dataclasses.replace(
+            cfg, trigger=parse_trigger("--trigger", args.trigger))
 
     trace = run_scenario(cfg, bias_correction=not args.no_bias_correction)
     out_dir = Path(args.out_dir)

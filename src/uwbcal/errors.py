@@ -114,6 +114,34 @@ def json_object(key: str, value, required=(), optional=()) -> dict:
     return value
 
 
+def out_of_range(rows, values, where: str = "") -> dict[str, str]:
+    """For each value outside the inclusive range of its ``(key, parser,
+    low, high)`` row, its key and a message naming ``<where>.<key>`` (the
+    bare key when ``where`` is empty), in row order."""
+    problems = {}
+    for (key, _, low, high), value in zip(rows, values):
+        if not low <= value <= high:
+            name = f"{where}.{key}" if where else key
+            # an above-bound value is not echoed: it may run to 309 digits
+            problems[key] = (f"{name}: need <= {high}" if low <= value
+                             else f"{name}: need >= {low}, got {value}")
+    return problems
+
+
+def parse_rows(where: str, raw, rows) -> list:
+    """The values of the JSON object ``raw``, one per ``(key, parser, low,
+    high)`` row in row order: every row's key present and no other, each
+    value read by its row's parser and within its inclusive range.
+    :class:`ConfigError` names ``where`` or ``<where>.<key>``, and lists
+    every value out of range."""
+    json_object(where, raw, required=[key for key, *_ in rows])
+    values = [parse(f"{where}.{key}", raw[key]) for key, parse, _, _ in rows]
+    problems = out_of_range(rows, values, where)
+    if problems:
+        raise ConfigError(problems.values())
+    return values
+
+
 def xy_pair(key: str, entry) -> tuple[float, float]:
     """An ``[x, y]`` entry as two floats, through :func:`finite_number`."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:

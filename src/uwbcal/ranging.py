@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import (ConfigError, CsvFormatError, DegenerateFit,
-                     InsufficientData, csv_rows, finite_number, integer,
-                     json_object)
+from .errors import (CsvFormatError, DegenerateFit, InsufficientData,
+                     csv_rows, finite_number, integer, out_of_range,
+                     parse_rows)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 
@@ -25,6 +26,17 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
 # responder-delay offset already removed. Ships with the package so models
 # can be fitted without external files.
 REFERENCE_SWEEP = "dwm1001_los_sweep.csv"
+
+
+# The sensor model's keys, one per field in field order: key, parser and
+# inclusive range. A slope must be positive, 5e-324 being the smallest
+# positive float, and the float bounds otherwise only exclude inf and NaN.
+RANGING_KEYS = (
+    ("slope", finite_number, math.ulp(0.0), sys.float_info.max),
+    ("intercept_m", finite_number, -sys.float_info.max, sys.float_info.max),
+    ("noise_std_m", finite_number, 0, sys.float_info.max),
+    ("n_samples", integer, 2, math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -37,15 +49,9 @@ class RangingModel:
     n_samples: int
 
     def __post_init__(self):
-        if not 0.0 < self.slope < math.inf:
-            raise ValueError(f"slope must be finite and > 0, got {self.slope}")
-        if not math.isfinite(self.intercept):
-            raise ValueError(f"intercept must be finite, got {self.intercept}")
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(
-                f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        problems = out_of_range(RANGING_KEYS, vars(self).values(), "ranging")
+        if problems:
+            raise ValueError("; ".join(problems.values()))
 
     @classmethod
     def identity(cls) -> "RangingModel":
@@ -53,27 +59,13 @@ class RangingModel:
         return cls(slope=1.0, intercept=0.0, noise_std=0.0, n_samples=2)
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept_m": self.intercept,
-            "noise_std_m": self.noise_std,
-            "n_samples": self.n_samples,
-        }
+        return {key: value for (key, *_), value
+                in zip(RANGING_KEYS, vars(self).values())}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RangingModel":
-        """The inverse of :meth:`to_dict`; :class:`ConfigError` naming
-        ``ranging.<key>`` for a non-object, an unknown or missing key, or a
-        value that is not a finite number (``n_samples``: an integer), and
-        naming ``ranging`` for a value out of range."""
-        keys = ("slope", "intercept_m", "noise_std_m", "n_samples")
-        json_object("ranging", d, required=keys)
-        values = [finite_number(f"ranging.{key}", d[key]) for key in keys[:3]]
-        values.append(integer("ranging.n_samples", d["n_samples"]))
-        try:
-            return cls(*values)
-        except ValueError as exc:
-            raise ConfigError([f"ranging: {exc}"]) from exc
+        """The inverse of :meth:`to_dict`, read by :func:`parse_rows`."""
+        return cls(*parse_rows("ranging", d, RANGING_KEYS))
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .autocalib import calibrate
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
                      NotConverged, SingularUpdate, csv_rows, finite_number,
-                     integer, json_object, xy_pair)
+                     integer, json_object, out_of_range, parse_rows, xy_pair)
 from .geometry import Point2, wrap_angle
 # locate_tag is not called here; bench/tracing.py hooks this name for its
 # multilateration metrics until ROADMAP item 8 retires the tracer
@@ -66,6 +67,19 @@ TAG_ALONG_STEP = 0.1
 TAG_ACROSS = 0.4
 
 
+# A motion entry's keys, one per field in field order: key, parser and
+# inclusive range. MAX_STEP_M bounds a step along the heading and its
+# jitter's std: in n_steps ≤ 10000 steps a node then moves at most about
+# 1e10 m, where floats lie 2e-6 m apart, and a finite start cannot
+# overflow, since from 1.7e308 an increment rounds away.
+MAX_STEP_M = 1_000_000
+MOTION_KEYS = (
+    ("direction", finite_number, -sys.float_info.max, sys.float_info.max),
+    ("speed", finite_number, 0, MAX_STEP_M),
+    ("gaussian_std", finite_number, 0, MAX_STEP_M),
+)
+
+
 @dataclass(frozen=True)
 class MotionParams:
     """Constant-heading motion with additive Gaussian position noise."""
@@ -75,25 +89,17 @@ class MotionParams:
     gaussian_std: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in
-                   (self.direction, self.speed, self.gaussian_std)):
-            raise ValueError("motion parameters must be finite")
-        if self.speed < 0.0 or self.gaussian_std < 0.0:
-            raise ValueError("speed and gaussian_std must be >= 0")
+        problems = out_of_range(MOTION_KEYS, vars(self).values(), "motion")
+        if problems:
+            raise ValueError("; ".join(problems.values()))
 
     def to_dict(self):
-        return {"direction": self.direction, "speed": self.speed,
-                "gaussian_std": self.gaussian_std}
+        return {key: value for (key, *_), value
+                in zip(MOTION_KEYS, vars(self).values())}
 
     @classmethod
     def from_dict(cls, d, where: str = "motion"):
-        keys = ("direction", "speed", "gaussian_std")
-        json_object(where, d, required=keys)
-        values = [finite_number(f"{where}.{key}", d[key]) for key in keys]
-        try:
-            return cls(*values)
-        except ValueError as exc:
-            raise ConfigError([f"{where}: {exc}"]) from exc
+        return cls(*parse_rows(where, d, MOTION_KEYS))
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,6 @@ class MotionTable:
 
     anchors: tuple[MotionParams, ...]
     tags: tuple[MotionParams, ...]
-
-    def to_dict(self):
-        return {"anchors": [m.to_dict() for m in self.anchors],
-                "tags": [m.to_dict() for m in self.tags]}
 
     @classmethod
     def from_dict(cls, d):
@@ -160,13 +162,25 @@ class Trigger:
     def __str__(self):
         if self.kind == "periodic":
             return "periodic"
-        return f"threshold:{self.threshold:g}"
+        return f"threshold:{FLOAT_FORMAT % self.threshold}"
 
 
-# The scalar scenario keys in config.json order: key, parser, and the
-# inclusive range resolve_config enforces. The count bounds keep a round's
-# block (k·N·(N−1) draws) under 33 MB and a trace (n_steps·(N+T) rows)
-# under 1.3 million rows; drift_bound's upper bound only excludes inf.
+def parse_trigger(key: str, value) -> Trigger:
+    """``value`` through :meth:`Trigger.parse`; :class:`ConfigError` naming
+    ``key`` for a value that is not a string or not a trigger."""
+    try:
+        if not isinstance(value, str):
+            raise ValueError(f"not a string: {value!r}")
+        return Trigger.parse(value)
+    except ValueError as exc:
+        raise ConfigError([f"{key}: {exc}"]) from exc
+
+
+# The scalar scenario keys, ScenarioConfig's first fields in field order:
+# key, parser, and the inclusive range resolve_config enforces. The count
+# bounds keep a round's block (k·N·(N−1) draws) under 33 MB and a trace
+# (n_steps·(N+T) rows) under 1.3 million rows; drift_bound's upper bound
+# only excludes inf.
 SCALAR_KEYS = (
     ("n_anchors", integer, 3, 64),
     ("n_tags", integer, 0, 64),
@@ -200,13 +214,8 @@ class ScenarioConfig:
         json_object("scenario", raw, optional=[f.name for f in fields(cls)])
         kwargs = {key: parse(key, raw[key])
                   for key, parse, _, _ in SCALAR_KEYS if key in raw}
-        if "trigger" in raw and raw["trigger"] is not None:
-            try:
-                if not isinstance(raw["trigger"], str):
-                    raise ValueError(f"not a string: {raw['trigger']!r}")
-                kwargs["trigger"] = Trigger.parse(raw["trigger"])
-            except ValueError as exc:
-                raise ConfigError([f"trigger: {exc}"]) from exc
+        if raw.get("trigger") is not None:
+            kwargs["trigger"] = parse_trigger("trigger", raw["trigger"])
         if raw.get("ranging") is not None:
             kwargs["ranging"] = RangingModel.from_dict(raw["ranging"])
         if raw.get("motion") is not None:
@@ -224,7 +233,9 @@ class ScenarioConfig:
             **{key: getattr(self, key) for key, *_ in SCALAR_KEYS},
             "trigger": str(self.trigger),
             "ranging": None if self.ranging is None else self.ranging.to_dict(),
-            "motion": None if self.motion is None else self.motion.to_dict(),
+            "motion": None if self.motion is None else {
+                kind: [m.to_dict() for m in nodes]
+                for kind, nodes in vars(self.motion).items()},
             "initial_anchor_positions":
                 None if self.initial_anchor_positions is None
                 else [[p.x, p.y] for p in self.initial_anchor_positions],
@@ -302,31 +313,23 @@ def _default_motion(n_anchors: int, n_tags: int,
                        tags=tuple(params[n_anchors:]))
 
 
-def resolve_config(cfg: ScenarioConfig,
-                   params_rng: np.random.Generator | None = None) -> ScenarioConfig:
+def resolve_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Fill in every defaulted field and validate the result.
 
-    Default motion is drawn from ``params_rng``, by default from stream 0
-    of the seed. Raises :class:`ConfigError` listing all violations at once.
+    Default motion is drawn from stream 0 of the seed. Raises
+    :class:`ConfigError` listing all violations at once.
     """
     anchors, tags = _validated(cfg)
-    if params_rng is None and cfg.motion is None:
-        params_rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed).spawn(4)[0])
+    params_rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.seed).spawn(4)[0])
     return _filled(cfg, anchors, tags, params_rng)
 
 
 def _validated(cfg: ScenarioConfig):
     """The anchor and tag positions of ``cfg``, defaults filled in; raises
     :class:`ConfigError` listing all violations at once."""
-    violations, bad = [], set()
-    for key, _, low, high in SCALAR_KEYS:
-        value = getattr(cfg, key)
-        if not low <= value <= high:
-            bad.add(key)
-            # an above-bound value is not echoed: it may run to 309 digits
-            violations.append(f"{key}: need <= {high}" if low <= value
-                              else f"{key}: need >= {low}, got {value}")
+    bad = out_of_range(SCALAR_KEYS, vars(cfg).values())
+    violations = list(bad.values())
 
     # defaults exist only for a valid anchor count
     anchors = cfg.initial_anchor_positions
@@ -354,7 +357,7 @@ def _validated(cfg: ScenarioConfig):
 
     tags = cfg.initial_tag_positions
     if tags is None:
-        if anchors is not None and not bad & {"n_anchors", "n_tags"}:
+        if anchors is not None and not bad.keys() & {"n_anchors", "n_tags"}:
             tags = _default_tags(list(anchors), cfg.n_tags)
     elif len(tags) != cfg.n_tags:
         violations.append(
@@ -436,25 +439,21 @@ def _true_paths(cfg: ScenarioConfig, motion_rng: np.random.Generator,
     actual motion), then by a Uniform(-b, +b) drift per coordinate: its
     increments alternate the two, in the order they are added. Each stream
     is drawn in one call, which yields the numbers of one call per step,
-    and np.add.accumulate adds the rows strictly in order. Positions that
-    overflow come out inf or nan; :func:`run_scenario` checks them in step
-    order.
+    and np.add.accumulate adds the rows strictly in order.
     """
     n, steps = cfg.n_anchors, cfg.n_steps
     start = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
     velocity, jitter = cfg.motion.arrays()
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = velocity + jitter * motion_rng.standard_normal(
-            (steps,) + start.shape)
-        drift = drift_rng.uniform(-1.0, 1.0, (steps, n, 2)) * cfg.drift_bound
-        world = np.add.accumulate(np.concatenate((start[None], delta)))[1:]
+    delta = velocity + jitter * motion_rng.standard_normal(
+        (steps,) + start.shape)
+    drift = drift_rng.uniform(-1.0, 1.0, (steps, n, 2)) * cfg.drift_bound
+    world = np.add.accumulate(np.concatenate((start[None], delta)))[1:]
     increments = np.empty((2 * steps, n, 2))
     increments[0::2], increments[1::2] = delta[:, :n], drift
     return world, increments
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-step errors and world positions, anchors then tags.
 
     A failed tag fix has a NaN error and a None estimate. Records read back
@@ -497,7 +496,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     Module errors during a tag fix or a calibration become diagnostics,
     in step order, instead of aborting the run; a warm calibration whose
     update is singular keeps the previous estimates, and its step is not
-    marked calibrated. Positions that overflow, or anchors that meet at a
+    marked calibrated. Estimates that overflow, or anchors that meet at a
     calibration, raise :class:`ConfigError` for the first such step: the
     scenario's motion cannot be simulated.
     """
@@ -522,7 +521,6 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         result = exc.result
         notes.append((-1, -1, "bootstrap calibration did not converge"))
     world, increments = _true_paths(cfg, motion_rng, drift_rng)
-    world_ok = np.isfinite(world).all(axis=(1, 2))
     truth = world[:, :n]
     with np.errstate(over="ignore", invalid="ignore"):
         tag_d = _norms(world[:, n:, None] - truth[:, None])
@@ -565,12 +563,13 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             fires = over.size > 0
             end = int(over[0]) + head if fires else stop - 1 - t
             span = end + 1 - head if fires else 2 * span
-        # Errors are finite just where the positions, their frame and the
-        # errors themselves did not overflow; a firing step's errors are
-        # checked after its calibration.
-        ok = world_ok[t:t + end + 1] & np.isfinite(err[:end + 1]).all(axis=1)
+        # Errors are finite just where the estimates, their frame and the
+        # errors themselves did not overflow (the true positions cannot:
+        # see MAX_STEP_M); a firing step's errors are checked after its
+        # calibration.
+        ok = np.isfinite(err[:end + 1]).all(axis=1)
         if fires and not ok[end]:
-            ok[end] = world_ok[t + end] and np.isfinite(frame[end]).all()
+            ok[end] = np.isfinite(frame[end]).all()
         if not ok.all():
             raise _overflowed(t + int(ok.argmin()))
         assert not err[:end + 1, 0].any()
@@ -726,21 +725,12 @@ class Quartiles:
                                     [r / 4 for _, r in spans])]
         return cls(lo, *inner, hi)
 
-    def to_dict(self):
-        return {"min": self.min, "q1": self.q1, "median": self.median,
-                "q3": self.q3, "max": self.max}
-
 
 @dataclass(frozen=True)
 class CalibrationEvent:
     step: int
     mean_anchor_error_before: float
     mean_anchor_error_after: float
-
-    def to_dict(self):
-        return {"step": self.step,
-                "mean_anchor_error_before": self.mean_anchor_error_before,
-                "mean_anchor_error_after": self.mean_anchor_error_after}
 
 
 @dataclass(frozen=True)
@@ -762,20 +752,12 @@ class SummaryStats:
     mean_anchor_error_after_calibration: float | None
 
     def to_dict(self):
-        return {
-            "anchor_translation_m": self.anchor_translation.to_dict(),
-            "tag_translation_m":
-                None if self.tag_translation is None
-                else self.tag_translation.to_dict(),
-            "rotation_rad": self.rotation.to_dict(),
-            "n_steps": self.n_steps,
-            "n_calibrations": self.n_calibrations,
-            "calibration_events": [e.to_dict() for e in self.calibration_events],
-            "mean_anchor_error_before_calibration":
-                self.mean_anchor_error_before_calibration,
-            "mean_anchor_error_after_calibration":
-                self.mean_anchor_error_after_calibration,
-        }
+        # summary.json names each distribution with its unit
+        units = {"anchor_translation": "anchor_translation_m",
+                 "tag_translation": "tag_translation_m",
+                 "rotation": "rotation_rad"}
+        return {units.get(key, key): value
+                for key, value in asdict(self).items()}
 
 
 def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:

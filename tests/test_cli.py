@@ -387,7 +387,9 @@ class TestSimulate:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("text, named", [
-        (moving(speed=1e308), "step 1: node positions overflowed"),
+        # anchor 0 at the top speed; the drift overflows the estimates
+        (json.dumps({**json.loads(moving(speed=1e6)), "drift_bound": 1e308}),
+         "step 1: node positions overflowed"),
         (moving(gaussian_std=1e308), "gaussian_std"),
         ('{"drift_bound": 1e308}', "drift_bound"),
         (json.dumps({"n_anchors": 3, "n_tags": 0, "n_steps": 12,
@@ -441,16 +443,17 @@ class TestSimulate:
         ({"n_anchors": 3, "n_tags": 0, "motion": {"anchors": 3, "tags": []}},
          2, "motion.anchors: not a list: 3"),
         (json.loads(moving(speed=-1.0)), 2,
-         "motion.anchors[0]: speed and gaussian_std must be >= 0"),
+         "error: motion.anchors[0].speed: need >= 0, got -1.0\n"),
         (json.loads(ranging(slope=-1.0)), 2,
-         "ranging: slope must be finite and > 0"),
+         "error: ranging.slope: need >= 5e-324, got -1.0\n"),
         # numpy's "Maximum allowed dimension exceeded", and a request for
         # 8.73 TiB, without the bound
         ({"k_measurements": 1e308}, 2, "k_measurements: need <= "),
         ({"k_measurements": 1e11}, 2, "k_measurements: need <= "),
-        # anchor 0 is about 1e201 m out at the step-10 round: its pairs
-        # read finite ranges whose deviations from the mean square to inf
-        ({**json.loads(moving(speed=1e200)), "n_steps": 12}, 2,
+        # anchor 0 is 2.5e200 m out at the first round: its pairs read
+        # finite ranges whose deviations from the mean square to inf
+        ({"n_anchors": 3, "n_tags": 0,
+          "initial_anchor_positions": [[2.5e200, 0], [0, 0], [0, 10]]}, 2,
          "error: pair (0,1): the readings are too large for a finite burst "
          "mean and std\n"),
     ], ids=["list", "null", "invalid_timing", "overflowing_anchors",
@@ -509,6 +512,18 @@ class TestSimulate:
         assert result.returncode == 2
         assert result.stderr == f"error: {key}: need <= {high}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_far_moving_anchor_exits_2_on_one_line(self, tmp_path):
+        # below the bound, this exited 0 with anchors 1 and 2 at x = 0 at
+        # step 11: the frame est - est[0] cancelled their digits
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**json.loads(moving(speed=1e180)),
+                                        "n_steps": 12}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr == \
+            "error: motion.anchors[0].speed: need <= 1000000\n"
 
     def test_tag_on_anchor_is_a_failed_fix(self, tmp_path):
         scenario = tmp_path / "scenario.json"

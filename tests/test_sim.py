@@ -23,9 +23,11 @@ from uwbcal.geometry import Point2, wrap_angle
 from uwbcal.leastsq import MAX_ITERATIONS
 from uwbcal.multilateration import SINGULAR
 from uwbcal.protocol import run_calibration_round
-from uwbcal.ranging import RangingModel
-from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, SCALAR_KEYS, TRACE_HEADER, MotionParams, MotionTable, Quartiles,
-                        ScenarioConfig, SimulationTrace, TraceRecord, Trigger,
+from uwbcal.ranging import RANGING_KEYS, RangingModel
+from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MAX_STEP_M, MOTION_KEYS,
+                        SCALAR_KEYS, TRACE_HEADER, MotionParams, MotionTable,
+                        Quartiles, ScenarioConfig, SimulationTrace,
+                        TraceRecord, Trigger,
                         point_in_anchor_hull, read_trace_records,
                         resolve_config, run_scenario, summarize,
                         write_trace_csv)
@@ -160,33 +162,67 @@ class TestConfig:
                 with pytest.raises(ConfigError) as err:
                     resolve_config(ScenarioConfig(**{key: above}))
                 assert err.value.violations == [f"{key}: need <= {high}"]
+        # each key of a motion entry and of the sensor model, the others
+        # keeping valid values
+        for cls, rows, where, valid in [
+                (MotionParams, MOTION_KEYS, "motion", (0.0, 0.0, 0.0)),
+                (RangingModel, RANGING_KEYS, "ranging", (1.0, 0.0, 0.0, 2))]:
+            keys = [key for key, *_ in rows]
+            for k, (key, parse, low, high) in enumerate(rows):
+                def at(value):
+                    return dict(zip(keys, valid[:k] + (value,) + valid[k + 1:]))
+                for value, away in ((low, -math.inf), (high, math.inf)):
+                    if value == math.inf:
+                        continue
+                    assert cls.from_dict(at(value)).to_dict() == at(value)
+                    step = 1 if away > 0 else -1
+                    past = value + step if parse is integer \
+                        else math.nextafter(value, away)
+                    with pytest.raises(ValueError,
+                                       match=re.escape(f"{where}.{key}: need")):
+                        cls(*at(past).values())
 
-    def test_readme_key_table_matches_the_schema(self):
+    @staticmethod
+    def readme_table(header):
+        """The rows of the README table under ``header``, cells unquoted."""
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split(
             "### Scenario files\n", 1)[1]
-        table = section[section.index("| key |"):].split("\n\n", 1)[0]
-        rows = [line.strip("| ").split(" | ")
+        table = section[section.index(header):].split("\n\n", 1)[0]
+        return [[cell.strip("`") for cell in line.strip("| ").split(" | ")]
                 for line in table.splitlines()[2:]]
-        assert [key for key, *_ in rows] == [
-            f"`{f.name}`" for f in dataclasses.fields(ScenarioConfig)]
-        cells = {key.strip("`"): (default, values)
-                 for key, default, values, _ in rows}
+
+    @staticmethod
+    def row_of_range(key, cell):
+        """The ``(key, parser, low, high)`` row a README range reads as:
+        "<kind> <low> … <high>", "<kind> ≥ <low>", "<kind> > 0" or the kind
+        alone, the kind's own range bounding what the text leaves open."""
         kinds = {"integer": (integer, math.inf),
                  "finite number": (finite_number, sys.float_info.max)}
-        for key, parse, low, high in SCALAR_KEYS:
+        m = re.fullmatch(r"(integer|finite number)"
+                         r"(?: ≥ (\d+)| (> 0)| (\d+) … (\d+))?", cell)
+        assert m, cell
+        parse, top = kinds[m[1]]
+        low = int(m[2] or m[4]) if m[2] or m[4] else \
+            math.ulp(0.0) if m[3] else -top
+        return key, parse, low, int(m[5]) if m[5] else top
+
+    def test_readme_key_table_matches_the_schema(self):
+        rows = self.readme_table("| key |")
+        assert [key for key, *_ in rows] == [
+            f.name for f in dataclasses.fields(ScenarioConfig)]
+        cells = {key: (default, values) for key, default, values, _ in rows}
+        for key, *_ in SCALAR_KEYS:
             default, values = cells[key]
             field_default = getattr(ScenarioConfig(), key)
             assert json.loads(default) == field_default
             assert type(json.loads(default)) is type(field_default)
-            # "<kind> <low> … <high>", or "<kind> ≥ <low>" when the kind
-            # alone bounds it from above
-            m = re.fullmatch(r"(integer|finite number) "
-                             r"(?:≥ (\d+)|(\d+) … (\d+))", values)
-            assert m, values
-            kind, top = kinds[m[1]]
-            assert (kind, int(m[2] or m[3]), int(m[4]) if m[4] else top) \
-                == (parse, low, high), key
+        assert [self.row_of_range(key, cells[key][1])
+                for key, *_ in SCALAR_KEYS] == list(SCALAR_KEYS)
+        for header, rows in [("| motion key |", MOTION_KEYS),
+                             ("| ranging key |", RANGING_KEYS)]:
+            assert [self.row_of_range(key, values) for key, values, _
+                    in self.readme_table(header)] == list(rows)
 
 
 class TestMotion:
@@ -234,6 +270,16 @@ class TestMotion:
             assert row == [
                 p.x + (m.speed * math.cos(m.direction) + m.gaussian_std * zx),
                 p.y + (m.speed * math.sin(m.direction) + m.gaussian_std * zy)]
+
+    def test_top_speed_keeps_errors_finite_over_the_longest_run(self):
+        top = MotionParams(0.0, MAX_STEP_M, MAX_STEP_M)
+        still = MotionParams(0.0, 0.0, 0.0)
+        trace = run_scenario(ScenarioConfig(
+            n_anchors=3, n_tags=0, n_steps=10_000, calibration_period=1000,
+            motion=MotionTable(anchors=(top, still, still), tags=())))
+        assert trace.records[-1].true_positions[0][0] > 9e9
+        assert all(math.isfinite(e) for r in trace.records
+                   for e in r.anchor_errors)
 
 
 class TestDrift:
@@ -507,9 +553,9 @@ def run_per_step(cfg, bias_correction=True):
     time, at their step, through the conftest oracles. The reference for
     the segment loop and the whole-run arrays after it."""
     seq = np.random.SeedSequence(cfg.seed).spawn(4)
-    params_rng, motion_rng, drift_rng, ranging_rng = (
+    _, motion_rng, drift_rng, ranging_rng = (
         np.random.default_rng(s) for s in seq)
-    cfg = resolve_config(cfg, params_rng)
+    cfg = resolve_config(cfg)
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
     n = cfg.n_anchors
@@ -652,17 +698,16 @@ class TestMotionBlocks:
         assert min(steps) < 64 < max(steps)
 
     def test_overflow_in_second_block_names_the_same_step(self):
-        # anchor 0 runs off at max_float / 71.5 m/step, so its x passes the
-        # float range at step 71, far into a segment; the period keeps
-        # every calibration away from the huge positions
-        last = 71
-        fast = MotionParams(0.0, sys.float_info.max / (last + 0.5), 0.0)
+        # drift of up to max_float / 10 m per step walks the anchor
+        # estimates past the float range at step 86, far into a segment;
+        # the period keeps every calibration away from the huge positions
         still = MotionParams(0.0, 0.0, 0.0)
         cfg = ScenarioConfig(
             n_anchors=3, n_tags=0, n_steps=192, calibration_period=1000,
-            motion=MotionTable(anchors=(fast, still, still), tags=()))
+            seed=1, drift_bound=sys.float_info.max / 10,
+            motion=MotionTable(anchors=(still,) * 3, tags=()))
         message = assert_same_as_per_step(cfg)
-        assert message.startswith(f"ConfigError: step {last}: node positions")
+        assert message.startswith("ConfigError: step 86: node positions")
 
 
 # the scenario shapes of the benchmark's three workloads
