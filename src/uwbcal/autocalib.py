@@ -121,9 +121,12 @@ class DistanceStatsMatrix:
         # without __init__, whose zero-filled arrays would be replaced
         out = object.__new__(DistanceStatsMatrix)
         out.n_anchors = self.n_anchors
-        out._mean = (self._mean - model.intercept) / model.slope
+        # a slope near 5e-324 takes a mean to inf, which the bootstrap and
+        # the refinement reject; no warning is needed for it
+        with np.errstate(over="ignore"):
+            out._mean = (self._mean - model.intercept) / model.slope
+            out._std = self._std / model.slope
         out._mean[self._count == 0] = 0.0
-        out._std = self._std / model.slope
         out._count = self._count.copy()
         return out
 

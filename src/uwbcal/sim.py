@@ -67,12 +67,21 @@ TAG_ALONG_STEP = 0.1
 TAG_ACROSS = 0.4
 
 
-# A motion entry's keys, one per field in field order: key, parser and
-# inclusive range. MAX_STEP_M bounds a step along the heading and its
-# jitter's std: in n_steps ≤ 10000 steps a node then moves at most about
-# 1e10 m, where floats lie 2e-6 m apart, and a finite start cannot
-# overflow, since from 1.7e308 an increment rounds away.
+# MAX_STEP_M bounds a step along the heading, its jitter's std and the
+# odometry drift_bound; MAX_POSITION_M bounds a configured start coordinate.
+# A node starts within 1e10 m. In n_steps ≤ 10000 steps speed and drift add
+# at most 2e10 m, and the jitter's σ about 1e8 m, so every position stays
+# within about 3e10 m, where floats lie 4e-6 m apart. Squares there stay
+# below 1e22, so no difference, norm or square in a run can overflow.
 MAX_STEP_M = 1_000_000
+MAX_POSITION_M = 10 ** 10
+
+# The keys of a configured [x, y] entry and of a motion entry, one per
+# field in field order: key, parser and inclusive range.
+POSITION_KEYS = (
+    ("x", finite_number, -MAX_POSITION_M, MAX_POSITION_M),
+    ("y", finite_number, -MAX_POSITION_M, MAX_POSITION_M),
+)
 MOTION_KEYS = (
     ("direction", finite_number, -sys.float_info.max, sys.float_info.max),
     ("speed", finite_number, 0, MAX_STEP_M),
@@ -179,14 +188,13 @@ def parse_trigger(key: str, value) -> Trigger:
 # The scalar scenario keys, ScenarioConfig's first fields in field order:
 # key, parser, and the inclusive range resolve_config enforces. The count
 # bounds keep a round's block (k·N·(N−1) draws) under 33 MB and a trace
-# (n_steps·(N+T) rows) under 1.3 million rows; drift_bound's upper bound
-# only excludes inf.
+# (n_steps·(N+T) rows) under 1.3 million rows. See MAX_STEP_M for drift.
 SCALAR_KEYS = (
     ("n_anchors", integer, 3, 64),
     ("n_tags", integer, 0, 64),
     ("n_steps", integer, 1, 10_000),
     ("calibration_period", integer, 1, math.inf),
-    ("drift_bound", finite_number, 0, sys.float_info.max),
+    ("drift_bound", finite_number, 0, MAX_STEP_M),
     ("k_measurements", integer, 1, 1000),
     ("seed", integer, 0, 2 ** 64 - 1),
 )
@@ -330,6 +338,10 @@ def _validated(cfg: ScenarioConfig):
     :class:`ConfigError` listing all violations at once."""
     bad = out_of_range(SCALAR_KEYS, vars(cfg).values())
     violations = list(bad.values())
+    for key in ("initial_anchor_positions", "initial_tag_positions"):
+        for i, p in enumerate(getattr(cfg, key) or ()):
+            violations += out_of_range(POSITION_KEYS, p,
+                                       f"{key}[{i}]").values()
 
     # defaults exist only for a valid anchor count
     anchors = cfg.initial_anchor_positions
@@ -416,11 +428,6 @@ def _xy(points) -> np.ndarray:
     return np.array([tuple(p) for p in points], dtype=float)
 
 
-def _overflowed(t: int) -> ConfigError:
-    return ConfigError([f"step {t}: node positions overflowed; reduce the "
-                        f"motion speed or gaussian_std, or drift_bound"])
-
-
 def _norms(diff: np.ndarray) -> np.ndarray:
     """``math.hypot`` of every ``(dx, dy)`` pair on the last axis (np.hypot
     may differ from it in the last bit)."""
@@ -482,23 +489,23 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     The true paths and each step's tag-to-anchor distances depend on no
     decision, so they are formed for the whole run first. The loop then
     goes from one calibration to the next: it sums the anchor estimates up
-    to the step where the trigger fires, checks them, runs that step's
-    round and warm-started calibration, and restarts the estimates from
-    its result. The tag noise of the steps since the last round is drawn
-    just before each round, so the ranging stream keeps its order. After
-    the loop, rotations and corrected tag ranges are formed for the whole
-    run, every tag fix is made in one
-    :func:`~uwbcal.multilateration.solve_fixes` call, and the records are
-    assembled. Distances and angles go through ``math.hypot`` and
-    ``math.atan2`` value by value, and every sum adds its terms in step
-    order, so the outputs are those of a per-step loop to the last bit.
+    to the step where the trigger fires, runs that step's round and
+    warm-started calibration, and restarts the estimates from its result.
+    The tag noise of the steps since the last round is drawn just before
+    each round, so the ranging stream keeps its order. After the loop,
+    rotations and corrected tag ranges are formed for the whole run, every
+    tag fix is made in one :func:`~uwbcal.multilateration.solve_fixes`
+    call, and the records are assembled. Distances and angles go through
+    ``math.hypot`` and ``math.atan2`` value by value, and every sum adds
+    its terms in step order, so the outputs are those of a per-step loop
+    to the last bit.
 
     Module errors during a tag fix or a calibration become diagnostics,
     in step order, instead of aborting the run; a warm calibration whose
     update is singular keeps the previous estimates, and its step is not
-    marked calibrated. Estimates that overflow, or anchors that meet at a
-    calibration, raise :class:`ConfigError` for the first such step: the
-    scenario's motion cannot be simulated.
+    marked calibrated. Anchors that meet at a calibration raise
+    :class:`ConfigError` for that step: the scenario's motion cannot be
+    simulated.
     """
     # validated first: a bad seed is a ConfigError, not a numpy error
     anchors, tags = _validated(cfg)
@@ -522,8 +529,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         notes.append((-1, -1, "bootstrap calibration did not converge"))
     world, increments = _true_paths(cfg, motion_rng, drift_rng)
     truth = world[:, :n]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tag_d = _norms(world[:, n:, None] - truth[:, None])
+    tag_d = _norms(world[:, n:, None] - truth[:, None])
     live = ~(tag_d == 0.0).any(axis=2)
     # live tags before each step: the noise of steps a..b-1 is
     # (live_before[b] - live_before[a], N)
@@ -549,13 +555,12 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             stop = min(due + 1, n_steps)
         else:
             stop = min(t + head + span, n_steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            path = np.add.accumulate(np.concatenate(
-                (before[None], increments[2 * (t + head):2 * stop])))
-            path = path[2 - 2 * head::2]
-            frame = path - path[:, :1]
-            est = frame + truth[t:stop, :1]
-            err = _norms(est - truth[t:stop])
+        path = np.add.accumulate(np.concatenate(
+            (before[None], increments[2 * (t + head):2 * stop])))
+        path = path[2 - 2 * head::2]
+        frame = path - path[:, :1]
+        est = frame + truth[t:stop, :1]
+        err = _norms(est - truth[t:stop])
         if trigger.kind == "periodic":
             fires, end = stop - 1 == due, stop - 1 - t
         else:
@@ -563,15 +568,6 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             fires = over.size > 0
             end = int(over[0]) + head if fires else stop - 1 - t
             span = end + 1 - head if fires else 2 * span
-        # Errors are finite just where the estimates, their frame and the
-        # errors themselves did not overflow (the true positions cannot:
-        # see MAX_STEP_M); a firing step's errors are checked after its
-        # calibration.
-        ok = np.isfinite(err[:end + 1]).all(axis=1)
-        if fires and not ok[end]:
-            ok[end] = np.isfinite(frame[end]).all()
-        if not ok.all():
-            raise _overflowed(t + int(ok.argmin()))
         assert not err[:end + 1, 0].any()
         c = t + end
         frames[t:c + 1], placed[t:c + 1], errors[t:c + 1] = \
@@ -600,8 +596,6 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         except SingularUpdate as exc:
             # the estimates carry on as if no round had run
             notes.append((c, -1, f"step {c}: calibration failed: {exc}"))
-            if np.isinf(err[end]).any():
-                raise _overflowed(c)
             continue
         # the next window recomputes step c from the calibrated estimates
         t, head, before = c, True, path[end, 0] + _xy(result.positions)
@@ -612,8 +606,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     tag_errors, tag_placed = _fix_tags(world, frames, tag_d, live,
                                        np.concatenate(noise), model,
                                        correction, notes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        baseline = truth[:, 1] - truth[:, 0]
+    baseline = truth[:, 1] - truth[:, 0]
     rotations = [wrap_angle(math.atan2(fy, fx) - math.atan2(by, bx))
                  for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
                                            *baseline.T.tolist())]
@@ -660,6 +653,8 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
                             f"{tag_d[t, j].tolist().index(0.0)} and cannot "
                             f"range it"))
     slots = np.flatnonzero(live)
+    # unlike positions, the ranging model is unbounded (slope down to
+    # 5e-324): corrected ranges, and the fixes made from them, may overflow
     with np.errstate(over="ignore", invalid="ignore"):
         ranges = (model.slope * tag_d.reshape(-1, n)[slots] + model.intercept
                   + model.noise_std * noise - correction.intercept) \

@@ -16,7 +16,7 @@ from uwbcal.ranging import load_reference_samples
 from conftest import GOLDEN_FRAME, exact_matrix
 from oracles import save_distance_csv, save_samples
 from uwbcal.autocalib import CalibrationResult
-from uwbcal.sim import SCALAR_KEYS
+from uwbcal.sim import MAX_POSITION_M, MAX_STEP_M, SCALAR_KEYS
 
 
 def run_cli(*args):
@@ -49,6 +49,11 @@ def ranging(**fields) -> str:
              "n_samples": 10, **fields}
     return json.dumps({"n_steps": 3, "ranging": {
         k: v for k, v in model.items() if v is not None}})
+
+
+# a sensor model whose bias correction overflows every finite reading
+TINY_SLOPE = {"slope": 1e-310, "intercept_m": 1000, "noise_std_m": 1,
+              "n_samples": 10}
 
 
 def placed(anchors, tags=()) -> str:
@@ -234,6 +239,22 @@ class TestCalibrate:
         for (x, y), p in zip(doc["positions"], GOLDEN_FRAME):
             assert math.hypot(x - p.x, y - p.y) <= 1e-6
 
+    def test_tiny_slope_model_exits_5_without_a_warning(self, tmp_path):
+        # bias correction divides by the slope: every mean and std
+        # overflows, and the bootstrap rejects the infinite distances
+        src = tmp_path / "tri.csv"
+        src.write_text("i,j,mean_m,std_m,count\n" + "".join(
+            f"{i},{j},4.0,0.1,5\n" for i in range(3) for j in range(3)
+            if i != j))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(TINY_SLOPE))
+        result = run_cli("calibrate", "--input", str(src), "--model",
+                         str(model_path), "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 5
+        assert result.stderr.startswith("error: anchor 2: distances must "
+                                        "be positive, got (-inf")
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("flag, doc, named", [
         ("--model", {"slope": True, "intercept_m": 0.36, "noise_std_m": 0.05,
                      "n_samples": 10}, "ranging.slope"),
@@ -387,9 +408,9 @@ class TestSimulate:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("text, named", [
-        # anchor 0 at the top speed; the drift overflows the estimates
+        # anchor 0 at the top speed is in range; the drift is not
         (json.dumps({**json.loads(moving(speed=1e6)), "drift_bound": 1e308}),
-         "step 1: node positions overflowed"),
+         "error: drift_bound: need <= 1000000\n"),
         (moving(gaussian_std=1e308), "gaussian_std"),
         ('{"drift_bound": 1e308}', "drift_bound"),
         (json.dumps({"n_anchors": 3, "n_tags": 0, "n_steps": 12,
@@ -433,12 +454,10 @@ class TestSimulate:
         ({"n_anchors": 3, "n_tags": 0, "n_steps": 3,
           "initial_anchor_positions": [[1e299, 0], [0, 1e299],
                                        [-1e299, -1e299]]},
-         5, "anchor 2: circles"),
-        # a warm calibration's singular update is a diagnostic; the drift
-        # then overflows the positions
+         2, "error: initial_anchor_positions[0].x: need <= 10000000000\n"),
         ({"n_anchors": 4, "n_tags": 1, "n_steps": 5, "calibration_period": 1,
           "k_measurements": 1, "drift_bound": 1e308}, 2,
-         "step 3: node positions overflowed"),
+         "error: drift_bound: need <= 1000000\n"),
         ({"motion": 3}, 2, "motion: not an object: 3"),
         ({"n_anchors": 3, "n_tags": 0, "motion": {"anchors": 3, "tags": []}},
          2, "motion.anchors: not a list: 3"),
@@ -450,10 +469,11 @@ class TestSimulate:
         # 8.73 TiB, without the bound
         ({"k_measurements": 1e308}, 2, "k_measurements: need <= "),
         ({"k_measurements": 1e11}, 2, "k_measurements: need <= "),
-        # anchor 0 is 2.5e200 m out at the first round: its pairs read
-        # finite ranges whose deviations from the mean square to inf
+        # the first round's readings are finite, but their deviations from
+        # the mean square to inf
         ({"n_anchors": 3, "n_tags": 0,
-          "initial_anchor_positions": [[2.5e200, 0], [0, 0], [0, 10]]}, 2,
+          "ranging": {"slope": 1.0, "intercept_m": 0.36,
+                      "noise_std_m": 1e160, "n_samples": 10}}, 2,
          "error: pair (0,1): the readings are too large for a finite burst "
          "mean and std\n"),
     ], ids=["list", "null", "invalid_timing", "overflowing_anchors",
@@ -469,6 +489,16 @@ class TestSimulate:
         assert result.returncode == code
         assert named in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_tiny_slope_model_exits_5_without_a_warning(self, tmp_path):
+        # the bootstrap calibration's bias correction overflows
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"ranging": TINY_SLOPE}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 5
+        assert result.stderr.startswith("error: anchor 2: circles")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_zero_flight_round_exits_5(self, tmp_path, seed):
@@ -732,14 +762,15 @@ def magnitudes(top):
 
 @st.composite
 def extreme_scenarios(draw):
-    """Well-formed scenarios with extreme but finite numbers."""
+    """Well-formed scenarios with extreme numbers: motion, drift and
+    positions up to their bounds, the sensor model over the float range."""
     n = draw(st.integers(3, 6))
     t = draw(st.integers(0, 3))
     doc = {"n_anchors": n, "n_tags": t, "n_steps": draw(st.integers(1, 12)),
            "k_measurements": draw(st.integers(1, 60)),
            "calibration_period": draw(st.integers(1, 12)),
            "seed": draw(st.integers(0, 2 ** 32)),
-           "drift_bound": draw(magnitudes(1e308)),
+           "drift_bound": draw(magnitudes(MAX_STEP_M)),
            "trigger": draw(st.just("periodic") | magnitudes(1e300).filter(
                lambda b: b > 0.0).map(lambda b: f"threshold:{b!r}"))}
     if draw(st.booleans()):
@@ -752,15 +783,17 @@ def extreme_scenarios(draw):
     if draw(st.booleans()):
         node = st.fixed_dictionaries({
             "direction": st.floats(-7.0, 7.0),
-            "speed": magnitudes(1e200), "gaussian_std": magnitudes(1e200)})
+            "speed": magnitudes(MAX_STEP_M),
+            "gaussian_std": magnitudes(MAX_STEP_M)})
         doc["motion"] = {"anchors": draw(st.lists(node, min_size=n,
                                                   max_size=n)),
                          "tags": draw(st.lists(node, min_size=t,
                                                max_size=t))}
     if draw(st.booleans()):
-        # from close anchors (0.3 m, noisy against any sensor) to 1e300 m
-        scale = draw(st.floats(math.log10(0.3), 300.0).map(
-            lambda e: 10.0 ** e))
+        # from close anchors (0.3 m, noisy against any sensor) to the
+        # position bound
+        scale = draw(st.floats(math.log10(0.3), math.log10(MAX_POSITION_M))
+                     .map(lambda e: 10.0 ** e))
         unit = st.floats(-1.0, 1.0)
         anchors = [[draw(unit) * scale, draw(unit) * scale]
                    for _ in range(n)]

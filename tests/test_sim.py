@@ -1,6 +1,8 @@
+import copy
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
@@ -24,10 +26,10 @@ from uwbcal.leastsq import MAX_ITERATIONS
 from uwbcal.multilateration import SINGULAR
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RANGING_KEYS, RangingModel
-from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MAX_STEP_M, MOTION_KEYS,
-                        SCALAR_KEYS, TRACE_HEADER, MotionParams, MotionTable,
-                        Quartiles, ScenarioConfig, SimulationTrace,
-                        TraceRecord, Trigger,
+from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MAX_POSITION_M, MAX_STEP_M,
+                        MOTION_KEYS, SCALAR_KEYS, TRACE_HEADER, MotionParams,
+                        MotionTable, Quartiles, ScenarioConfig,
+                        SimulationTrace, TraceRecord, Trigger,
                         point_in_anchor_hull, read_trace_records,
                         resolve_config, run_scenario, summarize,
                         write_trace_csv)
@@ -182,6 +184,37 @@ class TestConfig:
                                        match=re.escape(f"{where}.{key}: need")):
                         cls(*at(past).values())
 
+    def test_position_bounds_are_inclusive(self):
+        # anchors and tags on the square's corners, from a scenario file
+        # and from library code; then each coordinate one float past its
+        # bound, in each (a tag there also leaves the anchor hull)
+        m = MAX_POSITION_M
+        square = [[-m, -m], [m, -m], [m, m], [-m, m]]
+        doc = {"n_anchors": 4, "n_tags": 4, "initial_anchor_positions": square,
+               "initial_tag_positions": copy.deepcopy(square)}
+        for build in (ScenarioConfig.from_dict, self.from_library):
+            resolve_config(build(doc))
+            for key in ("initial_anchor_positions", "initial_tag_positions"):
+                for i, c in itertools.product(range(4), range(2)):
+                    past = copy.deepcopy(doc)
+                    value = past[key][i][c]
+                    past[key][i][c] = math.nextafter(value, value * math.inf)
+                    with pytest.raises(ConfigError) as err:
+                        resolve_config(build(past))
+                    name = f"{key}[{i}].{'xy'[c]}"
+                    assert err.value.violations[:1] == [
+                        f"{name}: need <= {m}" if value > 0 else
+                        f"{name}: need >= {-m}, got {past[key][i][c]}"]
+
+    @staticmethod
+    def from_library(doc):
+        """``doc``'s config built without ``ScenarioConfig.from_dict``."""
+        points = {key: tuple(Point2(*p) for p in doc[key])
+                  for key in ("initial_anchor_positions",
+                              "initial_tag_positions")}
+        return ScenarioConfig(n_anchors=doc["n_anchors"],
+                              n_tags=doc["n_tags"], **points)
+
     @staticmethod
     def readme_table(header):
         """The rows of the README table under ``header``, cells unquoted."""
@@ -223,6 +256,10 @@ class TestConfig:
                              ("| ranging key |", RANGING_KEYS)]:
             assert [self.row_of_range(key, values) for key, values, _
                     in self.readme_table(header)] == list(rows)
+        # the position keys state MAX_POSITION_M
+        bound = f"≤ 1e{round(math.log10(MAX_POSITION_M))},"
+        for key in ("initial_anchor_positions", "initial_tag_positions"):
+            assert bound in cells[key][1]
 
 
 class TestMotion:
@@ -272,14 +309,26 @@ class TestMotion:
                 p.y + (m.speed * math.sin(m.direction) + m.gaussian_std * zy)]
 
     def test_top_speed_keeps_errors_finite_over_the_longest_run(self):
-        top = MotionParams(0.0, MAX_STEP_M, MAX_STEP_M)
-        still = MotionParams(0.0, 0.0, 0.0)
-        trace = run_scenario(ScenarioConfig(
-            n_anchors=3, n_tags=0, n_steps=10_000, calibration_period=1000,
-            motion=MotionTable(anchors=(top, still, still), tags=())))
-        assert trace.records[-1].true_positions[0][0] > 9e9
+        # the longest run, the farthest start, the fastest motion and the
+        # largest drift at once: positions reach about 2e10 m
+        m = MAX_POSITION_M
+        fast = MotionParams(0.0, MAX_STEP_M, MAX_STEP_M)
+        cfg = ScenarioConfig(
+            n_anchors=3, n_tags=1, n_steps=10_000, drift_bound=MAX_STEP_M,
+            initial_anchor_positions=(Point2(-m, -m), Point2(m, -m),
+                                      Point2(m, m)),
+            initial_tag_positions=(Point2(m, 0.0),),
+            motion=MotionTable(anchors=(fast,) * 3, tags=(fast,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_scenario(cfg)
+        assert len(trace.records) == 10_000
+        assert max(abs(x) for r in trace.records
+                   for x, _ in r.true_positions) > 1.9 * m
         assert all(math.isfinite(e) for r in trace.records
-                   for e in r.anchor_errors)
+                   for e in r.anchor_errors + (r.rotation_error,))
+        assert any(math.isfinite(e) for r in trace.records
+                   for e in r.tag_errors)
 
 
 class TestDrift:
@@ -455,20 +504,6 @@ class TestRunScenario:
             cfg, calibration_period=cfg.n_steps))
         assert repr(trace.records) == repr(uncalibrated.records)
 
-    @pytest.mark.parametrize("seed, step", [(1, 3), (3, 0), (5, 1)])
-    def test_overflowing_drift_warns_nothing_and_names_the_step(self, seed,
-                                                                step):
-        # warm calibrations fail with a singular update on the way (seeds 1
-        # and 5); at seeds 3 and 5 an anchor error overflows first
-        cfg = ScenarioConfig(n_anchors=4, n_tags=1, n_steps=5,
-                             calibration_period=1, k_measurements=1,
-                             drift_bound=1e308, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match=f"step {step}: node "
-                                                  f"positions overflowed"):
-                run_scenario(cfg)
-
     def test_tag_on_anchor_is_a_failed_fix(self):
         cfg = still_scenario((Point2(2, 3), Point2(11, 3), Point2(6, 12)),
                              (Point2(2, 3),), n_steps=3)
@@ -495,8 +530,15 @@ class TestRunScenario:
                                          calibration_period=20))
 
     def test_overflowing_positions_are_a_config_error(self):
-        with pytest.raises(ConfigError, match=r"step \d+: node positions"):
+        # a drift or a start that could overflow is out of range: the run
+        # draws nothing
+        with pytest.raises(ConfigError, match="^drift_bound: need <= "):
             run_scenario(ScenarioConfig(drift_bound=1e308))
+        far = (Point2(1e308, 0.0),) + DEFAULT_ANCHOR_LAYOUT[1:4]
+        with pytest.raises(ConfigError, match=re.escape(
+                "initial_anchor_positions[0].x: need <= ")):
+            run_scenario(ScenarioConfig(n_tags=0,
+                                        initial_anchor_positions=far))
 
     def test_tagless_scenario_runs(self):
         trace = run_scenario(ScenarioConfig(seed=4, n_tags=0, n_steps=15))
@@ -573,16 +615,10 @@ def run_per_step(cfg, bias_correction=True):
     velocity, jitter = cfg.motion.arrays()
     records = []
     for t in range(cfg.n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            true_xy, est_xy = step_motion(true_xy, est_xy, velocity, jitter,
-                                          motion_rng)
-            est_xy = apply_drift(est_xy, cfg.drift_bound, drift_rng)
-            frame_xy = est_xy - est_xy[0]
-        if not (np.isfinite(true_xy).all() and np.isfinite(frame_xy).all()):
-            raise ConfigError([
-                f"step {t}: node positions overflowed; reduce the motion "
-                f"speed or gaussian_std, or drift_bound"])
-        world, frame = true_xy.tolist(), frame_xy.tolist()
+        true_xy, est_xy = step_motion(true_xy, est_xy, velocity, jitter,
+                                      motion_rng)
+        est_xy = apply_drift(est_xy, cfg.drift_bound, drift_rng)
+        world, frame = true_xy.tolist(), (est_xy - est_xy[0]).tolist()
         truth = world[:n]
         calibrated = False
         if cfg.trigger.kind == "periodic":
@@ -665,8 +701,8 @@ def singular_warm_calibrations(monkeypatch, steps=None):
 
 class TestMotionBlocks:
     """Segment edges: a run that ends before, at or after a calibration,
-    segments of 1, 7, 63 and 64 steps, a threshold trigger's look-ahead,
-    and an overflow far from the last calibration."""
+    segments of 1, 7, 63 and 64 steps, and a threshold trigger's
+    look-ahead."""
 
     @pytest.mark.parametrize("n_steps", [63, 64, 65])
     def test_block_edges(self, n_steps):
@@ -696,18 +732,6 @@ class TestMotionBlocks:
         gaps = {b - a for a, b in zip(steps, steps[1:])}
         assert 1 in gaps and max(gaps) > 2
         assert min(steps) < 64 < max(steps)
-
-    def test_overflow_in_second_block_names_the_same_step(self):
-        # drift of up to max_float / 10 m per step walks the anchor
-        # estimates past the float range at step 86, far into a segment;
-        # the period keeps every calibration away from the huge positions
-        still = MotionParams(0.0, 0.0, 0.0)
-        cfg = ScenarioConfig(
-            n_anchors=3, n_tags=0, n_steps=192, calibration_period=1000,
-            seed=1, drift_bound=sys.float_info.max / 10,
-            motion=MotionTable(anchors=(still,) * 3, tags=()))
-        message = assert_same_as_per_step(cfg)
-        assert message.startswith("ConfigError: step 86: node positions")
 
 
 # the scenario shapes of the benchmark's three workloads
