@@ -25,9 +25,12 @@ leaves the other draws unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain, islice, repeat
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -610,23 +613,20 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     rotations = [wrap_angle(math.atan2(fy, fx) - math.atan2(by, bx))
                  for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
                                            *baseline.T.tolist())]
-    # every step's slice of these flat lists becomes a record's tuple
+
+    def per_step(values, k):
+        """The consecutive ``k``-tuples of flat per-step ``values``."""
+        return zip(*[iter(values)] * k) if k else repeat((), n_steps)
+
     n_tags = cfg.n_tags
-    true_xy = list(zip(*world.reshape(-1, 2).T.tolist()))
-    est_xy = list(zip(*placed.reshape(-1, 2).T.tolist()))
-    anchor_errors = errors.ravel().tolist()
-
-    def cut(values, k, t):
-        return tuple(values[t * k:(t + 1) * k])
-
-    records = [
-        TraceRecord(step=t, anchor_errors=cut(anchor_errors, n, t),
-                    tag_errors=cut(tag_errors, n_tags, t),
-                    rotation_error=rotation, calibrated=calibrated[t],
-                    true_positions=cut(true_xy, n + n_tags, t),
-                    est_positions=cut(est_xy, n, t)
-                    + cut(tag_placed, n_tags, t))
-        for t, rotation in enumerate(rotations)]
+    true_xy = zip(*world.reshape(-1, 2).T.tolist())
+    est_xy = zip(*placed.reshape(-1, 2).T.tolist())
+    estimates = map(tuple.__add__, per_step(est_xy, n),
+                    per_step(tag_placed, n_tags))
+    records = list(map(
+        TraceRecord, range(n_steps), per_step(errors.ravel().tolist(), n),
+        per_step(tag_errors, n_tags), rotations, calibrated,
+        per_step(true_xy, n + n_tags), estimates))
     return SimulationTrace(config=cfg.to_dict(), records=records,
                            diagnostics=[text for *_, text in sorted(notes)])
 
@@ -807,38 +807,89 @@ TRACE_HEADER = ["step", "node_kind", "node_id", "true_x", "true_y",
                 "calibrated"]
 
 
+# bounded: a run whose tag fixes fail in many patterns has as many shapes
+@functools.lru_cache(maxsize=256)
+def _rows_format(n_anchors: int, failed: tuple[bool, ...]) -> str:
+    """The ``%`` format of the rows of a record with ``n_anchors`` anchors,
+    then tags, where ``failed`` marks each node whose fix failed.
+
+    A row takes its step, true x and y, estimated x and y, error and the
+    record's ending (rotation and calibrated fields); a failed fix's three
+    empty fields take their values through ``%.0s``.
+    """
+    f = FLOAT_FORMAT
+    rows = []
+    for k, fail in enumerate(failed):
+        node = f"anchor,{k}" if k < n_anchors else f"tag,{k - n_anchors}"
+        fix = "%.0s,%.0s,%.0s" if fail else f"{f},{f},{f}"
+        rows.append(f"%d,{node},{f},{f},{fix},%s")
+    return "".join(rows)
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """One row per node of every record, anchors then tags; a failed tag fix
-    leaves ``est_x``, ``est_y`` and ``error_m`` empty. The bytes are those
-    of ``csv.writer``: no field needs quoting, and lines end in CRLF."""
-    f = FLOAT_FORMAT
-    fixed = f"%d,%s,%d,{f},{f},{f},{f},{f},%s"
-    failed = f"%d,%s,%d,{f},{f},,,,%s"
-    lines = [",".join(TRACE_HEADER) + "\r\n"]
-    for r in trace.records:
-        # the rotation and calibrated fields end every row of the record
-        step, tail = r.step, f"{f},%d\r\n" % (r.rotation_error, r.calibrated)
-        n = len(r.anchor_errors)
-        for k, ((tx, ty), est, err) in enumerate(zip(
-                r.true_positions, r.est_positions,
-                r.anchor_errors + r.tag_errors)):
-            kind, node_id = ("anchor", k) if k < n else ("tag", k - n)
-            if est is None:
-                lines.append(failed % (step, kind, node_id, tx, ty, tail))
-            else:
-                lines.append(fixed % (step, kind, node_id, tx, ty, est[0],
-                                      est[1], err, tail))
+    (a None estimate) leaves ``est_x``, ``est_y`` and ``error_m`` empty. The
+    bytes are those of ``csv.writer``: no field needs quoting, and lines end
+    in CRLF. Every record must hold a true position, an estimate and an
+    error for each of its nodes, as :func:`run_scenario`'s do.
+    """
+    # formed in a call of its own, whose lists are freed before the text is
+    # encoded
+    text = _trace_text(trace.records)
     with open(path, "w", newline="", encoding="utf-8") as out:
-        out.write("".join(lines))
+        out.write(text)
+
+
+def _trace_text(records: list[TraceRecord]) -> str:
+    """The trace CSV of ``records``, from one ``%`` over all rows: the format
+    joins one block per record, cached per record shape, and each field's
+    column is filled into the flat argument list in one slice assignment.
+    A record's rotation and calibrated fields are formatted once, into the
+    ending of each of its rows."""
+    sizes = list(map(len, map(attrgetter("true_positions"), records)))
+
+    def per_row(values):
+        """Each record's value once for every one of its rows."""
+        return chain.from_iterable(map(repeat, values, sizes))
+
+    true_xy = list(chain.from_iterable(chain.from_iterable(
+        map(attrgetter("true_positions"), records))))
+    est_xy = list(chain.from_iterable([
+        xy or (None, None) for xy in chain.from_iterable(
+            map(attrgetter("est_positions"), records))]))
+    # row k takes args[7k:7k + 7]: step, true x and y, estimated x and y,
+    # error, and the record's rotation and calibrated fields
+    args = [None] * (7 * sum(sizes))
+    args[0::7] = per_row(map(attrgetter("step"), records))
+    args[1::7], args[2::7] = true_xy[0::2], true_xy[1::2]
+    args[3::7], args[4::7] = est_xy[0::2], est_xy[1::2]
+    args[5::7] = chain.from_iterable(chain.from_iterable(
+        map(attrgetter("anchor_errors", "tag_errors"), records)))
+    args[6::7] = per_row(map(f"{FLOAT_FORMAT},%d\r\n".__mod__, map(
+        attrgetter("rotation_error", "calibrated"), records)))
+    # only a failed fix has None for its estimated x
+    failed = map(is_, args[3::7], repeat(None))
+    shapes = map(tuple, map(islice, repeat(failed), sizes))
+    fmt = ",".join(TRACE_HEADER) + "\r\n" + "".join(map(
+        _rows_format, map(len, map(attrgetter("anchor_errors"), records)),
+        shapes))
+    return fmt % tuple(args)
 
 
 def read_trace_records(path) -> list[TraceRecord]:
-    """Rebuild per-step records from a trace CSV (for summarize)."""
+    """Rebuild per-step records from a trace CSV (for summarize).
+
+    A second row for a node of a step, and a row whose rotation or
+    calibrated field differs from the step's first row, raise
+    :class:`CsvFormatError` naming the line.
+    """
     # step -> (step, anchor errors by id, tag errors by id, rotation,
     # calibrated), the last four taken from the step's first row
     steps: dict[int, tuple[int, dict, dict, float, bool]] = {}
     # consecutive rows of a step repeat its step, rotation and calibrated
-    # fields: each is parsed (and so checked) again only when it changes
+    # fields: each is parsed (and so checked) again only when it changes,
+    # and the row's entry is looked up (and its first row's fields
+    # compared) again only when one of them changes
     last_step_s = last_rot_s = last_cal_s = None
     step = entry = None
     for lineno, row in csv_rows(path, TRACE_HEADER):
@@ -849,9 +900,9 @@ def read_trace_records(path) -> list[TraceRecord]:
             node_id = int(node_s)
             err = math.nan if err_s == "" else float(err_s)
             if rot_s != last_rot_s:
-                rot, last_rot_s = float(rot_s), rot_s
+                rot, last_rot_s, entry = float(rot_s), rot_s, None
             if cal_s != last_cal_s:
-                cal, last_cal_s = bool(int(cal_s)), cal_s
+                cal, last_cal_s, entry = bool(int(cal_s)), cal_s, None
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from exc
         if kind not in ("anchor", "tag"):
@@ -867,7 +918,16 @@ def read_trace_records(path) -> list[TraceRecord]:
             entry = steps.get(step)
             if entry is None:
                 entry = steps[step] = (step, {}, {}, rot, cal)
-        entry[1 if kind == "anchor" else 2][node_id] = err
+            elif entry[3] != rot or entry[4] != cal:
+                raise CsvFormatError(
+                    f"step {step}: rotation_error_rad,calibrated "
+                    f"{rot_s},{cal_s} differ from the step's first row, "
+                    f"{FLOAT_FORMAT % entry[3]},{entry[4]:d}", line=lineno)
+        errors = entry[1 if kind == "anchor" else 2]
+        if node_id in errors:
+            raise CsvFormatError(f"step {step}: a second row for {kind} "
+                                 f"{node_id}", line=lineno)
+        errors[node_id] = err
     if not steps:
         raise CsvFormatError("trace has no data rows")
     records = []

@@ -702,6 +702,37 @@ class TestSummarize:
         assert result.stderr == (f"error: {path}: line 3: anchor 1: error_m "
                                  f"must be a finite number, got 'inf'\n")
 
+    def test_second_row_for_a_node_exits_2_naming_the_line(self, tmp_path):
+        # the second row used to replace anchor 1's error 0.2 with 5.0
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,0,0,0,0,0,0,0.01,0\n"
+            "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+            "0,anchor,1,9,0,14,0,5.0,0.01,0\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {path}: line 4: step 0: a second "
+                                 f"row for anchor 1\n")
+
+    def test_rotation_unlike_the_steps_first_row_exits_2(self, tmp_path):
+        # step 0 used to read rotation 0.01, ignoring the third row's 0.5
+        path = tmp_path / "rotation.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,0,0,0,0,0,0,0.01,0\n"
+            "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+            "0,anchor,2,4,8,4,8.1,0.1,0.5,1\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {path}: line 4: step 0: rotation_error_rad,calibrated "
+            f"0.5,1 differ from the step's first row, 0.01,0\n")
+
     def test_steps_with_different_anchors_exit_2(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text(

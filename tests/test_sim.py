@@ -973,9 +973,54 @@ class TestTraceCsv:
              f"condition inf" for j in (2, 1, 0, 2)]
         return trace
 
-    def test_bytes_are_those_of_csv_writer(self, tmp_path, failed_fix_trace):
-        trace = failed_fix_trace
-        path = tmp_path / "trace.csv"
+    @pytest.fixture
+    def long_drift_trace(self):
+        """The long_drift benchmark shape: 500 steps of 5 anchors, no tags."""
+        return run_scenario(ScenarioConfig.from_dict(
+            dict(BENCHMARK_SHAPES["long_drift"], seed=4)))
+
+    @pytest.fixture
+    def mixed_shape_trace(self):
+        """Hand-built records of 3 and 4 anchors with 0 or 2 tags, whose tag
+        fixes fail in some records only (in two records of one size, at
+        different tags), at coordinates of many sizes."""
+        rng = np.random.default_rng(17)
+        records = []
+        for t, (n, n_tags, failed) in enumerate([
+                (3, 0, ()), (4, 2, (1,)), (4, 2, ()), (3, 2, (0, 1)),
+                (4, 0, ()), (3, 2, (0,)), (4, 2, (0,)), (4, 2, ())]):
+            scale = 10.0 ** rng.integers(-3, 7, (n + n_tags, 1))
+            true = (rng.normal(size=(n + n_tags, 2)) * scale).tolist()
+            est = (np.array(true) + rng.normal(size=(n + n_tags, 2))
+                   * scale * 1e-3).tolist()
+            est = [None if k - n in failed else tuple(e)
+                   for k, e in enumerate(est)]
+            errors = [math.nan if e is None else math.dist(e, p)
+                      for e, p in zip(est, true)]
+            records.append(TraceRecord(
+                t, tuple(errors[:n]), tuple(errors[n:]),
+                float(rng.normal(0.0, 0.05)), t % 3 == 1,
+                tuple(map(tuple, true)), tuple(est)))
+        return SimulationTrace({}, records, [])
+
+    @pytest.fixture
+    def inf_error_trace(self):
+        """A converged tag fix so far out that its error overflows to inf."""
+        far = (1.5e308, -1.5e308)
+        error = math.dist(far, (5.0, 5.0))
+        assert error == math.inf
+        true = ((0.0, 0.0), (9.0, 0.0), (4.0, 8.0), (5.0, 5.0), (6.0, 5.0))
+        records = [TraceRecord(
+            t, (0.0, 0.2, 0.3), (error if t == 1 else 0.1, 0.15), 0.01,
+            t == 1, true,
+            true[:3] + ((far if t == 1 else (5.1, 5.0)), (6.15, 5.0)))
+            for t in range(3)]
+        return SimulationTrace({}, records, [])
+
+    @staticmethod
+    def assert_bytes_of_csv_writer(trace, path, rows, failed):
+        """``write_trace_csv`` writes ``csv.writer``'s bytes: a header,
+        ``rows`` rows, and ``failed`` of them with empty fix fields."""
         write_trace_csv(trace, path)
         expected = io.StringIO()
         writer = csv.writer(expected)
@@ -993,8 +1038,23 @@ class TestTraceCsv:
                                  int(r.calibrated)])
         data = path.read_bytes()
         assert data == expected.getvalue().encode("utf-8")
-        assert data.count(b"\r\n") == 1 + 6 * (4 + 3)
-        assert data.count(b",,,,") == 4  # the failed fixes' empty fields
+        assert data.count(b"\r\n") == 1 + rows
+        assert data.count(b",,,,") == failed  # the failed fixes' fields
+
+    def test_bytes_are_those_of_csv_writer(self, tmp_path, failed_fix_trace):
+        self.assert_bytes_of_csv_writer(failed_fix_trace,
+                                        tmp_path / "trace.csv",
+                                        rows=6 * (4 + 3), failed=4)
+
+    @pytest.mark.parametrize("shape, rows, failed", [
+        ("long_drift_trace", 500 * 5, 0),
+        ("mixed_shape_trace", 3 + 6 + 6 + 5 + 4 + 5 + 6 + 6, 5),
+        ("inf_error_trace", 3 * 5, 0),
+    ])
+    def test_bytes_of_more_shapes_are_those_of_csv_writer(
+            self, tmp_path, request, shape, rows, failed):
+        self.assert_bytes_of_csv_writer(request.getfixturevalue(shape),
+                                        tmp_path / "trace.csv", rows, failed)
 
     def test_rows_derived_from_records(self, tmp_path, failed_fix_trace):
         trace = failed_fix_trace
@@ -1053,6 +1113,46 @@ class TestTraceCsv:
         with pytest.raises(CsvFormatError,
                            match=re.escape(f"line 6: {message}")):
             read_trace_records(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,anchor,1,9,0,9.2,0,5.0,0.01,0"],
+         "line 5: step 0: a second row for anchor 1"),
+        (["0,tag,0,5,5,5,5.1,0.1,0.01,0"],
+         "line 5: step 0: a second row for tag 0"),
+        (["0,anchor,2,4,8,4,8.1,0.1,0.5,1"],
+         "line 5: step 0: rotation_error_rad,calibrated 0.5,1 differ from "
+         "the step's first row, 0.01,0"),
+        (["0,anchor,2,4,8,4,8.1,0.1,0.5,0"],
+         "line 5: step 0: rotation_error_rad,calibrated 0.5,0 differ from "
+         "the step's first row, 0.01,0"),
+        (["0,anchor,2,4,8,4,8.1,0.1,0.01,1"],
+         "line 5: step 0: rotation_error_rad,calibrated 0.01,1 differ from "
+         "the step's first row, 0.01,0"),
+        # rows of a step that come back after another step's
+        (["1,anchor,0,0,0,0,0,0,0.02,1", "0,anchor,2,4,8,4,8.1,0.1,0.02,1"],
+         "line 6: step 0: rotation_error_rad,calibrated 0.02,1 differ from "
+         "the step's first row, 0.01,0"),
+    ])
+    def test_rows_of_a_step_must_agree(self, tmp_path, rows, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([",".join(TRACE_HEADER),
+                                   "0,anchor,0,0,0,0,0,0,0.01,0",
+                                   "0,anchor,1,9,0,9.2,0,0.2,0.01,0",
+                                   "0,tag,0,5,5,,,,0.01,0", *rows]) + "\n")
+        with pytest.raises(CsvFormatError, match=re.escape(message)):
+            read_trace_records(path)
+
+    def test_rows_of_a_step_may_interleave_and_spell_numbers_apart(
+            self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([",".join(TRACE_HEADER),
+                                   "0,anchor,0,0,0,0,0,0,0.01,0",
+                                   "1,anchor,0,0,0,0,0,0,0.02,1",
+                                   "0,anchor,1,9,0,9.2,0,0.2,1e-2,0",
+                                   "1,anchor,1,9,0,9.3,0,0.3,0.020,1"]) + "\n")
+        assert read_trace_records(path) == [
+            TraceRecord(0, (0.0, 0.2), (), 0.01, False),
+            TraceRecord(1, (0.0, 0.3), (), 0.02, True)]
 
     def test_steps_must_hold_the_same_anchors(self, tmp_path):
         # before/after calibration means would compare different anchors
