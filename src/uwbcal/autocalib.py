@@ -211,7 +211,8 @@ def _residual_layout(n_anchors: int, fix_a1_axis: bool,
 
 
 def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
-    """free -> (r, J) over ``pairs`` with symmetrized means ``targets``."""
+    """free -> (r, J, d) over ``pairs`` with symmetrized means ``targets``
+    and the pair distances d."""
     free_cols, first, second, jac_t = _residual_layout(
         n_anchors, fix_a1_axis, pairs)
     n_free, m = len(free_cols), len(pairs)
@@ -221,10 +222,11 @@ def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
 
     def fun(free):
         ext[:n_free] = free
-        r, unit = range_residuals(ext.take(first) - ext.take(second), targets)
+        r, unit, dist = range_residuals(ext.take(first) - ext.take(second),
+                                        targets)
         units[...] = unit
         np.negative(unit, out=negated)
-        return r, buf.take(jac_t).T
+        return r, buf.take(jac_t).T, dist
 
     return fun
 

@@ -23,8 +23,10 @@ DAMPING_GROW = 10.0
 DAMPING_SHRINK = 10.0
 DAMPING_MAX = 1e14
 MAX_ITERATIONS = 100
-STEP_TOL = 1e-9   # max |coordinate update|, meters
 GRAD_TOL = 1e-12  # inf-norm of the objective gradient 2 J^T r
+# Rounding a computed distance d costs up to EPS * d, so the objective
+# f = sum r_i^2 is known only to within FLOOR_FACTOR * sum |r_i| d_i.
+FLOOR_FACTOR = 2.0 * np.finfo(float).eps
 
 # Coincident iterates have no distance gradient; nudge them apart instead.
 COINCIDENT_EPS = 1e-9
@@ -39,12 +41,14 @@ class LeastSquaresResult:
     grad_inf: float
 
 
-ResidualFunction = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+ResidualFunction = Callable[[np.ndarray],
+                            tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def range_residuals(diff: np.ndarray,
-                    targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals |diff_k| - targets_k and the unit vectors diff_k / |diff_k|.
+def range_residuals(diff: np.ndarray, targets: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals |diff_k| - targets_k, the unit vectors diff_k / |diff_k|
+    and the distances |diff_k|.
 
     ``diff`` holds one 2-D difference vector per row; the unit vectors are
     the residuals' derivatives with respect to it. A row shorter than 1e-12
@@ -56,28 +60,35 @@ def range_residuals(diff: np.ndarray,
         diff = diff.copy()
         diff[coincident] = (COINCIDENT_EPS, 0.0)
         dist[coincident] = COINCIDENT_EPS
-    return dist - targets, diff / dist[:, None]
+    return dist - targets, diff / dist[:, None], dist
 
 
 def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
                         max_iterations: int = MAX_ITERATIONS
                         ) -> LeastSquaresResult:
-    """Minimize sum(r(x)**2) for fun(x) -> (r, J).
+    """Minimize f = sum(r(x)**2) for fun(x) -> (r, J, d).
 
-    Steps solve (J^T J + lam*I) dx = -J^T r. Damping shrinks tenfold on an
-    accepted step and grows tenfold on a rejected one, so the objective is
-    non-increasing. Convergence is declared when the proposed step or the
-    gradient drops below tolerance; hitting the iteration cap leaves
+    ``d`` holds the magnitude each residual is computed from (the distance
+    of a range residual), so rounding makes r_i uncertain by EPS * d_i and f
+    by the float floor phi = 2 EPS sum |r_i| d_i. Steps solve (J^T J +
+    lam*I) dx = -J^T r. Damping shrinks tenfold on an accepted step and
+    grows tenfold on a rejected one, so the objective is non-increasing.
+    Convergence is declared when the gradient drops below tolerance, or
+    when the step's predicted reduction of f, lam |dx|^2 - J^T r . dx, is
+    at most phi: such a step is taken only if it does not raise f, and the
+    iteration stops either way. Hitting the iteration cap leaves
     ``converged`` False and the caller decides what to do with the best
     iterate. Raises :class:`SingularUpdate` if the damped system cannot be
     solved even at maximum damping.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r, jac = fun(x)
+    r, jac, dist = fun(x)
     f = float(r @ r)
-    # J^T J and J^T r change only with an accepted step; the gradient is
-    # 2 J^T r, and doubling is exact
+    # J^T J, J^T r and the floor change only with an accepted step; the
+    # gradient is 2 J^T r, and doubling is exact. The floor's dot products
+    # are ndarray.dot, which costs half of what @ does on vectors this short
     jtj, jtr = jac.T @ jac, jac.T @ r
+    floor = FLOOR_FACTOR * abs(r).dot(dist)
     grad_inf = 2.0 * _max_abs(jtr) if jtr.size else 0.0
 
     if grad_inf <= GRAD_TOL:
@@ -97,10 +108,13 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
         diagonal += lam
         try:
             dx = np.linalg.solve(damped, rhs)
-            step_inf = _max_abs(dx)
+            # |dx|^2 is finite only if every entry is; where it overflows,
+            # the entries decide
+            step_sq = dx.dot(dx)
+            solved = step_sq < math.inf or _max_abs(dx) < math.inf
         except np.linalg.LinAlgError:
-            step_inf = math.nan
-        if not step_inf < math.inf:  # a NaN or infinite entry in dx
+            solved = False
+        if not solved:  # a NaN or infinite entry in dx
             lam *= DAMPING_GROW
             if lam > DAMPING_MAX:
                 raise SingularUpdate(
@@ -108,22 +122,25 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
             continue
 
         x_trial = x + dx
-        r_trial, jac_trial = fun(x_trial)
+        r_trial, jac_trial, dist = fun(x_trial)
         f_trial = float(r_trial @ r_trial)
+        # the predicted reduction is within rounding of f: no step can
+        # lower f any more than rounding does, so this is the last one
+        at_floor = lam * step_sq + rhs.dot(dx) <= floor
 
-        if f_trial < f:
+        if f_trial < f or at_floor and f_trial == f:
             x, r, jac, f = x_trial, r_trial, jac_trial, f_trial
-            jtj, jtr = jac.T @ jac, jac.T @ r
-            rhs = -jtr
+            jtr = jac.T @ r
             grad_inf = 2.0 * _max_abs(jtr)
-            lam = max(lam / DAMPING_SHRINK, 1e-15)
-            if step_inf < STEP_TOL or grad_inf <= GRAD_TOL:
+            if at_floor or grad_inf <= GRAD_TOL:
                 converged = True
                 break
+            jtj, rhs = jac.T @ jac, -jtr
+            floor = FLOOR_FACTOR * abs(r).dot(dist)
+            lam = max(lam / DAMPING_SHRINK, 1e-15)
         else:
             lam *= DAMPING_GROW
-            if step_inf < STEP_TOL:
-                # The solver cannot improve on x even with a tiny step: done.
+            if at_floor:
                 converged = True
                 break
             if lam > DAMPING_MAX:

@@ -6,10 +6,11 @@ the standard linearization (subtracting the first squared-range equation
 from the rest), solved by a QR factorization, which also disambiguates the
 mirror solution that exists with exactly three anchors. The fit is the
 iteration of :func:`~uwbcal.leastsq.levenberg_marquardt` with its constants
-and its accept, reject and stop rules, with one change: where the objective
-is locally convex the damped matrix is the full Hessian rather than J^T J,
-so steps near a fix are damped Newton steps. Range residuals are not zero
-at the optimum, where Gauss-Newton only converges linearly.
+and its accept, reject and stop rules, float floor included, with one
+change: where the objective is locally convex the damped matrix is the full
+Hessian rather than J^T J, so steps near a fix are damped Newton steps.
+Range residuals are not zero at the optimum, where Gauss-Newton only
+converges linearly.
 
 Every operation is elementwise per problem or a sum along one problem's
 row of N, so a problem's result is the same, bit for bit, whatever batch it
@@ -27,8 +28,8 @@ import numpy as np
 from .errors import CollinearAnchors, NotConverged, SingularUpdate
 from .geometry import Point2
 from .leastsq import (COINCIDENT_EPS, DAMPING_GROW, DAMPING_INITIAL,
-                      DAMPING_MAX, DAMPING_SHRINK, GRAD_TOL, MAX_ITERATIONS,
-                      STEP_TOL)
+                      DAMPING_MAX, DAMPING_SHRINK, FLOOR_FACTOR, GRAD_TOL,
+                      MAX_ITERATIONS)
 
 CONDITION_LIMIT = 1e8
 
@@ -159,24 +160,26 @@ def _residuals(x: np.ndarray, y: np.ndarray, problems: np.ndarray):
 
 
 def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
-    """The ``(8, P)`` rows f, g0, g1, h00, h01, h11, x, y at (x, y), from
-    what :func:`_residuals` returned there; g = J^T r.
+    """The ``(9, P)`` rows f, g0, g1, h00, h01, h11, x, y, phi at (x, y),
+    from what :func:`_residuals` returned there; g = J^T r.
 
     The matrix h is the Hessian of f / 2, J^T J plus each residual's
     curvature r/d (I - u u^T), where that is positive definite, so steps are
     damped Newton steps; elsewhere (far from a minimum, or on an anchor) it
-    is J^T J. All nine sums come from one sum along the anchor axis, which
-    numpy forms per problem row whatever the batch (and f as
-    :func:`_residuals` forms it).
+    is J^T J. phi is the float floor of f, ``FLOOR_FACTOR`` sum |r| d, as in
+    :func:`~uwbcal.leastsq.levenberg_marquardt`. All ten sums come from one
+    sum along the anchor axis, which numpy forms per problem row whatever
+    the batch (and f as :func:`_residuals` forms it).
     """
-    # unit vectors and curvature factors in place of the offsets and
-    # distances, which nothing reads after this
+    # per anchor: r r, ux r, uy r, ux ux, ux uy, uy uy, the curvature terms
+    # the Hessian adds to the last three, c uy uy, -c ux uy, c ux ux, and
+    # |r| d; the unit vectors and curvature factors take the place of the
+    # offsets and distances, which nothing reads after them
+    terms = np.empty((10,) + r.shape)
+    np.multiply(np.abs(r, terms[9]), dist, terms[9])
     ux = np.divide(dx, dist, dx)
     uy = np.divide(dy, dist, dy)
     c = np.divide(r, dist, dist)
-    # per anchor: r r, ux r, uy r, ux ux, ux uy, uy uy and the curvature
-    # terms the Hessian adds to the last three, c uy uy, -c ux uy, c ux ux
-    terms = np.empty((9,) + r.shape)
     np.multiply(r, r, terms[0])
     np.multiply(ux, r, terms[1])
     np.multiply(uy, r, terms[2])
@@ -194,7 +197,8 @@ def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
               where=np.minimum(n00, n00 * n11 - n01 * n01) > 0.0)
     sums[6] = x
     sums[7] = y
-    return sums[:8]
+    np.multiply(sums[9], FLOOR_FACTOR, sums[8])
+    return sums[:9]
 
 
 def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
@@ -204,14 +208,18 @@ def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
     The rules of :func:`~uwbcal.leastsq.levenberg_marquardt`, per problem:
     the 2x2 damped system is solved in closed form, and a zero or
     non-finite determinant or step counts as an unsolvable system (damping
-    grows; past ``DAMPING_MAX`` the status is SINGULAR). A trial point's
-    gradient and step matrix are formed only when some trial is accepted.
-    The working arrays hold the running problems only: a problem that stops
-    leaves them. Returns the rows of :func:`_equations` at each problem's
-    last iterate, its iterations and its status.
+    grows; past ``DAMPING_MAX`` the status is SINGULAR). A step whose
+    predicted reduction is at most the float floor phi is taken if it does
+    not raise f, and the problem stops CONVERGED either way. A trial point's
+    gradient and step matrix are formed only when some accepted problem goes
+    on from it; a problem that stops at the floor keeps only the trial's f,
+    x and y. The working arrays hold the running problems only: a problem
+    that stops leaves them. Returns the rows of :func:`_equations` at each
+    problem's last iterate (f, x and y only, for a step taken at the floor),
+    its iterations and its status.
     """
     p = len(x)
-    out = np.empty((8, p))
+    out = np.empty((9, p))
     out_iterations = np.full(p, max_iterations)
     out_status = np.full(p, NOT_CONVERGED)
     state = _equations(*_residuals(x, y, problems)[1])
@@ -235,7 +243,7 @@ def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
         iteration += 1
         if iteration > max_iterations or not len(live):
             break
-        f, g0, g1, h00, h01, h11, x, y = state
+        f, g0, g1, h00, h01, h11, x, y, floor = state
         a = h00 + lam
         d = h11 + lam
         det = a * d - h01 * h01
@@ -243,16 +251,23 @@ def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
         dy = (h01 * g0 - a * g1) / det
         size = np.maximum(np.abs(dx), np.abs(dy))  # NaN or inf unless finite
         solved = np.isfinite(det) & (size < np.inf)
-        f_trial, at_trial = _residuals(x + dx, y + dy, problems)
-        accept = solved & (f_trial < f)
-        # accepted: stop on a small step or gradient; rejected: on a small
-        # step (nothing better nearby), else give up past maximum damping
-        converged = solved & (size < STEP_TOL)
-        if np.count_nonzero(accept):
+        x_trial, y_trial = x + dx, y + dy
+        f_trial, at_trial = _residuals(x_trial, y_trial, problems)
+        # predicted reduction lam |d|^2 - g . d within the floor: stop here
+        converged = solved & (lam * (dx * dx + dy * dy) - (g0 * dx + g1 * dy)
+                              <= floor)
+        accept = solved & (f_trial < f) | converged & (f_trial == f)
+        last = accept & converged
+        go_on = accept ^ last
+        if np.count_nonzero(go_on):
             trial = _equations(*at_trial)
-            state = np.where(accept, trial, state)
-            converged |= accept & (np.abs(trial[1:3]).max(axis=0)
-                                   <= 0.5 * GRAD_TOL)
+            state = np.where(go_on, trial, state)
+            converged |= go_on & (np.abs(trial[1:3]).max(axis=0)
+                                  <= 0.5 * GRAD_TOL)
+        if np.count_nonzero(last):
+            np.copyto(state[0], f_trial, where=last)
+            np.copyto(state[6], x_trial, where=last)
+            np.copyto(state[7], y_trial, where=last)
         lam = np.maximum(np.where(accept, lam / DAMPING_SHRINK,
                                   lam * DAMPING_GROW), 1e-15)
         stop = converged | (lam > DAMPING_MAX)
@@ -283,7 +298,7 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
         else:
             x, y = np.array(start, dtype=float).reshape(p, 2).T
             condition, fitted = np.full(p, math.nan), np.arange(p)
-        rows = np.full((8, p), math.nan)
+        rows = np.full((9, p), math.nan)
         rows[6], rows[7] = x, y
         iterations, status = np.zeros(p, dtype=int), np.full(p, COLLINEAR)
         rows[:, fitted], iterations[fitted], status[fitted] = _fit(

@@ -152,11 +152,12 @@ def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
         flat = np.zeros(2 * n)
         flat[free_cols] = free
         positions = flat.reshape(n, 2)
-        r, unit = range_residuals(positions[ii] - positions[jj], targets)
+        r, unit, dist = range_residuals(positions[ii] - positions[jj],
+                                        targets)
         jac = np.zeros((m, n, 2))
         jac[rows, ii] = unit
         jac[rows, jj] = -unit
-        return r, jac.reshape(m, 2 * n)[:, free_cols]
+        return r, jac.reshape(m, 2 * n)[:, free_cols], dist
 
     return fun
 

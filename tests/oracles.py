@@ -326,9 +326,10 @@ def simulate_round(n_anchors: int, k_measurements: int,
 
 
 def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
-    """Residual function free -> (r, J) over every measured anchor pair.
+    """Residual function free -> (r, J, d) over every measured anchor pair.
 
-    r holds |p_i - p_j| - d_ij for the symmetrized means d_ij. ``free`` is
+    r holds d - d_ij for the distances d = |p_i - p_j| and the symmetrized
+    means d_ij. ``free`` is
     the optimizer's variable vector: the flattened coordinates of anchors
     1..n-1 (anchor 1's y omitted when ``fix_a1_axis``). This is the
     function ``autocalib.refine_lse`` minimizes.
@@ -337,7 +338,8 @@ def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
 
 
 def tag_residuals(anchors, ranges: list[float]):
-    """Residual function p -> (|p - a_i| - r_i, Jacobian) for a tag fix.
+    """Residual function p -> (|p - a_i| - r_i, Jacobian, |p - a_i|) for a
+    tag fix.
 
     The array form of the residuals ``multilateration.locate_tag`` fits,
     for ``leastsq.levenberg_marquardt`` and gradient checks.
@@ -351,8 +353,9 @@ def tag_residuals(anchors, ranges: list[float]):
 
 
 def objective_and_gradient(fun, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective sum(r(x)**2) and its gradient 2 J^T r for fun(x) -> (r, J)."""
-    r, jac = fun(np.asarray(x, dtype=float))
+    """Objective sum(r(x)**2) and its gradient 2 J^T r for fun(x) -> (r, J,
+    d)."""
+    r, jac, _ = fun(np.asarray(x, dtype=float))
     return float(r @ r), 2.0 * (jac.T @ r)
 
 

@@ -1,20 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from uwbcal.autocalib import DistanceStatsMatrix, calibrate
 from uwbcal.errors import SingularUpdate
 from uwbcal.geometry import Point2
 from uwbcal.leastsq import MAX_ITERATIONS, levenberg_marquardt
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
                                     _equations, _residuals, solve_fixes)
+from uwbcal.ranging import RangingModel
+from uwbcal.sim import DEFAULT_ANCHOR_LAYOUT
 from oracles import objective_and_gradient, tag_residuals
 
 
 def quadratic_bowl(target):
     def fun(x):
-        return x - target, np.eye(len(target))
+        return x - target, np.eye(len(target)), np.abs(x)
     return fun
 
 
@@ -43,7 +47,7 @@ class TestLevenbergMarquardt:
             r = np.tanh(a @ x) - b
             jac = a * (1.0 / np.cosh(a @ x) ** 2)[:, None]
             objectives.append(float(r @ r))
-            return r, jac
+            return r, jac, np.abs(np.tanh(a @ x))
 
         res = levenberg_marquardt(fun, np.zeros(3))
         # accepted iterates form a non-increasing objective sequence
@@ -58,7 +62,7 @@ class TestLevenbergMarquardt:
 
     def test_singular_update_raises(self):
         def fun(x):
-            return np.array([np.nan]), np.array([[np.nan]])
+            return np.array([np.nan]), np.array([[np.nan]]), np.ones(1)
 
         with pytest.raises(SingularUpdate):
             levenberg_marquardt(fun, np.array([1.0]))
@@ -78,7 +82,7 @@ class TestLevenbergMarquardt:
 
         def fun(x):
             evaluations.append(x.copy())
-            return x - 1.0, np.eye(2)
+            return x - 1.0, np.eye(2), np.abs(x)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         with pytest.raises(SingularUpdate):
@@ -242,3 +246,42 @@ class TestFitPoint:
         assert res.status[0] == SINGULAR
         with pytest.raises(SingularUpdate):
             raise res.error(0)
+
+
+def scaled_iterations(scale):
+    """Iterations of a bootstrap and a warm calibration of the 5-anchor
+    default layout and of a 3-tag batch inside it, all in units ``scale``
+    times larger: every distance and range with the same relative noise of
+    1e-3, and the warm prior the same layout offset by the same amounts."""
+    layout = np.array([tuple(p) for p in DEFAULT_ANCHOR_LAYOUT])
+    tags = np.array([(9.0, 10.0), (12.0, 14.0), (6.0, 16.0)])
+    rng = np.random.default_rng(0)
+    noise = 1.0 + 1e-3 * rng.standard_normal((5, 5))
+    prior = (layout + rng.normal(0.0, 0.3, layout.shape)) * scale
+    tag_noise = 1.0 + 1e-3 * rng.standard_normal((3, 5))
+    truth = layout * scale
+    d = DistanceStatsMatrix(5)
+    for i, j in itertools.permutations(range(5), 2):
+        d.set_pair(i, j, float(np.hypot(*(truth[i] - truth[j])) * noise[i, j]),
+                   0.0, 1)
+    model = RangingModel.identity()
+    boot = calibrate(d, model)
+    warm = calibrate(d, model, prior=prior.tolist())
+    ranges = np.hypot(*(tags[:, None] * scale - truth).transpose(2, 0, 1))
+    batch = solve_fixes(np.tile(truth[:, 0], (3, 1)),
+                        np.tile(truth[:, 1], (3, 1)), ranges * tag_noise)
+    assert (batch.status == CONVERGED).all()
+    return [boot.iterations, warm.iterations, *batch.iterations.tolist()]
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5, 1e7, 1e9])
+def test_iterations_do_not_grow_with_the_scale(scale):
+    # Both kernels stop where a step's predicted reduction falls within the
+    # float floor of the objective, which scales with the problem, so the
+    # same problem in larger units takes as many iterations, give or take
+    # one; an absolute step tolerance in meters made them crawl at 1e5 m
+    # and beyond.
+    unit = scaled_iterations(1.0)
+    assert all(its <= ref + 1
+               for its, ref in zip(scaled_iterations(scale), unit)), \
+        (scaled_iterations(scale), unit)

@@ -23,7 +23,7 @@ from uwbcal.errors import (ConfigError, CsvFormatError,
                            finite_number, integer)
 from uwbcal.geometry import Point2, wrap_angle
 from uwbcal.leastsq import MAX_ITERATIONS
-from uwbcal.multilateration import SINGULAR
+from uwbcal.multilateration import CONVERGED, SINGULAR
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RANGING_KEYS, RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MAX_POSITION_M, MAX_STEP_M,
@@ -785,6 +785,42 @@ class TestSameAsPerStep:
 
 
 class TestFixTags:
+    @pytest.mark.parametrize("shape", ["default_ensemble", "recal_dense"])
+    def test_converged_fixes_end_without_a_stall(self, monkeypatch, shape):
+        # Each run's solve_fixes call, replayed with the iteration cap
+        # lowered one at a time, shows where every iteration left each fix.
+        # A fix stops at the first step whose predicted reduction is within
+        # the float floor of its objective, so it never ends on a run of
+        # rejected steps while the damping grows: at most its last
+        # iteration leaves its position unchanged.
+        calls, real = [], sim.solve_fixes
+
+        def recorded(*args):
+            calls.append([np.array(a) for a in args])
+            return real(*args)
+
+        monkeypatch.setattr(sim, "solve_fixes", recorded)
+        for seed in range(10):
+            run_scenario(ScenarioConfig.from_dict(
+                dict(BENCHMARK_SHAPES[shape], seed=seed)))
+        assert len(calls) == 10
+        tails = []
+        for args in calls:
+            batch = real(*args)
+            path = np.stack([real(*args, max_iterations=k).position
+                             for k in range(batch.iterations.max() + 1)])
+            assert np.array_equal(path[-1], batch.position)
+            # still[i, p]: iteration i + 1 left fix p where it was
+            still = (path[1:] == path[:-1]).all(axis=2).T.tolist()
+            for p in np.flatnonzero(batch.status == CONVERGED).tolist():
+                n, tail = int(batch.iterations[p]), 0
+                while tail < n and still[p][n - 1 - tail]:
+                    tail += 1
+                tails.append(tail)
+        assert len(tails) == {"default_ensemble": 1650, "recal_dense": 100}[
+            shape]
+        assert max(tails) <= 1, sorted(tails)[-10:]
+
     @pytest.mark.parametrize("noise_std", [0.0, 0.058, 4.0])
     def test_matches_per_tag_oracle(self, noise_std):
         # tag 1 sits on anchor 2 and draws nothing; at 4 m noise some
@@ -822,18 +858,34 @@ class TestFixTags:
             rng.standard_normal(2 * 3)
             assert rng.bit_generator.state == before
 
-    def test_failed_fixes_keep_their_place_among_the_diagnostics(self):
-        # at step 50 the calibration does not converge and leaves the anchor
-        # frame collinear, so every tag fix of that step fails too
-        cfg = ScenarioConfig.from_dict({"n_anchors": 3, "k_measurements": 1,
-                                        "calibration_period": 5, "seed": 9,
-                                        "n_steps": 51})
-        trace = run_scenario(cfg)
-        assert repr(trace) == repr(run_per_step(cfg))
-        at_50 = [d for d in trace.diagnostics if d.startswith("step 50:")]
-        assert at_50 == ["step 50: calibration did not converge"] + [
-            f"step 50: tag {j} fix failed: anchor layout is (near-)collinear,"
-            f" condition 1.08e+08" for j in range(3)]
+    def test_failed_fixes_keep_their_place_among_the_diagnostics(
+            self, monkeypatch):
+        # A thin triangle of still anchors whose ranges, not bias-corrected,
+        # all read 4 um more than its slack d01 + d12 - d02 short: measured,
+        # d01 + d12 falls 4 um short of d02, so the bootstrap clamps anchor
+        # 2 onto anchor 1's axis, where J's y-columns are zero. Capped at
+        # one iteration, the bootstrap and the step-5 calibration stop short
+        # with the frame collinear, and every tag fix fails too.
+        import uwbcal.autocalib as autocalib
+
+        real = autocalib.levenberg_marquardt
+
+        def capped(fun, x0):
+            return real(fun, x0, max_iterations=1)
+
+        monkeypatch.setattr(autocalib, "levenberg_marquardt", capped)
+        slack = 10.0 + math.hypot(10.0, 1.0) - math.hypot(20.0, 1.0)
+        cfg = still_scenario(
+            [Point2(0.0, 0.0), Point2(10.0, 0.0), Point2(20.0, 1.0)],
+            [Point2(12.0, 0.4), Point2(15.0, 0.6), Point2(18.0, 0.85)],
+            ranging=RangingModel(1.0, -(slack + 4e-6), 0.0, 2),
+            calibration_period=5, n_steps=6)
+        trace = assert_same_as_per_step(cfg, bias_correction=False)
+        assert trace.diagnostics[0] == "bootstrap calibration did not converge"
+        at_5 = [d for d in trace.diagnostics if d.startswith("step 5:")]
+        assert at_5 == ["step 5: calibration did not converge"] + [
+            f"step 5: tag {j} fix failed: anchor layout is (near-)collinear,"
+            f" condition inf" for j in range(3)]
 
 
 class TestSummaries:
