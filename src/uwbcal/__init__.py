@@ -17,7 +17,7 @@ gradient checks and the test input writers are test oracles, in
 
 from .autocalib import (CalibrationResult, DistanceStatsMatrix, calibrate,
                         initial_placement, refine_lse)
-from .geometry import Point2, bilaterate_positive_y, distance, rotation_error
+from .geometry import bilaterate_positive_y, distance, rotation_error
 from .multilateration import TagFix, linear_initial_guess, locate_tag
 from .protocol import estimate_latency, run_calibration_round
 from .ranging import (RangingModel, RangingSample, correct_measurement,
@@ -27,7 +27,7 @@ from .sim import ScenarioConfig, SummaryStats, run_scenario, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationResult", "DistanceStatsMatrix", "Point2", "RangingModel",
+    "CalibrationResult", "DistanceStatsMatrix", "RangingModel",
     "RangingSample", "ScenarioConfig", "SummaryStats", "TagFix",
     "bilaterate_positive_y", "calibrate", "correct_measurement", "distance",
     "estimate_latency", "fit_model", "initial_placement",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, DegenerateGeometry, NotConverged, csv_rows
-from .geometry import Point2, bilaterate_positive_y
+from .geometry import bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
 
@@ -136,21 +136,22 @@ class DistanceStatsMatrix:
             raise ValueError(f"invalid anchor pair ({i},{j}) for n={n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
-    """Anchor positions in the anchor frame, plus solver diagnostics."""
+    """Anchor positions in the anchor frame, a read-only ``(N, 2)`` array,
+    plus solver diagnostics."""
 
-    positions: tuple[Point2, ...]
+    positions: np.ndarray
     rms_residual: float
     iterations: int
     converged: bool
 
     def __post_init__(self):
-        if self.positions[0].x != 0.0 or self.positions[0].y != 0.0:
+        if tuple(self.positions[0]) != (0.0, 0.0):
             raise ValueError("anchor 0 must sit exactly at the origin")
 
 
-def initial_placement(d: DistanceStatsMatrix) -> list[Point2]:
+def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
     """Geometric bootstrap from distances to the first two anchors."""
     sym = dict(zip(*d.sym_table()))
     d01 = sym[0, 1]
@@ -161,8 +162,7 @@ def initial_placement(d: DistanceStatsMatrix) -> list[Point2]:
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(
                 f"anchor {i}: {exc}", anchor_id=i) from exc
-    # after the checks above, which reject a non-finite baseline
-    return [Point2(0.0, 0.0), Point2(d01, 0.0), *placed]
+    return [(0.0, 0.0), (d01, 0.0), *placed]
 
 
 def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
@@ -254,9 +254,10 @@ def refine_lse(initial, d: DistanceStatsMatrix,
     free_cols = _residual_layout(n, fix_a1_axis, pairs)[0]
     lsq = levenberg_marquardt(fun, flat0[free_cols])
     n_pairs = len(pairs)
+    positions = _expand(lsq.x, free_cols, n)
+    positions.flags.writeable = False
     result = CalibrationResult(
-        positions=tuple(Point2(x, y) for x, y
-                        in _expand(lsq.x, free_cols, n).tolist()),
+        positions=positions,
         rms_residual=math.sqrt(lsq.objective / n_pairs) if n_pairs else 0.0,
         iterations=lsq.iterations,
         converged=lsq.converged,

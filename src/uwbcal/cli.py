@@ -106,7 +106,7 @@ def _load_prior(path, n_anchors: int) -> list[tuple[float, float]]:
 
 def _result_dict(result: CalibrationResult) -> dict:
     return {
-        "positions": [[p.x, p.y] for p in result.positions],
+        "positions": result.positions.tolist(),
         "rms_residual_m": result.rms_residual,
         "iterations": result.iterations,
         "converged": result.converged,

@@ -4,46 +4,20 @@ All lengths are in meters and all angles in radians. Positions estimated by
 the calibration pipeline live in the *anchor frame*: anchor 0 at the origin
 and (on the first calibration only) anchor 1 on the positive x-axis.
 
-Functions take positions as any ``(x, y)`` pairs (a :class:`Point2`, a tuple,
-a row of ``ndarray.tolist()``) and unpack them; :class:`Point2` is the type
-at the API edge, for configured and returned positions.
+Positions are ``(x, y)`` float pairs: functions take any pair (a tuple, a
+row of an ``(N, 2)`` array or of its ``tolist()``) and unpack it, and return
+tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
 
 # Relative slack on y^2 when two ranging circles fail to intersect: small
 # inconsistencies are projected onto the x-axis, anything worse is an error.
 CIRCLE_INTERSECT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point (or displacement) in the plane. Coordinates must be finite."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        # tolerate numpy scalars at the boundary, store plain floats
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
 
 
 def distance(p, q) -> float:
@@ -60,7 +34,8 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-def bilaterate_positive_y(d01: float, d0i: float, d1i: float) -> Point2:
+def bilaterate_positive_y(d01: float, d0i: float,
+                          d1i: float) -> tuple[float, float]:
     """Intersect circles centered at (0, 0) and (d01, 0), keeping y >= 0.
 
     ``d01`` is the baseline between the two reference nodes, ``d0i``/``d1i``
@@ -85,11 +60,13 @@ def bilaterate_positive_y(d01: float, d0i: float, d1i: float) -> Point2:
                 f"circles d0i={d0i}, d1i={d1i} on baseline {d01} do not "
                 f"intersect (discriminant {y_sq:.3e})")
         y_sq = 0.0
-    return Point2(x, math.sqrt(y_sq))
+    return x, math.sqrt(y_sq)
 
 
-def rotation_error(estimated_a1: Point2) -> float:
-    """Signed angle between the x-axis and the ray to the estimated anchor 1."""
-    if estimated_a1.x == 0.0 and estimated_a1.y == 0.0:
+def rotation_error(estimated_a1) -> float:
+    """Signed angle between the x-axis and the ray to the estimated anchor
+    1, an ``(x, y)`` pair."""
+    x, y = estimated_a1
+    if x == 0.0 and y == 0.0:
         raise DegenerateGeometry("anchor 1 estimate coincides with the origin")
-    return wrap_angle(math.atan2(estimated_a1.y, estimated_a1.x))
+    return wrap_angle(math.atan2(y, x))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearAnchors, NotConverged, SingularUpdate
-from .geometry import Point2
 from .leastsq import (COINCIDENT_EPS, DAMPING_GROW, DAMPING_INITIAL,
                       DAMPING_MAX, DAMPING_SHRINK, FLOOR_FACTOR, GRAD_TOL,
                       MAX_ITERATIONS)
@@ -39,9 +38,10 @@ CONVERGED, NOT_CONVERGED, SINGULAR, COLLINEAR = range(4)
 
 @dataclass(frozen=True)
 class TagFix:
-    """One tag position estimate with its residual diagnostics."""
+    """One tag position estimate, an ``(x, y)`` pair, with its residual
+    diagnostics."""
 
-    position: Point2
+    position: tuple[float, float]
     rms_residual: float
     n_anchors_used: int
 
@@ -306,13 +306,15 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
     return FixBatch(rows[6:8].T, rows[0], iterations, status, condition)
 
 
-def linear_initial_guess(anchors, ranges: list[float]) -> Point2:
+def linear_initial_guess(anchors,
+                         ranges: list[float]) -> tuple[float, float]:
     """Least-squares solution of the pairwise-subtracted squared equations.
 
     Subtracting the first range equation from each of the others removes the
     quadratic term and leaves an (n-1) x 2 linear system in the position.
     Exact at zero noise. Raises :class:`CollinearAnchors` when the system is
-    rank-deficient (condition number above 1e8).
+    rank-deficient (condition number above 1e8), and ValueError when the
+    solution is not finite (squares that overflow).
     """
     a, r = _checked(anchors, ranges)
     with np.errstate(all="ignore"):
@@ -320,7 +322,10 @@ def linear_initial_guess(anchors, ranges: list[float]) -> Point2:
                                          np.array(r)[None])
     if not condition[0] <= CONDITION_LIMIT:
         raise _collinear(condition[0])
-    return Point2(float(x[0]), float(y[0]))
+    position = float(x[0]), float(y[0])
+    if not all(map(math.isfinite, position)):
+        raise ValueError(f"non-finite coordinates {position}")
+    return position
 
 
 def locate_tag(anchors, ranges: list[float], guess=None) -> TagFix:
@@ -339,8 +344,8 @@ def locate_tag(anchors, ranges: list[float], guess=None) -> TagFix:
     status = batch.status[0]
     if status in (COLLINEAR, SINGULAR):
         raise batch.error(0)
-    (fx, fy), = batch.position.tolist()
-    fix = TagFix(position=Point2(fx, fy),
+    position, = batch.position.tolist()
+    fix = TagFix(position=tuple(position),
                  rms_residual=math.sqrt(batch.objective[0] / len(a)),
                  n_anchors_used=len(a))
     if status == NOT_CONVERGED:

@@ -39,21 +39,17 @@ from .autocalib import calibrate
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
                      NotConverged, SingularUpdate, csv_rows, finite_number,
                      integer, json_object, out_of_range, parse_rows, xy_pair)
-from .geometry import Point2, wrap_angle
-# locate_tag is not called here; bench/tracing.py hooks this name for its
-# multilateration metrics until ROADMAP item 8 retires the tracer
+# distance and locate_tag are not called here; bench/tracing.py hooks these
+# names for its geometry and multilateration metrics until ROADMAP item 8
+# retires the tracer
+from .geometry import distance, wrap_angle  # noqa: F401
 from .multilateration import CONVERGED, locate_tag, solve_fixes  # noqa: F401
 from .protocol import run_calibration_round
 from .ranging import RangingModel, reference_model
 
 # Anchor layout used when a scenario does not provide one (first n entries).
-DEFAULT_ANCHOR_LAYOUT = (
-    Point2(2.0, 3.0),
-    Point2(11.0, 3.0),
-    Point2(18.0, 6.0),
-    Point2(15.0, 20.0),
-    Point2(4.0, 22.0),
-)
+DEFAULT_ANCHOR_LAYOUT = ((2.0, 3.0), (11.0, 3.0), (18.0, 6.0), (15.0, 20.0),
+                         (4.0, 22.0))
 
 # Default motion: one shared random base heading per run with a small
 # per-node spread, keeping the formation coherent over the default 55 steps.
@@ -205,7 +201,8 @@ SCALAR_KEYS = (
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description. Fields left as None use defaults."""
+    """Full experiment description. Fields left as None use defaults;
+    positions are ``(x, y)`` pairs."""
 
     n_anchors: int = 4
     n_tags: int = 3
@@ -217,8 +214,8 @@ class ScenarioConfig:
     trigger: Trigger = field(default_factory=Trigger)
     ranging: RangingModel | None = None
     motion: MotionTable | None = None
-    initial_anchor_positions: tuple[Point2, ...] | None = None
-    initial_tag_positions: tuple[Point2, ...] | None = None
+    initial_anchor_positions: tuple[tuple[float, float], ...] | None = None
+    initial_tag_positions: tuple[tuple[float, float], ...] | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -235,7 +232,7 @@ class ScenarioConfig:
             if raw.get(key) is not None:
                 if not isinstance(raw[key], (list, tuple)):
                     raise ConfigError([f"{key}: not a list: {raw[key]!r}"])
-                kwargs[key] = tuple(Point2(*xy_pair(f"{key}[{i}]", p))
+                kwargs[key] = tuple(xy_pair(f"{key}[{i}]", p)
                                     for i, p in enumerate(raw[key]))
         return cls(**kwargs)
 
@@ -247,12 +244,11 @@ class ScenarioConfig:
             "motion": None if self.motion is None else {
                 kind: [m.to_dict() for m in nodes]
                 for kind, nodes in vars(self.motion).items()},
-            "initial_anchor_positions":
-                None if self.initial_anchor_positions is None
-                else [[p.x, p.y] for p in self.initial_anchor_positions],
-            "initial_tag_positions":
-                None if self.initial_tag_positions is None
-                else [[p.x, p.y] for p in self.initial_tag_positions],
+            # as lists, the JSON form from_dict reads
+            **{key: None if getattr(self, key) is None
+               else list(map(list, getattr(self, key)))
+               for key in ("initial_anchor_positions",
+                           "initial_tag_positions")},
         }
 
 
@@ -277,37 +273,38 @@ def _convex_hull(points: list[tuple[float, float]]):
     return lower[:-1] + upper[:-1]
 
 
-def point_in_anchor_hull(p: Point2, anchors: list[Point2]) -> bool:
-    """True if ``p`` lies inside (or on, within 1e-9) the anchors' hull."""
-    hull = _convex_hull([(a.x, a.y) for a in anchors])
+def point_in_anchor_hull(p, anchors) -> bool:
+    """True if the ``(x, y)`` pair ``p`` lies inside (or on, within 1e-9)
+    the hull of the ``anchors`` pairs."""
+    px, py = p
+    hull = _convex_hull(list(map(tuple, anchors)))
     if len(hull) < 3:
         return False
     for k in range(len(hull)):
         ax, ay = hull[k]
         bx, by = hull[(k + 1) % len(hull)]
-        if (bx - ax) * (p.y - ay) - (by - ay) * (p.x - ax) < -1e-9:
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -1e-9:
             return False
     return True
 
 
-def _default_tags(anchors: list[Point2], n_tags: int) -> tuple[Point2, ...]:
-    a0 = anchors[0]
-    cx = sum(a.x for a in anchors) / len(anchors)
-    cy = sum(a.y for a in anchors) / len(anchors)
-    dx, dy = cx - a0.x, cy - a0.y
+def _default_tags(anchors, n_tags: int) -> tuple[tuple[float, float], ...]:
+    x0, y0 = anchors[0]
+    cx = sum(x for x, _ in anchors) / len(anchors)
+    cy = sum(y for _, y in anchors) / len(anchors)
+    dx, dy = cx - x0, cy - y0
     norm = math.hypot(dx, dy)
     if norm == 0.0:
-        return tuple(Point2(cx, cy) for _ in range(n_tags))
+        return ((cx, cy),) * n_tags
     px, py = -dy / norm, dx / norm
     tags = []
     for j in range(n_tags):
         along = TAG_ALONG_BASE + TAG_ALONG_STEP * (j % 7)
         across = TAG_ACROSS * ((j % 3) - 1)
-        tag = Point2(a0.x + along * dx + across * px,
-                     a0.y + along * dy + across * py)
+        tag = (x0 + along * dx + across * px, y0 + along * dy + across * py)
         if not point_in_anchor_hull(tag, anchors):
             # on the segment itself, inside any hull with an interior
-            tag = Point2(a0.x + along * dx, a0.y + along * dy)
+            tag = (x0 + along * dx, y0 + along * dy)
         tags.append(tag)
     return tuple(tags)
 
@@ -327,13 +324,27 @@ def _default_motion(n_anchors: int, n_tags: int,
 def resolve_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Fill in every defaulted field and validate the result.
 
-    Default motion is drawn from stream 0 of the seed. Raises
-    :class:`ConfigError` listing all violations at once.
+    Positions become float pairs, default motion is drawn from stream 0 of
+    the seed and the default ranging model is :func:`reference_model`.
+    Raises :class:`ConfigError` listing all violations at once.
     """
-    anchors, tags = _validated(cfg)
-    params_rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    return _filled(cfg, anchors, tags, params_rng)
+    return _resolved(cfg)[0]
+
+
+def _resolved(cfg: ScenarioConfig):
+    """:func:`resolve_config`'s config and the generators of the seed's
+    four streams, from one spawn of the seed."""
+    anchors, tags = (tuple((float(x), float(y)) for x, y in points)
+                     for points in _validated(cfg))
+    streams = list(map(np.random.default_rng,
+                       np.random.SeedSequence(cfg.seed).spawn(4)))
+    motion = cfg.motion
+    if motion is None:
+        motion = _default_motion(cfg.n_anchors, cfg.n_tags, streams[0])
+    ranging = cfg.ranging if cfg.ranging is not None else reference_model()
+    return replace(cfg, ranging=ranging, motion=motion,
+                   initial_anchor_positions=anchors,
+                   initial_tag_positions=tags), streams
 
 
 def _validated(cfg: ScenarioConfig):
@@ -365,15 +376,15 @@ def _validated(cfg: ScenarioConfig):
     else:
         # a zero inter-anchor distance cannot be ranged
         for i, j in _coincident(anchors):
-            p = anchors[j]
+            x, y = anchors[j]
             violations.append(
-                f"initial_anchor_positions[{j}]: ({p.x:g}, {p.y:g}) "
+                f"initial_anchor_positions[{j}]: ({x:g}, {y:g}) "
                 f"coincides with initial_anchor_positions[{i}]")
 
     tags = cfg.initial_tag_positions
     if tags is None:
         if anchors is not None and not bad.keys() & {"n_anchors", "n_tags"}:
-            tags = _default_tags(list(anchors), cfg.n_tags)
+            tags = _default_tags(anchors, cfg.n_tags)
     elif len(tags) != cfg.n_tags:
         violations.append(
             f"initial_tag_positions: {len(tags)} entries for "
@@ -381,10 +392,20 @@ def _validated(cfg: ScenarioConfig):
         tags = None
 
     if anchors is not None and tags is not None:
-        for idx, tag in enumerate(tags):
-            if not point_in_anchor_hull(tag, list(anchors)):
+        outside = [idx for idx, tag in enumerate(tags)
+                   if not point_in_anchor_hull(tag, anchors)]
+        if outside and cfg.initial_tag_positions is None:
+            # the default tags lie inside any hull with an interior
+            violations.append(
+                "initial_anchor_positions: the default tag positions fall "
+                "outside the anchor convex hull, which has no interior if "
+                "the anchors are collinear; give initial_tag_positions or "
+                "set n_tags 0")
+        else:
+            for idx in outside:
+                x, y = tags[idx]
                 violations.append(
-                    f"initial_tag_positions[{idx}]: ({tag.x:g}, {tag.y:g}) "
+                    f"initial_tag_positions[{idx}]: ({x:g}, {y:g}) "
                     f"outside the anchor convex hull")
 
     motion = cfg.motion
@@ -402,19 +423,6 @@ def _validated(cfg: ScenarioConfig):
     return anchors, tags
 
 
-def _filled(cfg: ScenarioConfig, anchors, tags,
-            params_rng: np.random.Generator | None) -> ScenarioConfig:
-    """``cfg`` with validated ``anchors`` and ``tags``, and default motion
-    (drawn from ``params_rng``) and ranging where it leaves them out."""
-    motion = cfg.motion
-    if motion is None:
-        motion = _default_motion(cfg.n_anchors, cfg.n_tags, params_rng)
-    ranging = cfg.ranging if cfg.ranging is not None else reference_model()
-    return replace(cfg, ranging=ranging, motion=motion,
-                   initial_anchor_positions=tuple(anchors),
-                   initial_tag_positions=tuple(tags))
-
-
 def _coincident(points) -> list[tuple[int, int]]:
     """``(i, j)`` for every ``(x, y)`` point j equal to an earlier one, i
     being the first of them."""
@@ -424,11 +432,6 @@ def _coincident(points) -> list[tuple[int, int]]:
         if i != j:
             pairs.append((i, j))
     return pairs
-
-
-def _xy(points) -> np.ndarray:
-    """``(x, y)`` points as an ``(n, 2)`` float array."""
-    return np.array([tuple(p) for p in points], dtype=float)
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:
@@ -452,7 +455,7 @@ def _true_paths(cfg: ScenarioConfig, motion_rng: np.random.Generator,
     and np.add.accumulate adds the rows strictly in order.
     """
     n, steps = cfg.n_anchors, cfg.n_steps
-    start = _xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
+    start = np.array(cfg.initial_anchor_positions + cfg.initial_tag_positions)
     velocity, jitter = cfg.motion.arrays()
     delta = velocity + jitter * motion_rng.standard_normal(
         (steps,) + start.shape)
@@ -511,10 +514,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     simulated.
     """
     # validated first: a bad seed is a ConfigError, not a numpy error
-    anchors, tags = _validated(cfg)
-    params_rng, motion_rng, drift_rng, ranging_rng = map(
-        np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4))
-    cfg = _filled(cfg, anchors, tags, params_rng)
+    cfg, (_, motion_rng, drift_rng, ranging_rng) = _resolved(cfg)
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
     n, n_steps, trigger = cfg.n_anchors, cfg.n_steps, cfg.trigger
@@ -549,7 +549,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     # are `before`, a calibration's result; else `before` holds those of
     # step t - 1. A threshold trigger looks `span` steps past the head: the
     # last segment's length, doubled while nothing fires.
-    before = _xy(cfg.initial_anchor_positions)[0] + _xy(result.positions)
+    before = np.array(cfg.initial_anchor_positions[0]) + result.positions
     t, head, span = 0, False, 1
     while t < n_steps:
         if trigger.kind == "periodic":
@@ -601,7 +601,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             notes.append((c, -1, f"step {c}: calibration failed: {exc}"))
             continue
         # the next window recomputes step c from the calibrated estimates
-        t, head, before = c, True, path[end, 0] + _xy(result.positions)
+        t, head, before = c, True, path[end, 0] + result.positions
         calibrated[c] = True
     noise.append(ranging_rng.standard_normal(
         (live_before[-1] - live_before[drawn], n)))
@@ -881,7 +881,9 @@ def read_trace_records(path) -> list[TraceRecord]:
 
     A second row for a node of a step, and a row whose rotation or
     calibrated field differs from the step's first row, raise
-    :class:`CsvFormatError` naming the line.
+    :class:`CsvFormatError` naming the line; anchor ids other than 0..N-1,
+    or a step holding other anchors than the first, raise it naming the
+    step.
     """
     # step -> (step, anchor errors by id, tag errors by id, rotation,
     # calibrated), the last four taken from the step's first row
@@ -936,6 +938,10 @@ def read_trace_records(path) -> list[TraceRecord]:
         _, anchors, tags, rot, cal = steps[step]
         ids = sorted(anchors)
         if first_ids is None:
+            # summarize leaves out anchor 0 by its place, not its id
+            if ids != list(range(len(ids))):
+                raise CsvFormatError(f"step {step} holds anchors {ids}; "
+                                     f"anchor ids must run 0..N-1")
             first_step, first_ids = step, ids
         elif ids != first_ids:
             # errors before and after a calibration compare the same anchors

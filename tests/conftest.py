@@ -7,7 +7,7 @@ import pytest
 from uwbcal.autocalib import DistanceStatsMatrix
 from uwbcal.errors import (CollinearAnchors, DegenerateGeometry,
                            NotConverged, SingularUpdate)
-from uwbcal.geometry import Point2, distance
+from uwbcal.geometry import distance
 from uwbcal.leastsq import range_residuals
 from uwbcal.multilateration import locate_tag
 from uwbcal.ranging import correct_measurement, simulate_measurement
@@ -28,12 +28,12 @@ with warnings.catch_warnings():
 # Surveyed desk-scale deployment used as the golden reconstruction case:
 # five anchors and one tag, with anchor 1 due east of anchor 0 so the
 # world and anchor frames coincide up to the anchor-0 translation.
-GOLDEN_WORLD = [Point2(2, 3), Point2(11, 3), Point2(18, 6),
-                Point2(15, 20), Point2(4, 22)]
-GOLDEN_FRAME = [Point2(0, 0), Point2(9, 0), Point2(16, 3),
-                Point2(13, 17), Point2(2, 19)]
-GOLDEN_TAG_WORLD = Point2(9, 11)
-GOLDEN_TAG_FRAME = Point2(7, 8)
+GOLDEN_WORLD = [(2.0, 3.0), (11.0, 3.0), (18.0, 6.0), (15.0, 20.0),
+                (4.0, 22.0)]
+GOLDEN_FRAME = [(0.0, 0.0), (9.0, 0.0), (16.0, 3.0), (13.0, 17.0),
+                (2.0, 19.0)]
+GOLDEN_TAG_WORLD = (9.0, 11.0)
+GOLDEN_TAG_FRAME = (7.0, 8.0)
 GOLDEN_TAG_RANGES = [math.sqrt(v) for v in (113, 68, 106, 117, 146)]
 
 
@@ -162,10 +162,23 @@ def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
     return fun
 
 
-def rotated(p: Point2, angle: float) -> Point2:
-    """``p`` rotated counter-clockwise about the origin by ``angle`` rad."""
-    c, s = math.cos(angle), math.sin(angle)
-    return Point2(c * p.x - s * p.y, s * p.x + c * p.y)
+def rotated(p, angle: float) -> tuple[float, float]:
+    """The ``(x, y)`` pair ``p`` rotated counter-clockwise about the origin
+    by ``angle`` rad."""
+    (x, y), c, s = p, math.cos(angle), math.sin(angle)
+    return c * x - s * y, s * x + c * y
+
+
+def offset(p, dx, dy) -> tuple[float, float]:
+    """The ``(x, y)`` pair ``p`` moved by ``(dx, dy)``, as floats."""
+    return float(p[0] + dx), float(p[1] + dy)
+
+
+def result_repr(result) -> str:
+    """The repr of a :class:`CalibrationResult`'s fields, its positions as
+    lists: numpy's repr of the array keeps only 8 digits, a float's every
+    bit."""
+    return repr({**vars(result), "positions": result.positions.tolist()})
 
 
 def exact_matrix(frame_positions, transform=None) -> DistanceStatsMatrix:

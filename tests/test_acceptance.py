@@ -18,13 +18,13 @@ import pytest
 
 from uwbcal.autocalib import calibrate, refine_lse
 from uwbcal.autocalib import DistanceStatsMatrix
-from uwbcal.geometry import Point2, distance
+from uwbcal.geometry import distance
 from uwbcal.multilateration import locate_tag
 from uwbcal.protocol import estimate_latency
 from uwbcal.ranging import fit_model, load_reference_samples, reference_model
 from uwbcal.sim import ScenarioConfig, point_in_anchor_hull, run_scenario
 from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES, \
-    exact_matrix
+    exact_matrix, offset
 from oracles import (network_residuals, objective_and_gradient,
                      simulate_round, tag_residuals)
 
@@ -80,11 +80,11 @@ def test_criterion_3_zero_noise_oracle():
         layouts = 0
         while layouts < 100:
             a1x = rng.uniform(6.0, 12.0)
-            anchors = [Point2(0.0, 0.0), Point2(a1x, 0.0),
-                       Point2(rng.uniform(-4.0, a1x + 4.0),
-                              rng.uniform(3.0, 12.0)),
-                       Point2(rng.uniform(-4.0, a1x + 4.0),
-                              rng.uniform(3.0, 12.0))]
+            anchors = [(0.0, 0.0), (a1x, 0.0),
+                       (rng.uniform(-4.0, a1x + 4.0),
+                        rng.uniform(3.0, 12.0)),
+                       (rng.uniform(-4.0, a1x + 4.0),
+                        rng.uniform(3.0, 12.0))]
             seps = [distance(p, q) for i, p in enumerate(anchors)
                     for q in anchors[i + 1:]]
             if min(seps) < 2.0:
@@ -97,8 +97,8 @@ def test_criterion_3_zero_noise_oracle():
                 assert distance(got, want) <= 1e-6
             # one interior tag per layout, exact ranges
             while True:
-                tag = Point2(rng.uniform(-4.0, a1x + 4.0),
-                             rng.uniform(0.0, 12.0))
+                tag = (rng.uniform(-4.0, a1x + 4.0),
+                       rng.uniform(0.0, 12.0))
                 if point_in_anchor_hull(tag, anchors) and \
                         min(distance(tag, a) for a in anchors) > 0.3:
                     break
@@ -207,8 +207,8 @@ def test_criterion_8_numerical_hygiene():
 
         def random_instance():
             n = int(rng.integers(3, 6))
-            truth = [Point2(0, 0)] + [Point2(*rng.uniform(-8, 8, 2))
-                                      for _ in range(n - 1)]
+            truth = [(0, 0)] + [tuple(rng.uniform(-8, 8, 2).tolist())
+                                for _ in range(n - 1)]
             matrix = DistanceStatsMatrix(n)
             for i in range(n):
                 for j in range(n):
@@ -221,7 +221,7 @@ def test_criterion_8_numerical_hygiene():
         for _ in range(50):  # anchor-network objective
             truth, matrix = random_instance()
             n = matrix.n_anchors
-            x = np.array([c for p in truth[1:] for c in (p.x, p.y)])
+            x = np.array([c for p in truth[1:] for c in p])
             x += rng.normal(0, 0.5, x.size)
             fun = network_residuals(matrix)
             _, grad = objective_and_gradient(fun, x)
@@ -231,7 +231,7 @@ def test_criterion_8_numerical_hygiene():
 
         anchors = GOLDEN_FRAME[:4]
         for _ in range(50):  # tag-fix objective
-            ranges = [max(0.1, distance(Point2(6, 7), a) + rng.normal(0, 0.2))
+            ranges = [max(0.1, distance((6, 7), a) + rng.normal(0, 0.2))
                       for a in anchors]
             p = rng.uniform(0, 14, 2)
             fun = tag_residuals(anchors, ranges)
@@ -242,14 +242,14 @@ def test_criterion_8_numerical_hygiene():
 
         for _ in range(20):  # monotone refinement
             truth, matrix = random_instance()
-            start = [truth[0]] + [p + Point2(*rng.normal(0, 0.3, 2))
+            start = [truth[0]] + [offset(p, *rng.normal(0, 0.3, 2))
                                   for p in truth[1:]]
-            x0 = np.array([c for p in start[1:] for c in (p.x, p.y)])
+            x0 = np.array([c for p in start[1:] for c in p])
             fun = network_residuals(matrix)
             f_start, _ = objective_and_gradient(fun, x0)
             result = refine_lse(start, matrix)
             x1 = np.array([c for p in result.positions[1:]
-                           for c in (p.x, p.y)])
+                           for c in p])
             f_end, _ = objective_and_gradient(fun, x1)
             assert f_end <= f_start + 1e-12
 

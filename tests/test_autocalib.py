@@ -12,19 +12,20 @@ from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
                               refine_lse)
 from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                            SingularUpdate, UwbCalError)
-from uwbcal.geometry import Point2, distance, rotation_error
+from uwbcal.geometry import distance, rotation_error
 from uwbcal.leastsq import levenberg_marquardt
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
 from uwbcal.sim import DEFAULT_ANCHOR_LAYOUT
 from conftest import (GOLDEN_FRAME, dense_network_residuals, equal_stats,
-                      exact_matrix, rotated, sym_mean, unordered_pairs)
+                      exact_matrix, offset, result_repr, rotated, sym_mean,
+                      unordered_pairs)
 from oracles import (network_residuals, objective_and_gradient,
                      save_distance_csv)
 
 
 def free_vector(positions, fix_a1_axis=False):
-    flat = [c for p in positions[1:] for c in (p.x, p.y)]
+    flat = [c for p in positions[1:] for c in p]
     if fix_a1_axis:
         del flat[1]
     return np.array(flat)
@@ -110,22 +111,22 @@ class TestInitialPlacement:
     def test_golden_layout(self):
         placed = initial_placement(exact_matrix(GOLDEN_FRAME))
         for got, want in zip(placed, GOLDEN_FRAME):
-            assert got.x == pytest.approx(want.x, abs=1e-9)
-            assert got.y == pytest.approx(want.y, abs=1e-9)
+            assert got[0] == pytest.approx(want[0], abs=1e-9)
+            assert got[1] == pytest.approx(want[1], abs=1e-9)
 
     def test_equilateral(self):
         s = 7.0
-        triangle = [Point2(0, 0), Point2(s, 0), Point2(s / 2, s * math.sqrt(3) / 2)]
+        triangle = [(0, 0), (s, 0), (s / 2, s * math.sqrt(3) / 2)]
         placed = initial_placement(exact_matrix(triangle))
-        assert placed[2].x == pytest.approx(s / 2)
-        assert placed[2].y == pytest.approx(s * math.sqrt(3) / 2)
+        assert placed[2][0] == pytest.approx(s / 2)
+        assert placed[2][1] == pytest.approx(s * math.sqrt(3) / 2)
 
     def test_collinear_clamps_to_axis(self):
         d = 6.0
-        line = [Point2(0, 0), Point2(d, 0), Point2(2 * d, 0)]
+        line = [(0, 0), (d, 0), (2 * d, 0)]
         placed = initial_placement(exact_matrix(line))
-        assert placed[2].x == pytest.approx(2 * d)
-        assert placed[2].y == 0.0
+        assert placed[2][0] == pytest.approx(2 * d)
+        assert placed[2][1] == 0.0
 
     def test_inconsistent_distances_name_the_anchor(self):
         m = exact_matrix(GOLDEN_FRAME[:3])
@@ -149,7 +150,7 @@ class TestRefineLse:
     def test_recovers_from_perturbed_start(self):
         # with the axis gauge fixed the minimum is unique: exact recovery
         m = exact_matrix(GOLDEN_FRAME)
-        start = [GOLDEN_FRAME[0]] + [p + Point2(0.2, 0.2)
+        start = [GOLDEN_FRAME[0]] + [offset(p, 0.2, 0.2)
                                      for p in GOLDEN_FRAME[1:]]
         result = refine_lse(start, m, fix_a1_axis=True)
         assert result.converged
@@ -160,7 +161,7 @@ class TestRefineLse:
         # without the axis rule the perturbation's rotation component
         # survives, but every pairwise distance is still reproduced
         m = exact_matrix(GOLDEN_FRAME)
-        start = [GOLDEN_FRAME[0]] + [p + Point2(0.2, 0.2)
+        start = [GOLDEN_FRAME[0]] + [offset(p, 0.2, 0.2)
                                      for p in GOLDEN_FRAME[1:]]
         result = refine_lse(start, m)
         assert result.rms_residual <= 1e-9
@@ -172,7 +173,7 @@ class TestRefineLse:
 
     def test_noisy_three_anchor_matches_grid_search(self):
         rng = np.random.default_rng(12)
-        truth = [Point2(0, 0), Point2(4, 0), Point2(1.5, 3)]
+        truth = [(0, 0), (4, 0), (1.5, 3)]
         m = DistanceStatsMatrix(3)
         for i in range(3):
             for j in range(3):
@@ -193,18 +194,18 @@ class TestRefineLse:
         offsets = [k * 1e-3 for k in range(-5, 6)]
         for da in itertools.product(offsets, repeat=4):
             candidate = [truth[0],
-                         Point2(result.positions[1].x + da[0],
-                                result.positions[1].y + da[1]),
-                         Point2(result.positions[2].x + da[2],
-                                result.positions[2].y + da[3])]
+                         (result.positions[1][0] + da[0],
+                          result.positions[1][1] + da[1]),
+                         (result.positions[2][0] + da[2],
+                          result.positions[2][1] + da[3])]
             assert objective(candidate) >= best - 1e-12
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            truth = [Point2(0, 0), Point2(rng.uniform(4, 10), 0),
-                     Point2(rng.uniform(1, 8), rng.uniform(2, 8)),
-                     Point2(rng.uniform(-2, 4), rng.uniform(3, 9))]
+            truth = [(0, 0), (rng.uniform(4, 10), 0),
+                     (rng.uniform(1, 8), rng.uniform(2, 8)),
+                     (rng.uniform(-2, 4), rng.uniform(3, 9))]
             m = DistanceStatsMatrix(4)
             for i in range(4):
                 for j in range(4):
@@ -212,7 +213,7 @@ class TestRefineLse:
                         m.set_pair(i, j, max(
                             0.05, distance(truth[i], truth[j])
                             + rng.normal(0, 0.05)), 0.05, 5)
-            start = [truth[0]] + [p + Point2(*rng.normal(0, 0.3, 2))
+            start = [truth[0]] + [offset(p, *rng.normal(0, 0.3, 2))
                                   for p in truth[1:]]
             fun = network_residuals(m)
             f_start, _ = objective_and_gradient(fun, free_vector(start))
@@ -223,10 +224,16 @@ class TestRefineLse:
 
     def test_gauge_first_anchor_pinned_exactly(self):
         m = exact_matrix(GOLDEN_FRAME)
-        start = [GOLDEN_FRAME[0]] + [p + Point2(0.1, -0.1)
+        start = [GOLDEN_FRAME[0]] + [offset(p, 0.1, -0.1)
                                      for p in GOLDEN_FRAME[1:]]
         result = refine_lse(start, m)
-        assert result.positions[0] == Point2(0.0, 0.0)
+        assert tuple(result.positions[0]) == (0.0, 0.0)
+
+    def test_positions_are_read_only(self):
+        result = refine_lse(list(GOLDEN_FRAME), exact_matrix(GOLDEN_FRAME))
+        assert result.positions.shape == (5, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            result.positions[1, 0] = 0.0
 
     def test_not_converged_carries_best_result(self, monkeypatch):
         import uwbcal.autocalib as autocalib
@@ -238,7 +245,7 @@ class TestRefineLse:
 
         monkeypatch.setattr(autocalib, "levenberg_marquardt", capped)
         m = exact_matrix(GOLDEN_FRAME)
-        start = [GOLDEN_FRAME[0]] + [p + Point2(0.5, 0.5)
+        start = [GOLDEN_FRAME[0]] + [offset(p, 0.5, 0.5)
                                      for p in GOLDEN_FRAME[1:]]
         with pytest.raises(NotConverged) as err:
             refine_lse(start, m)
@@ -251,8 +258,8 @@ class TestObjective:
         rng = np.random.default_rng(17)
         for _ in range(10):
             n = rng.integers(3, 6)
-            truth = [Point2(0, 0)] + [Point2(*rng.uniform(-10, 10, 2))
-                                      for _ in range(n - 1)]
+            truth = [(0, 0)] + [tuple(rng.uniform(-10, 10, 2).tolist())
+                                for _ in range(n - 1)]
             m = DistanceStatsMatrix(n)
             for i in range(n):
                 for j in range(n):
@@ -270,8 +277,8 @@ class TestObjective:
     def test_rotation_invariance(self):
         rng = np.random.default_rng(23)
         m = exact_matrix(GOLDEN_FRAME)
-        base = [p + Point2(*rng.normal(0, 0.3, 2)) for p in GOLDEN_FRAME]
-        base[0] = Point2(0, 0)
+        base = [offset(p, *rng.normal(0, 0.3, 2)) for p in GOLDEN_FRAME]
+        base[0] = (0, 0)
         fun = network_residuals(m)
         f_base, _ = objective_and_gradient(fun, free_vector(base))
         for angle in rng.uniform(-math.pi, math.pi, 5):
@@ -289,8 +296,8 @@ class TestCalibrate:
         for got, want in zip(result.positions, GOLDEN_FRAME):
             assert distance(got, want) <= 1e-6
         # first calibration keeps the anchor-1 axis rule exactly
-        assert result.positions[1].y == 0.0
-        assert result.positions[1].x > 0.0
+        assert result.positions[1][1] == 0.0
+        assert result.positions[1][0] > 0.0
 
     def test_prior_equal_to_truth_is_unchanged(self):
         m = exact_matrix(GOLDEN_FRAME)
@@ -301,9 +308,9 @@ class TestCalibrate:
 
     def test_prior_translation_is_removed(self):
         m = exact_matrix(GOLDEN_FRAME)
-        shifted = [p + Point2(3.0, -2.0) for p in GOLDEN_FRAME]
+        shifted = [offset(p, 3.0, -2.0) for p in GOLDEN_FRAME]
         result = calibrate(m, RangingModel.identity(), prior=shifted)
-        assert result.positions[0] == Point2(0.0, 0.0)
+        assert tuple(result.positions[0]) == (0.0, 0.0)
         for got, want in zip(result.positions, GOLDEN_FRAME):
             assert distance(got, want) <= 1e-9
 
@@ -315,7 +322,7 @@ class TestCalibrate:
         assert result.rms_residual == pytest.approx(0.0, abs=1e-9)
         assert rotation_error(result.positions[1]) == pytest.approx(angle,
                                                                     abs=1e-9)
-        assert result.positions[1].y != 0.0
+        assert result.positions[1][1] != 0.0
 
     def test_prior_length_checked(self):
         m = exact_matrix(GOLDEN_FRAME)
@@ -324,7 +331,7 @@ class TestCalibrate:
 
     def test_triangle_side_lengths_reproduced(self):
         rng = np.random.default_rng(2)
-        truth = [Point2(0, 0), Point2(5.5, 0), Point2(2.0, 4.5)]
+        truth = [(0, 0), (5.5, 0), (2.0, 4.5)]
         m = exact_matrix(truth)
         result = calibrate(m, RangingModel.identity())
         for i in range(3):
@@ -493,7 +500,7 @@ def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
     flat[free_cols] = lsq.x
     n_pairs = len(unordered_pairs(corrected))
     result = CalibrationResult(
-        positions=tuple(Point2(*p) for p in flat.reshape(n, 2)),
+        positions=flat.reshape(n, 2),
         rms_residual=math.sqrt(lsq.objective / n_pairs),
         iterations=lsq.iterations, converged=lsq.converged)
     if not lsq.converged:
@@ -504,9 +511,9 @@ def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
 
 def outcome(calibration, *args, **kwargs) -> str:
     try:
-        return repr(calibration(*args, **kwargs))
+        return result_repr(calibration(*args, **kwargs))
     except NotConverged as exc:
-        return f"NotConverged({exc}, {exc.result!r})"
+        return f"NotConverged({exc}, {result_repr(exc.result)})"
     except UwbCalError as exc:
         return f"{type(exc).__name__}({exc})"
 

@@ -237,7 +237,7 @@ class TestCalibrate:
                        str(model_path), "--output", str(out)).returncode == 0
         doc = json.loads(out.read_text())
         for (x, y), p in zip(doc["positions"], GOLDEN_FRAME):
-            assert math.hypot(x - p.x, y - p.y) <= 1e-6
+            assert math.hypot(x - p[0], y - p[1]) <= 1e-6
 
     def test_tiny_slope_model_exits_5_without_a_warning(self, tmp_path):
         # bias correction divides by the slope: every mean and std
@@ -575,6 +575,38 @@ class TestSimulate:
         assert "initial_anchor_positions[2]" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_collinear_anchors_with_default_tags_name_the_anchors(
+            self, tmp_path):
+        # the default tags lie outside a hull without interior; the three
+        # lines this used to print named tags the scenario never gave
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "n_anchors": 3,
+            "initial_anchor_positions": [[0, 0], [5, 0], [10, 0]]}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: initial_anchor_positions: the default tag positions "
+            "fall outside the anchor convex hull, which has no interior if "
+            "the anchors are collinear; give initial_tag_positions or set "
+            "n_tags 0\n")
+
+    def test_collinear_anchors_with_given_tags_name_each_tag(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "n_anchors": 3, "n_tags": 2,
+            "initial_anchor_positions": [[0, 0], [5, 0], [10, 0]],
+            "initial_tag_positions": [[2, 0], [4, 1]]}))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: initial_tag_positions[0]: (2, 0) outside the anchor "
+            "convex hull\n"
+            "error: initial_tag_positions[1]: (4, 1) outside the anchor "
+            "convex hull\n")
+
     def test_bootstrap_geometry_failure_exits_5(self, tmp_path):
         # at 2 m of ranging noise the seed-1 bootstrap circles for anchor 2
         # do not intersect
@@ -688,6 +720,22 @@ class TestSummarize:
         assert result.returncode == 2
         assert result.stderr == (f"error: {path}: no anchor errors besides "
                                  f"anchor 0's to summarize\n")
+
+    def test_trace_without_anchor_0_exits_2_naming_the_step(self, tmp_path):
+        # summarize used to leave out anchor 1 as if it were anchor 0 and
+        # report a median of 0.25 over anchors 2 and 3
+        path = tmp_path / "no_a0.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,1,9,0,9.5,0,0.5,0.01,0\n"
+            "0,anchor,2,4,8,4,8.2,0.2,0.01,0\n"
+            "0,anchor,3,0,8,0,8.3,0.3,0.01,0\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {path}: step 0 holds anchors "
+                                 f"[1, 2, 3]; anchor ids must run 0..N-1\n")
 
     def test_non_finite_error_exits_2_naming_the_line(self, tmp_path):
         path = tmp_path / "inf.csv"
@@ -880,7 +928,7 @@ class TestExitCodes:
 
     def test_not_converged_writes_the_best_iterate(self, golden_csv,
                                                    tmp_path, monkeypatch):
-        best = CalibrationResult(positions=tuple(GOLDEN_FRAME),
+        best = CalibrationResult(positions=np.array(GOLDEN_FRAME),
                                  rms_residual=0.5, iterations=100,
                                  converged=False)
 

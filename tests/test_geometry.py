@@ -5,44 +5,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (GOLDEN_FRAME, GOLDEN_TAG_RANGES, GOLDEN_TAG_WORLD,
-                      GOLDEN_WORLD)
+                      GOLDEN_WORLD, offset, result_repr)
 from oracles import translation_errors
 from uwbcal.autocalib import calibrate
 from uwbcal.errors import DegenerateGeometry
-from uwbcal.geometry import (Point2, bilaterate_positive_y, distance,
+from uwbcal.geometry import (bilaterate_positive_y, distance,
                              rotation_error, wrap_angle)
 from uwbcal.multilateration import locate_tag
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import reference_model
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-points = st.builds(Point2, coords, coords)
-
-
-class TestPoint2:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Point2(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Point2(0.0, math.inf)
-
-    def test_arithmetic(self):
-        assert Point2(1, 2) + Point2(3, -1) == Point2(4, 1)
-        assert Point2(1, 2) - Point2(3, -1) == Point2(-2, 3)
+points = st.tuples(coords, coords)
 
 
 class TestDistance:
     def test_identity_case(self):
-        assert distance(Point2(0, 0), Point2(0, 0)) == 0.0
+        assert distance((0, 0), (0, 0)) == 0.0
 
     def test_axis_aligned(self):
-        assert distance(Point2(2, 3), Point2(11, 3)) == 9.0
+        assert distance((2, 3), (11, 3)) == 9.0
 
     def test_general(self):
         # 7-8 offset: sqrt(49 + 64)
-        assert distance(Point2(2, 3), Point2(9, 11)) == pytest.approx(
+        assert distance((2, 3), (9, 11)) == pytest.approx(
             math.sqrt(113), rel=1e-15)
-        assert distance(Point2(2, 3), Point2(9, 11)) == pytest.approx(
+        assert distance((2, 3), (9, 11)) == pytest.approx(
             10.630146, abs=1e-6)
 
     @given(points, points)
@@ -63,33 +51,33 @@ class TestDistance:
 class TestBilateratePositiveY:
     def test_symmetric_isoceles(self):
         p = bilaterate_positive_y(10.0, math.sqrt(50), math.sqrt(50))
-        assert p.x == pytest.approx(5.0)
-        assert p.y == pytest.approx(5.0)
+        assert p[0] == pytest.approx(5.0)
+        assert p[1] == pytest.approx(5.0)
 
     def test_golden_third_anchor(self):
         # anchors at (0,0) and (9,0), third at (16,3)
         p = bilaterate_positive_y(9.0, math.sqrt(265), math.sqrt(58))
-        assert p.x == pytest.approx(16.0, abs=1e-12)
-        assert p.y == pytest.approx(3.0, abs=1e-12)
+        assert p[0] == pytest.approx(16.0, abs=1e-12)
+        assert p[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_against_grid_search_oracle(self):
         # brute-force 1 mm grid minimizing the two circle mismatches
-        truth = Point2(4.3, 7.9)
+        truth = (4.3, 7.9)
         d01 = 9.0
-        d0i = math.hypot(truth.x, truth.y)
-        d1i = math.hypot(truth.x - d01, truth.y)
+        d0i = math.hypot(truth[0], truth[1])
+        d1i = math.hypot(truth[0] - d01, truth[1])
         best, best_cost = None, math.inf
         for ix in range(-50, 51):
             for iy in range(-50, 51):
-                x = truth.x + ix * 1e-3
-                y = truth.y + iy * 1e-3
+                x = truth[0] + ix * 1e-3
+                y = truth[1] + iy * 1e-3
                 cost = (abs(math.hypot(x, y) - d0i)
                         + abs(math.hypot(x - d01, y) - d1i))
                 if cost < best_cost:
                     best, best_cost = (x, y), cost
         p = bilaterate_positive_y(d01, d0i, d1i)
-        assert p.x == pytest.approx(best[0], abs=1.5e-3)
-        assert p.y == pytest.approx(best[1], abs=1.5e-3)
+        assert p[0] == pytest.approx(best[0], abs=1.5e-3)
+        assert p[1] == pytest.approx(best[1], abs=1.5e-3)
 
     @given(st.floats(min_value=0.5, max_value=50),
            st.floats(min_value=-30, max_value=30),
@@ -101,18 +89,18 @@ class TestBilateratePositiveY:
             return
         p = bilaterate_positive_y(d01, d0i, d1i)
         tol = 1e-6 * max(1.0, d0i)
-        assert abs(math.hypot(p.x, p.y) - d0i) <= tol
-        assert abs(math.hypot(p.x - d01, p.y) - d1i) <= tol
-        assert p.y >= 0.0
+        assert abs(math.hypot(p[0], p[1]) - d0i) <= tol
+        assert abs(math.hypot(p[0] - d01, p[1]) - d1i) <= tol
+        assert p[1] >= 0.0
 
     def test_small_inconsistency_clamped_to_axis(self):
         # collinear layout: third anchor beyond the baseline end
         d = 4.0
         p = bilaterate_positive_y(d, 2 * d, d)
-        assert p == Point2(2 * d, 0.0)
+        assert p == (2 * d, 0.0)
         # tiny growth of d0i makes y^2 slightly negative; still clamps
         p = bilaterate_positive_y(d, 2 * d * (1 + 1e-9), d)
-        assert p.y == 0.0
+        assert p[1] == 0.0
 
     def test_gross_inconsistency_raises(self):
         with pytest.raises(DegenerateGeometry):
@@ -127,28 +115,28 @@ class TestBilateratePositiveY:
 
 class TestRotationError:
     def test_on_axis_exact_zero(self):
-        assert rotation_error(Point2(9.0, 0.0)) == 0.0
+        assert rotation_error((9.0, 0.0)) == 0.0
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_zero_for_any_positive_baseline(self, d):
-        assert rotation_error(Point2(d, 0.0)) == 0.0
+        assert rotation_error((d, 0.0)) == 0.0
 
     def test_small_angle(self):
-        assert rotation_error(Point2(9.0, 0.09)) == pytest.approx(
+        assert rotation_error((9.0, 0.09)) == pytest.approx(
             math.atan2(0.09, 9.0))
-        assert rotation_error(Point2(9.0, 0.09)) == pytest.approx(
+        assert rotation_error((9.0, 0.09)) == pytest.approx(
             0.0099995, abs=1e-6)
 
     def test_quarter_turn(self):
-        assert rotation_error(Point2(0.0, 5.0)) == pytest.approx(math.pi / 2)
+        assert rotation_error((0.0, 5.0)) == pytest.approx(math.pi / 2)
 
     def test_origin_raises(self):
         with pytest.raises(DegenerateGeometry):
-            rotation_error(Point2(0.0, 0.0))
+            rotation_error((0.0, 0.0))
 
     def test_range_is_half_open(self):
-        assert rotation_error(Point2(-1.0, 0.0)) == pytest.approx(math.pi)
-        assert -math.pi < rotation_error(Point2(-1.0, -1e-12)) <= math.pi
+        assert rotation_error((-1.0, 0.0)) == pytest.approx(math.pi)
+        assert -math.pi < rotation_error((-1.0, -1e-12)) <= math.pi
 
 
 class TestWrapAngle:
@@ -168,33 +156,34 @@ class TestTranslationErrors:
         assert errors == [0.0] * 5
 
     def test_three_four_five(self):
-        errors = translation_errors([Point2(0.3, 0.4)], [Point2(10, 10)],
-                                    Point2(10, 10))
+        errors = translation_errors([(0.3, 0.4)], [(10, 10)],
+                                    (10, 10))
         assert errors[0] == pytest.approx(0.5)
 
     def test_invariant_under_world_translation(self, golden_frame,
                                                golden_world):
-        shift = Point2(-123.4, 56.7)
-        est = [p + Point2(0.05, -0.02) for p in golden_frame]
+        shift = (-123.4, 56.7)
+        est = [offset(p, 0.05, -0.02) for p in golden_frame]
         base = translation_errors(est, golden_world, golden_world[0])
-        moved = translation_errors(est, [p + shift for p in golden_world],
-                                   golden_world[0] + shift)
+        moved = translation_errors(est, [offset(p, *shift)
+                                         for p in golden_world],
+                                   offset(golden_world[0], *shift))
         assert base == pytest.approx(moved, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            translation_errors([Point2(0, 0)], [], Point2(0, 0))
+            translation_errors([(0, 0)], [], (0, 0))
         with pytest.raises(ValueError):
-            translation_errors([], [], Point2(0, 0))
+            translation_errors([], [], (0, 0))
 
 
-# The same points as Point2 objects, tuples and ndarray.tolist() rows.
+# The same points as lists, tuples and ndarray.tolist() rows.
 POINT_FORMS = {
-    "Point2": lambda pts: [Point2(*p) for p in pts],
+    "list": lambda pts: [list(p) for p in pts],
     "tuple": lambda pts: [tuple(p) for p in pts],
     "tolist": lambda pts: np.array([tuple(p) for p in pts]).tolist(),
 }
-PRIOR = [(p.x + 0.1 * (-1) ** i, p.y - 0.05 * i)
+PRIOR = [(p[0] + 0.1 * (-1) ** i, p[1] - 0.05 * i)
          for i, p in enumerate(GOLDEN_WORLD)]
 
 
@@ -218,8 +207,8 @@ CALLEES = {
         locate_tag(form(GOLDEN_FRAME), GOLDEN_TAG_RANGES,
                    guess=form([(6.5, 8.5)])[0])),
     "run_calibration_round": _round_stats,
-    "calibrate_prior": lambda form: calibrate(
-        _round(form)[0], reference_model(), prior=form(PRIOR)),
+    "calibrate_prior": lambda form: result_repr(calibrate(
+        _round(form)[0], reference_model(), prior=form(PRIOR))),
 }
 
 

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def resolves(dotted: str) -> bool:
     """True if ``dotted`` names an attribute reachable from an importable
-    module: ``uwbcal.sim.locate_tag``, ``uwbcal.geometry.Point2.__post_init__``."""
+    module: ``uwbcal.sim.distance``, ``uwbcal.sim.ScenarioConfig.from_dict``."""
     parts = dotted.split(".")
     for cut in range(len(parts) - 1, 0, -1):
         try:

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from uwbcal.autocalib import DistanceStatsMatrix, calibrate
 from uwbcal.errors import SingularUpdate
-from uwbcal.geometry import Point2
 from uwbcal.leastsq import MAX_ITERATIONS, levenberg_marquardt
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
                                     _equations, _residuals, solve_fixes)
@@ -149,7 +148,7 @@ class TestFitPoint:
               np.array([2.0, 3.0])))
     def test_matches_array_kernel(self, problem):
         anchors, ranges, x0 = problem
-        fun = tag_residuals([Point2(*a) for a in anchors], ranges)
+        fun = tag_residuals([tuple(a) for a in anchors], ranges)
         ref = levenberg_marquardt(fun, x0.copy())
         res = fit_from(anchors, ranges, x0)
         x, objective = res.position[0], res.objective[0]
@@ -178,7 +177,7 @@ class TestFitPoint:
         # stay large at the optimum and Gauss-Newton converges only linearly:
         # the array kernel stops at the cap, objective 1.24472e-3.
         anchors, ranges = [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0)], [0.05, 2.0, 2.0]
-        fun = tag_residuals([Point2(*a) for a in anchors], ranges)
+        fun = tag_residuals([tuple(a) for a in anchors], ranges)
         ref = levenberg_marquardt(fun, np.zeros(2))
         assert not ref.converged and ref.iterations == MAX_ITERATIONS
         res = fit_from(anchors, ranges, (0.0, 0.0))

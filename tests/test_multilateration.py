@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from uwbcal.errors import CollinearAnchors, NotConverged, SingularUpdate
-from uwbcal.geometry import Point2, distance
+from uwbcal.geometry import distance
 from uwbcal.multilateration import (COLLINEAR, CONVERGED, NOT_CONVERGED,
                                     SINGULAR, linear_initial_guess,
                                     locate_tag, solve_fixes)
-from conftest import GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES
+from conftest import (GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES,
+                      offset)
 from oracles import objective_and_gradient, tag_residuals
 
 
@@ -21,7 +22,7 @@ def ranges_from(anchors, tag):
 
 def linear_system(anchors, ranges):
     """The array form of the linearized system, as numpy states it."""
-    a = np.array([(p.x, p.y) for p in anchors])
+    a = np.array([(p[0], p[1]) for p in anchors])
     r = np.asarray(ranges)
     lhs = 2.0 * (a[1:] - a[0])
     rhs = (r[0] ** 2 - r[1:] ** 2
@@ -30,34 +31,34 @@ def linear_system(anchors, ranges):
 
 
 coordinate = st.floats(min_value=-30.0, max_value=30.0)
-points = st.builds(Point2, coordinate, coordinate)
+points = st.tuples(coordinate, coordinate)
 noisy_ranges = st.lists(st.floats(min_value=0.05, max_value=60.0),
                         min_size=6, max_size=6)
 
 
 class TestLinearInitialGuess:
     def test_exact_at_zero_noise(self):
-        anchors = [Point2(0, 0), Point2(9, 0), Point2(16, 3)]
-        tag = Point2(7, 8)
+        anchors = [(0, 0), (9, 0), (16, 3)]
+        tag = (7, 8)
         guess = linear_initial_guess(anchors, ranges_from(anchors, tag))
-        assert guess.x == pytest.approx(7.0, abs=1e-9)
-        assert guess.y == pytest.approx(8.0, abs=1e-9)
+        assert guess[0] == pytest.approx(7.0, abs=1e-9)
+        assert guess[1] == pytest.approx(8.0, abs=1e-9)
 
     def test_tag_at_anchor(self):
         anchors = GOLDEN_FRAME[:4]
         tag = anchors[2]
         # zero range to anchor 2 is not allowed; offset epsilon instead
-        near = Point2(tag.x + 1e-9, tag.y)
+        near = (tag[0] + 1e-9, tag[1])
         guess = linear_initial_guess(anchors, ranges_from(anchors, near))
         assert distance(guess, tag) <= 1e-6
 
     def test_collinear_raises(self):
-        anchors = [Point2(0, 0), Point2(5, 0), Point2(10, 0)]
+        anchors = [(0, 0), (5, 0), (10, 0)]
         with pytest.raises(CollinearAnchors):
             linear_initial_guess(anchors, [1.0, 4.0, 9.0])
 
     def test_nearly_collinear_raises(self):
-        anchors = [Point2(0, 0), Point2(5, 1e-9), Point2(10, 0)]
+        anchors = [(0, 0), (5, 1e-9), (10, 0)]
         with pytest.raises(CollinearAnchors):
             linear_initial_guess(anchors, [1.0, 4.0, 9.0])
 
@@ -70,7 +71,7 @@ class TestLinearInitialGuess:
         assume(singular[0] < 1e6 * singular[-1])  # condition below 1e6
         expected, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         guess = linear_initial_guess(anchors, ranges)
-        err = float(np.hypot(guess.x - expected[0], guess.y - expected[1]))
+        err = float(np.hypot(guess[0] - expected[0], guess[1] - expected[1]))
         assert err <= 1e-9 * max(1.0, float(np.hypot(*expected)))
 
     @settings(deadline=None)
@@ -84,9 +85,9 @@ class TestLinearInitialGuess:
                                               log_offset, ranges):
         # n anchors on a line through the origin, the last lifted off it
         c, s = math.cos(angle), math.sin(angle)
-        anchors = [Point2(c * t, s * t) for t in along[:n]]
+        anchors = [(c * t, s * t) for t in along[:n]]
         lift = 10.0 ** log_offset
-        anchors[-1] = anchors[-1] + Point2(-s * lift, c * lift)
+        anchors[-1] = offset(anchors[-1], -s * lift, c * lift)
         ranges = ranges[:n]
         lhs, _ = linear_system(anchors, ranges)
         s_max, s_min = np.linalg.svd(lhs, compute_uv=False)[[0, -1]]
@@ -100,19 +101,19 @@ class TestLinearInitialGuess:
 
     def test_overflowing_squares_raise_no_overflow_error(self):
         # the squares overflow to inf (float ** would raise OverflowError);
-        # Point2 then refuses the non-finite solution
-        anchors = [Point2(0, 0), Point2(1e200, 0), Point2(0, 1e200)]
+        # linear_initial_guess then refuses the non-finite solution
+        anchors = [(0, 0), (1e200, 0), (0, 1e200)]
         with pytest.raises(ValueError, match="non-finite"):
             linear_initial_guess(anchors, [1e200, 1e200, 1e200])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            linear_initial_guess([Point2(0, 0), Point2(1, 0)], [1.0, 1.0])
+            linear_initial_guess([(0, 0), (1, 0)], [1.0, 1.0])
         with pytest.raises(ValueError):
-            linear_initial_guess([Point2(0, 0), Point2(1, 0), Point2(0, 1)],
+            linear_initial_guess([(0, 0), (1, 0), (0, 1)],
                                  [1.0, 1.0])
         with pytest.raises(ValueError):
-            linear_initial_guess([Point2(0, 0), Point2(1, 0), Point2(0, 1)],
+            linear_initial_guess([(0, 0), (1, 0), (0, 1)],
                                  [1.0, -1.0, 1.0])
 
 
@@ -124,14 +125,14 @@ class TestLocateTag:
         assert fix.n_anchors_used == 5
 
     def test_three_anchor_centroid(self):
-        anchors = [Point2(0, 0), Point2(6, 0), Point2(3, 6)]
-        centroid = Point2(3, 2)
+        anchors = [(0, 0), (6, 0), (3, 6)]
+        centroid = (3, 2)
         fix = locate_tag(anchors, ranges_from(anchors, centroid))
         assert distance(fix.position, centroid) <= 1e-9
 
     def test_exact_guess_is_returned_unchanged(self):
         anchors = GOLDEN_FRAME[:4]
-        tag = Point2(7, 8)
+        tag = (7, 8)
         fix = locate_tag(anchors, ranges_from(anchors, tag), guess=tag)
         assert fix.position == tag  # zero gradient at the start: no step taken
         assert fix.rms_residual == 0.0
@@ -140,10 +141,10 @@ class TestLocateTag:
         rng = np.random.default_rng(9)
         recovered = 0
         for _ in range(50):
-            anchors = [Point2(0, 0), Point2(rng.uniform(5, 12), 0),
-                       Point2(rng.uniform(2, 10), rng.uniform(4, 12)),
-                       Point2(rng.uniform(-6, 2), rng.uniform(3, 10))]
-            tag = Point2(rng.uniform(0, 6), rng.uniform(1, 6))
+            anchors = [(0, 0), (rng.uniform(5, 12), 0),
+                       (rng.uniform(2, 10), rng.uniform(4, 12)),
+                       (rng.uniform(-6, 2), rng.uniform(3, 10))]
+            tag = (rng.uniform(0, 6), rng.uniform(1, 6))
             if min(ranges_from(anchors, tag)) < 0.2:
                 continue
             fix = locate_tag(anchors, ranges_from(anchors, tag))
@@ -154,10 +155,10 @@ class TestLocateTag:
     def test_fourth_anchor_never_hurts_at_zero_noise(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            anchors = [Point2(0, 0), Point2(rng.uniform(5, 10), 0),
-                       Point2(rng.uniform(2, 9), rng.uniform(4, 10)),
-                       Point2(rng.uniform(-5, 1), rng.uniform(2, 9))]
-            tag = Point2(rng.uniform(0.5, 5), rng.uniform(1, 5))
+            anchors = [(0, 0), (rng.uniform(5, 10), 0),
+                       (rng.uniform(2, 9), rng.uniform(4, 10)),
+                       (rng.uniform(-5, 1), rng.uniform(2, 9))]
+            tag = (rng.uniform(0.5, 5), rng.uniform(1, 5))
             if min(ranges_from(anchors, tag)) < 0.2:
                 continue
             err3 = distance(locate_tag(anchors[:3],
@@ -172,18 +173,18 @@ class TestLocateTag:
         rng = np.random.default_rng(31)
         anchors = GOLDEN_FRAME[:4]
         for _ in range(20):
-            tag = Point2(rng.uniform(1, 12), rng.uniform(1, 12))
+            tag = (rng.uniform(1, 12), rng.uniform(1, 12))
             ranges = [r + rng.normal(0, 0.1)
                       for r in ranges_from(anchors, tag)]
             if min(ranges) <= 0.05:
                 continue
-            guess = tag + Point2(*rng.normal(0, 1.0, 2))
+            guess = offset(tag, *rng.normal(0, 1.0, 2))
             fun = tag_residuals(anchors, ranges)
             g_guess, _ = objective_and_gradient(
-                fun, np.array([guess.x, guess.y]))
+                fun, np.array([guess[0], guess[1]]))
             fix = locate_tag(anchors, ranges, guess=guess)
             g_fix, _ = objective_and_gradient(
-                fun, np.array([fix.position.x, fix.position.y]))
+                fun, np.array([fix.position[0], fix.position[1]]))
             assert g_fix <= g_guess + 1e-12
 
     def test_gradient_matches_central_differences(self):
@@ -191,7 +192,7 @@ class TestLocateTag:
         anchors = GOLDEN_FRAME
         for _ in range(20):
             ranges = [max(0.1, r + rng.normal(0, 0.2))
-                      for r in ranges_from(anchors, Point2(6, 7))]
+                      for r in ranges_from(anchors, (6, 7))]
             p = np.array([rng.uniform(0, 14), rng.uniform(0, 14)])
             fun = tag_residuals(anchors, ranges)
             _, grad = objective_and_gradient(fun, p)

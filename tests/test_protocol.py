@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from uwbcal.errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
-from uwbcal.geometry import Point2, distance
+from uwbcal.geometry import distance
 from uwbcal.protocol import (_round_layout, estimate_latency,
                              run_calibration_round)
 from uwbcal.ranging import RangingModel, reference_model
@@ -11,7 +11,7 @@ from conftest import GOLDEN_FRAME, equal_stats
 from oracles import (Mode, Poll, Response, StartCommand, TokenPass,
                      TwrTimings, handle_event, make_node, simulate_round)
 
-SQUARE = [Point2(0, 0), Point2(8, 0), Point2(8, 8), Point2(0, 8)]
+SQUARE = [(0, 0), (8, 0), (8, 8), (0, 8)]
 
 
 def noiseless(model):
@@ -211,37 +211,37 @@ class TestFastRoundMatchesEventModel:
         for seed in range(20):
             layout = np.random.default_rng(10_000 + seed).uniform(-15, 15,
                                                                   (n, 2))
-            positions = [Point2(x, y) for x, y in layout]
+            positions = [(x, y) for x, y in layout]
             self.assert_same_round(n, k, positions, self.MODELS[model], seed)
 
     # one reading per pair at 0.5 m noise: at seed 4 only pair (2, 0) reads
     # zero flight; at seed 23 pairs (1, 0) and (2, 1) do, and both paths
     # must name (1, 0), the first in message order
-    ZERO_FLIGHT = ([Point2(0, 0), Point2(0.5, 0), Point2(0, 0.5)],
+    ZERO_FLIGHT = ([(0, 0), (0.5, 0), (0, 0.5)],
                    DegenerateGeometry, RangingModel(1.0, 0.1, 0.5, 10), 1)
 
     @pytest.mark.parametrize("positions,error,model,k,seed", [
-        pytest.param([Point2(0, 0), Point2(0, 0), Point2(5, 0)], ValueError,
+        pytest.param([(0, 0), (0, 0), (5, 0)], ValueError,
                      reference_model(), 3, 0, id="positions0-ValueError"),
-        pytest.param([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0)],
+        pytest.param([(1e308, 0), (-1e308, 0), (0, 0)],
                      InvalidTiming, reference_model(), 3, 0,
                      id="positions1-InvalidTiming"),
         # the overflowing pair (0, 1) is ranged before the coincident (2, 3)
-        pytest.param([Point2(1e308, 0), Point2(-1e308, 0), Point2(0, 0),
-                      Point2(0, 0)], InvalidTiming, reference_model(), 3, 0,
+        pytest.param([(1e308, 0), (-1e308, 0), (0, 0),
+                      (0, 0)], InvalidTiming, reference_model(), 3, 0,
                      id="positions2-InvalidTiming"),
-        pytest.param([Point2(0, 0), Point2(0, 0), Point2(1e308, 0),
-                      Point2(-1e308, 0)], ValueError, reference_model(), 3, 0,
+        pytest.param([(0, 0), (0, 0), (1e308, 0),
+                      (-1e308, 0)], ValueError, reference_model(), 3, 0,
                      id="positions3-ValueError"),
         pytest.param(*ZERO_FLIGHT, 4, id="zero_flight-seed4"),
         pytest.param(*ZERO_FLIGHT, 23, id="zero_flight-seed23"),
         # pair (0, 1) reads about 1.1e201 m: finite, but its deviations
         # from the mean (a few ulps) square to inf
-        pytest.param([Point2(1.1e201, 3), Point2(11, 3), Point2(18, 6)],
+        pytest.param([(1.1e201, 3), (11, 3), (18, 6)],
                      InvalidTiming, reference_model(), 5, 0,
                      id="std_overflow"),
         # five readings of about 5e307 m sum to inf
-        pytest.param([Point2(0, 0), Point2(5e307, 0), Point2(0, 1)],
+        pytest.param([(0, 0), (5e307, 0), (0, 1)],
                      InvalidTiming, reference_model(), 5, 0,
                      id="mean_overflow"),
     ])

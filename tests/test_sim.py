@@ -21,7 +21,7 @@ from uwbcal.autocalib import calibrate
 from uwbcal.errors import (ConfigError, CsvFormatError,
                            EmptyTrace, NotConverged, SingularUpdate,
                            finite_number, integer)
-from uwbcal.geometry import Point2, wrap_angle
+from uwbcal.geometry import wrap_angle
 from uwbcal.leastsq import MAX_ITERATIONS
 from uwbcal.multilateration import CONVERGED, SINGULAR
 from uwbcal.protocol import run_calibration_round
@@ -110,14 +110,14 @@ class TestConfig:
 
     def test_tags_must_start_inside_hull(self):
         cfg = ScenarioConfig(initial_tag_positions=(
-            Point2(100, 100), Point2(9, 11), Point2(7, 6)))
+            (100, 100), (9, 11), (7, 6)))
         with pytest.raises(ConfigError) as err:
             resolve_config(cfg)
         assert "initial_tag_positions[0]" in str(err.value)
 
     def test_coincident_anchors_rejected(self):
         cfg = ScenarioConfig(n_anchors=4, n_tags=0, initial_anchor_positions=(
-            Point2(0, 0), Point2(8, 0), Point2(8, 8), Point2(8, 0)))
+            (0, 0), (8, 0), (8, 8), (8, 0)))
         with pytest.raises(ConfigError) as err:
             resolve_config(cfg)
         assert "initial_anchor_positions[3]" in str(err.value)
@@ -146,8 +146,8 @@ class TestConfig:
         assert "initial_anchor_positions" in str(err.value)
 
     def test_scalar_bounds_are_inclusive(self):
-        ring = tuple(Point2(40.0 * math.cos(2 * math.pi * i / 64),
-                            40.0 * math.sin(2 * math.pi * i / 64))
+        ring = tuple((40.0 * math.cos(2 * math.pi * i / 64),
+                      40.0 * math.sin(2 * math.pi * i / 64))
                      for i in range(64))
         for key, _, low, high in SCALAR_KEYS:
             for value in (low, high):
@@ -206,10 +206,25 @@ class TestConfig:
                         f"{name}: need <= {m}" if value > 0 else
                         f"{name}: need >= {-m}, got {past[key][i][c]}"]
 
+    @pytest.mark.parametrize("key", ["initial_anchor_positions",
+                                     "initial_tag_positions"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_library_position_is_named(self, key, bad):
+        # from_dict's number checks do not see a library caller's pairs
+        points = {"initial_anchor_positions": list(DEFAULT_ANCHOR_LAYOUT[:4]),
+                  "initial_tag_positions": [(9.0, 11.0)]}
+        points[key][0] = (points[key][0][0], bad)
+        cfg = ScenarioConfig(n_tags=1, **{k: tuple(v)
+                                          for k, v in points.items()})
+        for call in (resolve_config, run_scenario):
+            with pytest.raises(ConfigError) as err:
+                call(cfg)
+            assert err.value.violations[0].startswith(f"{key}[0].y: need ")
+
     @staticmethod
     def from_library(doc):
         """``doc``'s config built without ``ScenarioConfig.from_dict``."""
-        points = {key: tuple(Point2(*p) for p in doc[key])
+        points = {key: tuple(tuple(p) for p in doc[key])
                   for key in ("initial_anchor_positions",
                               "initial_tag_positions")}
         return ScenarioConfig(n_anchors=doc["n_anchors"],
@@ -280,8 +295,8 @@ class TestMotion:
         cfg = self.still_anchors(0.1)
         new_true, _ = step(cfg, np.random.default_rng(0))
         for before, after in zip(DEFAULT_ANCHOR_LAYOUT[:4], new_true):
-            assert after[0] == pytest.approx(before.x + 0.1)
-            assert after[1] == pytest.approx(before.y)
+            assert after[0] == pytest.approx(before[0] + 0.1)
+            assert after[1] == pytest.approx(before[1])
 
     def test_estimates_track_executed_motion(self):
         cfg = resolve_config(ScenarioConfig(seed=3, n_tags=0))
@@ -305,8 +320,8 @@ class TestMotion:
         start = cfg.initial_anchor_positions + cfg.initial_tag_positions
         for p, m, (zx, zy), row in zip(start, nodes, z, new_true.tolist()):
             assert row == [
-                p.x + (m.speed * math.cos(m.direction) + m.gaussian_std * zx),
-                p.y + (m.speed * math.sin(m.direction) + m.gaussian_std * zy)]
+                p[0] + (m.speed * math.cos(m.direction) + m.gaussian_std * zx),
+                p[1] + (m.speed * math.sin(m.direction) + m.gaussian_std * zy)]
 
     def test_top_speed_keeps_errors_finite_over_the_longest_run(self):
         # the longest run, the farthest start, the fastest motion and the
@@ -315,9 +330,9 @@ class TestMotion:
         fast = MotionParams(0.0, MAX_STEP_M, MAX_STEP_M)
         cfg = ScenarioConfig(
             n_anchors=3, n_tags=1, n_steps=10_000, drift_bound=MAX_STEP_M,
-            initial_anchor_positions=(Point2(-m, -m), Point2(m, -m),
-                                      Point2(m, m)),
-            initial_tag_positions=(Point2(m, 0.0),),
+            initial_anchor_positions=((-m, -m), (m, -m),
+                                      (m, m)),
+            initial_tag_positions=((m, 0.0),),
             motion=MotionTable(anchors=(fast,) * 3, tags=(fast,)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -354,7 +369,7 @@ class TestDrift:
             est = start
             for _ in range(10):
                 est = apply_drift(est, cfg.drift_bound, rng)
-            offsets.append(est[1, 0] - cfg.initial_anchor_positions[1].x)
+            offsets.append(est[1, 0] - cfg.initial_anchor_positions[1][0])
         expected = math.sqrt(10) * 0.2 / math.sqrt(12)
         assert expected == pytest.approx(0.18257, abs=1e-5)
         assert np.std(offsets) == pytest.approx(expected, abs=0.005)
@@ -505,8 +520,8 @@ class TestRunScenario:
         assert repr(trace.records) == repr(uncalibrated.records)
 
     def test_tag_on_anchor_is_a_failed_fix(self):
-        cfg = still_scenario((Point2(2, 3), Point2(11, 3), Point2(6, 12)),
-                             (Point2(2, 3),), n_steps=3)
+        cfg = still_scenario(((2, 3), (11, 3), (6, 12)),
+                             ((2, 3),), n_steps=3)
         trace = run_scenario(cfg)
         for r in trace.records:
             assert math.isnan(r.tag_errors[0])
@@ -519,8 +534,8 @@ class TestRunScenario:
         still = MotionParams(0.0, 0.0, 0.0)
         cfg = ScenarioConfig(
             n_anchors=3, n_tags=0, n_steps=12, drift_bound=0.0,
-            initial_anchor_positions=(Point2(0, 0), Point2(11, 0),
-                                      Point2(5, 8)),
+            initial_anchor_positions=((0, 0), (11, 0),
+                                      (5, 8)),
             motion=MotionTable(anchors=(MotionParams(0.0, 1.0, 0.0), still,
                                         still), tags=()))
         with pytest.raises(ConfigError, match="step 10: anchors 0 and 1"):
@@ -534,7 +549,7 @@ class TestRunScenario:
         # draws nothing
         with pytest.raises(ConfigError, match="^drift_bound: need <= "):
             run_scenario(ScenarioConfig(drift_bound=1e308))
-        far = (Point2(1e308, 0.0),) + DEFAULT_ANCHOR_LAYOUT[1:4]
+        far = ((1e308, 0.0),) + DEFAULT_ANCHOR_LAYOUT[1:4]
         with pytest.raises(ConfigError, match=re.escape(
                 "initial_anchor_positions[0].x: need <= ")):
             run_scenario(ScenarioConfig(n_tags=0,
@@ -556,11 +571,11 @@ class TestRunScenario:
         # sits on the segment instead
         trace = run_scenario(ScenarioConfig.from_dict({"n_anchors": 3}))
         assert len(trace.records) == 55
-        anchors = [Point2(*p)
+        anchors = [tuple(p)
                    for p in trace.config["initial_anchor_positions"]]
         tags = trace.config["initial_tag_positions"]
         assert len(tags) == 3
-        assert all(point_in_anchor_hull(Point2(*t), anchors) for t in tags)
+        assert all(point_in_anchor_hull(tuple(t), anchors) for t in tags)
         many = resolve_config(ScenarioConfig(n_anchors=3, n_tags=64))
         assert all(point_in_anchor_hull(t, anchors)
                    for t in many.initial_tag_positions)
@@ -828,8 +843,8 @@ class TestFixTags:
         # measurements a pair, among anchors far from collinear, keep the
         # calibrations sound
         anchors = DEFAULT_ANCHOR_LAYOUT[:2] + DEFAULT_ANCHOR_LAYOUT[3:]
-        tags = (Point2(9.0, 11.0), anchors[2], Point2(6.5, 8.25),
-                Point2(12.0, 15.0))
+        tags = ((9.0, 11.0), anchors[2], (6.5, 8.25),
+                (12.0, 15.0))
         model = RangingModel(1.01, 0.02, noise_std, 2)
         seen = []
         for seed in range(12):
@@ -851,7 +866,7 @@ class TestFixTags:
                    for (_, after), (before, _) in zip(states, states[1:]))
         # a live tag draws one value per anchor per step: 2 steps a round
         _, states = round_states(monkeypatch, still_scenario(
-            anchors, (Point2(10.0, 4.0),), calibration_period=2, n_steps=5))
+            anchors, ((10.0, 4.0),), calibration_period=2, n_steps=5))
         for (_, after), (before, _) in zip(states, states[1:]):
             rng = np.random.default_rng()
             rng.bit_generator.state = after
@@ -876,8 +891,8 @@ class TestFixTags:
         monkeypatch.setattr(autocalib, "levenberg_marquardt", capped)
         slack = 10.0 + math.hypot(10.0, 1.0) - math.hypot(20.0, 1.0)
         cfg = still_scenario(
-            [Point2(0.0, 0.0), Point2(10.0, 0.0), Point2(20.0, 1.0)],
-            [Point2(12.0, 0.4), Point2(15.0, 0.6), Point2(18.0, 0.85)],
+            [(0.0, 0.0), (10.0, 0.0), (20.0, 1.0)],
+            [(12.0, 0.4), (15.0, 0.6), (18.0, 0.85)],
             ranging=RangingModel(1.0, -(slack + 4e-6), 0.0, 2),
             calibration_period=5, n_steps=6)
         trace = assert_same_as_per_step(cfg, bias_correction=False)
@@ -1234,12 +1249,12 @@ class TestTraceCsv:
 
 class TestHull:
     def test_interior_and_exterior(self):
-        anchors = [Point2(0, 0), Point2(10, 0), Point2(10, 10), Point2(0, 10)]
-        assert point_in_anchor_hull(Point2(5, 5), anchors)
-        assert point_in_anchor_hull(Point2(0, 0), anchors)  # vertex counts
-        assert not point_in_anchor_hull(Point2(11, 5), anchors)
-        assert not point_in_anchor_hull(Point2(5, -0.1), anchors)
+        anchors = [(0, 0), (10, 0), (10, 10), (0, 10)]
+        assert point_in_anchor_hull((5, 5), anchors)
+        assert point_in_anchor_hull((0, 0), anchors)  # vertex counts
+        assert not point_in_anchor_hull((11, 5), anchors)
+        assert not point_in_anchor_hull((5, -0.1), anchors)
 
     def test_collinear_layout_has_no_interior(self):
-        line = [Point2(0, 0), Point2(5, 0), Point2(10, 0)]
-        assert not point_in_anchor_hull(Point2(5, 0.1), line)
+        line = [(0, 0), (5, 0), (10, 0)]
+        assert not point_in_anchor_hull((5, 0.1), line)
