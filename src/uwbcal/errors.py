@@ -157,17 +157,45 @@ class CsvFormatError(UwbCalError):
         self.line = line
 
 
+def _utf8_lines(f):
+    """The lines of the text file ``f``, opened with ``newline=""`` and
+    ``errors="surrogateescape"``, as the csv module reads them.
+
+    Each undecodable byte reads as a lone surrogate, which no UTF-8 text
+    holds. The first line holding one raises :class:`CsvFormatError`, after
+    the lines before it, naming its line, the byte and the byte's offset in
+    the file; the other lines are ASCII or take one encode each.
+    """
+    offset = 0
+    for line, text in enumerate(f, start=1):
+        try:
+            offset += len(text) if text.isascii() else len(text.encode())
+        except UnicodeEncodeError as exc:
+            head, rest = (text[:exc.start].encode("utf-8"),
+                          text[exc.start:].encode("utf-8", "surrogateescape"))
+            try:  # the strict decoder's reason for the byte
+                rest.decode("utf-8")
+            except UnicodeDecodeError as why:
+                reason = why.reason
+            raise CsvFormatError(
+                f"not UTF-8 text: can't decode byte 0x{rest[0]:02x} at byte "
+                f"offset {offset + len(head)}: {reason}", line=line) from None
+        yield text
+
+
 def csv_rows(path, header: list[str]):
     """``(line, row)`` for every non-blank data row of the UTF-8 CSV file at
     ``path``, the header being line 1.
 
     A first row other than ``header``, a row whose column count differs from
     the header's, bytes that are not UTF-8 and lines the csv module cannot
-    split raise :class:`CsvFormatError`.
+    split raise :class:`CsvFormatError`. The rows before the first byte that
+    is not UTF-8 come first, so that the caller's checks of them run first.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as f:
         try:
-            reader = csv.reader(f)
+            reader = csv.reader(_utf8_lines(f))
             first = next(reader, None)
             if first != header:
                 raise CsvFormatError(f"expected header {','.join(header)!r}, "
@@ -179,7 +207,5 @@ def csv_rows(path, header: list[str]):
                     raise CsvFormatError(f"expected {len(header)} columns, "
                                          f"got {len(row)}", line=line)
                 yield line, row
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"not UTF-8 text: {exc}") from exc
         except csv.Error as exc:
             raise CsvFormatError(f"unreadable CSV: {exc}") from exc

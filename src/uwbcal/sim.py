@@ -25,12 +25,13 @@ leaves the other draws unchanged.
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, islice, repeat
-from operator import attrgetter, is_
+from operator import attrgetter, is_, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -876,15 +877,147 @@ def _trace_text(records: list[TraceRecord]) -> str:
     return fmt % tuple(args)
 
 
+# The block reader's rows per block: whole steps of at most n_anchors +
+# n_tags = 128 rows (SCALAR_KEYS), so that the first block holds a whole
+# step of any trace simulate writes.
+TRACE_BLOCK_ROWS = 256
+
+
 def read_trace_records(path) -> list[TraceRecord]:
     """Rebuild per-step records from a trace CSV (for summarize).
 
-    A second row for a node of a step, and a row whose rotation or
-    calibrated field differs from the step's first row, raise
-    :class:`CsvFormatError` naming the line; anchor ids other than 0..N-1,
-    or a step holding other anchors than the first, raise it naming the
-    step.
+    A trace in :func:`write_trace_csv`'s layout is read in blocks of whole
+    steps; any other file, and any the block reader gives up on part-way, is
+    read again row by row from the start. Both readers give the same
+    records, and every error comes from the row reader: a second row for a
+    node of a step, and a row whose rotation or calibrated field differs
+    from the step's first row, raise :class:`CsvFormatError` naming the
+    line; anchor ids other than 0..N-1, or a step holding other anchors
+    than the first, raise it naming the step.
     """
+    try:
+        records = _read_written_trace(path)
+    except ValueError:  # a number that does not parse, or a non-UTF-8 byte
+        records = None
+    return _read_trace_rows(path) if records is None else records
+
+
+def _read_written_trace(path) -> list[TraceRecord] | None:
+    """The records of the trace CSV at ``path`` if it is laid out as
+    :func:`write_trace_csv` writes it, else None; ValueError for a number
+    that does not parse or a byte that is not UTF-8.
+
+    In that layout every step is a run of anchors 0..N-1, then tags
+    0..T-1, with the first step's N and T; the rows of a step share their
+    step, rotation and calibrated fields, the last 0 or 1; steps increase;
+    every line ends as the header does, in CRLF or LF; and no line holds a
+    quote or a NUL or is longer than ``csv.field_size_limit()``. The csv
+    module then splits each line at its commas, and the records are the
+    row reader's as long as every number is finite and only tags leave
+    ``error_m`` empty. The file is read :data:`TRACE_BLOCK_ROWS` rows at a
+    time, in whole steps, and each block's lines go to :func:`_steps_of`
+    as one text ending every line in CRLF.
+    """
+    limit = csv.field_size_limit()
+    header_line = ",".join(TRACE_HEADER)
+    records = []
+    with open(path, newline="", encoding="utf-8") as f:
+        header = f.readline()
+        eol = header[len(header_line):]
+        if not header.startswith(header_line) or eol not in ("\r\n", "\n"):
+            return None
+        pending = list(islice(f, TRACE_BLOCK_ROWS))
+        first = pending[0].partition(",")[0] + "," if pending else ""
+        width = next((k for k, line in enumerate(pending)
+                      if not line.startswith(first)), len(pending))
+        if width in (0, TRACE_BLOCK_ROWS):
+            return None
+        n = sum(line.startswith(first + "anchor,") for line in pending[:width])
+        per_block = TRACE_BLOCK_ROWS // width * width
+        while pending:
+            rows = len(pending) // width * width  # 0: a step is cut short
+            text = "".join(pending[:rows])
+            if eol == "\n":
+                if "\r" in text:
+                    return None
+                text = text.replace("\n", "\r\n")
+            # a line holds one line ending, at its end
+            if not rows or text.count("\r\n") != rows or '"' in text \
+                    or "\0" in text or (len(text) > limit and max(
+                        map(len, pending[:rows])) > limit):
+                return None
+            steps = _steps_of(text, n, width)
+            if steps is None or (records
+                                 and steps[0].step <= records[-1].step):
+                return None
+            records += steps
+            pending = pending[rows:]
+            pending += islice(f, per_block - len(pending))
+    return records
+
+
+def _steps_of(text: str, n: int, width: int) -> list[TraceRecord] | None:
+    """The records of ``text``, whole steps of ``n`` anchors and ``width``
+    rows in :func:`write_trace_csv`'s layout, every line ended in CRLF, or
+    None if it leaves the layout; ValueError for a number that does not
+    parse.
+
+    The text is split into one flat list of fields, each line's last field
+    keeping its CR, and its columns are checked against the step's templates
+    by slicing. Only ``step``, ``error_m``, ``rotation_error_rad`` and
+    ``calibrated`` are parsed, the three a step shares once per step.
+    """
+    cols = len(TRACE_HEADER)
+    rows = text.count("\n")
+    k = rows // width
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the last line's comma
+    kinds = ["anchor"] * n + ["tag"] * (width - n)
+    ids = list(map(str, chain(range(n), range(width - n))))
+    if (len(fields) != cols * rows or fields[1::cols] != kinds * k
+            or fields[2::cols] != ids * k):
+        return None
+    stride = cols * width
+    steps_s, rots_s, flags_s = (fields[0::stride], fields[8::stride],
+                                fields[9::stride])
+    if any(fields[j::stride] != steps_s or fields[j + 8::stride] != rots_s
+           or fields[j + 9::stride] != flags_s
+           for j in range(cols, stride, cols)):
+        return None
+    # every row's last field a flag: each of the text's CRs ends a row's
+    # tenth field, so no line holds more or fewer than ten fields
+    flags = {"0\r": False, "1\r": True}
+    if not flags.keys() >= set(flags_s):
+        return None
+    steps = list(map(int, steps_s))
+    rots = list(map(float, rots_s))
+    if not all(map(lt, steps, steps[1:])) or not math.isfinite(sum(rots)):
+        return None
+    # one list per node of the step; a tag's empty error is NaN
+    errors = []
+    for node in range(width):
+        col = fields[cols * node + 7::stride]
+        if node >= n and "" in col:
+            values = [float(e) if e else math.nan for e in col]
+            numbers = [v for v, e in zip(values, col) if e]
+        else:
+            values = numbers = list(map(float, col))
+        if not math.isfinite(sum(numbers)):  # a finite sum has finite terms
+            return None
+        errors.append(values)
+    per_step = list(zip(*errors))
+    if n == width:
+        anchors, tags = per_step, repeat((), k)
+    else:
+        anchors = [e[:n] for e in per_step]
+        tags = [e[n:] for e in per_step]
+    return list(map(TraceRecord, steps, anchors, tags, rots,
+                    map(flags.__getitem__, flags_s)))
+
+
+def _read_trace_rows(path) -> list[TraceRecord]:
+    """The records of the trace CSV at ``path``, read row by row; see
+    :func:`read_trace_records` for the checks."""
     # step -> (step, anchor errors by id, tag errors by id, rotation,
     # calibrated), the last four taken from the step's first row
     steps: dict[int, tuple[int, dict, dict, float, bool]] = {}
@@ -904,7 +1037,7 @@ def read_trace_records(path) -> list[TraceRecord]:
             if rot_s != last_rot_s:
                 rot, last_rot_s, entry = float(rot_s), rot_s, None
             if cal_s != last_cal_s:
-                cal, last_cal_s, entry = bool(int(cal_s)), cal_s, None
+                cal, last_cal_s, entry = int(cal_s), cal_s, None
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from exc
         if kind not in ("anchor", "tag"):
@@ -916,10 +1049,13 @@ def read_trace_records(path) -> list[TraceRecord]:
         if not math.isfinite(rot):
             raise CsvFormatError(f"rotation_error_rad must be a finite "
                                  f"number, got {rot_s!r}", line=lineno)
+        if cal not in (0, 1):
+            raise CsvFormatError(f"calibrated must be 0 or 1, got {cal_s!r}",
+                                 line=lineno)
         if entry is None or entry[0] != step:
             entry = steps.get(step)
             if entry is None:
-                entry = steps[step] = (step, {}, {}, rot, cal)
+                entry = steps[step] = (step, {}, {}, rot, cal == 1)
             elif entry[3] != rot or entry[4] != cal:
                 raise CsvFormatError(
                     f"step {step}: rotation_error_rad,calibrated "

@@ -16,7 +16,8 @@ from uwbcal.ranging import load_reference_samples
 from conftest import GOLDEN_FRAME, exact_matrix
 from oracles import save_distance_csv, save_samples
 from uwbcal.autocalib import CalibrationResult
-from uwbcal.sim import MAX_POSITION_M, MAX_STEP_M, SCALAR_KEYS
+from uwbcal.sim import (MAX_POSITION_M, MAX_STEP_M, SCALAR_KEYS, TRACE_HEADER,
+                        ScenarioConfig, run_scenario, write_trace_csv)
 
 
 def run_cli(*args):
@@ -781,6 +782,22 @@ class TestSummarize:
             f"error: {path}: line 4: step 0: rotation_error_rad,calibrated "
             f"0.5,1 differ from the step's first row, 0.01,0\n")
 
+    def test_calibrated_other_than_0_or_1_exits_2(self, tmp_path):
+        # step 1 used to count as a calibration event, with exit 0
+        path = tmp_path / "seven.csv"
+        path.write_text(
+            "step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+            "rotation_error_rad,calibrated\n"
+            "0,anchor,0,0,0,0,0,0,0.01,0\n"
+            "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+            "1,anchor,0,0,0,0,0,0,0.01,7\n"
+            "1,anchor,1,9,0,9.1,0,0.1,0.01,7\n")
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {path}: line 4: calibrated must be "
+                                 f"0 or 1, got '7'\n")
+
     def test_steps_with_different_anchors_exit_2(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text(
@@ -796,12 +813,41 @@ class TestSummarize:
                                  f"the same anchors\n")
 
 
-# 200 seeded random bytes (not UTF-8), and a field past the csv module's
-# 131072-character limit
+# the header of each command's CSV input
+CSV_HEADERS = {"summarize": ",".join(TRACE_HEADER),
+               "fit-model": "true_m,measured_m",
+               "calibrate": "i,j,mean_m,std_m,count"}
+
+
+def bad_byte_deep_in(command) -> bytes:
+    """A valid input for ``command`` of over 100 kB with the byte 0xff at
+    offset 100,000: the long_drift trace of seed 0, or rows of ones."""
+    if command == "summarize":
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "trace.csv"
+            write_trace_csv(run_scenario(ScenarioConfig(
+                n_anchors=5, n_tags=0, n_steps=500, calibration_period=250)),
+                path)
+            data = bytearray(path.read_bytes())
+    else:
+        header = CSV_HEADERS[command]
+        row = ",".join(["1"] * (header.count(",") + 1))
+        data = bytearray("\r\n".join([header] + [row] * 20_000).encode())
+    data[100_000] = 0xff
+    return bytes(data)
+
+
+# 200 seeded random bytes (not UTF-8), a field past the csv module's
+# 131072-character limit, and a file whose first byte that is not UTF-8 lies
+# past the text reader's first chunks: the message names its line (counted
+# from the bytes before it) and its offset in the file, not in a chunk
 UNREADABLE_CSV = [
-    (np.random.default_rng(0).bytes(200), "not UTF-8 text: 'utf-8' codec "
-                                          "can't decode byte"),
+    (np.random.default_rng(0).bytes(200), "line 1: not UTF-8 text: can't "
+                                          "decode byte 0x82 at byte offset 1: "
+                                          "invalid start byte"),
     (b"x" * 200_000 + b"\n", "unreadable CSV: field larger than field limit"),
+    (bad_byte_deep_in, "line {line}: not UTF-8 text: can't decode byte 0xff "
+                       "at byte offset 100000: invalid start byte"),
 ]
 
 
@@ -809,6 +855,9 @@ UNREADABLE_CSV = [
 @pytest.mark.parametrize("command", ["summarize", "fit-model", "calibrate"])
 def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
                                                 message):
+    if callable(content):
+        content = content(command)
+        message = message.format(line=content[:100_000].count(b"\n") + 1)
     path = tmp_path / "input.csv"
     path.write_bytes(content)
     output = [] if command == "summarize" else \
@@ -817,6 +866,26 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {path}: {message}")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("summarize", ["0,anchor,0,0,0,0,0,0,0.01,0",
+                   "0,anchor,1,9,0,9.2,0,x,0.01,0"]),
+    ("fit-model", ["1,1.1", "2,x"]),
+    ("calibrate", ["0,1,5,0.1,5", "1,0,x,0.1,5"]),
+])
+def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path, command,
+                                                       rows):
+    path = tmp_path / "input.csv"
+    # the bad byte is in the text reader's first chunk, with the bad row
+    path.write_bytes("\n".join([CSV_HEADERS[command], *rows]).encode()
+                     + b"\n\xff\n")
+    output = [] if command == "summarize" else \
+        ["--output", str(tmp_path / "out.json")]
+    result = run_cli(command, "--input", str(path), *output)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {path}: line 3: ")
+    assert "UTF-8" not in result.stderr
 
 
 # Any JSON value. Integers and integral floats are at most 12 or at least

@@ -1221,6 +1221,32 @@ class TestTraceCsv:
             TraceRecord(0, (0.0, 0.2), (), 0.01, False),
             TraceRecord(1, (0.0, 0.3), (), 0.02, True)]
 
+    @pytest.mark.parametrize("flag", ["7", "2", "-1", "1e0"])
+    def test_calibrated_must_be_0_or_1(self, tmp_path, flag):
+        # a 7 used to count as a calibration
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_HEADER) + "\n"
+                        "0,anchor,0,0,0,0,0,0,0.01,0\n"
+                        "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
+                        f"1,anchor,0,0,0,0,0,0,0.01,{flag}\n"
+                        f"1,anchor,1,9,0,9.1,0,0.1,0.01,{flag}\n")
+        message = "invalid literal for int() with base 10: '1e0'" \
+            if flag == "1e0" else f"calibrated must be 0 or 1, got '{flag}'"
+        with pytest.raises(CsvFormatError,
+                           match=re.escape(f"line 4: {message}")):
+            read_trace_records(path)
+
+    def test_calibrated_may_be_spelled_with_leading_zeros(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_HEADER) + "\n"
+                        "0,anchor,0,0,0,0,0,0,0.01,00\n"
+                        "0,anchor,1,9,0,9.2,0,0.2,0.01,00\n"
+                        "1,anchor,0,0,0,0,0,0,0.01,01\n"
+                        "1,anchor,1,9,0,9.1,0,0.1,0.01,01\n")
+        assert read_trace_records(path) == [
+            TraceRecord(0, (0.0, 0.2), (), 0.01, False),
+            TraceRecord(1, (0.0, 0.1), (), 0.01, True)]
+
     def test_steps_must_hold_the_same_anchors(self, tmp_path):
         # before/after calibration means would compare different anchors
         path = tmp_path / "trace.csv"

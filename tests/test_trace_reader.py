@@ -1,0 +1,279 @@
+"""The two trace readers: the block reader, which serves traces laid out as
+``write_trace_csv`` writes them, and the row reader, which serves every
+other file and is the reference for both results and error messages."""
+
+import functools
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import uwbcal.sim as sim
+from uwbcal.errors import FLOAT_FORMAT
+from uwbcal.sim import (ScenarioConfig, read_trace_records, run_scenario,
+                        write_trace_csv)
+
+# simulate's default scenario, a 3-anchor one whose tag fixes partly fail
+# (their est_x, est_y and error_m fields are empty) and the long_drift
+# benchmark shape (500 steps of 5 anchors, over several blocks)
+SHAPES = [{}, {"n_anchors": 3},
+          {"n_anchors": 5, "n_tags": 0, "n_steps": 500,
+           "calibration_period": 250}]
+
+
+def simulated(shape, path):
+    """The trace of ``shape``, written to ``path``."""
+    trace = run_scenario(ScenarioConfig.from_dict(shape))
+    write_trace_csv(trace, path)
+    return trace
+
+
+@functools.cache
+def simulated_bytes(k: int) -> bytes:
+    """The trace of ``SHAPES[k]``, as written."""
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "trace.csv"
+        simulated(SHAPES[k], path)
+        return path.read_bytes()
+
+
+def rows_must_not_be_read(monkeypatch):
+    def refuse(path):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(sim, "_read_trace_rows", refuse)
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\n"])
+@pytest.mark.parametrize("k", range(len(SHAPES)))
+def test_simulated_traces_are_read_in_blocks(tmp_path, monkeypatch, k,
+                                             ending):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(simulated_bytes(k).replace(b"\r\n", ending))
+    expected = sim._read_trace_rows(path)
+    rows_must_not_be_read(monkeypatch)
+    assert repr(read_trace_records(path)) == repr(expected)
+
+
+def test_the_3_anchor_trace_has_failed_fixes():
+    assert simulated_bytes(1).count(b",tag,") > simulated_bytes(1).count(
+        b",,,") > 0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_round_trip_is_exact(tmp_path, shape):
+    # every value comes back as the 9 digits it was written with
+    path = tmp_path / "trace.csv"
+    trace = simulated(shape, path)
+    records = read_trace_records(path)
+    assert len(records) == len(trace.records)
+
+    def written(values):
+        return [float(FLOAT_FORMAT % v) for v in values]
+
+    for got, r in zip(records, trace.records):
+        assert (got.step, got.calibrated) == (r.step, r.calibrated)
+        assert list(got.anchor_errors) == written(r.anchor_errors)
+        assert got.rotation_error == float(FLOAT_FORMAT % r.rotation_error)
+        assert [e for e in got.tag_errors if not math.isnan(e)] == written(
+            e for e in r.tag_errors if not math.isnan(e))
+        assert [math.isnan(e) for e in got.tag_errors] == \
+            [math.isnan(e) for e in r.tag_errors]
+
+
+def test_peak_memory_is_at_most_the_row_readers(tmp_path, monkeypatch):
+    # 50,000 rows: 10,000 steps of 5 anchors; the whole text is not held
+    path = tmp_path / "trace.csv"
+    simulated({"n_anchors": 5, "n_tags": 0, "n_steps": 10_000,
+               "calibration_period": 250}, path)
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            records = read(path)
+            return tracemalloc.get_traced_memory()[1], records
+        finally:
+            tracemalloc.stop()
+
+    row_peak, expected = peak(sim._read_trace_rows)
+    rows_must_not_be_read(monkeypatch)
+    block_peak, records = peak(read_trace_records)
+    assert records == expected
+    assert block_peak <= row_peak
+
+
+def outcome(read, path):
+    """``repr`` of the records ``read`` returns, or the type and message of
+    what it raises."""
+    try:
+        return repr(read(path))
+    except Exception as exc:  # whatever it is, both readers must agree
+        return type(exc), str(exc)
+
+
+def swap_steps(lines, a, b, width=5):
+    """Swap steps ``a`` and ``b`` of the trace ``lines``, in place."""
+    a, b = 1 + a * width, 1 + b * width
+    lines[a:a + width], lines[b:b + width] = \
+        lines[b:b + width], lines[a:a + width]
+
+
+def set_field(lines, i, k, value: bytes):
+    """Set field ``k`` of line ``i`` of ``lines`` to ``value``, in place."""
+    body = lines[i].rstrip(b"\r\n")
+    fields = body.split(b",")
+    fields[k] = value
+    lines[i] = b",".join(fields) + lines[i][len(body):]
+
+
+# edits of the long_drift trace: all but one break a rule of the layout,
+# and the row reader reads the file or rejects it
+EDITS = {
+    "steps 0 and 1 swapped": lambda lines: swap_steps(lines, 0, 1),
+    "the steps around the first block boundary swapped":
+        lambda lines: swap_steps(lines, sim.TRACE_BLOCK_ROWS // 5 - 1,
+                                 sim.TRACE_BLOCK_ROWS // 5),
+    "steps 2 and 300 swapped": lambda lines: swap_steps(lines, 2, 300),
+    "two rows of a step swapped": lambda lines: lines.__setitem__(
+        slice(2, 4), lines[3:1:-1]),
+    "a row's kind changed": lambda lines: set_field(lines, 10, 1, b"tag"),
+    "a row's step changed": lambda lines: set_field(lines, 8, 0, b"2"),
+    "a step's flags all 7": lambda lines: [
+        set_field(lines, i, 9, b"7") for i in range(6, 11)],
+    "a step's rotations all nan": lambda lines: [
+        set_field(lines, i, 8, b"nan") for i in range(6, 11)],
+    "a row's rotation differs": lambda lines: set_field(lines, 7, 8, b"0.5"),
+    "a row's rotation respelled": lambda lines: set_field(
+        lines, 7, 8, lines[7].split(b",")[8] + b" "),
+    "a row's step respelled": lambda lines: set_field(lines, 8, 0, b"+1"),
+    "a row's flag respelled": lambda lines: set_field(lines, 8, 9, b"00"),
+    "a row's flag differs": lambda lines: set_field(lines, 8, 9, b"1"),
+    "two fields quoted as one": lambda lines: (
+        set_field(lines, 9, 3, b'"' + lines[9].split(b",")[3]),
+        set_field(lines, 9, 4, lines[9].split(b",")[4] + b'"')),
+    "an error respelled, still in the layout":
+        lambda lines: set_field(lines, 9, 7, b"5e-1"),
+    "an overflowing error": lambda lines: set_field(lines, 9, 7, b"1e400"),
+    "a step's rows cut short": lambda lines: lines.pop(700),
+    "the last step cut short": lambda lines: lines.pop(),
+    "one line ends in LF": lambda lines: lines.__setitem__(
+        9, lines[9].replace(b"\r\n", b"\n")),
+    "the last line has no ending": lambda lines: lines.__setitem__(
+        -1, lines[-1].rstrip(b"\r\n")),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_an_edit_gives_the_row_readers_result(tmp_path, edit):
+    lines = simulated_bytes(2).splitlines(keepends=True)
+    EDITS[edit](lines)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"".join(lines))
+    assert outcome(read_trace_records, path) == \
+        outcome(sim._read_trace_rows, path)
+
+
+# fields respelled to the same value, to another one, or to no number
+SPELLINGS = ["1e-2", " 1", "+1", "00", "01", "-0", "1_0", "0.50", "nan",
+             "inf", "-inf", "x", "", '"0"', "2", "7", "-1", "1e400"]
+
+
+@st.composite
+def mutated_traces(draw) -> bytes:
+    """A trace ``simulate`` wrote, with up to three lines or fields changed,
+    its line endings changed, or a byte that is not UTF-8 put in."""
+    lines = simulated_bytes(draw(st.integers(0, len(SHAPES) - 1))) \
+        .splitlines(keepends=True)
+
+    def line():
+        return draw(st.integers(0, len(lines) - 1))
+
+    def data_line():
+        return draw(st.integers(1, len(lines) - 1))
+
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        # a respelled error keeps the layout when it is a finite number,
+        # and so do two whole steps swapped
+        how = draw(st.sampled_from([
+            "swap", "swap steps", "delete", "duplicate", "blank", "quote",
+            "respell", "respell step", "respell error", "respell error",
+            "respell rotation", "kind", "column", "header", "ending"]))
+        if how == "swap":
+            # often two rows of one step
+            i = data_line()
+            j = min(i + draw(st.integers(1, 8)), len(lines) - 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "swap steps":
+            # often the two around the block reader's first block boundary
+            step = lines[1].split(b",")[0] + b","
+            width = sum(1 for x in lines[1:] if x.startswith(step))
+            last = (len(lines) - 1) // width - 1 if width else 0
+            if last < 1:  # line 1 was changed before, or too many deleted
+                continue
+            a = draw(st.integers(0, last - 1)
+                     | st.just(min(sim.TRACE_BLOCK_ROWS // width, last) - 1))
+            b = draw(st.just(a + 1) | st.integers(a + 1, last))
+            a, b = 1 + a * width, 1 + b * width
+            lines[a:a + width], lines[b:b + width] = \
+                lines[b:b + width], lines[a:a + width]
+        elif how == "delete":
+            del lines[line()]
+        elif how == "duplicate":
+            i = line()
+            lines.insert(i, lines[i])
+        elif how == "blank":
+            lines.insert(line(), draw(st.sampled_from([b"\r\n", b"\n"])))
+        elif how in ("quote", "respell", "respell step", "respell error",
+                     "respell rotation", "kind", "column"):
+            i = data_line()
+            body = lines[i].rstrip(b"\r\n")
+            fields = body.split(b",")
+            k = {"respell step": 0, "kind": 1, "respell error": 7,
+                 "respell rotation": 8}.get(how)
+            if k is None:
+                k = draw(st.integers(0, len(fields) - 1))
+            if k >= len(fields):  # a blank line put in before
+                continue
+            if how == "quote" and k + 1 < len(fields) and draw(st.booleans()):
+                # one quoted field over two: the csv module sees one column
+                # fewer than the commas show
+                fields[k] = b'"' + fields[k]
+                fields[k + 1] += b'"'
+            elif how == "quote":
+                fields[k] = b'"' + fields[k] + b'"'
+            elif how == "kind":
+                fields[k] = b"tag" if fields[k] == b"anchor" else b"anchor"
+            elif how == "column":
+                fields.insert(k, b"0")
+            else:
+                fields[k] = draw(st.sampled_from(SPELLINGS)).encode()
+            lines[i] = b",".join(fields) + lines[i][len(body):]
+        elif how == "header":
+            lines[0] = lines[0].replace(b"calibrated", b"calibrate")
+        else:
+            i = line()
+            ending = draw(st.sampled_from([b"\n", b"\r", b""]))
+            lines[i] = lines[i].rstrip(b"\r\n") + ending
+    data = b"".join(lines)
+    # as often as not, the file keeps its layout and the block reader runs
+    ending = draw(st.sampled_from([None, None, b"\n", b"\r"]))
+    if ending is not None:
+        data = data.replace(b"\r\n", ending)
+    if draw(st.integers(0, 3)) == 0 and data:
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + \
+            data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_traces())
+def test_block_reader_gives_the_row_readers_result(data):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "trace.csv"
+        path.write_bytes(data)
+        assert outcome(read_trace_records, path) == \
+            outcome(sim._read_trace_rows, path)
