@@ -185,7 +185,7 @@ def _utf8_lines(f):
 
 def csv_rows(path, header: list[str]):
     """``(line, row)`` for every non-blank data row of the UTF-8 CSV file at
-    ``path``, the header being line 1.
+    ``path``, ``line`` being the line the row starts on, the header's line 1.
 
     A first row other than ``header``, a row whose column count differs from
     the header's, bytes that are not UTF-8 and lines the csv module cannot
@@ -200,7 +200,10 @@ def csv_rows(path, header: list[str]):
             if first != header:
                 raise CsvFormatError(f"expected header {','.join(header)!r}, "
                                      f"got {first}", line=1)
-            for line, row in enumerate(reader, start=2):
+            # a quoted field may span lines: a row is named by its first
+            start = reader.line_num + 1
+            for row in reader:
+                line, start = start, reader.line_num + 1
                 if len(row) != len(header):
                     if not row:
                         continue

@@ -10,8 +10,9 @@ anchor positions.
 
 A run loops over calibrations, not steps: the paths that depend on no
 decision are formed for the whole run, each pass of the loop carries the
-anchor estimates from one calibration to the next, and after the loop one
-call of the multilateration kernel makes every tag fix of the run.
+anchor frames from one calibration to the next, and after the loop the
+anchor estimates are placed and scored at once and one call of the
+multilateration kernel makes every tag fix of the run.
 
 Errors are always reported in the anchor frame re-anchored at anchor 0's
 true position: anchor 0's own translation error is zero by construction and
@@ -499,13 +500,13 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     to the step where the trigger fires, runs that step's round and
     warm-started calibration, and restarts the estimates from its result.
     The tag noise of the steps since the last round is drawn just before
-    each round, so the ranging stream keeps its order. After the loop,
-    rotations and corrected tag ranges are formed for the whole run, every
-    tag fix is made in one :func:`~uwbcal.multilateration.solve_fixes`
-    call, and the records are assembled. Distances and angles go through
-    ``math.hypot`` and ``math.atan2`` value by value, and every sum adds
-    its terms in step order, so the outputs are those of a per-step loop
-    to the last bit.
+    each round, so the ranging stream keeps its order. After the loop, the
+    placed anchor estimates, their errors, rotations and corrected tag
+    ranges are formed for the whole run, every tag fix is made in one
+    :func:`~uwbcal.multilateration.solve_fixes` call, and the records are
+    assembled. Distances and angles go through ``math.hypot`` and
+    ``math.atan2`` value by value, and every sum adds its terms in step
+    order, so the outputs are those of a per-step loop to the last bit.
 
     Module errors during a tag fix or a calibration become diagnostics,
     in step order, instead of aborting the run; a warm calibration whose
@@ -540,43 +541,35 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     live_before = [0] + np.cumsum(live.sum(axis=1)).tolist()
     noise, drawn = [], 0
 
-    # per step: the anchor frame (est - est[0]), the estimates placed at
-    # anchor 0's true position, and their errors
+    # per step: the anchor frame, est - est[0]
     frames = np.empty((n_steps, n, 2))
-    placed = np.empty_like(frames)
-    errors = np.empty((n_steps, n))
     calibrated = [False] * n_steps
-    # A window of steps starts at step t. With `head`, step t's estimates
-    # are `before`, a calibration's result; else `before` holds those of
-    # step t - 1. A threshold trigger looks `span` steps past the head: the
-    # last segment's length, doubled while nothing fires.
+    # A window covers steps t..stop - 1, and `before` holds the estimates of
+    # step t - 1. A threshold trigger looks `span` steps ahead: the last
+    # segment's length, doubled while nothing fires.
     before = np.array(cfg.initial_anchor_positions[0]) + result.positions
-    t, head, span = 0, False, 1
+    t, span = 0, 1
     while t < n_steps:
         if trigger.kind == "periodic":
             period = cfg.calibration_period
-            due = max(period, -(-(t + head) // period) * period)
+            due = max(period, -(-t // period) * period)
             stop = min(due + 1, n_steps)
         else:
-            stop = min(t + head + span, n_steps)
+            stop = min(t + span, n_steps)
         path = np.add.accumulate(np.concatenate(
-            (before[None], increments[2 * (t + head):2 * stop])))
-        path = path[2 - 2 * head::2]
+            (before[None], increments[2 * t:2 * stop])))[2::2]
         frame = path - path[:, :1]
-        est = frame + truth[t:stop, :1]
-        err = _norms(est - truth[t:stop])
         if trigger.kind == "periodic":
             fires, end = stop - 1 == due, stop - 1 - t
         else:
-            over = np.flatnonzero((err[head:] > trigger.threshold).any(axis=1))
+            err = _norms(frame + truth[t:stop, :1] - truth[t:stop])
+            over = np.flatnonzero((err > trigger.threshold).any(axis=1))
             fires = over.size > 0
-            end = int(over[0]) + head if fires else stop - 1 - t
-            span = end + 1 - head if fires else 2 * span
-        assert not err[:end + 1, 0].any()
+            end = int(over[0]) if fires else stop - 1 - t
+            span = end + 1 if fires else 2 * span
         c = t + end
-        frames[t:c + 1], placed[t:c + 1], errors[t:c + 1] = \
-            frame[:end + 1], est[:end + 1], err[:end + 1]
-        t, head, before = c + 1, False, path[end]
+        frames[t:c + 1] = frame[:end + 1]
+        t, before = c + 1, path[end]
         if not fires:
             continue
         met = _coincident(truth[c].tolist())
@@ -601,12 +594,16 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
             # the estimates carry on as if no round had run
             notes.append((c, -1, f"step {c}: calibration failed: {exc}"))
             continue
-        # the next window recomputes step c from the calibrated estimates
-        t, head, before = c, True, path[end, 0] + result.positions
+        before = path[end, 0] + result.positions
+        frames[c] = before - before[:1]
         calibrated[c] = True
     noise.append(ranging_rng.standard_normal(
         (live_before[-1] - live_before[drawn], n)))
 
+    # every anchor estimate placed at anchor 0's true position
+    placed = frames + truth[:, :1]
+    errors = _norms(placed - truth)
+    assert not errors[:, 0].any()
     tag_errors, tag_placed = _fix_tags(world, frames, tag_d, live,
                                        np.concatenate(noise), model,
                                        correction, notes)
@@ -674,10 +671,10 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
         batch = solve_fixes(frame[:, :, 0], frame[:, :, 1], ranges)
         fixed = batch.status == CONVERGED
         with np.errstate(over="ignore", invalid="ignore"):
-            est = (batch.position[fixed] + world[step_of[fixed], 0]).tolist()
-        tag_true = world[step_of[fixed], n + slots[fixed] % n_tags].tolist()
-        errors[slots[fixed]] = list(map(math.dist, est, tag_true))
-        for k, xy in zip(slots[fixed].tolist(), est):
+            est = batch.position[fixed] + world[step_of[fixed], 0]
+            errors[slots[fixed]] = _norms(
+                est - world[step_of[fixed], n + slots[fixed] % n_tags])
+        for k, xy in zip(slots[fixed].tolist(), est.tolist()):
             estimates[k] = tuple(xy)
         for p in np.flatnonzero(~fixed).tolist():
             t, j = divmod(int(slots[p]), n_tags)
@@ -1018,26 +1015,15 @@ def _steps_of(text: str, n: int, width: int) -> list[TraceRecord] | None:
 def _read_trace_rows(path) -> list[TraceRecord]:
     """The records of the trace CSV at ``path``, read row by row; see
     :func:`read_trace_records` for the checks."""
-    # step -> (step, anchor errors by id, tag errors by id, rotation,
-    # calibrated), the last four taken from the step's first row
-    steps: dict[int, tuple[int, dict, dict, float, bool]] = {}
-    # consecutive rows of a step repeat its step, rotation and calibrated
-    # fields: each is parsed (and so checked) again only when it changes,
-    # and the row's entry is looked up (and its first row's fields
-    # compared) again only when one of them changes
-    last_step_s = last_rot_s = last_cal_s = None
-    step = entry = None
+    # step -> (anchor errors by id, tag errors by id, rotation, calibrated),
+    # the last two taken from the step's first row
+    steps: dict[int, tuple[dict, dict, float, bool]] = {}
     for lineno, row in csv_rows(path, TRACE_HEADER):
         step_s, kind, node_s, _, _, _, _, err_s, rot_s, cal_s = row
         try:
-            if step_s != last_step_s:
-                step, last_step_s = int(step_s), step_s
-            node_id = int(node_s)
+            step, node_id = int(step_s), int(node_s)
             err = math.nan if err_s == "" else float(err_s)
-            if rot_s != last_rot_s:
-                rot, last_rot_s, entry = float(rot_s), rot_s, None
-            if cal_s != last_cal_s:
-                cal, last_cal_s, entry = int(cal_s), cal_s, None
+            rot, cal = float(rot_s), int(cal_s)
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from exc
         if kind not in ("anchor", "tag"):
@@ -1052,16 +1038,14 @@ def _read_trace_rows(path) -> list[TraceRecord]:
         if cal not in (0, 1):
             raise CsvFormatError(f"calibrated must be 0 or 1, got {cal_s!r}",
                                  line=lineno)
-        if entry is None or entry[0] != step:
-            entry = steps.get(step)
-            if entry is None:
-                entry = steps[step] = (step, {}, {}, rot, cal == 1)
-            elif entry[3] != rot or entry[4] != cal:
-                raise CsvFormatError(
-                    f"step {step}: rotation_error_rad,calibrated "
-                    f"{rot_s},{cal_s} differ from the step's first row, "
-                    f"{FLOAT_FORMAT % entry[3]},{entry[4]:d}", line=lineno)
-        errors = entry[1 if kind == "anchor" else 2]
+        anchors, tags, first_rot, first_cal = steps.setdefault(
+            step, ({}, {}, rot, cal == 1))
+        if first_rot != rot or first_cal != cal:
+            raise CsvFormatError(
+                f"step {step}: rotation_error_rad,calibrated "
+                f"{rot_s},{cal_s} differ from the step's first row, "
+                f"{FLOAT_FORMAT % first_rot},{first_cal:d}", line=lineno)
+        errors = anchors if kind == "anchor" else tags
         if node_id in errors:
             raise CsvFormatError(f"step {step}: a second row for {kind} "
                                  f"{node_id}", line=lineno)
@@ -1071,7 +1055,7 @@ def _read_trace_rows(path) -> list[TraceRecord]:
     records = []
     first_ids = None
     for step in sorted(steps):
-        _, anchors, tags, rot, cal = steps[step]
+        anchors, tags, rot, cal = steps[step]
         ids = sorted(anchors)
         if first_ids is None:
             # summarize leaves out anchor 0 by its place, not its id

@@ -868,11 +868,17 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
     assert result.stderr.count("\n") == 1
 
 
+# the last row is bad; in the last three cases a quoted field spans the
+# two lines before it, and the row is named by the line it starts on
 @pytest.mark.parametrize("command, rows", [
     ("summarize", ["0,anchor,0,0,0,0,0,0,0.01,0",
                    "0,anchor,1,9,0,9.2,0,x,0.01,0"]),
     ("fit-model", ["1,1.1", "2,x"]),
     ("calibrate", ["0,1,5,0.1,5", "1,0,x,0.1,5"]),
+    ("summarize", ['"0', '",anchor,0,0,0,0,0,0,0.01,0',
+                   "0,anchor,1,9,0,9.2,0,x,0.01,0"]),
+    ("fit-model", ['"1', '",1', "2,x"]),
+    ("calibrate", ['"0', '",1,5,0.1,5', "1,0,x,0.1,5"]),
 ])
 def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path, command,
                                                        rows):
@@ -884,7 +890,7 @@ def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path, command,
         ["--output", str(tmp_path / "out.json")]
     result = run_cli(command, "--input", str(path), *output)
     assert result.returncode == 2
-    assert result.stderr.startswith(f"error: {path}: line 3: ")
+    assert result.stderr.startswith(f"error: {path}: line {len(rows) + 1}: ")
     assert "UTF-8" not in result.stderr
 
 

@@ -777,12 +777,21 @@ class TestSameAsPerStep:
 
     def test_singular_warm_calibration(self, monkeypatch):
         singular_warm_calibrations(monkeypatch, steps={1, 3})
-        trace = assert_same_as_per_step(ScenarioConfig(
-            seed=3, n_steps=25, calibration_period=5))
-        assert [r.step for r in trace.records if r.calibrated] == [10, 20]
-        assert [d for d in trace.diagnostics if "calibration" in d] == [
-            f"step {t}: calibration failed: forced singular update"
-            for t in (5, 15)]
+        for cfg, calibrated, failed in [
+                (ScenarioConfig(seed=3, n_steps=25, calibration_period=5),
+                 [10, 20], (5, 15)),
+                # the trigger fires at step 0, and the window after a
+                # singular warm calibration starts at the step after it
+                (ScenarioConfig(seed=3, n_steps=40,
+                                trigger=Trigger("threshold", 0.15)),
+                 [1, *range(3, 13), *range(15, 20), 23, 26,
+                  *range(29, 34), *range(36, 40)], (0, 2))]:
+            trace = assert_same_as_per_step(cfg)
+            assert [r.step for r in trace.records
+                    if r.calibrated] == calibrated
+            assert [d for d in trace.diagnostics if "calibration" in d] == [
+                f"step {t}: calibration failed: forced singular update"
+                for t in failed]
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_tag_on_anchor_between_calibrations(self, monkeypatch, singular):
