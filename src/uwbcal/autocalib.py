@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,6 +22,29 @@ from .errors import CsvFormatError, DegenerateGeometry, NotConverged, csv_rows
 from .geometry import bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
+
+
+# the largest count a numpy int holds; a distance CSV names at most
+# MISSING_PAIRS_NAMED missing pairs and counts the rest
+MAX_COUNT, MISSING_PAIRS_NAMED = np.iinfo(int).max, 10
+
+
+def _check_pair(n, i, j, mean, std, count) -> None:
+    """ValueError unless ``(i, j)`` is a pair of distinct anchors below ``n``
+    with a count from 1 to MAX_COUNT, a mean > 0 and a std >= 0."""
+    _check_ids(n, i, j)
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"pair ({i},{j}): count must be from 1 to "
+                         f"{MAX_COUNT}, got {count}")
+    if mean <= 0.0:
+        raise ValueError(f"pair ({i},{j}): mean must be positive, got {mean}")
+    if std < 0.0:
+        raise ValueError(f"pair ({i},{j}): std must be >= 0, got {std}")
+
+
+def _check_ids(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValueError(f"invalid anchor pair ({i},{j}) for n={n}")
 
 
 @dataclass(frozen=True)
@@ -50,13 +74,7 @@ class DistanceStatsMatrix:
         self._count = np.zeros((n_anchors, n_anchors), dtype=int)
 
     def set_pair(self, i: int, j: int, mean: float, std: float, count: int) -> None:
-        self._check_ids(i, j)
-        if count < 1:
-            raise ValueError(f"pair ({i},{j}): count must be >= 1, got {count}")
-        if mean <= 0.0:
-            raise ValueError(f"pair ({i},{j}): mean must be positive, got {mean}")
-        if std < 0.0:
-            raise ValueError(f"pair ({i},{j}): std must be >= 0, got {std}")
+        _check_pair(self.n_anchors, i, j, mean, std, count)
         self._mean[i, j] = mean
         self._std[i, j] = std
         self._count[i, j] = count
@@ -71,7 +89,7 @@ class DistanceStatsMatrix:
         n = self.n_anchors
         ids = list(zip(i.tolist(), j.tolist()))
         means, stds = mean.tolist(), std.tolist()
-        if not (count >= 1 and min(means, default=1.0) > 0.0
+        if not (1 <= count <= MAX_COUNT and min(means, default=1.0) > 0.0
                 and min(stds, default=0.0) >= 0.0
                 and all(0 <= a < n and 0 <= b < n and a != b for a, b in ids)):
             for (a, b), m, s in zip(ids, means, stds):
@@ -81,7 +99,7 @@ class DistanceStatsMatrix:
         self._count[i, j] = count
 
     def pair(self, i: int, j: int) -> PairStats | None:
-        self._check_ids(i, j)
+        _check_ids(self.n_anchors, i, j)
         if self._count[i, j] == 0:
             return None
         return PairStats(self._mean[i, j], self._std[i, j],
@@ -129,11 +147,6 @@ class DistanceStatsMatrix:
         out._mean[self._count == 0] = 0.0
         out._count = self._count.copy()
         return out
-
-    def _check_ids(self, i, j):
-        n = self.n_anchors
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"invalid anchor pair ({i},{j}) for n={n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +309,8 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
 
 
 def load_distance_csv(path) -> DistanceStatsMatrix:
-    """Read an `i,j,mean_m,std_m,count` CSV of directed pair statistics."""
+    """Read an `i,j,mean_m,std_m,count` CSV of directed pair statistics.
+    The rows are checked and complete before the n x n matrix is built."""
     rows = []
     for lineno, row in csv_rows(path, ["i", "j", "mean_m", "std_m", "count"]):
         try:
@@ -309,7 +323,6 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
     n = max(max(r[0], r[1]) for r in rows) + 1
     if n < 3:
         raise CsvFormatError(f"only {n} anchors present, need at least 3")
-    matrix = DistanceStatsMatrix(n)
     seen = set()
     for i, j, mean, std, count, lineno in rows:
         if (i, j) in seen:
@@ -319,11 +332,19 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
             raise CsvFormatError(f"pair ({i},{j}): mean and std must be "
                                  f"finite", line=lineno)
         try:
-            matrix.set_pair(i, j, mean, std, count)
+            _check_pair(n, i, j, mean, std, count)
         except ValueError as exc:
             raise CsvFormatError(str(exc), line=lineno) from exc
-    missing = matrix.missing_pairs()
+    measured = {(min(p), max(p)) for p in seen}
+    missing = n * (n - 1) // 2 - len(measured)
     if missing:
-        raise CsvFormatError(
-            "missing pair rows: " + ", ".join(str(p) for p in missing))
+        absent = ((i, j) for i in range(n) for j in range(i + 1, n)
+                  if (i, j) not in measured)
+        named = list(islice(absent, MISSING_PAIRS_NAMED))
+        more = missing - len(named)
+        raise CsvFormatError("missing pair rows: " + ", ".join(map(str, named))
+                             + (f" and {more} more" if more else ""))
+    matrix = DistanceStatsMatrix(n)
+    for i, j, mean, std, count, _ in rows:
+        matrix.set_pair(i, j, mean, std, count)
     return matrix

@@ -93,16 +93,22 @@ def fit_model(samples: list[RangingSample]) -> RangingModel:
         raise InsufficientData(f"need >= 2 samples, got {len(samples)}")
     x = np.array([s.true_distance for s in samples])
     y = np.array([s.measured_distance for s in samples])
-    sxx = float(((x - x.mean()) ** 2).sum())
-    if sxx == 0.0:
+    if x.min() == x.max():
         raise DegenerateFit("all samples share the same true distance")
-    slope = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
-    intercept = float(y.mean()) - slope * float(x.mean())
-    resid = y - (slope * x + intercept)
-    if len(samples) > 2:
-        noise_std = math.sqrt(float((resid ** 2).sum()) / (len(samples) - 2))
-    else:
-        noise_std = 0.0
+    # the sums of squares overflow at distances of about 1e154 m, and
+    # underflow to 0 at distinct true ones of about 1e-162 m
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx = float(((x - x.mean()) ** 2).sum())
+        if sxx == 0.0:
+            raise DegenerateFit("the true distances' sum of squared "
+                                "deviations underflows to 0")
+        slope = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
+        intercept = float(y.mean()) - slope * float(x.mean())
+        sse = float(((y - (slope * x + intercept)) ** 2).sum())
+    noise_std = math.sqrt(sse / (len(x) - 2)) if len(x) > 2 else 0.0
+    if not all(map(math.isfinite, (sxx, slope, intercept, noise_std))):
+        raise DegenerateFit("the least-squares sums overflow: the distances "
+                            "are too large to fit")
     try:
         return RangingModel(slope=slope, intercept=intercept,
                             noise_std=noise_std, n_samples=len(samples))

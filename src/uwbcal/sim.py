@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, islice, repeat
-from operator import attrgetter, is_, lt
+from operator import attrgetter, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -469,26 +469,27 @@ def _true_paths(cfg: ScenarioConfig, motion_rng: np.random.Generator,
 
 
 class TraceRecord(NamedTuple):
-    """Per-step errors and world positions, anchors then tags.
-
-    A failed tag fix has a NaN error and a None estimate. Records read back
-    from a trace CSV leave both position tuples empty.
-    """
+    """Per-step errors, anchors then tags; a failed tag fix has a NaN
+    error."""
 
     step: int
     anchor_errors: tuple[float, ...]
     tag_errors: tuple[float, ...]
     rotation_error: float
     calibrated: bool
-    true_positions: tuple[tuple[float, float], ...] = ()
-    est_positions: tuple[tuple[float, float] | None, ...] = ()
 
 
 @dataclass
 class SimulationTrace:
+    """A run's records and diagnostics, and its true and estimated world
+    positions, ``(steps, N+T, 2)`` arrays of anchors then tags; a failed
+    tag fix's estimate is NaN."""
+
     config: dict
     records: list[TraceRecord]
     diagnostics: list[str]
+    true_positions: np.ndarray
+    est_positions: np.ndarray
 
 
 def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> SimulationTrace:
@@ -612,21 +613,12 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                  for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
                                            *baseline.T.tolist())]
 
-    def per_step(values, k):
-        """The consecutive ``k``-tuples of flat per-step ``values``."""
-        return zip(*[iter(values)] * k) if k else repeat((), n_steps)
-
-    n_tags = cfg.n_tags
-    true_xy = zip(*world.reshape(-1, 2).T.tolist())
-    est_xy = zip(*placed.reshape(-1, 2).T.tolist())
-    estimates = map(tuple.__add__, per_step(est_xy, n),
-                    per_step(tag_placed, n_tags))
-    records = list(map(
-        TraceRecord, range(n_steps), per_step(errors.ravel().tolist(), n),
-        per_step(tag_errors, n_tags), rotations, calibrated,
-        per_step(true_xy, n + n_tags), estimates))
-    return SimulationTrace(config=cfg.to_dict(), records=records,
-                           diagnostics=[text for *_, text in sorted(notes)])
+    records = list(map(TraceRecord, range(n_steps),
+                       map(tuple, errors.tolist()),
+                       map(tuple, tag_errors.tolist()), rotations, calibrated))
+    return SimulationTrace(cfg.to_dict(), records,
+                           [text for *_, text in sorted(notes)], world,
+                           np.concatenate((placed, tag_placed), axis=1))
 
 
 def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
@@ -640,9 +632,9 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
     :func:`~uwbcal.ranging.simulate_measurement` and
     :func:`~uwbcal.ranging.correct_measurement`, operation by operation. A
     tag that coincides with an anchor, has a non-positive corrected range
-    or whose fix fails adds its note to ``notes``. Returns, per step and
-    tag, the error (NaN for a failed fix) and the world estimate (None for a
-    failed fix).
+    or whose fix fails adds its note to ``notes``. Returns the errors
+    ``(steps, T)`` and world estimates ``(steps, T, 2)``, NaN for a failed
+    fix.
     """
     steps, n_tags, n = tag_d.shape
     for k in np.flatnonzero(~live).tolist():
@@ -664,7 +656,7 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
                             f"corrected range"))
     slots, ranges = slots[positive], ranges[positive]
     errors = np.full(steps * n_tags, math.nan)
-    estimates = [None] * (steps * n_tags)
+    estimates = np.full((steps * n_tags, 2), math.nan)
     if slots.size:
         step_of = slots // n_tags
         frame = frames[step_of]
@@ -674,13 +666,12 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
             est = batch.position[fixed] + world[step_of[fixed], 0]
             errors[slots[fixed]] = _norms(
                 est - world[step_of[fixed], n + slots[fixed] % n_tags])
-        for k, xy in zip(slots[fixed].tolist(), est.tolist()):
-            estimates[k] = tuple(xy)
+        estimates[slots[fixed]] = est
         for p in np.flatnonzero(~fixed).tolist():
             t, j = divmod(int(slots[p]), n_tags)
             notes.append((t, j, f"step {t}: tag {j} fix failed: "
                                 f"{batch.error(p)}"))
-    return errors.tolist(), estimates
+    return errors.reshape(steps, n_tags), estimates.reshape(steps, n_tags, 2)
 
 
 @dataclass(frozen=True)
@@ -805,14 +796,14 @@ TRACE_HEADER = ["step", "node_kind", "node_id", "true_x", "true_y",
                 "calibrated"]
 
 
-# bounded: a run whose tag fixes fail in many patterns has as many shapes
+# bounded: a run whose tag fixes fail in many patterns has as many formats
 @functools.lru_cache(maxsize=256)
 def _rows_format(n_anchors: int, failed: tuple[bool, ...]) -> str:
-    """The ``%`` format of the rows of a record with ``n_anchors`` anchors,
-    then tags, where ``failed`` marks each node whose fix failed.
+    """The ``%`` format of a step's rows, ``n_anchors`` anchors then tags,
+    where ``failed`` marks each node whose fix failed.
 
     A row takes its step, true x and y, estimated x and y, error and the
-    record's ending (rotation and calibrated fields); a failed fix's three
+    step's ending (rotation and calibrated fields); a failed fix's three
     empty fields take their values through ``%.0s``.
     """
     f = FLOAT_FORMAT
@@ -825,52 +816,45 @@ def _rows_format(n_anchors: int, failed: tuple[bool, ...]) -> str:
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """One row per node of every record, anchors then tags; a failed tag fix
-    (a None estimate) leaves ``est_x``, ``est_y`` and ``error_m`` empty. The
+    """One row per node of every step, anchors then tags; a failed tag fix
+    (a NaN error) leaves ``est_x``, ``est_y`` and ``error_m`` empty. The
     bytes are those of ``csv.writer``: no field needs quoting, and lines end
-    in CRLF. Every record must hold a true position, an estimate and an
-    error for each of its nodes, as :func:`run_scenario`'s do.
+    in CRLF.
     """
     # formed in a call of its own, whose lists are freed before the text is
     # encoded
-    text = _trace_text(trace.records)
+    text = _trace_text(trace)
     with open(path, "w", newline="", encoding="utf-8") as out:
         out.write(text)
 
 
-def _trace_text(records: list[TraceRecord]) -> str:
-    """The trace CSV of ``records``, from one ``%`` over all rows: the format
-    joins one block per record, cached per record shape, and each field's
-    column is filled into the flat argument list in one slice assignment.
-    A record's rotation and calibrated fields are formatted once, into the
-    ending of each of its rows."""
-    sizes = list(map(len, map(attrgetter("true_positions"), records)))
+def _trace_text(trace: SimulationTrace) -> str:
+    """The trace CSV of ``trace``, from one ``%`` over all rows: the format
+    joins one block per step, cached per pattern of failed fixes, and each
+    field's column is filled into the flat argument list in one slice
+    assignment. A step's rotation and calibrated fields are formatted once,
+    into the ending of each of its rows."""
+    records = trace.records
+    steps, width, _ = trace.true_positions.shape
 
     def per_row(values):
-        """Each record's value once for every one of its rows."""
-        return chain.from_iterable(map(repeat, values, sizes))
+        """Each step's value once for every one of its rows."""
+        return chain.from_iterable(map(repeat, values, repeat(width)))
 
-    true_xy = list(chain.from_iterable(chain.from_iterable(
-        map(attrgetter("true_positions"), records))))
-    est_xy = list(chain.from_iterable([
-        xy or (None, None) for xy in chain.from_iterable(
-            map(attrgetter("est_positions"), records))]))
+    errors = np.array([r.anchor_errors + r.tag_errors for r in records],
+                      dtype=float).reshape(steps, width)
     # row k takes args[7k:7k + 7]: step, true x and y, estimated x and y,
-    # error, and the record's rotation and calibrated fields
-    args = [None] * (7 * sum(sizes))
+    # error, and the step's rotation and calibrated fields
+    args = [None] * (7 * steps * width)
     args[0::7] = per_row(map(attrgetter("step"), records))
-    args[1::7], args[2::7] = true_xy[0::2], true_xy[1::2]
-    args[3::7], args[4::7] = est_xy[0::2], est_xy[1::2]
-    args[5::7] = chain.from_iterable(chain.from_iterable(
-        map(attrgetter("anchor_errors", "tag_errors"), records)))
+    args[1::7], args[2::7] = trace.true_positions.reshape(-1, 2).T.tolist()
+    args[3::7], args[4::7] = trace.est_positions.reshape(-1, 2).T.tolist()
+    args[5::7] = errors.ravel().tolist()
     args[6::7] = per_row(map(f"{FLOAT_FORMAT},%d\r\n".__mod__, map(
         attrgetter("rotation_error", "calibrated"), records)))
-    # only a failed fix has None for its estimated x
-    failed = map(is_, args[3::7], repeat(None))
-    shapes = map(tuple, map(islice, repeat(failed), sizes))
+    n = len(records[0].anchor_errors) if records else 0
     fmt = ",".join(TRACE_HEADER) + "\r\n" + "".join(map(
-        _rows_format, map(len, map(attrgetter("anchor_errors"), records)),
-        shapes))
+        _rows_format, repeat(n), map(tuple, np.isnan(errors).tolist())))
     return fmt % tuple(args)
 
 
@@ -907,21 +891,17 @@ def _read_written_trace(path) -> list[TraceRecord] | None:
     In that layout every step is a run of anchors 0..N-1, then tags
     0..T-1, with the first step's N and T; the rows of a step share their
     step, rotation and calibrated fields, the last 0 or 1; steps increase;
-    every line ends as the header does, in CRLF or LF; and no line holds a
-    quote or a NUL or is longer than ``csv.field_size_limit()``. The csv
-    module then splits each line at its commas, and the records are the
-    row reader's as long as every number is finite and only tags leave
-    ``error_m`` empty. The file is read :data:`TRACE_BLOCK_ROWS` rows at a
-    time, in whole steps, and each block's lines go to :func:`_steps_of`
-    as one text ending every line in CRLF.
+    every line ends in CRLF; and no line holds a quote or a NUL or is
+    longer than ``csv.field_size_limit()``. The csv module then splits each
+    line at its commas, and the records are the row reader's as long as
+    every number is finite and only tags leave ``error_m`` empty. The file
+    is read :data:`TRACE_BLOCK_ROWS` rows at a time, in whole steps, and
+    each block's lines go to :func:`_steps_of` as one text.
     """
     limit = csv.field_size_limit()
-    header_line = ",".join(TRACE_HEADER)
     records = []
     with open(path, newline="", encoding="utf-8") as f:
-        header = f.readline()
-        eol = header[len(header_line):]
-        if not header.startswith(header_line) or eol not in ("\r\n", "\n"):
+        if f.readline() != ",".join(TRACE_HEADER) + "\r\n":
             return None
         pending = list(islice(f, TRACE_BLOCK_ROWS))
         first = pending[0].partition(",")[0] + "," if pending else ""
@@ -934,10 +914,6 @@ def _read_written_trace(path) -> list[TraceRecord] | None:
         while pending:
             rows = len(pending) // width * width  # 0: a step is cut short
             text = "".join(pending[:rows])
-            if eol == "\n":
-                if "\r" in text:
-                    return None
-                text = text.replace("\n", "\r\n")
             # a line holds one line ending, at its end
             if not rows or text.count("\r\n") != rows or '"' in text \
                     or "\0" in text or (len(text) > limit and max(
@@ -1003,12 +979,8 @@ def _steps_of(text: str, n: int, width: int) -> list[TraceRecord] | None:
             return None
         errors.append(values)
     per_step = list(zip(*errors))
-    if n == width:
-        anchors, tags = per_step, repeat((), k)
-    else:
-        anchors = [e[:n] for e in per_step]
-        tags = [e[n:] for e in per_step]
-    return list(map(TraceRecord, steps, anchors, tags, rots,
+    return list(map(TraceRecord, steps, [e[:n] for e in per_step],
+                    [e[n:] for e in per_step], rots,
                     map(flags.__getitem__, flags_s)))
 
 

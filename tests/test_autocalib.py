@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -388,7 +389,41 @@ class TestDistanceCsv:
                         "0,2,5.0,0.0,1\n")
         with pytest.raises(CsvFormatError) as err:
             load_distance_csv(path)
-        assert "(1, 2)" in str(err.value)
+        assert str(err.value) == "missing pair rows: (1, 2)"
+
+    def test_missing_pairs_beyond_ten_are_counted(self, tmp_path):
+        # 6 anchors: 15 pairs, 2 measured
+        path = tmp_path / "missing.csv"
+        path.write_text("i,j,mean_m,std_m,count\n"
+                        "0,1,9.0,0.0,1\n5,0,9.0,0.0,1\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_distance_csv(path)
+        assert str(err.value) == (
+            "missing pair rows: (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), "
+            "(1, 4), (1, 5), (2, 3), (2, 4), (2, 5) and 3 more")
+
+    def test_missing_pairs_are_found_before_the_matrix_is_built(
+            self, tmp_path):
+        # three n x n arrays of 100,001 anchors would take 240 GB
+        path = tmp_path / "far.csv"
+        path.write_text("i,j,mean_m,std_m,count\n0,1,9.0,0.0,1\n"
+                        "0,2,5.0,0.0,1\n1,2,5.0,0.0,1\n"
+                        "0,100000,5.0,0.0,1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CsvFormatError, match=r"\(0, 3\), .* more$"):
+                load_distance_csv(path)
+            assert tracemalloc.get_traced_memory()[1] < 10 ** 6
+        finally:
+            tracemalloc.stop()
+
+    def test_bad_row_is_reported_before_missing_pairs(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,mean_m,std_m,count\n0,1,9.0,0.0,1\n"
+                        "0,3,5.0,0.0,0\n")
+        with pytest.raises(CsvFormatError, match="line 3: pair \\(0,3\\): "
+                                                 "count must be from 1"):
+            load_distance_csv(path)
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"

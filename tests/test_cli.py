@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,20 @@ class TestFitModel:
         assert "slope" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_samples_out_of_the_fits_range_exit_3(self, tmp_path, scale):
+        src = tmp_path / "far.csv"
+        src.write_text("true_m,measured_m\n" + "".join(
+            f"{k * scale!r},{1.1 * k * scale!r}\n" for k in range(1, 11)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli("fit-model", "--input", str(src),
+                             "--output", str(tmp_path / "m.json"))
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: the ")
+        assert "overflow" in result.stderr or "underflow" in result.stderr
+        assert result.stderr.count("\n") == 1
+
     def test_non_finite_sample_exits_2(self, tmp_path):
         src = tmp_path / "nan.csv"
         src.write_text("true_m,measured_m\n1,1.1\n2,nan\n3,3.1\n")
@@ -188,6 +203,31 @@ class TestCalibrate:
                          "--output", str(tmp_path / "r.json"))
         assert result.returncode == 2
         assert "(1, 2)" in result.stderr
+
+    def test_count_beyond_int64_exits_2(self, tmp_path):
+        src = tmp_path / "count.csv"
+        src.write_text(f"i,j,mean_m,std_m,count\n0,1,10,0.1,{10 ** 30}\n"
+                       "0,2,10,0.1,5\n1,2,10,0.1,5\n")
+        result = run_cli("calibrate", "--input", str(src),
+                         "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: {src}: line 2: pair (0,1): count must be from 1 to "
+            f"{2 ** 63 - 1}, got {10 ** 30}\n")
+
+    def test_huge_anchor_id_exits_2(self, tmp_path):
+        # about 1e22 pairs are missing: the first ten are named
+        src = tmp_path / "id.csv"
+        src.write_text("i,j,mean_m,std_m,count\n0,1,10,0.1,5\n0,2,10,0.1,5\n"
+                       "1,2,10,0.1,5\n0,99999999999,10,0.1,5\n")
+        result = run_cli("calibrate", "--input", str(src),
+                         "--output", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        n = 10 ** 11
+        named = ", ".join(f"(0, {j})" for j in range(3, 13))
+        assert result.stderr == (
+            f"error: {src}: missing pair rows: {named} and "
+            f"{n * (n - 1) // 2 - 4 - 10} more\n")
 
     def test_degenerate_geometry_exits_5(self, tmp_path):
         src = tmp_path / "degen.csv"

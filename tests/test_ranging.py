@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestFitModel:
         with pytest.raises(DegenerateFit):
             fit_model([RangingSample(2.0, 2.1), RangingSample(2.0, 2.3)])
 
+    @pytest.mark.parametrize("true, measured, message", [
+        (1e160, 1.1e160, "the least-squares sums overflow"),
+        (1.0, 1.7e307, "the least-squares sums overflow"),
+        (1e-300, 1.1e-300, "sum of squared deviations underflows to 0"),
+    ])
+    def test_sums_out_of_float_range_fail_without_a_warning(
+            self, true, measured, message):
+        # distinct distances, so not "all samples share the same distance"
+        samples = [RangingSample(k * true, k * measured)
+                   for k in range(1, 11)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFit, match=message):
+                fit_model(samples)
+
     def test_reference_sweep_fit(self):
         samples = load_reference_samples()
         assert len(samples) == 40
@@ -109,6 +125,13 @@ class TestFitModel:
         # fitted once per process and shared: the model is frozen
         assert reference_model() == fit_model(load_reference_samples())
         assert reference_model() is reference_model()
+
+    def test_reference_model_bits(self):
+        # every simulation draws through these values
+        m = reference_model()
+        assert (m.slope.hex(), m.intercept.hex(), m.noise_std.hex()) == (
+            "0x1.023562e73b378p+0", "0x1.71cce3dafd6a0p-2",
+            "0x1.deeab331803eep-5")
 
 
 class TestSimulateAndCorrect:

@@ -338,8 +338,7 @@ class TestMotion:
             warnings.simplefilter("error")
             trace = run_scenario(cfg)
         assert len(trace.records) == 10_000
-        assert max(abs(x) for r in trace.records
-                   for x, _ in r.true_positions) > 1.9 * m
+        assert np.abs(trace.true_positions[..., 0]).max() > 1.9 * m
         assert all(math.isfinite(e) for r in trace.records
                    for e in r.anchor_errors + (r.rotation_error,))
         assert any(math.isfinite(e) for r in trace.records
@@ -398,7 +397,10 @@ class TestRunScenario:
 
     def test_deterministic_records(self):
         cfg = ScenarioConfig(seed=123, n_steps=25)
-        assert run_scenario(cfg).records == run_scenario(cfg).records
+        a, b = run_scenario(cfg), run_scenario(cfg)
+        assert a.records == b.records
+        assert np.array_equal(a.true_positions, b.true_positions)
+        assert np.array_equal(a.est_positions, b.est_positions)
 
     def test_single_seed_sawtooth(self):
         trace = run_scenario(ScenarioConfig(seed=0))
@@ -440,17 +442,19 @@ class TestRunScenario:
     def test_rows_cover_every_node_and_step(self):
         cfg = ScenarioConfig(seed=7, n_steps=12)
         trace = run_scenario(cfg)
-        for field in ("true_positions", "est_positions"):
-            assert sum(len(getattr(r, field)) for r in trace.records) == \
-                12 * (4 + 3)
+        assert trace.true_positions.shape == (12, 4 + 3, 2)
+        assert trace.est_positions.shape == (12, 4 + 3, 2)
+        assert np.isfinite(trace.true_positions).all()
 
     def test_row_errors_consistent_with_positions(self):
         trace = run_scenario(ScenarioConfig(seed=9, n_steps=10))
-        for r in trace.records:
-            for (tx, ty), est, err in zip(r.true_positions, r.est_positions,
-                                          r.anchor_errors + r.tag_errors):
-                if est is not None:
-                    ex, ey = est
+        for r, true, est in zip(trace.records, trace.true_positions.tolist(),
+                                trace.est_positions.tolist()):
+            for (tx, ty), (ex, ey), err in zip(true, est,
+                                               r.anchor_errors + r.tag_errors):
+                # a failed fix is NaN in both
+                assert math.isnan(ex) == math.isnan(ey) == math.isnan(err)
+                if not math.isnan(err):
                     assert err == pytest.approx(math.hypot(ex - tx, ey - ty),
                                                 abs=1e-12)
 
@@ -497,7 +501,8 @@ class TestRunScenario:
         trace = run_scenario(ScenarioConfig(seed=3, n_steps=4))
         assert len(trace.records) == 4
         assert math.isnan(trace.records[0].tag_errors[2])
-        assert trace.records[0].est_positions[4 + 2] is None
+        assert np.isnan(trace.est_positions[0, 4 + 2]).all()
+        assert np.isnan(trace.est_positions).sum() == 2
         assert sum(math.isnan(e) for r in trace.records
                    for e in r.tag_errors) == 1
         assert trace.diagnostics == [
@@ -518,6 +523,8 @@ class TestRunScenario:
         uncalibrated = run_scenario(dataclasses.replace(
             cfg, calibration_period=cfg.n_steps))
         assert repr(trace.records) == repr(uncalibrated.records)
+        assert repr(trace.est_positions.tolist()) == \
+            repr(uncalibrated.est_positions.tolist())
 
     def test_tag_on_anchor_is_a_failed_fix(self):
         cfg = still_scenario(((2, 3), (11, 3), (6, 12)),
@@ -525,7 +532,7 @@ class TestRunScenario:
         trace = run_scenario(cfg)
         for r in trace.records:
             assert math.isnan(r.tag_errors[0])
-            assert r.est_positions[3] is None
+        assert np.isnan(trace.est_positions[:, 3]).all()
         assert trace.diagnostics == [
             f"step {t}: tag 0 coincides with anchor 0 and cannot range it"
             for t in range(3)]
@@ -628,7 +635,7 @@ def run_per_step(cfg, bias_correction=True):
     true_xy = xy(cfg.initial_anchor_positions + cfg.initial_tag_positions)
     est_xy = true_xy[0] + xy(result.positions)
     velocity, jitter = cfg.motion.arrays()
-    records = []
+    records, true_positions, est_positions = [], [], []
     for t in range(cfg.n_steps):
         true_xy, est_xy = step_motion(true_xy, est_xy, velocity, jitter,
                                       motion_rng)
@@ -666,18 +673,22 @@ def run_per_step(cfg, bias_correction=True):
                                      correction, ranging_rng, diagnostics, t,
                                      tag_id)
             tag_errors.append(err)
-            est_pos.append(est_world)
+            est_pos.append((math.nan, math.nan) if est_world is None
+                           else est_world)
         records.append(TraceRecord(
             t, tuple(translation_errors(frame, truth, truth[0])),
-            tuple(tag_errors), rotation, calibrated,
-            tuple(map(tuple, world)), tuple(est_pos)))
-    return SimulationTrace(cfg.to_dict(), records, diagnostics)
+            tuple(tag_errors), rotation, calibrated))
+        true_positions.append(world)
+        est_positions.append(est_pos)
+    return SimulationTrace(cfg.to_dict(), records, diagnostics,
+                           np.array(true_positions), np.array(est_positions))
 
 
 def assert_same_as_per_step(cfg, bias_correction=True):
     """``run_scenario`` gives what the per-step loop gives, to the last bit
-    (``repr`` round-trips every float and shows NaN), or raises the same
-    error. Returns its trace, or the error's text."""
+    (``repr`` round-trips every float and shows NaN), positions as well as
+    records, or raises the same error. Returns its trace, or the error's
+    text."""
     outcomes = []
     for run in (run_scenario, run_per_step):
         try:
@@ -686,12 +697,14 @@ def assert_same_as_per_step(cfg, bias_correction=True):
             outcomes.append(f"ConfigError: {exc}")
 
     def lines(outcome):
-        # one record a line, so that a failure names the first record
-        # that differs instead of diffing two long strings
+        # one record or step of positions a line, so that a failure names
+        # the first step that differs instead of diffing two long strings
         if isinstance(outcome, str):
             return [outcome]
         return [repr(outcome.config), repr(outcome.diagnostics),
-                *map(repr, outcome.records)]
+                *map(repr, outcome.records),
+                *map(repr, zip(outcome.true_positions.tolist(),
+                               outcome.est_positions.tolist()))]
 
     assert lines(outcomes[0]) == lines(outcomes[1])
     return outcomes[0]
@@ -1056,28 +1069,22 @@ class TestTraceCsv:
             dict(BENCHMARK_SHAPES["long_drift"], seed=4)))
 
     @pytest.fixture
-    def mixed_shape_trace(self):
-        """Hand-built records of 3 and 4 anchors with 0 or 2 tags, whose tag
-        fixes fail in some records only (in two records of one size, at
-        different tags), at coordinates of many sizes."""
+    def many_scales_trace(self):
+        """A hand-built 8-step trace of 4 anchors and 2 tags, at coordinates
+        from 1e-3 to 1e7, whose tag fixes fail in some steps only (in two
+        steps at different tags, in one at both)."""
         rng = np.random.default_rng(17)
-        records = []
-        for t, (n, n_tags, failed) in enumerate([
-                (3, 0, ()), (4, 2, (1,)), (4, 2, ()), (3, 2, (0, 1)),
-                (4, 0, ()), (3, 2, (0,)), (4, 2, (0,)), (4, 2, ())]):
-            scale = 10.0 ** rng.integers(-3, 7, (n + n_tags, 1))
-            true = (rng.normal(size=(n + n_tags, 2)) * scale).tolist()
-            est = (np.array(true) + rng.normal(size=(n + n_tags, 2))
-                   * scale * 1e-3).tolist()
-            est = [None if k - n in failed else tuple(e)
-                   for k, e in enumerate(est)]
-            errors = [math.nan if e is None else math.dist(e, p)
-                      for e, p in zip(est, true)]
-            records.append(TraceRecord(
-                t, tuple(errors[:n]), tuple(errors[n:]),
-                float(rng.normal(0.0, 0.05)), t % 3 == 1,
-                tuple(map(tuple, true)), tuple(est)))
-        return SimulationTrace({}, records, [])
+        failed = [(), (1,), (), (0, 1), (), (0,), (0,), ()]
+        scale = 10.0 ** rng.integers(-3, 7, (8, 6, 1))
+        true = rng.normal(size=(8, 6, 2)) * scale
+        est = true + rng.normal(size=(8, 6, 2)) * scale * 1e-3
+        for t, tags in enumerate(failed):
+            est[t, [4 + j for j in tags]] = math.nan
+        errors = np.hypot(*np.moveaxis(est - true, 2, 0))
+        records = [TraceRecord(t, tuple(e[:4]), tuple(e[4:]),
+                               float(rng.normal(0.0, 0.05)), t % 3 == 1)
+                   for t, e in enumerate(errors.tolist())]
+        return SimulationTrace({}, records, [], true, est)
 
     @pytest.fixture
     def inf_error_trace(self):
@@ -1085,13 +1092,15 @@ class TestTraceCsv:
         far = (1.5e308, -1.5e308)
         error = math.dist(far, (5.0, 5.0))
         assert error == math.inf
-        true = ((0.0, 0.0), (9.0, 0.0), (4.0, 8.0), (5.0, 5.0), (6.0, 5.0))
+        true = np.array([((0.0, 0.0), (9.0, 0.0), (4.0, 8.0), (5.0, 5.0),
+                          (6.0, 5.0))] * 3)
+        est = true.copy()
+        est[:, 3:] = (5.1, 5.0), (6.15, 5.0)
+        est[1, 3] = far
         records = [TraceRecord(
             t, (0.0, 0.2, 0.3), (error if t == 1 else 0.1, 0.15), 0.01,
-            t == 1, true,
-            true[:3] + ((far if t == 1 else (5.1, 5.0)), (6.15, 5.0)))
-            for t in range(3)]
-        return SimulationTrace({}, records, [])
+            t == 1) for t in range(3)]
+        return SimulationTrace({}, records, [], true, est)
 
     @staticmethod
     def assert_bytes_of_csv_writer(trace, path, rows, failed):
@@ -1101,13 +1110,13 @@ class TestTraceCsv:
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(TRACE_HEADER)
-        for r in trace.records:
+        for r, true, est in zip(trace.records, trace.true_positions.tolist(),
+                                trace.est_positions.tolist()):
             n = len(r.anchor_errors)
-            for k, ((tx, ty), est, err) in enumerate(zip(
-                    r.true_positions, r.est_positions,
-                    r.anchor_errors + r.tag_errors)):
-                fix = ["", "", ""] if est is None else \
-                    ["%.9g" % est[0], "%.9g" % est[1], "%.9g" % err]
+            for k, ((tx, ty), (ex, ey), err) in enumerate(zip(
+                    true, est, r.anchor_errors + r.tag_errors)):
+                fix = ["", "", ""] if math.isnan(err) else \
+                    ["%.9g" % ex, "%.9g" % ey, "%.9g" % err]
                 writer.writerow([r.step, "anchor" if k < n else "tag",
                                  k if k < n else k - n, "%.9g" % tx,
                                  "%.9g" % ty, *fix, "%.9g" % r.rotation_error,
@@ -1124,7 +1133,7 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("shape, rows, failed", [
         ("long_drift_trace", 500 * 5, 0),
-        ("mixed_shape_trace", 3 + 6 + 6 + 5 + 4 + 5 + 6 + 6, 5),
+        ("many_scales_trace", 8 * (4 + 2), 5),
         ("inf_error_trace", 3 * 5, 0),
     ])
     def test_bytes_of_more_shapes_are_those_of_csv_writer(
@@ -1144,19 +1153,20 @@ class TestTraceCsv:
             return "%.9g" % v
 
         expected = []
-        for r in trace.records:
-            assert len(r.true_positions) == len(r.est_positions) == 4 + 3
-            nodes = [("anchor", i) for i in range(4)] + \
-                [("tag", j) for j in range(3)]
-            for (kind, nid), (tx, ty), est, err in zip(
-                    nodes, r.true_positions, r.est_positions,
-                    r.anchor_errors + r.tag_errors):
-                assert (est is None) == math.isnan(err)
+        assert trace.true_positions.shape == trace.est_positions.shape == \
+            (6, 4 + 3, 2)
+        nodes = [("anchor", i) for i in range(4)] + \
+            [("tag", j) for j in range(3)]
+        for r, true, est in zip(trace.records, trace.true_positions.tolist(),
+                                trace.est_positions.tolist()):
+            for (kind, nid), (tx, ty), (ex, ey), err in zip(
+                    nodes, true, est, r.anchor_errors + r.tag_errors):
+                failed = math.isnan(err)
+                assert math.isnan(ex) == math.isnan(ey) == failed
                 expected.append([
                     str(r.step), kind, str(nid), g(tx), g(ty),
-                    "" if est is None else g(est[0]),
-                    "" if est is None else g(est[1]),
-                    "" if est is None else g(err),
+                    "" if failed else g(ex), "" if failed else g(ey),
+                    "" if failed else g(err),
                     g(r.rotation_error), str(int(r.calibrated))])
         assert rows == expected
         failed = [row for row in rows if row[5:8] == ["", "", ""]]
