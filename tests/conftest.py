@@ -203,3 +203,13 @@ def golden_frame():
 @pytest.fixture(scope="session")
 def golden_world():
     return list(GOLDEN_WORLD)
+
+
+# Lines the behaviour lock reports when it runs on an environment other than
+# the one its digests were recorded on (tests/test_lock.py)
+LOCK_NOTES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    for note in LOCK_NOTES:
+        terminalreporter.write_line(note)
