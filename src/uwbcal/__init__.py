@@ -22,13 +22,14 @@ from .multilateration import TagFix, linear_initial_guess, locate_tag
 from .protocol import estimate_latency, run_calibration_round
 from .ranging import (RangingModel, RangingSample, correct_measurement,
                       fit_model, reference_model, simulate_measurement)
-from .sim import ScenarioConfig, SummaryStats, run_scenario, summarize
+from .sim import (ScenarioConfig, StepTable, SummaryStats, run_scenario,
+                  summarize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationResult", "DistanceStatsMatrix", "RangingModel",
-    "RangingSample", "ScenarioConfig", "SummaryStats", "TagFix",
+    "RangingSample", "ScenarioConfig", "StepTable", "SummaryStats", "TagFix",
     "bilaterate_positive_y", "calibrate", "correct_measurement", "distance",
     "estimate_latency", "fit_model", "initial_placement",
     "linear_initial_guess", "locate_tag", "reference_model", "refine_lse",

@@ -61,8 +61,9 @@ def _round_floats(obj):
 
 def _dump_json(obj, path=None) -> str:
     """``obj`` as indented JSON with every float through ``FLOAT_FORMAT``,
-    written to ``path`` when given."""
-    text = json.dumps(_round_floats(obj), indent=2) + "\n"
+    written to ``path`` when given; ValueError for a NaN or infinite float,
+    which standard JSON cannot hold."""
+    text = json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -105,9 +106,11 @@ def _load_prior(path, n_anchors: int) -> list[tuple[float, float]]:
 
 
 def _result_dict(result: CalibrationResult) -> dict:
+    """The calibrate output; an rms residual that overflowed is null."""
+    rms = result.rms_residual
     return {
         "positions": result.positions.tolist(),
-        "rms_residual_m": result.rms_residual,
+        "rms_residual_m": rms if math.isfinite(rms) else None,
         "iterations": result.iterations,
         "converged": result.converged,
     }

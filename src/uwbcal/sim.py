@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, islice, repeat
-from operator import attrgetter, lt
+from operator import lt, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -469,8 +469,8 @@ def _true_paths(cfg: ScenarioConfig, motion_rng: np.random.Generator,
 
 
 class TraceRecord(NamedTuple):
-    """Per-step errors, anchors then tags; a failed tag fix has a NaN
-    error."""
+    """One row of a :class:`StepTable`: a step's errors, anchors then tags
+    (a failed tag fix has a NaN error), rotation and calibrated flag."""
 
     step: int
     anchor_errors: tuple[float, ...]
@@ -479,17 +479,78 @@ class TraceRecord(NamedTuple):
     calibrated: bool
 
 
+def _int_column(values: list[int]) -> np.ndarray:
+    """``values`` as an int64 array, or as an object array when one lies
+    beyond int64 (a trace may number its steps with any integers)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class StepTable:
+    """Per-step results as columns, one row per step.
+
+    ``errors`` is ``(steps, N+T)``: the errors of the ``n_anchors`` anchors,
+    then those of the tags, NaN for a failed tag fix. ``steps`` holds each
+    row's step, ``rotations`` its frame rotation error and ``calibrated``
+    whether a calibration ran at it. :attr:`records` gives the same rows as
+    :class:`TraceRecord` s, built on first access.
+    """
+
+    steps: np.ndarray
+    n_anchors: int
+    errors: np.ndarray
+    rotations: np.ndarray
+    calibrated: np.ndarray
+
+    @classmethod
+    def of(cls, records: list[TraceRecord]) -> "StepTable":
+        """The table of ``records``, which it keeps as its
+        :attr:`records`. A step with fewer tags than another has its
+        missing tags' errors NaN, as failed fixes; ValueError when steps
+        hold different numbers of anchors."""
+        if len({len(r.anchor_errors) for r in records}) > 1:
+            raise ValueError("every step must hold the same number of "
+                             "anchors")
+        n = len(records[0].anchor_errors) if records else 0
+        errors = np.full((len(records), n + max(
+            (len(r.tag_errors) for r in records), default=0)), math.nan)
+        for row, r in zip(errors, records):
+            row[:n + len(r.tag_errors)] = r.anchor_errors + r.tag_errors
+        table = cls(_int_column([r.step for r in records]), n, errors,
+                    np.array([r.rotation_error for r in records], float),
+                    np.array([r.calibrated for r in records], bool))
+        vars(table)["records"] = list(records)
+        return table
+
+    @functools.cached_property
+    def records(self) -> list[TraceRecord]:
+        """The rows as records."""
+        n, rows = self.n_anchors, self.errors.tolist()
+        return list(map(TraceRecord, self.steps.tolist(),
+                        [tuple(row[:n]) for row in rows],
+                        [tuple(row[n:]) for row in rows],
+                        self.rotations.tolist(), self.calibrated.tolist()))
+
+
 @dataclass
 class SimulationTrace:
-    """A run's records and diagnostics, and its true and estimated world
-    positions, ``(steps, N+T, 2)`` arrays of anchors then tags; a failed
-    tag fix's estimate is NaN."""
+    """A run's per-step results and diagnostics, and its true and estimated
+    world positions, ``(steps, N+T, 2)`` arrays of anchors then tags; a
+    failed tag fix's estimate is NaN."""
 
     config: dict
-    records: list[TraceRecord]
+    table: StepTable
     diagnostics: list[str]
     true_positions: np.ndarray
     est_positions: np.ndarray
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The table's rows as records, built on first access."""
+        return self.table.records
 
 
 def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> SimulationTrace:
@@ -504,8 +565,8 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     each round, so the ranging stream keeps its order. After the loop, the
     placed anchor estimates, their errors, rotations and corrected tag
     ranges are formed for the whole run, every tag fix is made in one
-    :func:`~uwbcal.multilateration.solve_fixes` call, and the records are
-    assembled. Distances and angles go through ``math.hypot`` and
+    :func:`~uwbcal.multilateration.solve_fixes` call, and the step table
+    is assembled. Distances and angles go through ``math.hypot`` and
     ``math.atan2`` value by value, and every sum adds its terms in step
     order, so the outputs are those of a per-step loop to the last bit.
 
@@ -613,10 +674,10 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
                  for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
                                            *baseline.T.tolist())]
 
-    records = list(map(TraceRecord, range(n_steps),
-                       map(tuple, errors.tolist()),
-                       map(tuple, tag_errors.tolist()), rotations, calibrated))
-    return SimulationTrace(cfg.to_dict(), records,
+    table = StepTable(np.arange(n_steps), n,
+                      np.concatenate((errors, tag_errors), axis=1),
+                      np.array(rotations), np.array(calibrated))
+    return SimulationTrace(cfg.to_dict(), table,
                            [text for *_, text in sorted(notes)], world,
                            np.concatenate((placed, tag_placed), axis=1))
 
@@ -684,7 +745,8 @@ class Quartiles:
 
     @classmethod
     def of(cls, values) -> "Quartiles":
-        """``np.percentile(values, [0, 25, 50, 75, 100])`` from one sort.
+        """``np.percentile(values, [0, 25, 50, 75, 100])`` from one sort,
+        of all ``values`` whatever their shape.
 
         Quartile k of n sorted values lies at fraction t of the way from
         entry i to entry i + 1, where i + t = (n - 1) k / 4. numpy's linear
@@ -693,7 +755,7 @@ class Quartiles:
         except that an end may keep a -0.0 that numpy returns as +0.0.
         Raises ValueError for a NaN or infinite value.
         """
-        s = np.sort(np.array(values, dtype=float))
+        s = np.sort(np.asarray(values, dtype=float), axis=None)
         last = len(s) - 1
         # quartile k lies r/4 of the way from entry i to entry i + 1, where
         # 4i + r = (n - 1)k; with r = 0 the entry i + 1 is not needed
@@ -744,47 +806,48 @@ class SummaryStats:
                 for key, value in asdict(self).items()}
 
 
-def summarize(trace: SimulationTrace | list[TraceRecord]) -> SummaryStats:
-    """Distribution statistics for one simulation run (or pooled records).
+def summarize(trace: SimulationTrace | StepTable | list[TraceRecord]
+              ) -> SummaryStats:
+    """Distribution statistics for one run's step table, or for pooled
+    records, which are first converted to a table (:meth:`StepTable.of`).
 
-    Raises ValueError when a pooled value is NaN or infinite (a failed tag
-    fix's NaN is left out of the pool) or when steps hold different numbers
-    of anchors.
+    A calibrated row whose previous row holds the step before it is a
+    calibration event: the anchors' errors of that row and of its own. So
+    records pooled from several runs pair each calibration with its own
+    run's step. Raises ValueError when a pooled value is NaN or infinite (a
+    failed tag fix's NaN is left out of the pool) or when steps hold
+    different numbers of anchors.
     """
-    records = trace.records if isinstance(trace, SimulationTrace) else trace
-    if not records:
+    if isinstance(trace, SimulationTrace):
+        trace = trace.table
+    table = trace if isinstance(trace, StepTable) else StepTable.of(trace)
+    n, steps, errors = table.n_anchors, table.steps, table.errors
+    if not len(steps):
         raise EmptyTrace("no records to summarize")
-
-    anchor_pool = [e for r in records for e in r.anchor_errors[1:]]
-    if not anchor_pool:
+    anchors = errors[:, 1:n]
+    if not anchors.size:
         raise EmptyTrace("no anchor errors besides anchor 0's to summarize")
-    if len({len(r.anchor_errors) for r in records}) > 1:
-        raise ValueError("every step must hold the same number of anchors")
-    tag_pool = [e for r in records for e in r.tag_errors if not math.isnan(e)]
-    rotation_pool = [r.rotation_error for r in records]
+    tags = errors[:, n:]
+    tags = tags[~np.isnan(tags)]
 
-    # the errors of anchors 1..N-1 the step before and at each calibration
-    by_step = {r.step: r for r in records}
-    steps, before, after = [], [], []
-    for r in records:
-        if r.calibrated and (r.step - 1) in by_step:
-            steps.append(r.step)
-            before.append(by_step[r.step - 1].anchor_errors[1:])
-            after.append(r.anchor_errors[1:])
+    at = np.flatnonzero(table.calibrated[1:]) + 1
+    at = at[steps[at - 1] == steps[at] - 1]
     events, mean_before, mean_after = (), None, None
-    if steps:
+    if at.size:
         # every mean in one call per level: numpy sums each contiguous row
         # as it sums that row alone, so the means are np.mean's per row
-        means = np.mean(np.array(before + after), axis=1).reshape(2, -1)
+        means = np.mean(errors[np.concatenate((at - 1, at)), 1:n],
+                        axis=1).reshape(2, -1)
         mean_before, mean_after = np.mean(means, axis=1).tolist()
-        events = tuple(map(CalibrationEvent, steps, *means.tolist()))
+        events = tuple(map(CalibrationEvent, steps[at].tolist(),
+                           *means.tolist()))
 
     return SummaryStats(
-        anchor_translation=Quartiles.of(anchor_pool),
-        tag_translation=Quartiles.of(tag_pool) if tag_pool else None,
-        rotation=Quartiles.of(rotation_pool),
-        n_steps=len(records),
-        n_calibrations=sum(1 for r in records if r.calibrated),
+        anchor_translation=Quartiles.of(anchors),
+        tag_translation=Quartiles.of(tags) if tags.size else None,
+        rotation=Quartiles.of(table.rotations),
+        n_steps=len(steps),
+        n_calibrations=int(np.count_nonzero(table.calibrated)),
         calibration_events=events,
         mean_anchor_error_before_calibration=mean_before,
         mean_anchor_error_after_calibration=mean_after,
@@ -834,27 +897,25 @@ def _trace_text(trace: SimulationTrace) -> str:
     field's column is filled into the flat argument list in one slice
     assignment. A step's rotation and calibrated fields are formatted once,
     into the ending of each of its rows."""
-    records = trace.records
+    table = trace.table
     steps, width, _ = trace.true_positions.shape
 
     def per_row(values):
         """Each step's value once for every one of its rows."""
         return chain.from_iterable(map(repeat, values, repeat(width)))
 
-    errors = np.array([r.anchor_errors + r.tag_errors for r in records],
-                      dtype=float).reshape(steps, width)
     # row k takes args[7k:7k + 7]: step, true x and y, estimated x and y,
     # error, and the step's rotation and calibrated fields
     args = [None] * (7 * steps * width)
-    args[0::7] = per_row(map(attrgetter("step"), records))
+    args[0::7] = per_row(table.steps.tolist())
     args[1::7], args[2::7] = trace.true_positions.reshape(-1, 2).T.tolist()
     args[3::7], args[4::7] = trace.est_positions.reshape(-1, 2).T.tolist()
-    args[5::7] = errors.ravel().tolist()
-    args[6::7] = per_row(map(f"{FLOAT_FORMAT},%d\r\n".__mod__, map(
-        attrgetter("rotation_error", "calibrated"), records)))
-    n = len(records[0].anchor_errors) if records else 0
+    args[5::7] = table.errors.ravel().tolist()
+    args[6::7] = per_row(map(f"{FLOAT_FORMAT},%d\r\n".__mod__, zip(
+        table.rotations.tolist(), table.calibrated.tolist())))
     fmt = ",".join(TRACE_HEADER) + "\r\n" + "".join(map(
-        _rows_format, repeat(n), map(tuple, np.isnan(errors).tolist())))
+        _rows_format, repeat(table.n_anchors),
+        map(tuple, np.isnan(table.errors).tolist())))
     return fmt % tuple(args)
 
 
@@ -864,27 +925,28 @@ def _trace_text(trace: SimulationTrace) -> str:
 TRACE_BLOCK_ROWS = 256
 
 
-def read_trace_records(path) -> list[TraceRecord]:
-    """Rebuild per-step records from a trace CSV (for summarize).
+def read_trace_records(path) -> StepTable:
+    """Rebuild the step table from a trace CSV (for summarize).
 
     A trace in :func:`write_trace_csv`'s layout is read in blocks of whole
     steps; any other file, and any the block reader gives up on part-way, is
-    read again row by row from the start. Both readers give the same
-    records, and every error comes from the row reader: a second row for a
-    node of a step, and a row whose rotation or calibrated field differs
-    from the step's first row, raise :class:`CsvFormatError` naming the
-    line; anchor ids other than 0..N-1, or a step holding other anchors
-    than the first, raise it naming the step.
+    read again row by row from the start and its records converted with
+    :meth:`StepTable.of`. Both readers give the same table, and every error
+    comes from the row reader: a second row for a node of a step, and a row
+    whose rotation or calibrated field differs from the step's first row,
+    raise :class:`CsvFormatError` naming the line; anchor ids other than
+    0..N-1, or a step holding other anchors than the first, raise it naming
+    the step.
     """
     try:
-        records = _read_written_trace(path)
+        table = _read_written_trace(path)
     except ValueError:  # a number that does not parse, or a non-UTF-8 byte
-        records = None
-    return _read_trace_rows(path) if records is None else records
+        table = None
+    return StepTable.of(_read_trace_rows(path)) if table is None else table
 
 
-def _read_written_trace(path) -> list[TraceRecord] | None:
-    """The records of the trace CSV at ``path`` if it is laid out as
+def _read_written_trace(path) -> StepTable | None:
+    """The table of the trace CSV at ``path`` if it is laid out as
     :func:`write_trace_csv` writes it, else None; ValueError for a number
     that does not parse or a byte that is not UTF-8.
 
@@ -893,13 +955,13 @@ def _read_written_trace(path) -> list[TraceRecord] | None:
     step, rotation and calibrated fields, the last 0 or 1; steps increase;
     every line ends in CRLF; and no line holds a quote or a NUL or is
     longer than ``csv.field_size_limit()``. The csv module then splits each
-    line at its commas, and the records are the row reader's as long as
-    every number is finite and only tags leave ``error_m`` empty. The file
-    is read :data:`TRACE_BLOCK_ROWS` rows at a time, in whole steps, and
-    each block's lines go to :func:`_steps_of` as one text.
+    line at its commas, and the table is the row reader's as long as every
+    number is finite and only tags leave ``error_m`` empty. The file is
+    read :data:`TRACE_BLOCK_ROWS` rows at a time, in whole steps, and each
+    block's lines go to :func:`_steps_of` as one text.
     """
     limit = csv.field_size_limit()
-    records = []
+    blocks = []
     with open(path, newline="", encoding="utf-8") as f:
         if f.readline() != ",".join(TRACE_HEADER) + "\r\n":
             return None
@@ -919,21 +981,23 @@ def _read_written_trace(path) -> list[TraceRecord] | None:
                     or "\0" in text or (len(text) > limit and max(
                         map(len, pending[:rows])) > limit):
                 return None
-            steps = _steps_of(text, n, width)
-            if steps is None or (records
-                                 and steps[0].step <= records[-1].step):
+            block = _steps_of(text, n, width)
+            # block[0] holds its steps, which increase from block to block
+            if block is None or (blocks and block[0][0] <= blocks[-1][0][-1]):
                 return None
-            records += steps
+            blocks.append(block)
             pending = pending[rows:]
             pending += islice(f, per_block - len(pending))
-    return records
+    steps, errors, rotations, calibrated = map(np.concatenate, zip(*blocks))
+    return StepTable(steps, n, errors, rotations, calibrated)
 
 
-def _steps_of(text: str, n: int, width: int) -> list[TraceRecord] | None:
-    """The records of ``text``, whole steps of ``n`` anchors and ``width``
-    rows in :func:`write_trace_csv`'s layout, every line ended in CRLF, or
-    None if it leaves the layout; ValueError for a number that does not
-    parse.
+def _steps_of(text: str, n: int, width: int):
+    """The columns of ``text``, whole steps of ``n`` anchors and ``width``
+    rows in :func:`write_trace_csv`'s layout, every line ended in CRLF: the
+    steps, errors ``(steps, width)``, rotations and calibrated flags, as
+    :class:`StepTable` holds them. None if it leaves the layout; ValueError
+    for a number that does not parse.
 
     The text is split into one flat list of fields, each line's last field
     keeping its CR, and its columns are checked against the step's templates
@@ -959,29 +1023,24 @@ def _steps_of(text: str, n: int, width: int) -> list[TraceRecord] | None:
         return None
     # every row's last field a flag: each of the text's CRs ends a row's
     # tenth field, so no line holds more or fewer than ten fields
-    flags = {"0\r": False, "1\r": True}
-    if not flags.keys() >= set(flags_s):
+    if not {"0\r", "1\r"}.issuperset(flags_s):
         return None
     steps = list(map(int, steps_s))
-    rots = list(map(float, rots_s))
-    if not all(map(lt, steps, steps[1:])) or not math.isfinite(sum(rots)):
+    rotations = np.fromiter(map(float, rots_s), float, k)
+    if not all(map(lt, steps, steps[1:])) or not np.isfinite(rotations).all():
         return None
-    # one list per node of the step; a tag's empty error is NaN
-    errors = []
-    for node in range(width):
-        col = fields[cols * node + 7::stride]
-        if node >= n and "" in col:
-            values = [float(e) if e else math.nan for e in col]
-            numbers = [v for v, e in zip(values, col) if e]
-        else:
-            values = numbers = list(map(float, col))
-        if not math.isfinite(sum(numbers)):  # a finite sum has finite terms
-            return None
-        errors.append(values)
-    per_step = list(zip(*errors))
-    return list(map(TraceRecord, steps, [e[:n] for e in per_step],
-                    [e[n:] for e in per_step], rots,
-                    map(flags.__getitem__, flags_s)))
+    # a failed tag fix leaves error_m empty, read as NaN; an anchor's is
+    # never empty
+    errs = fields[7::cols]
+    failed = np.zeros((k, width), bool)
+    if "" in errs:
+        failed = np.fromiter(map(not_, errs), bool, rows).reshape(k, width)
+        errs = [e or "nan" for e in errs]
+    errors = np.fromiter(map(float, errs), float, rows).reshape(k, width)
+    if failed[:, :n].any() or not (np.isfinite(errors) | failed).all():
+        return None
+    return (_int_column(steps), errors, rotations,
+            np.fromiter(map("1\r".__eq__, flags_s), bool, k))
 
 
 def _read_trace_rows(path) -> list[TraceRecord]:

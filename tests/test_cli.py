@@ -1060,6 +1060,28 @@ class TestExitCodes:
         assert doc["converged"] is False
         assert doc["positions"][1] == [9.0, 0.0]
 
+    def test_an_overflowing_rms_residual_is_written_as_null(self, tmp_path):
+        # distances near 1e160 m: the residuals' squares overflow, and the
+        # refinement stops at its cap with an infinite rms
+        src = tmp_path / "huge.csv"
+        src.write_text("i,j,mean_m,std_m,count\n0,1,1e160,0.1,5\n"
+                       "0,2,1e160,0.1,5\n1,2,1.5e160,0.1,5\n")
+        prior = tmp_path / "prior.json"
+        prior.write_text("[[0, 0], [1, 0], [0, 1]]")
+        out = tmp_path / "r.json"
+        result = run_cli("calibrate", "--input", str(src), "--prior",
+                         str(prior), "--output", str(out))
+        assert result.returncode == 4
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        doc = json.loads(text, parse_constant=pytest.fail)
+        assert doc["rms_residual_m"] is None
+        assert doc["converged"] is False
+
+    def test_json_output_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            cli._dump_json({"x": math.inf})
+
     @settings(deadline=None)
     @given(scenario_documents())
     def test_simulate_exits_with_a_documented_code(self, doc):

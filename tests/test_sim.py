@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -29,7 +30,7 @@ from uwbcal.ranging import RANGING_KEYS, RangingModel
 from uwbcal.sim import (DEFAULT_ANCHOR_LAYOUT, MAX_POSITION_M, MAX_STEP_M,
                         MOTION_KEYS, SCALAR_KEYS, TRACE_HEADER, MotionParams,
                         MotionTable, Quartiles, ScenarioConfig,
-                        SimulationTrace, TraceRecord, Trigger,
+                        SimulationTrace, StepTable, TraceRecord, Trigger,
                         point_in_anchor_hull, read_trace_records,
                         resolve_config, run_scenario, summarize,
                         write_trace_csv)
@@ -680,7 +681,7 @@ def run_per_step(cfg, bias_correction=True):
             tuple(tag_errors), rotation, calibrated))
         true_positions.append(world)
         est_positions.append(est_pos)
-    return SimulationTrace(cfg.to_dict(), records, diagnostics,
+    return SimulationTrace(cfg.to_dict(), StepTable.of(records), diagnostics,
                            np.array(true_positions), np.array(est_positions))
 
 
@@ -787,6 +788,30 @@ class TestSameAsPerStep:
     def test_without_bias_correction(self):
         cfg = ScenarioConfig(seed=6, n_steps=30, calibration_period=4)
         assert_same_as_per_step(cfg, bias_correction=False)
+
+    def test_records_are_built_only_on_access(self, tmp_path, monkeypatch):
+        # simulate and summarize build no TraceRecord; the records a trace
+        # builds when asked are those the per-step loop builds, bit for bit
+        import uwbcal.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("a TraceRecord was built")
+
+        monkeypatch.setattr(sim, "TraceRecord", refuse)
+        # 3 anchors: some tag fixes fail, and their errors are NaN
+        trace = run_scenario(ScenarioConfig(n_anchors=3))
+        scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+        scenario.write_text('{"n_anchors": 3}')
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["simulate", "--scenario", str(scenario),
+                             "--out-dir", str(out)]) == 0
+            assert cli.main(["summarize", "--input",
+                             str(out / "trace.csv")]) == 0
+        monkeypatch.undo()
+        assert any(math.isnan(e) for r in trace.records for e in r.tag_errors)
+        assert repr(trace.records) == \
+            repr(run_per_step(ScenarioConfig(n_anchors=3)).records)
 
     def test_singular_warm_calibration(self, monkeypatch):
         singular_warm_calibrations(monkeypatch, steps={1, 3})
@@ -952,6 +977,26 @@ class TestSummaries:
         assert event.mean_anchor_error_before == pytest.approx(0.4)
         assert event.mean_anchor_error_after == pytest.approx(0.1)
 
+    def test_pooled_runs_pair_each_calibration_with_its_own_run(self):
+        # both runs calibrate at step 10: seed 1's event must read seed 1's
+        # step 9, not seed 2's
+        a, b = (run_scenario(ScenarioConfig(seed=seed)).records
+                for seed in (1, 2))
+        pooled = summarize(a + b)
+        assert pooled.calibration_events == \
+            summarize(a).calibration_events + summarize(b).calibration_events
+        assert pooled.calibration_events[0].mean_anchor_error_before == \
+            pytest.approx(0.18204722572226809, rel=1e-12)
+        assert pooled.n_calibrations == 10
+
+    def test_a_calibration_after_a_gap_in_steps_is_no_event(self):
+        records = [TraceRecord(0, (0.0, 0.2), (), 0.0, False),
+                   TraceRecord(2, (0.0, 0.1), (), 0.0, True),
+                   TraceRecord(3, (0.0, 0.05), (), 0.0, True)]
+        stats = summarize(records)
+        assert stats.n_calibrations == 2
+        assert [e.step for e in stats.calibration_events] == [3]
+
     def test_empty_trace_raises(self):
         with pytest.raises(EmptyTrace):
             summarize([])
@@ -1038,7 +1083,7 @@ class TestTraceCsv:
             "0,anchor,1,9,0,9.1,0,0.1,0.0,0\n"
             "0,tag,0,5,5,,,,0.0,0\n"
             "0,tag,1,6,5,6.2,5,0.2,0.0,0\n")
-        records = read_trace_records(path)
+        records = read_trace_records(path).records
         assert math.isnan(records[0].tag_errors[0])
         assert records[0].tag_errors[1] == 0.2
         stats = summarize(records)
@@ -1081,10 +1126,9 @@ class TestTraceCsv:
         for t, tags in enumerate(failed):
             est[t, [4 + j for j in tags]] = math.nan
         errors = np.hypot(*np.moveaxis(est - true, 2, 0))
-        records = [TraceRecord(t, tuple(e[:4]), tuple(e[4:]),
-                               float(rng.normal(0.0, 0.05)), t % 3 == 1)
-                   for t, e in enumerate(errors.tolist())]
-        return SimulationTrace({}, records, [], true, est)
+        table = StepTable(np.arange(8), 4, errors, rng.normal(0.0, 0.05, 8),
+                          np.arange(8) % 3 == 1)
+        return SimulationTrace({}, table, [], true, est)
 
     @pytest.fixture
     def inf_error_trace(self):
@@ -1097,10 +1141,11 @@ class TestTraceCsv:
         est = true.copy()
         est[:, 3:] = (5.1, 5.0), (6.15, 5.0)
         est[1, 3] = far
-        records = [TraceRecord(
-            t, (0.0, 0.2, 0.3), (error if t == 1 else 0.1, 0.15), 0.01,
-            t == 1) for t in range(3)]
-        return SimulationTrace({}, records, [], true, est)
+        errors = np.array([(0.0, 0.2, 0.3, 0.1, 0.15)] * 3)
+        errors[1, 3] = error
+        table = StepTable(np.arange(3), 3, errors, np.full(3, 0.01),
+                          np.arange(3) == 1)
+        return SimulationTrace({}, table, [], true, est)
 
     @staticmethod
     def assert_bytes_of_csv_writer(trace, path, rows, failed):
@@ -1236,9 +1281,25 @@ class TestTraceCsv:
                                    "1,anchor,0,0,0,0,0,0,0.02,1",
                                    "0,anchor,1,9,0,9.2,0,0.2,1e-2,0",
                                    "1,anchor,1,9,0,9.3,0,0.3,0.020,1"]) + "\n")
-        assert read_trace_records(path) == [
+        assert read_trace_records(path).records == [
             TraceRecord(0, (0.0, 0.2), (), 0.01, False),
             TraceRecord(1, (0.0, 0.3), (), 0.02, True)]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n"])
+    def test_steps_beyond_int64_are_summarized(self, tmp_path, ending):
+        # read in blocks (CRLF) or row by row (LF), into the table's steps
+        big = 2 ** 70
+        path = tmp_path / "trace.csv"
+        path.write_text(ending.join([
+            ",".join(TRACE_HEADER), f"{big},anchor,0,0,0,0,0,0,0.01,0",
+            f"{big},anchor,1,9,0,9.2,0,0.2,0.01,0",
+            f"{big + 1},anchor,0,0,0,0,0,0,0.02,1",
+            f"{big + 1},anchor,1,9,0,9.1,0,0.1,0.02,1"]) + ending,
+            newline="")
+        table = read_trace_records(path)
+        assert [r.step for r in table.records] == [big, big + 1]
+        assert summarize(table).calibration_events == (
+            sim.CalibrationEvent(big + 1, 0.2, 0.1),)
 
     @pytest.mark.parametrize("flag", ["7", "2", "-1", "1e0"])
     def test_calibrated_must_be_0_or_1(self, tmp_path, flag):
@@ -1262,7 +1323,7 @@ class TestTraceCsv:
                         "0,anchor,1,9,0,9.2,0,0.2,0.01,00\n"
                         "1,anchor,0,0,0,0,0,0,0.01,01\n"
                         "1,anchor,1,9,0,9.1,0,0.1,0.01,01\n")
-        assert read_trace_records(path) == [
+        assert read_trace_records(path).records == [
             TraceRecord(0, (0.0, 0.2), (), 0.01, False),
             TraceRecord(1, (0.0, 0.1), (), 0.01, True)]
 

@@ -8,13 +8,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uwbcal.sim as sim
 from uwbcal.errors import FLOAT_FORMAT
-from uwbcal.sim import (ScenarioConfig, read_trace_records, run_scenario,
-                        write_trace_csv)
+from uwbcal.sim import (ScenarioConfig, StepTable, read_trace_records,
+                        run_scenario, summarize, write_trace_csv)
 
 # simulate's default scenario, a 3-anchor one whose tag fixes partly fail
 # (their est_x, est_y and error_m fields are empty) and the long_drift
@@ -61,7 +62,36 @@ def test_simulated_traces_are_read_in_blocks(tmp_path, monkeypatch, k,
         assert sim._read_written_trace(path) is None
     else:
         rows_must_not_be_read(monkeypatch)
-    assert repr(read_trace_records(path)) == repr(expected)
+    assert repr(read_trace_records(path).records) == repr(expected)
+
+
+def as_written(table: StepTable) -> StepTable:
+    """``table`` with every error and rotation rounded to the 9 digits a
+    trace CSV holds."""
+    def rounded(values):
+        return np.array([float(FLOAT_FORMAT % v)
+                         for v in values.ravel().tolist()]).reshape(
+                             values.shape)
+
+    return StepTable(table.steps, table.n_anchors, rounded(table.errors),
+                     rounded(table.rotations), table.calibrated)
+
+
+@pytest.mark.parametrize("k", range(len(SHAPES)))
+def test_summarize_is_the_same_from_every_source(tmp_path, monkeypatch, k):
+    # the trace and its records, and the written trace read in blocks and,
+    # in LF, row by row
+    trace = run_scenario(ScenarioConfig.from_dict(SHAPES[k]))
+    assert repr(summarize(trace)) == repr(summarize(trace.records))
+    expected = repr(summarize(as_written(trace.table)))
+    assert repr(summarize(as_written(StepTable.of(trace.records)))) == expected
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    crlf.write_bytes(simulated_bytes(k))
+    lf.write_bytes(simulated_bytes(k).replace(b"\r\n", b"\n"))
+    assert sim._read_written_trace(lf) is None
+    assert repr(summarize(read_trace_records(lf))) == expected
+    rows_must_not_be_read(monkeypatch)
+    assert repr(summarize(read_trace_records(crlf))) == expected
 
 
 def test_the_3_anchor_trace_has_failed_fixes():
@@ -74,7 +104,7 @@ def test_round_trip_is_exact(tmp_path, shape):
     # every value comes back as the 9 digits it was written with
     path = tmp_path / "trace.csv"
     trace = simulated(shape, path)
-    records = read_trace_records(path)
+    records = read_trace_records(path).records
     assert len(records) == len(trace.records)
 
     def written(values):
@@ -106,9 +136,14 @@ def test_peak_memory_is_at_most_the_row_readers(tmp_path, monkeypatch):
 
     row_peak, expected = peak(sim._read_trace_rows)
     rows_must_not_be_read(monkeypatch)
-    block_peak, records = peak(read_trace_records)
-    assert records == expected
+    block_peak, table = peak(read_trace_records)
+    assert table.records == expected
     assert block_peak <= row_peak
+
+
+def records_read(path):
+    """The records of :func:`read_trace_records`'s table."""
+    return read_trace_records(path).records
 
 
 def outcome(read, path):
@@ -178,7 +213,7 @@ def test_an_edit_gives_the_row_readers_result(tmp_path, edit):
     EDITS[edit](lines)
     path = tmp_path / "trace.csv"
     path.write_bytes(b"".join(lines))
-    assert outcome(read_trace_records, path) == \
+    assert outcome(records_read, path) == \
         outcome(sim._read_trace_rows, path)
 
 
@@ -281,5 +316,5 @@ def test_block_reader_gives_the_row_readers_result(data):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "trace.csv"
         path.write_bytes(data)
-        assert outcome(read_trace_records, path) == \
+        assert outcome(records_read, path) == \
             outcome(sim._read_trace_rows, path)
