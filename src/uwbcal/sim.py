@@ -26,20 +26,19 @@ leaves the other draws unchanged.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, islice, repeat
 from operator import lt, not_
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
 from .autocalib import calibrate
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
-                     NotConverged, SingularUpdate, csv_rows, finite_number,
+                     NotConverged, SingularUpdate, _utf8_lines, finite_number,
                      integer, json_object, out_of_range, parse_rows, xy_pair)
 # distance and locate_tag are not called here; bench/tracing.py hooks these
 # names for its geometry and multilateration metrics until ROADMAP item 8
@@ -919,111 +918,111 @@ def _trace_text(trace: SimulationTrace) -> str:
     return fmt % tuple(args)
 
 
-# The block reader's rows per block: whole steps of at most n_anchors +
-# n_tags = 128 rows (SCALAR_KEYS), so that the first block holds a whole
-# step of any trace simulate writes.
+# The reader's rows per block, in whole steps, at least two.
 TRACE_BLOCK_ROWS = 256
 
 
 def read_trace_records(path) -> StepTable:
-    """Rebuild the step table from a trace CSV (for summarize).
-
-    A trace in :func:`write_trace_csv`'s layout is read in blocks of whole
-    steps; any other file, and any the block reader gives up on part-way, is
-    read again row by row from the start and its records converted with
-    :meth:`StepTable.of`. Both readers give the same table, and every error
-    comes from the row reader: a second row for a node of a step, and a row
-    whose rotation or calibrated field differs from the step's first row,
-    raise :class:`CsvFormatError` naming the line; anchor ids other than
-    0..N-1, or a step holding other anchors than the first, raise it naming
-    the step.
-    """
+    """Rebuild the step table from a trace CSV (for summarize) with
+    :func:`_read_steps`, decoding strictly; only after a decode fails is the
+    file read again, to name the line and offset of the first byte that is
+    not UTF-8, or a line before it that breaks a rule."""
     try:
-        table = _read_written_trace(path)
-    except ValueError:  # a number that does not parse, or a non-UTF-8 byte
-        table = None
-    return StepTable.of(_read_trace_rows(path)) if table is None else table
+        with open(path, newline="", encoding="utf-8") as f:
+            return _read_steps(f)
+    except UnicodeDecodeError:
+        pass
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as f:
+        try:
+            for _ in _utf8_lines(f):
+                pass
+        except CsvFormatError as exc:
+            bad = exc
+        f.seek(0)
+        try:  # the lines before it, as if the file ended there
+            _read_steps(islice(f, bad.line - 1))
+        except CsvFormatError as exc:
+            if exc.line is not None and exc.line < bad.line:
+                raise
+    raise bad
 
 
-def _read_written_trace(path) -> StepTable | None:
-    """The table of the trace CSV at ``path`` if it is laid out as
-    :func:`write_trace_csv` writes it, else None; ValueError for a number
-    that does not parse or a byte that is not UTF-8.
+def _read_steps(lines) -> StepTable:
+    """The table of the trace CSV whose lines ``lines`` yields, laid out as
+    :func:`write_trace_csv` writes it, with CRLF, LF or CR line endings.
 
-    In that layout every step is a run of anchors 0..N-1, then tags
-    0..T-1, with the first step's N and T; the rows of a step share their
-    step, rotation and calibrated fields, the last 0 or 1; steps increase;
-    every line ends in CRLF; and no line holds a quote or a NUL or is
-    longer than ``csv.field_size_limit()``. The csv module then splits each
-    line at its commas, and the table is the row reader's as long as every
-    number is finite and only tags leave ``error_m`` empty. The file is
-    read :data:`TRACE_BLOCK_ROWS` rows at a time, in whole steps, and each
-    block's lines go to :func:`_steps_of` as one text.
-    """
-    limit = csv.field_size_limit()
-    blocks = []
-    with open(path, newline="", encoding="utf-8") as f:
-        if f.readline() != ",".join(TRACE_HEADER) + "\r\n":
-            return None
-        pending = list(islice(f, TRACE_BLOCK_ROWS))
-        first = pending[0].partition(",")[0] + "," if pending else ""
-        width = next((k for k, line in enumerate(pending)
-                      if not line.startswith(first)), len(pending))
-        if width in (0, TRACE_BLOCK_ROWS):
-            return None
-        n = sum(line.startswith(first + "anchor,") for line in pending[:width])
-        per_block = TRACE_BLOCK_ROWS // width * width
-        while pending:
-            rows = len(pending) // width * width  # 0: a step is cut short
-            text = "".join(pending[:rows])
-            # a line holds one line ending, at its end
-            if not rows or text.count("\r\n") != rows or '"' in text \
-                    or "\0" in text or (len(text) > limit and max(
-                        map(len, pending[:rows])) > limit):
-                return None
-            block = _steps_of(text, n, width)
-            # block[0] holds its steps, which increase from block to block
-            if block is None or (blocks and block[0][0] <= blocks[-1][0][-1]):
-                return None
-            blocks.append(block)
-            pending = pending[rows:]
-            pending += islice(f, per_block - len(pending))
+    The first step is the rows up to the first of another step; its leading
+    anchor rows give N, the rest T. Every step is anchors 0..N-1, then tags
+    0..T-1, spelling its step, rotation and calibrated (0 or 1) fields
+    alike; steps increase; no field is quoted. The lines are read in blocks
+    of whole steps, and :func:`_deviation` names the first that leaves the
+    layout."""
+    header = next(lines, None)
+    got = header and header.rstrip("\r\n").split(",")
+    if got != TRACE_HEADER:
+        raise CsvFormatError(f"expected header {','.join(TRACE_HEADER)!r}, "
+                             f"got {got}", line=1)
+    pending = list(islice(lines, 1))
+    if not pending:
+        raise CsvFormatError("trace has no data rows")
+    first, width = pending[0].partition(",")[0] + ",", 1
+    for line in lines:
+        pending.append(line)
+        if not line.startswith(first):
+            break
+        width += 1
+    n = next((k for k, line in enumerate(pending[:width])
+              if not line.startswith(first + "anchor,")), width)
+    per_block = max(TRACE_BLOCK_ROWS // width, 2) * width
+    start, blocks, last = 2, [], None
+    pending += islice(lines, per_block - len(pending))
+    while pending:
+        rows = len(pending) // width * width  # 0: a step is cut short
+        try:
+            block = _steps_of(pending[:rows], n, width) if rows else None
+        except ValueError:  # a number that does not parse
+            block = None
+        if block is None or (last is not None and block[0][0] <= last):
+            _deviation(pending, start, n, width, last)
+        blocks.append(block)
+        start, last = start + rows, block[0][-1]
+        del pending[:rows]
+        pending += islice(lines, per_block - len(pending))
     steps, errors, rotations, calibrated = map(np.concatenate, zip(*blocks))
     return StepTable(steps, n, errors, rotations, calibrated)
 
 
-def _steps_of(text: str, n: int, width: int):
-    """The columns of ``text``, whole steps of ``n`` anchors and ``width``
-    rows in :func:`write_trace_csv`'s layout, every line ended in CRLF: the
-    steps, errors ``(steps, width)``, rotations and calibrated flags, as
-    :class:`StepTable` holds them. None if it leaves the layout; ValueError
-    for a number that does not parse.
-
-    The text is split into one flat list of fields, each line's last field
-    keeping its CR, and its columns are checked against the step's templates
-    by slicing. Only ``step``, ``error_m``, ``rotation_error_rad`` and
-    ``calibrated`` are parsed, the three a step shares once per step.
+def _steps_of(lines: list[str], n: int, width: int):
+    """The steps, errors ``(steps, width)``, rotations and calibrated flags
+    of ``lines``, whole steps of ``n`` anchors and ``width`` rows, as
+    :class:`StepTable` holds them; None if they leave :func:`_read_steps`'s
+    layout, ValueError for a number that does not parse. The lines' fields,
+    each line's last ending in CR, are checked against the step's
+    templates by slicing, and only the step, error, rotation and
+    calibrated fields parsed, the three a step shares once per step.
     """
-    cols = len(TRACE_HEADER)
-    rows = text.count("\n")
+    cols, rows, text = len(TRACE_HEADER), len(lines), "".join(lines)
     k = rows // width
+    if text.count("\r\n") != rows:  # LF or CR endings, or none at the end
+        text = (text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
+                + "\n").replace("\n", "\r\n")
     fields = text.replace("\n", ",").split(",")
     fields.pop()  # after the last line's comma
     kinds = ["anchor"] * n + ["tag"] * (width - n)
     ids = list(map(str, chain(range(n), range(width - n))))
-    if (len(fields) != cols * rows or fields[1::cols] != kinds * k
-            or fields[2::cols] != ids * k):
+    if ('"' in text or len(fields) != cols * rows
+            or fields[1::cols] != kinds * k or fields[2::cols] != ids * k):
         return None
     stride = cols * width
     steps_s, rots_s, flags_s = (fields[0::stride], fields[8::stride],
                                 fields[9::stride])
-    if any(fields[j::stride] != steps_s or fields[j + 8::stride] != rots_s
-           or fields[j + 9::stride] != flags_s
-           for j in range(cols, stride, cols)):
-        return None
     # every row's last field a flag: each of the text's CRs ends a row's
     # tenth field, so no line holds more or fewer than ten fields
-    if not {"0\r", "1\r"}.issuperset(flags_s):
+    if not {"0\r", "1\r"}.issuperset(flags_s) or any(
+            fields[j::stride] != steps_s or fields[j + 8::stride] != rots_s
+            or fields[j + 9::stride] != flags_s
+            for j in range(cols, stride, cols)):
         return None
     steps = list(map(int, steps_s))
     rotations = np.fromiter(map(float, rots_s), float, k)
@@ -1043,63 +1042,60 @@ def _steps_of(text: str, n: int, width: int):
             np.fromiter(map("1\r".__eq__, flags_s), bool, k))
 
 
-def _read_trace_rows(path) -> list[TraceRecord]:
-    """The records of the trace CSV at ``path``, read row by row; see
-    :func:`read_trace_records` for the checks."""
-    # step -> (anchor errors by id, tag errors by id, rotation, calibrated),
-    # the last two taken from the step's first row
-    steps: dict[int, tuple[dict, dict, float, bool]] = {}
-    for lineno, row in csv_rows(path, TRACE_HEADER):
-        step_s, kind, node_s, _, _, _, _, err_s, rot_s, cal_s = row
+def _deviation(lines: list[str], start: int, n: int, width: int,
+               last) -> NoReturn:
+    """Raise :class:`CsvFormatError` naming the first of ``lines``, the
+    trace's from line ``start`` on in steps of ``n`` anchors and ``width``
+    rows after step ``last``, that leaves :func:`_read_steps`'s layout and
+    the rule it breaks; if none does, their last step is cut short."""
+    nodes = [f"anchor {k}" for k in range(n)] + \
+        [f"tag {k}" for k in range(width - n)]
+    for i, line in enumerate(lines):
+        at, j, row = start + i, i % width, line.rstrip("\r\n").split(",")
+        if len(row) != len(TRACE_HEADER):
+            raise CsvFormatError(f"expected {len(TRACE_HEADER)} columns, got "
+                                 f"{len(row)}", line=at)
+        step_s, kind, node, _, _, _, _, err_s, rot_s, cal_s = row
         try:
-            step, node_id = int(step_s), int(node_s)
-            err = math.nan if err_s == "" else float(err_s)
-            rot, cal = float(rot_s), int(cal_s)
+            step, err, rot, _ = (int(step_s), math.nan if err_s == "" else
+                                 float(err_s), float(rot_s), int(cal_s))
         except ValueError as exc:
-            raise CsvFormatError(str(exc), line=lineno) from exc
-        if kind not in ("anchor", "tag"):
-            raise CsvFormatError(f"unknown node_kind {kind!r}", line=lineno)
-        # only a failed tag fix has no error, and every number is finite
-        if not math.isfinite(err) and (err_s or kind == "anchor"):
-            raise CsvFormatError(f"{kind} {node_id}: error_m must be a "
-                                 f"finite number, got {err_s!r}", line=lineno)
-        if not math.isfinite(rot):
-            raise CsvFormatError(f"rotation_error_rad must be a finite "
-                                 f"number, got {rot_s!r}", line=lineno)
-        if cal not in (0, 1):
-            raise CsvFormatError(f"calibrated must be 0 or 1, got {cal_s!r}",
-                                 line=lineno)
-        anchors, tags, first_rot, first_cal = steps.setdefault(
-            step, ({}, {}, rot, cal == 1))
-        if first_rot != rot or first_cal != cal:
-            raise CsvFormatError(
-                f"step {step}: rotation_error_rad,calibrated "
-                f"{rot_s},{cal_s} differ from the step's first row, "
-                f"{FLOAT_FORMAT % first_rot},{first_cal:d}", line=lineno)
-        errors = anchors if kind == "anchor" else tags
-        if node_id in errors:
-            raise CsvFormatError(f"step {step}: a second row for {kind} "
-                                 f"{node_id}", line=lineno)
-        errors[node_id] = err
-    if not steps:
-        raise CsvFormatError("trace has no data rows")
-    records = []
-    first_ids = None
-    for step in sorted(steps):
-        anchors, tags, rot, cal = steps[step]
-        ids = sorted(anchors)
-        if first_ids is None:
-            # summarize leaves out anchor 0 by its place, not its id
-            if ids != list(range(len(ids))):
-                raise CsvFormatError(f"step {step} holds anchors {ids}; "
-                                     f"anchor ids must run 0..N-1")
-            first_step, first_ids = step, ids
-        elif ids != first_ids:
-            # errors before and after a calibration compare the same anchors
-            raise CsvFormatError(
-                f"step {step} holds anchors {ids}, step {first_step} "
-                f"holds {first_ids}; every step must hold the same anchors")
-        records.append(TraceRecord(
-            step, tuple(map(anchors.__getitem__, ids)),
-            tuple(map(tags.__getitem__, sorted(tags))), rot, cal))
-    return records
+            raise CsvFormatError(str(exc), line=at) from None
+        if j == 0 and step == last and at == 2 + 2 * width:
+            # the second step goes on where the first stopped
+            raise CsvFormatError(f"the first step is cut short: it holds "
+                                 f"{width} rows, step {step} more",
+                                 line=2 + width)
+        if j == 0:
+            prev, last, head = last, step, row
+        node = f"{kind} {node}"
+        # the rules, in the order they are checked
+        message = next((message for broken, message in (
+            ('"' in line, "a field is quoted; no trace field is"),
+            # only a failed tag fix has no error, and every number is finite
+            (not math.isfinite(err) and (err_s or kind == "anchor"),
+             f"{node}: error_m must be a finite number, got {err_s!r}"),
+            (not math.isfinite(rot), f"rotation_error_rad must be a finite "
+                                     f"number, got {rot_s!r}"),
+            (cal_s not in ("0", "1"),
+             f"calibrated must be 0 or 1, got {cal_s!r}"),
+            (j == 0 and prev is not None and step < prev,
+             f"step {step} follows step {prev}; steps must increase"),
+            (j == 0 and step == prev,
+             f"step {step} holds more rows than the first step's {width}"),
+            (step_s != head[0] and node == "anchor 0",
+             f"step {last} is cut short: it holds {j} of {width} rows"),
+            (step_s != head[0],
+             f"step {last}: step {step_s} differs from the step's first row"),
+            (row[8:] != head[8:], f"step {last}: rotation_error_rad,"
+                                  f"calibrated {rot_s},{cal_s} differ from "
+                                  f"the step's first row, "
+                                  f"{','.join(head[8:])}"),
+            (node in nodes[:j], f"step {last}: a second row for {node}"),
+            (node != nodes[j], f"step {last}: expected {nodes[j]}, got "
+                               f"{node}")) if broken), None)
+        if message:
+            raise CsvFormatError(message, line=at)
+    raise CsvFormatError(f"step {last} is cut short: the trace ends after "
+                         f"{len(lines) % width} of its {width} rows",
+                         line=start + len(lines))

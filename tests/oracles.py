@@ -11,6 +11,9 @@ writers tests build their inputs with.
 - ``translation_errors``: per-node errors after translating the estimated
   frame, which ``sim.run_scenario`` forms with ``math.hypot`` over a whole
   segment of steps.
+- ``read_trace_rows``: a trace CSV read row by row through the csv
+  module, in any row order. Where ``sim.read_trace_records`` accepts a
+  file, its records must be this reader's.
 - ``save_samples`` and ``save_distance_csv``: the CSV inputs of
   ``fit-model`` and ``calibrate``.
 """
@@ -27,13 +30,15 @@ import numpy as np
 
 from uwbcal.autocalib import (DistanceStatsMatrix, PairStats,
                               _residual_function)
-from uwbcal.errors import FLOAT_FORMAT, InvalidTiming, ProtocolViolation
+from uwbcal.errors import (FLOAT_FORMAT, CsvFormatError, InvalidTiming,
+                           ProtocolViolation, csv_rows)
 from uwbcal.geometry import distance
 from uwbcal.leastsq import range_residuals
 from uwbcal.multilateration import _checked
 from uwbcal.protocol import (DEFAULT_REPLY_TIME, _non_finite_stats,
                              _targets_from, _zero_flight, estimate_latency)
 from uwbcal.ranging import SPEED_OF_LIGHT, RangingModel, simulate_measurement
+from uwbcal.sim import TRACE_HEADER, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -377,6 +382,77 @@ def translation_errors(estimated, truth, truth_origin) -> list[float]:
     ox, oy = truth_origin
     return [distance((ex + ox, ey + oy), t)
             for (ex, ey), t in zip(estimated, truth)]
+
+
+def read_trace_rows(path) -> list[TraceRecord]:
+    """The records of the trace CSV at ``path``, read row by row, in step
+    order: a step's rows may come in any order, even between another
+    step's, and spell its numbers apart.
+
+    :class:`CsvFormatError` names the line for a number that does not
+    parse or is not finite (only a tag may leave ``error_m`` empty), a
+    calibrated flag other than 0 or 1, a second row for a node of a step,
+    and a row whose rotation or calibrated value differs from its step's
+    first row; anchor ids other than 0..N-1, or a step holding other
+    anchors than the first, raise it naming the step.
+    """
+    # step -> (anchor errors by id, tag errors by id, rotation, calibrated),
+    # the last two taken from the step's first row
+    steps: dict[int, tuple[dict, dict, float, bool]] = {}
+    for lineno, row in csv_rows(path, TRACE_HEADER):
+        step_s, kind, node_s, _, _, _, _, err_s, rot_s, cal_s = row
+        try:
+            step, node_id = int(step_s), int(node_s)
+            err = math.nan if err_s == "" else float(err_s)
+            rot, cal = float(rot_s), int(cal_s)
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=lineno) from exc
+        if kind not in ("anchor", "tag"):
+            raise CsvFormatError(f"unknown node_kind {kind!r}", line=lineno)
+        # only a failed tag fix has no error, and every number is finite
+        if not math.isfinite(err) and (err_s or kind == "anchor"):
+            raise CsvFormatError(f"{kind} {node_id}: error_m must be a "
+                                 f"finite number, got {err_s!r}", line=lineno)
+        if not math.isfinite(rot):
+            raise CsvFormatError(f"rotation_error_rad must be a finite "
+                                 f"number, got {rot_s!r}", line=lineno)
+        if cal not in (0, 1):
+            raise CsvFormatError(f"calibrated must be 0 or 1, got {cal_s!r}",
+                                 line=lineno)
+        anchors, tags, first_rot, first_cal = steps.setdefault(
+            step, ({}, {}, rot, cal == 1))
+        if first_rot != rot or first_cal != cal:
+            raise CsvFormatError(
+                f"step {step}: rotation_error_rad,calibrated "
+                f"{rot_s},{cal_s} differ from the step's first row, "
+                f"{FLOAT_FORMAT % first_rot},{first_cal:d}", line=lineno)
+        errors = anchors if kind == "anchor" else tags
+        if node_id in errors:
+            raise CsvFormatError(f"step {step}: a second row for {kind} "
+                                 f"{node_id}", line=lineno)
+        errors[node_id] = err
+    if not steps:
+        raise CsvFormatError("trace has no data rows")
+    records = []
+    first_ids = None
+    for step in sorted(steps):
+        anchors, tags, rot, cal = steps[step]
+        ids = sorted(anchors)
+        if first_ids is None:
+            # summarize leaves out anchor 0 by its place, not its id
+            if ids != list(range(len(ids))):
+                raise CsvFormatError(f"step {step} holds anchors {ids}; "
+                                     f"anchor ids must run 0..N-1")
+            first_step, first_ids = step, ids
+        elif ids != first_ids:
+            # errors before and after a calibration compare the same anchors
+            raise CsvFormatError(
+                f"step {step} holds anchors {ids}, step {first_step} "
+                f"holds {first_ids}; every step must hold the same anchors")
+        records.append(TraceRecord(
+            step, tuple(map(anchors.__getitem__, ids)),
+            tuple(map(tags.__getitem__, sorted(tags))), rot, cal))
+    return records
 
 
 def save_samples(samples, path) -> None:

@@ -775,8 +775,8 @@ class TestSummarize:
         result = run_cli("summarize", "--input", str(path))
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == (f"error: {path}: step 0 holds anchors "
-                                 f"[1, 2, 3]; anchor ids must run 0..N-1\n")
+        assert result.stderr == (f"error: {path}: line 2: step 0: expected "
+                                 f"anchor 0, got anchor 1\n")
 
     def test_non_finite_error_exits_2_naming_the_line(self, tmp_path):
         path = tmp_path / "inf.csv"
@@ -848,9 +848,27 @@ class TestSummarize:
             "1,anchor,0,0,0,0,0,0,0.01,1\n")
         result = run_cli("summarize", "--input", str(path))
         assert result.returncode == 2
-        assert result.stderr == (f"error: {path}: step 1 holds anchors [0], "
-                                 f"step 0 holds [0, 1]; every step must hold "
-                                 f"the same anchors\n")
+        assert result.stderr == (f"error: {path}: line 5: step 1 is cut "
+                                 f"short: the trace ends after 1 of its 2 "
+                                 f"rows\n")
+
+    def test_step_missing_a_tag_row_exits_2_naming_the_line(self, tmp_path):
+        # step 0's tag 2 deleted: its other two tags used to be pooled, with
+        # exit 0; the step is cut short where step 1 begins
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text("{}")
+        out_dir = tmp_path / "out"
+        assert run_cli("simulate", "--scenario", str(scenario), "--out-dir",
+                       str(out_dir)).returncode == 0
+        lines = (out_dir / "trace.csv").read_bytes().splitlines(keepends=True)
+        assert lines[7].startswith(b"0,tag,2,")
+        path = tmp_path / "cut.csv"
+        path.write_bytes(b"".join(lines[:7] + lines[8:]))
+        result = run_cli("summarize", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {path}: line 8: the first step is "
+                                 f"cut short: it holds 6 rows, step 1 more\n")
 
 
 # the header of each command's CSV input
@@ -898,6 +916,9 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
     if callable(content):
         content = content(command)
         message = message.format(line=content[:100_000].count(b"\n") + 1)
+    if command == "summarize" and content.startswith(b"x"):
+        # a trace's first line is its header, whatever its length
+        message = f"line 1: expected header {CSV_HEADERS[command]!r}, got ['x"
     path = tmp_path / "input.csv"
     path.write_bytes(content)
     output = [] if command == "summarize" else \
@@ -909,7 +930,8 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
 
 
 # the last row is bad; in the last three cases a quoted field spans the
-# two lines before it, and the row is named by the line it starts on
+# two lines before it, and the row is named by the line it starts on (a
+# trace quotes no field: the quote's line is named)
 @pytest.mark.parametrize("command, rows", [
     ("summarize", ["0,anchor,0,0,0,0,0,0,0.01,0",
                    "0,anchor,1,9,0,9.2,0,x,0.01,0"]),
@@ -929,8 +951,9 @@ def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path, command,
     output = [] if command == "summarize" else \
         ["--output", str(tmp_path / "out.json")]
     result = run_cli(command, "--input", str(path), *output)
+    line = 2 if command == "summarize" and '"' in rows[0] else len(rows) + 1
     assert result.returncode == 2
-    assert result.stderr.startswith(f"error: {path}: line {len(rows) + 1}: ")
+    assert result.stderr.startswith(f"error: {path}: line {line}: ")
     assert "UTF-8" not in result.stderr
 
 

@@ -1259,10 +1259,6 @@ class TestTraceCsv:
         (["0,anchor,2,4,8,4,8.1,0.1,0.01,1"],
          "line 5: step 0: rotation_error_rad,calibrated 0.01,1 differ from "
          "the step's first row, 0.01,0"),
-        # rows of a step that come back after another step's
-        (["1,anchor,0,0,0,0,0,0,0.02,1", "0,anchor,2,4,8,4,8.1,0.1,0.02,1"],
-         "line 6: step 0: rotation_error_rad,calibrated 0.02,1 differ from "
-         "the step's first row, 0.01,0"),
     ])
     def test_rows_of_a_step_must_agree(self, tmp_path, rows, message):
         path = tmp_path / "trace.csv"
@@ -1273,21 +1269,33 @@ class TestTraceCsv:
         with pytest.raises(CsvFormatError, match=re.escape(message)):
             read_trace_records(path)
 
-    def test_rows_of_a_step_may_interleave_and_spell_numbers_apart(
+    def test_rows_of_a_step_must_not_interleave_or_spell_numbers_apart(
             self, tmp_path):
+        # the row-by-row oracle reads each file to the records of its steps:
+        # step 0 coming back after step 1 (rows of a step interleaved), and
+        # a shared field spelled apart, to the same value
         path = tmp_path / "trace.csv"
-        path.write_text("\n".join([",".join(TRACE_HEADER),
-                                   "0,anchor,0,0,0,0,0,0,0.01,0",
-                                   "1,anchor,0,0,0,0,0,0,0.02,1",
-                                   "0,anchor,1,9,0,9.2,0,0.2,1e-2,0",
-                                   "1,anchor,1,9,0,9.3,0,0.3,0.020,1"]) + "\n")
-        assert read_trace_records(path).records == [
-            TraceRecord(0, (0.0, 0.2), (), 0.01, False),
-            TraceRecord(1, (0.0, 0.3), (), 0.02, True)]
+        for rows, message in [
+            (["1,anchor,0,0,0,0,0,0,0.02,1",
+              "0,anchor,1,9,0,9.2,0,0.2,0.01,0"],
+             "line 4: step 0 follows step 1; steps must increase"),
+            (["0,anchor,1,9,0,9.2,0,0.2,1e-2,0"],
+             "line 3: step 0: rotation_error_rad,calibrated 1e-2,0 differ "
+             "from the step's first row, 0.01,0"),
+            (["0,anchor,1,9,0,9.2,0,0.2,0.01,0",
+              "1,anchor,0,0,0,0,0,0,0.02,1",
+              "+1,anchor,1,9,0,9.3,0,0.3,0.02,1"],
+             "line 5: step 1: step +1 differs from the step's first row"),
+        ]:
+            path.write_text("\n".join([",".join(TRACE_HEADER),
+                                       "0,anchor,0,0,0,0,0,0,0.01,0",
+                                       *rows]) + "\n")
+            with pytest.raises(CsvFormatError, match=re.escape(message)):
+                read_trace_records(path)
 
     @pytest.mark.parametrize("ending", ["\r\n", "\n"])
     def test_steps_beyond_int64_are_summarized(self, tmp_path, ending):
-        # read in blocks (CRLF) or row by row (LF), into the table's steps
+        # CRLF or LF, into the table's steps
         big = 2 ** 70
         path = tmp_path / "trace.csv"
         path.write_text(ending.join([
@@ -1301,9 +1309,9 @@ class TestTraceCsv:
         assert summarize(table).calibration_events == (
             sim.CalibrationEvent(big + 1, 0.2, 0.1),)
 
-    @pytest.mark.parametrize("flag", ["7", "2", "-1", "1e0"])
+    @pytest.mark.parametrize("flag", ["7", "2", "-1", "1e0", "01"])
     def test_calibrated_must_be_0_or_1(self, tmp_path, flag):
-        # a 7 used to count as a calibration
+        # a 7 used to count as a calibration, and 01 as 1
         path = tmp_path / "trace.csv"
         path.write_text(",".join(TRACE_HEADER) + "\n"
                         "0,anchor,0,0,0,0,0,0,0.01,0\n"
@@ -1316,17 +1324,6 @@ class TestTraceCsv:
                            match=re.escape(f"line 4: {message}")):
             read_trace_records(path)
 
-    def test_calibrated_may_be_spelled_with_leading_zeros(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text(",".join(TRACE_HEADER) + "\n"
-                        "0,anchor,0,0,0,0,0,0,0.01,00\n"
-                        "0,anchor,1,9,0,9.2,0,0.2,0.01,00\n"
-                        "1,anchor,0,0,0,0,0,0,0.01,01\n"
-                        "1,anchor,1,9,0,9.1,0,0.1,0.01,01\n")
-        assert read_trace_records(path).records == [
-            TraceRecord(0, (0.0, 0.2), (), 0.01, False),
-            TraceRecord(1, (0.0, 0.1), (), 0.01, True)]
-
     def test_steps_must_hold_the_same_anchors(self, tmp_path):
         # before/after calibration means would compare different anchors
         path = tmp_path / "trace.csv"
@@ -1334,9 +1331,9 @@ class TestTraceCsv:
                         "0,anchor,0,0,0,0,0,0,0.01,0\n"
                         "0,anchor,1,9,0,9.2,0,0.2,0.01,0\n"
                         "1,anchor,0,0,0,0,0,0,0.01,1\n")
-        with pytest.raises(CsvFormatError,
-                           match=re.escape("step 1 holds anchors [0], step 0 "
-                                           "holds [0, 1]")):
+        with pytest.raises(CsvFormatError, match=re.escape(
+                "line 5: step 1 is cut short: the trace ends after 1 of its "
+                "2 rows")):
             read_trace_records(path)
 
     def test_header_and_shape_checked(self, tmp_path):

@@ -1,9 +1,11 @@
-"""The two trace readers: the block reader, which serves traces laid out as
-``write_trace_csv`` writes them, and the row reader, which serves every
-other file and is the reference for both results and error messages."""
+"""The trace reader, ``read_trace_records``, against the row-by-row
+oracle ``read_trace_rows``: where the reader accepts a file, its records are
+the oracle's; where it refuses one, it names a line of the file and the rule
+the line breaks."""
 
 import functools
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uwbcal.sim as sim
-from uwbcal.errors import FLOAT_FORMAT
+from oracles import read_trace_rows
+from uwbcal.errors import FLOAT_FORMAT, CsvFormatError
 from uwbcal.sim import (ScenarioConfig, StepTable, read_trace_records,
                         run_scenario, summarize, write_trace_csv)
 
@@ -41,28 +44,55 @@ def simulated_bytes(k: int) -> bytes:
         return path.read_bytes()
 
 
-def rows_must_not_be_read(monkeypatch):
-    def refuse(path):
-        raise AssertionError("read row by row")
-
-    monkeypatch.setattr(sim, "_read_trace_rows", refuse)
+def read_or_refuse(path) -> str:
+    """The reader's records of ``path`` after checking them against the
+    oracle's, as ``repr``, or the message of the one error it refuses the
+    file with, after checking that the message names a line of the file
+    (or the line after the last, where a step is cut short); only a trace
+    without data rows names none."""
+    try:
+        table = read_trace_records(path)
+    except CsvFormatError as exc:
+        assert type(exc) is CsvFormatError
+        message = str(exc)
+        if message == "trace has no data rows":
+            return message
+        with open(path, newline="", encoding="utf-8",
+                  errors="surrogateescape") as f:
+            lines = sum(1 for _ in f)
+        named = re.match(r"line (\d+): ", message)
+        assert named and int(named[1]) == exc.line, message
+        assert 1 <= exc.line <= lines + 1, message
+        return message
+    records = repr(table.records)
+    assert records == repr(read_trace_rows(path))
+    return records
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\n"])
 @pytest.mark.parametrize("k", range(len(SHAPES)))
 def test_simulated_traces_are_read_in_blocks(tmp_path, monkeypatch, k,
                                              ending):
-    # simulate writes CRLF; a copy in LF is read row by row, to the same
-    # records
+    # simulate writes CRLF; a copy in LF reads the same, and both are read
+    # in blocks of as many whole steps as TRACE_BLOCK_ROWS holds, the last
+    # block maybe fewer
     path = tmp_path / "trace.csv"
-    path.write_bytes(simulated_bytes(k))
-    expected = sim._read_trace_rows(path)
     path.write_bytes(simulated_bytes(k).replace(b"\r\n", ending))
-    if ending == b"\n":
-        assert sim._read_written_trace(path) is None
-    else:
-        rows_must_not_be_read(monkeypatch)
-    assert repr(read_trace_records(path).records) == repr(expected)
+    blocks = []
+    steps_of = sim._steps_of
+
+    def counted(lines, n, width):
+        blocks.append((len(lines), width))
+        return steps_of(lines, n, width)
+
+    monkeypatch.setattr(sim, "_steps_of", counted)
+    assert read_or_refuse(path).startswith("[TraceRecord(")
+    (width,) = {width for _, width in blocks}
+    sizes = [size for size, _ in blocks]
+    full = sim.TRACE_BLOCK_ROWS // width * width
+    assert sum(sizes) == simulated_bytes(k).count(b"\r\n") - 1
+    assert set(sizes[:-1]) <= {full} and 0 < sizes[-1] <= full
+    assert sizes[-1] % width == 0
 
 
 def as_written(table: StepTable) -> StepTable:
@@ -78,20 +108,16 @@ def as_written(table: StepTable) -> StepTable:
 
 
 @pytest.mark.parametrize("k", range(len(SHAPES)))
-def test_summarize_is_the_same_from_every_source(tmp_path, monkeypatch, k):
-    # the trace and its records, and the written trace read in blocks and,
-    # in LF, row by row
+def test_summarize_is_the_same_from_every_source(tmp_path, k):
+    # the trace and its records, and the written trace, as written and in LF
     trace = run_scenario(ScenarioConfig.from_dict(SHAPES[k]))
     assert repr(summarize(trace)) == repr(summarize(trace.records))
     expected = repr(summarize(as_written(trace.table)))
     assert repr(summarize(as_written(StepTable.of(trace.records)))) == expected
-    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
-    crlf.write_bytes(simulated_bytes(k))
-    lf.write_bytes(simulated_bytes(k).replace(b"\r\n", b"\n"))
-    assert sim._read_written_trace(lf) is None
-    assert repr(summarize(read_trace_records(lf))) == expected
-    rows_must_not_be_read(monkeypatch)
-    assert repr(summarize(read_trace_records(crlf))) == expected
+    for ending in (b"\r\n", b"\n"):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(simulated_bytes(k).replace(b"\r\n", ending))
+        assert repr(summarize(read_trace_records(path))) == expected
 
 
 def test_the_3_anchor_trace_has_failed_fixes():
@@ -120,7 +146,7 @@ def test_round_trip_is_exact(tmp_path, shape):
             [math.isnan(e) for e in r.tag_errors]
 
 
-def test_peak_memory_is_at_most_the_row_readers(tmp_path, monkeypatch):
+def test_peak_memory_is_at_most_the_row_readers(tmp_path):
     # 50,000 rows: 10,000 steps of 5 anchors; the whole text is not held
     path = tmp_path / "trace.csv"
     simulated({"n_anchors": 5, "n_tags": 0, "n_steps": 10_000,
@@ -134,25 +160,10 @@ def test_peak_memory_is_at_most_the_row_readers(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    row_peak, expected = peak(sim._read_trace_rows)
-    rows_must_not_be_read(monkeypatch)
+    row_peak, expected = peak(read_trace_rows)
     block_peak, table = peak(read_trace_records)
     assert table.records == expected
     assert block_peak <= row_peak
-
-
-def records_read(path):
-    """The records of :func:`read_trace_records`'s table."""
-    return read_trace_records(path).records
-
-
-def outcome(read, path):
-    """``repr`` of the records ``read`` returns, or the type and message of
-    what it raises."""
-    try:
-        return repr(read(path))
-    except Exception as exc:  # whatever it is, both readers must agree
-        return type(exc), str(exc)
 
 
 def swap_steps(lines, a, b, width=5):
@@ -170,8 +181,7 @@ def set_field(lines, i, k, value: bytes):
     lines[i] = b",".join(fields) + lines[i][len(body):]
 
 
-# edits of the long_drift trace: all but one break a rule of the layout,
-# and the row reader reads the file or rejects it
+# edits of the long_drift trace: all but three break a rule of the layout
 EDITS = {
     "steps 0 and 1 swapped": lambda lines: swap_steps(lines, 0, 1),
     "the steps around the first block boundary swapped":
@@ -207,14 +217,52 @@ EDITS = {
 }
 
 
+# how the reader refuses each edit that breaks a rule (the start of its
+# message); the others read to the oracle's records
+REFUSALS = {
+    "steps 0 and 1 swapped":
+        "line 7: step 0 follows step 1; steps must increase",
+    "the steps around the first block boundary swapped":
+        "line 257: step 50 follows step 51; steps must increase",
+    "steps 2 and 300 swapped":
+        "line 17: step 3 follows step 300; steps must increase",
+    "two rows of a step swapped":
+        "line 3: step 0: expected anchor 1, got anchor 2",
+    "a row's kind changed": "line 11: step 1: expected anchor 4, got tag 4",
+    "a row's step changed":
+        "line 9: step 1: step 2 differs from the step's first row",
+    "a step's flags all 7": "line 7: calibrated must be 0 or 1, got '7'",
+    "a step's rotations all nan":
+        "line 7: rotation_error_rad must be a finite number, got 'nan'",
+    "a row's rotation differs":
+        "line 8: step 1: rotation_error_rad,calibrated 0.5,0 differ from",
+    "a row's rotation respelled":
+        "line 8: step 1: rotation_error_rad,calibrated 0.0266972051 ,0 "
+        "differ from the step's first row, 0.0266972051,0",
+    "a row's step respelled":
+        "line 9: step 1: step +1 differs from the step's first row",
+    "a row's flag respelled": "line 9: calibrated must be 0 or 1, got '00'",
+    "a row's flag differs":
+        "line 9: step 1: rotation_error_rad,calibrated 0.0266972051,1 "
+        "differ from the step's first row, 0.0266972051,0",
+    "two fields quoted as one": "line 10: a field is quoted",
+    "an overflowing error":
+        "line 10: anchor 3: error_m must be a finite number, got '1e400'",
+    "a step's rows cut short":
+        "line 701: step 139 is cut short: it holds 4 of 5 rows",
+    "the last step cut short": "line 2501: step 499 is cut short: the trace "
+                               "ends after 4 of its 5 rows",
+}
+
+
 @pytest.mark.parametrize("edit", EDITS)
 def test_an_edit_gives_the_row_readers_result(tmp_path, edit):
     lines = simulated_bytes(2).splitlines(keepends=True)
     EDITS[edit](lines)
     path = tmp_path / "trace.csv"
     path.write_bytes(b"".join(lines))
-    assert outcome(records_read, path) == \
-        outcome(sim._read_trace_rows, path)
+    assert read_or_refuse(path).startswith(
+        REFUSALS.get(edit, "[TraceRecord("))
 
 
 # fields respelled to the same value, to another one, or to no number
@@ -248,7 +296,7 @@ def mutated_traces(draw) -> bytes:
             j = min(i + draw(st.integers(1, 8)), len(lines) - 1)
             lines[i], lines[j] = lines[j], lines[i]
         elif how == "swap steps":
-            # often the two around the block reader's first block boundary
+            # often the two around the reader's first block boundary
             step = lines[1].split(b",")[0] + b","
             width = sum(1 for x in lines[1:] if x.startswith(step))
             last = (len(lines) - 1) // width - 1 if width else 0
@@ -299,7 +347,7 @@ def mutated_traces(draw) -> bytes:
             ending = draw(st.sampled_from([b"\n", b"\r", b""]))
             lines[i] = lines[i].rstrip(b"\r\n") + ending
     data = b"".join(lines)
-    # as often as not, the file keeps its layout and the block reader runs
+    # as often as not, the file keeps its layout and the reader accepts it
     ending = draw(st.sampled_from([None, None, b"\n", b"\r"]))
     if ending is not None:
         data = data.replace(b"\r\n", ending)
@@ -316,5 +364,4 @@ def test_block_reader_gives_the_row_readers_result(data):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "trace.csv"
         path.write_bytes(data)
-        assert outcome(records_read, path) == \
-            outcome(sim._read_trace_rows, path)
+        read_or_refuse(path)
