@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import uwbcal.sim as sim
 from conftest import apply_drift, fix_tag, step_motion
-from oracles import translation_errors
+from oracles import read_trace_rows, translation_errors
 from uwbcal.autocalib import calibrate
 from uwbcal.errors import (ConfigError, CsvFormatError,
                            EmptyTrace, NotConverged, SingularUpdate,
@@ -1259,6 +1259,10 @@ class TestTraceCsv:
         (["0,anchor,2,4,8,4,8.1,0.1,0.01,1"],
          "line 5: step 0: rotation_error_rad,calibrated 0.01,1 differ from "
          "the step's first row, 0.01,0"),
+        # a row further into the step, after one that agrees
+        (["0,tag,1,5,5,5,5.1,0.1,0.01,0", "0,tag,2,5,5,5,5.1,0.1,0.02,1"],
+         "line 6: step 0: rotation_error_rad,calibrated 0.02,1 differ from "
+         "the step's first row, 0.01,0"),
     ])
     def test_rows_of_a_step_must_agree(self, tmp_path, rows, message):
         path = tmp_path / "trace.csv"
@@ -1267,6 +1271,23 @@ class TestTraceCsv:
                                    "0,anchor,1,9,0,9.2,0,0.2,0.01,0",
                                    "0,tag,0,5,5,,,,0.01,0", *rows]) + "\n")
         with pytest.raises(CsvFormatError, match=re.escape(message)):
+            read_trace_records(path)
+
+    def test_rows_of_a_step_may_interleave_and_spell_numbers_apart(
+            self, tmp_path):
+        # in the row-by-row oracle, which the reader is checked against; the
+        # reader refuses such files (the test below)
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([",".join(TRACE_HEADER),
+                                   "0,anchor,0,0,0,0,0,0,0.01,0",
+                                   "1,anchor,0,0,0,0,0,0,0.02,1",
+                                   "0,anchor,1,9,0,9.2,0,0.2,1e-2,0",
+                                   "1,anchor,1,9,0,9.3,0,0.3,0.020,1"]) + "\n")
+        assert read_trace_rows(path) == [
+            TraceRecord(0, (0.0, 0.2), (), 0.01, False),
+            TraceRecord(1, (0.0, 0.3), (), 0.02, True)]
+        with pytest.raises(CsvFormatError, match=re.escape(
+                "line 4: step 0 follows step 1; steps must increase")):
             read_trace_records(path)
 
     def test_rows_of_a_step_must_not_interleave_or_spell_numbers_apart(
