@@ -105,15 +105,23 @@ class DistanceStatsMatrix:
         return PairStats(self._mean[i, j], self._std[i, j],
                          int(self._count[i, j]))
 
-    def sym_table(self) -> tuple[tuple[tuple[int, int], ...], list[float]]:
+    def sym_table(self, model: RangingModel | None = None
+                  ) -> tuple[tuple[tuple[int, int], ...], list[float]]:
         """Every pair ``(i, j)``, i < j, measured in at least one direction,
-        and its count-weighted mean of the (i,j) and (j,i) directed means.
-
-        The means are formed on Python numbers: a sum that overflows is inf
-        without a warning.
+        and its count-weighted mean of the (i,j) and (j,i) directed means,
+        each first corrected through ``model.correct`` if given and never
+        clamped: a short distance corrected below zero fails as geometry.
+        An unmeasured direction's mean is 0, so a correction that overflows
+        gives inf, never NaN; a sum that overflows on these Python numbers
+        is inf without a warning.
         """
-        n, count, mean = self.n_anchors, self._count.tolist(), \
-            self._mean.tolist()
+        mean = self._mean
+        if model is not None:
+            # a slope near 5e-324 takes a mean to inf, which the bootstrap
+            # and the refinement reject; no warning is needed for it
+            with np.errstate(over="ignore"):
+                mean = np.where(self._count > 0, model.correct(mean), 0.0)
+        n, count, mean = self.n_anchors, self._count.tolist(), mean.tolist()
         pairs, targets = [], []
         for i in range(n):
             c_i, m_i = count[i], mean[i]
@@ -128,25 +136,6 @@ class DistanceStatsMatrix:
     def missing_pairs(self) -> list[tuple[int, int]]:
         ii, jj = np.nonzero(self._count + self._count.T == 0)
         return [(i, j) for i, j in zip(ii.tolist(), jj.tolist()) if i < j]
-
-    def corrected(self, model: RangingModel) -> "DistanceStatsMatrix":
-        """Bias-correct every directed mean through the ranging model.
-
-        Means map through (m - intercept)/slope and stds scale by 1/slope.
-        No positivity re-check: correcting a short distance below zero is
-        surfaced later as a geometry error, not silently clamped.
-        """
-        # without __init__, whose zero-filled arrays would be replaced
-        out = object.__new__(DistanceStatsMatrix)
-        out.n_anchors = self.n_anchors
-        # a slope near 5e-324 takes a mean to inf, which the bootstrap and
-        # the refinement reject; no warning is needed for it
-        with np.errstate(over="ignore"):
-            out._mean = (self._mean - model.intercept) / model.slope
-            out._std = self._std / model.slope
-        out._mean[self._count == 0] = 0.0
-        out._count = self._count.copy()
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +155,15 @@ class CalibrationResult:
 
 def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
     """Geometric bootstrap from distances to the first two anchors."""
-    sym = dict(zip(*d.sym_table()))
+    return _placement(d.n_anchors, *d.sym_table())
+
+
+def _placement(n: int, pairs, targets) -> list[tuple[float, float]]:
+    """:func:`initial_placement` from the pairs and means of a sym_table."""
+    sym = dict(zip(pairs, targets))
     d01 = sym[0, 1]
     placed = []
-    for i in range(2, d.n_anchors):
+    for i in range(2, n):
         try:
             placed.append(bilaterate_positive_y(d01, sym[0, i], sym[1, i]))
         except DegenerateGeometry as exc:
@@ -184,13 +178,6 @@ def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
     if fix_a1_axis:
         cols = cols[cols != 3]  # anchor 1 stays on the x-axis
     return cols
-
-
-def _expand(free: np.ndarray, free_cols: np.ndarray,
-            n_anchors: int) -> np.ndarray:
-    flat = np.zeros(2 * n_anchors)
-    flat[free_cols] = free
-    return flat.reshape(n_anchors, 2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -253,7 +240,12 @@ def refine_lse(initial, d: DistanceStatsMatrix,
     additionally keeps y = 0. Raises :class:`NotConverged` with the best
     iterate attached if the iteration cap is reached.
     """
-    n = d.n_anchors
+    return _refine(initial, d.n_anchors, *d.sym_table(), fix_a1_axis)
+
+
+def _refine(initial, n: int, pairs, targets,
+            fix_a1_axis: bool) -> CalibrationResult:
+    """:func:`refine_lse` against the pairs and means of a sym_table."""
     if len(initial) != n:
         raise ValueError(f"expected {n} initial positions, got {len(initial)}")
     if tuple(initial[0]) != (0.0, 0.0):
@@ -262,19 +254,16 @@ def refine_lse(initial, d: DistanceStatsMatrix,
     flat0 = np.array([c for p in initial for c in p], dtype=float)
     if not all(map(math.isfinite, flat0.tolist())):
         raise ValueError("initial positions must be finite")
-    pairs, targets = d.sym_table()
     fun = _residual_function(n, pairs, targets, fix_a1_axis)
     free_cols = _residual_layout(n, fix_a1_axis, pairs)[0]
     lsq = levenberg_marquardt(fun, flat0[free_cols])
-    n_pairs = len(pairs)
-    positions = _expand(lsq.x, free_cols, n)
+    flat = np.zeros(2 * n)
+    flat[free_cols] = lsq.x
+    positions = flat.reshape(n, 2)
     positions.flags.writeable = False
     result = CalibrationResult(
-        positions=positions,
-        rms_residual=math.sqrt(lsq.objective / n_pairs) if n_pairs else 0.0,
-        iterations=lsq.iterations,
-        converged=lsq.converged,
-    )
+        positions, math.sqrt(lsq.objective / len(pairs)) if pairs else 0.0,
+        lsq.iterations, lsq.converged)
     if not lsq.converged:
         raise NotConverged(
             f"refinement stopped after {lsq.iterations} iterations", result)
@@ -283,7 +272,8 @@ def refine_lse(initial, d: DistanceStatsMatrix,
 
 def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
               prior=None) -> CalibrationResult:
-    """Full calibration: bias-correct, choose a start, refine.
+    """Full calibration: form the bias-corrected symmetric table once,
+    choose a start, refine against the same table.
 
     Without a prior this is the initial calibration: geometric placement
     with the anchor-1 x-axis rule, which the refinement then preserves.
@@ -291,21 +281,18 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
     sits at the origin and every other coordinate is free; the refined
     anchor 1 may leave the x-axis.
     """
-    corrected = d.corrected(ranging_model)
+    n, table = d.n_anchors, d.sym_table(ranging_model)
     if prior is None:
-        start = initial_placement(corrected)
-        fix_a1_axis = True
+        start, fix_a1_axis = _placement(n, *table), True
     else:
-        if len(prior) != d.n_anchors:
-            raise ValueError(
-                f"prior has {len(prior)} entries for {d.n_anchors} anchors")
+        if len(prior) != n:
+            raise ValueError(f"prior has {len(prior)} entries for {n} anchors")
         ox, oy = prior[0]
-        start = [(x - ox, y - oy) for x, y in prior]
-        fix_a1_axis = False
+        start, fix_a1_axis = [(x - ox, y - oy) for x, y in prior], False
     # positions far out overflow to inf or nan, which the refinement's
     # accept rule and step check reject; no warning is needed for them
     with np.errstate(over="ignore", invalid="ignore"):
-        return refine_lse(start, corrected, fix_a1_axis=fix_a1_axis)
+        return _refine(start, n, *table, fix_a1_axis)
 
 
 def load_distance_csv(path) -> DistanceStatsMatrix:

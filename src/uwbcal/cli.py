@@ -39,7 +39,7 @@ EXIT_GEOMETRY = 5
 
 # The only place an error becomes an exit code; the first matching row wins.
 # ProtocolViolation, like any exception without a row, ends in a traceback:
-# no input can raise it, so when it fires it reports a bug in the round model.
+# only the message-level model of the round in the tests raises it.
 EXIT_CODES = (
     ((ConfigError, CsvFormatError, EmptyTrace, InvalidTiming, OSError),
      EXIT_INPUT),

@@ -57,8 +57,9 @@ class CollinearAnchors(UwbCalError):
 
 
 class ProtocolViolation(UwbCalError):
-    """A ranging round broke the protocol: a node received a message its
-    state machine does not allow, or the round left a pair unmeasured."""
+    """A ranging round broke the protocol: a node got a message out of turn,
+    or a pair was left unmeasured. Only the round's message-level model in
+    ``tests/oracles.py`` raises it; the library's round measures every pair."""
 
 
 class EmptyTrace(UwbCalError):
@@ -157,6 +158,15 @@ class CsvFormatError(UwbCalError):
         self.line = line
 
 
+ECHO_CHARS = 100  # the most characters of an input line a message quotes
+
+
+def echo(value) -> str:
+    """``str(value)``, cut after ECHO_CHARS characters naming how many more."""
+    text, cut = str(value), len(str(value)) - ECHO_CHARS
+    return text if cut <= 0 else f"{text[:ECHO_CHARS]}... ({cut} more characters)"
+
+
 def _utf8_lines(f):
     """The lines of the text file ``f``, opened with ``newline=""`` and
     ``errors="surrogateescape"``, as the csv module reads them.
@@ -199,7 +209,7 @@ def csv_rows(path, header: list[str]):
             first = next(reader, None)
             if first != header:
                 raise CsvFormatError(f"expected header {','.join(header)!r}, "
-                                     f"got {first}", line=1)
+                                     f"got {echo(first)}", line=1)
             # a quoted field may span lines: a row is named by its first
             start = reader.line_num + 1
             for row in reader:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .autocalib import DistanceStatsMatrix
-from .errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
+from .errors import DegenerateGeometry, InvalidTiming
 from .geometry import distance
 # simulate_measurement is not called here; bench/tracing.py hooks this name
 # for its ranging metrics until ROADMAP item 8 retires the tracer
@@ -104,9 +104,7 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
     # overflow yields inf as in scalar float arithmetic, and inf - inf nan;
     # both are checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        measured = (ranging_model.slope * true_d
-                    + ranging_model.intercept)[:, None] \
-            + ranging_model.noise_std * z
+        measured = ranging_model.measure(true_d[:, None], z)
         # a negative reading is physically impossible; clamp to zero flight
         t_round = DEFAULT_REPLY_TIME \
             + 2.0 * np.maximum(measured, 0.0) / SPEED_OF_LIGHT
@@ -138,10 +136,8 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
         r = int((means <= 0.0).argmax())
         raise _zero_flight(int(rows[r]), int(cols[r]))
     stats = DistanceStatsMatrix(n_anchors)
+    # the layout holds every directed pair, so no pair is left unmeasured
     stats.set_pairs(rows, cols, means, stds, k_measurements)
-    missing = stats.missing_pairs()
-    if missing:
-        raise ProtocolViolation(f"round ended with unmeasured pairs {missing}")
     return stats, latency
 
 

@@ -53,6 +53,15 @@ class RangingModel:
         if problems:
             raise ValueError("; ".join(problems.values()))
 
+    # the sensor model's two maps, on floats and arrays alike
+    def measure(self, true_d, z):
+        """The reading of ``true_d`` under the standard normal draw ``z``."""
+        return self.slope * true_d + self.intercept + self.noise_std * z
+
+    def correct(self, measured):
+        """Invert the bias line: the true distance of a noise-free reading."""
+        return (measured - self.intercept) / self.slope
+
     @classmethod
     def identity(cls) -> "RangingModel":
         """Bias-free, noise-free model (measured == true)."""
@@ -126,13 +135,12 @@ def simulate_measurement(true_d: float, model: RangingModel,
     """
     if true_d <= 0.0:
         raise ValueError(f"true distance must be positive, got {true_d}")
-    noise = model.noise_std * rng.standard_normal()
-    return model.slope * true_d + model.intercept + noise
+    return model.measure(true_d, rng.standard_normal())
 
 
 def correct_measurement(measured_d: float, model: RangingModel) -> float:
-    """Invert the fitted bias line: (measured - intercept) / slope."""
-    return (measured_d - model.intercept) / model.slope
+    """Invert the fitted bias line: :meth:`RangingModel.correct`."""
+    return model.correct(measured_d)
 
 
 def load_samples(path) -> list[RangingSample]:

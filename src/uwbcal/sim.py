@@ -38,8 +38,9 @@ import numpy as np
 
 from .autocalib import calibrate
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
-                     NotConverged, SingularUpdate, _utf8_lines, finite_number,
-                     integer, json_object, out_of_range, parse_rows, xy_pair)
+                     NotConverged, SingularUpdate, _utf8_lines, echo,
+                     finite_number, integer, json_object, out_of_range,
+                     parse_rows, xy_pair)
 # distance and locate_tag are not called here; bench/tracing.py hooks these
 # names for its geometry and multilateration metrics until ROADMAP item 8
 # retires the tracer
@@ -507,17 +508,15 @@ class StepTable:
     @classmethod
     def of(cls, records: list[TraceRecord]) -> "StepTable":
         """The table of ``records``, which it keeps as its
-        :attr:`records`. A step with fewer tags than another has its
-        missing tags' errors NaN, as failed fixes; ValueError when steps
-        hold different numbers of anchors."""
-        if len({len(r.anchor_errors) for r in records}) > 1:
-            raise ValueError("every step must hold the same number of "
-                             "anchors")
+        :attr:`records`; ValueError when steps hold different numbers of
+        anchors or of tags."""
+        for kind in ("anchor", "tag"):
+            if len({len(getattr(r, f"{kind}_errors")) for r in records}) > 1:
+                raise ValueError(f"every step must hold the same number of "
+                                 f"{kind}s")
         n = len(records[0].anchor_errors) if records else 0
-        errors = np.full((len(records), n + max(
-            (len(r.tag_errors) for r in records), default=0)), math.nan)
-        for row, r in zip(errors, records):
-            row[:n + len(r.tag_errors)] = r.anchor_errors + r.tag_errors
+        errors = np.array([r.anchor_errors + r.tag_errors for r in records]
+                          or np.empty((0, 0)), float)
         table = cls(_int_column([r.step for r in records]), n, errors,
                     np.array([r.rotation_error for r in records], float),
                     np.array([r.calibrated for r in records], bool))
@@ -706,9 +705,8 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
     # unlike positions, the ranging model is unbounded (slope down to
     # 5e-324): corrected ranges, and the fixes made from them, may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        ranges = (model.slope * tag_d.reshape(-1, n)[slots] + model.intercept
-                  + model.noise_std * noise - correction.intercept) \
-            / correction.slope
+        ranges = correction.correct(
+            model.measure(tag_d.reshape(-1, n)[slots], noise))
     positive = ~(ranges <= 0.0).any(axis=1)
     for k in slots[~positive].tolist():
         t, j = divmod(k, n_tags)
@@ -815,7 +813,7 @@ def summarize(trace: SimulationTrace | StepTable | list[TraceRecord]
     records pooled from several runs pair each calibration with its own
     run's step. Raises ValueError when a pooled value is NaN or infinite (a
     failed tag fix's NaN is left out of the pool) or when steps hold
-    different numbers of anchors.
+    different numbers of anchors or of tags.
     """
     if isinstance(trace, SimulationTrace):
         trace = trace.table
@@ -962,7 +960,7 @@ def _read_steps(lines) -> StepTable:
     got = header and header.rstrip("\r\n").split(",")
     if got != TRACE_HEADER:
         raise CsvFormatError(f"expected header {','.join(TRACE_HEADER)!r}, "
-                             f"got {got}", line=1)
+                             f"got {echo(got)}", line=1)
     pending = list(islice(lines, 1))
     if not pending:
         raise CsvFormatError("trace has no data rows")

@@ -96,16 +96,23 @@ def fix_tag(tag_true, truth_anchors, frame, model, correction, rng,
     return est, distance(est, tag_true)
 
 
-def _directed(d: DistanceStatsMatrix, i: int, j: int) -> tuple[int, float]:
+def _directed(d: DistanceStatsMatrix, i: int, j: int,
+              model=None) -> tuple[int, float]:
     stats = d.pair(i, j)
-    return (0, 0.0) if stats is None else (stats.count, float(stats.mean))
+    if stats is None:
+        return 0, 0.0
+    mean = float(stats.mean)
+    return stats.count, (mean if model is None
+                         else correct_measurement(mean, model))
 
 
-def sym_mean(d: DistanceStatsMatrix, i: int, j: int) -> float:
-    """Count-weighted mean of the (i,j) and (j,i) directed means, per pair:
+def sym_mean(d: DistanceStatsMatrix, i: int, j: int, model=None) -> float:
+    """Count-weighted mean of the (i,j) and (j,i) directed means, each
+    corrected by ``correct_measurement`` under ``model`` if given, per pair:
     the oracle for ``DistanceStatsMatrix.sym_table``, which forms every
     pair's mean in one pass."""
-    (c_ij, m_ij), (c_ji, m_ji) = _directed(d, i, j), _directed(d, j, i)
+    (c_ij, m_ij), (c_ji, m_ji) = (_directed(d, i, j, model),
+                                  _directed(d, j, i, model))
     total = c_ij + c_ji
     if total == 0:
         raise KeyError(f"pair ({i},{j}) has no measurements")
@@ -129,15 +136,16 @@ def equal_stats(a: DistanceStatsMatrix, b: DistanceStatsMatrix) -> bool:
         for i in range(n) for j in range(n) if i != j)
 
 
-def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
+def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False,
+                            model=None):
     """The anchor-network residual function built densely: the oracle for
     ``autocalib.network_residuals``, which gathers J from a precomputed
     index map.
 
-    Targets come from ``unordered_pairs`` and ``sym_mean`` above; every
-    evaluation zero-fills an ``(m, n, 2)`` Jacobian, scatters +unit and
-    -unit into it and gathers the free columns (all but anchor 0's, and
-    anchor 1's y when ``fix_a1_axis``).
+    Targets come from ``unordered_pairs`` and ``sym_mean`` above, corrected
+    under ``model`` if given; every evaluation zero-fills an ``(m, n, 2)``
+    Jacobian, scatters +unit and -unit into it and gathers the free columns
+    (all but anchor 0's, and anchor 1's y when ``fix_a1_axis``).
     """
     n = d.n_anchors
     free_cols = np.arange(2, 2 * n)
@@ -145,7 +153,7 @@ def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
         free_cols = free_cols[free_cols != 3]
     pairs = unordered_pairs(d)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    targets = np.array([sym_mean(d, i, j) for i, j in pairs])
+    targets = np.array([sym_mean(d, i, j, model) for i, j in pairs])
     m, rows = len(pairs), np.arange(len(pairs))
 
     def fun(free):

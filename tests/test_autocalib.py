@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
-                              _free_columns, _residual_layout, calibrate,
-                              initial_placement, load_distance_csv,
+                              PairStats, _free_columns, _residual_layout,
+                              calibrate, initial_placement, load_distance_csv,
                               refine_lse)
 from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                            SingularUpdate, UwbCalError)
-from uwbcal.geometry import distance, rotation_error
+from uwbcal.geometry import bilaterate_positive_y, distance, rotation_error
 from uwbcal.leastsq import levenberg_marquardt
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
@@ -94,18 +94,28 @@ class TestDistanceStatsMatrix:
             m.set_pairs(np.array(i), np.array(j), np.array(mean),
                         np.array(std), count)
 
-    def test_corrected_applies_affine_map(self):
+    def test_sym_table_corrects_each_measured_direction(self):
         model = RangingModel(slope=2.0, intercept=1.0, noise_std=0.0,
                              n_samples=2)
         m = DistanceStatsMatrix(3)
         m.set_pair(0, 1, 21.0, 0.5, 4)
         m.set_pair(0, 2, 11.0, 0.0, 1)
         m.set_pair(1, 2, 7.0, 0.0, 1)
-        c = m.corrected(model)
-        assert c.pair(0, 1).mean == pytest.approx(10.0)
-        assert c.pair(0, 1).std == pytest.approx(0.25)
-        assert c.pair(0, 1).count == 4
-        assert c.pair(1, 0) is None
+        # (m - 1) / 2 per direction; (1,0) is unmeasured and weighs nothing
+        assert m.sym_table(model) == (((0, 1), (0, 2), (1, 2)),
+                                      [10.0, 5.0, 3.0])
+        assert m.sym_table() == (((0, 1), (0, 2), (1, 2)), [21.0, 11.0, 7.0])
+        assert m.pair(0, 1) == PairStats(21.0, 0.5, 4)
+        assert m.pair(1, 0) is None
+        # (21 - 1) / 5e-324 overflows to inf; the unmeasured (1,0) would
+        # correct to -inf, and 0 * -inf is NaN, had it not been set to 0
+        model = RangingModel(slope=math.ulp(0.0), intercept=1.0,
+                             noise_std=0.0, n_samples=2)
+        m = DistanceStatsMatrix(3)
+        m.set_pair(0, 1, 21.0, 0.5, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.sym_table(model) == (((0, 1),), [math.inf])
 
 
 class TestInitialPlacement:
@@ -299,6 +309,20 @@ class TestCalibrate:
         # first calibration keeps the anchor-1 axis rule exactly
         assert result.positions[1][1] == 0.0
         assert result.positions[1][0] > 0.0
+
+    @pytest.mark.parametrize("prior", [None, list(GOLDEN_FRAME)])
+    def test_one_table_per_call(self, monkeypatch, prior):
+        # the bootstrap and the refinement read the same corrected table
+        calls, sym_table = [], DistanceStatsMatrix.sym_table
+
+        def counted(d, *args):
+            calls.append(args)
+            return sym_table(d, *args)
+
+        monkeypatch.setattr(DistanceStatsMatrix, "sym_table", counted)
+        model = RangingModel.identity()
+        calibrate(exact_matrix(GOLDEN_FRAME), model, prior=prior)
+        assert calls == [(model,)]
 
     def test_prior_equal_to_truth_is_unchanged(self):
         m = exact_matrix(GOLDEN_FRAME)
@@ -517,23 +541,30 @@ class TestResidualFunction:
 
 
 def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
-    """``calibrate`` spelled out on the dense oracle residuals."""
-    corrected = d.corrected(model)
+    """``calibrate`` spelled out pair by pair: the bootstrap on
+    ``sym_mean``'s corrected means, then the dense oracle residuals."""
+    n = d.n_anchors
     if prior is None:
-        start, fix_a1_axis = initial_placement(corrected), True
+        d01 = sym_mean(d, 0, 1, model)
+        start, fix_a1_axis = [(0.0, 0.0), (d01, 0.0)], True
+        for i in range(2, n):
+            try:
+                start.append(bilaterate_positive_y(
+                    d01, sym_mean(d, 0, i, model), sym_mean(d, 1, i, model)))
+            except DegenerateGeometry as exc:
+                raise DegenerateGeometry(f"anchor {i}: {exc}") from exc
     else:
         ox, oy = prior[0]
         start, fix_a1_axis = [(x - ox, y - oy) for x, y in prior], False
-    n = d.n_anchors
     free_cols = np.arange(2, 2 * n)
     if fix_a1_axis:
         free_cols = free_cols[free_cols != 3]
     flat = np.array([c for p in start for c in p], dtype=float)
-    lsq = levenberg_marquardt(dense_network_residuals(corrected, fix_a1_axis),
+    lsq = levenberg_marquardt(dense_network_residuals(d, fix_a1_axis, model),
                               flat[free_cols])
     flat = np.zeros(2 * n)
     flat[free_cols] = lsq.x
-    n_pairs = len(unordered_pairs(corrected))
+    n_pairs = len(unordered_pairs(d))
     result = CalibrationResult(
         positions=flat.reshape(n, 2),
         rms_residual=math.sqrt(lsq.objective / n_pairs),

@@ -896,7 +896,8 @@ def bad_byte_deep_in(command) -> bytes:
 
 
 # 200 seeded random bytes (not UTF-8), a field past the csv module's
-# 131072-character limit, and a file whose first byte that is not UTF-8 lies
+# 131072-character limit, a 100,000-character first line within it, whose
+# echo is cut short, and a file whose first byte that is not UTF-8 lies
 # past the text reader's first chunks: the message names its line (counted
 # from the bytes before it) and its offset in the file, not in a chunk
 UNREADABLE_CSV = [
@@ -904,6 +905,7 @@ UNREADABLE_CSV = [
                                           "decode byte 0x82 at byte offset 1: "
                                           "invalid start byte"),
     (b"x" * 200_000 + b"\n", "unreadable CSV: field larger than field limit"),
+    (b"x" * 100_000 + b"\n", "line 1: expected header {header!r}, got ['x"),
     (bad_byte_deep_in, "line {line}: not UTF-8 text: can't decode byte 0xff "
                        "at byte offset 100000: invalid start byte"),
 ]
@@ -915,10 +917,11 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
                                                 message):
     if callable(content):
         content = content(command)
-        message = message.format(line=content[:100_000].count(b"\n") + 1)
     if command == "summarize" and content.startswith(b"x"):
         # a trace's first line is its header, whatever its length
-        message = f"line 1: expected header {CSV_HEADERS[command]!r}, got ['x"
+        message = "line 1: expected header {header!r}, got ['x"
+    message = message.format(header=CSV_HEADERS[command],
+                             line=content[:100_000].count(b"\n") + 1)
     path = tmp_path / "input.csv"
     path.write_bytes(content)
     output = [] if command == "summarize" else \
@@ -927,6 +930,8 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, command, content,
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {path}: {message}")
     assert result.stderr.count("\n") == 1
+    # an echoed line is cut short
+    assert len(result.stderr.encode()) < 1024
 
 
 # the last row is bad; in the last three cases a quoted field spans the

@@ -2,7 +2,11 @@
 
 import importlib
 import importlib.util
+import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +62,30 @@ def test_traced_counts_follow_the_schedule():
     assert spans.count("protocol.run_calibration_round") == 6
     assert spans.count("autocalib.calibrate.bootstrap") == 1
     assert spans.count("autocalib.calibrate.warm") == 5
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("workload",
+                         ["default_ensemble", "recal_dense", "long_drift"])
+def test_traced_benchmark_ends_in_a_result(workload):
+    # a traced run can exit 0 and still not end in a result: a metric reads
+    # null when a name bench/tracing.py wraps is gone, json.dumps writes a
+    # bare NaN for a non-finite one, and a later print moves the line
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         "3", "--seconds", "1", "--trace", "1", "--scenarios", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    line = json.loads(result.stdout.splitlines()[-1],
+                      parse_constant=refuse_constant)
+    assert line["correct"] is True
+    bad = {name: metric["value"] for name, metric in line["metrics"].items()
+           if type(metric["value"]) not in (int, float)
+           or not math.isfinite(metric["value"])}
+    assert bad == {}
 
 
 def test_a_failing_property_does_not_end_the_session(pytester, monkeypatch):

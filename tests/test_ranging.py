@@ -184,6 +184,20 @@ class TestSimulateAndCorrect:
             simulate_measurement(0.0, RangingModel.identity(),
                                  np.random.default_rng(0))
 
+    @pytest.mark.parametrize("fields", [None, (1.0, 0.0, 0.0, 2),
+                                        (0.97, -0.25, 1.5, 40),
+                                        (3.0e-7, 1.0e6, 2.0e5, 3)])
+    def test_array_maps_equal_the_scalar_functions_bit_for_bit(self, fields):
+        model = reference_model() if fields is None else RangingModel(*fields)
+        true_d = np.random.default_rng(7).uniform(0.01, 1e4, 1000)
+        z = np.random.default_rng(8).standard_normal(1000)
+        rng = np.random.default_rng(8)  # the same draws, one at a time
+        scalar = [simulate_measurement(d, model, rng) for d in true_d.tolist()]
+        measured = model.measure(true_d, z)
+        assert measured.tobytes() == np.array(scalar).tobytes()
+        assert model.correct(measured).tobytes() == np.array(
+            [correct_measurement(m, model) for m in scalar]).tobytes()
+
 
 class TestModelValidation:
     def test_bad_fields(self):

@@ -1047,7 +1047,7 @@ class TestSummaries:
         ((0.0, 0.2), (), math.nan),
     ])
     def test_non_finite_pooled_value_raises(self, anchors, tags, rotation):
-        records = [TraceRecord(0, (0.0, 0.1), (), 0.0, False),
+        records = [TraceRecord(0, (0.0, 0.1), (0.1,) * len(tags), 0.0, False),
                    TraceRecord(1, anchors, tags, rotation, True)]
         with pytest.raises(ValueError, match="non-finite"):
             summarize(records)
@@ -1057,6 +1057,15 @@ class TestSummaries:
                    TraceRecord(1, (0.0, 0.2), (), 0.0, True),
                    TraceRecord(2, (0.0, 0.2, 0.1, 0.3), (), 0.0, False)]
         with pytest.raises(ValueError, match="same number of anchors"):
+            summarize(records)
+
+    def test_steps_with_different_tag_counts_raise(self):
+        records = [TraceRecord(0, (0.0, 0.1), (0.2,), 0.0, False),
+                   TraceRecord(1, (0.0, 0.2), (), 0.0, True),
+                   TraceRecord(2, (0.0, 0.2), (0.3, 0.1), 0.0, False)]
+        with pytest.raises(ValueError, match="same number of tags"):
+            StepTable.of(records)
+        with pytest.raises(ValueError, match="same number of tags"):
             summarize(records)
 
 
