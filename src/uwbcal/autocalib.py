@@ -18,7 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CsvFormatError, DegenerateGeometry, NotConverged, csv_rows
+from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
+                     csv_rows, echo)
 from .geometry import bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
@@ -133,10 +134,6 @@ class DistanceStatsMatrix:
                     targets.append((c_ij * m_i[j] + c_ji * mean[j][i]) / total)
         return tuple(pairs), targets
 
-    def missing_pairs(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(self._count + self._count.T == 0)
-        return [(i, j) for i, j in zip(ii.tolist(), jj.tolist()) if i < j]
-
 
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
@@ -159,8 +156,14 @@ def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
 
 
 def _placement(n: int, pairs, targets) -> list[tuple[float, float]]:
-    """:func:`initial_placement` from the pairs and means of a sym_table."""
+    """:func:`initial_placement` from the pairs and means of a sym_table;
+    :class:`DegenerateGeometry` names an anchor lacking a pair it needs."""
     sym = dict(zip(pairs, targets))
+    for i in range(1, n):
+        for a in (0, 1)[:i]:  # anchor 1 is placed from anchor 0 alone
+            if (a, i) not in sym:
+                raise DegenerateGeometry(f"anchor {i}: pair ({a},{i}) was "
+                                         f"not measured", anchor_id=i)
     d01 = sym[0, 1]
     placed = []
     for i in range(2, n):
@@ -222,10 +225,10 @@ def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
 
     def fun(free):
         ext[:n_free] = free
-        r, unit, dist = range_residuals(ext.take(first) - ext.take(second),
-                                        targets)
-        units[...] = unit
-        np.negative(unit, out=negated)
+        diff = ext.take(first) - ext.take(second)
+        r, dist = range_residuals(diff[:, 0], diff[:, 1], targets)
+        np.divide(diff, dist[:, None], out=units)
+        np.negative(units, out=negated)
         return r, buf.take(jac_t).T, dist
 
     return fun
@@ -304,7 +307,7 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
             rows.append((int(row[0]), int(row[1]), float(row[2]),
                          float(row[3]), int(row[4]), lineno))
         except ValueError as exc:
-            raise CsvFormatError(str(exc), line=lineno) from exc
+            raise CsvFormatError(echo(exc), line=lineno) from exc
     if not rows:
         raise CsvFormatError("no data rows", line=1)
     n = max(max(r[0], r[1]) for r in rows) + 1
@@ -321,7 +324,7 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
         try:
             _check_pair(n, i, j, mean, std, count)
         except ValueError as exc:
-            raise CsvFormatError(str(exc), line=lineno) from exc
+            raise CsvFormatError(echo(exc), line=lineno) from exc
     measured = {(min(p), max(p)) for p in seen}
     missing = n * (n - 1) // 2 - len(measured)
     if missing:

@@ -1,7 +1,7 @@
 """Damped least-squares (Levenberg-Marquardt) kernel and range residuals.
 
-One small dense solver for the anchor-network refinement and the
-range-residual kernel it builds its residual functions on. The tag kernel,
+One small dense solver for the anchor-network refinement, and the one
+range-residual kernel of both solvers. The tag kernel,
 :func:`~uwbcal.multilateration.solve_fixes`, runs the same iteration with
 the same constants over many two-unknown problems at once. Problems here
 have at most a few dozen residuals and ~10 unknowns, so the normal
@@ -45,22 +45,22 @@ ResidualFunction = Callable[[np.ndarray],
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def range_residuals(diff: np.ndarray, targets: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals |diff_k| - targets_k, the unit vectors diff_k / |diff_k|
-    and the distances |diff_k|.
+def range_residuals(dx: np.ndarray, dy: np.ndarray, targets: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals |(dx, dy)| - targets and the distances |(dx, dy)|.
 
-    ``diff`` holds one 2-D difference vector per row; the unit vectors are
-    the residuals' derivatives with respect to it. A row shorter than 1e-12
-    is replaced by (COINCIDENT_EPS, 0) so the Jacobian stays finite.
+    ``dx`` and ``dy`` hold the offsets, arrays of one shape. An offset
+    shorter than 1e-12 has no distance gradient: it is replaced in place,
+    in ``dx`` and ``dy``, by (COINCIDENT_EPS, 0), so the unit vectors the
+    caller forms from them stay finite.
     """
-    dist = np.hypot(diff[:, 0], diff[:, 1])
+    dist = np.hypot(dx, dy)
     coincident = dist < 1e-12
     if np.count_nonzero(coincident):
-        diff = diff.copy()
-        diff[coincident] = (COINCIDENT_EPS, 0.0)
+        dx[coincident] = COINCIDENT_EPS
+        dy[coincident] = 0.0
         dist[coincident] = COINCIDENT_EPS
-    return dist - targets, diff / dist[:, None], dist
+    return dist - targets, dist
 
 
 def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearAnchors, NotConverged, SingularUpdate
-from .leastsq import (COINCIDENT_EPS, DAMPING_GROW, DAMPING_INITIAL,
-                      DAMPING_MAX, DAMPING_SHRINK, FLOOR_FACTOR, GRAD_TOL,
-                      MAX_ITERATIONS)
+from .leastsq import (DAMPING_GROW, DAMPING_INITIAL, DAMPING_MAX,
+                      DAMPING_SHRINK, FLOOR_FACTOR, GRAD_TOL, MAX_ITERATIONS,
+                      range_residuals)
 
 CONDITION_LIMIT = 1e8
 
@@ -143,19 +143,13 @@ def _residuals(x: np.ndarray, y: np.ndarray, problems: np.ndarray):
     offsets, distances and residuals :func:`_equations` goes on from.
 
     ``x`` and ``y`` are ``(P,)``; ``problems`` stacks the anchor x, anchor
-    y and range arrays, ``(3, P, N)``. The coincident-point nudge is the one
-    :func:`~uwbcal.leastsq.range_residuals` applies.
+    y and range arrays, ``(3, P, N)``. The offsets are those
+    :func:`~uwbcal.leastsq.range_residuals` left, coincident ones nudged.
     """
     ax, ay, ranges = problems
     dx = x[:, None] - ax
     dy = y[:, None] - ay
-    dist = np.hypot(dx, dy)
-    coincident = dist < 1e-12
-    if np.count_nonzero(coincident):
-        dx[coincident] = COINCIDENT_EPS
-        dy[coincident] = 0.0
-        dist[coincident] = COINCIDENT_EPS
-    r = dist - ranges
+    r, dist = range_residuals(dx, dy, ranges)
     return (r * r).sum(axis=1), (x, y, dx, dy, dist, r)
 
 

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (CsvFormatError, DegenerateFit, InsufficientData,
-                     csv_rows, finite_number, integer, out_of_range,
+                     csv_rows, echo, finite_number, integer, out_of_range,
                      parse_rows)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum value; air correction is < 0.03%
@@ -150,7 +150,7 @@ def load_samples(path) -> list[RangingSample]:
         try:
             samples.append(RangingSample(float(row[0]), float(row[1])))
         except ValueError as exc:
-            raise CsvFormatError(str(exc), line=lineno) from exc
+            raise CsvFormatError(echo(exc), line=lineno) from exc
     return samples
 
 

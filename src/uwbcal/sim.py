@@ -10,9 +10,9 @@ anchor positions.
 
 A run loops over calibrations, not steps: the paths that depend on no
 decision are formed for the whole run, each pass of the loop carries the
-anchor frames from one calibration to the next, and after the loop the
-anchor estimates are placed and scored at once and one call of the
-multilateration kernel makes every tag fix of the run.
+anchor frames from one calibration to the next, and after the loop one
+call of the multilateration kernel makes every tag fix of the run and one
+call places and scores every anchor and tag estimate.
 
 Errors are always reported in the anchor frame re-anchored at anchor 0's
 true position: anchor 0's own translation error is zero by construction and
@@ -444,6 +444,16 @@ def _norms(diff: np.ndarray) -> np.ndarray:
                        len(dx)).reshape(diff.shape[:-1])
 
 
+def _placed(frame: np.ndarray, world: np.ndarray):
+    """``frame``, frame coordinates, placed at anchor 0's true position and
+    their ``math.hypot`` errors against the true positions ``world``; both
+    are ``(steps, nodes, 2)``, node 0 being anchor 0. A NaN estimate (a
+    failed fix) has a NaN error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        placed = frame + world[:, :1]
+        return placed, _norms(placed - world)
+
+
 def _true_paths(cfg: ScenarioConfig, motion_rng: np.random.Generator,
                 drift_rng: np.random.Generator):
     """The run's true positions ``(steps, N+T, 2)``, anchors then tags, and
@@ -561,12 +571,13 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     warm-started calibration, and restarts the estimates from its result.
     The tag noise of the steps since the last round is drawn just before
     each round, so the ranging stream keeps its order. After the loop, the
-    placed anchor estimates, their errors, rotations and corrected tag
-    ranges are formed for the whole run, every tag fix is made in one
-    :func:`~uwbcal.multilateration.solve_fixes` call, and the step table
-    is assembled. Distances and angles go through ``math.hypot`` and
-    ``math.atan2`` value by value, and every sum adds its terms in step
-    order, so the outputs are those of a per-step loop to the last bit.
+    corrected tag ranges and rotations are formed for the whole run, every
+    tag fix is made in one :func:`~uwbcal.multilateration.solve_fixes`
+    call, one :func:`_placed` call places and scores every anchor and tag
+    estimate, and the step table is assembled. Distances and angles go
+    through ``math.hypot`` and ``math.atan2`` value by value, and every sum
+    adds its terms in step order, so the outputs are those of a per-step
+    loop to the last bit.
 
     Module errors during a tag fix or a calibration become diagnostics,
     in step order, instead of aborting the run; a warm calibration whose
@@ -622,7 +633,7 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         if trigger.kind == "periodic":
             fires, end = stop - 1 == due, stop - 1 - t
         else:
-            err = _norms(frame + truth[t:stop, :1] - truth[t:stop])
+            err = _placed(frame, truth[t:stop])[1]
             over = np.flatnonzero((err > trigger.threshold).any(axis=1))
             fires = over.size > 0
             end = int(over[0]) if fires else stop - 1 - t
@@ -660,27 +671,22 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     noise.append(ranging_rng.standard_normal(
         (live_before[-1] - live_before[drawn], n)))
 
-    # every anchor estimate placed at anchor 0's true position
-    placed = frames + truth[:, :1]
-    errors = _norms(placed - truth)
+    tags = _fix_tags(frames, tag_d, live, np.concatenate(noise), model,
+                     correction, notes)
+    placed, errors = _placed(np.concatenate((frames, tags), axis=1), world)
     assert not errors[:, 0].any()
-    tag_errors, tag_placed = _fix_tags(world, frames, tag_d, live,
-                                       np.concatenate(noise), model,
-                                       correction, notes)
     baseline = truth[:, 1] - truth[:, 0]
     rotations = [wrap_angle(math.atan2(fy, fx) - math.atan2(by, bx))
                  for fx, fy, bx, by in zip(*frames[:, 1].T.tolist(),
                                            *baseline.T.tolist())]
 
-    table = StepTable(np.arange(n_steps), n,
-                      np.concatenate((errors, tag_errors), axis=1),
-                      np.array(rotations), np.array(calibrated))
+    table = StepTable(np.arange(n_steps), n, errors, np.array(rotations),
+                      np.array(calibrated))
     return SimulationTrace(cfg.to_dict(), table,
-                           [text for *_, text in sorted(notes)], world,
-                           np.concatenate((placed, tag_placed), axis=1))
+                           [text for *_, text in sorted(notes)], world, placed)
 
 
-def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
+def _fix_tags(frames, tag_d, live, noise, model: RangingModel,
               correction: RangingModel, notes):
     """Every tag fix of a run, in one :func:`solve_fixes` call.
 
@@ -691,9 +697,8 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
     :func:`~uwbcal.ranging.simulate_measurement` and
     :func:`~uwbcal.ranging.correct_measurement`, operation by operation. A
     tag that coincides with an anchor, has a non-positive corrected range
-    or whose fix fails adds its note to ``notes``. Returns the errors
-    ``(steps, T)`` and world estimates ``(steps, T, 2)``, NaN for a failed
-    fix.
+    or whose fix fails adds its note to ``notes``. Returns the fixes in
+    each step's frame, ``(steps, T, 2)``, NaN for a failed fix.
     """
     steps, n_tags, n = tag_d.shape
     for k in np.flatnonzero(~live).tolist():
@@ -713,23 +718,17 @@ def _fix_tags(world, frames, tag_d, live, noise, model: RangingModel,
         notes.append((t, j, f"step {t}: tag {j} produced a non-positive "
                             f"corrected range"))
     slots, ranges = slots[positive], ranges[positive]
-    errors = np.full(steps * n_tags, math.nan)
-    estimates = np.full((steps * n_tags, 2), math.nan)
+    fixes = np.full((steps * n_tags, 2), math.nan)
     if slots.size:
-        step_of = slots // n_tags
-        frame = frames[step_of]
+        frame = frames[slots // n_tags]
         batch = solve_fixes(frame[:, :, 0], frame[:, :, 1], ranges)
         fixed = batch.status == CONVERGED
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = batch.position[fixed] + world[step_of[fixed], 0]
-            errors[slots[fixed]] = _norms(
-                est - world[step_of[fixed], n + slots[fixed] % n_tags])
-        estimates[slots[fixed]] = est
+        fixes[slots[fixed]] = batch.position[fixed]
         for p in np.flatnonzero(~fixed).tolist():
             t, j = divmod(int(slots[p]), n_tags)
             notes.append((t, j, f"step {t}: tag {j} fix failed: "
                                 f"{batch.error(p)}"))
-    return errors.reshape(steps, n_tags), estimates.reshape(steps, n_tags, 2)
+    return fixes.reshape(steps, n_tags, 2)
 
 
 @dataclass(frozen=True)
@@ -1058,7 +1057,7 @@ def _deviation(lines: list[str], start: int, n: int, width: int,
             step, err, rot, _ = (int(step_s), math.nan if err_s == "" else
                                  float(err_s), float(rot_s), int(cal_s))
         except ValueError as exc:
-            raise CsvFormatError(str(exc), line=at) from None
+            raise CsvFormatError(echo(exc), line=at) from None
         if j == 0 and step == last and at == 2 + 2 * width:
             # the second step goes on where the first stopped
             raise CsvFormatError(f"the first step is cut short: it holds "
@@ -1072,11 +1071,12 @@ def _deviation(lines: list[str], start: int, n: int, width: int,
             ('"' in line, "a field is quoted; no trace field is"),
             # only a failed tag fix has no error, and every number is finite
             (not math.isfinite(err) and (err_s or kind == "anchor"),
-             f"{node}: error_m must be a finite number, got {err_s!r}"),
+             f"{echo(node)}: error_m must be a finite number, got "
+             f"{echo(repr(err_s))}"),
             (not math.isfinite(rot), f"rotation_error_rad must be a finite "
-                                     f"number, got {rot_s!r}"),
+                                     f"number, got {echo(repr(rot_s))}"),
             (cal_s not in ("0", "1"),
-             f"calibrated must be 0 or 1, got {cal_s!r}"),
+             f"calibrated must be 0 or 1, got {echo(repr(cal_s))}"),
             (j == 0 and prev is not None and step < prev,
              f"step {step} follows step {prev}; steps must increase"),
             (j == 0 and step == prev,
@@ -1084,14 +1084,15 @@ def _deviation(lines: list[str], start: int, n: int, width: int,
             (step_s != head[0] and node == "anchor 0",
              f"step {last} is cut short: it holds {j} of {width} rows"),
             (step_s != head[0],
-             f"step {last}: step {step_s} differs from the step's first row"),
+             f"step {last}: step {echo(step_s)} differs from the step's "
+             f"first row"),
             (row[8:] != head[8:], f"step {last}: rotation_error_rad,"
-                                  f"calibrated {rot_s},{cal_s} differ from "
-                                  f"the step's first row, "
-                                  f"{','.join(head[8:])}"),
+                                  f"calibrated {echo(','.join(row[8:]))} "
+                                  f"differ from the step's first row, "
+                                  f"{echo(','.join(head[8:]))}"),
             (node in nodes[:j], f"step {last}: a second row for {node}"),
             (node != nodes[j], f"step {last}: expected {nodes[j]}, got "
-                               f"{node}")) if broken), None)
+                               f"{echo(node)}")) if broken), None)
         if message:
             raise CsvFormatError(message, line=at)
     raise CsvFormatError(f"step {last} is cut short: the trace ends after "

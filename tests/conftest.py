@@ -160,8 +160,9 @@ def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False,
         flat = np.zeros(2 * n)
         flat[free_cols] = free
         positions = flat.reshape(n, 2)
-        r, unit, dist = range_residuals(positions[ii] - positions[jj],
-                                        targets)
+        diff = positions[ii] - positions[jj]
+        r, dist = range_residuals(diff[:, 0], diff[:, 1], targets)
+        unit = diff / dist[:, None]
         jac = np.zeros((m, n, 2))
         jac[rows, ii] = unit
         jac[rows, jj] = -unit

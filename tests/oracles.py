@@ -260,6 +260,13 @@ def _message_total(n: int, k: int) -> int:
     return 1 + 2 * n * (n - 1) * k + n * (n - 1) + n
 
 
+def missing_pairs(d: DistanceStatsMatrix) -> list[tuple[int, int]]:
+    """Every anchor pair ``(i, j)``, i < j, measured in neither direction."""
+    n = d.n_anchors
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if d.pair(i, j) is None and d.pair(j, i) is None]
+
+
 def simulate_round(n_anchors: int, k_measurements: int,
                    true_positions, ranging_model: RangingModel,
                    rng: np.random.Generator) -> RoundOutcome:
@@ -322,7 +329,7 @@ def simulate_round(n_anchors: int, k_measurements: int,
         if pair.mean <= 0.0:
             raise _zero_flight(i, j)
         stats.set_pair(i, j, pair.mean, pair.std, pair.count)
-    missing = stats.missing_pairs()
+    missing = missing_pairs(stats)
     if missing:
         raise ProtocolViolation(f"round ended with unmeasured pairs {missing}")
     return RoundOutcome(stats=stats, latency=latency, nodes=nodes,
@@ -352,7 +359,9 @@ def tag_residuals(anchors, ranges: list[float]):
     a, r = (np.array(v, dtype=float) for v in _checked(anchors, ranges))
 
     def fun(p):
-        return range_residuals(p[None, :] - a, r)
+        diff = p[None, :] - a
+        res, dist = range_residuals(diff[:, 0], diff[:, 1], r)
+        return res, diff / dist[:, None], dist
 
     return fun
 

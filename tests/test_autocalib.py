@@ -21,8 +21,8 @@ from uwbcal.sim import DEFAULT_ANCHOR_LAYOUT
 from conftest import (GOLDEN_FRAME, dense_network_residuals, equal_stats,
                       exact_matrix, offset, result_repr, rotated, sym_mean,
                       unordered_pairs)
-from oracles import (network_residuals, objective_and_gradient,
-                     save_distance_csv)
+from oracles import (missing_pairs, network_residuals,
+                     objective_and_gradient, save_distance_csv)
 
 
 def free_vector(positions, fix_a1_axis=False):
@@ -56,7 +56,7 @@ class TestDistanceStatsMatrix:
         assert sym_mean(m, 0, 1) == sym_mean(m, 1, 0) == targets[0]
         assert m.pair(0, 1).count + m.pair(1, 0).count == 4
         assert m.pair(2, 0) is None
-        assert m.missing_pairs() == []
+        assert missing_pairs(m) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestDistanceStatsMatrix:
         for args in zip(i.tolist(), j.tolist(), mean.tolist(), std.tolist()):
             loop.set_pair(*args, 5)
         assert equal_stats(bulk, loop)
-        assert bulk.missing_pairs() == [] and loop.missing_pairs() == []
+        assert missing_pairs(bulk) == [] and missing_pairs(loop) == []
 
     @pytest.mark.parametrize("i,j,mean,std,count,named", [
         ([0, 1, 2], [1, 2, 2], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1, "(2,2)"),
@@ -146,6 +146,23 @@ class TestInitialPlacement:
         with pytest.raises(DegenerateGeometry) as err:
             initial_placement(m)
         assert err.value.anchor_id == 2
+
+    @pytest.mark.parametrize("lacking, anchor", [
+        ((0, 1), 1), ((0, 2), 2), ((1, 2), 2), ((1, 3), 3)])
+    def test_an_unmeasured_reference_pair_names_its_anchor(self, lacking,
+                                                           anchor):
+        m = DistanceStatsMatrix(4)
+        for i, j in itertools.permutations(range(4), 2):
+            if {i, j} != set(lacking):
+                m.set_pair(i, j, distance(GOLDEN_FRAME[i], GOLDEN_FRAME[j]),
+                           0.0, 1)
+        message = (rf"^anchor {anchor}: pair \({lacking[0]},{lacking[1]}\) "
+                   rf"was not measured$")
+        for bootstrap in (initial_placement,
+                          lambda d: calibrate(d, RangingModel.identity())):
+            with pytest.raises(DegenerateGeometry, match=message) as err:
+                bootstrap(m)
+            assert err.value.anchor_id == anchor
 
 
 class TestRefineLse:

@@ -895,11 +895,20 @@ def bad_byte_deep_in(command) -> bytes:
     return bytes(data)
 
 
+def oversized_field(command) -> bytes:
+    """``command``'s header and one row whose first number to parse is
+    100,000 x's."""
+    row = {"summarize": "0,anchor,0,0,0,0,0,{x},0.01,0",
+           "fit-model": "{x},1", "calibrate": "0,1,{x},0.1,5"}[command]
+    return f"{CSV_HEADERS[command]}\n{row.format(x='x' * 100_000)}\n".encode()
+
+
 # 200 seeded random bytes (not UTF-8), a field past the csv module's
 # 131072-character limit, a 100,000-character first line within it, whose
 # echo is cut short, and a file whose first byte that is not UTF-8 lies
 # past the text reader's first chunks: the message names its line (counted
-# from the bytes before it) and its offset in the file, not in a chunk
+# from the bytes before it) and its offset in the file, not in a chunk;
+# last, a 100,000-character field, whose echo is cut short too
 UNREADABLE_CSV = [
     (np.random.default_rng(0).bytes(200), "line 1: not UTF-8 text: can't "
                                           "decode byte 0x82 at byte offset 1: "
@@ -908,6 +917,7 @@ UNREADABLE_CSV = [
     (b"x" * 100_000 + b"\n", "line 1: expected header {header!r}, got ['x"),
     (bad_byte_deep_in, "line {line}: not UTF-8 text: can't decode byte 0xff "
                        "at byte offset 100000: invalid start byte"),
+    (oversized_field, "line 2: could not convert string to float: 'xxx"),
 ]
 
 

@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from uwbcal.autocalib import DistanceStatsMatrix, calibrate
 from uwbcal.errors import SingularUpdate
-from uwbcal.leastsq import MAX_ITERATIONS, levenberg_marquardt
+from uwbcal.leastsq import (COINCIDENT_EPS, MAX_ITERATIONS,
+                            levenberg_marquardt, range_residuals)
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
                                     _equations, _residuals, solve_fixes)
 from uwbcal.ranging import RangingModel
@@ -19,6 +20,30 @@ def quadratic_bowl(target):
     def fun(x):
         return x - target, np.eye(len(target)), np.abs(x)
     return fun
+
+
+class TestRangeResiduals:
+    def test_nudges_a_coincident_offset_in_place(self):
+        # the tag kernel's (P, N) offsets
+        dx = np.array([[3.0, 0.0, -6.0], [1e-13, 5.0, 0.0]])
+        dy = np.array([[4.0, 0.0, 8.0], [-1e-13, 12.0, -1.0]])
+        r, dist = range_residuals(dx, dy, np.full((2, 3), 5.0))
+        assert dx.tolist() == [[3.0, COINCIDENT_EPS, -6.0],
+                               [COINCIDENT_EPS, 5.0, 0.0]]
+        assert dy.tolist() == [[4.0, 0.0, 8.0], [0.0, 12.0, -1.0]]
+        assert dist.tolist() == [[5.0, COINCIDENT_EPS, 10.0],
+                                 [COINCIDENT_EPS, 13.0, 1.0]]
+        assert r.tolist() == (dist - 5.0).tolist()
+
+    def test_nudges_strided_columns_in_place(self):
+        # the anchor network's (m, 2) differences, passed as column views
+        diff = np.array([[3.0, 4.0], [0.0, 0.0], [-6.0, 8.0]])
+        r, dist = range_residuals(diff[:, 0], diff[:, 1],
+                                  np.array([5.0, 1.0, 9.0]))
+        assert diff.tolist() == [[3.0, 4.0], [COINCIDENT_EPS, 0.0],
+                                 [-6.0, 8.0]]
+        assert dist.tolist() == [5.0, COINCIDENT_EPS, 10.0]
+        assert r.tolist() == [0.0, COINCIDENT_EPS - 1.0, 1.0]
 
 
 class TestLevenbergMarquardt:

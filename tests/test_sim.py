@@ -847,6 +847,20 @@ class TestSameAsPerStep:
 
 
 class TestFixTags:
+    @pytest.mark.parametrize("raw, failed", [
+        ({}, 0), ({"n_anchors": 3, "seed": 216}, 3)])
+    def test_errors_are_those_of_the_placed_estimates(self, raw, failed):
+        # one function places and scores every estimate, anchors and tags:
+        # a failed fix is NaN in both arrays
+        trace = run_scenario(ScenarioConfig.from_dict(raw))
+        errors = sim._norms(trace.est_positions - trace.true_positions)
+        assert errors.tobytes() == trace.table.errors.tobytes()
+        nan = np.isnan(errors)
+        assert nan.tolist() == np.isnan(trace.est_positions).any(
+            axis=2).tolist()
+        assert nan.sum() == failed == sum(
+            "fix failed" in note for note in trace.diagnostics)
+
     @pytest.mark.parametrize("shape", ["default_ensemble", "recal_dense"])
     def test_converged_fixes_end_without_a_stall(self, monkeypatch, shape):
         # Each run's solve_fixes call, replayed with the iteration cap

@@ -214,6 +214,21 @@ EDITS = {
         9, lines[9].replace(b"\r\n", b"\n")),
     "the last line has no ending": lambda lines: lines.__setitem__(
         -1, lines[-1].rstrip(b"\r\n")),
+    # a field of 100,000 characters, of which a message quotes 100
+    "a long error not a number": lambda lines: set_field(
+        lines, 9, 7, b"x" * 100_000),
+    "a long overflowing error": lambda lines: set_field(
+        lines, 9, 7, b"1" * 100_000),
+    "a long overflowing rotation": lambda lines: set_field(
+        lines, 9, 8, b"1" * 100_000),
+    "a long differing rotation": lambda lines: set_field(
+        lines, 9, 8, b"0.5" + b"0" * 99_997),
+    "a long flag": lambda lines: set_field(
+        lines, 9, 9, b"0" + b" " * 99_999),
+    "a long step": lambda lines: set_field(
+        lines, 9, 0, b" " * 99_999 + b"1"),
+    "a long kind": lambda lines: set_field(
+        lines, 9, 1, b"anchor" + b"x" * 99_994),
 }
 
 
@@ -252,6 +267,17 @@ REFUSALS = {
         "line 701: step 139 is cut short: it holds 4 of 5 rows",
     "the last step cut short": "line 2501: step 499 is cut short: the trace "
                                "ends after 4 of its 5 rows",
+    "a long error not a number":
+        "line 10: could not convert string to float: 'xxx",
+    "a long overflowing error":
+        "line 10: anchor 3: error_m must be a finite number, got '111",
+    "a long overflowing rotation":
+        "line 10: rotation_error_rad must be a finite number, got '111",
+    "a long differing rotation":
+        "line 10: step 1: rotation_error_rad,calibrated 0.5000",
+    "a long flag": "line 10: calibrated must be 0 or 1, got '0 ",
+    "a long step": "line 10: step 1: step    ",
+    "a long kind": "line 10: step 1: expected anchor 3, got anchorxxx",
 }
 
 
@@ -261,8 +287,10 @@ def test_an_edit_gives_the_row_readers_result(tmp_path, edit):
     EDITS[edit](lines)
     path = tmp_path / "trace.csv"
     path.write_bytes(b"".join(lines))
-    assert read_or_refuse(path).startswith(
-        REFUSALS.get(edit, "[TraceRecord("))
+    message = read_or_refuse(path)
+    assert message.startswith(REFUSALS.get(edit, "[TraceRecord("))
+    if edit in REFUSALS:
+        assert len(message) < 1024, message
 
 
 # fields respelled to the same value, to another one, or to no number
