@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`uwbcal.geometry` -- planar primitives, bilateration, rotation error
+- :mod:`uwbcal.geometry` -- planar primitives and the rotation error
 - :mod:`uwbcal.ranging` -- the ranging bias/noise model: fit, draw, correct
 - :mod:`uwbcal.autocalib` -- anchor self-calibration from range statistics
 - :mod:`uwbcal.multilateration` -- tag fixes from ranges to known anchors
@@ -17,7 +17,7 @@ gradient checks and the test input writers are test oracles, in
 
 from .autocalib import (CalibrationResult, DistanceStatsMatrix, calibrate,
                         initial_placement, refine_lse)
-from .geometry import bilaterate_positive_y, distance, rotation_error
+from .geometry import distance, rotation_error
 from .multilateration import TagFix, linear_initial_guess, locate_tag
 from .protocol import estimate_latency, run_calibration_round
 from .ranging import (RangingModel, RangingSample, correct_measurement,
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationResult", "DistanceStatsMatrix", "RangingModel",
     "RangingSample", "ScenarioConfig", "StepTable", "SummaryStats", "TagFix",
-    "bilaterate_positive_y", "calibrate", "correct_measurement", "distance",
-    "estimate_latency", "fit_model", "initial_placement",
-    "linear_initial_guess", "locate_tag", "reference_model", "refine_lse",
-    "rotation_error", "run_calibration_round", "run_scenario",
-    "simulate_measurement", "summarize",
+    "calibrate", "correct_measurement", "distance", "estimate_latency",
+    "fit_model", "initial_placement", "linear_initial_guess", "locate_tag",
+    "reference_model", "refine_lse", "rotation_error",
+    "run_calibration_round", "run_scenario", "simulate_measurement",
+    "summarize",
 ]

@@ -1,12 +1,12 @@
 """Anchor-network self-calibration from inter-anchor range statistics.
 
-The pipeline has two stages. A geometric bootstrap places every anchor from
-its distances to anchors 0 and 1 (anchor 0 at the origin, anchor 1 on the
-positive x-axis, everyone else in the upper half-plane). A damped
-least-squares refinement then adjusts all positions to match the full set of
-pairwise distances. Re-calibrations warm-start from the previous estimates
-and drop the axis assumptions: only the anchor-0 origin is kept, which is
-enough because the distance-only objective cannot observe rotation anyway.
+The pipeline has two stages. A classical-MDS start places every anchor from
+every pair's distance (anchor 0 at the origin, anchor 1 on the positive
+x-axis, anchor 2 at y >= 0). A damped least-squares refinement then adjusts
+all positions to match the full set of pairwise distances. Re-calibrations
+warm-start from the previous estimates and drop the axis assumptions: only
+the anchor-0 origin is kept, which is enough because the distance-only
+objective cannot observe rotation anyway.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                      csv_rows, echo)
-from .geometry import bilaterate_positive_y
 from .leastsq import levenberg_marquardt, range_residuals
 from .ranging import RangingModel
 
 
 # the largest count a numpy int holds; a distance CSV names at most
-# MISSING_PAIRS_NAMED missing pairs and counts the rest
-MAX_COUNT, MISSING_PAIRS_NAMED = np.iinfo(int).max, 10
+# MISSING_PAIRS_NAMED missing pairs and counts the rest; a scenario and a
+# distance CSV hold at most MAX_ANCHORS anchors
+MAX_COUNT, MISSING_PAIRS_NAMED, MAX_ANCHORS = np.iinfo(int).max, 10, 64
 
 
 def _check_pair(n, i, j, mean, std, count) -> None:
@@ -45,7 +45,8 @@ def _check_pair(n, i, j, mean, std, count) -> None:
 
 def _check_ids(n: int, i: int, j: int) -> None:
     if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError(f"invalid anchor pair ({i},{j}) for n={n}")
+        raise ValueError(f"invalid anchor pair ({echo(i)},{echo(j)}) for "
+                         f"n={n}")
 
 
 @dataclass(frozen=True)
@@ -151,28 +152,44 @@ class CalibrationResult:
 
 
 def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
-    """Geometric bootstrap from distances to the first two anchors."""
+    """Classical-MDS start from every pair's symmetrized mean."""
     return _placement(d.n_anchors, *d.sym_table())
 
 
 def _placement(n: int, pairs, targets) -> list[tuple[float, float]]:
-    """:func:`initial_placement` from the pairs and means of a sym_table;
-    :class:`DegenerateGeometry` names an anchor lacking a pair it needs."""
-    sym = dict(zip(pairs, targets))
-    for i in range(1, n):
-        for a in (0, 1)[:i]:  # anchor 1 is placed from anchor 0 alone
-            if (a, i) not in sym:
-                raise DegenerateGeometry(f"anchor {i}: pair ({a},{i}) was "
-                                         f"not measured", anchor_id=i)
-    d01 = sym[0, 1]
-    placed = []
-    for i in range(2, n):
-        try:
-            placed.append(bilaterate_positive_y(d01, sym[0, i], sym[1, i]))
-        except DegenerateGeometry as exc:
-            raise DegenerateGeometry(
-                f"anchor {i}: {exc}", anchor_id=i) from exc
-    return [(0.0, 0.0), (d01, 0.0), *placed]
+    """:func:`initial_placement` from the pairs and means of a sym_table:
+    classical MDS (Torgerson 1952) of the squared distances over the
+    largest, negative eigenvalues clamped at 0, in the gauge anchor 0 at the
+    origin, anchor 1 on +x, anchor 2 at y >= 0. :class:`DegenerateGeometry`
+    names the first pair, by its larger anchor, that is unmeasured or not
+    positive and finite, and an anchor whose start overflows."""
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    table = np.zeros((n, n))
+    table[jj, ii] = targets
+    usable = (table > 0.0) & (table < math.inf)
+    if np.count_nonzero(usable) < n * (n - 1) // 2:
+        j, i = np.argwhere(np.tri(n, k=-1, dtype=bool) & ~usable)[0].tolist()
+        why = (f"has distance {table[j, i]}, which is not positive and "
+               f"finite" if (i, j) in pairs else "was not measured")
+        raise DegenerateGeometry(f"anchor {j}: pair ({i},{j}) {why}",
+                                 anchor_id=j)
+    scale = table.max()
+    sq, centring = (table / scale) ** 2, np.eye(n) - 1.0 / n
+    eigval, eigvec = np.linalg.eigh(-0.5 * (centring @ (sq + sq.T)
+                                            @ centring))
+    xy = eigvec[:, -2:] * np.sqrt(np.maximum(eigval[-2:], 0.0))
+    xy -= xy[0]
+    angle = math.atan2(xy[1, 1], xy[1, 0])
+    c, s = math.cos(angle), math.sin(angle)
+    flip = -1.0 if c * xy[2, 1] - s * xy[2, 0] < 0.0 else 1.0
+    with np.errstate(over="ignore"):
+        rows = (xy @ (scale * np.array([[c, -flip * s],
+                                        [s, flip * c]]))).tolist()
+    for i, (x, y) in enumerate(rows):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DegenerateGeometry(f"anchor {i}: the start overflows "
+                                     f"floating point", anchor_id=i)
+    return [(0.0, 0.0), (rows[1][0], 0.0), *map(tuple, rows[2:])]
 
 
 def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
@@ -278,8 +295,9 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
     """Full calibration: form the bias-corrected symmetric table once,
     choose a start, refine against the same table.
 
-    Without a prior this is the initial calibration: geometric placement
-    with the anchor-1 x-axis rule, which the refinement then preserves.
+    Without a prior this is the initial calibration: the classical-MDS
+    start with the anchor-1 x-axis rule, which the refinement then
+    preserves.
     With a prior (re-calibration), the prior is translated so its anchor 0
     sits at the origin and every other coordinate is free; the refined
     anchor 1 may leave the x-axis.
@@ -304,10 +322,15 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
     rows = []
     for lineno, row in csv_rows(path, ["i", "j", "mean_m", "std_m", "count"]):
         try:
-            rows.append((int(row[0]), int(row[1]), float(row[2]),
-                         float(row[3]), int(row[4]), lineno))
+            i, j, mean, std, count = (int(row[0]), int(row[1]), float(row[2]),
+                                      float(row[3]), int(row[4]))
         except ValueError as exc:
             raise CsvFormatError(echo(exc), line=lineno) from exc
+        for a in (i, j):
+            if not 0 <= a < MAX_ANCHORS:
+                raise CsvFormatError(f"anchor id {echo(a)}: need 0 to "
+                                     f"{MAX_ANCHORS - 1}", line=lineno)
+        rows.append((i, j, mean, std, count, lineno))
     if not rows:
         raise CsvFormatError("no data rows", line=1)
     n = max(max(r[0], r[1]) for r in rows) + 1
@@ -316,7 +339,8 @@ def load_distance_csv(path) -> DistanceStatsMatrix:
     seen = set()
     for i, j, mean, std, count, lineno in rows:
         if (i, j) in seen:
-            raise CsvFormatError(f"duplicate pair ({i},{j})", line=lineno)
+            raise CsvFormatError(f"duplicate pair ({echo(i)},{echo(j)})",
+                                 line=lineno)
         seen.add((i, j))
         if not (math.isfinite(mean) and math.isfinite(std)):
             raise CsvFormatError(f"pair ({i},{j}): mean and std must be "

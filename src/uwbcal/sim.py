@@ -36,7 +36,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .autocalib import calibrate
+from .autocalib import MAX_ANCHORS, calibrate
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
                      NotConverged, SingularUpdate, _utf8_lines, echo,
                      finite_number, integer, json_object, out_of_range,
@@ -191,7 +191,7 @@ def parse_trigger(key: str, value) -> Trigger:
 # bounds keep a round's block (k·N·(N−1) draws) under 33 MB and a trace
 # (n_steps·(N+T) rows) under 1.3 million rows. See MAX_STEP_M for drift.
 SCALAR_KEYS = (
-    ("n_anchors", integer, 3, 64),
+    ("n_anchors", integer, 3, MAX_ANCHORS),
     ("n_tags", integer, 0, 64),
     ("n_steps", integer, 1, 10_000),
     ("calibration_period", integer, 1, math.inf),
@@ -1061,7 +1061,7 @@ def _deviation(lines: list[str], start: int, n: int, width: int,
         if j == 0 and step == last and at == 2 + 2 * width:
             # the second step goes on where the first stopped
             raise CsvFormatError(f"the first step is cut short: it holds "
-                                 f"{width} rows, step {step} more",
+                                 f"{width} rows, step {echo(step)} more",
                                  line=2 + width)
         if j == 0:
             prev, last, head = last, step, row
@@ -1077,24 +1077,24 @@ def _deviation(lines: list[str], start: int, n: int, width: int,
                                      f"number, got {echo(repr(rot_s))}"),
             (cal_s not in ("0", "1"),
              f"calibrated must be 0 or 1, got {echo(repr(cal_s))}"),
-            (j == 0 and prev is not None and step < prev,
-             f"step {step} follows step {prev}; steps must increase"),
-            (j == 0 and step == prev,
-             f"step {step} holds more rows than the first step's {width}"),
-            (step_s != head[0] and node == "anchor 0",
-             f"step {last} is cut short: it holds {j} of {width} rows"),
+            (j == 0 and prev is not None and step < prev, f"step {echo(step)} "
+             f"follows step {echo(prev)}; steps must increase"),
+            (j == 0 and step == prev, f"step {echo(step)} holds more rows "
+             f"than the first step's {width}"),
+            (step_s != head[0] and node == "anchor 0", f"step {echo(last)} is "
+             f"cut short: it holds {j} of {width} rows"),
             (step_s != head[0],
-             f"step {last}: step {echo(step_s)} differs from the step's "
-             f"first row"),
-            (row[8:] != head[8:], f"step {last}: rotation_error_rad,"
+             f"step {echo(last)}: step {echo(step_s)} differs from the "
+             f"step's first row"),
+            (row[8:] != head[8:], f"step {echo(last)}: rotation_error_rad,"
                                   f"calibrated {echo(','.join(row[8:]))} "
                                   f"differ from the step's first row, "
                                   f"{echo(','.join(head[8:]))}"),
-            (node in nodes[:j], f"step {last}: a second row for {node}"),
-            (node != nodes[j], f"step {last}: expected {nodes[j]}, got "
+            (node in nodes[:j], f"step {echo(last)}: a second row for {node}"),
+            (node != nodes[j], f"step {echo(last)}: expected {nodes[j]}, got "
                                f"{echo(node)}")) if broken), None)
         if message:
             raise CsvFormatError(message, line=at)
-    raise CsvFormatError(f"step {last} is cut short: the trace ends after "
-                         f"{len(lines) % width} of its {width} rows",
+    raise CsvFormatError(f"step {echo(last)} is cut short: the trace ends "
+                         f"after {len(lines) % width} of its {width} rows",
                          line=start + len(lines))

@@ -13,7 +13,7 @@ from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
                               refine_lse)
 from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                            SingularUpdate, UwbCalError)
-from uwbcal.geometry import bilaterate_positive_y, distance, rotation_error
+from uwbcal.geometry import distance, rotation_error
 from uwbcal.leastsq import levenberg_marquardt
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
@@ -132,20 +132,67 @@ class TestInitialPlacement:
         assert placed[2][0] == pytest.approx(s / 2)
         assert placed[2][1] == pytest.approx(s * math.sqrt(3) / 2)
 
-    def test_collinear_clamps_to_axis(self):
+    def test_collinear_table_gives_a_collinear_start(self):
+        # exact, or with d02 read 1 ppb long so that no triangle fits, the
+        # second eigenvalue is zero to rounding or clamped at 0: anchor 2
+        # lies on the axis to within the square root of rounding
         d = 6.0
-        line = [(0, 0), (d, 0), (2 * d, 0)]
-        placed = initial_placement(exact_matrix(line))
-        assert placed[2][0] == pytest.approx(2 * d)
-        assert placed[2][1] == 0.0
+        m = exact_matrix([(0, 0), (d, 0), (2 * d, 0)])
+        for _ in range(2):
+            placed = initial_placement(m)
+            assert placed[2][0] == pytest.approx(2 * d)
+            assert abs(placed[2][1]) <= 1e-7 * d
+            m.set_pair(0, 2, 2 * d * (1 + 1e-9), 0.0, 10 ** 6)
 
-    def test_inconsistent_distances_name_the_anchor(self):
+    def test_inconsistent_distances_give_a_start(self):
+        # no triangle has these sides; the start is a plane layout all the
+        # same
         m = exact_matrix(GOLDEN_FRAME[:3])
         m.set_pair(0, 2, 100.0, 0.0, 10 ** 6)  # overwhelms the (2,0) entry
         m.set_pair(1, 2, 1.0, 0.0, 10 ** 6)
-        with pytest.raises(DegenerateGeometry) as err:
-            initial_placement(m)
-        assert err.value.anchor_id == 2
+        placed = initial_placement(m)
+        assert all(map(math.isfinite, itertools.chain(*placed)))
+        assert placed[1][0] > 0.0 and placed[2][1] >= 0.0
+
+    def test_mirror_layout_keeps_the_gauge(self):
+        # anchor 3 lies below the line from anchor 0 to anchor 1; only
+        # anchor 2 is held at y >= 0
+        world = [(2, 3), (11, 3), (18, 6), (12, -9)]
+        frame = [(x - 2.0, y - 3.0) for x, y in world]
+        result = calibrate(exact_matrix(world), RangingModel.identity())
+        assert result.positions[2][1] >= 0.0
+        for got, want in zip(result.positions, frame):
+            assert distance(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("model, pair, target", [
+        (RangingModel(1.0, 6.0, 0.0, 2), (1, 2), "-1.0"),
+        (RangingModel(1e-310, 1000.0, 0.0, 2), (0, 1), "-inf"),
+    ], ids=["non_positive", "non_finite"])
+    def test_an_unusable_distance_names_its_pair(self, model, pair, target):
+        # corrected, pair (1,2)'s 5 m reads -1 m; through a slope of
+        # 1e-310 every reading corrects to -inf
+        m = exact_matrix([(0, 0), (9, 0), (12, 4)])
+        i, j = pair
+        with pytest.raises(DegenerateGeometry, match=re.escape(
+                f"anchor {j}: pair ({i},{j}) has distance {target}, which "
+                f"is not positive and finite")) as err:
+            calibrate(m, model)
+        assert err.value.anchor_id == j
+
+    def test_a_start_that_overflows_names_its_anchor(self):
+        # finite distances near the float limit whose start lands beyond it
+        big = 1.7e308
+        m = DistanceStatsMatrix(4)
+        for (i, j), t in zip(itertools.combinations(range(4), 2),
+                             [big, big / 9 * 2, big, big, big / 9 * 2,
+                              big / 9 * 2]):
+            m.set_pair(i, j, t, 0.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometry,
+                               match="^anchor 1: the start overflows") as err:
+                initial_placement(m)
+        assert err.value.anchor_id == 1
 
     @pytest.mark.parametrize("lacking, anchor", [
         ((0, 1), 1), ((0, 2), 2), ((1, 2), 2), ((1, 3), 3)])
@@ -445,14 +492,15 @@ class TestDistanceCsv:
 
     def test_missing_pairs_are_found_before_the_matrix_is_built(
             self, tmp_path):
-        # three n x n arrays of 100,001 anchors would take 240 GB
+        # an id at the bound, 63: 2,012 of the 2,016 pairs are missing
         path = tmp_path / "far.csv"
         path.write_text("i,j,mean_m,std_m,count\n0,1,9.0,0.0,1\n"
                         "0,2,5.0,0.0,1\n1,2,5.0,0.0,1\n"
-                        "0,100000,5.0,0.0,1\n")
+                        "0,63,5.0,0.0,1\n")
         tracemalloc.start()
         try:
-            with pytest.raises(CsvFormatError, match=r"\(0, 3\), .* more$"):
+            with pytest.raises(CsvFormatError,
+                               match=r"\(0, 3\), .* and 2002 more$"):
                 load_distance_csv(path)
             assert tracemalloc.get_traced_memory()[1] < 10 ** 6
         finally:
@@ -557,19 +605,44 @@ class TestResidualFunction:
                 array[0] = 1
 
 
+def oracle_start(d, model) -> list[tuple[float, float]]:
+    """``calibrate``'s classical-MDS start spelled out pair by pair: the
+    table from ``sym_mean`` in a double loop, then the arithmetic of
+    ``autocalib._placement`` step by step, so that it rounds alike."""
+    n = d.n_anchors
+    table = np.zeros((n, n))
+    for j in range(1, n):
+        for i in range(j):
+            try:
+                t = sym_mean(d, i, j, model)
+            except KeyError:
+                raise DegenerateGeometry(
+                    f"anchor {j}: pair ({i},{j}) was not measured") from None
+            if not 0.0 < t < math.inf:
+                raise DegenerateGeometry(
+                    f"anchor {j}: pair ({i},{j}) has distance {t}, which "
+                    f"is not positive and finite")
+            table[i, j] = table[j, i] = t
+    scale = table.max()
+    centring = np.eye(n) - 1.0 / n
+    eigval, eigvec = np.linalg.eigh(
+        -0.5 * (centring @ ((table / scale) ** 2) @ centring))
+    xy = eigvec[:, -2:] * np.sqrt(np.maximum(eigval[-2:], 0.0))
+    xy = xy - xy[0]
+    angle = math.atan2(xy[1, 1], xy[1, 0])
+    c, s = math.cos(angle), math.sin(angle)
+    flip = -1.0 if c * xy[2, 1] - s * xy[2, 0] < 0.0 else 1.0
+    placed = xy @ (scale * np.array([[c, -flip * s], [s, flip * c]]))
+    return [(0.0, 0.0), (float(placed[1, 0]), 0.0)] + [
+        (float(placed[i, 0]), float(placed[i, 1])) for i in range(2, n)]
+
+
 def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
-    """``calibrate`` spelled out pair by pair: the bootstrap on
+    """``calibrate`` spelled out pair by pair: the MDS start on
     ``sym_mean``'s corrected means, then the dense oracle residuals."""
     n = d.n_anchors
     if prior is None:
-        d01 = sym_mean(d, 0, 1, model)
-        start, fix_a1_axis = [(0.0, 0.0), (d01, 0.0)], True
-        for i in range(2, n):
-            try:
-                start.append(bilaterate_positive_y(
-                    d01, sym_mean(d, 0, i, model), sym_mean(d, 1, i, model)))
-            except DegenerateGeometry as exc:
-                raise DegenerateGeometry(f"anchor {i}: {exc}") from exc
+        start, fix_a1_axis = oracle_start(d, model), True
     else:
         ox, oy = prior[0]
         start, fix_a1_axis = [(x - ox, y - oy) for x, y in prior], False

@@ -215,32 +215,40 @@ class TestCalibrate:
             f"error: {src}: line 2: pair (0,1): count must be from 1 to "
             f"{2 ** 63 - 1}, got {10 ** 30}\n")
 
-    def test_huge_anchor_id_exits_2(self, tmp_path):
-        # about 1e22 pairs are missing: the first ten are named
+    @pytest.mark.parametrize("far", [64, 99999999999])
+    def test_huge_anchor_id_exits_2(self, tmp_path, far):
+        # ids are bounded like a scenario's n_anchors, before any
+        # arithmetic on them
         src = tmp_path / "id.csv"
         src.write_text("i,j,mean_m,std_m,count\n0,1,10,0.1,5\n0,2,10,0.1,5\n"
-                       "1,2,10,0.1,5\n0,99999999999,10,0.1,5\n")
+                       f"1,2,10,0.1,5\n0,{far},10,0.1,5\n")
         result = run_cli("calibrate", "--input", str(src),
                          "--output", str(tmp_path / "r.json"))
         assert result.returncode == 2
-        n = 10 ** 11
-        named = ", ".join(f"(0, {j})" for j in range(3, 13))
-        assert result.stderr == (
-            f"error: {src}: missing pair rows: {named} and "
-            f"{n * (n - 1) // 2 - 4 - 10} more\n")
+        assert result.stderr == \
+            f"error: {src}: line 5: anchor id {far}: need 0 to 63\n"
 
     def test_degenerate_geometry_exits_5(self, tmp_path):
+        # pair (1,2)'s 0.2 m corrects to -0.16 m under the model's 0.36 m
+        # intercept
         src = tmp_path / "degen.csv"
         rows = ["i,j,mean_m,std_m,count", "0,1,9.0,0.0,1", "1,0,9.0,0.0,1",
-                "0,2,1.0,0.0,1", "2,0,1.0,0.0,1", "1,2,1.0,0.0,1",
-                "2,1,1.0,0.0,1"]
+                "0,2,5.0,0.0,1", "2,0,5.0,0.0,1", "1,2,0.2,0.0,1",
+                "2,1,0.2,0.0,1"]
         src.write_text("\n".join(rows) + "\n")
-        result = run_cli("calibrate", "--input", str(src),
-                         "--output", str(tmp_path / "r.json"))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(
+            {"slope": 1.0, "intercept_m": 0.36, "noise_std_m": 0.05,
+             "n_samples": 10}))
+        result = run_cli("calibrate", "--input", str(src), "--model",
+                         str(model_path), "--output", str(tmp_path / "r.json"))
         assert result.returncode == 5
-        assert "anchor 2" in result.stderr
+        assert result.stderr == (
+            "error: anchor 2: pair (1,2) has distance -0.15999999999999998, "
+            "which is not positive and finite\n")
 
     def test_overflowing_means_exit_5(self, tmp_path):
+        # both directions' 1e308 sum to inf in the symmetrized mean
         src = tmp_path / "huge.csv"
         src.write_text("i,j,mean_m,std_m,count\n" + "".join(
             f"{i},{j},1e308,0,1\n" for i in range(3) for j in range(3)
@@ -248,8 +256,8 @@ class TestCalibrate:
         result = run_cli("calibrate", "--input", str(src),
                          "--output", str(tmp_path / "r.json"))
         assert result.returncode == 5
-        assert "anchor 2" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr == ("error: anchor 1: pair (0,1) has distance "
+                                 "inf, which is not positive and finite\n")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_mean_exits_2(self, tmp_path, value):
@@ -292,9 +300,8 @@ class TestCalibrate:
         result = run_cli("calibrate", "--input", str(src), "--model",
                          str(model_path), "--output", str(tmp_path / "r.json"))
         assert result.returncode == 5
-        assert result.stderr.startswith("error: anchor 2: distances must "
-                                        "be positive, got (-inf")
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == ("error: anchor 1: pair (0,1) has distance "
+                                 "-inf, which is not positive and finite\n")
 
     @pytest.mark.parametrize("flag, doc, named", [
         ("--model", {"slope": True, "intercept_m": 0.36, "noise_std_m": 0.05,
@@ -538,8 +545,8 @@ class TestSimulate:
         result = run_cli("simulate", "--scenario", str(scenario),
                          "--out-dir", str(tmp_path / "out"))
         assert result.returncode == 5
-        assert result.stderr.startswith("error: anchor 2: circles")
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == ("error: anchor 1: pair (0,1) has distance "
+                                 "inf, which is not positive and finite\n")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_zero_flight_round_exits_5(self, tmp_path, seed):
@@ -649,17 +656,20 @@ class TestSimulate:
             "convex hull\n")
 
     def test_bootstrap_geometry_failure_exits_5(self, tmp_path):
-        # at 2 m of ranging noise the seed-1 bootstrap circles for anchor 2
-        # do not intersect
+        # anchors 0 and 2 stand 0.14 m apart: at 0.3 m of ranging noise the
+        # seed-9 bootstrap round reads their pair below the intercept
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps({"ranging": {
-            "slope": 1.0086, "intercept_m": 0.361, "noise_std_m": 2.0,
-            "n_samples": 40}}))
+        scenario.write_text(json.dumps({
+            "n_anchors": 3, "n_tags": 0, "n_steps": 3, "k_measurements": 1,
+            "initial_anchor_positions": [[0, 0], [10, 0], [0.1, 0.1]],
+            "ranging": {"slope": 1.0, "intercept_m": 0.36,
+                        "noise_std_m": 0.3, "n_samples": 10}}))
         result = run_cli("simulate", "--scenario", str(scenario),
-                         "--out-dir", str(tmp_path / "out"), "--seed", "1")
+                         "--out-dir", str(tmp_path / "out"), "--seed", "9")
         assert result.returncode == 5
-        assert "anchor 2" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: anchor 2: pair (0,2) has "
+                                        "distance -0.09")
+        assert result.stderr.count("\n") == 1
 
     def test_no_bias_correction_flag(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -970,6 +980,34 @@ def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path, command,
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {path}: line {line}: ")
     assert "UTF-8" not in result.stderr
+
+
+HUGE = "1" + "0" * 4000  # parses as an int; its str is 4,001 characters
+
+
+# messages quote a parsed integer, here of 4,001 digits, through echo
+@pytest.mark.parametrize("command, rows, message", [
+    ("calibrate", ["0,1,10,0.1,5", "0,2,10,0.1,5", "1,2,10,0.1,5",
+                   f"0,{HUGE},10,0.1,5"], "line 5: anchor id 1000"),
+    ("calibrate", [f"{HUGE},1,10,0.1,5"] * 2, "line 2: anchor id 1000"),
+    ("summarize", [f"{HUGE},anchor,0,0,0,0,0,0,0.01,0",
+                   f"{HUGE},anchor,1,9,0,9,0,0,0.01,0",
+                   "2,anchor,0,0,0,0,0,0,0.01,0",
+                   "2,anchor,1,9,0,9,0,0,0.01,0"],
+     "line 4: step 2 follows step 1000"),
+], ids=["huge_anchor_id", "huge_duplicate_pair", "huge_step"])
+def test_a_huge_parsed_integer_exits_2_on_one_short_line(tmp_path, command,
+                                                         rows, message):
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join([CSV_HEADERS[command], *rows]) + "\n")
+    output = [] if command == "summarize" else \
+        ["--output", str(tmp_path / "out.json")]
+    result = run_cli(command, "--input", str(path), *output)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {path}: {message}")
+    assert result.stderr.count("\n") == 1
+    assert len(result.stderr.encode()) < 1024
+    assert "Traceback" not in result.stderr
 
 
 # Any JSON value. Integers and integral floats are at most 12 or at least

@@ -9,8 +9,7 @@ from conftest import (GOLDEN_FRAME, GOLDEN_TAG_RANGES, GOLDEN_TAG_WORLD,
 from oracles import translation_errors
 from uwbcal.autocalib import calibrate
 from uwbcal.errors import DegenerateGeometry
-from uwbcal.geometry import (bilaterate_positive_y, distance,
-                             rotation_error, wrap_angle)
+from uwbcal.geometry import distance, rotation_error, wrap_angle
 from uwbcal.multilateration import locate_tag
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import reference_model
@@ -46,71 +45,6 @@ class TestDistance:
     def test_triangle_inequality(self, a, b, c):
         slack = 1e-9 * (1.0 + distance(a, b) + distance(b, c))
         assert distance(a, c) <= distance(a, b) + distance(b, c) + slack
-
-
-class TestBilateratePositiveY:
-    def test_symmetric_isoceles(self):
-        p = bilaterate_positive_y(10.0, math.sqrt(50), math.sqrt(50))
-        assert p[0] == pytest.approx(5.0)
-        assert p[1] == pytest.approx(5.0)
-
-    def test_golden_third_anchor(self):
-        # anchors at (0,0) and (9,0), third at (16,3)
-        p = bilaterate_positive_y(9.0, math.sqrt(265), math.sqrt(58))
-        assert p[0] == pytest.approx(16.0, abs=1e-12)
-        assert p[1] == pytest.approx(3.0, abs=1e-12)
-
-    def test_against_grid_search_oracle(self):
-        # brute-force 1 mm grid minimizing the two circle mismatches
-        truth = (4.3, 7.9)
-        d01 = 9.0
-        d0i = math.hypot(truth[0], truth[1])
-        d1i = math.hypot(truth[0] - d01, truth[1])
-        best, best_cost = None, math.inf
-        for ix in range(-50, 51):
-            for iy in range(-50, 51):
-                x = truth[0] + ix * 1e-3
-                y = truth[1] + iy * 1e-3
-                cost = (abs(math.hypot(x, y) - d0i)
-                        + abs(math.hypot(x - d01, y) - d1i))
-                if cost < best_cost:
-                    best, best_cost = (x, y), cost
-        p = bilaterate_positive_y(d01, d0i, d1i)
-        assert p[0] == pytest.approx(best[0], abs=1.5e-3)
-        assert p[1] == pytest.approx(best[1], abs=1.5e-3)
-
-    @given(st.floats(min_value=0.5, max_value=50),
-           st.floats(min_value=-30, max_value=30),
-           st.floats(min_value=0.0, max_value=30))
-    def test_round_trip_upper_half_plane(self, d01, x, y):
-        d0i = math.hypot(x, y)
-        d1i = math.hypot(x - d01, y)
-        if d0i < 1e-6 or d1i < 1e-6:
-            return
-        p = bilaterate_positive_y(d01, d0i, d1i)
-        tol = 1e-6 * max(1.0, d0i)
-        assert abs(math.hypot(p[0], p[1]) - d0i) <= tol
-        assert abs(math.hypot(p[0] - d01, p[1]) - d1i) <= tol
-        assert p[1] >= 0.0
-
-    def test_small_inconsistency_clamped_to_axis(self):
-        # collinear layout: third anchor beyond the baseline end
-        d = 4.0
-        p = bilaterate_positive_y(d, 2 * d, d)
-        assert p == (2 * d, 0.0)
-        # tiny growth of d0i makes y^2 slightly negative; still clamps
-        p = bilaterate_positive_y(d, 2 * d * (1 + 1e-9), d)
-        assert p[1] == 0.0
-
-    def test_gross_inconsistency_raises(self):
-        with pytest.raises(DegenerateGeometry):
-            bilaterate_positive_y(9.0, 1.0, 1.0)
-
-    def test_non_positive_inputs_raise(self):
-        with pytest.raises(DegenerateGeometry):
-            bilaterate_positive_y(0.0, 1.0, 1.0)
-        with pytest.raises(DegenerateGeometry):
-            bilaterate_positive_y(1.0,-1.0, 1.0)
 
 
 class TestRotationError:
