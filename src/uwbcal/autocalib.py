@@ -96,6 +96,11 @@ class DistanceStatsMatrix:
                 and all(0 <= a < n and 0 <= b < n and a != b for a, b in ids)):
             for (a, b), m, s in zip(ids, means, stds):
                 self.set_pair(a, b, m, s, count)
+        self._store(i, j, mean, std, count)
+
+    def _store(self, i: np.ndarray, j: np.ndarray, mean: np.ndarray,
+               std: np.ndarray, count: int) -> None:
+        """``set_pairs``' store, for a caller whose block is known valid."""
         self._mean[i, j] = mean
         self._std[i, j] = std
         self._count[i, j] = count
@@ -238,11 +243,13 @@ def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
     n_free, m = len(free_cols), len(pairs)
     targets = np.array(targets, dtype=float)
     ext, buf = np.zeros(n_free + 1), np.zeros(4 * m + 1)
+    free_part = ext[:n_free]
     units, negated = buf[:2 * m].reshape(m, 2), buf[2 * m:4 * m].reshape(m, 2)
 
     def fun(free):
-        ext[:n_free] = free
-        diff = ext.take(first) - ext.take(second)
+        free_part[...] = free
+        diff = ext.take(first)
+        diff -= ext.take(second)
         r, dist = range_residuals(diff[:, 0], diff[:, 1], targets)
         np.divide(diff, dist[:, None], out=units)
         np.negative(units, out=negated)
@@ -260,23 +267,22 @@ def refine_lse(initial, d: DistanceStatsMatrix,
     additionally keeps y = 0. Raises :class:`NotConverged` with the best
     iterate attached if the iteration cap is reached.
     """
-    return _refine(initial, d.n_anchors, *d.sym_table(), fix_a1_axis)
+    n = d.n_anchors
+    return _refine(_positions(initial, n, "initial positions"), n,
+                   *d.sym_table(), fix_a1_axis)
 
 
-def _refine(initial, n: int, pairs, targets,
+def _refine(start: np.ndarray, n: int, pairs, targets,
             fix_a1_axis: bool) -> CalibrationResult:
-    """:func:`refine_lse` against the pairs and means of a sym_table."""
-    if len(initial) != n:
-        raise ValueError(f"expected {n} initial positions, got {len(initial)}")
-    if tuple(initial[0]) != (0.0, 0.0):
+    """:func:`refine_lse` from an ``(n, 2)`` float array against the pairs
+    and means of a sym_table."""
+    if start[0, 0] != 0.0 or start[0, 1] != 0.0:
         raise ValueError("initial[0] must be the origin")
-
-    flat0 = np.array([c for p in initial for c in p], dtype=float)
-    if not all(map(math.isfinite, flat0.tolist())):
+    if not np.isfinite(start).all():
         raise ValueError("initial positions must be finite")
     fun = _residual_function(n, pairs, targets, fix_a1_axis)
     free_cols = _residual_layout(n, fix_a1_axis, pairs)[0]
-    lsq = levenberg_marquardt(fun, flat0[free_cols])
+    lsq = levenberg_marquardt(fun, start.reshape(-1)[free_cols])
     flat = np.zeros(2 * n)
     flat[free_cols] = lsq.x
     positions = flat.reshape(n, 2)
@@ -288,6 +294,21 @@ def _refine(initial, n: int, pairs, targets,
         raise NotConverged(
             f"refinement stopped after {lsq.iterations} iterations", result)
     return result
+
+
+def _positions(points, n: int, what: str) -> np.ndarray:
+    """``points``, ``(x, y)`` pairs or an ``(N, 2)`` array, as an ``(n, 2)``
+    float array; ValueError if there are not n of them or one is not a
+    pair."""
+    if len(points) != n:
+        raise ValueError(f"expected {n} {what}, got {len(points)}")
+    try:
+        points = np.asarray(points, dtype=float)
+    except ValueError:  # ragged: rows of different lengths
+        points = None
+    if points is None or points.shape != (n, 2):
+        raise ValueError(f"{what} must be {n} (x, y) pairs")
+    return points
 
 
 def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
@@ -304,15 +325,14 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
     """
     n, table = d.n_anchors, d.sym_table(ranging_model)
     if prior is None:
-        start, fix_a1_axis = _placement(n, *table), True
+        start, fix_a1_axis = np.array(_placement(n, *table)), True
     else:
-        if len(prior) != n:
-            raise ValueError(f"prior has {len(prior)} entries for {n} anchors")
-        ox, oy = prior[0]
-        start, fix_a1_axis = [(x - ox, y - oy) for x, y in prior], False
+        prior, fix_a1_axis = _positions(prior, n, "prior positions"), False
     # positions far out overflow to inf or nan, which the refinement's
     # accept rule and step check reject; no warning is needed for them
     with np.errstate(over="ignore", invalid="ignore"):
+        if prior is not None:
+            start = prior - prior[0]
         return _refine(start, n, *table, fix_a1_axis)
 
 

@@ -26,7 +26,7 @@ MAX_ITERATIONS = 100
 GRAD_TOL = 1e-12  # inf-norm of the objective gradient 2 J^T r
 # Rounding a computed distance d costs up to EPS * d, so the objective
 # f = sum r_i^2 is known only to within FLOOR_FACTOR * sum |r_i| d_i.
-FLOOR_FACTOR = 2.0 * np.finfo(float).eps
+FLOOR_FACTOR = 2.0 * float(np.finfo(float).eps)
 
 # Coincident iterates have no distance gradient; nudge them apart instead.
 COINCIDENT_EPS = 1e-9
@@ -55,8 +55,9 @@ def range_residuals(dx: np.ndarray, dy: np.ndarray, targets: np.ndarray
     caller forms from them stay finite.
     """
     dist = np.hypot(dx, dy)
-    coincident = dist < 1e-12
-    if np.count_nonzero(coincident):
+    # one pass in the common case; a NaN distance takes the masked path too
+    if dist.size and not np.minimum.reduce(dist, axis=None) >= 1e-12:
+        coincident = dist < 1e-12
         dx[coincident] = COINCIDENT_EPS
         dy[coincident] = 0.0
         dist[coincident] = COINCIDENT_EPS
@@ -86,9 +87,11 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
     f = float(r @ r)
     # J^T J, J^T r and the floor change only with an accepted step; the
     # gradient is 2 J^T r, and doubling is exact. The floor's dot products
-    # are ndarray.dot, which costs half of what @ does on vectors this short
+    # are ndarray.dot, which costs half of what @ does on vectors this short.
+    # The scalar bookkeeping (|dx|^2, the predicted reduction, the floor)
+    # is in Python floats, whose arithmetic is numpy's without its overhead
     jtj, jtr = jac.T @ jac, jac.T @ r
-    floor = FLOOR_FACTOR * abs(r).dot(dist)
+    floor = FLOOR_FACTOR * float(abs(r).dot(dist))
     grad_inf = 2.0 * _max_abs(jtr) if jtr.size else 0.0
 
     if grad_inf <= GRAD_TOL:
@@ -110,7 +113,7 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
             dx = np.linalg.solve(damped, rhs)
             # |dx|^2 is finite only if every entry is; where it overflows,
             # the entries decide
-            step_sq = dx.dot(dx)
+            step_sq = float(dx.dot(dx))
             solved = step_sq < math.inf or _max_abs(dx) < math.inf
         except np.linalg.LinAlgError:
             solved = False
@@ -126,7 +129,7 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
         f_trial = float(r_trial @ r_trial)
         # the predicted reduction is within rounding of f: no step can
         # lower f any more than rounding does, so this is the last one
-        at_floor = lam * step_sq + rhs.dot(dx) <= floor
+        at_floor = lam * step_sq + float(rhs.dot(dx)) <= floor
 
         if f_trial < f or at_floor and f_trial == f:
             x, r, jac, f = x_trial, r_trial, jac_trial, f_trial
@@ -136,7 +139,7 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
                 converged = True
                 break
             jtj, rhs = jac.T @ jac, -jtr
-            floor = FLOOR_FACTOR * abs(r).dot(dist)
+            floor = FLOOR_FACTOR * float(abs(r).dot(dist))
             lam = max(lam / DAMPING_SHRINK, 1e-15)
         else:
             lam *= DAMPING_GROW

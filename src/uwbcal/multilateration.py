@@ -31,6 +31,8 @@ from .leastsq import (DAMPING_GROW, DAMPING_INITIAL, DAMPING_MAX,
                       range_residuals)
 
 CONDITION_LIMIT = 1e8
+# the smallest normal float: below it a product keeps fewer digits
+_TINY = float(np.finfo(float).tiny)
 
 # Per-fix status codes of solve_fixes. NOT_CONVERGED covers the iteration
 # cap and a rejected step at maximum damping.
@@ -132,8 +134,18 @@ def _linear_starts(x: np.ndarray, y: np.ndarray, ranges: np.ndarray):
     # Singular values of [[r11, r12], [0, r22]] (r11, r22 >= 0): their sum
     # and difference are hypot(r11 +- r22, r12), their product r11 r22.
     s_max = 0.5 * (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12))
-    s_min = r11 * r22 / s_max
+    product = r11 * r22
+    s_min = product / s_max
     condition = np.where(s_min > 0.0, s_max / s_min, np.inf)
+    # Where the product or s_min leaves the normal range, digits are lost
+    # or it overflows. For finite positive r11, r22 and s_max the condition
+    # s_max^2 / (r11 r22) is then the product of two ratios, each >= 1 as
+    # s_max bounds both, which neither underflows nor overflows early.
+    lost = (r11 > 0.0) & (r22 > 0.0) & (s_max < np.inf) & ~(
+        (product >= _TINY) & (product < np.inf) & (s_min >= _TINY))
+    if lost.any():
+        condition[lost] = (s_max[lost] / r11[lost]) \
+            * (s_max[lost] / r22[lost])
     py = q2 / r22
     return (q1 - r12 * py) / r11, py, condition
 

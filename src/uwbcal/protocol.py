@@ -136,8 +136,11 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
         r = int((means <= 0.0).argmax())
         raise _zero_flight(int(rows[r]), int(cols[r]))
     stats = DistanceStatsMatrix(n_anchors)
-    # the layout holds every directed pair, so no pair is left unmeasured
-    stats.set_pairs(rows, cols, means, stds, k_measurements)
+    # set_pairs' checks hold already: the layout holds every directed pair
+    # of distinct anchors below n, so none is left unmeasured, k >= 1 was
+    # checked before the draw, and the means are positive and the stds
+    # finite and >= 0
+    stats._store(rows, cols, means, stds, k_measurements)
     return stats, latency
 
 

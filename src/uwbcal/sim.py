@@ -254,9 +254,9 @@ class ScenarioConfig:
         }
 
 
-def _convex_hull(points: list[tuple[float, float]]):
-    """Monotone-chain convex hull, counter-clockwise."""
-    pts = sorted(set(points))
+def _convex_hull(points):
+    """Monotone-chain convex hull of ``(x, y)`` pairs, counter-clockwise."""
+    pts = sorted(set(map(tuple, points)))
     if len(pts) < 3:
         return pts
 
@@ -278,8 +278,13 @@ def _convex_hull(points: list[tuple[float, float]]):
 def point_in_anchor_hull(p, anchors) -> bool:
     """True if the ``(x, y)`` pair ``p`` lies inside (or on, within 1e-9)
     the hull of the ``anchors`` pairs."""
+    return _in_hull(p, _convex_hull(anchors))
+
+
+def _in_hull(p, hull) -> bool:
+    """:func:`point_in_anchor_hull` against the anchors' hull, formed by
+    :func:`_convex_hull`."""
     px, py = p
-    hull = _convex_hull(list(map(tuple, anchors)))
     if len(hull) < 3:
         return False
     for k in range(len(hull)):
@@ -290,7 +295,10 @@ def point_in_anchor_hull(p, anchors) -> bool:
     return True
 
 
-def _default_tags(anchors, n_tags: int) -> tuple[tuple[float, float], ...]:
+def _default_tags(anchors, n_tags: int,
+                  hull) -> tuple[tuple[float, float], ...]:
+    """The default tag positions about ``anchors``, whose convex hull from
+    :func:`_convex_hull` is ``hull``."""
     x0, y0 = anchors[0]
     cx = sum(x for x, _ in anchors) / len(anchors)
     cy = sum(y for _, y in anchors) / len(anchors)
@@ -304,7 +312,7 @@ def _default_tags(anchors, n_tags: int) -> tuple[tuple[float, float], ...]:
         along = TAG_ALONG_BASE + TAG_ALONG_STEP * (j % 7)
         across = TAG_ACROSS * ((j % 3) - 1)
         tag = (x0 + along * dx + across * px, y0 + along * dy + across * py)
-        if not point_in_anchor_hull(tag, anchors):
+        if not _in_hull(tag, hull):
             # on the segment itself, inside any hull with an interior
             tag = (x0 + along * dx, y0 + along * dy)
         tags.append(tag)
@@ -383,10 +391,13 @@ def _validated(cfg: ScenarioConfig):
                 f"initial_anchor_positions[{j}]: ({x:g}, {y:g}) "
                 f"coincides with initial_anchor_positions[{i}]")
 
-    tags = cfg.initial_tag_positions
+    # the anchors' hull, formed once for the default tags and the check of
+    # every tag
+    tags, hull = cfg.initial_tag_positions, None
     if tags is None:
         if anchors is not None and not bad.keys() & {"n_anchors", "n_tags"}:
-            tags = _default_tags(anchors, cfg.n_tags)
+            hull = _convex_hull(anchors)
+            tags = _default_tags(anchors, cfg.n_tags, hull)
     elif len(tags) != cfg.n_tags:
         violations.append(
             f"initial_tag_positions: {len(tags)} entries for "
@@ -394,8 +405,10 @@ def _validated(cfg: ScenarioConfig):
         tags = None
 
     if anchors is not None and tags is not None:
+        if hull is None:
+            hull = _convex_hull(anchors)
         outside = [idx for idx, tag in enumerate(tags)
-                   if not point_in_anchor_hull(tag, anchors)]
+                   if not _in_hull(tag, hull)]
         if outside and cfg.initial_tag_positions is None:
             # the default tags lie inside any hull with an interior
             violations.append(
@@ -643,10 +656,11 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         t, before = c + 1, path[end]
         if not fires:
             continue
-        met = _coincident(truth[c].tolist())
+        positions = truth[c].tolist()
+        met = _coincident(positions)
         if met:
             i, j = met[0]
-            x, y = truth[c, j].tolist()
+            x, y = positions[j]
             raise ConfigError([
                 f"step {c}: anchors {i} and {j} coincide at ({x:g}, {y:g}) "
                 f"and cannot range each other; change the motion or "
@@ -654,10 +668,10 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         noise.append(ranging_rng.standard_normal(
             (live_before[c] - live_before[drawn], n)))
         drawn = c
-        stats, _ = run_calibration_round(n, cfg.k_measurements,
-                                         truth[c].tolist(), model, ranging_rng)
+        stats, _ = run_calibration_round(n, cfg.k_measurements, positions,
+                                         model, ranging_rng)
         try:
-            result = calibrate(stats, correction, prior=frame[end].tolist())
+            result = calibrate(stats, correction, prior=frame[end])
         except NotConverged as exc:
             result = exc.result
             notes.append((c, -1, f"step {c}: calibration did not converge"))

@@ -7,7 +7,11 @@
 
 and names the entries that moved and why. The file records the numpy
 version and the BLAS library it was made with: ``calibrate``'s solves go
-through LAPACK, so another build may differ in the last bits.
+through LAPACK, so another build may differ in the last bits, and on
+another build the test only reports the outputs that differ. CI's 3.11
+job installs the recorded numpy (``.github/workflows/ci.yml``, "Pin numpy
+to the behaviour lock's build") and fails on that report, so a lock
+regenerated on another numpy moves the pin with it.
 
 The matrix runs ``uwbcal simulate`` then ``uwbcal summarize`` on:
 

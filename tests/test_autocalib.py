@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
                               PairStats, _free_columns, _residual_layout,
@@ -418,6 +419,30 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(m, RangingModel.identity(), prior=GOLDEN_FRAME[:3])
 
+    FRAME = np.array(GOLDEN_FRAME, dtype=float)
+    MALFORMED = {
+        "n_by_3": np.hstack((FRAME, np.zeros((5, 1)))),
+        "flat": FRAME[:, 0],
+        "ragged_short_row": [[0.0, 0.0], [9.0, 0.0], [16.0], [13.0, 17.0],
+                             [2.0, 19.0]],
+        "ragged_long_row": [[0.0, 0.0], [9.0, 0.0, 1.0], [16.0, 3.0],
+                            [13.0, 17.0], [2.0, 19.0]],
+        "too_few": FRAME[:4],
+        "too_many": np.vstack((FRAME, [[1.0, 1.0]])),
+    }
+
+    @pytest.mark.parametrize("form", sorted(MALFORMED))
+    @pytest.mark.parametrize("entry", ["calibrate", "refine_lse"])
+    def test_a_malformed_prior_or_start_raises_value_error(self, entry, form):
+        m, points = exact_matrix(GOLDEN_FRAME), self.MALFORMED[form]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"expected 5 |must be 5 "):
+                if entry == "calibrate":
+                    calibrate(m, RangingModel.identity(), prior=points)
+                else:
+                    refine_lse(points, m)
+
     def test_triangle_side_lengths_reproduced(self):
         rng = np.random.default_rng(2)
         truth = [(0, 0), (5.5, 0), (2.0, 4.5)]
@@ -674,6 +699,23 @@ def outcome(calibration, *args, **kwargs) -> str:
         return f"{type(exc).__name__}({exc})"
 
 
+def positions_bytes(stats, model, prior) -> bytes:
+    """The bytes of ``calibrate``'s positions, or of the best iterate of a
+    NotConverged; empty for another typed error."""
+    try:
+        return calibrate(stats, model, prior=prior).positions.tobytes()
+    except NotConverged as exc:
+        return exc.result.positions.tobytes()
+    except UwbCalError:
+        return b""
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# pair offsets near 1e308 overflow to inf
+OVERFLOWING_PRIOR = [(0, 0), (1e308, 0), (-1e308, 1e308), (1e308, 1e308),
+                     (0, -1e308)]
+
+
 class TestCalibrateOracle:
     def test_bootstrap_and_warm_equal_lm_on_dense_residuals(self):
         rng = np.random.default_rng(2024)
@@ -692,10 +734,46 @@ class TestCalibrateOracle:
                 == outcome(oracle_calibrate, stats, model,
                            prior=prior.tolist())
 
+    def test_array_tuple_and_list_priors_give_identical_results(self):
+        # the rounds and priors of the test above, the prior given as an
+        # (N, 2) array, as (x, y) tuples and as lists
+        rng = np.random.default_rng(2024)
+        model = reference_model()
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            truth = rng.uniform(-15.0, 15.0, (n, 2))
+            stats, _ = run_calibration_round(
+                n, int(rng.integers(1, 11)), truth.tolist(), model, rng)
+            prior = (truth + rng.normal(0.0, 0.5, truth.shape)) @ \
+                np.array([[0.99, 0.14], [-0.14, 0.99]]) + 3.0
+            forms = (prior, list(map(tuple, prior.tolist())), prior.tolist())
+            assert len({(outcome(calibrate, stats, model, prior=form),
+                         positions_bytes(stats, model, form))
+                        for form in forms}) == 1
+
+    # a finite prior ends in a result or a typed error; only one whose
+    # offset from anchor 0 overflows has no finite start
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.tuples(FINITE, FINITE), min_size=5, max_size=5))
+    @example(OVERFLOWING_PRIOR)
+    def test_any_finite_prior_ends_in_a_result(self, prior):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = calibrate(exact_matrix(GOLDEN_FRAME),
+                                   RangingModel.identity(), prior=prior)
+            except (NotConverged, SingularUpdate):
+                return
+            except ValueError:
+                with np.errstate(over="ignore"):
+                    offsets = np.array(prior) - prior[0]
+                assert not np.isfinite(offsets).all()
+                return
+        assert isinstance(result, CalibrationResult)
+
     def test_overflowing_refinement_warns_nothing(self):
         # differences near 1e308 overflow to inf, which the solver rejects
-        prior = [(0, 0), (1e308, 0), (-1e308, 1e308), (1e308, 1e308),
-                 (0, -1e308)]
+        prior = OVERFLOWING_PRIOR
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularUpdate):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uwbcal.errors import CollinearAnchors, NotConverged, SingularUpdate
 from uwbcal.geometry import distance
@@ -64,6 +64,10 @@ class TestLinearInitialGuess:
 
     @settings(deadline=None)
     @given(st.lists(points, min_size=3, max_size=6), noisy_ranges)
+    # r11 r22, the product of the QR's diagonal, underflows to 0 here, while
+    # the system's condition is 1
+    @example([(0.0, 0.0), (0.0, 1.7941407508428882e-183),
+              (1.7941407508428882e-183, 0.0)], [1.0] * 6)
     def test_matches_numpy_lstsq(self, anchors, ranges):
         ranges = ranges[:len(anchors)]
         lhs, rhs = linear_system(anchors, ranges)

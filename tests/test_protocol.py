@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from uwbcal.autocalib import DistanceStatsMatrix
 from uwbcal.errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
 from uwbcal.geometry import distance
 from uwbcal.protocol import (_round_layout, estimate_latency,
@@ -159,6 +160,29 @@ class TestRound:
         for array in (rows, cols, pair_of_row):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    @pytest.mark.parametrize("n", [3, 5, 64])
+    def test_round_stores_what_set_pairs_stores(self, n, monkeypatch):
+        # the round skips set_pairs' checks, which its own imply; the
+        # matrix must hold what set_pairs makes of the same block
+        blocks, store = [], DistanceStatsMatrix._store
+
+        def kept(stats, *block):
+            blocks.append(block)
+            store(stats, *block)
+
+        monkeypatch.setattr(DistanceStatsMatrix, "_store", kept)
+        layout = np.random.default_rng(n).uniform(-15.0, 15.0, (n, 2))
+        stats, _ = run_calibration_round(n, 5, layout.tolist(),
+                                         reference_model(),
+                                         np.random.default_rng(0))
+        checked = DistanceStatsMatrix(n)
+        checked.set_pairs(*blocks[0])
+        assert len(blocks) == 2
+        for name in ("_mean", "_std", "_count"):
+            got, want = getattr(stats, name), getattr(checked, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_round_latency_reported(self):
         rng = np.random.default_rng(7)

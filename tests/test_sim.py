@@ -1419,3 +1419,21 @@ class TestHull:
     def test_collinear_layout_has_no_interior(self):
         line = [(0, 0), (5, 0), (10, 0)]
         assert not point_in_anchor_hull((5, 0.1), line)
+
+    @pytest.mark.parametrize("scenario", [
+        {}, {"n_tags": 7},
+        {"n_tags": 2, "initial_tag_positions": [[5.0, 5.0], [7.0, 8.0]]},
+        # collinear anchors: the default tags fall outside the hull
+        {"n_anchors": 3, "initial_anchor_positions": [[0, 0], [5, 0],
+                                                      [10, 0]]}])
+    def test_a_config_forms_one_hull(self, scenario, monkeypatch):
+        hulls, hull = [], sim._convex_hull
+
+        def counted(points):
+            hulls.append(points)
+            return hull(points)
+
+        monkeypatch.setattr(sim, "_convex_hull", counted)
+        with contextlib.suppress(ConfigError):
+            sim.resolve_config(sim.ScenarioConfig.from_dict(scenario))
+        assert len(hulls) == 1
