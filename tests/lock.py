@@ -19,6 +19,10 @@ The matrix runs ``uwbcal simulate`` then ``uwbcal summarize`` on:
 - the ``long_drift`` and ``recal_dense`` benchmark shapes, the 3-anchor
   default layout and a 200-step run under ``--trigger threshold:0.3``, seeds
   0-3, and the 3-anchor layout also at seeds 156 and 216;
+- ``wide``: 9 anchors at the explicit positions ``WIDE_ANCHORS`` with 3
+  tags inside their hull, seeds 0-3. Its tag fixes sum over 9 anchors, so
+  they take the pairwise branch of the tag kernel's anchor sums, which the
+  other shapes (at most 5 anchors) never reach;
 
 and ``fit-model`` on the bundled sweep and ``calibrate`` on exact distances
 of a 5-anchor layout, plain and with a prior, and on the same distances
@@ -51,6 +55,11 @@ LONG_DRIFT = {"n_anchors": 5, "n_tags": 0, "n_steps": 500,
               "calibration_period": 250}
 RECAL_DENSE = {"n_anchors": 5, "n_tags": 1, "n_steps": 10,
                "k_measurements": 50, "calibration_period": 1}
+WIDE_ANCHORS = [[0, 0], [10, 0], [20, 1], [21, 10], [20, 19], [10, 20],
+                [-1, 19], [0, 10], [11, 9]]
+WIDE = {"n_anchors": 9, "n_tags": 3,
+        "initial_anchor_positions": WIDE_ANCHORS,
+        "initial_tag_positions": [[5, 5], [14, 12], [6, 15]]}
 
 # (name, scenario, seeds, trigger or None)
 SIMULATIONS = (
@@ -59,6 +68,7 @@ SIMULATIONS = (
     ("recal_dense", RECAL_DENSE, range(4), None),
     ("three", {"n_anchors": 3}, (0, 1, 2, 3, 156, 216), None),
     ("threshold", {"n_steps": 200}, range(4), "threshold:0.3"),
+    ("wide", WIDE, range(4), None),
 )
 
 # calibrate's input: exact distances of this layout, both directions
