@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                      csv_rows, echo)
-from .leastsq import levenberg_marquardt, range_residuals
+from .leastsq import (DAMPING_MAX, MAX_ITERATIONS, levenberg_marquardt,
+                      range_residuals)
 from .ranging import RangingModel
 
 
@@ -265,7 +266,9 @@ def refine_lse(initial, d: DistanceStatsMatrix,
 
     Anchor 0 never moves; with ``fix_a1_axis`` (first calibration) anchor 1
     additionally keeps y = 0. Raises :class:`NotConverged` with the best
-    iterate attached if the iteration cap is reached.
+    iterate attached if the iteration cap is reached, or if a rejected step
+    takes the damping past ``DAMPING_MAX`` before it; the message names
+    which.
     """
     n = d.n_anchors
     return _refine(_positions(initial, n, "initial positions"), n,
@@ -291,8 +294,12 @@ def _refine(start: np.ndarray, n: int, pairs, targets,
         positions, math.sqrt(lsq.objective / len(pairs)) if pairs else 0.0,
         lsq.iterations, lsq.converged)
     if not lsq.converged:
-        raise NotConverged(
-            f"refinement stopped after {lsq.iterations} iterations", result)
+        # short of the cap, levenberg_marquardt stops unconverged only when
+        # a rejected step takes the damping past DAMPING_MAX
+        limit = "" if lsq.iterations >= MAX_ITERATIONS else \
+            f" at the damping limit ({DAMPING_MAX:g})"
+        raise NotConverged(f"refinement stopped after {lsq.iterations} "
+                           f"iterations{limit}", result)
     return result
 
 

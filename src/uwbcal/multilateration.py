@@ -12,10 +12,16 @@ Hessian rather than J^T J, so steps near a fix are damped Newton steps.
 Range residuals are not zero at the optimum, where Gauss-Newton only
 converges linearly.
 
-Every operation is elementwise per problem or a sum along one problem's
-row of N, so a problem's result is the same, bit for bit, whatever batch it
-is solved in. :func:`locate_tag` is the kernel on one problem. Ranges are
-expected to be bias-corrected by the caller.
+Inside the kernel the batch is laid out anchor-major, ``(N, P)``: row i
+holds anchor i's values for every problem, so a sum over each problem's N
+anchors is a few full-width adds of rows rather than P short row
+reductions. :func:`_anchor_sum` adds them in the order numpy sums one
+problem's row of N: in order below 8 anchors, pairwise with 8 accumulators
+from 8 on. Every operation is elementwise per problem or such a sum, so a
+problem's result is the same, bit for bit, whatever batch it is solved in,
+and the same as a sum along each problem's row gives. :func:`locate_tag` is
+the kernel on one problem. Ranges are expected to be bias-corrected by the
+caller.
 """
 
 from __future__ import annotations
@@ -103,11 +109,54 @@ def _checked(anchors, ranges: list[float]):
     return a, r
 
 
+def _anchor_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of ``a`` over its anchor axis, -2, bit for bit the sum numpy
+    forms along each problem's contiguous row of N,
+    ``a.swapaxes(-1, -2).sum(axis=-1)`` (but for the sign of a NaN: which
+    of two NaN operands an add returns is the compiler's choice).
+
+    Below 8 anchors numpy adds a row's entries in order, as a sum over a
+    leading axis does. From 8 on it sums pairwise: a row longer than 128 is
+    split at half its length rounded down to a multiple of 8 and the halves'
+    sums added; a shorter one is summed by 8 accumulators, which take
+    entries k, k + 8, k + 16, ... in turn, are then added as a binary tree,
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the entries past
+    the last multiple of 8 are added to that one by one. The row's sum is
+    finally added to the identity 0.0.
+    """
+    if a.shape[-2] < 8:
+        return a.sum(axis=-2)
+    total = _pairwise_sum(a)
+    total += 0.0  # -0.0 becomes 0.0, as numpy's identity makes it
+    return total
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of at least 8 rows of ``a`` over axis -2, not
+    yet added to the identity."""
+    n = a.shape[-2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[..., :half, :]) \
+            + _pairwise_sum(a[..., half:, :])
+    whole = n - n % 8
+    acc = a[..., :8, :].copy()
+    for i in range(8, whole, 8):
+        acc += a[..., i:i + 8, :]
+    while acc.shape[-2] > 1:  # the tree: 8 partial sums, then 4, then 2
+        acc = acc[..., ::2, :] + acc[..., 1::2, :]
+    total = acc[..., 0, :]
+    for i in range(whole, n):
+        total += a[..., i, :]
+    return total
+
+
 def _linear_starts(x: np.ndarray, y: np.ndarray, ranges: np.ndarray):
     """Linearized least-squares positions and the condition numbers of
     their systems, by a QR factorization per problem.
 
-    ``x``, ``y`` and ``ranges`` are ``(P, N)``: one row per problem. Row i
+    ``x``, ``y`` and ``ranges`` are ``(N, P)``, anchor-major: column p is
+    problem p, and every sum over its rows is :func:`_anchor_sum`. Row i
     of a problem's (n-1) x 2 system is 2 (a_i - a_0) . p = r_0^2 - r_i^2 +
     |a_i|^2 - |a_0|^2. The QR is modified Gram-Schmidt on the two columns
     and the right-hand side, all rows and problems at once: the first
@@ -118,19 +167,20 @@ def _linear_starts(x: np.ndarray, y: np.ndarray, ranges: np.ndarray):
     values of R. Returns the start's x and y and the condition number,
     each ``(P,)``.
     """
-    x0, y0, r0 = x[:, :1], y[:, :1], ranges[:, :1]
-    xi, yi, ri = x[:, 1:], y[:, 1:], ranges[:, 1:]
+    x0, y0, r0 = x[0], y[0], ranges[0]
+    xi, yi, ri = x[1:], y[1:], ranges[1:]
     u1 = 2.0 * (xi - x0)
     u2 = 2.0 * (yi - y0)
     w = r0 * r0 - ri * ri + (xi * xi + yi * yi) - (x0 * x0 + y0 * y0)
-    r11 = np.hypot.reduce(u1, axis=1)
-    e1 = u1 / r11[:, None]
-    r12 = (e1 * u2).sum(axis=1)
-    q1 = (e1 * w).sum(axis=1)
-    u2 = u2 - r12[:, None] * e1
-    w = w - q1[:, None] * e1
-    r22 = np.hypot.reduce(u2, axis=1)
-    q2 = (u2 * w).sum(axis=1) / r22
+    # hypot.reduce chains in row order along either axis
+    r11 = np.hypot.reduce(u1, axis=0)
+    e1 = u1 / r11
+    r12 = _anchor_sum(e1 * u2)
+    q1 = _anchor_sum(e1 * w)
+    u2 = u2 - r12 * e1
+    w = w - q1 * e1
+    r22 = np.hypot.reduce(u2, axis=0)
+    q2 = _anchor_sum(u2 * w) / r22
     # Singular values of [[r11, r12], [0, r22]] (r11, r22 >= 0): their sum
     # and difference are hypot(r11 +- r22, r12), their product r11 r22.
     s_max = 0.5 * (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12))
@@ -155,14 +205,16 @@ def _residuals(x: np.ndarray, y: np.ndarray, problems: np.ndarray):
     offsets, distances and residuals :func:`_equations` goes on from.
 
     ``x`` and ``y`` are ``(P,)``; ``problems`` stacks the anchor x, anchor
-    y and range arrays, ``(3, P, N)``. The offsets are those
+    y and range arrays anchor-major, ``(3, N, P)``, and the offsets,
+    distances and residuals are ``(N, P)`` too; f is their
+    :func:`_anchor_sum`. The offsets are those
     :func:`~uwbcal.leastsq.range_residuals` left, coincident ones nudged.
     """
     ax, ay, ranges = problems
-    dx = x[:, None] - ax
-    dy = y[:, None] - ay
+    dx = x - ax
+    dy = y - ay
     r, dist = range_residuals(dx, dy, ranges)
-    return (r * r).sum(axis=1), (x, y, dx, dy, dist, r)
+    return _anchor_sum(r * r), (x, y, dx, dy, dist, r)
 
 
 def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
@@ -173,9 +225,11 @@ def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
     curvature r/d (I - u u^T), where that is positive definite, so steps are
     damped Newton steps; elsewhere (far from a minimum, or on an anchor) it
     is J^T J. phi is the float floor of f, ``FLOOR_FACTOR`` sum |r| d, as in
-    :func:`~uwbcal.leastsq.levenberg_marquardt`. All ten sums come from one
-    sum along the anchor axis, which numpy forms per problem row whatever
-    the batch (and f as :func:`_residuals` forms it).
+    :func:`~uwbcal.leastsq.levenberg_marquardt`. The per-anchor terms are
+    laid out ``(10, N, P)``, and all ten sums come from one
+    :func:`_anchor_sum` over their anchor axis, which adds each problem's
+    terms in the same order whatever the batch (and f as :func:`_residuals`
+    forms it).
     """
     # per anchor: r r, ux r, uy r, ux ux, ux uy, uy uy, the curvature terms
     # the Hessian adds to the last three, c uy uy, -c ux uy, c ux ux, and
@@ -196,7 +250,7 @@ def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
     np.multiply(c, terms[4], terms[7])
     np.negative(terms[7], terms[7])
     np.multiply(c, terms[3], terms[8])
-    sums = terms.sum(axis=2)
+    sums = _anchor_sum(terms)
     newton = sums[3:6] + sums[6:9]
     n00, n01, n11 = newton
     np.copyto(sums[3:6], newton,
@@ -244,8 +298,11 @@ def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
             out_status[done] = np.where(converged, CONVERGED,
                                         SINGULAR - solved)[stop]
             keep = ~stop
-            live, state, lam = live[keep], state[:, keep], lam[keep]
-            problems = problems[:, keep]
+            # compress along the last axis keeps the arrays contiguous,
+            # where a mask index there would leave them strided
+            live, lam = live[keep], lam[keep]
+            state = state.compress(keep, axis=1)
+            problems = problems.compress(keep, axis=2)
         iteration += 1
         if iteration > max_iterations or not len(live):
             break
@@ -295,8 +352,10 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
     damped system unsolvable at maximum damping). Input checks are the
     caller's; no numpy warning escapes.
     """
-    problems = np.array((anchor_x, anchor_y, ranges), dtype=float)
-    p = problems.shape[1]
+    # anchor-major, (3, N, P), as the kernel's sums want it
+    problems = np.array((anchor_x, anchor_y, ranges),
+                        dtype=float).transpose(0, 2, 1).copy()
+    p = problems.shape[2]
     with np.errstate(all="ignore"):
         if start is None:
             x, y, condition = _linear_starts(*problems)
@@ -308,7 +367,8 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
         rows[6], rows[7] = x, y
         iterations, status = np.zeros(p, dtype=int), np.full(p, COLLINEAR)
         rows[:, fitted], iterations[fitted], status[fitted] = _fit(
-            x[fitted], y[fitted], problems[:, fitted], max_iterations)
+            x[fitted], y[fitted], problems.take(fitted, axis=2),
+            max_iterations)
     return FixBatch(rows[6:8].T, rows[0], iterations, status, condition)
 
 
@@ -324,8 +384,8 @@ def linear_initial_guess(anchors,
     """
     a, r = _checked(anchors, ranges)
     with np.errstate(all="ignore"):
-        x, y, condition = _linear_starts(*np.array(a).T[:, None],
-                                         np.array(r)[None])
+        x, y, condition = _linear_starts(*np.array(a).T[:, :, None],
+                                         np.array(r)[:, None])
     if not condition[0] <= CONDITION_LIMIT:
         raise _collinear(condition[0])
     position = float(x[0]), float(y[0])

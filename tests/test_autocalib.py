@@ -15,7 +15,8 @@ from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
 from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                            SingularUpdate, UwbCalError)
 from uwbcal.geometry import distance, rotation_error
-from uwbcal.leastsq import levenberg_marquardt
+from uwbcal.leastsq import (DAMPING_MAX, MAX_ITERATIONS, LeastSquaresResult,
+                            levenberg_marquardt)
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
 from uwbcal.sim import DEFAULT_ANCHOR_LAYOUT
@@ -327,6 +328,30 @@ class TestRefineLse:
             refine_lse(start, m)
         assert isinstance(err.value.result, CalibrationResult)
         assert not err.value.result.converged
+
+    @pytest.mark.parametrize("iterations, message", [
+        (MAX_ITERATIONS, f"refinement stopped after {MAX_ITERATIONS} "
+                         f"iterations"),
+        (18, "refinement stopped after 18 iterations at the damping limit "
+             "(1e+14)"),
+        (MAX_ITERATIONS - 1, f"refinement stopped after {MAX_ITERATIONS - 1}"
+                             f" iterations at the damping limit (1e+14)")])
+    def test_not_converged_names_what_stopped_it(self, monkeypatch,
+                                                 iterations, message):
+        # levenberg_marquardt stops unconverged at the iteration cap, or
+        # earlier when a rejected step takes the damping past DAMPING_MAX
+        import uwbcal.autocalib as autocalib
+
+        def stopped(fun, x0):
+            return LeastSquaresResult(np.array(x0, dtype=float), 1.0,
+                                      iterations, False, 1.0)
+
+        monkeypatch.setattr(autocalib, "levenberg_marquardt", stopped)
+        m = exact_matrix(GOLDEN_FRAME)
+        with pytest.raises(NotConverged) as err:
+            refine_lse(list(GOLDEN_FRAME), m)
+        assert str(err.value) == message
+        assert err.value.result.iterations == iterations
 
 
 class TestObjective:
@@ -685,8 +710,10 @@ def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
         rms_residual=math.sqrt(lsq.objective / n_pairs),
         iterations=lsq.iterations, converged=lsq.converged)
     if not lsq.converged:
-        raise NotConverged(
-            f"refinement stopped after {lsq.iterations} iterations", result)
+        message = f"refinement stopped after {lsq.iterations} iterations"
+        if lsq.iterations < MAX_ITERATIONS:
+            message += f" at the damping limit ({DAMPING_MAX:g})"
+        raise NotConverged(message, result)
     return result
 
 

@@ -149,7 +149,7 @@ def fit_from(anchors, ranges, x0, max_iterations=MAX_ITERATIONS):
 def point_normal_equations(terms, x, y):
     """The kernel's f, g0, g1, h00, h01, h11 for one problem at (x, y);
     ``terms`` holds one (anchor x, anchor y, range) triple per residual."""
-    problems = np.array(terms, dtype=float).T[:, None]
+    problems = np.array(terms, dtype=float).T[:, :, None]
     f, at_xy = _residuals(np.array([x]), np.array([y]), problems)
     rows = _equations(*at_xy)
     assert rows[0] == f
