@@ -26,7 +26,8 @@ from .autocalib import CalibrationResult, calibrate, load_distance_csv
 from .errors import (FLOAT_FORMAT, CollinearAnchors, ConfigError,
                      CsvFormatError, DegenerateFit, DegenerateGeometry,
                      EmptyTrace, InsufficientData, InvalidTiming,
-                     NotConverged, SingularUpdate, UwbCalError, xy_pair)
+                     NotConverged, SingularUpdate, UwbCalError, echo,
+                     xy_pair)
 from .ranging import RangingModel, fit_model, load_samples
 from .sim import (ScenarioConfig, parse_trigger, read_trace_records,
                   run_scenario, summarize, write_trace_csv)
@@ -91,7 +92,7 @@ def _load_prior(path, n_anchors: int) -> list[tuple[float, float]]:
     doc = _read_json(path)
     positions = doc.get("positions") if isinstance(doc, dict) else doc
     if not isinstance(positions, list):
-        raise ConfigError([f"positions: not a list: {positions!r}"])
+        raise ConfigError([f"positions: not a list: {echo(repr(positions))}"])
     prior = [xy_pair(f"positions[{i}]", p) for i, p in enumerate(positions)]
     if len(prior) != n_anchors:
         raise ConfigError([f"positions: {len(prior)} entries for "

@@ -86,7 +86,7 @@ def finite_number(key: str, value) -> float:
                 return float(value)
         except OverflowError:  # an integer too large for a float
             pass
-    raise ConfigError([f"{key}: not a finite number: {value!r}"])
+    raise ConfigError([f"{key}: not a finite number: {echo(repr(value))}"])
 
 
 def integer(key: str, value) -> int:
@@ -95,7 +95,7 @@ def integer(key: str, value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError([f"{key}: not an integer: {value!r}"])
+        raise ConfigError([f"{key}: not an integer: {echo(repr(value))}"])
     return int(value)
 
 
@@ -104,9 +104,10 @@ def json_object(key: str, value, required=(), optional=()) -> dict:
     no key outside ``required`` and ``optional``; :class:`ConfigError`
     naming ``key``, or ``key.<name>`` for each unknown or missing key."""
     if not isinstance(value, dict):
-        raise ConfigError([f"{key}: not an object: {value!r}"])
+        raise ConfigError([f"{key}: not an object: {echo(repr(value))}"])
     allowed = set(required) | set(optional)
-    problems = [f"{key}.{name}: unknown key"
+    # a name is echoed as repr escapes it, on one line, without its quotes
+    problems = [f"{key}.{echo(repr(name)[1:-1])}: unknown key"
                 for name in sorted(set(value) - allowed)]
     problems += [f"{key}.{name}: missing" for name in required
                  if name not in value]
@@ -125,7 +126,7 @@ def out_of_range(rows, values, where: str = "") -> dict[str, str]:
             name = f"{where}.{key}" if where else key
             # an above-bound value is not echoed: it may run to 309 digits
             problems[key] = (f"{name}: need <= {high}" if low <= value
-                             else f"{name}: need >= {low}, got {value}")
+                             else f"{name}: need >= {low}, got {echo(value)}")
     return problems
 
 
@@ -146,7 +147,7 @@ def parse_rows(where: str, raw, rows) -> list:
 def xy_pair(key: str, entry) -> tuple[float, float]:
     """An ``[x, y]`` entry as two floats, through :func:`finite_number`."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise ConfigError([f"{key}: not an [x, y] pair: {entry!r}"])
+        raise ConfigError([f"{key}: not an [x, y] pair: {echo(repr(entry))}"])
     return finite_number(key, entry[0]), finite_number(key, entry[1])
 
 

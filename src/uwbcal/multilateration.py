@@ -66,7 +66,8 @@ class FixBatch:
 
     ``position`` is ``(P, 2)``; ``objective`` (the sum of squared range
     residuals), ``iterations``, ``status`` and ``condition`` (of the linear
-    start's system, NaN when a start was given) have length P.
+    start's system, NaN when a start was given) have length P;
+    ``max_iterations`` is the cap the problems were fitted under.
     """
 
     position: np.ndarray
@@ -74,6 +75,7 @@ class FixBatch:
     iterations: np.ndarray
     status: np.ndarray
     condition: np.ndarray
+    max_iterations: int = MAX_ITERATIONS
 
     def error(self, p: int, result=None):
         """Problem p's failure as the error :func:`locate_tag` raises, with
@@ -85,9 +87,13 @@ class FixBatch:
             return SingularUpdate(
                 "normal equations unsolvable at maximum damping")
         if status == NOT_CONVERGED:
-            return NotConverged(f"tag fix stopped after "
-                                f"{int(self.iterations[p])} iterations",
-                                result)
+            # short of the cap, the fit stops unconverged only when a
+            # rejected step takes the damping past DAMPING_MAX
+            iterations = int(self.iterations[p])
+            limit = "" if iterations >= self.max_iterations else \
+                f" at the damping limit ({DAMPING_MAX:g})"
+            return NotConverged(f"tag fix stopped after {iterations} "
+                                f"iterations{limit}", result)
         return None
 
 
@@ -369,7 +375,8 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
         rows[:, fitted], iterations[fitted], status[fitted] = _fit(
             x[fitted], y[fitted], problems.take(fitted, axis=2),
             max_iterations)
-    return FixBatch(rows[6:8].T, rows[0], iterations, status, condition)
+    return FixBatch(rows[6:8].T, rows[0], iterations, status, condition,
+                    max_iterations)
 
 
 def linear_initial_guess(anchors,
@@ -401,7 +408,8 @@ def locate_tag(anchors, ranges: list[float], guess=None) -> TagFix:
     ``(x, y)`` pairs. Starts from ``guess`` when given, otherwise from the
     linear initialization. Raises :class:`CollinearAnchors`,
     :class:`SingularUpdate`, or :class:`NotConverged` with the best fix
-    attached if the iteration cap is hit.
+    attached if the iteration cap is hit or a rejected step takes the
+    damping past ``DAMPING_MAX`` before it; the message names which.
     """
     a, r = _checked(anchors, ranges)
     x, y = np.array(a).T

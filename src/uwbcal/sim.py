@@ -125,7 +125,8 @@ class MotionTable:
 
         def nodes(kind):
             if not isinstance(d[kind], list):
-                raise ConfigError([f"motion.{kind}: not a list: {d[kind]!r}"])
+                raise ConfigError([f"motion.{kind}: not a list: "
+                                   f"{echo(repr(d[kind]))}"])
             return tuple(MotionParams.from_dict(m, f"motion.{kind}[{i}]")
                          for i, m in enumerate(d[kind]))
 
@@ -183,7 +184,7 @@ def parse_trigger(key: str, value) -> Trigger:
             raise ValueError(f"not a string: {value!r}")
         return Trigger.parse(value)
     except ValueError as exc:
-        raise ConfigError([f"{key}: {exc}"]) from exc
+        raise ConfigError([f"{key}: {echo(exc)}"]) from exc
 
 
 # The scalar scenario keys, ScenarioConfig's first fields in field order:
@@ -233,7 +234,8 @@ class ScenarioConfig:
         for key in ("initial_anchor_positions", "initial_tag_positions"):
             if raw.get(key) is not None:
                 if not isinstance(raw[key], (list, tuple)):
-                    raise ConfigError([f"{key}: not a list: {raw[key]!r}"])
+                    raise ConfigError([f"{key}: not a list: "
+                                       f"{echo(repr(raw[key]))}"])
                 kwargs[key] = tuple(xy_pair(f"{key}[{i}]", p)
                                     for i, p in enumerate(raw[key]))
         return cls(**kwargs)
@@ -381,7 +383,7 @@ def _validated(cfg: ScenarioConfig):
     elif len(anchors) != cfg.n_anchors:
         violations.append(
             f"initial_anchor_positions: {len(anchors)} entries for "
-            f"{cfg.n_anchors} anchors")
+            f"{echo(cfg.n_anchors)} anchors")
         anchors = None
     else:
         # a zero inter-anchor distance cannot be ranged
@@ -401,7 +403,7 @@ def _validated(cfg: ScenarioConfig):
     elif len(tags) != cfg.n_tags:
         violations.append(
             f"initial_tag_positions: {len(tags)} entries for "
-            f"{cfg.n_tags} tags")
+            f"{echo(cfg.n_tags)} tags")
         tags = None
 
     if anchors is not None and tags is not None:
@@ -428,11 +430,11 @@ def _validated(cfg: ScenarioConfig):
         if len(motion.anchors) != cfg.n_anchors:
             violations.append(
                 f"motion.anchors: {len(motion.anchors)} entries for "
-                f"{cfg.n_anchors} anchors")
+                f"{echo(cfg.n_anchors)} anchors")
         if len(motion.tags) != cfg.n_tags:
             violations.append(
                 f"motion.tags: {len(motion.tags)} entries for "
-                f"{cfg.n_tags} tags")
+                f"{echo(cfg.n_tags)} tags")
     if violations:
         raise ConfigError(violations)
     return anchors, tags

@@ -17,6 +17,7 @@ from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
 from uwbcal.geometry import distance, rotation_error
 from uwbcal.leastsq import (DAMPING_MAX, MAX_ITERATIONS, LeastSquaresResult,
                             levenberg_marquardt)
+from uwbcal.multilateration import locate_tag
 from uwbcal.protocol import run_calibration_round
 from uwbcal.ranging import RangingModel, reference_model
 from uwbcal.sim import DEFAULT_ANCHOR_LAYOUT
@@ -352,6 +353,15 @@ class TestRefineLse:
             refine_lse(list(GOLDEN_FRAME), m)
         assert str(err.value) == message
         assert err.value.result.iterations == iterations
+
+    def test_a_tag_fix_names_the_damping_limit_alike(self):
+        # ranges of 1e200 m square to inf: every step is rejected, and the
+        # damping passes DAMPING_MAX after 18 iterations, short of the cap
+        with pytest.raises(NotConverged) as err:
+            locate_tag(GOLDEN_FRAME[:4], [1e200] * 4, guess=(0.0, 0.0))
+        assert str(err.value) == ("tag fix stopped after 18 iterations at "
+                                  "the damping limit (1e+14)")
+        assert err.value.result.position == (0.0, 0.0)
 
 
 class TestObjective:

@@ -1,19 +1,23 @@
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uwbcal import cli, errors
-from uwbcal.ranging import load_reference_samples
+from uwbcal.ranging import REFERENCE_SWEEP, load_reference_samples
 from conftest import GOLDEN_FRAME, exact_matrix
 from oracles import save_distance_csv, save_samples
 from uwbcal.autocalib import CalibrationResult
@@ -32,6 +36,23 @@ def run_cli(*args):
             code = exc.code
     return subprocess.CompletedProcess(args, code, out.getvalue(),
                                        err.getvalue())
+
+
+def assert_contract(result):
+    """The CLI's input contract: a documented exit code, and stderr lines
+    that each start with ``error: `` (``note: `` on exit 0) and hold under
+    1,024 bytes, with at least one on a failure, and no traceback."""
+    assert result.returncode in {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_FIT,
+                                 cli.EXIT_NOT_CONVERGED, cli.EXIT_GEOMETRY}
+    assert "Traceback" not in result.stderr
+    *lines, rest = result.stderr.split("\n")
+    assert rest == "" and (lines or result.returncode == 0), result.stderr
+    prefix = "note: " if result.returncode == 0 else "error: "
+    for line in lines:
+        assert line.startswith(prefix), line[:200]
+        # with its newline, as sys.stderr would write it
+        assert len(f"{line}\n".encode("utf-8", "backslashreplace")) < 1024, \
+            line[:200]
 
 
 STILL = {"direction": 0.0, "speed": 0.0, "gaussian_std": 0.0}
@@ -56,6 +77,12 @@ def ranging(**fields) -> str:
 # a sensor model whose bias correction overflows every finite reading
 TINY_SLOPE = {"slope": 1e-310, "intercept_m": 1000, "noise_std_m": 1,
               "n_samples": 10}
+
+
+# a calibration input, at 1e308 m for every directed pair
+HUGE_CSV = "i,j,mean_m,std_m,count\n" + "".join(
+    f"{pair},1e308,0,1\n" for pair in ("0,1", "1,0", "0,2", "2,0", "1,2",
+                                        "2,1"))
 
 
 def placed(anchors, tags=()) -> str:
@@ -250,9 +277,7 @@ class TestCalibrate:
     def test_overflowing_means_exit_5(self, tmp_path):
         # both directions' 1e308 sum to inf in the symmetrized mean
         src = tmp_path / "huge.csv"
-        src.write_text("i,j,mean_m,std_m,count\n" + "".join(
-            f"{i},{j},1e308,0,1\n" for i in range(3) for j in range(3)
-            if i != j))
+        src.write_text(HUGE_CSV)
         result = run_cli("calibrate", "--input", str(src),
                          "--output", str(tmp_path / "r.json"))
         assert result.returncode == 5
@@ -983,6 +1008,7 @@ def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path, command,
 
 
 HUGE = "1" + "0" * 4000  # parses as an int; its str is 4,001 characters
+HUGE_INT = int(HUGE)
 
 
 # messages quote a parsed integer, here of 4,001 digits, through echo
@@ -1010,17 +1036,260 @@ def test_a_huge_parsed_integer_exits_2_on_one_short_line(tmp_path, command,
     assert "Traceback" not in result.stderr
 
 
+class _Paths(dict):
+    """``{name}`` in a command's arguments: the path of ``name`` in
+    ``tmp``."""
+
+    def __init__(self, tmp):
+        super().__init__()
+        self.tmp = Path(tmp)
+
+    def __missing__(self, name):
+        return str(self.tmp / name)
+
+
+def cli_on(files, *args):
+    """A run of ``cli.main`` on ``args`` in a new directory that holds
+    ``files`` (a name's text or bytes, or a function returning them), where
+    ``{name}`` in ``args`` is the path of ``name`` in that directory; as a
+    function of no arguments."""
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _Paths(tmp)
+            for name, content in files.items():
+                content = content() if callable(content) else content
+                Path(paths[name]).write_bytes(
+                    content.encode() if isinstance(content, str) else content)
+            return run_cli(*(arg.format_map(paths) for arg in args))
+
+    return run
+
+
+# The scenarios of the contract table, with their extra flags: the default
+# one; 500 steps of 5 anchors, split by a calibration at step 250; a
+# threshold trigger and a period of 2, whose traces' calibrated flags change
+# between steps; recal_dense (5 anchors, k = 50, a calibration every step);
+# the 3-anchor default layout with its default tags, some of whose fixes
+# fail and leave error_m empty; 2 m of ranging noise, whose ranges break
+# triangle inequalities (the start fits all pairs); and a still, drift-free
+# 3-anchor run whose tag sits on anchor 0.
+SCENARIOS = {
+    "default": ({}, ()),
+    "long": ({"n_anchors": 5, "n_tags": 0, "n_steps": 500,
+              "calibration_period": 250}, ()),
+    "threshold": ({"n_steps": 200}, ("--trigger", "threshold:0.3")),
+    "period_2": ({"calibration_period": 2}, ()),
+    "recal": ({"n_anchors": 5, "n_tags": 1, "n_steps": 10,
+               "k_measurements": 50, "calibration_period": 1}, ()),
+    "three": ({"n_anchors": 3}, ()),
+    "noisy": ({"ranging": {"slope": 1.0086, "intercept_m": 0.361,
+                           "noise_std_m": 2.0, "n_samples": 40}},
+              ("--seed", "1")),
+    "on_anchor": ({"n_anchors": 3, "n_tags": 1, "n_steps": 6,
+                   "calibration_period": 2, "drift_bound": 0,
+                   "initial_tag_positions": [[2, 3]],
+                   "motion": {"anchors": [STILL] * 3, "tags": [STILL]}},
+                  ()),
+}
+
+
+@functools.cache
+def simulated(name) -> tuple[subprocess.CompletedProcess, bytes]:
+    """``simulate`` on ``SCENARIOS[name]``, and the trace it wrote."""
+    doc, flags = SCENARIOS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        scenario.write_text(json.dumps(doc))
+        result = run_cli("simulate", "--scenario", str(scenario),
+                         "--out-dir", str(out), *flags)
+        return result, (out / "trace.csv").read_bytes()
+
+
+def trace_of(name, way="as written"):
+    """The trace of ``SCENARIOS[name]`` as written, in LF, or with rows 2
+    and 3 (anchors 0 and 1 of step 0) swapped, as a function of no
+    arguments."""
+    def content():
+        data = simulated(name)[1]
+        if way == "LF":
+            return data.replace(b"\r\n", b"\n")
+        if way == "swapped":
+            lines = data.splitlines(keepends=True)
+            assert lines[1] != lines[2]
+            lines[1:3] = lines[2:0:-1]
+            return b"".join(lines)
+        return data
+
+    return content
+
+
+def summarized(name) -> str:
+    """What ``summarize`` prints for the trace of ``SCENARIOS[name]``."""
+    return cli_on({"trace": trace_of(name)},
+                  "summarize", "--input", "{trace}")().stdout
+
+
+# the default 5-anchor layout scaled by 1e5 (about 2e6 m across), its
+# distances rounded to whole meters, both directions at std 1 m and count 5
+FAR_CSV = "i,j,mean_m,std_m,count\n" + "".join(
+    f"{i},{j},{mean},1,5\n{j},{i},{mean},1,5\n" for i, j, mean in [
+        (0, 1, 900000), (0, 2, 1627882), (0, 3, 2140093), (0, 4, 1910497),
+        (1, 2, 761577), (1, 3, 1746425), (1, 4, 2024846), (2, 3, 1431782),
+        (2, 4, 2126029), (3, 4, 1118034)])
+
+
+@functools.cache
+def far_calibration() -> bytes:
+    """The result JSON ``calibrate`` writes for ``FAR_CSV``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "far.csv", Path(tmp) / "far.json"
+        src.write_text(FAR_CSV)
+        assert run_cli("calibrate", "--input", str(src),
+                       "--output", str(out)).returncode == 0
+        return out.read_bytes()
+
+
+def samples_at(scale: str) -> str:
+    """Nine samples whose sums of squares overflow (1e160) or underflow
+    (1e-300): ``11e160,1.51e160`` to ``91e160,9.51e160``."""
+    return "true_m,measured_m\n" + "".join(
+        f"{k}1{scale[1:]},{k}.51{scale[1:]}\n" for k in range(1, 10))
+
+
+def simulate_on(doc, *flags):
+    return cli_on({"scenario": json.dumps(doc)}, "simulate", "--scenario",
+                  "{scenario}", "--out-dir", "{out}", *flags)
+
+
+def summarize_on(content):
+    return cli_on({"trace": content}, "summarize", "--input", "{trace}")
+
+
+def matches(pattern):
+    return re.compile(pattern).match
+
+
+# scenarios out of range: a drift of 1e308 m per step, anchor 0 moving
+# 1e200 m per step or starting 2.5e200 m out, and ranging noise of 1e160 m,
+# at which the first round's pairs' burst std overflows
+DRIFT_1E308 = {"n_anchors": 4, "n_tags": 1, "n_steps": 5,
+               "calibration_period": 1, "k_measurements": 1,
+               "drift_bound": 1e308}
+SPEED_1E200 = {"n_anchors": 3, "n_tags": 0, "n_steps": 12, "motion": {
+    "anchors": [{**STILL, "speed": 1e200}, STILL, STILL], "tags": []}}
+START_2_5E200 = {"n_anchors": 3, "n_tags": 0, "initial_anchor_positions": [
+    [2.5e200, 0], [0, 0], [0, 10]]}
+NOISE_1E160 = {"n_anchors": 3, "n_tags": 0, "ranging": {
+    "slope": 1.0, "intercept_m": 0.36, "noise_std_m": 1e160,
+    "n_samples": 10}}
+# the still run's notes, one a step in step order; none of the 3-anchor
+# run's tag fixes stops at the iteration cap
+SIMULATE_STDERR = {
+    "on_anchor": "".join(f"note: step {step}: tag 0 coincides with anchor 0 "
+                         f"and cannot range it\n" for step in range(6)),
+    "three": lambda err: "stopped after 100 iterations" not in err,
+}
+# traces whose LF copy prints the same bytes and whose rows 2 and 3 swapped
+# are refused
+TWO_WAYS = ["long", "threshold", "period_2", "three", "recal"]
+
+# The CLI's contract on whole runs: each row runs a command, then checks its
+# exit code and, unless None, its stdout and stderr (a string is the whole
+# text, a function a check of it); every run meets assert_contract as well,
+# and a failing one prints one error line.
+CONTRACT = [
+    pytest.param(cli_on({}, "fit-model", "--input",
+                        str(resources.files("uwbcal.data")
+                            / REFERENCE_SWEEP), "--output", "{model}"),
+                 0, matches("fitted 40 samples: "), "",
+                 id="fit_model_packaged_sweep"),
+    *(pytest.param(lambda name=name: simulated(name)[0], 0, None,
+                   SIMULATE_STDERR.get(name), id=f"simulate_{name}")
+      for name in SCENARIOS),
+    *(pytest.param(summarize_on(trace_of(name)), 0, None, "",
+                   id=f"summarize_{name}") for name in SCENARIOS),
+    *(pytest.param(summarize_on(trace_of(name, "LF")), 0,
+                   lambda out, name=name: out == summarized(name), "",
+                   id=f"summarize_{name}_in_LF") for name in TWO_WAYS),
+    *(pytest.param(summarize_on(trace_of(name, "swapped")), 2, "",
+                   matches(r"error: .*: line [23]: "),
+                   id=f"summarize_{name}_swapped") for name in TWO_WAYS),
+    # the solver's stop rule scales with the problem
+    pytest.param(cli_on({"far": FAR_CSV}, "calibrate", "--input", "{far}",
+                        "--output", "{out}"),
+                 0, matches(r"calibrated 5 anchors in \d iterations, "), "",
+                 id="calibrate_far_in_under_10_iterations"),
+    pytest.param(cli_on({"far": FAR_CSV, "prior": far_calibration},
+                        "calibrate", "--input", "{far}", "--prior",
+                        "{prior}", "--output", "{out}"),
+                 0, None, "", id="calibrate_far_warm_from_its_result"),
+    pytest.param(simulate_on(DRIFT_1E308),
+                 2, "", "error: drift_bound: need <= 1000000\n",
+                 id="drift_bound_1e308"),
+    pytest.param(simulate_on(SPEED_1E200),
+                 2, "", matches(r"error: motion\.anchors\[0\]\.speed: "
+                                r"need <= "),
+                 id="anchor_speed_1e200"),
+    pytest.param(simulate_on(START_2_5E200),
+                 2, "", matches(r"error: initial_anchor_positions\[0\]\.x: "
+                                r"need <= "),
+                 id="anchor_start_2.5e200"),
+    pytest.param(simulate_on(NOISE_1E160),
+                 2, "", matches(r"error: pair \(0,1\): the readings are "
+                                r"too large"),
+                 id="ranging_noise_1e160"),
+    pytest.param(summarize_on(HUGE_CSV), 2, "", None,
+                 id="summarize_a_calibration_input"),
+    *(pytest.param(cli_on({"samples": samples_at(scale)}, "fit-model",
+                          "--input", "{samples}", "--output", "{model}"),
+                   3, "", None, id=f"fit_model_samples_at_{scale}")
+      for scale in ("1e160", "1e-300")),
+]
+
+
+@pytest.mark.parametrize("run, code, stdout, stderr", CONTRACT)
+def test_contract(run, code, stdout, stderr):
+    result = run()
+    assert_contract(result)
+    assert result.returncode == code, result.stderr
+    if code:
+        assert result.stderr.count("\n") == 1
+    for text, want in ((result.stdout, stdout), (result.stderr, stderr)):
+        if isinstance(want, str):
+            assert text == want
+        elif want is not None:
+            assert want(text), text[:1000]
+
+
+class Squeezed(str):
+    """Text whose repr writes a run of 100 or more of one character as
+    ``'x' * 100000``, so that a failing example's report stays short."""
+
+    def __repr__(self):
+        # text, run, the run's character, text, ...
+        pieces = re.split(r"((.)\2{99,})", self, flags=re.DOTALL)
+        terms = [repr(piece) if k % 3 == 0 else
+                 f"{pieces[k + 1]!r} * {len(piece)}"
+                 for k, piece in enumerate(pieces) if k % 3 < 2 and piece]
+        return " + ".join(terms) or "''"
+
+
+LONG_TEXT = Squeezed("x" * 100_000)
+
+
 # Any JSON value. Integers and integral floats are at most 12 or at least
 # 2**64: a value that lands on a count key either keeps the simulation short
 # or lies above every count bound and the seed bound, so it exits 2 before
-# anything is drawn.
+# anything is drawn. Among them are a string of 100,000 characters, as a
+# value or a key, and integers of 4,001 digits.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(max_value=12)
     | st.integers(min_value=2 ** 64)
     | st.floats().filter(lambda x: not (12 < x < 2 ** 64 and x.is_integer()))
-    | st.text(max_size=8),
+    | st.text(max_size=8) | st.sampled_from([LONG_TEXT, HUGE_INT, -HUGE_INT]),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    | st.dictionaries(st.text(max_size=8) | st.just(LONG_TEXT), inner,
+                      max_size=3),
     max_leaves=8)
 
 
@@ -1095,6 +1364,109 @@ def scenario_documents(draw):
     return doc
 
 
+# what an edit puts in a CSV field: huge and negative integers, long
+# fields, quotes, and non-finite, subnormal and extreme numbers
+FIELDS = st.sampled_from([
+    "99999999999", str(2 ** 63), str(10 ** 30), HUGE, "-1", "-99999999999",
+    "0", LONG_TEXT, "1" * 100_000, "", " 1", "1_0", '"1\n2"', '"', "nan",
+    "inf", "-inf", "1e400", "5e-324", "-5e-324", "1e-300", "1e160", "1e308",
+    "-1e308"]) | st.integers().map(str) | st.floats().map(repr)
+
+
+@st.composite
+def edited_csv(draw, text, numbers):
+    """``text``, a valid CSV, with up to three edits: a row dropped,
+    duplicated or swapped with another, a field replaced from ``FIELDS``,
+    or the ``numbers`` columns of every row scaled by a power of ten."""
+    header, *rows = text.splitlines()
+    rows = [row.split(",") for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        how = draw(st.sampled_from(["field", "field", "scale", "drop",
+                                    "duplicate", "swap"]))
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        if how == "field":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(FIELDS)
+        elif how == "scale":
+            factor = 10.0 ** draw(st.integers(-323, 308))
+            for row in rows:
+                for k in numbers:
+                    with contextlib.suppress(ValueError):
+                        row[k] = repr(float(row[k]) * factor)
+        elif how == "drop":
+            del rows[i]
+        elif how == "duplicate":
+            rows.insert(i, list(rows[i]))
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return Squeezed("\n".join([header, *map(",".join, rows)]) + "\n")
+
+
+def _containers(doc):
+    """Every list and object in the JSON value ``doc``, ``doc`` first."""
+    if isinstance(doc, (list, dict)):
+        yield doc
+        for value in (doc if isinstance(doc, list) else doc.values()):
+            yield from _containers(value)
+
+
+# numbers an edit puts in a JSON document, besides json_values
+EXTREMES = st.sampled_from([
+    99999999999, 2 ** 63, 10 ** 30, -1, -99999999999, 0, 5e-324, -5e-324,
+    1e-310, 1e-300, 1e160, 1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def edited_json(draw, doc):
+    """``doc`` with up to three edits: a value anywhere in it replaced by
+    an extreme number or any JSON value, or an entry of one of its lists or
+    objects dropped, duplicated or swapped with another; one time in ten,
+    any JSON value instead."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(list(_containers(doc))))
+        keys = list(range(len(target))) if isinstance(target, list) \
+            else sorted(target)
+        if not keys:
+            continue
+        key, other = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+        how = draw(st.sampled_from(["value", "value", "drop", "duplicate",
+                                    "swap"]))
+        if how == "value":
+            target[key] = draw(EXTREMES | json_values)
+        elif how == "drop":
+            del target[key]
+        elif how == "duplicate" and isinstance(target, list):
+            target.insert(key, copy.deepcopy(target[key]))
+        elif how == "duplicate":
+            target[f"{key}_"] = copy.deepcopy(target[key])
+        else:
+            target[key], target[other] = target[other], target[key]
+    return doc
+
+
+def _golden_distances() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "distances.csv"
+        save_distance_csv(exact_matrix(GOLDEN_FRAME), path,
+                          float_format="%.17g")
+        return path.read_text()
+
+
+# the valid inputs the properties edit: the packaged sweep, the golden
+# frame's distances, the reference sensor model and calibrate's result for
+# the golden frame (or its bare positions list)
+SAMPLES_CSV = (resources.files("uwbcal.data") / REFERENCE_SWEEP).read_text()
+GOLDEN_DISTANCES_CSV = _golden_distances()
+MODEL = {"slope": 1.0086, "intercept_m": 0.361, "noise_std_m": 0.058,
+         "n_samples": 40}
+PRIOR = {"positions": [list(p) for p in GOLDEN_FRAME],
+         "rms_residual_m": 0.0, "iterations": 1, "converged": True}
+
+
 class TestExitCodes:
     def test_every_input_error_type_has_a_code(self):
         types = [obj for obj in vars(errors).values()
@@ -1148,6 +1520,8 @@ class TestExitCodes:
         result = run_cli("calibrate", "--input", str(src), "--prior",
                          str(prior), "--output", str(out))
         assert result.returncode == 4
+        assert_contract(result)
+        assert result.stderr.count("\n") == 1
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
         doc = json.loads(text, parse_constant=pytest.fail)
@@ -1160,12 +1534,81 @@ class TestExitCodes:
 
     @settings(deadline=None)
     @given(scenario_documents())
+    @example(DRIFT_1E308)
+    @example({"k_measurements": 1e308})
+    @example(SPEED_1E200)
+    @example(START_2_5E200)
+    @example(NOISE_1E160)
+    @example({"ranging": TINY_SLOPE})
+    # each of these used to print an error line of 100 kB or 4 kB, or one
+    # broken in two
+    @example(LONG_TEXT)
+    @example({LONG_TEXT: 1})
+    @example({"\n": None})
+    @example({"n_steps": LONG_TEXT})
+    @example({"n_steps": -HUGE_INT})
+    @example({"ranging": LONG_TEXT})
+    @example({"trigger": LONG_TEXT})
+    @example({"trigger": Squeezed("threshold:" + LONG_TEXT)})
+    @example({"motion": {"anchors": LONG_TEXT, "tags": []}})
+    @example({"initial_anchor_positions": LONG_TEXT})
+    @example({"initial_anchor_positions": [LONG_TEXT, [0, 0], [0, 1]]})
+    @example({"n_anchors": HUGE_INT, "initial_anchor_positions": [[0, 0]]})
+    @example({"n_tags": HUGE_INT, "initial_tag_positions": [[5, 5]]})
+    @example({"n_anchors": HUGE_INT, "motion": {"anchors": [], "tags": []}})
+    @example({"n_tags": HUGE_INT, "motion": {"anchors": [STILL] * 4,
+                                              "tags": []}})
     def test_simulate_exits_with_a_documented_code(self, doc):
-        with tempfile.TemporaryDirectory() as tmp:
-            scenario = Path(tmp) / "scenario.json"
-            scenario.write_text(json.dumps(doc))
-            # numpy's overflow warnings on extreme numbers are not at issue
-            with np.errstate(all="ignore"):
-                code = run_cli("simulate", "--scenario", str(scenario),
-                               "--out-dir", str(Path(tmp) / "out")).returncode
-        assert code in {0, 2, 3, 4, 5}
+        assert_contract(simulate_on(doc)())
+
+    @settings(deadline=None)
+    @given(edited_csv(SAMPLES_CSV, numbers=(0, 1)))
+    @example(oversized_field("fit-model").decode())
+    @example(samples_at("1e160"))
+    @example(samples_at("1e-300"))
+    def test_fit_model_exits_with_a_documented_code(self, text):
+        assert_contract(cli_on({"samples": text}, "fit-model", "--input",
+                               "{samples}", "--output", "{model}")())
+
+    @settings(deadline=None)
+    @given(edited_csv(GOLDEN_DISTANCES_CSV, numbers=(2, 3)))
+    @example(oversized_field("calibrate").decode())
+    @example("i,j,mean_m,std_m,count\n0,1,10,0.1,5\n0,2,10,0.1,5\n"
+             "1,2,10,0.1,5\n0,99999999999,10,0.1,5\n")
+    @example(f"i,j,mean_m,std_m,count\n0,1,10,0.1,{10 ** 30}\n"
+             "0,2,10,0.1,5\n1,2,10,0.1,5\n")
+    @example(HUGE_CSV)
+    @example(FAR_CSV)
+    @example("i,j,mean_m,std_m,count\n" + "".join(
+        f"{i},{j},4,0.1,5\n" for i, j in ((0, 1), (1, 0), (0, 2), (2, 0),
+                                           (1, 2), (2, 1))))
+    @example("i,j,mean_m,std_m,count\n0,1,1e160,0.1,5\n0,2,1e160,0.1,5\n"
+             "1,2,1.5e160,0.1,5\n")
+    def test_calibrate_exits_with_a_documented_code(self, text):
+        assert_contract(cli_on({"pairs": text}, "calibrate", "--input",
+                               "{pairs}", "--output", "{out}")())
+
+    @settings(deadline=None)
+    @given(doc=edited_json(MODEL))
+    @example(doc=TINY_SLOPE)
+    # each of these used to print an error line of 100 kB or 4 kB
+    @example(doc={**MODEL, "slope": LONG_TEXT})
+    @example(doc={**MODEL, "n_samples": LONG_TEXT})
+    @example(doc={**MODEL, "n_samples": -HUGE_INT})
+    def test_a_model_exits_with_a_documented_code(self, golden_csv, doc):
+        assert_contract(cli_on({"model": json.dumps(doc)}, "calibrate",
+                               "--input", str(golden_csv), "--model",
+                               "{model}", "--output", "{out}")())
+
+    @settings(deadline=None)
+    @given(doc=edited_json(PRIOR) | edited_json(PRIOR["positions"]))
+    @example(doc=[[1e308, 0], [-1e308, 0], [0, 0], [0, 1], [2, 19]])
+    @example(doc=[[0, 0], [1, 0], [0, 1]])
+    # each of these used to print an error line of 100 kB
+    @example(doc={"positions": LONG_TEXT})
+    @example(doc=[[LONG_TEXT, 0], [9, 0], [16, 3], [13, 17], [2, 19]])
+    @example(doc=[[0, 0], [9, 0, LONG_TEXT], [16, 3], [13, 17], [2, 19]])
+    def test_a_prior_exits_with_a_documented_code(self, golden_csv, doc):
+        assert_contract(cli_on({"prior": json.dumps(doc)}, "calibrate",
+                               "--input", str(golden_csv), "--prior",
+                               "{prior}", "--output", "{out}")())

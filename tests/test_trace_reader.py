@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import uwbcal.sim as sim
 from oracles import read_trace_rows
@@ -388,6 +388,17 @@ def mutated_traces(draw) -> bytes:
 
 @settings(max_examples=200, deadline=None)
 @given(mutated_traces())
+# a trace with an infinite error_m, one whose first number to parse is
+# 100,000 x's, and a calibration input
+@example(b"step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+         b"rotation_error_rad,calibrated\n0,anchor,0,0,0,0,0,0,0.01,0\n"
+         b"0,anchor,1,9,0,9.2,0,inf,0.01,0\n")
+@example(b"step,node_kind,node_id,true_x,true_y,est_x,est_y,error_m,"
+         b"rotation_error_rad,calibrated\n0,anchor,0,0,0,0,0,"
+         + b"x" * 100_000 + b",0.01,0\n")
+@example(b"i,j,mean_m,std_m,count\n" + b"".join(
+    b"%s,1e308,0,1\n" % pair for pair in (b"0,1", b"1,0", b"0,2", b"2,0",
+                                           b"1,2", b"2,1")))
 def test_block_reader_gives_the_row_readers_result(data):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "trace.csv"
