@@ -14,12 +14,10 @@ converges linearly.
 
 Inside the kernel the batch is laid out anchor-major, ``(N, P)``: row i
 holds anchor i's values for every problem, so a sum over each problem's N
-anchors is a few full-width adds of rows rather than P short row
-reductions. :func:`_anchor_sum` adds them in the order numpy sums one
-problem's row of N: in order below 8 anchors, pairwise with 8 accumulators
-from 8 on. Every operation is elementwise per problem or such a sum, so a
-problem's result is the same, bit for bit, whatever batch it is solved in,
-and the same as a sum along each problem's row gives. :func:`locate_tag` is
+anchors is a few full-width adds of rows, :func:`_anchor_sum`, rather
+than P short row reductions. Every operation is elementwise per problem or such a
+sum, so a problem's result is the same, bit for bit, whatever batch it is
+solved in. :func:`locate_tag` is
 the kernel on one problem. Ranges are expected to be bias-corrected by the
 caller.
 """
@@ -116,43 +114,12 @@ def _checked(anchors, ranges: list[float]):
 
 
 def _anchor_sum(a: np.ndarray) -> np.ndarray:
-    """The sum of ``a`` over its anchor axis, -2, bit for bit the sum numpy
-    forms along each problem's contiguous row of N,
-    ``a.swapaxes(-1, -2).sum(axis=-1)`` (but for the sign of a NaN: which
-    of two NaN operands an add returns is the compiler's choice).
-
-    Below 8 anchors numpy adds a row's entries in order, as a sum over a
-    leading axis does. From 8 on it sums pairwise: a row longer than 128 is
-    split at half its length rounded down to a multiple of 8 and the halves'
-    sums added; a shorter one is summed by 8 accumulators, which take
-    entries k, k + 8, k + 16, ... in turn, are then added as a binary tree,
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the entries past
-    the last multiple of 8 are added to that one by one. The row's sum is
-    finally added to the identity 0.0.
-    """
-    if a.shape[-2] < 8:
-        return a.sum(axis=-2)
-    total = _pairwise_sum(a)
-    total += 0.0  # -0.0 becomes 0.0, as numpy's identity makes it
-    return total
-
-
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of at least 8 rows of ``a`` over axis -2, not
-    yet added to the identity."""
-    n = a.shape[-2]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[..., :half, :]) \
-            + _pairwise_sum(a[..., half:, :])
-    whole = n - n % 8
-    acc = a[..., :8, :].copy()
-    for i in range(8, whole, 8):
-        acc += a[..., i:i + 8, :]
-    while acc.shape[-2] > 1:  # the tree: 8 partial sums, then 4, then 2
-        acc = acc[..., ::2, :] + acc[..., 1::2, :]
-    total = acc[..., 0, :]
-    for i in range(whole, n):
+    """The sum of ``a`` over its anchor axis, -2, adding the anchors in
+    order from the identity 0.0. numpy's own sum would do so too, but for a
+    batch of one problem, whose anchors then lie contiguous and are summed
+    pairwise from 8 on."""
+    total = a[..., 0, :] + 0.0
+    for i in range(1, a.shape[-2]):
         total += a[..., i, :]
     return total
 

@@ -20,9 +20,8 @@ The matrix runs ``uwbcal simulate`` then ``uwbcal summarize`` on:
   default layout and a 200-step run under ``--trigger threshold:0.3``, seeds
   0-3, and the 3-anchor layout also at seeds 156 and 216;
 - ``wide``: 9 anchors at the explicit positions ``WIDE_ANCHORS`` with 3
-  tags inside their hull, seeds 0-3. Its tag fixes sum over 9 anchors, so
-  they take the pairwise branch of the tag kernel's anchor sums, which the
-  other shapes (at most 5 anchors) never reach;
+  tags inside their hull, seeds 0-3. Its tag fixes sum over 9 anchors,
+  more than the other shapes (at most 5 anchors) ever do;
 
 and ``fit-model`` on the bundled sweep and ``calibrate`` on exact distances
 of a 5-anchor layout, plain and with a prior, and on the same distances

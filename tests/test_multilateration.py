@@ -9,8 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from uwbcal.errors import CollinearAnchors, NotConverged, SingularUpdate
 from uwbcal.geometry import distance
 from uwbcal.multilateration import (COLLINEAR, CONVERGED, NOT_CONVERGED,
-                                    SINGULAR, _anchor_sum,
-                                    linear_initial_guess, locate_tag,
+                                    SINGULAR, linear_initial_guess, locate_tag,
                                     solve_fixes)
 from conftest import (GOLDEN_FRAME, GOLDEN_TAG_FRAME, GOLDEN_TAG_RANGES,
                       offset)
@@ -295,59 +294,3 @@ class TestSolveFixes:
         assert isinstance(not_converged, NotConverged)
         assert str(not_converged) == "tag fix stopped after 1 iterations"
         assert not_converged.result == "best fix"
-
-
-# terms that stress the summation order: signed zeros, infinities, NaN,
-# subnormals and magnitudes whose partial sums overflow in some orders
-SPECIAL_TERMS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
-                          -5e-324, 2.5e-310, -1.5e-309, 1e300, -1e300,
-                          1.7e308, -1.7e308])
-
-
-def sum_terms(rng, p, n):
-    """``(5, p, n)`` terms: normal values spread over 1e-300 to 1e300 with
-    a few special terms among them; mostly special terms; signed zeros and
-    subnormals only; terms near +-1e300 to +-1e308; and -0.0 only."""
-    terms = rng.standard_normal((5, p, n)) \
-        * 10.0 ** rng.integers(-300, 301, (5, p, n))
-    for k, share in ((0, 0.05), (1, 0.4)):
-        special = rng.random((p, n)) < share
-        terms[k][special] = rng.choice(SPECIAL_TERMS, special.sum())
-    terms[2] = rng.choice(SPECIAL_TERMS[[0, 1, 5, 6, 7, 8]], (p, n))
-    terms[3] = rng.choice([-1.0, 1.0], (p, n)) \
-        * 10.0 ** rng.uniform(300.0, 308.0, (p, n))
-    terms[4] = -0.0
-    return terms
-
-
-def nan_as_one(a: np.ndarray) -> bytes:
-    """The bytes of ``a`` with every NaN as ``math.nan``: which of two NaN
-    operands an add returns (say a NaN term or inf - inf's NaN, which has
-    the other sign) is the compiler's choice, not the summation order."""
-    return np.where(np.isnan(a), math.nan, a).tobytes()
-
-
-class TestAnchorSum:
-    @pytest.mark.parametrize("p", [1, 10, 165])
-    def test_equals_numpys_row_sum(self, p):
-        # numpy sums a contiguous row of N in order below 8 and pairwise
-        # with 8 accumulators from 8 on; the anchor-major kernel must add
-        # the same terms in the same order, or a fix would move with the
-        # layout. This trips if numpy's row order ever changes. Rows longer
-        # than 128 are split in two before they are summed.
-        rng = np.random.default_rng(p)
-        sums = []
-        for n in (*range(3, 65), 129, 136, 300):
-            terms = sum_terms(rng, p, n)
-            with np.errstate(all="ignore"):
-                want = terms.sum(axis=-1)
-                got = _anchor_sum(
-                    np.ascontiguousarray(terms.swapaxes(-1, -2)))
-            assert got.shape == want.shape == (5, p)
-            assert nan_as_one(got) == nan_as_one(want), n
-            sums.append(want)
-        # NaN, infinite, zero and subnormal sums were all compared
-        sums = np.concatenate(sums, axis=None)
-        assert np.isnan(sums).any() and np.isinf(sums).any()
-        assert (sums == 0.0).any()
-        assert ((sums != 0.0) & (np.abs(sums) < 2.2e-308)).any()
