@@ -4,7 +4,10 @@ Library layout:
 
 - :mod:`uwbcal.geometry` -- planar primitives and the rotation error
 - :mod:`uwbcal.ranging` -- the ranging bias/noise model: fit, draw, correct
-- :mod:`uwbcal.autocalib` -- anchor self-calibration from range statistics
+- :mod:`uwbcal.leastsq` -- the Levenberg-Marquardt kernels, for one problem
+  and for a batch, and the range residuals
+- :mod:`uwbcal.autocalib` -- anchor self-calibration from range statistics,
+  many rounds in one batched kernel (``solve_networks``)
 - :mod:`uwbcal.multilateration` -- tag fixes from ranges to known anchors
 - :mod:`uwbcal.protocol` -- token-passing ranging round (one batched draw)
 - :mod:`uwbcal.sim` -- mobile-deployment simulator and summary statistics

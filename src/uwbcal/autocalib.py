@@ -1,12 +1,15 @@
 """Anchor-network self-calibration from inter-anchor range statistics.
 
-The pipeline has two stages. A classical-MDS start places every anchor from
-every pair's distance (anchor 0 at the origin, anchor 1 on the positive
-x-axis, anchor 2 at y >= 0). A damped least-squares refinement then adjusts
-all positions to match the full set of pairwise distances. Re-calibrations
-warm-start from the previous estimates and drop the axis assumptions: only
-the anchor-0 origin is kept, which is enough because the distance-only
-objective cannot observe rotation anyway.
+A calibration solves its round on its own. A classical-MDS start places
+every anchor from every pair's distance in the bootstrap gauge (anchor 0 at
+the origin, anchor 1 on the positive x-axis, anchor 2 at y >= 0), and a
+damped least-squares refinement in that gauge adjusts all positions to
+match the full set of pairwise distances. Distances cannot observe the
+frame's rotation or handedness, so a re-calibration takes them from its
+prior: the refined shape is turned about anchor 0 onto the prior by a
+closed-form fit, and mirrored first where the mirror image fits better.
+:func:`solve_networks` solves many rounds of one anchor count at once, and
+a problem's result is the same, bit for bit, alone or in any batch.
 """
 
 from __future__ import annotations
@@ -14,13 +17,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import mul
 
 import numpy as np
 
 from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
-                     csv_rows, echo)
-from .leastsq import (DAMPING_MAX, MAX_ITERATIONS, levenberg_marquardt,
+                     SingularUpdate, UwbCalError, csv_rows, echo)
+# refine_lse runs levenberg_marquardt from any start; bench/tracing.py also
+# hooks the name here for its leastsq metrics until ROADMAP item 8 retires
+# the tracer
+from .leastsq import (CONVERGED, DAMPING_MAX, MAX_ITERATIONS, SINGULAR,
+                      levenberg_marquardt, levenberg_marquardt_batch,
                       range_residuals)
 from .ranging import RangingModel
 
@@ -120,26 +128,51 @@ class DistanceStatsMatrix:
         each first corrected through ``model.correct`` if given and never
         clamped: a short distance corrected below zero fails as geometry.
         An unmeasured direction's mean is 0, so a correction that overflows
-        gives inf, never NaN; a sum that overflows on these Python numbers
-        is inf without a warning.
+        gives inf, never NaN (see :func:`_sym_means`).
         """
-        mean = self._mean
-        if model is not None:
-            # a slope near 5e-324 takes a mean to inf, which the bootstrap
-            # and the refinement reject; no warning is needed for it
-            with np.errstate(over="ignore"):
-                mean = np.where(self._count > 0, model.correct(mean), 0.0)
-        n, count, mean = self.n_anchors, self._count.tolist(), mean.tolist()
-        pairs, targets = [], []
-        for i in range(n):
-            c_i, m_i = count[i], mean[i]
-            for j in range(i + 1, n):
-                c_ij, c_ji = c_i[j], count[j][i]
-                total = c_ij + c_ji
-                if total:
-                    pairs.append((i, j))
-                    targets.append((c_ij * m_i[j] + c_ji * mean[j][i]) / total)
-        return tuple(pairs), targets
+        total, targets = _sym_means(self._count, self._mean, model)
+        measured = total > 0
+        pairs = _upper_pairs(self.n_anchors)[2]
+        if measured.all():
+            return pairs, targets.tolist()
+        return (tuple(p for p, ok in zip(pairs, measured.tolist()) if ok),
+                targets[measured].tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int):
+    """The rows, columns and ``(i, j)`` tuples of the pairs i < j of n
+    anchors, in row order; the arrays read-only."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju, tuple(zip(iu.tolist(), ju.tolist()))
+
+
+def _sym_means(count: np.ndarray, mean: np.ndarray,
+               model: RangingModel | None):
+    """:meth:`DistanceStatsMatrix.sym_table` over stacked ``(..., n, n)``
+    directed counts and means: each pair's count total and count-weighted
+    mean, for every pair i < j in row order (NaN where none was measured).
+
+    The arithmetic is that of Python numbers: a count converts to a float
+    exactly, and total and products round once, as long as counts stay
+    below 2^52; beyond, the counts are taken as Python ints. A sum that
+    overflows is inf without a warning.
+    """
+    if model is not None:
+        # a slope near 5e-324 takes a mean to inf, which the bootstrap
+        # and the refinement reject; no warning is needed for it
+        with np.errstate(over="ignore"):
+            mean = np.where(count > 0, model.correct(mean), 0.0)
+    if count.max(initial=0) >= 2 ** 52:
+        count = count.astype(object)
+    iu, ju, _ = _upper_pairs(count.shape[-1])
+    c_ij, c_ji = count[..., iu, ju], count[..., ju, iu]
+    total = c_ij + c_ji
+    with np.errstate(all="ignore"):
+        targets = (c_ij * mean[..., iu, ju] + c_ji * mean[..., ju, iu]) \
+            / np.where(total > 0, total, math.nan)
+    return total, targets.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,43 +192,66 @@ class CalibrationResult:
 
 def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
     """Classical-MDS start from every pair's symmetrized mean."""
-    return _placement(d.n_anchors, *d.sym_table())
+    return list(map(tuple, _starts(d.n_anchors, *d.sym_table())[0].tolist()))
 
 
-def _placement(n: int, pairs, targets) -> list[tuple[float, float]]:
-    """:func:`initial_placement` from the pairs and means of a sym_table:
-    classical MDS (Torgerson 1952) of the squared distances over the
-    largest, negative eigenvalues clamped at 0, in the gauge anchor 0 at the
-    origin, anchor 1 on +x, anchor 2 at y >= 0. :class:`DegenerateGeometry`
-    names the first pair, by its larger anchor, that is unmeasured or not
-    positive and finite, and an anchor whose start overflows."""
+def _rows(targets) -> np.ndarray:
+    """``targets``, one sequence or K rows of them, as a ``(K, m)`` float
+    array."""
+    targets = np.array(targets, dtype=float)
+    return targets[None] if targets.ndim == 1 else targets
+
+
+@functools.lru_cache(maxsize=64)
+def _centring(n: int) -> np.ndarray:
+    """The n x n centring matrix I - 1/n, read-only."""
+    centring = np.eye(n) - 1.0 / n
+    centring.flags.writeable = False
+    return centring
+
+
+def _starts(n: int, pairs, targets) -> np.ndarray:
+    """The starts ``(K, n, 2)`` of K problems over ``pairs``, from their
+    means ``targets`` (K rows, or one sequence for K = 1): classical MDS
+    (Torgerson 1952) of the squared distances over the largest, negative
+    eigenvalues clamped at 0, in the gauge anchor 0 at the origin, anchor 1
+    on +x, anchor 2 at y >= 0. Every matrix product and eigensolve is per
+    problem. :class:`DegenerateGeometry` names, in the first problem that
+    has one, the first pair, by its larger anchor, that is unmeasured or
+    not positive and finite, and an anchor whose start overflows."""
+    targets = _rows(targets)
+    k = len(targets)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    table = np.zeros((n, n))
-    table[jj, ii] = targets
+    table = np.zeros((k, n, n))
+    table[:, jj, ii] = targets
     usable = (table > 0.0) & (table < math.inf)
-    if np.count_nonzero(usable) < n * (n - 1) // 2:
-        j, i = np.argwhere(np.tri(n, k=-1, dtype=bool) & ~usable)[0].tolist()
-        why = (f"has distance {table[j, i]}, which is not positive and "
+    if np.count_nonzero(usable) < k * n * (n - 1) // 2:
+        p, j, i = np.argwhere(np.tri(n, k=-1, dtype=bool)
+                              & ~usable)[0].tolist()
+        why = (f"has distance {table[p, j, i]}, which is not positive and "
                f"finite" if (i, j) in pairs else "was not measured")
         raise DegenerateGeometry(f"anchor {j}: pair ({i},{j}) {why}",
                                  anchor_id=j)
-    scale = table.max()
-    sq, centring = (table / scale) ** 2, np.eye(n) - 1.0 / n
-    eigval, eigvec = np.linalg.eigh(-0.5 * (centring @ (sq + sq.T)
-                                            @ centring))
-    xy = eigvec[:, -2:] * np.sqrt(np.maximum(eigval[-2:], 0.0))
-    xy -= xy[0]
-    angle = math.atan2(xy[1, 1], xy[1, 0])
-    c, s = math.cos(angle), math.sin(angle)
-    flip = -1.0 if c * xy[2, 1] - s * xy[2, 0] < 0.0 else 1.0
+    scale = table.max(axis=(1, 2))[:, None, None]
+    sq, centring = (table / scale) ** 2, _centring(n)
+    eigval, eigvec = np.linalg.eigh(
+        -0.5 * (centring @ (sq + sq.transpose(0, 2, 1)) @ centring))
+    xy = eigvec[:, :, -2:] * np.sqrt(np.maximum(eigval[:, None, -2:], 0.0))
+    xy -= xy[:, :1]
+    angle = np.arctan2(xy[:, 1, 1], xy[:, 1, 0])
+    c, s = np.cos(angle), np.sin(angle)
+    flip = np.where(c * xy[:, 2, 1] - s * xy[:, 2, 0] < 0.0, -1.0, 1.0)
+    turn = np.stack((c, -flip * s, s, flip * c), axis=1).reshape(k, 2, 2)
     with np.errstate(over="ignore"):
-        rows = (xy @ (scale * np.array([[c, -flip * s],
-                                        [s, flip * c]]))).tolist()
-    for i, (x, y) in enumerate(rows):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DegenerateGeometry(f"anchor {i}: the start overflows "
-                                     f"floating point", anchor_id=i)
-    return [(0.0, 0.0), (rows[1][0], 0.0), *map(tuple, rows[2:])]
+        rows = xy @ (scale * turn)
+    finite = np.isfinite(rows).all(axis=2)
+    if not finite.all():
+        i = int(np.argwhere(~finite)[0, 1])
+        raise DegenerateGeometry(f"anchor {i}: the start overflows "
+                                 f"floating point", anchor_id=i)
+    rows[:, 0] = 0.0
+    rows[:, 1, 1] = 0.0
+    return rows
 
 
 def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
@@ -318,29 +374,204 @@ def _positions(points, n: int, what: str) -> np.ndarray:
     return points
 
 
-def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
-              prior=None) -> CalibrationResult:
-    """Full calibration: form the bias-corrected symmetric table once,
-    choose a start, refine against the same table.
+@dataclass(frozen=True)
+class NetworkBatch:
+    """Per-problem results of :func:`solve_networks`, in the bootstrap
+    gauge.
 
-    Without a prior this is the initial calibration: the classical-MDS
-    start with the anchor-1 x-axis rule, which the refinement then
-    preserves.
-    With a prior (re-calibration), the prior is translated so its anchor 0
-    sits at the origin and every other coordinate is free; the refined
-    anchor 1 may leave the x-axis.
+    ``positions`` is ``(K, N, 2)``; ``rms_residual``, ``iterations`` and
+    ``status`` (CONVERGED, NOT_CONVERGED or SINGULAR) have length K;
+    ``max_iterations`` is the cap the problems were refined under.
     """
-    n, table = d.n_anchors, d.sym_table(ranging_model)
-    if prior is None:
-        start, fix_a1_axis = np.array(_placement(n, *table)), True
-    else:
-        prior, fix_a1_axis = _positions(prior, n, "prior positions"), False
+
+    positions: np.ndarray
+    rms_residual: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+    max_iterations: int = MAX_ITERATIONS
+
+    def outcome(self, k: int) -> "CalibrationResult | UwbCalError":
+        """Problem k as :func:`calibrate` takes it through ``solved``: its
+        result if it converged, else the error a calibration raises, a
+        :class:`NotConverged` with the best iterate attached or a
+        :class:`SingularUpdate`."""
+        status, iterations = self.status[k], int(self.iterations[k])
+        if status == SINGULAR:
+            return SingularUpdate(
+                "normal equations unsolvable at maximum damping")
+        positions = self.positions[k].copy()
+        positions.flags.writeable = False
+        result = CalibrationResult(positions, float(self.rms_residual[k]),
+                                   iterations, bool(status == CONVERGED))
+        if status == CONVERGED:
+            return result
+        # short of the cap, the refinement stops unconverged only when a
+        # rejected step takes the damping past DAMPING_MAX
+        limit = "" if iterations >= self.max_iterations else \
+            f" at the damping limit ({DAMPING_MAX:g})"
+        return NotConverged(f"refinement stopped after {iterations} "
+                            f"iterations{limit}", result)
+
+
+@functools.lru_cache(maxsize=64)
+def _network_layout(n: int, pairs: tuple[tuple[int, int], ...]):
+    """The bootstrap gauge's residual layout over ``pairs``, read-only.
+
+    Returns the free flat coordinates (all but anchor 0's and anchor 1's
+    y); the matrix of +1, -1 and 0 whose product with a row of free
+    coordinates is the flat pair differences p_i - p_j, ``(2m,)``: each is
+    one or two exact products, so it rounds once, as the difference does,
+    in any order of summation; and each free coordinate's axis (0 for x)
+    and its sign in every pair, +1 at the pair's first anchor, -1 at its
+    second and 0 elsewhere, so that J^T of unit vectors u ``(L, m, 2)`` is
+    ``u[:, :, axis].T * sign``.
+    """
+    free_cols = _free_columns(n, True)
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    full = np.zeros((2 * n, len(pairs), 2))
+    rows, xy = np.arange(len(pairs)), np.arange(2)
+    full[2 * ii[:, None] + xy, rows[:, None], xy] = 1.0
+    full[2 * jj[:, None] + xy, rows[:, None], xy] = -1.0
+    free = full[free_cols]
+    axis = free_cols % 2
+    layout = (free_cols, free.reshape(len(free_cols), -1),
+              axis, free[np.arange(len(free_cols)), :, axis])
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def solve_networks(n: int, pairs, targets) -> NetworkBatch:
+    """Calibrate K rounds of n anchors at once in the bootstrap gauge.
+
+    Each row of ``targets`` holds one round's symmetrized means over
+    ``pairs``, as a sym_table gives them. Every problem starts from its
+    classical-MDS start (see :func:`_starts`, which raises
+    :class:`DegenerateGeometry` for the first problem whose start fails)
+    and is refined by :func:`~uwbcal.leastsq.levenberg_marquardt_batch`
+    with anchor 0 and anchor 1's y pinned. A problem's result does not
+    depend on the batch it is solved in.
+    """
+    start = _starts(n, pairs, targets)
+    k, m = len(start), len(pairs)
+    free_cols, difference, axis, sign = _network_layout(n, pairs)
+    targets = _rows(targets)
+
+    def fun(x, live):
+        diff = (x @ difference).reshape(-1, m, 2)
+        r, dist = range_residuals(diff[:, :, 0], diff[:, :, 1],
+                                  targets[live])
+        units = diff / dist[:, :, None]
+        return r, units.transpose(0, 2, 1).take(axis, axis=1) * sign, dist
+
     # positions far out overflow to inf or nan, which the refinement's
     # accept rule and step check reject; no warning is needed for them
     with np.errstate(over="ignore", invalid="ignore"):
-        if prior is not None:
-            start = prior - prior[0]
-        return _refine(start, n, *table, fix_a1_axis)
+        lsq = levenberg_marquardt_batch(fun, start.reshape(k, 2 * n)
+                                        [:, free_cols], MAX_ITERATIONS)
+        rms = np.sqrt(lsq.objective / m)
+    flat = np.zeros((k, 2 * n))
+    flat[:, free_cols] = lsq.x
+    return NetworkBatch(flat.reshape(k, n, 2), rms, lsq.iterations,
+                        lsq.status, MAX_ITERATIONS)
+
+
+def batch_size(n_anchors: int) -> int:
+    """How many rounds of n anchors a caller hands :func:`solve_rounds` at
+    once: at most 64, and few enough that the kernel's stacked Jacobians,
+    2N - 3 unknowns by N (N - 1) / 2 pairs each, hold at most 2^21 floats
+    (16 MB)."""
+    size = (2 * n_anchors - 3) * n_anchors * (n_anchors - 1) // 2
+    return max(1, min(64, 2 ** 21 // size))
+
+
+def solve_rounds(rounds: list[DistanceStatsMatrix],
+                 ranging_model: RangingModel) -> list:
+    """What :func:`calibrate` takes through ``solved`` for each of
+    ``rounds``, all of one anchor count, solved in one
+    :func:`solve_networks` call on their bias-corrected tables, formed as
+    ``sym_table`` forms them. When a round leaves a pair unmeasured, or a
+    start fails, every entry is None, so that each round is solved alone
+    and raises its own error at its turn."""
+    total, targets = _sym_means(np.array([d._count for d in rounds]),
+                                np.array([d._mean for d in rounds]),
+                                ranging_model)
+    n = rounds[0].n_anchors
+    if not (total > 0).all():  # a pair some round did not measure
+        return [None] * len(rounds)
+    try:
+        batch = solve_networks(n, _upper_pairs(n)[2], targets)
+    except DegenerateGeometry:
+        return [None] * len(rounds)
+    return [batch.outcome(k) for k in range(len(rounds))]
+
+
+def _scaled(*coordinates: list[float]) -> list[list[float]]:
+    """The lists ``coordinates`` times the one power of two that brings
+    their largest magnitude into [0.5, 1), exactly but for subnormal
+    results; unchanged if they are all 0."""
+    e = math.frexp(max(map(abs, chain(*coordinates))))[1]
+    return [[math.ldexp(v, -e) for v in c] for c in coordinates]
+
+
+def _onto_prior(result: CalibrationResult,
+                offsets: np.ndarray) -> CalibrationResult:
+    """``result`` turned about anchor 0 onto the prior's ``offsets`` from
+    its anchor 0, by the 2-D Procrustes angle atan2(sum p x q, sum p . q)
+    (Schonemann 1966; Kabsch 1976). Where the mirror image of the shape fits
+    the prior better, the shape is mirrored in the x-axis first. Where a
+    product could overflow, both are scaled by powers of two first, which
+    moves no angle."""
+    (px, py), (qx, qy) = result.positions.T.tolist(), offsets.T.tolist()
+    # below 1e150, a sum of at most MAX_ANCHORS products is finite
+    if max(map(abs, chain(px, py, qx, qy))) >= 1e150:
+        (px, py), (qx, qy) = _scaled(px, py), _scaled(qx, qy)
+    xx, xy, yx, yy = (sum(map(mul, a, b)) for a, b in
+                      ((px, qx), (px, qy), (py, qx), (py, qy)))
+    mirror = math.hypot(xx - yy, xy + yx) > math.hypot(xx + yy, xy - yx)
+    angle = math.atan2(xy + yx, xx - yy) if mirror else \
+        math.atan2(xy - yx, xx + yy)
+    c, s = math.cos(angle), math.sin(angle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = result.positions @ np.array(
+            ((c, s), (s, -c)) if mirror else ((c, s), (-s, c)))
+    positions[0] = 0.0
+    positions.flags.writeable = False
+    return CalibrationResult(positions, result.rms_residual,
+                             result.iterations, result.converged)
+
+
+def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
+              prior=None, *, solved=None) -> CalibrationResult:
+    """Full calibration: form the bias-corrected symmetric table once,
+    solve it from its classical-MDS start in the bootstrap gauge (anchor 0
+    at the origin, anchor 1 on +x), and with a prior turn the result about
+    anchor 0 onto the prior (:func:`_onto_prior`).
+
+    The prior, ``(x, y)`` pairs or an ``(N, 2)`` array, sets only the
+    frame: its rotation and handedness, and through its anchor 0 the
+    origin. It does not set the start, so a calibration depends on no
+    earlier one. ``solved`` is this round's entry of :func:`solve_rounds`,
+    when the round was solved in a batch: then ``d`` and ``ranging_model``
+    are not read again. Raises :class:`NotConverged` with the best iterate
+    attached (in the prior's frame) if the refinement hits its cap or a
+    rejected step takes the damping past ``DAMPING_MAX``, and
+    :class:`SingularUpdate` if the damped system cannot be solved.
+    """
+    n = d.n_anchors
+    if prior is not None:
+        prior = _positions(prior, n, "prior positions")
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = prior - prior[0]
+        if not np.isfinite(offsets).all():
+            raise ValueError("prior offsets from anchor 0 must be finite")
+    if solved is None:
+        solved = solve_networks(n, *d.sym_table(ranging_model)).outcome(0)
+    if isinstance(solved, NotConverged) and prior is not None:
+        raise NotConverged(str(solved), _onto_prior(solved.result, offsets))
+    if isinstance(solved, UwbCalError):
+        raise solved
+    return solved if prior is None else _onto_prior(solved, offsets)
 
 
 def load_distance_csv(path) -> DistanceStatsMatrix:

@@ -97,7 +97,8 @@ def _load_prior(path, n_anchors: int) -> list[tuple[float, float]]:
     if len(prior) != n_anchors:
         raise ConfigError([f"positions: {len(prior)} entries for "
                            f"{n_anchors} anchors"])
-    # calibrate() translates the prior to put entry 0 at the origin
+    # calibrate() fits onto the prior's offsets from entry 0, which must be
+    # finite
     x0, y0 = prior[0]
     for i, (x, y) in enumerate(prior):
         if not (math.isfinite(x - x0) and math.isfinite(y - y0)):
@@ -190,9 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="ranging model JSON used to bias-correct "
                                    "the means (default: no correction)")
     p.add_argument("--prior", help="JSON with prior positions "
-                                   "('positions' key or a bare list); warm-"
-                                   "starts the refinement and drops the "
-                                   "anchor-1 x-axis rule")
+                                   "('positions' key or a bare list); sets "
+                                   "the result's frame: the calibrated shape "
+                                   "is turned about anchor 0 (and mirrored "
+                                   "where that fits better) onto the prior, "
+                                   "instead of keeping anchor 1 on the "
+                                   "x-axis. It does not set the start")
     p.add_argument("--output", required=True, help="result JSON to write")
     p.set_defaults(func=cmd_calibrate)
 

@@ -1,7 +1,9 @@
-"""Damped least-squares (Levenberg-Marquardt) kernel and range residuals.
+"""Damped least-squares (Levenberg-Marquardt) kernels and range residuals.
 
-One small dense solver for the anchor-network refinement, and the one
-range-residual kernel of both solvers. The tag kernel,
+:func:`levenberg_marquardt` solves one small dense problem from any start,
+and :func:`levenberg_marquardt_batch` runs its rules on K problems of one
+shape at once, which is how the anchor network is calibrated. This module
+also holds the one range-residual kernel of every solver. The tag kernel,
 :func:`~uwbcal.multilateration.solve_fixes`, runs the same iteration with
 the same constants over many two-unknown problems at once. Problems here
 have at most a few dozen residuals and ~10 unknowns, so the normal
@@ -31,6 +33,11 @@ FLOOR_FACTOR = 2.0 * float(np.finfo(float).eps)
 # Coincident iterates have no distance gradient; nudge them apart instead.
 COINCIDENT_EPS = 1e-9
 
+# Per-problem status codes of the batched kernels. NOT_CONVERGED covers the
+# iteration cap and a rejected step at maximum damping; SINGULAR is a damped
+# system unsolvable at maximum damping.
+CONVERGED, NOT_CONVERGED, SINGULAR = range(3)
+
 
 @dataclass
 class LeastSquaresResult:
@@ -41,8 +48,23 @@ class LeastSquaresResult:
     grad_inf: float
 
 
+@dataclass(frozen=True)
+class LeastSquaresBatch:
+    """Per-problem results of :func:`levenberg_marquardt_batch`: ``x`` is
+    ``(K, n)``; ``objective``, ``iterations`` and ``status`` have length K.
+    A SINGULAR problem's ``x`` and ``objective`` are those of its last
+    accepted iterate."""
+
+    x: np.ndarray
+    objective: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+
+
 ResidualFunction = Callable[[np.ndarray],
                             tuple[np.ndarray, np.ndarray, np.ndarray]]
+BatchResidualFunction = Callable[[np.ndarray, np.ndarray],
+                                 tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def range_residuals(dx: np.ndarray, dy: np.ndarray, targets: np.ndarray
@@ -150,6 +172,128 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
                 break
 
     return LeastSquaresResult(x, f, iterations, converged, grad_inf)
+
+
+def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
+                              max_iterations: int = MAX_ITERATIONS
+                              ) -> LeastSquaresBatch:
+    """:func:`levenberg_marquardt`'s iteration on K problems of n unknowns
+    and m residuals at once, from the rows of ``x0``, ``(K, n)``.
+
+    ``fun(x, live)`` takes the iterates ``(L, n)`` of the problems whose
+    indices are ``live`` and returns their residuals ``(L, m)``, the
+    transposed Jacobians J^T ``(L, n, m)`` and the distances ``(L, m)``.
+    Each problem keeps its own damping and follows the scalar kernel's
+    constants and accept, reject and stop rules, float floor included. It
+    ends CONVERGED; NOT_CONVERGED at the iteration cap, or when a rejected
+    step takes the damping past ``DAMPING_MAX``; or SINGULAR when its
+    damped system is unsolvable at maximum damping. The normal equations
+    are formed at every trial point, and kept where the step is accepted.
+    Every reduction is per problem (stacked matrix products and solves,
+    sums along a problem's row), so a problem's result is the same, bit for
+    bit, in any batch. The working arrays hold the running problems only.
+    """
+    x = np.array(x0, dtype=float)
+    k, n = x.shape
+    out = np.empty((k, n + 1))  # x and f
+    out_iterations = np.zeros(k, dtype=int)
+    out_status = np.full(k, NOT_CONVERGED)
+    live = np.arange(k)
+    # per running problem: x, f, the floor, J^T r and J^T J in one row, so
+    # that one np.where keeps an accepted trial and one take compacts. The
+    # gradient test 2 |J^T r|_inf <= GRAD_TOL is |J^T r|_inf <= GRAD_TOL / 2,
+    # which halving keeps exact
+    state = _state(x, fun(x, live))
+    lam = np.full(k, DAMPING_INITIAL)
+    converged = stop = _row_max_abs(state[:, n + 2:2 * n + 2]) \
+        <= 0.5 * GRAD_TOL
+    solved = True
+    iteration = 0
+    while True:
+        if stop.any():
+            done = live[stop]
+            out[done] = state[stop, :n + 1]
+            out_iterations[done] = iteration
+            # CONVERGED, else NOT_CONVERGED if the last step was solved,
+            # else SINGULAR
+            out_status[done] = np.where(converged, CONVERGED,
+                                        SINGULAR - solved)[stop]
+            keep = ~stop
+            live, state, lam = live[keep], state[keep], lam[keep]
+        iteration += 1
+        if iteration > max_iterations or not live.size:
+            break
+        x, f, floor = state[:, :n], state[:, n], state[:, n + 1]
+        jtr = state[:, n + 2:2 * n + 2]
+        damped = state[:, 2 * n + 2:].reshape(-1, n, n).copy()
+        damped.reshape(-1, n * n)[:, ::n + 1] += lam[:, None]
+        dx = _solve(damped, -jtr)
+        step_sq = _row_dot(dx, dx)
+        # |dx|^2 overflows where an entry is large; the entries decide
+        solved = np.isfinite(dx).all(axis=1)
+        x_trial = x + dx
+        trial = _state(x_trial, fun(x_trial, live))
+        f_trial = trial[:, n]
+        # the predicted reduction lam |dx|^2 - J^T r . dx is within rounding
+        # of f: the problem's last step, taken if it does not raise f
+        at_floor = solved & (lam * step_sq - _row_dot(jtr, dx) <= floor)
+        accept = solved & (f_trial < f) | at_floor & (f_trial == f)
+        converged = at_floor | accept & (
+            _row_max_abs(trial[:, n + 2:2 * n + 2]) <= 0.5 * GRAD_TOL)
+        state = np.where(accept[:, None], trial, state)
+        lam = np.where(accept, np.maximum(lam / DAMPING_SHRINK, 1e-15),
+                       lam * DAMPING_GROW)
+        stop = converged | (lam > DAMPING_MAX)
+    out[live] = state[:, :n + 1]
+    out_iterations[live] = max_iterations
+    return LeastSquaresBatch(out[:, :n], out[:, n], out_iterations,
+                             out_status)
+
+
+def _state(x: np.ndarray, at_x) -> np.ndarray:
+    """The rows x, f, the float floor, J^T r and J^T J of each problem at
+    ``x``, ``(L, 2 + n (n + 2))``, from ``fun``'s residuals ``(L, m)``,
+    J^T ``(L, n, m)`` and distances ``(L, m)`` there. numpy multiplies a
+    strided stack in its own loops but a contiguous one through BLAS, and
+    a stack of one counts as contiguous whatever its strides, so J^T is
+    made contiguous first."""
+    r, jac_t, dist = at_x
+    jac_t = np.ascontiguousarray(jac_t)
+    n = x.shape[1]
+    rows = np.empty((len(x), 2 + n * (n + 2)))
+    rows[:, :n] = x
+    rows[:, n] = _row_dot(r, r)
+    rows[:, n + 1] = FLOOR_FACTOR * _row_dot(np.abs(r), dist)
+    np.matmul(jac_t, r[:, :, None], out=rows[:, n + 2:2 * n + 2, None])
+    np.matmul(jac_t, jac_t.transpose(0, 2, 1),
+              out=rows[:, 2 * n + 2:].reshape(-1, n, n))
+    return rows
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
+    return (a * b).sum(axis=1)
+
+
+def _row_max_abs(a: np.ndarray) -> np.ndarray:
+    """max |a_ij| of each row; NaN where a row holds a NaN."""
+    return np.maximum.reduce(np.abs(a), axis=1)
+
+
+def _solve(damped: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The stacked solves ``damped[p] dx[p] = rhs[p]``; NaN for a problem
+    whose system LAPACK finds singular. Each is its own LAPACK call, in a
+    stack or alone, so one problem's solution does not depend on another's."""
+    try:
+        return np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular system fails the stack
+        dx = np.full_like(rhs, math.nan)
+        for p in range(len(rhs)):
+            try:
+                dx[p] = np.linalg.solve(damped[p], rhs[p])
+            except np.linalg.LinAlgError:
+                pass
+        return dx
 
 
 def _max_abs(v: np.ndarray) -> float:

@@ -30,17 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearAnchors, NotConverged, SingularUpdate
-from .leastsq import (DAMPING_GROW, DAMPING_INITIAL, DAMPING_MAX,
+from .leastsq import (CONVERGED, DAMPING_GROW, DAMPING_INITIAL, DAMPING_MAX,
                       DAMPING_SHRINK, FLOOR_FACTOR, GRAD_TOL, MAX_ITERATIONS,
-                      range_residuals)
+                      NOT_CONVERGED, SINGULAR, range_residuals)
 
 CONDITION_LIMIT = 1e8
 # the smallest normal float: below it a product keeps fewer digits
 _TINY = float(np.finfo(float).tiny)
 
-# Per-fix status codes of solve_fixes. NOT_CONVERGED covers the iteration
-# cap and a rejected step at maximum damping.
-CONVERGED, NOT_CONVERGED, SINGULAR, COLLINEAR = range(4)
+# Per-fix status codes of solve_fixes: the kernels' three, and a layout too
+# collinear to fit.
+COLLINEAR = SINGULAR + 1
 
 @dataclass(frozen=True)
 class TagFix:

@@ -36,10 +36,10 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .autocalib import MAX_ANCHORS, calibrate
+from .autocalib import MAX_ANCHORS, batch_size, calibrate, solve_rounds
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
-                     NotConverged, SingularUpdate, _utf8_lines, echo,
-                     finite_number, integer, json_object, out_of_range,
+                     NotConverged, SingularUpdate, UwbCalError, _utf8_lines,
+                     echo, finite_number, integer, json_object, out_of_range,
                      parse_rows, xy_pair)
 # distance and locate_tag are not called here; bench/tracing.py hooks these
 # names for its geometry and multilateration metrics until ROADMAP item 8
@@ -580,12 +580,19 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     """Execute a full scenario; deterministic for a fixed config and seed.
 
     The true paths and each step's tag-to-anchor distances depend on no
-    decision, so they are formed for the whole run first. The loop then
-    goes from one calibration to the next: it sums the anchor estimates up
-    to the step where the trigger fires, runs that step's round and
-    warm-started calibration, and restarts the estimates from its result.
-    The tag noise of the steps since the last round is drawn just before
-    each round, so the ranging stream keeps its order. After the loop, the
+    decision, so they are formed for the whole run first. Every calibration
+    solves its own round and takes only its frame from the estimates it
+    replaces, so under a periodic trigger the rounds are drawn ahead, in
+    stream order, and solved together, the bootstrap included, in
+    :func:`~uwbcal.autocalib.solve_rounds` calls of up to
+    :func:`~uwbcal.autocalib.batch_size` rounds. The loop then goes
+    from one calibration to the next: it sums the anchor estimates up to
+    the step where the trigger fires, frames that step's solved round onto
+    them through :func:`~uwbcal.autocalib.calibrate`, and restarts the
+    estimates from its result. A threshold trigger fires on the estimates
+    themselves, so it draws and solves each round inside the loop. The tag
+    noise of the steps since the last round is drawn just before each
+    round, so the ranging stream keeps its order. After the loop, the
     corrected tag ranges and rotations are formed for the whole run, every
     tag fix is made in one :func:`~uwbcal.multilateration.solve_fixes`
     call, one :func:`_placed` call places and scores every anchor and tag
@@ -599,7 +606,8 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     update is singular keeps the previous estimates, and its step is not
     marked calibrated. Anchors that meet at a calibration raise
     :class:`ConfigError` for that step: the scenario's motion cannot be
-    simulated.
+    simulated. An error that aborts the run is raised at its step, after
+    every earlier one, even where its round is drawn ahead.
     """
     # validated first: a bad seed is a ConfigError, not a numpy error
     cfg, (_, motion_rng, drift_rng, ranging_rng) = _resolved(cfg)
@@ -610,14 +618,6 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     stats, _ = run_calibration_round(n, cfg.k_measurements,
                                      cfg.initial_anchor_positions, model,
                                      ranging_rng)
-    # (step, tag, message); a calibration's note comes before its step's
-    # tag notes, as tag -1
-    notes = []
-    try:
-        result = calibrate(stats, correction)
-    except NotConverged as exc:
-        result = exc.result
-        notes.append((-1, -1, "bootstrap calibration did not converge"))
     world, increments = _true_paths(cfg, motion_rng, drift_rng)
     truth = world[:, :n]
     tag_d = _norms(world[:, n:, None] - truth[:, None])
@@ -626,6 +626,61 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     # (live_before[b] - live_before[a], N)
     live_before = [0] + np.cumsum(live.sum(axis=1)).tolist()
     noise, drawn = [], 0
+
+    def draw_round(c: int):
+        """Step c's round, drawn after the tag noise of the steps since the
+        last one; ConfigError if anchors meet at c."""
+        nonlocal drawn
+        positions = truth[c].tolist()
+        met = _coincident(positions)
+        if met:
+            i, j = met[0]
+            x, y = positions[j]
+            raise ConfigError([
+                f"step {c}: anchors {i} and {j} coincide at ({x:g}, {y:g}) "
+                f"and cannot range each other; change the motion or "
+                f"initial_anchor_positions"])
+        noise.append(ranging_rng.standard_normal(
+            (live_before[c] - live_before[drawn], n)))
+        drawn = c
+        return run_calibration_round(n, cfg.k_measurements, positions,
+                                     model, ranging_rng)[0]
+
+    def periodic_rounds():
+        """The bootstrap round, then each periodic step's, with its entry
+        of :func:`~uwbcal.autocalib.solve_rounds`. Rounds are drawn ahead
+        and solved up to ``batch_size`` at a time; a round that fails to
+        draw ends the drawing, and its error is raised at its turn."""
+        batch, failure = [stats], None
+        for c in range(period, n_steps, period):
+            if len(batch) == size:
+                yield from zip(batch, solve_rounds(batch, correction))
+                batch = []
+            try:
+                batch.append(draw_round(c))
+            except UwbCalError as exc:
+                failure = exc
+                break
+        if batch:
+            yield from zip(batch, solve_rounds(batch, correction))
+        if failure is not None:
+            raise failure
+
+    if trigger.kind == "periodic":
+        period, size = cfg.calibration_period, batch_size(n)
+        rounds = periodic_rounds()
+        stats, solved = next(rounds)
+    else:
+        solved = None
+
+    # (step, tag, message); a calibration's note comes before its step's
+    # tag notes, as tag -1
+    notes = []
+    try:
+        result = calibrate(stats, correction, solved=solved)
+    except NotConverged as exc:
+        result = exc.result
+        notes.append((-1, -1, "bootstrap calibration did not converge"))
 
     # per step: the anchor frame, est - est[0]
     frames = np.empty((n_steps, n, 2))
@@ -637,7 +692,6 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     t, span = 0, 1
     while t < n_steps:
         if trigger.kind == "periodic":
-            period = cfg.calibration_period
             due = max(period, -(-t // period) * period)
             stop = min(due + 1, n_steps)
         else:
@@ -658,22 +712,13 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         t, before = c + 1, path[end]
         if not fires:
             continue
-        positions = truth[c].tolist()
-        met = _coincident(positions)
-        if met:
-            i, j = met[0]
-            x, y = positions[j]
-            raise ConfigError([
-                f"step {c}: anchors {i} and {j} coincide at ({x:g}, {y:g}) "
-                f"and cannot range each other; change the motion or "
-                f"initial_anchor_positions"])
-        noise.append(ranging_rng.standard_normal(
-            (live_before[c] - live_before[drawn], n)))
-        drawn = c
-        stats, _ = run_calibration_round(n, cfg.k_measurements, positions,
-                                         model, ranging_rng)
+        if trigger.kind == "periodic":
+            stats, solved = next(rounds)
+        else:
+            stats = draw_round(c)
         try:
-            result = calibrate(stats, correction, prior=frame[end])
+            result = calibrate(stats, correction, prior=frame[end],
+                               solved=solved)
         except NotConverged as exc:
             result = exc.result
             notes.append((c, -1, f"step {c}: calibration did not converge"))

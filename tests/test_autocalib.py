@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from uwbcal.autocalib import (CalibrationResult, DistanceStatsMatrix,
                               PairStats, _free_columns, _residual_layout,
                               calibrate, initial_placement, load_distance_csv,
-                              refine_lse)
+                              refine_lse, solve_networks, solve_rounds)
 from uwbcal.errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                            SingularUpdate, UwbCalError)
 from uwbcal.geometry import distance, rotation_error
@@ -697,26 +697,39 @@ def oracle_start(d, model) -> list[tuple[float, float]]:
         (float(placed[i, 0]), float(placed[i, 1])) for i in range(2, n)]
 
 
+def oracle_onto(positions, prior) -> np.ndarray:
+    """``positions`` (anchor 0 at the origin) turned about anchor 0 onto
+    ``prior``, in complex numbers: the rotation that maximizes sum Re(conj(q)
+    e^(i a) p) is the phase of sum conj(p) q, and the mirror image conj(p)
+    fits better where |sum p q| > |sum conj(p) q|."""
+    p = np.array([complex(x, y) for x, y in positions])
+    q = np.array([complex(x, y) for x, y in prior]) - complex(*prior[0])
+    plain, mirrored = (np.conj(p) * q).sum(), (p * q).sum()
+    if abs(mirrored) > abs(plain):
+        p, plain = np.conj(p), mirrored
+    turned = p * np.exp(1j * np.angle(plain))
+    return np.column_stack((turned.real, turned.imag))
+
+
 def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
     """``calibrate`` spelled out pair by pair: the MDS start on
-    ``sym_mean``'s corrected means, then the dense oracle residuals."""
+    ``sym_mean``'s corrected means, ``levenberg_marquardt`` on the dense
+    oracle residuals with anchor 0 and anchor 1's y pinned, and with a
+    prior the result turned onto it by :func:`oracle_onto`."""
     n = d.n_anchors
-    if prior is None:
-        start, fix_a1_axis = oracle_start(d, model), True
-    else:
-        ox, oy = prior[0]
-        start, fix_a1_axis = [(x - ox, y - oy) for x, y in prior], False
     free_cols = np.arange(2, 2 * n)
-    if fix_a1_axis:
-        free_cols = free_cols[free_cols != 3]
-    flat = np.array([c for p in start for c in p], dtype=float)
-    lsq = levenberg_marquardt(dense_network_residuals(d, fix_a1_axis, model),
+    free_cols = free_cols[free_cols != 3]
+    flat = np.array([c for p in oracle_start(d, model) for c in p])
+    lsq = levenberg_marquardt(dense_network_residuals(d, True, model),
                               flat[free_cols])
     flat = np.zeros(2 * n)
     flat[free_cols] = lsq.x
+    positions = flat.reshape(n, 2)
+    if prior is not None:
+        positions = oracle_onto(positions, prior)
     n_pairs = len(unordered_pairs(d))
     result = CalibrationResult(
-        positions=flat.reshape(n, 2),
+        positions=positions,
         rms_residual=math.sqrt(lsq.objective / n_pairs),
         iterations=lsq.iterations, converged=lsq.converged)
     if not lsq.converged:
@@ -727,6 +740,27 @@ def oracle_calibrate(d, model, prior=None) -> CalibrationResult:
     return result
 
 
+def close_outcomes(calibration, oracle, *args, **kwargs) -> bool:
+    """Whether two calibrations end alike: the same error type and message,
+    or results with the same iterations and convergence, positions within
+    1e-6 m and rms residuals within 1e-9 m."""
+    ends = []
+    for run in (calibration, oracle):
+        try:
+            ends.append((None, run(*args, **kwargs)))
+        except NotConverged as exc:
+            ends.append((str(exc), exc.result))
+        except UwbCalError as exc:
+            ends.append((f"{type(exc).__name__}({exc})", None))
+    (text, a), (oracle_text, b) = ends
+    if text != oracle_text or (a is None) != (b is None):
+        return False
+    return a is None or (
+        a.iterations == b.iterations and a.converged == b.converged
+        and np.abs(np.asarray(a.positions) - b.positions).max() <= 1e-6
+        and abs(a.rms_residual - b.rms_residual) <= 1e-9)
+
+
 def outcome(calibration, *args, **kwargs) -> str:
     try:
         return result_repr(calibration(*args, **kwargs))
@@ -734,6 +768,14 @@ def outcome(calibration, *args, **kwargs) -> str:
         return f"NotConverged({exc}, {result_repr(exc.result)})"
     except UwbCalError as exc:
         return f"{type(exc).__name__}({exc})"
+
+
+def best_result(stats, model, prior) -> CalibrationResult:
+    """``calibrate``'s result, or the best iterate of a NotConverged."""
+    try:
+        return calibrate(stats, model, prior=prior)
+    except NotConverged as exc:
+        return exc.result
 
 
 def positions_bytes(stats, model, prior) -> bytes:
@@ -754,7 +796,10 @@ OVERFLOWING_PRIOR = [(0, 0), (1e308, 0), (-1e308, 1e308), (1e308, 1e308),
 
 
 class TestCalibrateOracle:
-    def test_bootstrap_and_warm_equal_lm_on_dense_residuals(self):
+    def test_bootstrap_and_warm_match_lm_on_dense_residuals(self):
+        # the batched kernel against levenberg_marquardt on the same
+        # problems: the same iterations and stop, and positions that agree
+        # to rounding (the two sum and solve in different orders)
         rng = np.random.default_rng(2024)
         model = reference_model()
         for _ in range(200):
@@ -762,14 +807,46 @@ class TestCalibrateOracle:
             truth = rng.uniform(-15.0, 15.0, (n, 2))
             stats, _ = run_calibration_round(
                 n, int(rng.integers(1, 11)), truth.tolist(), model, rng)
-            assert outcome(calibrate, stats, model) == \
-                outcome(oracle_calibrate, stats, model)
-            # a drifted, rotated and translated prior
+            assert close_outcomes(calibrate, oracle_calibrate, stats, model)
+            # a drifted, rotated, mirrored and translated prior
             prior = (truth + rng.normal(0.0, 0.5, truth.shape)) @ \
                 np.array([[0.99, 0.14], [-0.14, 0.99]]) + 3.0
-            assert outcome(calibrate, stats, model, prior=prior.tolist()) \
-                == outcome(oracle_calibrate, stats, model,
-                           prior=prior.tolist())
+            for turned in (prior, prior * [1.0, -1.0]):
+                assert close_outcomes(calibrate, oracle_calibrate, stats,
+                                      model, prior=turned.tolist())
+
+    def test_priors_that_differ_by_a_rotation_give_results_that_do(self):
+        # the prior sets only the frame: turn it about its anchor 0, and
+        # the result turns with it, to rounding
+        rng = np.random.default_rng(23)
+        model = reference_model()
+        for _ in range(50):
+            n = int(rng.integers(3, 7))
+            truth = rng.uniform(-15.0, 15.0, (n, 2))
+            stats, _ = run_calibration_round(n, 5, truth.tolist(), model,
+                                             rng)
+            prior = truth + rng.normal(0.0, 0.3, truth.shape)
+            angle = rng.uniform(-math.pi, math.pi)
+            turn = np.array([[math.cos(angle), math.sin(angle)],
+                             [-math.sin(angle), math.cos(angle)]])
+            turned = prior[0] + (prior - prior[0]) @ turn
+            a, b = (best_result(stats, model, p) for p in (prior, turned))
+            assert np.abs(a.positions @ turn - b.positions).max() <= 1e-12 \
+                * np.abs(a.positions).max()
+            assert (a.rms_residual, a.iterations) == \
+                (b.rms_residual, b.iterations)
+
+    def test_the_prior_does_not_set_the_start(self):
+        # a prior turned by a half turn, or mirrored, gives the same shape
+        m = exact_matrix(GOLDEN_FRAME)
+        plain = calibrate(m, RangingModel.identity(), prior=GOLDEN_FRAME)
+        for prior in ([(-x, -y) for x, y in GOLDEN_FRAME],
+                      [(x, -y) for x, y in GOLDEN_FRAME]):
+            result = calibrate(m, RangingModel.identity(), prior=prior)
+            assert (result.iterations, result.rms_residual) == \
+                (plain.iterations, plain.rms_residual)
+            for got, want in zip(result.positions, prior):
+                assert distance(got, want) <= 1e-9
 
     def test_array_tuple_and_list_priors_give_identical_results(self):
         # the rounds and priors of the test above, the prior given as an
@@ -808,11 +885,93 @@ class TestCalibrateOracle:
                 return
         assert isinstance(result, CalibrationResult)
 
-    def test_overflowing_refinement_warns_nothing(self):
-        # differences near 1e308 overflow to inf, which the solver rejects
+    def test_a_prior_near_the_float_limit_sets_the_frame_quietly(self):
+        # the prior's pair offsets near 1e308 would overflow, but the fit
+        # onto the prior forms none of them
         prior = OVERFLOWING_PRIOR
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularUpdate):
+            result = calibrate(exact_matrix(GOLDEN_FRAME),
+                               RangingModel.identity(), prior=prior)
+        assert result.converged and np.isfinite(result.positions).all()
+        for i, j in itertools.combinations(range(5), 2):
+            assert distance(result.positions[i], result.positions[j]) == \
+                pytest.approx(distance(GOLDEN_FRAME[i], GOLDEN_FRAME[j]),
+                              abs=1e-9)
+
+    @pytest.mark.parametrize("prior", [
+        [(-1e308, 0), (1e308, 0), (16, 3), (13, 17), (2, 19)],
+        [(0, 0), (math.inf, 0), (16, 3), (13, 17), (2, 19)],
+        [(0, 0), (9, 0), (16, math.nan), (13, 17), (2, 19)]],
+        ids=["offset_overflows", "inf", "nan"])
+    def test_a_prior_without_finite_offsets_raises_value_error(self, prior):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^prior offsets from "
+                                                 "anchor 0 must be finite$"):
                 calibrate(exact_matrix(GOLDEN_FRAME), RangingModel.identity(),
                           prior=prior)
+
+
+def noisy_rounds(rng, n, k=6):
+    """K rounds of n anchors at random layouts, k = 5 readings a pair."""
+    model = reference_model()
+    return [run_calibration_round(n, 5, rng.uniform(-15.0, 15.0, (n, 2))
+                                  .tolist(), model, rng)[0]
+            for _ in range(k)]
+
+
+class TestSolveNetworks:
+    @pytest.mark.parametrize("cap", [MAX_ITERATIONS, 2])
+    @pytest.mark.parametrize("n", [3, 4, 5, 9])
+    def test_a_result_does_not_depend_on_the_batch(self, monkeypatch, n,
+                                                   cap):
+        import uwbcal.autocalib as autocalib
+
+        monkeypatch.setattr(autocalib, "MAX_ITERATIONS", cap)
+        rng = np.random.default_rng(40 + n)
+        model = reference_model()
+        rounds = noisy_rounds(rng, n)
+        pairs = rounds[0].sym_table(model)[0]
+        targets = [d.sym_table(model)[1] for d in rounds]
+
+        def rows(indices):
+            batch = solve_networks(n, pairs, [targets[k] for k in indices])
+            return [(batch.positions[p].tobytes(),
+                     batch.rms_residual[p].tobytes(),
+                     int(batch.iterations[p]), int(batch.status[p]))
+                    for p in range(len(indices))]
+
+        alone = [rows([k])[0] for k in range(6)]
+        order = rng.permutation(6).tolist()
+        assert rows(range(6)) == alone
+        assert rows(order) == [alone[k] for k in order]
+        assert rows([0, 1, 2]) + rows([3, 4, 5]) == alone
+
+    @pytest.mark.parametrize("cap", [MAX_ITERATIONS, 2])
+    def test_a_solved_round_calibrates_as_the_round_alone(self, monkeypatch,
+                                                          cap):
+        # through `solved`, calibrate reads neither the round nor the model
+        import uwbcal.autocalib as autocalib
+
+        monkeypatch.setattr(autocalib, "MAX_ITERATIONS", cap)
+        rng = np.random.default_rng(7)
+        model = reference_model()
+        rounds = noisy_rounds(rng, 4)
+        solved = solve_rounds(rounds, model)
+        for d, entry in zip(rounds, solved):
+            for prior in (None, rng.uniform(-15.0, 15.0, (4, 2))):
+                assert outcome(calibrate, d, model, prior=prior) == \
+                    outcome(calibrate, d, None, prior=prior, solved=entry)
+
+    def test_a_failed_start_leaves_every_round_to_itself(self):
+        # one round with a pair that corrects below zero: every round is
+        # solved alone, and only that one raises
+        model = RangingModel(1.0, 6.0, 0.0, 2)
+        rounds = [exact_matrix(GOLDEN_FRAME, lambda d: d + 6.0)
+                  for _ in range(3)]
+        rounds[1] = exact_matrix([(0, 0), (9, 0), (12, 4)] + [(20, 20),
+                                                             (5, 30)])
+        assert solve_rounds(rounds, model) == [None] * 3
+        with pytest.raises(DegenerateGeometry, match="pair"):
+            calibrate(rounds[1], model)

@@ -1509,24 +1509,25 @@ class TestExitCodes:
         assert doc["positions"][1] == [9.0, 0.0]
 
     def test_an_overflowing_rms_residual_is_written_as_null(self, tmp_path):
-        # distances near 1e160 m: the residuals' squares overflow, and the
-        # refinement stops at its cap with an infinite rms
+        # distances near 1e160 m that no triangle fits: the residuals'
+        # squares overflow, so the float floor of the objective is infinite
+        # too, and the refinement stops at it with an infinite rms
         src = tmp_path / "huge.csv"
         src.write_text("i,j,mean_m,std_m,count\n0,1,1e160,0.1,5\n"
-                       "0,2,1e160,0.1,5\n1,2,1.5e160,0.1,5\n")
+                       "0,2,1e160,0.1,5\n1,2,3e160,0.1,5\n")
         prior = tmp_path / "prior.json"
         prior.write_text("[[0, 0], [1, 0], [0, 1]]")
         out = tmp_path / "r.json"
         result = run_cli("calibrate", "--input", str(src), "--prior",
                          str(prior), "--output", str(out))
-        assert result.returncode == 4
+        assert result.returncode == 0
         assert_contract(result)
-        assert result.stderr.count("\n") == 1
+        assert result.stdout.endswith("rms residual inf m\n")
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
         doc = json.loads(text, parse_constant=pytest.fail)
         assert doc["rms_residual_m"] is None
-        assert doc["converged"] is False
+        assert doc["converged"] is True
 
     def test_json_output_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from uwbcal.autocalib import DistanceStatsMatrix, calibrate
 from uwbcal.errors import SingularUpdate
 from uwbcal.leastsq import (COINCIDENT_EPS, MAX_ITERATIONS,
-                            levenberg_marquardt, range_residuals)
+                            levenberg_marquardt, levenberg_marquardt_batch,
+                            range_residuals)
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
                                     _equations, _residuals, solve_fixes)
 from uwbcal.ranging import RangingModel
@@ -114,6 +115,75 @@ class TestLevenbergMarquardt:
         assert len(evaluations) == 1
         assert damping == pytest.approx([1e-3 * 10.0 ** k for k in range(18)],
                                         rel=1e-9)
+
+
+def tanh_problems(rng, k):
+    """K scalar residual functions r = tanh(A x) - b of 8 residuals and 3
+    unknowns, the last one NaN everywhere, and their starts."""
+    funs = []
+    for _ in range(k - 1):
+        a, b = rng.normal(size=(8, 3)), rng.uniform(-0.7, 0.7, 8)
+
+        def fun(x, a=a, b=b):
+            r = np.tanh(a @ x) - b
+            return (r, a * (1.0 / np.cosh(a @ x) ** 2)[:, None],
+                    np.abs(np.tanh(a @ x)))
+        funs.append(fun)
+    funs.append(lambda x: (np.full(8, np.nan), np.full((8, 3), np.nan),
+                           np.ones(8)))
+    return funs, rng.normal(size=(k, 3))
+
+
+def batched(funs):
+    """The batch kernel's residual function over scalar ones."""
+    def fun(x, live):
+        r, jac, dist = zip(*(funs[k](row) for k, row in zip(live, x)))
+        return (np.array(r), np.array(jac).transpose(0, 2, 1),
+                np.array(dist))
+    return fun
+
+
+class TestLevenbergMarquardtBatch:
+    @pytest.mark.parametrize("cap", [MAX_ITERATIONS, 3])
+    def test_matches_the_scalar_kernel_problem_by_problem(self, cap):
+        # the same iterations and stop, and iterates that agree to within
+        # the flatness of the float floor (the two kernels sum and solve in
+        # different orders)
+        funs, x0 = tanh_problems(np.random.default_rng(cap), 12)
+        batch = levenberg_marquardt_batch(batched(funs), x0, cap)
+        # the NaN problem ends SINGULAR after 18 rejected steps; a cap of 3
+        # stops problems short
+        assert set(batch.status) == {CONVERGED, SINGULAR} if cap > 18 \
+            else NOT_CONVERGED in batch.status
+        for k, fun in enumerate(funs):
+            if batch.status[k] == SINGULAR:
+                with pytest.raises(SingularUpdate):
+                    levenberg_marquardt(fun, x0[k], cap)
+                continue
+            ref = levenberg_marquardt(fun, x0[k], cap)
+            assert batch.iterations[k] == ref.iterations
+            assert (batch.status[k] == CONVERGED) == ref.converged
+            assert batch.x[k] == pytest.approx(ref.x, rel=1e-6, abs=1e-9)
+            assert batch.objective[k] == pytest.approx(ref.objective,
+                                                       rel=1e-9, nan_ok=True)
+
+    def test_a_result_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(6)
+        funs, x0 = tanh_problems(rng, 6)
+
+        def rows(indices, cap=MAX_ITERATIONS):
+            b = levenberg_marquardt_batch(batched([funs[k] for k in indices]),
+                                          x0[indices], cap)
+            return [(b.x[p].tobytes(), b.objective[p].tobytes(),
+                     int(b.iterations[p]), int(b.status[p]))
+                    for p in range(len(indices))]
+
+        for cap in (MAX_ITERATIONS, 3):
+            alone = [rows([k], cap)[0] for k in range(6)]
+            order = rng.permutation(6)
+            assert rows(range(6), cap) == alone
+            assert rows(order, cap) == [alone[k] for k in order]
+            assert rows([0, 1], cap) + rows([2, 3, 4, 5], cap) == alone
 
 
 coordinate = st.floats(min_value=-20.0, max_value=20.0)
