@@ -265,28 +265,25 @@ def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _residual_layout(n_anchors: int, fix_a1_axis: bool,
                      pairs: tuple[tuple[int, int], ...]):
-    """Index arrays of the residual function over ``pairs``, read-only.
+    """The residual function's layout over ``pairs``, read-only.
 
-    With ``ext`` the free vector followed by one 0.0 (the value of every
-    pinned coordinate), the differences p_i - p_j are ``ext[first] -
-    ext[second]``. With ``buf`` the unit vectors, then their negations, then
-    one 0.0, J is ``buf[jac_t].T``: +unit at pair k's first anchor, -unit
-    at its second and 0 elsewhere, the entries of the dense scatter it
-    replaces. Its column-major layout is the one that scatter's column
-    gather leaves, so the matrix products that follow round alike.
+    Returns the free flat coordinates; the matrix of +1, -1 and 0 whose
+    product with a vector of free coordinates is the flat pair differences
+    p_i - p_j, ``(2m,)``: each is one exact product or the sum of two, so it
+    rounds once, as the difference does, in any order of summation; and
+    each free coordinate's axis (0 for x) and its sign in every pair, +1 at
+    the pair's first anchor, -1 at its second and 0 elsewhere, ``(n_free,
+    m)``. With u the pairs' unit vectors, J^T is ``u.T[axis] * sign``.
     """
     free_cols = _free_columns(n_anchors, fix_a1_axis)
-    n_free, m = len(free_cols), len(pairs)
-    slot = np.full(2 * n_anchors, n_free)
-    slot[free_cols] = np.arange(n_free)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    rows, xy = np.arange(m), np.arange(2)
-    jac = np.full((m, n_anchors, 2), 4 * m)
-    jac[rows, ii] = 2 * rows[:, None] + xy
-    jac[rows, jj] = 2 * (m + rows[:, None]) + xy
-    layout = (free_cols, slot[2 * ii[:, None] + xy],
-              slot[2 * jj[:, None] + xy],
-              jac.reshape(m, 2 * n_anchors)[:, free_cols].T.copy())
+    rows, xy = np.arange(len(pairs)), np.arange(2)
+    full = np.zeros((2 * n_anchors, len(pairs), 2))
+    full[2 * ii[:, None] + xy, rows[:, None], xy] = 1.0
+    full[2 * jj[:, None] + xy, rows[:, None], xy] = -1.0
+    free, axis = full[free_cols], free_cols % 2
+    layout = (free_cols, free.reshape(len(free_cols), -1), axis,
+              free[np.arange(len(free_cols)), :, axis])
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -294,23 +291,17 @@ def _residual_layout(n_anchors: int, fix_a1_axis: bool,
 
 def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
     """free -> (r, J, d) over ``pairs`` with symmetrized means ``targets``
-    and the pair distances d."""
-    free_cols, first, second, jac_t = _residual_layout(
-        n_anchors, fix_a1_axis, pairs)
-    n_free, m = len(free_cols), len(pairs)
+    and the pair distances d. J is column-major, as the transpose of the
+    ``(n_free, m)`` J^T it is formed as."""
+    _, difference, axis, sign = _residual_layout(n_anchors, fix_a1_axis,
+                                                 pairs)
     targets = np.array(targets, dtype=float)
-    ext, buf = np.zeros(n_free + 1), np.zeros(4 * m + 1)
-    free_part = ext[:n_free]
-    units, negated = buf[:2 * m].reshape(m, 2), buf[2 * m:4 * m].reshape(m, 2)
 
     def fun(free):
-        free_part[...] = free
-        diff = ext.take(first)
-        diff -= ext.take(second)
+        diff = (free @ difference).reshape(-1, 2)
         r, dist = range_residuals(diff[:, 0], diff[:, 1], targets)
-        np.divide(diff, dist[:, None], out=units)
-        np.negative(units, out=negated)
-        return r, buf.take(jac_t).T, dist
+        units = diff / dist[:, None]
+        return r, (units.T.take(axis, axis=0) * sign).T, dist
 
     return fun
 
@@ -413,34 +404,6 @@ class NetworkBatch:
                             f"iterations{limit}", result)
 
 
-@functools.lru_cache(maxsize=64)
-def _network_layout(n: int, pairs: tuple[tuple[int, int], ...]):
-    """The bootstrap gauge's residual layout over ``pairs``, read-only.
-
-    Returns the free flat coordinates (all but anchor 0's and anchor 1's
-    y); the matrix of +1, -1 and 0 whose product with a row of free
-    coordinates is the flat pair differences p_i - p_j, ``(2m,)``: each is
-    one or two exact products, so it rounds once, as the difference does,
-    in any order of summation; and each free coordinate's axis (0 for x)
-    and its sign in every pair, +1 at the pair's first anchor, -1 at its
-    second and 0 elsewhere, so that J^T of unit vectors u ``(L, m, 2)`` is
-    ``u[:, :, axis].T * sign``.
-    """
-    free_cols = _free_columns(n, True)
-    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    full = np.zeros((2 * n, len(pairs), 2))
-    rows, xy = np.arange(len(pairs)), np.arange(2)
-    full[2 * ii[:, None] + xy, rows[:, None], xy] = 1.0
-    full[2 * jj[:, None] + xy, rows[:, None], xy] = -1.0
-    free = full[free_cols]
-    axis = free_cols % 2
-    layout = (free_cols, free.reshape(len(free_cols), -1),
-              axis, free[np.arange(len(free_cols)), :, axis])
-    for a in layout:
-        a.flags.writeable = False
-    return layout
-
-
 def solve_networks(n: int, pairs, targets) -> NetworkBatch:
     """Calibrate K rounds of n anchors at once in the bootstrap gauge.
 
@@ -454,7 +417,7 @@ def solve_networks(n: int, pairs, targets) -> NetworkBatch:
     """
     start = _starts(n, pairs, targets)
     k, m = len(start), len(pairs)
-    free_cols, difference, axis, sign = _network_layout(n, pairs)
+    free_cols, difference, axis, sign = _residual_layout(n, True, pairs)
     targets = _rows(targets)
 
     def fun(x, live):

@@ -139,8 +139,8 @@ def equal_stats(a: DistanceStatsMatrix, b: DistanceStatsMatrix) -> bool:
 def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False,
                             model=None):
     """The anchor-network residual function built densely: the oracle for
-    ``autocalib.network_residuals``, which gathers J from a precomputed
-    index map.
+    ``oracles.network_residuals``, which forms the differences and J from a
+    precomputed layout of signs.
 
     Targets come from ``unordered_pairs`` and ``sym_mean`` above, corrected
     under ``model`` if given; every evaluation zero-fills an ``(m, n, 2)``
