@@ -456,12 +456,12 @@ def solve_rounds(rounds: list[DistanceStatsMatrix],
     ``sym_table`` forms them. When a round leaves a pair unmeasured, or a
     start fails, every entry is None, so that each round is solved alone
     and raises its own error at its turn."""
-    total, targets = _sym_means(np.array([d._count for d in rounds]),
-                                np.array([d._mean for d in rounds]),
-                                ranging_model)
+    # a pair that a round did not measure has a NaN mean, which fails the
+    # start as any unusable distance does
+    _, targets = _sym_means(np.array([d._count for d in rounds]),
+                            np.array([d._mean for d in rounds]),
+                            ranging_model)
     n = rounds[0].n_anchors
-    if not (total > 0).all():  # a pair some round did not measure
-        return [None] * len(rounds)
     try:
         batch = solve_networks(n, _upper_pairs(n)[2], targets)
     except DegenerateGeometry:
@@ -515,8 +515,8 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
     frame: its rotation and handedness, and through its anchor 0 the
     origin. It does not set the start, so a calibration depends on no
     earlier one. ``solved`` is this round's entry of :func:`solve_rounds`,
-    when the round was solved in a batch: then ``d`` and ``ranging_model``
-    are not read again. Raises :class:`NotConverged` with the best iterate
+    when the round was solved in a batch: then its table is neither formed
+    nor solved again. Raises :class:`NotConverged` with the best iterate
     attached (in the prior's frame) if the refinement hits its cap or a
     rejected step takes the damping past ``DAMPING_MAX``, and
     :class:`SingularUpdate` if the damped system cannot be solved.
