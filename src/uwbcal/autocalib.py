@@ -198,7 +198,7 @@ def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
 def _rows(targets) -> np.ndarray:
     """``targets``, one sequence or K rows of them, as a ``(K, m)`` float
     array."""
-    targets = np.array(targets, dtype=float)
+    targets = np.asarray(targets, dtype=float)
     return targets[None] if targets.ndim == 1 else targets
 
 
@@ -415,10 +415,10 @@ def solve_networks(n: int, pairs, targets) -> NetworkBatch:
     with anchor 0 and anchor 1's y pinned. A problem's result does not
     depend on the batch it is solved in.
     """
+    targets = _rows(targets)
     start = _starts(n, pairs, targets)
     k, m = len(start), len(pairs)
     free_cols, difference, axis, sign = _residual_layout(n, True, pairs)
-    targets = _rows(targets)
 
     def fun(x, live):
         diff = (x @ difference).reshape(-1, m, 2)

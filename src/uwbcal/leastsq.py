@@ -189,9 +189,11 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
     step takes the damping past ``DAMPING_MAX``; or SINGULAR when its
     damped system is unsolvable at maximum damping. The normal equations
     are formed at every trial point, and kept where the step is accepted.
-    Every reduction is per problem (stacked matrix products and solves,
-    sums along a problem's row), so a problem's result is the same, bit for
-    bit, in any batch. The working arrays hold the running problems only.
+    Every product, dot product and solve is a stacked call that makes one
+    BLAS or LAPACK call per problem, the one the scalar kernel makes, so a
+    problem's result is the same, bit for bit, in any batch, and the scalar
+    kernel's where J is column-major. The working arrays hold the running
+    problems only.
     """
     x = np.array(x0, dtype=float)
     k, n = x.shape
@@ -227,16 +229,17 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
         jtr = state[:, n + 2:2 * n + 2]
         damped = state[:, 2 * n + 2:].reshape(-1, n, n).copy()
         damped.reshape(-1, n * n)[:, ::n + 1] += lam[:, None]
-        dx = _solve(damped, -jtr)
+        rhs = -jtr
+        dx = _solve(damped, rhs)
         step_sq = _row_dot(dx, dx)
         # |dx|^2 overflows where an entry is large; the entries decide
         solved = np.isfinite(dx).all(axis=1)
         x_trial = x + dx
         trial = _state(x_trial, fun(x_trial, live))
         f_trial = trial[:, n]
-        # the predicted reduction lam |dx|^2 - J^T r . dx is within rounding
+        # the predicted reduction lam |dx|^2 + rhs . dx is within rounding
         # of f: the problem's last step, taken if it does not raise f
-        at_floor = solved & (lam * step_sq - _row_dot(jtr, dx) <= floor)
+        at_floor = solved & (lam * step_sq + _row_dot(rhs, dx) <= floor)
         accept = solved & (f_trial < f) | at_floor & (f_trial == f)
         converged = at_floor | accept & (
             _row_max_abs(trial[:, n + 2:2 * n + 2]) <= 0.5 * GRAD_TOL)
@@ -271,8 +274,10 @@ def _state(x: np.ndarray, at_x) -> np.ndarray:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of ``a`` with the same row of ``b``."""
-    return (a * b).sum(axis=1)
+    """The dot product of each row of ``a`` with the same row of ``b``, as
+    a stacked product of a row by a column: each is the BLAS dot product
+    that ``ndarray.dot`` and ``@`` form on one pair of vectors."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _row_max_abs(a: np.ndarray) -> np.ndarray:

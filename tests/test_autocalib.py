@@ -797,9 +797,10 @@ OVERFLOWING_PRIOR = [(0, 0), (1e308, 0), (-1e308, 1e308), (1e308, 1e308),
 
 class TestCalibrateOracle:
     def test_bootstrap_and_warm_match_lm_on_dense_residuals(self):
-        # the batched kernel against levenberg_marquardt on the same
-        # problems: the same iterations and stop, and positions that agree
-        # to rounding (the two sum and solve in different orders)
+        # calibrate against an oracle spelled out pair by pair: the same
+        # iterations and stop, and positions that agree to rounding (the
+        # oracle's start turns by math's trigonometry, its fit in complex
+        # numbers; TestSolveNetworks holds the kernel to the bit)
         rng = np.random.default_rng(2024)
         model = reference_model()
         for _ in range(200):
@@ -947,6 +948,21 @@ class TestSolveNetworks:
         assert rows(range(6)) == alone
         assert rows(order) == [alone[k] for k in order]
         assert rows([0, 1, 2]) + rows([3, 4, 5]) == alone
+
+    def test_equals_levenberg_marquardt_bit_for_bit(self):
+        # the kernel against refine_lse, which runs levenberg_marquardt,
+        # from the same MDS start in the same gauge: every product, dot
+        # product and solve is the same BLAS or LAPACK call per problem
+        rng = np.random.default_rng(2024)
+        model = reference_model()
+        for _ in range(300):
+            n = int(rng.integers(3, 10))
+            stats, _ = run_calibration_round(
+                n, int(rng.integers(1, 11)),
+                rng.uniform(-15.0, 15.0, (n, 2)).tolist(), model, rng)
+            solved = solve_networks(n, *stats.sym_table()).outcome(0)
+            assert outcome(calibrate, stats, None, solved=solved) == \
+                outcome(refine_lse, initial_placement(stats), stats, True)
 
     @pytest.mark.parametrize("cap", [MAX_ITERATIONS, 2])
     def test_a_solved_round_calibrates_as_the_round_alone(self, monkeypatch,
