@@ -99,7 +99,9 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
     Convergence is declared when the gradient drops below tolerance, or
     when the step's predicted reduction of f, lam |dx|^2 - J^T r . dx, is
     at most phi: such a step is taken only if it does not raise f, and the
-    iteration stops either way. Hitting the iteration cap leaves
+    iteration stops either way. An infinite f has no floor: its residuals'
+    squares overflow, and only a step that brings f down is taken, so it
+    ends at the damping limit unless one does. Hitting the iteration cap leaves
     ``converged`` False and the caller decides what to do with the best
     iterate. Raises :class:`SingularUpdate` if the damped system cannot be
     solved even at maximum damping.
@@ -151,7 +153,8 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
         f_trial = float(r_trial @ r_trial)
         # the predicted reduction is within rounding of f: no step can
         # lower f any more than rounding does, so this is the last one
-        at_floor = lam * step_sq + float(rhs.dot(dx)) <= floor
+        at_floor = f < math.inf and \
+            lam * step_sq + float(rhs.dot(dx)) <= floor
 
         if f_trial < f or at_floor and f_trial == f:
             x, r, jac, f = x_trial, r_trial, jac_trial, f_trial
@@ -184,7 +187,8 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
     indices are ``live`` and returns their residuals ``(L, m)``, the
     transposed Jacobians J^T ``(L, n, m)`` and the distances ``(L, m)``.
     Each problem keeps its own damping and follows the scalar kernel's
-    constants and accept, reject and stop rules, float floor included. It
+    constants and accept, reject and stop rules, float floor (of a finite
+    f) included. It
     ends CONVERGED; NOT_CONVERGED at the iteration cap, or when a rejected
     step takes the damping past ``DAMPING_MAX``; or SINGULAR when its
     damped system is unsolvable at maximum damping. The normal equations
@@ -238,8 +242,10 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
         trial = _state(x_trial, fun(x_trial, live))
         f_trial = trial[:, n]
         # the predicted reduction lam |dx|^2 + rhs . dx is within rounding
-        # of f: the problem's last step, taken if it does not raise f
-        at_floor = solved & (lam * step_sq + _row_dot(rhs, dx) <= floor)
+        # of a finite f: the problem's last step, taken if it does not
+        # raise f
+        at_floor = solved & (f < math.inf) & (
+            lam * step_sq + _row_dot(rhs, dx) <= floor)
         accept = solved & (f_trial < f) | at_floor & (f_trial == f)
         converged = at_floor | accept & (
             _row_max_abs(trial[:, n + 2:2 * n + 2]) <= 0.5 * GRAD_TOL)

@@ -1510,8 +1510,9 @@ class TestExitCodes:
 
     def test_an_overflowing_rms_residual_is_written_as_null(self, tmp_path):
         # distances near 1e160 m that no triangle fits: the residuals'
-        # squares overflow, so the float floor of the objective is infinite
-        # too, and the refinement stops at it with an infinite rms
+        # squares overflow at every iterate, so no step lowers the infinite
+        # objective, and the refinement stops at the damping limit with an
+        # infinite rms
         src = tmp_path / "huge.csv"
         src.write_text("i,j,mean_m,std_m,count\n0,1,1e160,0.1,5\n"
                        "0,2,1e160,0.1,5\n1,2,3e160,0.1,5\n")
@@ -1520,14 +1521,15 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         result = run_cli("calibrate", "--input", str(src), "--prior",
                          str(prior), "--output", str(out))
-        assert result.returncode == 0
+        assert result.returncode == 4
         assert_contract(result)
-        assert result.stdout.endswith("rms residual inf m\n")
+        assert result.stderr.count("\n") == 1
+        assert "at the damping limit" in result.stderr
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
         doc = json.loads(text, parse_constant=pytest.fail)
         assert doc["rms_residual_m"] is None
-        assert doc["converged"] is True
+        assert doc["converged"] is False
 
     def test_json_output_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,22 @@ class TestLevenbergMarquardt:
         assert damping == pytest.approx([1e-3 * 10.0 ** k for k in range(18)],
                                         rel=1e-9)
 
+    def test_an_infinite_objective_ends_at_the_damping_limit(self):
+        # residuals near 1e160 whose squares overflow at every iterate: the
+        # float floor overflows too, but no step is taken at it, so both
+        # kernels reject every step until the damping passes DAMPING_MAX
+        def fun(x):
+            r = np.array([1e160 + x[0], 1e160 - x[0] + 1e150])
+            return r, np.array([[1.0], [-1.0]]), np.abs(r)
+
+        with np.errstate(over="ignore"):
+            ref = levenberg_marquardt(fun, np.zeros(1))
+            batch = levenberg_marquardt_batch(batched([fun]), np.zeros((1, 1)))
+        assert (ref.converged, ref.iterations, ref.objective) == \
+            (False, 18, math.inf)
+        assert (batch.status[0], batch.iterations[0], batch.objective[0]) == \
+            (NOT_CONVERGED, 18, math.inf)
+
 
 def tanh_problems(rng, k):
     """K scalar residual functions r = tanh(A x) - b of 8 residuals and 3
