@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                      SingularUpdate, UwbCalError, csv_rows, echo)
-# refine_lse runs levenberg_marquardt from any start; bench/tracing.py also
-# hooks the name here for its leastsq metrics until ROADMAP item 8 retires
-# the tracer
+# refine_lse and a calibration solved on its own run levenberg_marquardt;
+# bench/tracing.py also hooks the name here for its leastsq metrics until
+# ROADMAP item 8 retires the tracer
 from .leastsq import (CONVERGED, DAMPING_MAX, MAX_ITERATIONS, SINGULAR,
                       levenberg_marquardt, levenberg_marquardt_batch,
                       range_residuals)
@@ -216,9 +216,11 @@ def _starts(n: int, pairs, targets) -> np.ndarray:
     (Torgerson 1952) of the squared distances over the largest, negative
     eigenvalues clamped at 0, in the gauge anchor 0 at the origin, anchor 1
     on +x, anchor 2 at y >= 0. Every matrix product and eigensolve is per
-    problem. :class:`DegenerateGeometry` names, in the first problem that
-    has one, the first pair, by its larger anchor, that is unmeasured or
-    not positive and finite, and an anchor whose start overflows."""
+    problem, and each problem's turn is formed by ``math``'s trigonometry,
+    whose results do not depend on numpy's vector loops.
+    :class:`DegenerateGeometry` names, in the first problem that has one,
+    the first pair, by its larger anchor, that is unmeasured or not
+    positive and finite, and an anchor whose start overflows."""
     targets = _rows(targets)
     k = len(targets)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
@@ -238,10 +240,12 @@ def _starts(n: int, pairs, targets) -> np.ndarray:
         -0.5 * (centring @ (sq + sq.transpose(0, 2, 1)) @ centring))
     xy = eigvec[:, :, -2:] * np.sqrt(np.maximum(eigval[:, None, -2:], 0.0))
     xy -= xy[:, :1]
-    angle = np.arctan2(xy[:, 1, 1], xy[:, 1, 0])
-    c, s = np.cos(angle), np.sin(angle)
-    flip = np.where(c * xy[:, 2, 1] - s * xy[:, 2, 0] < 0.0, -1.0, 1.0)
-    turn = np.stack((c, -flip * s, s, flip * c), axis=1).reshape(k, 2, 2)
+    turn = np.empty((k, 2, 2))
+    for p, (_, (x1, y1), (x2, y2)) in enumerate(xy[:, :3].tolist()):
+        angle = math.atan2(y1, x1)
+        c, s = math.cos(angle), math.sin(angle)
+        flip = -1.0 if c * y2 - s * x2 < 0.0 else 1.0
+        turn[p] = ((c, -flip * s), (s, flip * c))
     with np.errstate(over="ignore"):
         rows = xy @ (scale * turn)
     finite = np.isfinite(rows).all(axis=2)
@@ -254,17 +258,15 @@ def _starts(n: int, pairs, targets) -> np.ndarray:
     return rows
 
 
-def _free_columns(n_anchors: int, fix_a1_axis: bool) -> np.ndarray:
-    """Flat-coordinate columns the optimizer may move (anchor 0 is pinned)."""
+def _free_columns(n_anchors: int) -> np.ndarray:
+    """Flat-coordinate columns the optimizer may move: all but anchor 0's
+    and anchor 1's y, the bootstrap gauge."""
     cols = np.arange(2, 2 * n_anchors)
-    if fix_a1_axis:
-        cols = cols[cols != 3]  # anchor 1 stays on the x-axis
-    return cols
+    return cols[cols != 3]
 
 
 @functools.lru_cache(maxsize=64)
-def _residual_layout(n_anchors: int, fix_a1_axis: bool,
-                     pairs: tuple[tuple[int, int], ...]):
+def _residual_layout(n_anchors: int, pairs: tuple[tuple[int, int], ...]):
     """The residual function's layout over ``pairs``, read-only.
 
     Returns the free flat coordinates; the matrix of +1, -1 and 0 whose
@@ -275,7 +277,7 @@ def _residual_layout(n_anchors: int, fix_a1_axis: bool,
     the pair's first anchor, -1 at its second and 0 elsewhere, ``(n_free,
     m)``. With u the pairs' unit vectors, J^T is ``u.T[axis] * sign``.
     """
-    free_cols = _free_columns(n_anchors, fix_a1_axis)
+    free_cols = _free_columns(n_anchors)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
     rows, xy = np.arange(len(pairs)), np.arange(2)
     full = np.zeros((2 * n_anchors, len(pairs), 2))
@@ -289,12 +291,11 @@ def _residual_layout(n_anchors: int, fix_a1_axis: bool,
     return layout
 
 
-def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
+def _residual_function(n_anchors: int, pairs, targets):
     """free -> (r, J, d) over ``pairs`` with symmetrized means ``targets``
     and the pair distances d. J is column-major, as the transpose of the
     ``(n_free, m)`` J^T it is formed as."""
-    _, difference, axis, sign = _residual_layout(n_anchors, fix_a1_axis,
-                                                 pairs)
+    _, difference, axis, sign = _residual_layout(n_anchors, pairs)
     targets = np.array(targets, dtype=float)
 
     def fun(free):
@@ -306,33 +307,35 @@ def _residual_function(n_anchors: int, pairs, targets, fix_a1_axis: bool):
     return fun
 
 
-def refine_lse(initial, d: DistanceStatsMatrix,
-               fix_a1_axis: bool = False) -> CalibrationResult:
+def refine_lse(initial, d: DistanceStatsMatrix) -> CalibrationResult:
     """Adjust anchor positions, ``(x, y)`` pairs, to best match the measured
-    distances.
+    distances, in the bootstrap gauge.
 
-    Anchor 0 never moves; with ``fix_a1_axis`` (first calibration) anchor 1
-    additionally keeps y = 0. Raises :class:`NotConverged` with the best
-    iterate attached if the iteration cap is reached, or if a rejected step
-    takes the damping past ``DAMPING_MAX`` before it; the message names
-    which.
+    Anchor 0 stays at the origin and anchor 1 on the x-axis; a start that
+    has them elsewhere is a ValueError. Raises :class:`NotConverged` with
+    the best iterate attached if the iteration cap is reached, or if a
+    rejected step takes the damping past ``DAMPING_MAX`` before it; the
+    message names which.
     """
     n = d.n_anchors
     return _refine(_positions(initial, n, "initial positions"), n,
-                   *d.sym_table(), fix_a1_axis)
+                   *d.sym_table())
 
 
-def _refine(start: np.ndarray, n: int, pairs, targets,
-            fix_a1_axis: bool) -> CalibrationResult:
+def _refine(start: np.ndarray, n: int, pairs, targets) -> CalibrationResult:
     """:func:`refine_lse` from an ``(n, 2)`` float array against the pairs
-    and means of a sym_table."""
+    and means of a sym_table, by ``levenberg_marquardt`` under this
+    module's ``MAX_ITERATIONS``."""
     if start[0, 0] != 0.0 or start[0, 1] != 0.0:
         raise ValueError("initial[0] must be the origin")
+    if start[1, 1] != 0.0:
+        raise ValueError("initial[1] must lie on the x-axis")
     if not np.isfinite(start).all():
         raise ValueError("initial positions must be finite")
-    fun = _residual_function(n, pairs, targets, fix_a1_axis)
-    free_cols = _residual_layout(n, fix_a1_axis, pairs)[0]
-    lsq = levenberg_marquardt(fun, start.reshape(-1)[free_cols])
+    fun = _residual_function(n, pairs, targets)
+    free_cols = _residual_layout(n, pairs)[0]
+    lsq = levenberg_marquardt(fun, start.reshape(-1)[free_cols],
+                              MAX_ITERATIONS)
     flat = np.zeros(2 * n)
     flat[free_cols] = lsq.x
     positions = flat.reshape(n, 2)
@@ -341,13 +344,20 @@ def _refine(start: np.ndarray, n: int, pairs, targets,
         positions, math.sqrt(lsq.objective / len(pairs)) if pairs else 0.0,
         lsq.iterations, lsq.converged)
     if not lsq.converged:
-        # short of the cap, levenberg_marquardt stops unconverged only when
-        # a rejected step takes the damping past DAMPING_MAX
-        limit = "" if lsq.iterations >= MAX_ITERATIONS else \
-            f" at the damping limit ({DAMPING_MAX:g})"
-        raise NotConverged(f"refinement stopped after {lsq.iterations} "
-                           f"iterations{limit}", result)
+        raise _not_converged(result, MAX_ITERATIONS)
     return result
+
+
+def _not_converged(result: CalibrationResult,
+                   max_iterations: int) -> NotConverged:
+    """The error of a refinement that stopped unconverged at ``result``.
+    Short of the cap ``max_iterations``, a refinement stops unconverged only
+    when a rejected step takes the damping past DAMPING_MAX, and the
+    message says so."""
+    limit = "" if result.iterations >= max_iterations else \
+        f" at the damping limit ({DAMPING_MAX:g})"
+    return NotConverged(f"refinement stopped after {result.iterations} "
+                        f"iterations{limit}", result)
 
 
 def _positions(points, n: int, what: str) -> np.ndarray:
@@ -394,14 +404,8 @@ class NetworkBatch:
         positions.flags.writeable = False
         result = CalibrationResult(positions, float(self.rms_residual[k]),
                                    iterations, bool(status == CONVERGED))
-        if status == CONVERGED:
-            return result
-        # short of the cap, the refinement stops unconverged only when a
-        # rejected step takes the damping past DAMPING_MAX
-        limit = "" if iterations >= self.max_iterations else \
-            f" at the damping limit ({DAMPING_MAX:g})"
-        return NotConverged(f"refinement stopped after {iterations} "
-                            f"iterations{limit}", result)
+        return result if status == CONVERGED else \
+            _not_converged(result, self.max_iterations)
 
 
 def solve_networks(n: int, pairs, targets) -> NetworkBatch:
@@ -418,7 +422,7 @@ def solve_networks(n: int, pairs, targets) -> NetworkBatch:
     targets = _rows(targets)
     start = _starts(n, pairs, targets)
     k, m = len(start), len(pairs)
-    free_cols, difference, axis, sign = _residual_layout(n, True, pairs)
+    free_cols, difference, axis, sign = _residual_layout(n, pairs)
 
     def fun(x, live):
         diff = (x @ difference).reshape(-1, m, 2)
@@ -441,11 +445,10 @@ def solve_networks(n: int, pairs, targets) -> NetworkBatch:
 
 def batch_size(n_anchors: int) -> int:
     """How many rounds of n anchors a caller hands :func:`solve_rounds` at
-    once: at most 64, and few enough that the kernel's stacked Jacobians,
-    2N - 3 unknowns by N (N - 1) / 2 pairs each, hold at most 2^21 floats
-    (16 MB)."""
+    once: as many as keep the kernel's stacked Jacobians, 2N - 3 unknowns
+    by N (N - 1) / 2 pairs each, within 2^21 floats (16 MB)."""
     size = (2 * n_anchors - 3) * n_anchors * (n_anchors - 1) // 2
-    return max(1, min(64, 2 ** 21 // size))
+    return max(1, 2 ** 21 // size)
 
 
 def solve_rounds(rounds: list[DistanceStatsMatrix],
@@ -508,8 +511,9 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
               prior=None, *, solved=None) -> CalibrationResult:
     """Full calibration: form the bias-corrected symmetric table once,
     solve it from its classical-MDS start in the bootstrap gauge (anchor 0
-    at the origin, anchor 1 on +x), and with a prior turn the result about
-    anchor 0 onto the prior (:func:`_onto_prior`).
+    at the origin, anchor 1 on +x) by :func:`refine_lse`'s refinement, and
+    with a prior turn the result about anchor 0 onto the prior
+    (:func:`_onto_prior`).
 
     The prior, ``(x, y)`` pairs or an ``(N, 2)`` array, sets only the
     frame: its rotation and handedness, and through its anchor 0 the
@@ -529,7 +533,14 @@ def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
         if not np.isfinite(offsets).all():
             raise ValueError("prior offsets from anchor 0 must be finite")
     if solved is None:
-        solved = solve_networks(n, *d.sym_table(ranging_model)).outcome(0)
+        table = d.sym_table(ranging_model)
+        # positions far out overflow to inf or nan, which the refinement's
+        # accept rule and step check reject; no warning is needed for them
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                solved = _refine(_starts(n, *table)[0], n, *table)
+            except (NotConverged, SingularUpdate) as exc:
+                solved = exc
     if isinstance(solved, NotConverged) and prior is not None:
         raise NotConverged(str(solved), _onto_prior(solved.result, offsets))
     if isinstance(solved, UwbCalError):

@@ -136,8 +136,7 @@ def equal_stats(a: DistanceStatsMatrix, b: DistanceStatsMatrix) -> bool:
         for i in range(n) for j in range(n) if i != j)
 
 
-def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False,
-                            model=None):
+def dense_network_residuals(d: DistanceStatsMatrix, model=None):
     """The anchor-network residual function built densely: the oracle for
     ``oracles.network_residuals``, which forms the differences and J from a
     precomputed layout of signs.
@@ -145,12 +144,11 @@ def dense_network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False,
     Targets come from ``unordered_pairs`` and ``sym_mean`` above, corrected
     under ``model`` if given; every evaluation zero-fills an ``(m, n, 2)``
     Jacobian, scatters +unit and -unit into it and gathers the free columns
-    (all but anchor 0's, and anchor 1's y when ``fix_a1_axis``).
+    of the bootstrap gauge (all but anchor 0's and anchor 1's y).
     """
     n = d.n_anchors
     free_cols = np.arange(2, 2 * n)
-    if fix_a1_axis:
-        free_cols = free_cols[free_cols != 3]
+    free_cols = free_cols[free_cols != 3]
     pairs = unordered_pairs(d)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
     targets = np.array([sym_mean(d, i, j, model) for i, j in pairs])

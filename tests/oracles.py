@@ -337,16 +337,16 @@ def simulate_round(n_anchors: int, k_measurements: int,
                         initiator_counts=initiator_counts)
 
 
-def network_residuals(d: DistanceStatsMatrix, fix_a1_axis: bool = False):
+def network_residuals(d: DistanceStatsMatrix):
     """Residual function free -> (r, J, d) over every measured anchor pair.
 
     r holds d - d_ij for the distances d = |p_i - p_j| and the symmetrized
     means d_ij. ``free`` is
     the optimizer's variable vector: the flattened coordinates of anchors
-    1..n-1 (anchor 1's y omitted when ``fix_a1_axis``). This is the
+    1..n-1 but anchor 1's y, the bootstrap gauge. This is the
     function ``autocalib.refine_lse`` minimizes.
     """
-    return _residual_function(d.n_anchors, *d.sym_table(), fix_a1_axis)
+    return _residual_function(d.n_anchors, *d.sym_table())
 
 
 def tag_residuals(anchors, ranges: list[float]):
