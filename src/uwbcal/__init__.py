@@ -4,8 +4,9 @@ Library layout:
 
 - :mod:`uwbcal.geometry` -- planar primitives and the rotation error
 - :mod:`uwbcal.ranging` -- the ranging bias/noise model: fit, draw, correct
-- :mod:`uwbcal.leastsq` -- the Levenberg-Marquardt kernels, for one problem
-  and for a batch, and the range residuals
+- :mod:`uwbcal.leastsq` -- the Levenberg-Marquardt kernel for one problem,
+  the one batched loop with its two step rules (the anchor network's
+  stacked solves, the tag fixes' 2x2 Newton steps), and the range residuals
 - :mod:`uwbcal.autocalib` -- anchor self-calibration from range statistics,
   many rounds in one batched kernel (``solve_networks``)
 - :mod:`uwbcal.multilateration` -- tag fixes from ranges to known anchors

@@ -27,7 +27,7 @@ from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
 # refine_lse and a calibration solved on its own run levenberg_marquardt;
 # bench/tracing.py also hooks the name here for its leastsq metrics until
 # ROADMAP item 8 retires the tracer
-from .leastsq import (CONVERGED, DAMPING_MAX, MAX_ITERATIONS, SINGULAR,
+from .leastsq import (CONVERGED, MAX_ITERATIONS, NOT_CONVERGED, failure,
                       levenberg_marquardt, levenberg_marquardt_batch,
                       range_residuals)
 from .ranging import RangingModel
@@ -90,26 +90,10 @@ class DistanceStatsMatrix:
         self._std[i, j] = std
         self._count[i, j] = count
 
-    def set_pairs(self, i: np.ndarray, j: np.ndarray, mean: np.ndarray,
-                  std: np.ndarray, count: int) -> None:
-        """``set_pair`` over arrays of directed pairs sharing one count.
-
-        Valid input is stored in one step. Otherwise the pairs go through
-        ``set_pair`` in order, so the first bad one raises its error.
-        """
-        n = self.n_anchors
-        ids = list(zip(i.tolist(), j.tolist()))
-        means, stds = mean.tolist(), std.tolist()
-        if not (1 <= count <= MAX_COUNT and min(means, default=1.0) > 0.0
-                and min(stds, default=0.0) >= 0.0
-                and all(0 <= a < n and 0 <= b < n and a != b for a, b in ids)):
-            for (a, b), m, s in zip(ids, means, stds):
-                self.set_pair(a, b, m, s, count)
-        self._store(i, j, mean, std, count)
-
     def _store(self, i: np.ndarray, j: np.ndarray, mean: np.ndarray,
                std: np.ndarray, count: int) -> None:
-        """``set_pairs``' store, for a caller whose block is known valid."""
+        """``set_pair`` over arrays of directed pairs sharing one count,
+        without its checks, for a caller whose block is known valid."""
         self._mean[i, j] = mean
         self._std[i, j] = std
         self._count[i, j] = count
@@ -344,20 +328,9 @@ def _refine(start: np.ndarray, n: int, pairs, targets) -> CalibrationResult:
         positions, math.sqrt(lsq.objective / len(pairs)) if pairs else 0.0,
         lsq.iterations, lsq.converged)
     if not lsq.converged:
-        raise _not_converged(result, MAX_ITERATIONS)
+        raise failure(NOT_CONVERGED, "refinement", lsq.iterations,
+                      MAX_ITERATIONS, result)
     return result
-
-
-def _not_converged(result: CalibrationResult,
-                   max_iterations: int) -> NotConverged:
-    """The error of a refinement that stopped unconverged at ``result``.
-    Short of the cap ``max_iterations``, a refinement stops unconverged only
-    when a rejected step takes the damping past DAMPING_MAX, and the
-    message says so."""
-    limit = "" if result.iterations >= max_iterations else \
-        f" at the damping limit ({DAMPING_MAX:g})"
-    return NotConverged(f"refinement stopped after {result.iterations} "
-                        f"iterations{limit}", result)
 
 
 def _positions(points, n: int, what: str) -> np.ndarray:
@@ -397,15 +370,12 @@ class NetworkBatch:
         :class:`NotConverged` with the best iterate attached or a
         :class:`SingularUpdate`."""
         status, iterations = self.status[k], int(self.iterations[k])
-        if status == SINGULAR:
-            return SingularUpdate(
-                "normal equations unsolvable at maximum damping")
         positions = self.positions[k].copy()
         positions.flags.writeable = False
         result = CalibrationResult(positions, float(self.rms_residual[k]),
                                    iterations, bool(status == CONVERGED))
-        return result if status == CONVERGED else \
-            _not_converged(result, self.max_iterations)
+        return failure(status, "refinement", iterations,
+                       self.max_iterations, result) or result
 
 
 def solve_networks(n: int, pairs, targets) -> NetworkBatch:

@@ -1,13 +1,15 @@
 """Damped least-squares (Levenberg-Marquardt) kernels and range residuals.
 
-:func:`levenberg_marquardt` solves one small dense problem from any start,
-and :func:`levenberg_marquardt_batch` runs its rules on K problems of one
-shape at once, which is how the anchor network is calibrated. This module
-also holds the one range-residual kernel of every solver. The tag kernel,
-:func:`~uwbcal.multilateration.solve_fixes`, runs the same iteration with
-the same constants over many two-unknown problems at once. Problems here
-have at most a few dozen residuals and ~10 unknowns, so the normal
-equations are formed directly.
+:func:`levenberg_marquardt` solves one small dense problem from any start.
+:func:`damped_least_squares` is the one loop that runs its rules on many
+problems at once, and two step rules drive it: the stacked solves of
+:func:`levenberg_marquardt_batch`, with which the anchor network is
+calibrated, and the closed-form 2x2 Newton steps of the tag kernel,
+:func:`~uwbcal.multilateration.solve_fixes`. :func:`failure` turns a
+problem's status into the error the callers raise. This module also holds
+the one range-residual kernel of every solver. Problems here have at most
+a few dozen residuals and ~10 unknowns, so the normal equations are formed
+directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularUpdate
+from .errors import NotConverged, SingularUpdate, UwbCalError
 
 DAMPING_INITIAL = 1e-3
 DAMPING_GROW = 10.0
@@ -50,7 +52,7 @@ class LeastSquaresResult:
 
 @dataclass(frozen=True)
 class LeastSquaresBatch:
-    """Per-problem results of :func:`levenberg_marquardt_batch`: ``x`` is
+    """Per-problem results of :func:`damped_least_squares`: ``x`` is
     ``(K, n)``; ``objective``, ``iterations`` and ``status`` have length K.
     A SINGULAR problem's ``x`` and ``objective`` are those of its last
     accepted iterate."""
@@ -144,8 +146,7 @@ def levenberg_marquardt(fun: ResidualFunction, x0: np.ndarray,
         if not solved:  # a NaN or infinite entry in dx
             lam *= DAMPING_GROW
             if lam > DAMPING_MAX:
-                raise SingularUpdate(
-                    "normal equations unsolvable at maximum damping")
+                raise failure(SINGULAR)
             continue
 
         x_trial = x + dx
@@ -186,18 +187,53 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
     ``fun(x, live)`` takes the iterates ``(L, n)`` of the problems whose
     indices are ``live`` and returns their residuals ``(L, m)``, the
     transposed Jacobians J^T ``(L, n, m)`` and the distances ``(L, m)``.
-    Each problem keeps its own damping and follows the scalar kernel's
-    constants and accept, reject and stop rules, float floor (of a finite
-    f) included. It
-    ends CONVERGED; NOT_CONVERGED at the iteration cap, or when a rejected
-    step takes the damping past ``DAMPING_MAX``; or SINGULAR when its
-    damped system is unsolvable at maximum damping. The normal equations
-    are formed at every trial point, and kept where the step is accepted.
-    Every product, dot product and solve is a stacked call that makes one
-    BLAS or LAPACK call per problem, the one the scalar kernel makes, so a
-    problem's result is the same, bit for bit, in any batch, and the scalar
-    kernel's where J is column-major. The working arrays hold the running
-    problems only.
+    :func:`damped_least_squares` runs the problems, with the rows of
+    :func:`_state` and the steps of the stacked damped systems (J^T J +
+    lam I) dx = -J^T r. Every product, dot product and solve is a stacked
+    call that makes one BLAS or LAPACK call per problem, the one the scalar
+    kernel makes, so a problem's result is the same, bit for bit, in any
+    batch, and the scalar kernel's where J is column-major.
+    """
+    n = np.shape(x0)[1]
+
+    def step(rows, lam):
+        damped = rows[:, 2 * n + 2:].reshape(-1, n, n).copy()
+        damped.reshape(-1, n * n)[:, ::n + 1] += lam[:, None]
+        rhs = -rows[:, n + 2:2 * n + 2]
+        dx = _solve(damped, rhs)
+        # |dx|^2 overflows where an entry is large; the entries decide
+        return (dx, np.isfinite(dx).all(axis=1),
+                lam * _row_dot(dx, dx) + _row_dot(rhs, dx))
+
+    return damped_least_squares(lambda x, live: _state(x, fun(x, live)),
+                                step, x0, max_iterations)
+
+
+def damped_least_squares(evaluate: Callable, step: Callable, x0: np.ndarray,
+                         max_iterations: int = MAX_ITERATIONS
+                         ) -> LeastSquaresBatch:
+    """The Levenberg-Marquardt loop of the batched kernels: K problems of n
+    unknowns from the rows of ``x0``, ``(K, n)``, by
+    :func:`levenberg_marquardt`'s constants and rules, each problem with
+    its own damping.
+
+    A kernel supplies the algebra. ``evaluate(x, live)`` takes the iterates
+    ``(L, n)`` of the problems whose indices are ``live`` and returns one
+    row per problem: x, f, the float floor of f, J^T r and whatever its
+    step reads, ``(L, 2n + 2 + ...)``. ``step(rows, lam)`` returns each
+    problem's step dx ``(L, n)`` from those rows under damping ``lam``,
+    whether it was solved (a finite step), and its predicted reduction of
+    f, lam |dx|^2 - J^T r . dx. A step is accepted if it lowers f. One
+    whose predicted reduction is within the floor of a finite f is the
+    problem's last: taken if it does not raise f, and the problem stops
+    CONVERGED either way. A problem also stops CONVERGED when its gradient
+    2 |J^T r|_inf is at most GRAD_TOL; NOT_CONVERGED at the iteration cap,
+    or when a rejected step takes its damping past ``DAMPING_MAX``; and
+    SINGULAR when its damped system is unsolvable at maximum damping. A
+    SINGULAR problem's ``x`` and ``objective`` are those of its last
+    accepted iterate. The loop's own arithmetic is elementwise per problem,
+    and the rows it works on hold the running problems only: ``live``
+    shrinks as problems stop, and keeps its length while none does.
     """
     x = np.array(x0, dtype=float)
     k, n = x.shape
@@ -205,11 +241,10 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
     out_iterations = np.zeros(k, dtype=int)
     out_status = np.full(k, NOT_CONVERGED)
     live = np.arange(k)
-    # per running problem: x, f, the floor, J^T r and J^T J in one row, so
-    # that one np.where keeps an accepted trial and one take compacts. The
+    # one np.where keeps an accepted trial and one take compacts. The
     # gradient test 2 |J^T r|_inf <= GRAD_TOL is |J^T r|_inf <= GRAD_TOL / 2,
     # which halving keeps exact
-    state = _state(x, fun(x, live))
+    state = evaluate(x, live)
     lam = np.full(k, DAMPING_INITIAL)
     converged = stop = _row_max_abs(state[:, n + 2:2 * n + 2]) \
         <= 0.5 * GRAD_TOL
@@ -229,23 +264,13 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
         iteration += 1
         if iteration > max_iterations or not live.size:
             break
-        x, f, floor = state[:, :n], state[:, n], state[:, n + 1]
-        jtr = state[:, n + 2:2 * n + 2]
-        damped = state[:, 2 * n + 2:].reshape(-1, n, n).copy()
-        damped.reshape(-1, n * n)[:, ::n + 1] += lam[:, None]
-        rhs = -jtr
-        dx = _solve(damped, rhs)
-        step_sq = _row_dot(dx, dx)
-        # |dx|^2 overflows where an entry is large; the entries decide
-        solved = np.isfinite(dx).all(axis=1)
-        x_trial = x + dx
-        trial = _state(x_trial, fun(x_trial, live))
+        f, floor = state[:, n], state[:, n + 1]
+        dx, solved, predicted = step(state, lam)
+        trial = evaluate(state[:, :n] + dx, live)
         f_trial = trial[:, n]
-        # the predicted reduction lam |dx|^2 + rhs . dx is within rounding
-        # of a finite f: the problem's last step, taken if it does not
-        # raise f
-        at_floor = solved & (f < math.inf) & (
-            lam * step_sq + _row_dot(rhs, dx) <= floor)
+        # the predicted reduction is within rounding of a finite f: the
+        # problem's last step, taken if it does not raise f
+        at_floor = solved & (f < math.inf) & (predicted <= floor)
         accept = solved & (f_trial < f) | at_floor & (f_trial == f)
         converged = at_floor | accept & (
             _row_max_abs(trial[:, n + 2:2 * n + 2]) <= 0.5 * GRAD_TOL)
@@ -257,6 +282,25 @@ def levenberg_marquardt_batch(fun: BatchResidualFunction, x0: np.ndarray,
     out_iterations[live] = max_iterations
     return LeastSquaresBatch(out[:, :n], out[:, n], out_iterations,
                              out_status)
+
+
+def failure(status: int, noun: str = "", iterations: int = 0,
+            max_iterations: int = MAX_ITERATIONS,
+            result=None) -> UwbCalError | None:
+    """The error of a problem that ended with ``status``: a
+    :class:`SingularUpdate`, or a :class:`NotConverged` that names the
+    ``noun`` and its ``iterations`` and carries ``result``; None for
+    CONVERGED. Short of the cap ``max_iterations``, a problem stops
+    unconverged only when a rejected step takes the damping past
+    ``DAMPING_MAX``, and the message says so."""
+    if status == SINGULAR:
+        return SingularUpdate("normal equations unsolvable at maximum damping")
+    if status == NOT_CONVERGED:
+        limit = "" if iterations >= max_iterations else \
+            f" at the damping limit ({DAMPING_MAX:g})"
+        return NotConverged(f"{noun} stopped after {iterations} "
+                            f"iterations{limit}", result)
+    return None
 
 
 def _state(x: np.ndarray, at_x) -> np.ndarray:

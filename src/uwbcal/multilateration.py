@@ -5,21 +5,20 @@ arrays: N anchor positions and N ranges per tag. The start point comes from
 the standard linearization (subtracting the first squared-range equation
 from the rest), solved by a QR factorization, which also disambiguates the
 mirror solution that exists with exactly three anchors. The fit is the
-iteration of :func:`~uwbcal.leastsq.levenberg_marquardt` with its constants
-and its accept, reject and stop rules, float floor included, with one
-change: where the objective is locally convex the damped matrix is the full
-Hessian rather than J^T J, so steps near a fix are damped Newton steps.
-Range residuals are not zero at the optimum, where Gauss-Newton only
-converges linearly.
+batched loop :func:`~uwbcal.leastsq.damped_least_squares`, the anchor
+network's too, with this module's rows and step rule: where the objective
+is locally convex the damped matrix is the full Hessian rather than J^T J,
+so steps near a fix are damped Newton steps, solved in closed form. Range
+residuals are not zero at the optimum, where Gauss-Newton only converges
+linearly.
 
 Inside the kernel the batch is laid out anchor-major, ``(N, P)``: row i
 holds anchor i's values for every problem, so a sum over each problem's N
 anchors is a few full-width adds of rows, :func:`_anchor_sum`, rather
-than P short row reductions. Every operation is elementwise per problem or such a
-sum, so a problem's result is the same, bit for bit, whatever batch it is
-solved in. :func:`locate_tag` is
-the kernel on one problem. Ranges are expected to be bias-corrected by the
-caller.
+than P short row reductions. Every operation is elementwise per problem or
+such a sum, so a problem's result is the same, bit for bit, whatever batch
+it is solved in. :func:`locate_tag` is the kernel on one problem. Ranges
+are expected to be bias-corrected by the caller.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearAnchors, NotConverged, SingularUpdate
-from .leastsq import (CONVERGED, DAMPING_GROW, DAMPING_INITIAL, DAMPING_MAX,
-                      DAMPING_SHRINK, FLOOR_FACTOR, GRAD_TOL, MAX_ITERATIONS,
-                      NOT_CONVERGED, SINGULAR, range_residuals)
+from .errors import CollinearAnchors
+from .leastsq import (CONVERGED, FLOOR_FACTOR, MAX_ITERATIONS, NOT_CONVERGED,
+                      SINGULAR, damped_least_squares, failure,
+                      range_residuals)
 
 CONDITION_LIMIT = 1e8
 # the smallest normal float: below it a product keeps fewer digits
@@ -78,21 +77,10 @@ class FixBatch:
     def error(self, p: int, result=None):
         """Problem p's failure as the error :func:`locate_tag` raises, with
         ``result`` attached to a :class:`NotConverged`; None if p converged."""
-        status = self.status[p]
-        if status == COLLINEAR:
+        if self.status[p] == COLLINEAR:
             return _collinear(self.condition[p])
-        if status == SINGULAR:
-            return SingularUpdate(
-                "normal equations unsolvable at maximum damping")
-        if status == NOT_CONVERGED:
-            # short of the cap, the fit stops unconverged only when a
-            # rejected step takes the damping past DAMPING_MAX
-            iterations = int(self.iterations[p])
-            limit = "" if iterations >= self.max_iterations else \
-                f" at the damping limit ({DAMPING_MAX:g})"
-            return NotConverged(f"tag fix stopped after {iterations} "
-                                f"iterations{limit}", result)
-        return None
+        return failure(self.status[p], "tag fix", int(self.iterations[p]),
+                       self.max_iterations, result)
 
 
 def _collinear(condition: float) -> CollinearAnchors:
@@ -173,26 +161,25 @@ def _linear_starts(x: np.ndarray, y: np.ndarray, ranges: np.ndarray):
     return (q1 - r12 * py) / r11, py, condition
 
 
-def _residuals(x: np.ndarray, y: np.ndarray, problems: np.ndarray):
-    """The objective f = sum r_i^2 of every problem at (x, y), and the
-    offsets, distances and residuals :func:`_equations` goes on from.
+def _residuals(xy: np.ndarray, problems: np.ndarray):
+    """Every problem's point, offsets, distances and residuals there, which
+    :func:`_equations` goes on from.
 
-    ``x`` and ``y`` are ``(P,)``; ``problems`` stacks the anchor x, anchor
-    y and range arrays anchor-major, ``(3, N, P)``, and the offsets,
-    distances and residuals are ``(N, P)`` too; f is their
-    :func:`_anchor_sum`. The offsets are those
-    :func:`~uwbcal.leastsq.range_residuals` left, coincident ones nudged.
+    ``xy`` holds the points, ``(P, 2)``; ``problems`` stacks the anchor x,
+    anchor y and range arrays anchor-major, ``(3, N, P)``. The offsets are
+    ``(2, N, P)`` and the distances and residuals ``(N, P)``; the offsets
+    are those :func:`~uwbcal.leastsq.range_residuals` left, coincident ones
+    nudged.
     """
-    ax, ay, ranges = problems
-    dx = x - ax
-    dy = y - ay
-    r, dist = range_residuals(dx, dy, ranges)
-    return _anchor_sum(r * r), (x, y, dx, dy, dist, r)
+    offsets = xy.T[:, None] - problems[:2]
+    r, dist = range_residuals(offsets[0], offsets[1], problems[2])
+    return xy, offsets, dist, r
 
 
-def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
-    """The ``(9, P)`` rows f, g0, g1, h00, h01, h11, x, y, phi at (x, y),
-    from what :func:`_residuals` returned there; g = J^T r.
+def _equations(xy, offsets, dist, r) -> np.ndarray:
+    """The rows x, y, f, phi, g0, g1, h00, h01, h11 at ``xy``, ``(P, 9)``,
+    from what :func:`_residuals` returned there; f = sum r_i^2 and g = J^T
+    r.
 
     The matrix h is the Hessian of f / 2, J^T J plus each residual's
     curvature r/d (I - u u^T), where that is positive definite, so steps are
@@ -201,114 +188,51 @@ def _equations(x, y, dx, dy, dist, r) -> np.ndarray:
     :func:`~uwbcal.leastsq.levenberg_marquardt`. The per-anchor terms are
     laid out ``(10, N, P)``, and all ten sums come from one
     :func:`_anchor_sum` over their anchor axis, which adds each problem's
-    terms in the same order whatever the batch (and f as :func:`_residuals`
-    forms it).
+    terms in the same order whatever the batch. The rows are a transposed
+    view of the sums, so each column is contiguous.
     """
-    # per anchor: r r, ux r, uy r, ux ux, ux uy, uy uy, the curvature terms
-    # the Hessian adds to the last three, c uy uy, -c ux uy, c ux ux, and
-    # |r| d; the unit vectors and curvature factors take the place of the
-    # offsets and distances, which nothing reads after them
+    # per anchor: the curvature terms the Hessian adds to h00, h01 and h11,
+    # c uy uy, -c ux uy and c ux ux, then r r, |r| d, ux r, uy r, ux ux,
+    # ux uy and uy uy. Once h is formed, x and y take the place of the
+    # curvature sums. The unit vectors and curvature factors take the place
+    # of the offsets and distances, which nothing reads after them
     terms = np.empty((10,) + r.shape)
-    np.multiply(np.abs(r, terms[9]), dist, terms[9])
-    ux = np.divide(dx, dist, dx)
-    uy = np.divide(dy, dist, dy)
+    np.multiply(np.abs(r, terms[4]), dist, terms[4])
+    u = np.divide(offsets, dist, offsets)
     c = np.divide(r, dist, dist)
-    np.multiply(r, r, terms[0])
-    np.multiply(ux, r, terms[1])
-    np.multiply(uy, r, terms[2])
-    np.multiply(ux, ux, terms[3])
-    np.multiply(ux, uy, terms[4])
-    np.multiply(uy, uy, terms[5])
-    np.multiply(c, terms[5], terms[6])
-    np.multiply(c, terms[4], terms[7])
-    np.negative(terms[7], terms[7])
-    np.multiply(c, terms[3], terms[8])
+    np.multiply(r, r, terms[3])
+    np.multiply(u, r, terms[5:7])
+    np.multiply(u[0], u, terms[7:9])
+    np.multiply(u[1], u[1], terms[9])
+    np.multiply(c, terms[9:6:-1], terms[:3])
+    np.negative(terms[1], terms[1])
     sums = _anchor_sum(terms)
-    newton = sums[3:6] + sums[6:9]
+    newton = sums[7:] + sums[:3]
     n00, n01, n11 = newton
-    np.copyto(sums[3:6], newton,
+    np.copyto(sums[7:], newton,
               where=np.minimum(n00, n00 * n11 - n01 * n01) > 0.0)
-    sums[6] = x
-    sums[7] = y
-    np.multiply(sums[9], FLOOR_FACTOR, sums[8])
-    return sums[:9]
+    sums[1:3] = xy.T
+    np.multiply(sums[4], FLOOR_FACTOR, sums[4])
+    return sums[1:].T
 
 
-def _fit(x: np.ndarray, y: np.ndarray, problems: np.ndarray,
-         max_iterations: int):
-    """Damped least squares from (x, y) for every problem at once.
-
-    The rules of :func:`~uwbcal.leastsq.levenberg_marquardt`, per problem:
-    the 2x2 damped system is solved in closed form, and a zero or
-    non-finite determinant or step counts as an unsolvable system (damping
-    grows; past ``DAMPING_MAX`` the status is SINGULAR). A step whose
-    predicted reduction is at most the float floor phi is taken if it does
-    not raise f, and the problem stops CONVERGED either way. A trial point's
-    gradient and step matrix are formed only when some accepted problem goes
-    on from it; a problem that stops at the floor keeps only the trial's f,
-    x and y. The working arrays hold the running problems only: a problem
-    that stops leaves them. Returns the rows of :func:`_equations` at each
-    problem's last iterate (f, x and y only, for a step taken at the floor),
-    its iterations and its status.
-    """
-    p = len(x)
-    out = np.empty((9, p))
-    out_iterations = np.full(p, max_iterations)
-    out_status = np.full(p, NOT_CONVERGED)
-    state = _equations(*_residuals(x, y, problems)[1])
-    lam = np.full(p, DAMPING_INITIAL)
-    live = np.arange(p)
-    # 2 |g|_inf <= GRAD_TOL, exactly
-    converged = stop = np.abs(state[1:3]).max(axis=0) <= 0.5 * GRAD_TOL
-    solved = True
-    iteration = 0
-    while True:
-        if np.count_nonzero(stop):
-            done = live[stop]
-            out[:, done], out_iterations[done] = state[:, stop], iteration
-            # CONVERGED, else NOT_CONVERGED if the last step was solved,
-            # else SINGULAR
-            out_status[done] = np.where(converged, CONVERGED,
-                                        SINGULAR - solved)[stop]
-            keep = ~stop
-            # compress along the last axis keeps the arrays contiguous,
-            # where a mask index there would leave them strided
-            live, lam = live[keep], lam[keep]
-            state = state.compress(keep, axis=1)
-            problems = problems.compress(keep, axis=2)
-        iteration += 1
-        if iteration > max_iterations or not len(live):
-            break
-        f, g0, g1, h00, h01, h11, x, y, floor = state
-        a = h00 + lam
-        d = h11 + lam
-        det = a * d - h01 * h01
-        dx = (h01 * g1 - d * g0) / det
-        dy = (h01 * g0 - a * g1) / det
-        size = np.maximum(np.abs(dx), np.abs(dy))  # NaN or inf unless finite
-        solved = np.isfinite(det) & (size < np.inf)
-        x_trial, y_trial = x + dx, y + dy
-        f_trial, at_trial = _residuals(x_trial, y_trial, problems)
-        # predicted reduction lam |d|^2 - g . d within the floor: stop here
-        converged = solved & (lam * (dx * dx + dy * dy) - (g0 * dx + g1 * dy)
-                              <= floor)
-        accept = solved & (f_trial < f) | converged & (f_trial == f)
-        last = accept & converged
-        go_on = accept ^ last
-        if np.count_nonzero(go_on):
-            trial = _equations(*at_trial)
-            state = np.where(go_on, trial, state)
-            converged |= go_on & (np.abs(trial[1:3]).max(axis=0)
-                                  <= 0.5 * GRAD_TOL)
-        if np.count_nonzero(last):
-            np.copyto(state[0], f_trial, where=last)
-            np.copyto(state[6], x_trial, where=last)
-            np.copyto(state[7], y_trial, where=last)
-        lam = np.maximum(np.where(accept, lam / DAMPING_SHRINK,
-                                  lam * DAMPING_GROW), 1e-15)
-        stop = converged | (lam > DAMPING_MAX)
-    out[:, live] = state
-    return out, out_iterations, out_status
+def _newton_step(rows: np.ndarray, lam: np.ndarray):
+    """Every problem's step d from its :func:`_equations` rows under
+    damping ``lam``, the 2x2 damped system (h + lam I) d = -g solved in
+    closed form; whether it is solved (a finite determinant and step); and
+    its predicted reduction lam |d|^2 - g . d."""
+    g, (h00, h01, h11) = rows.T[4:6], rows.T[6:]
+    a = h00 + lam
+    d = h11 + lam
+    det = a * d - h01 * h01
+    step = np.empty((2, len(lam)))
+    np.divide(h01 * g[1] - d * g[0], det, step[0])
+    np.divide(h01 * g[0] - a * g[1], det, step[1])
+    # NaN or inf unless finite
+    size = np.maximum.reduce(np.abs(step), axis=0)
+    squares, products = step * step, g * step
+    return (step.T, np.isfinite(det) & (size < np.inf),
+            lam * (squares[0] + squares[1]) - (products[0] + products[1]))
 
 
 def solve_fixes(anchor_x, anchor_y, ranges, start=None,
@@ -319,7 +243,9 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
     problem per row. Each problem starts from ``start[p]`` (a ``(P, 2)``
     array) when given, otherwise from its linear initialization, and a
     problem whose linear system has a condition number above
-    ``CONDITION_LIMIT`` is not fitted (status COLLINEAR). The others end
+    ``CONDITION_LIMIT`` is not fitted (status COLLINEAR). The others are
+    fitted by :func:`~uwbcal.leastsq.damped_least_squares` with the rows
+    of :func:`_equations` and the steps of :func:`_newton_step`, and end
     CONVERGED, NOT_CONVERGED (the iteration cap, or a rejected step at
     maximum damping: the position is the best iterate) or SINGULAR (the
     damped system unsolvable at maximum damping). Input checks are the
@@ -336,13 +262,23 @@ def solve_fixes(anchor_x, anchor_y, ranges, start=None,
         else:
             x, y = np.array(start, dtype=float).reshape(p, 2).T
             condition, fitted = np.full(p, math.nan), np.arange(p)
-        rows = np.full((9, p), math.nan)
-        rows[6], rows[7] = x, y
-        iterations, status = np.zeros(p, dtype=int), np.full(p, COLLINEAR)
-        rows[:, fitted], iterations[fitted], status[fitted] = _fit(
-            x[fitted], y[fitted], problems.take(fitted, axis=2),
-            max_iterations)
-    return FixBatch(rows[6:8].T, rows[0], iterations, status, condition,
+        position = np.stack((x, y), axis=1)
+        running = problems.take(fitted, axis=2)
+
+        def evaluate(xy, live):
+            # the loop's live problems only shrink: take them anew then
+            nonlocal running
+            if running.shape[2] != len(live):
+                running = problems.take(fitted[live], axis=2)
+            return _equations(*_residuals(xy, running))
+
+        fit = damped_least_squares(evaluate, _newton_step, position[fitted],
+                                   max_iterations)
+    objective = np.full(p, math.nan)
+    iterations, status = np.zeros(p, dtype=int), np.full(p, COLLINEAR)
+    position[fitted], objective[fitted] = fit.x, fit.objective
+    iterations[fitted], status[fitted] = fit.iterations, fit.status
+    return FixBatch(position, objective, iterations, status, condition,
                     max_iterations)
 
 

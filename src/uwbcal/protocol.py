@@ -136,7 +136,7 @@ def run_calibration_round(n_anchors: int, k_measurements: int,
         r = int((means <= 0.0).argmax())
         raise _zero_flight(int(rows[r]), int(cols[r]))
     stats = DistanceStatsMatrix(n_anchors)
-    # set_pairs' checks hold already: the layout holds every directed pair
+    # set_pair's checks hold already: the layout holds every directed pair
     # of distinct anchors below n, so none is left unmeasured, k >= 1 was
     # checked before the draw, and the means are positive and the stds
     # finite and >= 0

@@ -11,7 +11,8 @@ from uwbcal.leastsq import (COINCIDENT_EPS, MAX_ITERATIONS,
                             levenberg_marquardt, levenberg_marquardt_batch,
                             range_residuals)
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
-                                    _equations, _residuals, solve_fixes)
+                                    _anchor_sum, _equations, _residuals,
+                                    solve_fixes)
 from uwbcal.ranging import RangingModel
 from uwbcal.sim import DEFAULT_ANCHOR_LAYOUT
 from oracles import objective_and_gradient, tag_residuals
@@ -118,8 +119,8 @@ class TestLevenbergMarquardt:
 
     def test_an_infinite_objective_ends_at_the_damping_limit(self):
         # residuals near 1e160 whose squares overflow at every iterate: the
-        # float floor overflows too, but no step is taken at it, so both
-        # kernels reject every step until the damping passes DAMPING_MAX
+        # float floor overflows too, but no step is taken at it, so every
+        # kernel rejects every step until the damping passes DAMPING_MAX
         def fun(x):
             r = np.array([1e160 + x[0], 1e160 - x[0] + 1e150])
             return r, np.array([[1.0], [-1.0]]), np.abs(r)
@@ -130,6 +131,11 @@ class TestLevenbergMarquardt:
         assert (ref.converged, ref.iterations, ref.objective) == \
             (False, 18, math.inf)
         assert (batch.status[0], batch.iterations[0], batch.objective[0]) == \
+            (NOT_CONVERGED, 18, math.inf)
+        # the tag kernel: ranges of 1e160 to three anchors
+        tag = fit_from([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], [1e160] * 3,
+                       (1.0, 1.0))
+        assert (tag.status[0], tag.iterations[0], tag.objective[0]) == \
             (NOT_CONVERGED, 18, math.inf)
 
 
@@ -239,10 +245,12 @@ def point_normal_equations(terms, x, y):
     """The kernel's f, g0, g1, h00, h01, h11 for one problem at (x, y);
     ``terms`` holds one (anchor x, anchor y, range) triple per residual."""
     problems = np.array(terms, dtype=float).T[:, :, None]
-    f, at_xy = _residuals(np.array([x]), np.array([y]), problems)
-    rows = _equations(*at_xy)
-    assert rows[0] == f
-    return rows[:6, 0].tolist()
+    at_xy = _residuals(np.array([[x, y]]), problems)
+    r = at_xy[-1]
+    # one row x, y, f, phi, g0, g1, h00, h01, h11
+    row, = _equations(*at_xy)
+    assert row[2] == _anchor_sum(r * r)[0]
+    return row[[2, 4, 5, 6, 7, 8]].tolist()
 
 
 class TestFitPoint:

@@ -163,8 +163,9 @@ class TestRound:
 
     @pytest.mark.parametrize("n", [3, 5, 64])
     def test_round_stores_what_set_pairs_stores(self, n, monkeypatch):
-        # the round skips set_pairs' checks, which its own imply; the
-        # matrix must hold what set_pairs makes of the same block
+        # the round skips set_pair's checks, which its own imply; the
+        # matrix must hold what set_pair makes of the same block, pair by
+        # pair
         blocks, store = [], DistanceStatsMatrix._store
 
         def kept(stats, *block):
@@ -176,9 +177,12 @@ class TestRound:
         stats, _ = run_calibration_round(n, 5, layout.tolist(),
                                          reference_model(),
                                          np.random.default_rng(0))
+        assert len(blocks) == 1
         checked = DistanceStatsMatrix(n)
-        checked.set_pairs(*blocks[0])
-        assert len(blocks) == 2
+        rows, cols, means, stds, count = blocks[0]
+        for args in zip(rows.tolist(), cols.tolist(), means.tolist(),
+                        stds.tolist()):
+            checked.set_pair(*args, count)
         for name in ("_mean", "_std", "_count"):
             got, want = getattr(stats, name), getattr(checked, name)
             assert got.dtype == want.dtype
