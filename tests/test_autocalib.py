@@ -79,6 +79,27 @@ class TestDistanceStatsMatrix:
         with pytest.raises(ValueError):
             m.set_pair(0, 1, 1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("i,j,mean,std,count,named", [
+        ([0, 1, 2], [1, 2, 2], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1, "(2,2)"),
+        ([0, 1, 3], [1, 2, 0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1, "(3,0)"),
+        ([0, 1, 2], [1, 2, 0], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0], 1, "(1,2)"),
+        ([0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0], [0.0, 0.0, -0.1], 1, "(2,0)"),
+        ([0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 0, "(0,1)"),
+    ])
+    def test_set_pair_names_the_first_bad_pair(self, i, j, mean, std, count,
+                                               named):
+        # a block stored pair by pair stops at its first bad pair, named in
+        # the error, and the pairs before it are kept
+        m = DistanceStatsMatrix(3)
+        block = list(zip(i, j, mean, std))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            for args in block:
+                m.set_pair(*args, count)
+        first_bad = next(k for k, (a, b, *_) in enumerate(block)
+                         if f"({a},{b})" == named)
+        for a, b, value, spread in block[:first_bad]:
+            assert m.pair(a, b) == PairStats(value, spread, count)
+
     def test_sym_table_corrects_each_measured_direction(self):
         model = RangingModel(slope=2.0, intercept=1.0, noise_std=0.0,
                              n_samples=2)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from uwbcal.autocalib import DistanceStatsMatrix, calibrate
-from uwbcal.errors import SingularUpdate
-from uwbcal.leastsq import (COINCIDENT_EPS, MAX_ITERATIONS,
+from uwbcal.errors import NotConverged, SingularUpdate
+from uwbcal.leastsq import (COINCIDENT_EPS, MAX_ITERATIONS, failure,
                             levenberg_marquardt, levenberg_marquardt_batch,
                             range_residuals)
 from uwbcal.multilateration import (CONVERGED, NOT_CONVERGED, SINGULAR,
@@ -137,6 +137,33 @@ class TestLevenbergMarquardt:
                        (1.0, 1.0))
         assert (tag.status[0], tag.iterations[0], tag.objective[0]) == \
             (NOT_CONVERGED, 18, math.inf)
+
+
+class TestFailure:
+    @pytest.mark.parametrize("status,noun,iterations,cap,error,message", [
+        (SINGULAR, "refinement", 7, 100, SingularUpdate,
+         "normal equations unsolvable at maximum damping"),
+        (SINGULAR, "tag fix", 100, 100, SingularUpdate,
+         "normal equations unsolvable at maximum damping"),
+        (NOT_CONVERGED, "refinement", 100, 100, NotConverged,
+         "refinement stopped after 100 iterations"),
+        (NOT_CONVERGED, "tag fix", 18, 100, NotConverged,
+         "tag fix stopped after 18 iterations at the damping limit (1e+14)"),
+        (NOT_CONVERGED, "refinement", 3, 3, NotConverged,
+         "refinement stopped after 3 iterations"),
+    ])
+    def test_each_status_has_one_message(self, status, noun, iterations, cap,
+                                         error, message):
+        # the texts every kernel's callers raise, byte for byte
+        result = object()
+        got = failure(status, noun, iterations, cap, result)
+        assert type(got) is error
+        assert str(got) == message
+        if error is NotConverged:
+            assert got.result is result
+
+    def test_a_converged_status_is_no_error(self):
+        assert failure(CONVERGED, "refinement", 5, 100, object()) is None
 
 
 def tanh_problems(rng, k):
