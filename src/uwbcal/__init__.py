@@ -8,7 +8,8 @@ Library layout:
   the one batched loop with its two step rules (the anchor network's
   stacked solves, the tag fixes' 2x2 Newton steps), and the range residuals
 - :mod:`uwbcal.autocalib` -- anchor self-calibration from range statistics,
-  many rounds in one batched kernel (``solve_networks``)
+  every calibration through one entry (``solve_networks``), which solves
+  one round by the scalar kernel and many by the batched one
 - :mod:`uwbcal.multilateration` -- tag fixes from ranges to known anchors
 - :mod:`uwbcal.protocol` -- token-passing ranging round (one batched draw)
 - :mod:`uwbcal.sim` -- mobile-deployment simulator and summary statistics

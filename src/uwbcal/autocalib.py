@@ -8,8 +8,11 @@ match the full set of pairwise distances. Distances cannot observe the
 frame's rotation or handedness, so a re-calibration takes them from its
 prior: the refined shape is turned about anchor 0 onto the prior by a
 closed-form fit, and mirrored first where the mirror image fits better.
-:func:`solve_networks` solves many rounds of one anchor count at once, and
-a problem's result is the same, bit for bit, alone or in any batch.
+:func:`solve_networks` is the one entry that starts, refines and reports
+calibrations: one round by the scalar kernel, many rounds of one anchor
+count at once by the batched one, and a problem's result is the same, bit
+for bit, alone or in any batch. :func:`calibrate` solves its round through
+it, and :func:`refine_lse` any start.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import numpy as np
 
 from .errors import (CsvFormatError, DegenerateGeometry, NotConverged,
                      SingularUpdate, UwbCalError, csv_rows, echo)
-# refine_lse and a calibration solved on its own run levenberg_marquardt;
-# bench/tracing.py also hooks the name here for its leastsq metrics until
-# ROADMAP item 8 retires the tracer
-from .leastsq import (CONVERGED, MAX_ITERATIONS, NOT_CONVERGED, failure,
-                      levenberg_marquardt, levenberg_marquardt_batch,
+# solve_networks looks levenberg_marquardt up here at each call, for a
+# batch of one; bench/tracing.py hooks the name for its leastsq metrics
+# until ROADMAP item 8 retires the tracer
+from .leastsq import (CONVERGED, MAX_ITERATIONS, NOT_CONVERGED, SINGULAR,
+                      failure, levenberg_marquardt, levenberg_marquardt_batch,
                       range_residuals)
 from .ranging import RangingModel
 
@@ -176,14 +179,11 @@ class CalibrationResult:
 
 def initial_placement(d: DistanceStatsMatrix) -> list[tuple[float, float]]:
     """Classical-MDS start from every pair's symmetrized mean."""
-    return list(map(tuple, _starts(d.n_anchors, *d.sym_table())[0].tolist()))
-
-
-def _rows(targets) -> np.ndarray:
-    """``targets``, one sequence or K rows of them, as a ``(K, m)`` float
-    array."""
-    targets = np.asarray(targets, dtype=float)
-    return targets[None] if targets.ndim == 1 else targets
+    pairs, targets = d.sym_table()
+    (start,), (error,) = _starts(d.n_anchors, pairs, [targets])
+    if error is not None:
+        raise error
+    return list(map(tuple, start.tolist()))
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,30 +194,36 @@ def _centring(n: int) -> np.ndarray:
     return centring
 
 
-def _starts(n: int, pairs, targets) -> np.ndarray:
-    """The starts ``(K, n, 2)`` of K problems over ``pairs``, from their
-    means ``targets`` (K rows, or one sequence for K = 1): classical MDS
+def _starts(n: int, pairs, targets, measured=None):
+    """The starts ``(K, n, 2)`` of K problems over ``pairs``, from the K
+    rows of their means ``targets``: classical MDS
     (Torgerson 1952) of the squared distances over the largest, negative
     eigenvalues clamped at 0, in the gauge anchor 0 at the origin, anchor 1
     on +x, anchor 2 at y >= 0. Every matrix product and eigensolve is per
     problem, and each problem's turn is formed by ``math``'s trigonometry,
-    whose results do not depend on numpy's vector loops.
-    :class:`DegenerateGeometry` names, in the first problem that has one,
-    the first pair, by its larger anchor, that is unmeasured or not
-    positive and finite, and an anchor whose start overflows."""
-    targets = _rows(targets)
+    whose results do not depend on numpy's vector loops. Also each
+    problem's :class:`DegenerateGeometry` (its start NaN), or None: the
+    first pair, by its larger anchor, that is unmeasured (not in ``pairs``,
+    or 0 in the ``(K, m)`` counts ``measured``) or not positive and
+    finite, else an anchor whose start overflows."""
     k = len(targets)
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
     table = np.zeros((k, n, n))
     table[:, jj, ii] = targets
+    errors = [None] * k
     usable = (table > 0.0) & (table < math.inf)
     if np.count_nonzero(usable) < k * n * (n - 1) // 2:
-        p, j, i = np.argwhere(np.tri(n, k=-1, dtype=bool)
-                              & ~usable)[0].tolist()
-        why = (f"has distance {table[p, j, i]}, which is not positive and "
-               f"finite" if (i, j) in pairs else "was not measured")
-        raise DegenerateGeometry(f"anchor {j}: pair ({i},{j}) {why}",
-                                 anchor_id=j)
+        known = np.zeros((k, n, n), dtype=bool)
+        known[:, jj, ii] = True if measured is None else measured
+        # in reverse, so that each problem keeps its first bad pair, by
+        # its larger anchor
+        bad = np.argwhere(np.tri(n, k=-1, dtype=bool) & ~usable)[::-1]
+        for p, j, i in bad.tolist():
+            why = (f"has distance {table[p, j, i]}, which is not positive "
+                   f"and finite" if known[p, j, i] else "was not measured")
+            errors[p] = DegenerateGeometry(
+                f"anchor {j}: pair ({i},{j}) {why}", anchor_id=j)
+        table[bad[:, 0]] = 1.0  # a stand-in keeps the algebra finite
     scale = table.max(axis=(1, 2))[:, None, None]
     sq, centring = (table / scale) ** 2, _centring(n)
     eigval, eigvec = np.linalg.eigh(
@@ -234,12 +240,14 @@ def _starts(n: int, pairs, targets) -> np.ndarray:
         rows = xy @ (scale * turn)
     finite = np.isfinite(rows).all(axis=2)
     if not finite.all():
-        i = int(np.argwhere(~finite)[0, 1])
-        raise DegenerateGeometry(f"anchor {i}: the start overflows "
-                                 f"floating point", anchor_id=i)
+        for p, i in np.argwhere(~finite)[::-1].tolist():
+            errors[p] = DegenerateGeometry(f"anchor {i}: the start overflows "
+                                           f"floating point", anchor_id=i)
     rows[:, 0] = 0.0
     rows[:, 1, 1] = 0.0
-    return rows
+    if any(errors):
+        rows[[p for p, error in enumerate(errors) if error]] = math.nan
+    return rows, errors
 
 
 def _free_columns(n_anchors: int) -> np.ndarray:
@@ -275,18 +283,21 @@ def _residual_layout(n_anchors: int, pairs: tuple[tuple[int, int], ...]):
     return layout
 
 
-def _residual_function(n_anchors: int, pairs, targets):
-    """free -> (r, J, d) over ``pairs`` with symmetrized means ``targets``
-    and the pair distances d. J is column-major, as the transpose of the
-    ``(n_free, m)`` J^T it is formed as."""
+def _residuals(n_anchors: int, pairs, targets):
+    """``fun(x, live=0)`` -> (r, J, d) over ``pairs``, whose means are the
+    rows of the array ``targets`` ``(K, m)``, and the pair distances d: of
+    row ``live`` for free coordinates ``(n_free,)``, J column-major as the
+    transpose of the J^T it is formed as; of the rows ``live`` for iterates
+    ``(L, n_free)``, with J^T ``(L, n_free, m)`` in place of J."""
     _, difference, axis, sign = _residual_layout(n_anchors, pairs)
-    targets = np.array(targets, dtype=float)
+    m = len(pairs)
 
-    def fun(free):
-        diff = (free @ difference).reshape(-1, 2)
-        r, dist = range_residuals(diff[:, 0], diff[:, 1], targets)
-        units = diff / dist[:, None]
-        return r, (units.T.take(axis, axis=0) * sign).T, dist
+    def fun(x, live=0):
+        diff = (x @ difference).reshape(x.shape[:-1] + (m, 2))
+        r, dist = range_residuals(diff[..., 0], diff[..., 1], targets[live])
+        jac_t = (diff / dist[..., None]).swapaxes(-1, -2) \
+            .take(axis, axis=-2) * sign
+        return r, jac_t if x.ndim > 1 else jac_t.T, dist
 
     return fun
 
@@ -302,35 +313,16 @@ def refine_lse(initial, d: DistanceStatsMatrix) -> CalibrationResult:
     message names which.
     """
     n = d.n_anchors
-    return _refine(_positions(initial, n, "initial positions"), n,
-                   *d.sym_table())
-
-
-def _refine(start: np.ndarray, n: int, pairs, targets) -> CalibrationResult:
-    """:func:`refine_lse` from an ``(n, 2)`` float array against the pairs
-    and means of a sym_table, by ``levenberg_marquardt`` under this
-    module's ``MAX_ITERATIONS``."""
+    start = _positions(initial, n, "initial positions")
     if start[0, 0] != 0.0 or start[0, 1] != 0.0:
         raise ValueError("initial[0] must be the origin")
     if start[1, 1] != 0.0:
         raise ValueError("initial[1] must lie on the x-axis")
     if not np.isfinite(start).all():
         raise ValueError("initial positions must be finite")
-    fun = _residual_function(n, pairs, targets)
-    free_cols = _residual_layout(n, pairs)[0]
-    lsq = levenberg_marquardt(fun, start.reshape(-1)[free_cols],
-                              MAX_ITERATIONS)
-    flat = np.zeros(2 * n)
-    flat[free_cols] = lsq.x
-    positions = flat.reshape(n, 2)
-    positions.flags.writeable = False
-    result = CalibrationResult(
-        positions, math.sqrt(lsq.objective / len(pairs)) if pairs else 0.0,
-        lsq.iterations, lsq.converged)
-    if not lsq.converged:
-        raise failure(NOT_CONVERGED, "refinement", lsq.iterations,
-                      MAX_ITERATIONS, result)
-    return result
+    pairs, targets = d.sym_table()
+    return calibrate(d, None, solved=solve_networks(
+        n, pairs, [targets], start=start[None]).outcome(0))
 
 
 def _positions(points, n: int, what: str) -> np.ndarray:
@@ -353,64 +345,81 @@ class NetworkBatch:
     """Per-problem results of :func:`solve_networks`, in the bootstrap
     gauge.
 
-    ``positions`` is ``(K, N, 2)``; ``rms_residual``, ``iterations`` and
-    ``status`` (CONVERGED, NOT_CONVERGED or SINGULAR) have length K;
-    ``max_iterations`` is the cap the problems were refined under.
+    ``positions`` is ``(K, N, 2)``, read-only; ``rms_residual``,
+    ``iterations``, ``status`` (CONVERGED, NOT_CONVERGED or SINGULAR) and
+    ``start_errors`` (a failed start's :class:`DegenerateGeometry`, else
+    None) have length K; ``max_iterations`` is the cap the problems were
+    refined under.
     """
 
     positions: np.ndarray
     rms_residual: np.ndarray
     iterations: np.ndarray
     status: np.ndarray
+    start_errors: list
     max_iterations: int = MAX_ITERATIONS
 
     def outcome(self, k: int) -> "CalibrationResult | UwbCalError":
         """Problem k as :func:`calibrate` takes it through ``solved``: its
-        result if it converged, else the error a calibration raises, a
-        :class:`NotConverged` with the best iterate attached or a
-        :class:`SingularUpdate`."""
+        result if it converged, else the error a calibration raises, the
+        :class:`DegenerateGeometry` of its start, a :class:`NotConverged`
+        with the best iterate attached or a :class:`SingularUpdate`."""
+        if self.start_errors[k]:
+            return self.start_errors[k]
         status, iterations = self.status[k], int(self.iterations[k])
-        positions = self.positions[k].copy()
-        positions.flags.writeable = False
-        result = CalibrationResult(positions, float(self.rms_residual[k]),
-                                   iterations, bool(status == CONVERGED))
+        result = CalibrationResult(self.positions[k],
+                                   float(self.rms_residual[k]), iterations,
+                                   bool(status == CONVERGED))
+        if status == CONVERGED:
+            return result
         return failure(status, "refinement", iterations,
-                       self.max_iterations, result) or result
+                       self.max_iterations, result)
 
 
-def solve_networks(n: int, pairs, targets) -> NetworkBatch:
+def solve_networks(n: int, pairs, targets, start=None,
+                   measured=None) -> NetworkBatch:
     """Calibrate K rounds of n anchors at once in the bootstrap gauge.
 
     Each row of ``targets`` holds one round's symmetrized means over
     ``pairs``, as a sym_table gives them. Every problem starts from its
-    classical-MDS start (see :func:`_starts`, which raises
-    :class:`DegenerateGeometry` for the first problem whose start fails)
-    and is refined by :func:`~uwbcal.leastsq.levenberg_marquardt_batch`
-    with anchor 0 and anchor 1's y pinned. A problem's result does not
-    depend on the batch it is solved in.
+    row of ``start`` ``(K, n, 2)`` if given, else from its classical-MDS
+    start (:func:`_starts`, which reads ``measured``), and is refined with
+    anchor 0 and anchor 1's y pinned: one problem by
+    :func:`~uwbcal.leastsq.levenberg_marquardt`, more by
+    :func:`~uwbcal.leastsq.levenberg_marquardt_batch`. A problem's result
+    depends neither on the batch it is solved in nor on a failed start.
     """
-    targets = _rows(targets)
-    start = _starts(n, pairs, targets)
-    k, m = len(start), len(pairs)
-    free_cols, difference, axis, sign = _residual_layout(n, pairs)
-
-    def fun(x, live):
-        diff = (x @ difference).reshape(-1, m, 2)
-        r, dist = range_residuals(diff[:, :, 0], diff[:, :, 1],
-                                  targets[live])
-        units = diff / dist[:, :, None]
-        return r, units.transpose(0, 2, 1).take(axis, axis=1) * sign, dist
-
+    targets = np.asarray(targets, dtype=float)
+    k, m = len(targets), len(pairs)
+    start, errors = (_starts(n, pairs, targets, measured) if start is None
+                     else (start, [None] * k))
+    free_cols = _residual_layout(n, pairs)[0]
+    x0 = start.reshape(k, 2 * n).take(free_cols, axis=1)
+    fun = _residuals(n, pairs, targets)
     # positions far out overflow to inf or nan, which the refinement's
-    # accept rule and step check reject; no warning is needed for them
+    # accept rule and step check reject; no warning is needed for them.
+    # A problem without a start is refined from NaN, which ends it SINGULAR
     with np.errstate(over="ignore", invalid="ignore"):
-        lsq = levenberg_marquardt_batch(fun, start.reshape(k, 2 * n)
-                                        [:, free_cols], MAX_ITERATIONS)
-        rms = np.sqrt(lsq.objective / m)
+        if k > 1:
+            lsq = levenberg_marquardt_batch(fun, x0, MAX_ITERATIONS)
+            x, f, iterations, status = (lsq.x, lsq.objective,
+                                        lsq.iterations, lsq.status)
+        else:
+            try:
+                lsq = levenberg_marquardt(fun, x0[0], MAX_ITERATIONS)
+            except SingularUpdate:
+                x, f, iterations, status = x0, np.zeros(1), [0], [SINGULAR]
+            else:
+                x, f = lsq.x, np.array([lsq.objective])
+                iterations = [lsq.iterations]
+                status = [CONVERGED if lsq.converged else NOT_CONVERGED]
+        # no pairs, no residuals: the objective is 0, and so the rms
+        rms = np.sqrt(f / max(m, 1))
     flat = np.zeros((k, 2 * n))
-    flat[:, free_cols] = lsq.x
-    return NetworkBatch(flat.reshape(k, n, 2), rms, lsq.iterations,
-                        lsq.status, MAX_ITERATIONS)
+    flat[:, free_cols] = x
+    flat.flags.writeable = False
+    return NetworkBatch(flat.reshape(k, n, 2), rms, iterations, status,
+                        errors, MAX_ITERATIONS)
 
 
 def batch_size(n_anchors: int) -> int:
@@ -424,21 +433,15 @@ def batch_size(n_anchors: int) -> int:
 def solve_rounds(rounds: list[DistanceStatsMatrix],
                  ranging_model: RangingModel) -> list:
     """What :func:`calibrate` takes through ``solved`` for each of
-    ``rounds``, all of one anchor count, solved in one
+    ``rounds``, all of one anchor count: its result or error, from one
     :func:`solve_networks` call on their bias-corrected tables, formed as
-    ``sym_table`` forms them. When a round leaves a pair unmeasured, or a
-    start fails, every entry is None, so that each round is solved alone
-    and raises its own error at its turn."""
-    # a pair that a round did not measure has a NaN mean, which fails the
-    # start as any unusable distance does
-    _, targets = _sym_means(np.array([d._count for d in rounds]),
-                            np.array([d._mean for d in rounds]),
-                            ranging_model)
+    ``sym_table`` forms them."""
+    # a pair that a round did not measure has a NaN mean and fails its start
+    total, targets = _sym_means(np.array([d._count for d in rounds]),
+                                np.array([d._mean for d in rounds]),
+                                ranging_model)
     n = rounds[0].n_anchors
-    try:
-        batch = solve_networks(n, _upper_pairs(n)[2], targets)
-    except DegenerateGeometry:
-        return [None] * len(rounds)
+    batch = solve_networks(n, _upper_pairs(n)[2], targets, measured=total)
     return [batch.outcome(k) for k in range(len(rounds))]
 
 
@@ -479,38 +482,28 @@ def _onto_prior(result: CalibrationResult,
 
 def calibrate(d: DistanceStatsMatrix, ranging_model: RangingModel,
               prior=None, *, solved=None) -> CalibrationResult:
-    """Full calibration: form the bias-corrected symmetric table once,
-    solve it from its classical-MDS start in the bootstrap gauge (anchor 0
-    at the origin, anchor 1 on +x) by :func:`refine_lse`'s refinement, and
-    with a prior turn the result about anchor 0 onto the prior
+    """Full calibration: solve the round in the bootstrap gauge (anchor 0
+    at the origin, anchor 1 on +x) as ``solve_rounds([d], ranging_model)``
+    does, and with a prior turn the result about anchor 0 onto the prior
     (:func:`_onto_prior`).
 
     The prior, ``(x, y)`` pairs or an ``(N, 2)`` array, sets only the
     frame: its rotation and handedness, and through its anchor 0 the
     origin. It does not set the start, so a calibration depends on no
-    earlier one. ``solved`` is this round's entry of :func:`solve_rounds`,
-    when the round was solved in a batch: then its table is neither formed
-    nor solved again. Raises :class:`NotConverged` with the best iterate
-    attached (in the prior's frame) if the refinement hits its cap or a
-    rejected step takes the damping past ``DAMPING_MAX``, and
-    :class:`SingularUpdate` if the damped system cannot be solved.
+    earlier one. ``solved`` is this round's entry of :func:`solve_rounds`
+    when the round was solved in a batch, and is then not solved again.
+    Raises the entry's error: :class:`DegenerateGeometry` for a failed
+    start, :class:`NotConverged` with the best iterate attached (in the
+    prior's frame) or :class:`SingularUpdate`.
     """
-    n = d.n_anchors
     if prior is not None:
-        prior = _positions(prior, n, "prior positions")
+        prior = _positions(prior, d.n_anchors, "prior positions")
         with np.errstate(over="ignore", invalid="ignore"):
             offsets = prior - prior[0]
         if not np.isfinite(offsets).all():
             raise ValueError("prior offsets from anchor 0 must be finite")
     if solved is None:
-        table = d.sym_table(ranging_model)
-        # positions far out overflow to inf or nan, which the refinement's
-        # accept rule and step check reject; no warning is needed for them
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                solved = _refine(_starts(n, *table)[0], n, *table)
-            except (NotConverged, SingularUpdate) as exc:
-                solved = exc
+        solved = solve_rounds([d], ranging_model)[0]
     if isinstance(solved, NotConverged) and prior is not None:
         raise NotConverged(str(solved), _onto_prior(solved.result, offsets))
     if isinstance(solved, UwbCalError):

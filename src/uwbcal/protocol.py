@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .autocalib import DistanceStatsMatrix
+from .autocalib import DistanceStatsMatrix, _upper_pairs
 from .errors import DegenerateGeometry, InvalidTiming
 from .geometry import distance
 # simulate_measurement is not called here; bench/tracing.py hooks this name
@@ -65,11 +65,10 @@ def _round_layout(n_anchors: int):
     rows = np.repeat(np.arange(n_anchors), n_anchors - 1)
     cols = np.array([j for i in range(n_anchors)
                      for j in _targets_from(i, n_anchors)])
-    pairs = tuple((i, j) for i in range(n_anchors)
-                  for j in range(i + 1, n_anchors))
-    index = {pair: u for u, pair in enumerate(pairs)}
-    pair_of_row = np.array([index[min(i, j), max(i, j)]
-                            for i, j in zip(rows.tolist(), cols.tolist())])
+    iu, ju, pairs = _upper_pairs(n_anchors)
+    index = np.empty((n_anchors, n_anchors), dtype=int)
+    index[iu, ju] = index[ju, iu] = np.arange(len(pairs))
+    pair_of_row = index[rows, cols]
     for a in (rows, cols, pair_of_row):
         a.flags.writeable = False
     return rows, cols, pairs, pair_of_row

@@ -28,8 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from uwbcal.autocalib import (DistanceStatsMatrix, PairStats,
-                              _residual_function)
+from uwbcal.autocalib import DistanceStatsMatrix, PairStats, _residuals
 from uwbcal.errors import (FLOAT_FORMAT, CsvFormatError, InvalidTiming,
                            ProtocolViolation, csv_rows)
 from uwbcal.geometry import distance
@@ -346,7 +345,8 @@ def network_residuals(d: DistanceStatsMatrix):
     1..n-1 but anchor 1's y, the bootstrap gauge. This is the
     function ``autocalib.refine_lse`` minimizes.
     """
-    return _residual_function(d.n_anchors, *d.sym_table())
+    pairs, targets = d.sym_table()
+    return _residuals(d.n_anchors, pairs, np.array([targets]))
 
 
 def tag_residuals(anchors, ranges: list[float]):

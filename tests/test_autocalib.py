@@ -307,6 +307,14 @@ class TestRefineLse:
         assert tuple(result.positions[0]) == (0.0, 0.0)
         assert result.positions[1][1] == 0.0
 
+    def test_no_measured_pair_leaves_the_start(self):
+        # no pairs, no residuals: the start is the minimum, at rms 0
+        start = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        result = refine_lse(start, DistanceStatsMatrix(3))
+        assert result.positions.tolist() == [list(p) for p in start]
+        assert (result.rms_residual, result.iterations, result.converged) \
+            == (0.0, 0, True)
+
     def test_positions_are_read_only(self):
         result = refine_lse(list(GOLDEN_FRAME), exact_matrix(GOLDEN_FRAME))
         assert result.positions.shape == (5, 2)
@@ -416,16 +424,18 @@ class TestCalibrate:
     @pytest.mark.parametrize("prior", [None, list(GOLDEN_FRAME)])
     def test_one_table_per_call(self, monkeypatch, prior):
         # the bootstrap and the refinement read the same corrected table
-        calls, sym_table = [], DistanceStatsMatrix.sym_table
+        import uwbcal.autocalib as autocalib
 
-        def counted(d, *args):
-            calls.append(args)
-            return sym_table(d, *args)
+        calls, sym_means = [], autocalib._sym_means
 
-        monkeypatch.setattr(DistanceStatsMatrix, "sym_table", counted)
+        def counted(count, mean, model):
+            calls.append(model)
+            return sym_means(count, mean, model)
+
+        monkeypatch.setattr(autocalib, "_sym_means", counted)
         model = RangingModel.identity()
         calibrate(exact_matrix(GOLDEN_FRAME), model, prior=prior)
-        assert calls == [(model,)]
+        assert calls == [model]
 
     def test_prior_equal_to_truth_is_unchanged(self):
         m = exact_matrix(GOLDEN_FRAME)
@@ -953,19 +963,28 @@ class TestSolveNetworks:
         assert rows([0, 1, 2]) + rows([3, 4, 5]) == alone
 
     def test_equals_levenberg_marquardt_bit_for_bit(self):
-        # the kernel against refine_lse, which runs levenberg_marquardt,
-        # from the same MDS start in the same gauge: every product, dot
-        # product and solve is the same BLAS or LAPACK call per problem
+        # the batched kernel against refine_lse, which solves a batch of
+        # one by levenberg_marquardt, from the same MDS start in the same
+        # gauge: every product, dot product and solve is the same BLAS or
+        # LAPACK call per problem
         rng = np.random.default_rng(2024)
         model = reference_model()
+        by_n = {}
         for _ in range(300):
             n = int(rng.integers(3, 10))
             stats, _ = run_calibration_round(
                 n, int(rng.integers(1, 11)),
                 rng.uniform(-15.0, 15.0, (n, 2)).tolist(), model, rng)
-            solved = solve_networks(n, *stats.sym_table()).outcome(0)
-            assert outcome(calibrate, stats, None, solved=solved) == \
-                outcome(refine_lse, initial_placement(stats), stats)
+            by_n.setdefault(n, []).append(stats)
+        for n, rounds in by_n.items():
+            # one batch per anchor count, of 35 to 51 rounds
+            assert len(rounds) >= 2
+            solved = solve_networks(n, rounds[0].sym_table()[0],
+                                    [d.sym_table()[1] for d in rounds])
+            for k, stats in enumerate(rounds):
+                assert outcome(calibrate, stats, None,
+                               solved=solved.outcome(k)) == \
+                    outcome(refine_lse, initial_placement(stats), stats)
 
     @pytest.mark.parametrize("cap", [MAX_ITERATIONS, 2])
     def test_a_solved_round_calibrates_as_the_round_alone(self, monkeypatch,
@@ -983,14 +1002,39 @@ class TestSolveNetworks:
                 assert outcome(calibrate, d, model, prior=prior) == \
                     outcome(calibrate, d, None, prior=prior, solved=entry)
 
-    def test_a_failed_start_leaves_every_round_to_itself(self):
-        # one round with a pair that corrects below zero: every round is
-        # solved alone, and only that one raises
-        model = RangingModel(1.0, 6.0, 0.0, 2)
-        rounds = [exact_matrix(GOLDEN_FRAME, lambda d: d + 6.0)
-                  for _ in range(3)]
-        rounds[1] = exact_matrix([(0, 0), (9, 0), (12, 4)] + [(20, 20),
-                                                             (5, 30)])
-        assert solve_rounds(rounds, model) == [None] * 3
-        with pytest.raises(DegenerateGeometry, match="pair"):
+    @pytest.mark.parametrize("lacking", [None, (0, 1), (1, 3)],
+                             ids=["non_positive", "unmeasured_0_1",
+                                  "unmeasured_1_3"])
+    def test_a_failed_start_fails_its_round_alone(self, lacking):
+        # round 1 has a pair that corrects below zero, or one it did not
+        # measure: the other rounds are solved in the batch as each would
+        # be alone, and round 1's entry is the error its calibration raises
+        if lacking is None:
+            model = RangingModel(1.0, 6.0, 0.0, 2)
+            rounds = [exact_matrix(GOLDEN_FRAME, lambda d: d + 6.0)
+                      for _ in range(3)]
+            rounds[1] = exact_matrix([(0, 0), (9, 0), (12, 4)]
+                                     + [(20, 20), (5, 30)])
+            message = ("anchor 2: pair (1,2) has distance -1.0, which is not "
+                       "positive and finite")
+        else:
+            model = reference_model()
+            rounds = noisy_rounds(np.random.default_rng(8), 4, k=3)
+            rounds[1] = DistanceStatsMatrix(4)
+            for i, j in itertools.permutations(range(4), 2):
+                if {i, j} != set(lacking):
+                    rounds[1].set_pair(i, j, distance(GOLDEN_FRAME[i],
+                                                      GOLDEN_FRAME[j]),
+                                       0.0, 1)
+            i, j = lacking
+            message = f"anchor {j}: pair ({i},{j}) was not measured"
+        solved = solve_rounds(rounds, model)
+        for k, (d, entry) in enumerate(zip(rounds, solved)):
+            assert isinstance(entry, DegenerateGeometry) == (k == 1)
+            assert outcome(calibrate, d, None, solved=entry) == \
+                outcome(calibrate, d, model)
+        with pytest.raises(DegenerateGeometry) as err:
             calibrate(rounds[1], model)
+        assert str(solved[1]) == str(err.value) == message
+        assert solved[1].anchor_id == err.value.anchor_id
+        assert type(solved[1].anchor_id) is int
