@@ -11,7 +11,8 @@ Library layout:
   every calibration through one entry (``solve_networks``), which solves
   one round by the scalar kernel and many by the batched one
 - :mod:`uwbcal.multilateration` -- tag fixes from ranges to known anchors
-- :mod:`uwbcal.protocol` -- token-passing ranging round (one batched draw)
+- :mod:`uwbcal.protocol` -- token-passing ranging rounds, one batched draw
+  a round, measured a block of rounds at once
 - :mod:`uwbcal.sim` -- mobile-deployment simulator and summary statistics
 - :mod:`uwbcal.cli` -- command-line front end
 

@@ -93,13 +93,27 @@ class DistanceStatsMatrix:
         self._std[i, j] = std
         self._count[i, j] = count
 
-    def _store(self, i: np.ndarray, j: np.ndarray, mean: np.ndarray,
-               std: np.ndarray, count: int) -> None:
-        """``set_pair`` over arrays of directed pairs sharing one count,
-        without its checks, for a caller whose block is known valid."""
-        self._mean[i, j] = mean
-        self._std[i, j] = std
-        self._count[i, j] = count
+    @classmethod
+    def _stack(cls, n_anchors: int, index: np.ndarray, mean: np.ndarray,
+               std: np.ndarray, count: int) -> list[DistanceStatsMatrix]:
+        """One matrix per row of the ``(K, R)`` arrays ``mean`` and ``std``,
+        holding what ``set_pair`` stores for R directed pairs sharing one
+        count, without its checks, for a caller whose block is known valid.
+        The matrices are views of three stacked ``(K, n, n)`` tables, and
+        ``index`` holds each entry's flat position in them."""
+        shape = (len(mean), n_anchors, n_anchors)
+        means, stds = np.zeros(shape), np.zeros(shape)
+        counts = np.zeros(shape, dtype=int)
+        means.put(index, mean)
+        stds.put(index, std)
+        counts.put(index, count)
+        stack = []
+        for tables in zip(means, stds, counts):
+            d = cls.__new__(cls)
+            d.n_anchors = n_anchors
+            d._mean, d._std, d._count = tables
+            stack.append(d)
+        return stack
 
     def pair(self, i: int, j: int) -> PairStats | None:
         _check_ids(self.n_anchors, i, j)

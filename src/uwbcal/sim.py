@@ -36,17 +36,18 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .autocalib import MAX_ANCHORS, batch_size, calibrate, solve_rounds
+from .autocalib import (MAX_ANCHORS, _upper_pairs, batch_size, calibrate,
+                        solve_rounds)
 from .errors import (FLOAT_FORMAT, ConfigError, CsvFormatError, EmptyTrace,
-                     NotConverged, SingularUpdate, UwbCalError, _utf8_lines,
-                     echo, finite_number, integer, json_object, out_of_range,
+                     NotConverged, SingularUpdate, _utf8_lines, echo,
+                     finite_number, integer, json_object, out_of_range,
                      parse_rows, xy_pair)
 # distance and locate_tag are not called here; bench/tracing.py hooks these
 # names for its geometry and multilateration metrics until ROADMAP item 8
 # retires the tracer
 from .geometry import distance, wrap_angle  # noqa: F401
 from .multilateration import CONVERGED, locate_tag, solve_fixes  # noqa: F401
-from .protocol import run_calibration_round
+from .protocol import run_calibration_round, run_calibration_rounds
 from .ranging import RangingModel, reference_model
 
 # Anchor layout used when a scenario does not provide one (first n entries).
@@ -76,6 +77,11 @@ TAG_ACROSS = 0.4
 # below 1e22, so no difference, norm or square in a run can overflow.
 MAX_STEP_M = 1_000_000
 MAX_POSITION_M = 10 ** 10
+
+# A periodic run draws and measures its rounds a block at a time, each
+# block within ROUND_BLOCK_NORMALS draws (512 kB), or one round where a
+# round alone holds more.
+ROUND_BLOCK_NORMALS = 2 ** 16
 
 # The keys of a configured [x, y] entry and of a motion entry, one per
 # field in field order: key, parser and inclusive range.
@@ -583,23 +589,27 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     decision, so they are formed for the whole run first. Every calibration
     solves its own round and takes only its frame from the estimates it
     replaces, so under a periodic trigger the rounds are drawn ahead, in
-    stream order, and solved together, the bootstrap included, in
-    :func:`~uwbcal.autocalib.solve_rounds` calls of up to
-    :func:`~uwbcal.autocalib.batch_size` rounds. The loop then goes
-    from one calibration to the next: it sums the anchor estimates up to
-    the step where the trigger fires, frames that step's solved round onto
-    them through :func:`~uwbcal.autocalib.calibrate`, and restarts the
-    estimates from its result. A threshold trigger fires on the estimates
-    themselves, so it draws and solves each round inside the loop. The tag
-    noise of the steps since the last round is drawn just before each
-    round, so the ranging stream keeps its order. After the loop, the
-    corrected tag ranges and rotations are formed for the whole run, every
-    tag fix is made in one :func:`~uwbcal.multilateration.solve_fixes`
-    call, one :func:`_placed` call places and scores every anchor and tag
-    estimate, and the step table is assembled. Distances and angles go
-    through ``math.hypot`` and ``math.atan2`` value by value, and every sum
-    adds its terms in step order, so the outputs are those of a per-step
-    loop to the last bit.
+    stream order, the bootstrap first, a block at a time: one
+    :func:`~uwbcal.protocol.run_calibration_rounds` call measures and
+    tables a block's rounds and one :func:`~uwbcal.autocalib.solve_rounds`
+    call solves them. A block holds at most
+    :func:`~uwbcal.autocalib.batch_size` rounds and
+    :data:`ROUND_BLOCK_NORMALS` draws, or one round where a round alone
+    holds more. The loop then goes from one calibration to the next: it
+    sums the anchor estimates up to the step where the trigger fires,
+    frames that step's solved round onto them through
+    :func:`~uwbcal.autocalib.calibrate`, and restarts the estimates from
+    its result. A threshold trigger fires on the estimates themselves, so
+    it draws and solves each round inside the loop. The tag noise of the
+    steps since the last round is drawn just before each round, into one
+    array for the whole run, so the ranging stream keeps its order. After
+    the loop, the corrected tag ranges and rotations are formed for the
+    whole run, every tag fix is made in one
+    :func:`~uwbcal.multilateration.solve_fixes` call, one :func:`_placed`
+    call places and scores every anchor and tag estimate, and the step
+    table is assembled. Distances and angles go through ``math.hypot`` and
+    ``math.atan2`` value by value, and every sum adds its terms in step
+    order, so the outputs are those of a per-step loop to the last bit.
 
     Module errors during a tag fix or a calibration become diagnostics,
     in step order, instead of aborting the run; a warm calibration whose
@@ -613,64 +623,84 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
     cfg, (_, motion_rng, drift_rng, ranging_rng) = _resolved(cfg)
     model = cfg.ranging
     correction = model if bias_correction else RangingModel.identity()
-    n, n_steps, trigger = cfg.n_anchors, cfg.n_steps, cfg.trigger
-
-    stats, _ = run_calibration_round(n, cfg.k_measurements,
-                                     cfg.initial_anchor_positions, model,
-                                     ranging_rng)
+    n, k, n_steps = cfg.n_anchors, cfg.k_measurements, cfg.n_steps
+    trigger = cfg.trigger
     world, increments = _true_paths(cfg, motion_rng, drift_rng)
     truth = world[:, :n]
     tag_d = _norms(world[:, n:, None] - truth[:, None])
     live = ~(tag_d == 0.0).any(axis=2)
-    # live tags before each step: the noise of steps a..b-1 is
-    # (live_before[b] - live_before[a], N)
+    # live tags before each step: the noise of steps a..b-1 is rows
+    # live_before[a] to live_before[b] of `noise`
     live_before = [0] + np.cumsum(live.sum(axis=1)).tolist()
-    noise, drawn = [], 0
+    noise, drawn = np.empty((live_before[-1], n)), 0
+
+    def draw_tag_noise(c: int):
+        """The tag noise of the steps since the last round, up to step c."""
+        nonlocal drawn
+        ranging_rng.standard_normal(
+            out=noise[live_before[drawn]:live_before[c]])
+        drawn = c
+
+    def anchors_meet(c: int) -> ConfigError | None:
+        """The error of the anchors that meet at step c, if any do."""
+        positions = truth[c].tolist()
+        met = _coincident(positions)
+        if not met:
+            return None
+        i, j = met[0]
+        x, y = positions[j]
+        return ConfigError([
+            f"step {c}: anchors {i} and {j} coincide at ({x:g}, {y:g}) "
+            f"and cannot range each other; change the motion or "
+            f"initial_anchor_positions"])
 
     def draw_round(c: int):
         """Step c's round, drawn after the tag noise of the steps since the
         last one; ConfigError if anchors meet at c."""
-        nonlocal drawn
-        positions = truth[c].tolist()
-        met = _coincident(positions)
-        if met:
-            i, j = met[0]
-            x, y = positions[j]
-            raise ConfigError([
-                f"step {c}: anchors {i} and {j} coincide at ({x:g}, {y:g}) "
-                f"and cannot range each other; change the motion or "
-                f"initial_anchor_positions"])
-        noise.append(ranging_rng.standard_normal(
-            (live_before[c] - live_before[drawn], n)))
-        drawn = c
-        return run_calibration_round(n, cfg.k_measurements, positions,
-                                     model, ranging_rng)[0]
+        failure = anchors_meet(c)
+        if failure is not None:
+            raise failure
+        draw_tag_noise(c)
+        return run_calibration_round(n, k, truth[c], model, ranging_rng)[0]
 
     def periodic_rounds():
         """The bootstrap round, then each periodic step's, with its entry
-        of :func:`~uwbcal.autocalib.solve_rounds`. Rounds are drawn ahead
-        and solved up to ``batch_size`` at a time; a round that fails to
-        draw ends the drawing, and its error is raised at its turn."""
-        batch, failure = [stats], None
-        for c in range(period, n_steps, period):
-            if len(batch) == size:
-                yield from zip(batch, solve_rounds(batch, correction))
-                batch = []
-            try:
-                batch.append(draw_round(c))
-            except UwbCalError as exc:
-                failure = exc
-                break
-        if batch:
-            yield from zip(batch, solve_rounds(batch, correction))
-        if failure is not None:
-            raise failure
+        of :func:`~uwbcal.autocalib.solve_rounds`, drawn, measured and
+        solved a block at a time. A round that fails, or at whose step
+        anchors meet, ends the drawing, and its error is raised at its
+        turn."""
+        at = [0, *range(period, n_steps, period)]
+        size = min(batch_size(n), max(
+            1, ROUND_BLOCK_NORMALS // (n * (n - 1) * k)), len(at))
+        z = np.empty((size, n * (n - 1), k))
+        iu, ju, _ = _upper_pairs(n)
+        for a in range(0, len(at), size):
+            steps = at[a:a + size]
+            positions = truth[steps]
+            if a == 0:
+                positions[0] = cfg.initial_anchor_positions
+            meet = (positions[:, iu] == positions[:, ju]).all(axis=2).any(
+                axis=1)
+            good = int(meet.argmax()) if meet.any() else len(steps)
+            for q, c in enumerate(steps[:good]):
+                draw_tag_noise(c)
+                ranging_rng.standard_normal(out=z[q])
+            stats, _, failure = run_calibration_rounds(
+                n, k, positions[:good], model, z[:good])
+            if failure is None and good < len(steps):
+                failure = anchors_meet(steps[good])
+            if stats:
+                yield from zip(stats, solve_rounds(stats, correction))
+            if failure is not None:
+                raise failure
 
     if trigger.kind == "periodic":
-        period, size = cfg.calibration_period, batch_size(n)
+        period = cfg.calibration_period
         rounds = periodic_rounds()
         stats, solved = next(rounds)
     else:
+        stats, _ = run_calibration_round(n, k, cfg.initial_anchor_positions,
+                                         model, ranging_rng)
         solved = None
 
     # (step, tag, message); a calibration's note comes before its step's
@@ -729,11 +759,9 @@ def run_scenario(cfg: ScenarioConfig, bias_correction: bool = True) -> Simulatio
         before = path[end, 0] + result.positions
         frames[c] = before - before[:1]
         calibrated[c] = True
-    noise.append(ranging_rng.standard_normal(
-        (live_before[-1] - live_before[drawn], n)))
+    draw_tag_noise(n_steps)
 
-    tags = _fix_tags(frames, tag_d, live, np.concatenate(noise), model,
-                     correction, notes)
+    tags = _fix_tags(frames, tag_d, live, noise, model, correction, notes)
     placed, errors = _placed(np.concatenate((frames, tags), axis=1), world)
     assert not errors[:, 0].any()
     baseline = truth[:, 1] - truth[:, 0]

@@ -22,6 +22,9 @@ The matrix runs ``uwbcal simulate`` then ``uwbcal summarize`` on:
 - ``wide``: 9 anchors at the explicit positions ``WIDE_ANCHORS`` with 3
   tags inside their hull, seeds 0-3. Its tag fixes sum over 9 anchors,
   more than the other shapes (at most 5 anchors) ever do;
+- ``blocks``: ``wide`` at k = 200, calibrating at each of 20 steps, seeds
+  0-3. A round is 14,400 draws, so a periodic run's block holds 4 rounds
+  and its 20 rounds, the bootstrap and 19 calibrations, fill 5 blocks;
 
 and ``fit-model`` on the bundled sweep and ``calibrate`` on exact distances
 of a 5-anchor layout, plain and with a prior, and on the same distances
@@ -60,6 +63,8 @@ WIDE = {"n_anchors": 9, "n_tags": 3,
         "initial_anchor_positions": WIDE_ANCHORS,
         "initial_tag_positions": [[5, 5], [14, 12], [6, 15]]}
 
+BLOCKS = dict(WIDE, k_measurements=200, calibration_period=1, n_steps=20)
+
 # (name, scenario, seeds, trigger or None)
 SIMULATIONS = (
     ("default", {}, range(20), None),
@@ -68,6 +73,7 @@ SIMULATIONS = (
     ("three", {"n_anchors": 3}, (0, 1, 2, 3, 156, 216), None),
     ("threshold", {"n_steps": 200}, range(4), "threshold:0.3"),
     ("wide", WIDE, range(4), None),
+    ("blocks", BLOCKS, range(4), None),
 )
 
 # calibrate's input: exact distances of this layout, both directions

@@ -54,14 +54,24 @@ def test_traced_counts_follow_the_schedule():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     import uwbcal
-    tracer = tracing.Tracer()
-    with tracing.installed(tracer, uwbcal) as api:
-        api.run_scenario(uwbcal.ScenarioConfig(seed=0))
-    spans = [tracer.names[i] for i in tracer.name]
+
+    def traced(cfg):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer, uwbcal) as api:
+            trace = api.run_scenario(cfg)
+        return trace, [tracer.names[i] for i in tracer.name]
+
     # the default scenario calibrates at steps 10, 20, 30, 40 and 50
-    assert spans.count("protocol.run_calibration_round") == 6
+    _, spans = traced(uwbcal.ScenarioConfig(seed=0))
     assert spans.count("autocalib.calibrate.bootstrap") == 1
     assert spans.count("autocalib.calibrate.warm") == 5
+    # a threshold run draws each round on its own, the bootstrap's too; a
+    # periodic run draws its rounds in blocks, which the tracer does not
+    # wrap
+    trace, spans = traced(uwbcal.ScenarioConfig.from_dict(
+        {"seed": 0, "trigger": "threshold:0.3"}))
+    assert spans.count("protocol.run_calibration_round") == \
+        1 + int(trace.table.calibrated.sum())
 
 
 def refuse_constant(name):

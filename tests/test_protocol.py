@@ -6,7 +6,7 @@ from uwbcal.autocalib import DistanceStatsMatrix
 from uwbcal.errors import DegenerateGeometry, InvalidTiming, ProtocolViolation
 from uwbcal.geometry import distance
 from uwbcal.protocol import (_round_layout, estimate_latency,
-                             run_calibration_round)
+                             run_calibration_round, run_calibration_rounds)
 from uwbcal.ranging import RangingModel, reference_model
 from conftest import GOLDEN_FRAME, equal_stats
 from oracles import (Mode, Poll, Response, StartCommand, TokenPass,
@@ -166,20 +166,21 @@ class TestRound:
         # the round skips set_pair's checks, which its own imply; the
         # matrix must hold what set_pair makes of the same block, pair by
         # pair
-        blocks, store = [], DistanceStatsMatrix._store
+        blocks, stack = [], DistanceStatsMatrix._stack
 
-        def kept(stats, *block):
+        def kept(cls, *block):
             blocks.append(block)
-            store(stats, *block)
+            return stack(*block)
 
-        monkeypatch.setattr(DistanceStatsMatrix, "_store", kept)
+        monkeypatch.setattr(DistanceStatsMatrix, "_stack", classmethod(kept))
         layout = np.random.default_rng(n).uniform(-15.0, 15.0, (n, 2))
         stats, _ = run_calibration_round(n, 5, layout.tolist(),
                                          reference_model(),
                                          np.random.default_rng(0))
         assert len(blocks) == 1
         checked = DistanceStatsMatrix(n)
-        rows, cols, means, stds, count = blocks[0]
+        _, index, (means,), (stds,), count = blocks[0]
+        _, rows, cols = np.unravel_index(index, (1, n, n))
         for args in zip(rows.tolist(), cols.tolist(), means.tolist(),
                         stds.tolist()):
             checked.set_pair(*args, count)
@@ -287,6 +288,94 @@ class TestFastRoundMatchesEventModel:
             run_calibration_round(2, 5, SQUARE[:2], reference_model(), rng)
         with pytest.raises(ValueError):
             run_calibration_round(4, 0, SQUARE, reference_model(), rng)
+
+
+class TestRoundBlock:
+    """run_calibration_rounds must give every round of a block what
+    run_calibration_round gives it alone, bit for bit."""
+
+    @staticmethod
+    def tables(stats):
+        return [getattr(stats, name).tobytes()
+                for name in ("_mean", "_std", "_count")]
+
+    # k = 129 crosses numpy's 128-element pairwise-summation block
+    @pytest.mark.parametrize("model", ["reference", "identity"])
+    @pytest.mark.parametrize("k", [1, 5, 129])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_block_is_its_rounds_drawn_one_after_another(self, n, k,
+                                                           model):
+        model = TestFastRoundMatchesEventModel.MODELS[model]
+        count = 4
+        positions = np.random.default_rng(n * k).uniform(-15.0, 15.0,
+                                                         (count, n, 2))
+        rng, block_rng = np.random.default_rng(k), np.random.default_rng(k)
+        alone = [run_calibration_round(n, k, p.tolist(), model, rng)
+                 for p in positions]
+        z = block_rng.standard_normal((count, n * (n - 1), k))
+        stats, latency, error = run_calibration_rounds(n, k, positions,
+                                                       model, z)
+        assert error is None
+        assert block_rng.bit_generator.state == rng.bit_generator.state
+        assert [self.tables(d) for d in stats] == \
+            [self.tables(d) for d, _ in alone]
+        assert [latency] * count == [t for _, t in alone]
+        # each round's tables are views of one stacked array apiece
+        for name in ("_mean", "_std", "_count"):
+            bases = [getattr(d, name).base for d in stats]
+            assert bases[0] is not None
+            assert all(base is bases[0] for base in bases)
+
+    # a 3-anchor round that fails alone, from its draws' seed: a pair whose
+    # readings all clamp to zero flight, non-finite timing, and a std and a
+    # mean that overflow
+    BAD = {
+        "zero_flight-seed4": (TestFastRoundMatchesEventModel.ZERO_FLIGHT[0],
+                              RangingModel(1.0, 0.1, 0.5, 10), 1, 4),
+        "zero_flight-seed23": (TestFastRoundMatchesEventModel.ZERO_FLIGHT[0],
+                               RangingModel(1.0, 0.1, 0.5, 10), 1, 23),
+        "timing": ([(1e308, 0), (-1e308, 0), (0, 0)], reference_model(), 3,
+                   0),
+        "std_overflow": ([(1.1e201, 3), (11, 3), (18, 6)], reference_model(),
+                         5, 0),
+        "mean_overflow": ([(0, 0), (5e307, 0), (0, 1)], reference_model(), 5,
+                          0),
+    }
+
+    @pytest.mark.parametrize("q", [0, 2])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_a_bad_round_fails_as_it_fails_alone(self, case, q):
+        bad, model, k, seed = self.BAD[case]
+        with pytest.raises((DegenerateGeometry, InvalidTiming)) as alone:
+            run_calibration_round(3, k, bad, model,
+                                  np.random.default_rng(seed))
+        # four rounds, each drawn from its own seed; round q is the bad one
+        count = 4
+        seeds = [100 + r for r in range(count)]
+        seeds[q] = seed
+        positions = np.random.default_rng(q).uniform(-15.0, 15.0,
+                                                     (count, 3, 2))
+        positions[q] = bad
+        z = np.array([np.random.default_rng(s).standard_normal((6, k))
+                      for s in seeds])
+        stats, _, error = run_calibration_rounds(3, k, positions, model, z)
+        assert type(error) is type(alone.value)
+        assert str(error) == str(alone.value)
+        assert len(stats) == q
+        for d, p, s in zip(stats, positions, seeds):
+            want, _ = run_calibration_round(3, k, p.tolist(), model,
+                                            np.random.default_rng(s))
+            assert self.tables(d) == self.tables(want)
+
+    def test_no_rounds_measure_nothing(self):
+        assert run_calibration_rounds(3, 5, np.zeros((0, 3, 2)),
+                                      reference_model(),
+                                      np.zeros((0, 6, 5))) == ([], 0.9, None)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="do not hold the same rounds"):
+            run_calibration_rounds(3, 5, np.zeros((2, 3, 2)),
+                                   reference_model(), np.zeros((3, 6, 5)))
 
 
 class TestLatencyModel:

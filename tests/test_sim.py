@@ -8,6 +8,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -64,19 +65,17 @@ def still_scenario(anchors, tags, **fields):
                            tags=(still,) * len(tags)), **fields)
 
 
-def round_states(monkeypatch, cfg):
-    """``run_scenario(cfg)``, and the ranging generator's state before and
-    after each of its calibration rounds."""
-    states, real = [], sim.run_calibration_round
+def block_rounds(monkeypatch):
+    """The number of rounds of each ``sim.run_calibration_rounds`` call,
+    a list that the runs after this call fill."""
+    counts, real = [], sim.run_calibration_rounds
 
-    def recorded(n, k, positions, model, rng):
-        before = rng.bit_generator.state
-        stats = real(n, k, positions, model, rng)
-        states.append((before, rng.bit_generator.state))
-        return stats
+    def counted(n, k, positions, model, z):
+        counts.append(len(positions))
+        return real(n, k, positions, model, z)
 
-    monkeypatch.setattr(sim, "run_calibration_round", recorded)
-    return run_scenario(cfg), states
+    monkeypatch.setattr(sim, "run_calibration_rounds", counted)
+    return counts
 
 class TestConfig:
     def test_defaults_resolve(self):
@@ -487,14 +486,14 @@ class TestRunScenario:
         assert spawned == [4]
 
     def test_tagless_step_leaves_the_stream_alone(self, monkeypatch):
-        # the only tag sits on anchor 0, so no step ranges a tag
-        trace, states = round_states(monkeypatch, still_scenario(
+        # the only tag sits on anchor 0, so no step ranges a tag; the
+        # per-step loop draws nothing for it, so every round starts where
+        # the one before it ended
+        rounds = block_rounds(monkeypatch)
+        trace = assert_same_as_per_step(still_scenario(
             DEFAULT_ANCHOR_LAYOUT[:3], DEFAULT_ANCHOR_LAYOUT[:1],
             calibration_period=2, n_steps=5))
-        assert len(states) == 3
-        # every round starts where the one before it ended
-        assert all(after == before
-                   for (_, after), (before, _) in zip(states, states[1:]))
+        assert rounds == [3]
         assert all(math.isnan(r.tag_errors[0]) for r in trace.records)
 
     def test_singular_tag_update_is_a_diagnostic(self, monkeypatch):
@@ -548,7 +547,12 @@ class TestRunScenario:
             f"step {t}: tag 0 coincides with anchor 0 and cannot range it"
             for t in range(3)]
 
-    def test_anchors_meeting_at_a_calibration_is_a_config_error(self):
+    # a budget of one round a block puts step 10's round first in its block
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_anchors_meeting_at_a_calibration_is_a_config_error(
+            self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(sim, "ROUND_BLOCK_NORMALS", budget)
         still = MotionParams(0.0, 0.0, 0.0)
         cfg = ScenarioConfig(
             n_anchors=3, n_tags=0, n_steps=12, drift_bound=0.0,
@@ -579,14 +583,18 @@ class TestRunScenario:
                                         still), tags=()))
         with pytest.raises(ConfigError, match="step 10: anchors 0 and 1"):
             run_scenario(cfg)
-        real_round, real_calibrate, rounds = (sim.run_calibration_round,
-                                              sim.calibrate, [])
+        real_rounds, real_calibrate, rounds = (sim.run_calibration_rounds,
+                                               sim.calibrate, [])
 
-        def run_calibration_round(n, k, positions, model, rng):
-            rounds.append(positions)
-            if len(rounds) == 2:
-                raise InvalidTiming("forced failure at step 5")
-            return real_round(n, k, positions, model, rng)
+        def run_calibration_rounds(n, k, positions, model, z):
+            # round 1 of the run, the first after the bootstrap, fails
+            first = len(rounds)
+            rounds.extend(positions)
+            stats, latency, error = real_rounds(n, k, positions, model, z)
+            if first <= 1 < len(rounds):
+                return (stats[:1 - first], latency,
+                        InvalidTiming("forced failure at step 5"))
+            return stats, latency, error
 
         def calibrate(stats, model, prior=None, **solved):
             if prior is not None:
@@ -595,8 +603,8 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "batch_size", lambda n: size)
         if fails == "round":
-            monkeypatch.setattr(sim, "run_calibration_round",
-                                run_calibration_round)
+            monkeypatch.setattr(sim, "run_calibration_rounds",
+                                run_calibration_rounds)
         else:
             monkeypatch.setattr(sim, "calibrate", calibrate)
         with pytest.raises((InvalidTiming, DegenerateGeometry),
@@ -614,6 +622,46 @@ class TestRunScenario:
         assert repr((split.records, split.diagnostics)) == \
             repr((whole.records, whole.diagnostics))
         assert split.est_positions.tobytes() == whole.est_positions.tobytes()
+
+    @pytest.mark.parametrize("shape, budget, blocks", [
+        ("default_ensemble", None, [6]),
+        ("default_ensemble", 150, [2, 2, 2]),
+        ("default_ensemble", 1, [1] * 6),
+        ("recal_dense", None, [10]),
+        ("recal_dense", 2500, [2] * 5),
+        ("recal_dense", 1, [1] * 10)])
+    def test_rounds_drawn_in_blocks_of_any_size_give_the_same_run(
+            self, monkeypatch, shape, budget, blocks):
+        # a default round is 60 draws and a recal_dense one 1,000
+        cfg = ScenarioConfig.from_dict(dict(BENCHMARK_SHAPES[shape], seed=3))
+        whole = run_scenario(cfg)
+        rounds = block_rounds(monkeypatch)
+        if budget is not None:
+            monkeypatch.setattr(sim, "ROUND_BLOCK_NORMALS", budget)
+        split = run_scenario(cfg)
+        assert rounds == blocks
+        assert repr((split.records, split.diagnostics)) == \
+            repr((whole.records, whole.diagnostics))
+        assert split.est_positions.tobytes() == whole.est_positions.tobytes()
+
+    def test_a_block_of_large_rounds_holds_one_round(self):
+        # one round of 20 anchors at k = 1000 is 380,000 draws (3 MB), so
+        # the run's 40 rounds, the bootstrap and 39 calibrations, drawn at
+        # once would take about 122 MB
+        angles = np.arange(20) * (2 * math.pi / 20)
+        cfg = ScenarioConfig(
+            n_anchors=20, n_tags=0, n_steps=40, k_measurements=1000,
+            calibration_period=1, initial_anchor_positions=tuple(zip(
+                (10 * np.cos(angles)).tolist(),
+                (10 * np.sin(angles)).tolist())))
+        tracemalloc.start()
+        try:
+            trace = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.table.calibrated.sum() == 39
+        assert peak < 40e6
 
     def test_overflowing_positions_are_a_config_error(self):
         # a drift or a start that could overflow is out of range: the run
@@ -984,20 +1032,13 @@ class TestFixTags:
         assert any("non-positive corrected range" in d for d in seen) == \
             (noise_std == 4.0)
 
-    def test_no_tags_draws_nothing(self, monkeypatch):
+    def test_no_tags_draws_nothing(self):
+        # the per-step loop draws nothing between rounds without tags, and
+        # with a live tag one value per anchor per step: 2 steps a round
         anchors = DEFAULT_ANCHOR_LAYOUT[:3]
-        _, states = round_states(monkeypatch, still_scenario(
-            anchors, (), calibration_period=2, n_steps=5))
-        assert all(after == before
-                   for (_, after), (before, _) in zip(states, states[1:]))
-        # a live tag draws one value per anchor per step: 2 steps a round
-        _, states = round_states(monkeypatch, still_scenario(
-            anchors, ((10.0, 4.0),), calibration_period=2, n_steps=5))
-        for (_, after), (before, _) in zip(states, states[1:]):
-            rng = np.random.default_rng()
-            rng.bit_generator.state = after
-            rng.standard_normal(2 * 3)
-            assert rng.bit_generator.state == before
+        for tags in ((), ((10.0, 4.0),)):
+            assert_same_as_per_step(still_scenario(
+                anchors, tags, calibration_period=2, n_steps=5))
 
     def test_failed_fixes_keep_their_place_among_the_diagnostics(
             self, monkeypatch):
