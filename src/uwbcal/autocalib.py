@@ -149,6 +149,17 @@ def _upper_pairs(n: int):
     return iu, ju, tuple(zip(iu.tolist(), ju.tolist()))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_index(n: int) -> np.ndarray:
+    """The flat positions in an n x n table of the pairs i < j of
+    :func:`_upper_pairs`, ``(i, j)`` then ``(j, i)``: ``(2, P)``,
+    read-only."""
+    iu, ju, _ = _upper_pairs(n)
+    index = np.array([iu * n + ju, ju * n + iu])
+    index.flags.writeable = False
+    return index
+
+
 def _sym_means(count: np.ndarray, mean: np.ndarray,
                model: RangingModel | None):
     """:meth:`DistanceStatsMatrix.sym_table` over stacked ``(..., n, n)``
@@ -158,20 +169,26 @@ def _sym_means(count: np.ndarray, mean: np.ndarray,
     The arithmetic is that of Python numbers: a count converts to a float
     exactly, and total and products round once, as long as counts stay
     below 2^52; beyond, the counts are taken as Python ints. A sum that
-    overflows is inf without a warning.
+    overflows is inf without a warning. Both directions of every pair are
+    gathered at once, and only they are corrected.
     """
-    if model is not None:
-        # a slope near 5e-324 takes a mean to inf, which the bootstrap
-        # and the refinement reject; no warning is needed for it
-        with np.errstate(over="ignore"):
-            mean = np.where(count > 0, model.correct(mean), 0.0)
-    if count.max(initial=0) >= 2 ** 52:
-        count = count.astype(object)
-    iu, ju, _ = _upper_pairs(count.shape[-1])
-    c_ij, c_ji = count[..., iu, ju], count[..., ju, iu]
-    total = c_ij + c_ji
+    n = count.shape[-1]
+    shape, index = count.shape[:-2] + (n * n,), _pair_index(n)
+    count = count.reshape(shape).take(index, axis=-1)
+    mean = mean.reshape(shape).take(index, axis=-1)
+    # a slope near 5e-324 takes a mean to inf, which the bootstrap and the
+    # refinement reject; no warning is needed for it, nor for a sum that
+    # overflows or a pair that was not measured
     with np.errstate(all="ignore"):
-        targets = (c_ij * mean[..., iu, ju] + c_ji * mean[..., ju, iu]) \
+        if model is not None:
+            # an unmeasured direction's mean is 0, whatever it corrects to
+            mean = model.correct(mean)
+            np.copyto(mean, 0.0, where=count <= 0)
+        if count.max(initial=0) >= 2 ** 52:
+            count = count.astype(object)
+        c_ij, c_ji = count[..., 0, :], count[..., 1, :]
+        total = c_ij + c_ji
+        targets = (c_ij * mean[..., 0, :] + c_ji * mean[..., 1, :]) \
             / np.where(total > 0, total, math.nan)
     return total, targets.astype(float)
 

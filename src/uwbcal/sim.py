@@ -26,12 +26,13 @@ leaves the other draws unchanged.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain, islice, repeat
-from operator import lt, not_
+from itertools import chain, islice, repeat, takewhile
+from operator import lt, methodcaller, not_
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -951,15 +952,17 @@ def _rows_format(n_anchors: int, failed: tuple[bool, ...]) -> str:
     where ``failed`` marks each node whose fix failed.
 
     A row takes its step, true x and y, estimated x and y, error and the
-    step's ending (rotation and calibrated fields); a failed fix's three
-    empty fields take their values through ``%.0s``.
+    step's ending (rotation and calibrated fields and the CR of the row's
+    CRLF); a failed fix's three empty fields take their values through
+    ``%.0s``. Node 0's error comes formatted, through ``%s``.
     """
     f = FLOAT_FORMAT
     rows = []
     for k, fail in enumerate(failed):
         node = f"anchor,{k}" if k < n_anchors else f"tag,{k - n_anchors}"
-        fix = "%.0s,%.0s,%.0s" if fail else f"{f},{f},{f}"
-        rows.append(f"%d,{node},{f},{f},{fix},%s")
+        error = "%s" if k == 0 else f
+        fix = "%.0s,%.0s,%.0s" if fail else f"{f},{f},{error}"
+        rows.append(f"%d,{node},{f},{f},{fix},%s\n")
     return "".join(rows)
 
 
@@ -978,44 +981,61 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
 
 def _trace_text(trace: SimulationTrace) -> str:
     """The trace CSV of ``trace``, from one ``%`` over all rows: the format
-    joins one block per step, cached per pattern of failed fixes, and each
-    field's column is filled into the flat argument list in one slice
-    assignment. A step's rotation and calibrated fields are formatted once,
-    into the ending of each of its rows."""
+    joins one block per step, the same block for every step when no fix
+    failed, else cached per pattern of failed fixes, and each field's
+    column is filled into the flat argument list in one slice assignment.
+    Every step's rotation and calibrated fields are formatted in one ``%``,
+    into the ending of each of its rows. Anchor 0's error, +0.0 at every
+    step of a run, is filled in as the ``0`` that %.9g writes for it."""
     table = trace.table
     steps, width, _ = trace.true_positions.shape
 
-    def per_row(values):
+    def per_row(values: list):
         """Each step's value once for every one of its rows."""
-        return chain.from_iterable(map(repeat, values, repeat(width)))
+        return chain.from_iterable(zip(*[values] * width))
 
     # row k takes args[7k:7k + 7]: step, true x and y, estimated x and y,
-    # error, and the step's rotation and calibrated fields
+    # error, and the step's ending
     args = [None] * (7 * steps * width)
     args[0::7] = per_row(table.steps.tolist())
     args[1::7], args[2::7] = trace.true_positions.reshape(-1, 2).T.tolist()
     args[3::7], args[4::7] = trace.est_positions.reshape(-1, 2).T.tolist()
     args[5::7] = table.errors.ravel().tolist()
-    args[6::7] = per_row(map(f"{FLOAT_FORMAT},%d\r\n".__mod__, zip(
-        table.rotations.tolist(), table.calibrated.tolist())))
-    fmt = ",".join(TRACE_HEADER) + "\r\n" + "".join(map(
-        _rows_format, repeat(table.n_anchors),
-        map(tuple, np.isnan(table.errors).tolist())))
-    return fmt % tuple(args)
+    if width:
+        first = table.errors[:, 0]
+        # bitwise: a -0.0 is written -0
+        args[5::7 * width] = (
+            ["0"] * steps if not (first.any() or np.signbit(first).any())
+            else map(FLOAT_FORMAT.__mod__, first.tolist()))
+    ends = [None] * (2 * steps)
+    ends[0::2] = table.rotations.tolist()
+    ends[1::2] = table.calibrated.tolist()
+    args[6::7] = per_row((f"{FLOAT_FORMAT},%d\r\n" * steps
+                          % tuple(ends)).split("\n")[:-1])
+    failed = np.isnan(table.errors)
+    if failed.any():
+        rows = "".join(map(_rows_format, repeat(table.n_anchors),
+                           map(tuple, failed.tolist())))
+    else:
+        rows = _rows_format(table.n_anchors, (False,) * width) * steps
+    return (",".join(TRACE_HEADER) + "\r\n" + rows) % tuple(args)
 
 
-# The reader's rows per block, in whole steps, at least two.
-TRACE_BLOCK_ROWS = 256
+# The reader's block budget: it reads and decodes a trace this many bytes
+# at a time, and tables the whole steps of each block of at least this
+# many characters at once.
+TRACE_BLOCK_CHARS = 2 ** 15
 
 
 def read_trace_records(path) -> StepTable:
     """Rebuild the step table from a trace CSV (for summarize) with
-    :func:`_read_steps`, decoding strictly; only after a decode fails is the
-    file read again, to name the line and offset of the first byte that is
+    :func:`_read_steps`, reading TRACE_BLOCK_CHARS bytes at a time and
+    decoding them strictly; only after a decode fails is the file read
+    again, as text, to name the line and offset of the first byte that is
     not UTF-8, or a line before it that breaks a rule."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            return _read_steps(f)
+        with open(path, "rb") as f:
+            return _read_steps(_decoded(f))
     except UnicodeDecodeError:
         pass
     with open(path, newline="", encoding="utf-8",
@@ -1034,65 +1054,140 @@ def read_trace_records(path) -> StepTable:
     raise bad
 
 
-def _read_steps(lines) -> StepTable:
-    """The table of the trace CSV whose lines ``lines`` yields, laid out as
-    :func:`write_trace_csv` writes it, with CRLF, LF or CR line endings.
+def _decoded(f):
+    """The text of the binary file ``f``, decoded strictly as UTF-8
+    TRACE_BLOCK_CHARS bytes at a time; UnicodeDecodeError at the first
+    byte that is not, or at a sequence the file ends inside."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for data in iter(functools.partial(f.read, TRACE_BLOCK_CHARS), b""):
+        yield decoder.decode(data)
+    yield decoder.decode(b"", True)
+
+
+def _read_steps(pieces) -> StepTable:
+    """The table of the trace CSV whose text ``pieces`` yields, in pieces
+    of any length, laid out as :func:`write_trace_csv` writes it, with
+    CRLF, LF or CR line endings.
 
     The first step is the rows up to the first of another step; its leading
     anchor rows give N, the rest T. Every step is anchors 0..N-1, then tags
     0..T-1, spelling its step, rotation and calibrated (0 or 1) fields
-    alike; steps increase; no field is quoted. The lines are read in blocks
-    of whole steps, and :func:`_deviation` names the first that leaves the
-    layout."""
-    header = next(lines, None)
-    got = header and header.rstrip("\r\n").split(",")
+    alike; steps increase; no field is quoted. The text comes in the blocks
+    of :func:`_line_blocks`; :func:`_steps_of` tables the whole steps of
+    each at once, and only a block it refuses is split into lines, for
+    :func:`_deviation` to name the first that leaves the layout."""
+    blocks = _line_blocks(pieces)
+    # the text read and not yet tabled, whole lines ending in CRLF, and
+    # their number
+    text, count = "", 0
+
+    def read() -> bool:
+        """Add the next block to ``text``; False after the last."""
+        nonlocal text, count
+        block, added = next(blocks, ("", 0))
+        text, count = text + block, count + added
+        return added > 0
+
+    def lines():
+        """The lines of ``text`` without their endings, reading on."""
+        at = 0
+        while (end := text.find("\r\n", at)) >= 0 or read():
+            if end >= 0:
+                yield text[at:end]
+                at = end + 2
+
+    def refuse() -> NoReturn:
+        """Raise the error :func:`_deviation` finds in ``text``."""
+        _deviation(text.split("\r\n")[:-1], start, n, width, last)
+
+    head = lines()
+    header = next(head, None)
+    got = None if header is None else header.split(",")
     if got != TRACE_HEADER:
         raise CsvFormatError(f"expected header {','.join(TRACE_HEADER)!r}, "
                              f"got {echo(got)}", line=1)
-    pending = list(islice(lines, 1))
-    if not pending:
+    step = list(islice(head, 1))
+    if not step:
         raise CsvFormatError("trace has no data rows")
-    first, width = pending[0].partition(",")[0] + ",", 1
-    for line in lines:
-        pending.append(line)
-        if not line.startswith(first):
-            break
-        width += 1
-    n = next((k for k, line in enumerate(pending[:width])
-              if not line.startswith(first + "anchor,")), width)
-    per_block = max(TRACE_BLOCK_ROWS // width, 2) * width
-    start, blocks, last = 2, [], None
-    pending += islice(lines, per_block - len(pending))
-    while pending:
-        rows = len(pending) // width * width  # 0: a step is cut short
+    first = step[0].partition(",")[0] + ","
+    step += takewhile(methodcaller("startswith", first), head)
+    width = len(step)
+    n = next((k for k, row in enumerate(step)
+              if not row.startswith(first + "anchor,")), width)
+    text, count = text[len(header) + 2:], count - 1
+    start, tables, last = 2, [], None
+    while count or read():
+        rows = count // width * width
+        if not rows:
+            if read():  # a step the block cut: read on
+                continue
+            refuse()
+        cut = len(text)
+        for _ in range(count - rows):  # back to the last whole step's end
+            cut = text.rfind("\r\n", 0, cut - 2) + 2
         try:
-            block = _steps_of(pending[:rows], n, width) if rows else None
+            table = _steps_of(text[:cut], rows, n, width)
         except ValueError:  # a number that does not parse
-            block = None
-        if block is None or (last is not None and block[0][0] <= last):
-            _deviation(pending, start, n, width, last)
-        blocks.append(block)
-        start, last = start + rows, block[0][-1]
-        del pending[:rows]
-        pending += islice(lines, per_block - len(pending))
-    steps, errors, rotations, calibrated = map(np.concatenate, zip(*blocks))
+            table = None
+        if table is None or (last is not None and table[0][0] <= last):
+            refuse()
+        tables.append(table)
+        start, last = start + rows, table[0][-1]
+        text, count = text[cut:], count - rows
+    steps, errors, rotations, calibrated = map(np.concatenate, zip(*tables))
     return StepTable(steps, n, errors, rotations, calibrated)
 
 
-def _steps_of(lines: list[str], n: int, width: int):
+def _line_blocks(pieces):
+    """The text whose pieces ``pieces`` yields as blocks of whole lines:
+    each the whole lines of at least TRACE_BLOCK_CHARS characters of
+    pieces, the last the rest. A block is its text, every line ending
+    (CRLF, LF or CR) made CRLF and one added to a last line that has none,
+    and its number of lines."""
+    parts, size = [], 0
+    for piece in chain(pieces, [None]):
+        if piece is not None:
+            parts.append(piece)
+            size += len(piece)
+            if size < TRACE_BLOCK_CHARS:
+                continue
+        text = "".join(parts)
+        if piece is None:
+            if text and text[-1] not in "\r\n":
+                text += "\r\n"
+            cut = len(text)
+        else:  # a CR at the end may be the first half of a CRLF
+            cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        parts, size = [text[cut:]], len(text) - cut
+        if cut:
+            yield _crlf(text[:cut])
+
+
+def _crlf(text: str):
+    """``text``, whole lines, with every line ending CRLF, and its number
+    of lines."""
+    # a CR or LF byte of UTF-8 is the character itself
+    codes = np.frombuffer(text.encode(), np.uint8)
+    cr, lf = codes == 13, codes == 10
+    # CRLF alone: a CR just before every LF and nowhere else
+    if lf[0] or cr[-1] or (cr[:-1] != lf[1:]).any():
+        text = text.replace("\r\n", "\n").replace("\r", "\n") \
+            .replace("\n", "\r\n")
+        return text, text.count("\n")
+    return text, int(np.count_nonzero(lf))
+
+
+def _steps_of(text: str, rows: int, n: int, width: int):
     """The steps, errors ``(steps, width)``, rotations and calibrated flags
-    of ``lines``, whole steps of ``n`` anchors and ``width`` rows, as
-    :class:`StepTable` holds them; None if they leave :func:`_read_steps`'s
-    layout, ValueError for a number that does not parse. The lines' fields,
-    each line's last ending in CR, are checked against the step's
-    templates by slicing, and only the step, error, rotation and
-    calibrated fields parsed, the three a step shares once per step.
+    of ``text``, ``rows`` lines ending in CRLF that hold whole steps of
+    ``n`` anchors and ``width`` rows, as :class:`StepTable` holds them;
+    None if they leave :func:`_read_steps`'s layout, ValueError for a
+    number that does not parse. The lines' fields, each line's last ending
+    in CR, are checked against the step's templates by slicing, and only
+    the step, error, rotation and calibrated fields parsed, the three a
+    step shares once per step.
     """
-    cols, rows, text = len(TRACE_HEADER), len(lines), "".join(lines)
-    k = rows // width
-    if text.count("\r\n") != rows:  # LF or CR endings, or none at the end
-        text = (text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
-                + "\n").replace("\n", "\r\n")
+    cols, k = len(TRACE_HEADER), rows // width
     fields = text.replace("\n", ",").split(",")
     fields.pop()  # after the last line's comma
     kinds = ["anchor"] * n + ["tag"] * (width - n)
@@ -1131,13 +1226,14 @@ def _steps_of(lines: list[str], n: int, width: int):
 def _deviation(lines: list[str], start: int, n: int, width: int,
                last) -> NoReturn:
     """Raise :class:`CsvFormatError` naming the first of ``lines``, the
-    trace's from line ``start`` on in steps of ``n`` anchors and ``width``
-    rows after step ``last``, that leaves :func:`_read_steps`'s layout and
-    the rule it breaks; if none does, their last step is cut short."""
+    trace's from line ``start`` on without their endings, in steps of
+    ``n`` anchors and ``width`` rows after step ``last``, that leaves
+    :func:`_read_steps`'s layout and the rule it breaks; if none does,
+    their last step is cut short."""
     nodes = [f"anchor {k}" for k in range(n)] + \
         [f"tag {k}" for k in range(width - n)]
     for i, line in enumerate(lines):
-        at, j, row = start + i, i % width, line.rstrip("\r\n").split(",")
+        at, j, row = start + i, i % width, line.split(",")
         if len(row) != len(TRACE_HEADER):
             raise CsvFormatError(f"expected {len(TRACE_HEADER)} columns, got "
                                  f"{len(row)}", line=at)

@@ -1275,6 +1275,35 @@ class TestTraceCsv:
                           np.arange(3) == 1)
         return SimulationTrace({}, table, [], true, est)
 
+    @pytest.fixture
+    def negative_zero_error_trace(self):
+        """A hand-built 3-step trace of 3 anchors and 1 tag whose anchor 0
+        has the error -0.0 at step 1 and +0.0 at the others: written -0
+        and 0 (many_scales_trace's anchor 0 errors are not zero)."""
+        true = np.array([((0.0, 0.0), (9.0, 0.0), (4.0, 8.0), (5.0, 5.0))]
+                        * 3)
+        errors = np.array([(0.0, 0.2, 0.3, 0.1)] * 3)
+        errors[1, 0] = -0.0
+        table = StepTable(np.arange(3), 3, errors, np.full(3, 0.01),
+                          np.arange(3) == 1)
+        return SimulationTrace({}, table, [], true, true + 0.25)
+
+    @pytest.fixture
+    def still_trace(self):
+        """A default-layout run whose nodes stand still (speed 0, jitter 0)
+        and whose anchor 0 starts at x = -0.0. Its true x stays -0.0 while
+        the motion adds -0.0 (heading pi, the seed's first jitter draws
+        negative), and its estimate's x is +0.0."""
+        still = {"direction": math.pi, "speed": 0, "gaussian_std": 0}
+        trace = run_scenario(ScenarioConfig.from_dict({
+            "seed": 4, "n_steps": 8,
+            "initial_anchor_positions": [[-0.0, 0], [11, 3], [18, 6],
+                                         [15, 20]],
+            "motion": {"anchors": [still] * 4, "tags": [still] * 3}}))
+        assert math.copysign(1.0, trace.true_positions[0, 0, 0]) == -1.0
+        assert math.copysign(1.0, trace.est_positions[0, 0, 0]) == 1.0
+        return trace
+
     @staticmethod
     def assert_bytes_of_csv_writer(trace, path, rows, failed):
         """``write_trace_csv`` writes ``csv.writer``'s bytes: a header,
@@ -1308,6 +1337,9 @@ class TestTraceCsv:
         ("long_drift_trace", 500 * 5, 0),
         ("many_scales_trace", 8 * (4 + 2), 5),
         ("inf_error_trace", 3 * 5, 0),
+        # anchor 0's error is written 0 only where every step's is +0.0
+        ("negative_zero_error_trace", 3 * 4, 0),
+        ("still_trace", 8 * (4 + 3), 0),
     ])
     def test_bytes_of_more_shapes_are_those_of_csv_writer(
             self, tmp_path, request, shape, rows, failed):

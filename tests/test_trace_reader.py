@@ -73,26 +73,132 @@ def read_or_refuse(path) -> str:
 @pytest.mark.parametrize("k", range(len(SHAPES)))
 def test_simulated_traces_are_read_in_blocks(tmp_path, monkeypatch, k,
                                              ending):
-    # simulate writes CRLF; a copy in LF reads the same, and both are read
-    # in blocks of as many whole steps as TRACE_BLOCK_ROWS holds, the last
-    # block maybe fewer
+    # simulate writes CRLF; a copy in LF reads the same, and both are
+    # tabled in blocks of whole steps, all but the last within two steps of
+    # TRACE_BLOCK_CHARS characters of the file
     path = tmp_path / "trace.csv"
-    path.write_bytes(simulated_bytes(k).replace(b"\r\n", ending))
+    data = simulated_bytes(k).replace(b"\r\n", ending)
+    path.write_bytes(data)
     blocks = []
     steps_of = sim._steps_of
 
-    def counted(lines, n, width):
-        blocks.append((len(lines), width))
-        return steps_of(lines, n, width)
+    def counted(text, rows, n, width):
+        assert text.count("\r\n") == text.count("\n") == rows
+        blocks.append((rows, width, len(text) - rows * (ending == b"\n")))
+        return steps_of(text, rows, n, width)
 
     monkeypatch.setattr(sim, "_steps_of", counted)
     assert read_or_refuse(path).startswith("[TraceRecord(")
-    (width,) = {width for _, width in blocks}
-    sizes = [size for size, _ in blocks]
-    full = sim.TRACE_BLOCK_ROWS // width * width
-    assert sum(sizes) == simulated_bytes(k).count(b"\r\n") - 1
-    assert set(sizes[:-1]) <= {full} and 0 < sizes[-1] <= full
-    assert sizes[-1] % width == 0
+    (width,) = {width for _, width, _ in blocks}
+    assert sum(rows for rows, _, _ in blocks) == data.count(ending) - 1
+    assert all(rows % width == 0 for rows, _, _ in blocks)
+    lines = data.splitlines(keepends=True)
+    step = max(sum(map(len, lines[i:i + width]))
+               for i in range(1, len(lines), width))
+    assert all(abs(size - sim.TRACE_BLOCK_CHARS) < 2 * step
+               for _, _, size in blocks[:-1])
+    assert 0 < blocks[-1][2] < sim.TRACE_BLOCK_CHARS + 2 * step
+
+
+def first_block_steps(lines, width: int) -> int:
+    """The whole steps of the trace ``lines`` in the reader's first block:
+    those of the lines that end within TRACE_BLOCK_CHARS bytes."""
+    ends = np.cumsum(list(map(len, lines)))
+    return (int(np.searchsorted(ends, sim.TRACE_BLOCK_CHARS, "right"))
+            - 1) // width
+
+
+# every ending, and a last line without one
+ENDINGS = {
+    "CRLF": lambda data: data,
+    "LF": lambda data: data.replace(b"\r\n", b"\n"),
+    "CR": lambda data: data.replace(b"\r\n", b"\r"),
+    "mixed": lambda data: b"".join(
+        line.rstrip(b"\r\n") + (b"\r\n", b"\n", b"\r")[i % 3]
+        for i, line in enumerate(data.splitlines(keepends=True))),
+    "no last ending": lambda data: data.rstrip(b"\r\n"),
+}
+
+
+def budgets(data: bytes) -> dict[str, int]:
+    """Block budgets for the trace ``data`` that end the first read at
+    places a boundary is hard to get right."""
+    lines = data.splitlines(keepends=True)
+    step = lines[1].split(b",")[0] + b","
+    width = sum(1 for line in lines[1:] if line.startswith(step))
+    header = len(lines[0])
+    return {
+        "one byte": 1,
+        "between CR and LF": header - 1,
+        "in the middle of a step": header + sum(
+            map(len, lines[1:1 + width + width // 2])),
+        "less than a step": sum(map(len, lines[1:1 + width])) // 2,
+        "default": sim.TRACE_BLOCK_CHARS,
+    }
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+@pytest.mark.parametrize("budget", budgets(simulated_bytes(0)))
+def test_every_block_boundary_reads_the_same(tmp_path, monkeypatch, budget,
+                                             ending):
+    # the default scenario's trace, whose steps hold 7 rows, read with the
+    # first read ending anywhere gives the oracle's records
+    data = simulated_bytes(0)
+    size = budgets(data)[budget]
+    if budget == "between CR and LF":
+        assert data[size - 1:size + 1] == b"\r\n"
+    path = tmp_path / "trace.csv"
+    path.write_bytes(ENDINGS[ending](data))
+    rows = []
+    steps_of = sim._steps_of
+
+    def counted(text, n_rows, n, width):
+        rows.append(n_rows)
+        return steps_of(text, n_rows, n, width)
+
+    monkeypatch.setattr(sim, "TRACE_BLOCK_CHARS", size)
+    monkeypatch.setattr(sim, "_steps_of", counted)
+    assert read_or_refuse(path).startswith("[TraceRecord(")
+    if budget in ("one byte", "between CR and LF", "less than a step"):
+        # fewer characters than a step: each block tables one step
+        assert set(rows) == {7}
+
+
+@pytest.mark.parametrize("ending", ["CRLF", "LF", "CR"])
+@pytest.mark.parametrize("char", ["\u2028", "\x85", "\x0c"])
+@pytest.mark.parametrize("budget", ["one byte", "default"])
+def test_other_line_breaks_are_text_of_a_field(tmp_path, monkeypatch, char,
+                                               budget, ending):
+    # str.splitlines would end a line at U+2028, U+0085 and form feed; the
+    # csv module does not, and neither does the reader, one byte a read or
+    # TRACE_BLOCK_CHARS, in a file with any line ending
+    data = simulated_bytes(0)
+    lines = data.splitlines(keepends=True)
+    c = char.encode()
+    set_field(lines, 3, 5, lines[3].split(b",")[5] + c)  # est_x
+    set_field(lines, 4, 7, lines[4].split(b",")[7] + c)  # an error, parsed
+    set_field(lines, 9, 3, c + lines[9].split(b",")[3])  # true_x
+    path = tmp_path / "trace.csv"
+    path.write_bytes(ENDINGS[ending](b"".join(lines)))
+    monkeypatch.setattr(sim, "TRACE_BLOCK_CHARS", budgets(data)[budget])
+    assert read_or_refuse(path).startswith("[TraceRecord(")
+
+
+@pytest.mark.parametrize("budget", ["one byte", "default"])
+def test_a_sequence_the_file_ends_inside_is_not_utf8(tmp_path, monkeypatch,
+                                                     budget):
+    # the decoder is flushed at the end: a trace whose last byte starts a
+    # sequence is refused, naming that byte
+    data = simulated_bytes(0)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data + b"\xc3")
+    monkeypatch.setattr(sim, "TRACE_BLOCK_CHARS", budgets(data)[budget])
+    with pytest.raises(CsvFormatError) as refused:
+        read_trace_records(path)
+    lines = len(data.splitlines())
+    assert str(refused.value) == (
+        f"line {lines + 1}: not UTF-8 text: can't decode byte 0xc3 at byte "
+        f"offset {len(data)}: unexpected end of data")
 
 
 def as_written(table: StepTable) -> StepTable:
@@ -181,12 +287,15 @@ def set_field(lines, i, k, value: bytes):
     lines[i] = b",".join(fields) + lines[i][len(body):]
 
 
+# The edits are read with the first block ending after this many steps of
+# the unedited trace, so that two of them meet a block boundary.
+BLOCK_STEPS = 51
+
 # edits of the long_drift trace: all but three break a rule of the layout
 EDITS = {
     "steps 0 and 1 swapped": lambda lines: swap_steps(lines, 0, 1),
     "the steps around the first block boundary swapped":
-        lambda lines: swap_steps(lines, sim.TRACE_BLOCK_ROWS // 5 - 1,
-                                 sim.TRACE_BLOCK_ROWS // 5),
+        lambda lines: swap_steps(lines, BLOCK_STEPS - 1, BLOCK_STEPS),
     "steps 2 and 300 swapped": lambda lines: swap_steps(lines, 2, 300),
     "two rows of a step swapped": lambda lines: lines.__setitem__(
         slice(2, 4), lines[3:1:-1]),
@@ -282,8 +391,10 @@ REFUSALS = {
 
 
 @pytest.mark.parametrize("edit", EDITS)
-def test_an_edit_gives_the_row_readers_result(tmp_path, edit):
+def test_an_edit_gives_the_row_readers_result(tmp_path, monkeypatch, edit):
     lines = simulated_bytes(2).splitlines(keepends=True)
+    monkeypatch.setattr(sim, "TRACE_BLOCK_CHARS",
+                        sum(map(len, lines[:1 + 5 * BLOCK_STEPS])))
     EDITS[edit](lines)
     path = tmp_path / "trace.csv"
     path.write_bytes(b"".join(lines))
@@ -330,8 +441,8 @@ def mutated_traces(draw) -> bytes:
             last = (len(lines) - 1) // width - 1 if width else 0
             if last < 1:  # line 1 was changed before, or too many deleted
                 continue
-            a = draw(st.integers(0, last - 1)
-                     | st.just(min(sim.TRACE_BLOCK_ROWS // width, last) - 1))
+            a = draw(st.integers(0, last - 1) | st.just(
+                min(max(first_block_steps(lines, width), 1), last) - 1))
             b = draw(st.just(a + 1) | st.integers(a + 1, last))
             a, b = 1 + a * width, 1 + b * width
             lines[a:a + width], lines[b:b + width] = \
